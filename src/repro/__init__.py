@@ -108,8 +108,6 @@ from .simulation import (
     aggregate,
     resume_run,
     run_engine,
-    run_repeated,
-    sweep,
 )
 from .experiment import Experiment, ExperimentBuilder, ExperimentSpec, expand_grid
 from .faults import (
@@ -158,8 +156,6 @@ __all__ = [
     "SimulationResult",
     "Simulator",
     "aggregate",
-    "run_repeated",
-    "sweep",
     "BatchResult",
     "BatchRunner",
     "RoundRecord",

@@ -121,9 +121,9 @@ class D001GlobalRandom(Rule):
 
     rule_id: str = "D001"
     title: str = "global random generator"
-    # The legacy CLI front-end and the benchmarks are presentation-layer
-    # code whose draws never feed engine state.
-    exclude: tuple[str, ...] = ("src/repro/cli.py", "benchmarks/")
+    # The benchmarks are presentation-layer code whose draws never feed
+    # engine state.
+    exclude: tuple[str, ...] = ("benchmarks/",)
 
     def check_module(self, module: ModuleInfo) -> None:
         for node in ast.walk(module.tree):

@@ -36,17 +36,8 @@ as a subcommand too, so CI and pre-commit hooks need no extra tooling::
     python -m repro lint src tests --baseline lint_baseline.json \
         --update-baseline                         # deliberate suppressions
 
-The original positional interface is kept as a compatibility layer and is
-itself rebuilt on top of specs — ``repro minimum --agents 10 --churn 0.3``
-constructs the equivalent :class:`~repro.experiment.ExperimentSpec` and
-runs it, so both interfaces execute through the same code path::
-
-    python -m repro --list
-    python -m repro minimum  --agents 10 --churn 0.3 --seed 7
-    python -m repro sorting  --values 9,2,7,1 --environment line
-
 The exit status is 0 when every run converged to the correct answer and 1
-otherwise, so both interfaces slot into smoke-test scripts.
+otherwise, so the CLI slots into smoke-test scripts.
 """
 
 from __future__ import annotations
@@ -54,7 +45,6 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
-import random
 import sys
 from typing import Sequence
 
@@ -64,35 +54,7 @@ from .registry import available, load_plugins
 from .simulation.batch import BatchItem, BatchResult, BatchRunner
 from .verification import check_specification
 
-__all__ = ["main", "build_parser", "ALGORITHMS", "ENVIRONMENTS", "SUBCOMMANDS"]
-
-#: Algorithms the legacy CLI can run, keyed by the name used on the command line.
-ALGORITHMS = (
-    "minimum",
-    "maximum",
-    "sum",
-    "average",
-    "second-smallest",
-    "kth-smallest",
-    "sorting",
-    "hull",
-)
-
-#: Environment presets of the legacy CLI, keyed by command-line name.
-ENVIRONMENTS = ("static", "churn", "line", "partition", "blackout", "mobility")
-
-#: Spec-driven subcommands (anything else falls through to the legacy parser).
-SUBCOMMANDS = (
-    "run",
-    "list",
-    "sweep",
-    "resume",
-    "serve",
-    "submit",
-    "status",
-    "lint",
-    "chaos",
-)
+__all__ = ["main", "build_parser"]
 
 #: ``repro list`` sections, in display order.
 _LIST_KINDS = (
@@ -106,149 +68,8 @@ _LIST_KINDS = (
 )
 
 
-# -- the legacy (compatibility) interface --------------------------------------
-
-
 def build_parser() -> argparse.ArgumentParser:
-    """Build the legacy CLI argument parser (exposed separately for testing)."""
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description=(
-            "Run a self-similar algorithm in a simulated dynamic distributed "
-            "system.  Spec-driven interface: repro run|list|sweep --help."
-        ),
-    )
-    parser.add_argument("algorithm", nargs="?", choices=ALGORITHMS, help="computation to run")
-    parser.add_argument("--list", action="store_true", help="list algorithms and environments")
-    parser.add_argument("--agents", type=int, default=8, help="number of agents (default 8)")
-    parser.add_argument(
-        "--values",
-        type=str,
-        default=None,
-        help="comma-separated input values (default: seeded random instance)",
-    )
-    parser.add_argument(
-        "--environment",
-        choices=ENVIRONMENTS,
-        default="churn",
-        help="environment preset (default: churn)",
-    )
-    parser.add_argument(
-        "--churn", type=float, default=0.3, help="edge up-probability for the churn preset"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument("--max-rounds", type=int, default=2000, help="round cap")
-    parser.add_argument("--k", type=int, default=3, help="k for kth-smallest")
-    parser.add_argument(
-        "--verbose", action="store_true", help="also print the trace-level specification check"
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="print the SimulationResult as JSON"
-    )
-    return parser
-
-
-def _parse_values(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as error:
-        raise SystemExit(f"--values must be a comma-separated list of integers: {error}")
-
-
-def _default_values(num_agents: int, seed: int) -> list[int]:
-    rng = random.Random(seed)
-    return [rng.randint(0, 99) for _ in range(num_agents)]
-
-
-#: Legacy environment presets as (registered environment, params, topology).
-_ENVIRONMENT_PRESETS = {
-    "static": ("static", {}, "complete"),
-    "churn": ("churn", {}, "complete"),
-    "line": ("churn", {}, "line"),
-    "partition": ("rotating-partition", {"num_blocks": 2, "rotate_every": 3}, "complete"),
-    "blackout": ("blackout", {"period": 10, "blackout_rounds": 6}, "complete"),
-    "mobility": (
-        "mobility",
-        {"arena_size": 100.0, "range_radius": 35.0, "speed": 8.0},
-        None,
-    ),
-}
-
-
-def _legacy_spec(args: argparse.Namespace, values: list[int]) -> ExperimentSpec:
-    """Translate legacy command-line arguments into an experiment spec."""
-    environment, environment_params, topology = _ENVIRONMENT_PRESETS[args.environment]
-    environment_params = dict(environment_params)
-    if environment == "churn":
-        environment_params["edge_up_probability"] = args.churn
-    if topology is not None:
-        environment_params["topology"] = topology
-
-    algorithm = args.algorithm
-    algorithm_params: dict = {}
-    initial_values: list = list(values)
-    if algorithm == "kth-smallest":
-        algorithm_params["k"] = args.k
-    elif algorithm == "hull":
-        rng = random.Random(args.seed)
-        initial_values = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in values]
-
-    return ExperimentSpec(
-        algorithm=algorithm,
-        algorithm_params=algorithm_params,
-        environment=environment,
-        environment_params=environment_params,
-        initial_values=tuple(initial_values),
-        seeds=(args.seed,),
-        max_rounds=args.max_rounds,
-    ).validate()
-
-
-def _legacy_main(argv: Sequence[str] | None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    if args.list or args.algorithm is None:
-        print("algorithms:   " + ", ".join(ALGORITHMS))
-        print("environments: " + ", ".join(ENVIRONMENTS))
-        return 0
-
-    values = _parse_values(args.values) if args.values else _default_values(args.agents, args.seed)
-    if args.values:
-        args.agents = len(values)
-    if args.agents < 1:
-        raise SystemExit("--agents must be at least 1")
-
-    try:
-        spec = _legacy_spec(args, values)
-        simulator = spec.build(args.seed)
-    except SpecificationError as error:
-        raise SystemExit(str(error))
-    result = simulator.run(max_rounds=spec.max_rounds)
-
-    if args.json:
-        print(result.to_json(indent=2))
-        return 0 if result.converged and result.correct else 1
-
-    print(f"algorithm:    {simulator.algorithm.name}")
-    print(f"environment:  {simulator.environment.describe()}")
-    print(f"inputs:       {list(values)}")
-    print(f"converged:    {result.converged} "
-          f"(round {result.convergence_round}, {result.group_steps} group steps)")
-    print(f"output:       {result.output}")
-    print(f"expected:     {result.expected_output}")
-    if args.verbose:
-        report = check_specification(simulator.algorithm, result.trace)
-        print(f"specification: {report.explain()}")
-
-    return 0 if result.converged and result.correct else 1
-
-
-# -- the spec-driven interface --------------------------------------------------
-
-
-def build_spec_parser() -> argparse.ArgumentParser:
-    """Build the parser for the ``run`` / ``list`` / ``sweep`` subcommands."""
+    """Build the argument parser of every subcommand."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Declarative experiments over self-similar algorithms.",
@@ -825,34 +646,28 @@ def _cmd_status(args: argparse.Namespace) -> int:
     return 0 if record["status"] != "failed" else 1
 
 
+#: Subcommand name -> handler.
+_COMMANDS = {
+    "run": _cmd_run,
+    "list": _cmd_list,
+    "resume": _cmd_resume,
+    "sweep": _cmd_sweep,
+    "serve": _cmd_serve,
+    "submit": _cmd_submit,
+    "status": _cmd_status,
+    "lint": _cmd_lint,
+    "chaos": _cmd_chaos,
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit status."""
-    if argv is None:
-        argv = sys.argv[1:]
     try:
         load_plugins()
     except SpecificationError as error:
         raise SystemExit(str(error))
-    if argv and argv[0] in SUBCOMMANDS:
-        args = build_spec_parser().parse_args(argv)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "list":
-            return _cmd_list(args)
-        if args.command == "resume":
-            return _cmd_resume(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
-        if args.command == "submit":
-            return _cmd_submit(args)
-        if args.command == "status":
-            return _cmd_status(args)
-        if args.command == "lint":
-            return _cmd_lint(args)
-        if args.command == "chaos":
-            return _cmd_chaos(args)
-        return _cmd_sweep(args)
-    return _legacy_main(argv)
+    args = build_parser().parse_args(argv)
+    return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

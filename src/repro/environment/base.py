@@ -133,28 +133,18 @@ class Topology:
         return f"Topology(num_agents={self.num_agents}, edges={len(self.edges)})"
 
 
-def connected_component_tuples(
-    agents: Iterable[int], edges: Iterable[Edge]
-) -> list[tuple[int, ...]]:
-    """Connected components as sorted member tuples, ordered by smallest member.
+def edge_components(edges: Iterable[Edge]) -> list[tuple[int, ...]]:
+    """Connected components of the graph ``edges`` span, without singletons.
 
-    The workhorse behind :func:`connected_components` (which wraps the
-    tuples in frozensets) and the maximal-groups scheduler (which feeds
-    them to :class:`~repro.agents.group.Group` directly, avoiding a
-    re-sort per component).
-
-    The implementation only walks vertices actually touched by an edge;
-    every other agent is a singleton component, emitted via a sorted
-    merge.  On sparse rounds (few available edges, many agents) this
-    makes the per-round cost proportional to the active part of the
-    graph, not to the whole agent population.
+    Only vertices touched by an edge appear.  Components are sorted member
+    tuples, ordered by smallest member.  On sparse rounds (few available
+    edges, many agents) this keeps the cost proportional to the active
+    part of the graph, not to the whole agent population.
     """
-    agent_set = set(agents)
     adjacency: dict[int, list[int]] = {}
     for a, b in edges:
-        if a in agent_set and b in agent_set:
-            adjacency.setdefault(a, []).append(b)
-            adjacency.setdefault(b, []).append(a)
+        adjacency.setdefault(a, []).append(b)
+        adjacency.setdefault(b, []).append(a)
 
     connected: list[tuple[int, ...]] = []
     visited: set[int] = set()
@@ -173,8 +163,29 @@ def connected_component_tuples(
         members.sort()
         connected.append(tuple(members))
     connected.sort()
+    return connected
 
-    singletons = sorted(agent_set.difference(adjacency))
+
+def connected_component_tuples(
+    agents: Iterable[int], edges: Iterable[Edge]
+) -> list[tuple[int, ...]]:
+    """Connected components as sorted member tuples, ordered by smallest member.
+
+    The workhorse behind :func:`connected_components` (which wraps the
+    tuples in frozensets) and the maximal-groups scheduler (which feeds
+    them to :class:`~repro.agents.group.Group` directly, avoiding a
+    re-sort per component).
+
+    Edges whose endpoints are not both in ``agents`` are ignored.  The
+    edge-touched components come from :func:`edge_components`; every
+    other agent is a singleton component, emitted via a sorted merge.
+    """
+    agent_set = set(agents)
+    connected = edge_components(
+        (a, b) for a, b in edges if a in agent_set and b in agent_set
+    )
+
+    singletons = sorted(agent_set.difference(*connected))
     if not singletons:
         return connected
     if not connected:

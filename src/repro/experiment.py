@@ -383,8 +383,7 @@ class ExperimentSpec:
 
         ``seed`` defaults to the spec's first seed.  Environments whose
         constructor accepts a ``seed`` receive the run seed unless the
-        spec pins one, mirroring how ``run_repeated`` passes its per-run
-        seed to the environment factory.
+        spec pins one, so each repeated run gets its own environment.
         """
         self.validate()
         if seed is None:

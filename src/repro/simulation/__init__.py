@@ -1,6 +1,6 @@
 """Simulation of self-similar algorithms under dynamic environments."""
 
-from .batch import BatchItem, BatchResult, BatchRunner, run_callables
+from .batch import BatchItem, BatchResult, BatchRunner
 from .checkpoint import (
     DriverState,
     EngineCheckpoint,
@@ -29,13 +29,11 @@ from .probes import (
 )
 from .protocol import Engine, HistoryProbe, Probe, RoundRecord, RunContext, run_engine
 from .result import SimulationResult
-from .runner import SweepPoint, run_repeated, sweep
 
 __all__ = [
     "BatchItem",
     "BatchResult",
     "BatchRunner",
-    "run_callables",
     "CheckpointProbe",
     "DriverState",
     "EngineCheckpoint",
@@ -64,7 +62,4 @@ __all__ = [
     "statistics_from_payloads",
     "format_table",
     "SimulationResult",
-    "SweepPoint",
-    "run_repeated",
-    "sweep",
 ]

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from itertools import chain
 from typing import Any, Callable, Hashable, Iterator, Sequence
 
 try:
@@ -69,6 +70,7 @@ from ..environment.base import (
     Environment,
     EnvironmentState,
     connected_component_tuples,
+    edge_components,
 )
 from ..environment.dynamics import RandomChurnEnvironment
 from ..registry import register_engine
@@ -101,6 +103,49 @@ INT64_MAX = 2**63 - 1
 #: keeps every value within ±(sum of absolute initial values) — so the
 #: flat int64 representation cannot overflow once the initial values fit.
 _INT_KERNELS = frozenset({"minimum", "maximum", "sum"})
+
+
+def _label_components(u, v, enabled_count: int):
+    """Connected components of the effective edges ``(u[i], v[i])``.
+
+    Labels components by min-label propagation with full path
+    compression and returns ``(flat, offsets, sizes, group_steps,
+    largest)``: the non-singleton components in the flat form the kernels
+    consume — groups ordered by smallest member, members ascending (the
+    order every scheduler presents, which the sum collector tie-break
+    needs) — plus the group count including the ``enabled_count`` agents
+    no edge touches, and the largest group size.
+    """
+    np = _numpy
+    empty = np.empty(0, dtype=np.int64)
+    if not u.shape[0]:
+        return empty, empty, empty, enabled_count, (1 if enabled_count else 0)
+    nodes, inverse = np.unique(np.concatenate((u, v)), return_inverse=True)
+    index_u = inverse[: u.shape[0]]
+    index_v = inverse[u.shape[0] :]
+    labels = np.arange(nodes.shape[0], dtype=np.int64)
+    while True:
+        # Scatter-min across both edge directions, then compress label
+        # chains to their roots; converges in O(log diameter) sweeps
+        # because labels only ever decrease toward the component minimum.
+        np.minimum.at(labels, index_u, labels[index_v])
+        np.minimum.at(labels, index_v, labels[index_u])
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+        if np.array_equal(labels[index_u], labels[index_v]):
+            break
+    order = np.argsort(labels, kind="stable")
+    sorted_labels = labels[order]
+    flat = nodes[order]
+    offsets = np.flatnonzero(
+        np.r_[True, sorted_labels[1:] != sorted_labels[:-1]]
+    ).astype(np.int64)
+    sizes = np.diff(np.append(offsets, flat.shape[0]))
+    group_steps = offsets.shape[0] + (enabled_count - nodes.shape[0])
+    return flat, offsets, sizes, group_steps, int(sizes.max())
 
 
 class _KernelGuardRng(random.Random):
@@ -245,7 +290,7 @@ class ArrayEngine:
         re-derived from the algorithm's own step rule through the full
         relation judge, the maintained bag/fingerprint/objective are
         verified against a from-scratch recomputation every round, and
-        the engine's component walk is verified against
+        the engine's component labelling is verified against
         :func:`connected_component_tuples` — any divergence raises
         :class:`SimulationError`.
     """
@@ -589,148 +634,85 @@ class ArrayEngine:
         )
         return EnvironmentState(enabled, selected, round_index)
 
-    def _churn_components(self):
-        """The maximal partition, straight from the pending churn masks.
+    def _labelled_components(self, environment_state: EnvironmentState | None):
+        """The maximal partition, in the flat form the kernels consume.
 
-        Filters the effective edges (both endpoints enabled) as arrays,
-        labels connected components by min-label propagation with full
-        path compression, and returns the partition in the flat
-        ``(members, offsets, sizes)`` form the kernels consume — groups
-        ordered by smallest member, members ascending (the order every
-        scheduler presents, which the sum collector tie-break needs).
+        The effective edges (both endpoints enabled) come from the
+        pending churn masks on a vectorized churn round
+        (``environment_state`` is None) and from the state's effective
+        edge set otherwise; either way they are labelled by
+        :func:`_label_components`.
         """
         np = _numpy
-        enabled_mask, edge_mask = self._churn_pending
-        self._churn_pending = None
-        edge_u = self._churn_edge_u
-        edge_v = self._churn_edge_v
-        if enabled_mask is None:
-            keep = edge_mask
-            enabled_count = self._churn_agent_ids.shape[0]
-        else:
-            up = np.zeros(self._churn_lookup_size, dtype=bool)
-            up[self._churn_agent_ids[enabled_mask]] = True
-            keep = edge_mask & up[edge_u] & up[edge_v]
-            enabled_count = int(np.count_nonzero(enabled_mask))
-        u = edge_u[keep]
-        v = edge_v[keep]
-        empty = np.empty(0, dtype=np.int64)
-        if not u.shape[0]:
-            return empty, empty, empty, enabled_count, (1 if enabled_count else 0)
-        nodes, inverse = np.unique(np.concatenate((u, v)), return_inverse=True)
-        index_u = inverse[: u.shape[0]]
-        index_v = inverse[u.shape[0] :]
-        labels = np.arange(nodes.shape[0], dtype=np.int64)
-        while True:
-            # Scatter-min across both edge directions, then compress
-            # label chains to their roots; converges in O(log diameter)
-            # sweeps because labels only ever decrease toward the
-            # component minimum.
-            np.minimum.at(labels, index_u, labels[index_v])
-            np.minimum.at(labels, index_v, labels[index_u])
-            while True:
-                jumped = labels[labels]
-                if np.array_equal(jumped, labels):
-                    break
-                labels = jumped
-            if np.array_equal(labels[index_u], labels[index_v]):
-                break
-        order = np.argsort(labels, kind="stable")
-        sorted_labels = labels[order]
-        flat = nodes[order]
-        offsets = np.flatnonzero(
-            np.r_[True, sorted_labels[1:] != sorted_labels[:-1]]
-        ).astype(np.int64)
-        sizes = np.diff(np.append(offsets, flat.shape[0]))
-        group_steps = offsets.shape[0] + (enabled_count - nodes.shape[0])
-        return flat, offsets, sizes, group_steps, int(sizes.max())
-
-    def _component_groups(
-        self, environment_state: EnvironmentState
-    ) -> tuple[list[list[int]], int, int]:
-        """The maximal partition, without ``Group`` objects.
-
-        Walks the effective edge set once and returns the non-singleton
-        connected components (members sorted ascending — the member order
-        every scheduler presents, and the order the sum kernel's
-        collector tie-break depends on), plus the total group count
-        (components + enabled singletons) and the largest group size.
-        """
-        adjacency: dict[int, list[int]] = {}
-        for a, b in environment_state.effective_edges():
-            neighbors = adjacency.get(a)
-            if neighbors is None:
-                adjacency[a] = [b]
+        if environment_state is None:
+            enabled_mask, edge_mask = self._churn_pending
+            self._churn_pending = None
+            edge_u = self._churn_edge_u
+            edge_v = self._churn_edge_v
+            if enabled_mask is None:
+                keep = edge_mask
+                enabled_count = self._churn_agent_ids.shape[0]
             else:
-                neighbors.append(b)
-            neighbors = adjacency.get(b)
-            if neighbors is None:
-                adjacency[b] = [a]
-            else:
-                neighbors.append(a)
-        components: list[list[int]] = []
-        largest = 0
-        visited: set[int] = set()
-        for start in adjacency:
-            if start in visited:
-                continue
-            visited.add(start)
-            stack = [start]
-            members = [start]
-            while stack:
-                for neighbor in adjacency[stack.pop()]:
-                    if neighbor not in visited:
-                        visited.add(neighbor)
-                        members.append(neighbor)
-                        stack.append(neighbor)
-            members.sort()
-            components.append(members)
-            if len(members) > largest:
-                largest = len(members)
-        enabled_count = len(environment_state.enabled_agents)
-        singleton_count = enabled_count - len(visited)
-        group_steps = len(components) + singleton_count
-        if not components:
-            largest = 1 if enabled_count else 0
-        if self.cross_check:
-            self._verify_components(environment_state, components, singleton_count)
-        return components, group_steps, largest
+                up = np.zeros(self._churn_lookup_size, dtype=bool)
+                up[self._churn_agent_ids[enabled_mask]] = True
+                keep = edge_mask & up[edge_u] & up[edge_v]
+                enabled_count = int(np.count_nonzero(enabled_mask))
+            return _label_components(edge_u[keep], edge_v[keep], enabled_count)
+        edges = environment_state.effective_edges()
+        endpoints = np.fromiter(
+            chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges)
+        )
+        return _label_components(
+            endpoints[0::2], endpoints[1::2], len(environment_state.enabled_agents)
+        )
 
     def _execute_round(self, round_index: int) -> ArrayRoundRecord:
         """Execute one round — one environment transition, one vectorized
         agent transition — and record what happened.
 
         Under the maximal scheduler the partition is derived straight
-        from the effective edges; any other scheduler runs for real (its
-        random draws are part of the run stream).  Group steps then run
-        through the numpy kernel, the ``array('q')``/list object path, or
-        — always, under ``cross_check`` — the algorithm's own step rule,
-        and the resulting ``(removed, added)`` delta folds into the
-        maintained round state exactly as in the reference engine.
+        from the effective edges — labelled as arrays on the numpy
+        backend, walked by :func:`edge_components` otherwise; any other
+        scheduler runs for real (its random draws are part of the run
+        stream).  Group steps then run through the numpy kernel, the
+        ``array('q')``/list object path, or — always, under
+        ``cross_check`` — the algorithm's own step rule, and the resulting
+        ``(removed, added)`` delta folds into the maintained round state
+        exactly as in the reference engine.
         """
         environment_state = self._advance_environment(round_index)
-        if self._maximal_bypass:
-            if environment_state is None:
-                # Vectorized churn round: masks -> component arrays ->
-                # flat kernel reductions, no sets or Group lists at all.
-                flat, offsets, sizes, group_steps, largest = self._churn_components()
-                if flat.shape[0]:
-                    removed, added, improving = self._numpy_flat_round(
-                        flat, offsets, sizes
-                    )
-                else:
-                    removed, added, improving = [], [], 0
-                objective, converged = self._fold_round(removed, added)
-                return ArrayRoundRecord(
-                    self,
-                    round_index,
-                    objective,
-                    converged,
-                    group_steps,
-                    improving,
-                    largest,
+        if self._maximal_bypass and self._backend == "numpy":
+            # Masks or edges -> component arrays -> flat kernel
+            # reductions, with no Group lists at all.
+            flat, offsets, sizes, group_steps, largest = self._labelled_components(
+                environment_state
+            )
+            groups = None
+            if self.cross_check:
+                groups = self._verify_components(
+                    environment_state, flat, offsets, group_steps
                 )
-            groups, group_steps, largest = self._component_groups(environment_state)
+            if flat.shape[0]:
+                removed, added, improving = self._numpy_flat_round(
+                    flat, offsets, sizes, groups
+                )
+            else:
+                removed, added, improving = [], [], 0
+            objective, converged = self._fold_round(removed, added)
+            return ArrayRoundRecord(
+                self,
+                round_index,
+                objective,
+                converged,
+                group_steps,
+                improving,
+                largest,
+            )
+        if self._maximal_bypass:
+            groups = edge_components(environment_state.effective_edges())
+            enabled_count = len(environment_state.enabled_agents)
+            group_steps = len(groups) + enabled_count - sum(map(len, groups))
+            largest = max(map(len, groups), default=1 if enabled_count else 0)
         else:
             scheduled = self.scheduler.schedule(environment_state, self._rng)
             _validate_partition(scheduled, self.environment.num_agents)
@@ -797,9 +779,8 @@ class ArrayEngine:
     ) -> tuple[list, list, int]:
         """The reduceat core, on a partition already in flat-array form.
 
-        ``groups`` is only needed for the cross-check re-derivation; the
-        vectorized churn path (which never runs under cross_check)
-        passes the arrays straight from the component labelling.
+        ``groups`` (the same partition as member lists) is only needed
+        for the cross-check re-derivation.
         """
         np = _numpy
         states = self._states
@@ -1015,28 +996,32 @@ class ArrayEngine:
     def _verify_components(
         self,
         environment_state: EnvironmentState,
-        components: Sequence[Sequence[int]],
-        singleton_count: int,
-    ) -> None:
-        """Debug cross-check: edge walk == from-scratch component walk."""
+        flat,
+        offsets,
+        group_steps: int,
+    ) -> list[list[int]]:
+        """Debug cross-check: labelled components == the component walk.
+
+        Compares the vectorized labelling against
+        :func:`connected_component_tuples` on the same state and returns
+        the labelled groups as member lists, which the kernel cross-check
+        re-derives through the step rule.
+        """
+        members = flat.tolist()
+        bounds = offsets.tolist() + [len(members)]
+        groups = [members[start:end] for start, end in zip(bounds, bounds[1:])]
         expected = connected_component_tuples(
             environment_state.enabled_agents, environment_state.effective_edges()
         )
-        expected_groups = [c for c in expected if len(c) >= 2]
-        walked = sorted(tuple(members) for members in components)
-        if walked != expected_groups:
+        expected_groups = [list(c) for c in expected if len(c) >= 2]
+        if groups != expected_groups or group_steps != len(expected):
             raise SimulationError(
-                "array-engine component walk diverged from the reference "
-                f"walk at round {environment_state.round_index}: "
-                f"{walked!r} vs {expected_groups!r}"
+                "array-engine component labelling diverged from the "
+                f"component walk at round {environment_state.round_index}: "
+                f"{groups!r} ({group_steps} groups) vs {expected_groups!r} "
+                f"({len(expected)} groups)"
             )
-        expected_singletons = len(expected) - len(expected_groups)
-        if singleton_count != expected_singletons:
-            raise SimulationError(
-                "array-engine singleton count diverged at round "
-                f"{environment_state.round_index}: {singleton_count} vs "
-                f"{expected_singletons}"
-            )
+        return groups
 
     def _verify_kernel_groups(
         self,

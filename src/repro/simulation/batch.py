@@ -43,12 +43,11 @@ from .metrics import (
     statistics_from_payloads,
 )
 from .probes import StatsProbe
-from .result import SimulationResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; avoids an import cycle
     from ..experiment import ExperimentSpec
 
-__all__ = ["BatchItem", "BatchResult", "BatchRunner", "run_callables"]
+__all__ = ["BatchItem", "BatchResult", "BatchRunner"]
 
 #: Executor backends the runner knows how to drive.
 BACKENDS = ("process", "thread", "serial")
@@ -533,55 +532,3 @@ def _payload_key(payload: Any) -> str:
         return str(payload[1])
     return ""
 
-
-def run_callables(
-    jobs: Sequence[Callable[[], SimulationResult]],
-    max_workers: int | None = None,
-    backend: str = "serial",
-    return_exceptions: bool = False,
-) -> list[SimulationResult]:
-    """Execute in-process simulation thunks and return their results in order.
-
-    This is the non-serializable little sibling of :class:`BatchRunner`:
-    the legacy ``run_repeated`` / ``sweep`` helpers wrap live algorithm
-    and environment objects in closures and delegate the execution loop
-    here.  Closures cannot cross process boundaries, so the backends are
-    ``"serial"`` (default) and ``"thread"``.
-
-    Failure handling mirrors :class:`BatchRunner`'s per-unit capture: each
-    job's outcome is recorded independently, so one raising job never
-    discards the others' completed work.  With ``return_exceptions`` the
-    outcomes come back as a mixed list (results and exception objects, in
-    job order).  Without it, the first failing job's exception is raised —
-    but only after every job has finished.  The one behavioural difference
-    that remains between the backends: ``"serial"`` stops at the first
-    failure (later jobs never start), while ``"thread"`` always runs every
-    job to completion before reporting the earliest failure.
-    """
-    if backend not in ("serial", "thread"):
-        raise ValueError(f"run_callables backend must be serial or thread, got {backend!r}")
-    if backend == "serial" or len(jobs) <= 1:
-        if not return_exceptions:
-            return [job() for job in jobs]
-        outcomes = [_call_guarded(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(_call_guarded, job) for job in jobs]
-            outcomes = [future.result() for future in futures]
-
-    if return_exceptions:
-        return [result if error is None else error for result, error in outcomes]
-    for _, error in outcomes:
-        if error is not None:
-            raise error
-    return [result for result, _ in outcomes]
-
-
-def _call_guarded(
-    job: Callable[[], SimulationResult]
-) -> tuple[SimulationResult | None, Exception | None]:
-    """Run one thunk, capturing its exception instead of propagating."""
-    try:
-        return job(), None
-    except Exception as error:  # noqa: BLE001 - reported to the caller
-        return None, error

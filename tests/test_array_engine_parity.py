@@ -254,19 +254,30 @@ def test_int64_overflow_falls_back_to_objects():
 
 @pytest.mark.parametrize("case", ["minimum", "maximum", "sum"])
 def test_pure_python_fallback_is_identical(case, monkeypatch):
+    _assert_fallback_identical(case, "random-pair", monkeypatch)
+
+
+@pytest.mark.parametrize("case", ["minimum", "maximum", "sum"])
+def test_pure_python_fallback_is_identical_under_maximal(case, monkeypatch):
+    # The object backends group through edge_components, not the numpy
+    # labelling.
+    _assert_fallback_identical(case, "maximal", monkeypatch)
+
+
+def _assert_fallback_identical(case, scheduler_name, monkeypatch):
     # Forcing HAVE_NUMPY off selects the array('q') backend; results must
     # be value-identical to both the reference engine and (when numpy is
     # actually present) the numpy backend.
     with_numpy = None
     if HAVE_NUMPY:
-        with_numpy = _build(ArrayEngine, case, "random-pair", seed=13).run(
+        with_numpy = _build(ArrayEngine, case, scheduler_name, seed=13).run(
             max_rounds=80, extra_rounds_after_convergence=2
         )
     monkeypatch.setattr(array_engine_module, "HAVE_NUMPY", False)
-    engine = _build(ArrayEngine, case, "random-pair", seed=13)
+    engine = _build(ArrayEngine, case, scheduler_name, seed=13)
     assert engine._backend == "int-array"
     fallback = engine.run(max_rounds=80, extra_rounds_after_convergence=2)
-    reference = _build(Simulator, case, "random-pair", seed=13).run(
+    reference = _build(Simulator, case, scheduler_name, seed=13).run(
         max_rounds=80, extra_rounds_after_convergence=2
     )
     _assert_identical(fallback, reference)
@@ -579,6 +590,45 @@ class TestVectorizedFastPaths:
             next(fast_stream)
             next(slow_stream)
             assert fast._rng.getstate() == slow._rng.getstate()
+
+    def test_labelling_serves_environments_without_vectorized_draws(
+        self, monkeypatch
+    ):
+        # Markov churn advances through the environment itself, but its
+        # maximal partition is still labelled as arrays, once per round,
+        # from the state's effective edges.
+        engine = _build(ArrayEngine, "minimum", environment_name="markov")
+        assert engine._maximal_bypass and not engine._churn_bypass
+        label = array_engine_module._label_components
+        calls = []
+
+        def counting_label(u, v, enabled_count):
+            calls.append(enabled_count)
+            return label(u, v, enabled_count)
+
+        monkeypatch.setattr(array_engine_module, "_label_components", counting_label)
+        result = engine.run(max_rounds=80, extra_rounds_after_convergence=2)
+        assert len(calls) == result.rounds_executed
+        reference = _build(Simulator, "minimum", environment_name="markov").run(
+            max_rounds=80, extra_rounds_after_convergence=2
+        )
+        _assert_identical(result, reference)
+
+    def test_cross_check_catches_a_diverging_labelling(self, monkeypatch):
+        label = array_engine_module._label_components
+
+        def miscounting_label(u, v, enabled_count):
+            flat, offsets, sizes, group_steps, largest = label(u, v, enabled_count)
+            return flat, offsets, sizes, group_steps + 1, largest
+
+        monkeypatch.setattr(
+            array_engine_module, "_label_components", miscounting_label
+        )
+        engine = _build(
+            ArrayEngine, "minimum", environment_name="markov", cross_check=True
+        )
+        with pytest.raises(SimulationError, match="labelling diverged"):
+            engine.run(max_rounds=20)
 
     @pytest.mark.parametrize("case", ["minimum", "maximum", "sum"])
     def test_vectorized_convergence_equals_multiset_equality(self, case):

@@ -7,7 +7,7 @@ import pytest
 from repro import BatchRunner, ExperimentSpec, Simulator, minimum_algorithm
 from repro.environment import RandomChurnEnvironment, complete_graph
 from repro.registry import register_probe
-from repro.simulation.batch import BatchResult, run_callables
+from repro.simulation.batch import BatchResult
 from repro.simulation.protocol import Probe
 
 VALUES = [5, 3, 9, 1, 7, 2, 8, 4]
@@ -137,60 +137,6 @@ class TestBatchSerialization:
         assert rebuilt.algorithm == "minimum"
         # a persisted batch item is re-runnable
         assert rebuilt.run(item.seed).to_dict()["output"] == item.result["output"]
-
-
-class TestRunCallables:
-    def test_serial_preserves_order(self):
-        jobs = [lambda seed=seed: hand_wired(seed) for seed in (0, 1, 2)]
-        results = run_callables(jobs)
-        assert [r.metadata["seed"] for r in results] == [0, 1, 2]
-
-    def test_thread_backend_matches_serial(self):
-        jobs = [lambda seed=seed: hand_wired(seed) for seed in (0, 1, 2)]
-        serial = run_callables(jobs, backend="serial")
-        threaded = run_callables(jobs, backend="thread", max_workers=3)
-        assert [r.final_states for r in serial] == [r.final_states for r in threaded]
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="serial or thread"):
-            run_callables([], backend="process")
-
-    def test_thread_backend_completes_every_job_before_raising(self):
-        # The historic bug: future.result() propagated the first worker
-        # exception immediately and the completed siblings' results were
-        # lost with it.  Failures are now captured per job; the earliest
-        # one (by job order) is raised only after every job finished.
-        finished: list[int] = []
-
-        def ok(index):
-            def job():
-                result = hand_wired(0)
-                finished.append(index)
-                return result
-
-            return job
-
-        def bad():
-            raise RuntimeError("boom")
-
-        with pytest.raises(RuntimeError, match="boom"):
-            run_callables([ok(0), bad, ok(2)], backend="thread", max_workers=2)
-        assert sorted(finished) == [0, 2]
-
-    def test_return_exceptions_keeps_the_batch(self):
-        def bad():
-            raise RuntimeError("boom")
-
-        jobs = [lambda: hand_wired(0), bad, lambda: hand_wired(2)]
-        outcomes = run_callables(
-            jobs, backend="thread", max_workers=2, return_exceptions=True
-        )
-        assert outcomes[0].metadata["seed"] == 0
-        assert isinstance(outcomes[1], RuntimeError)
-        assert outcomes[2].metadata["seed"] == 2
-        serial = run_callables(jobs, backend="serial", return_exceptions=True)
-        assert isinstance(serial[1], RuntimeError)
-        assert serial[2].metadata["seed"] == 2
 
 
 # -- durable batches: checkpoints, retry, resume --------------------------------

@@ -2,77 +2,128 @@
 
 from __future__ import annotations
 
+import json
+import pathlib
+
 import pytest
 
-from repro.cli import ALGORITHMS, ENVIRONMENTS, build_parser, main
+from repro.cli import build_parser, main
+
+SPECS_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples" / "specs"
 
 
 class TestParser:
-    def test_list_flag(self, capsys):
-        assert main(["--list"]) == 0
-        output = capsys.readouterr().out
-        assert "minimum" in output
-        assert "mobility" in output
+    def test_no_subcommand_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as raised:
+            main([])
+        assert raised.value.code == 2
 
-    def test_no_algorithm_prints_listing(self, capsys):
-        assert main([]) == 0
-        assert "algorithms:" in capsys.readouterr().out
-
-    def test_unknown_algorithm_rejected(self):
+    def test_unknown_subcommand_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
-    def test_bad_values_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["minimum", "--values", "1,two,3"])
-
-    def test_all_choices_exposed(self):
-        assert "sorting" in ALGORITHMS
-        assert "partition" in ENVIRONMENTS
+    def test_list_exposes_every_algorithm_and_environment(self, capsys):
+        assert main(["list", "algorithms"]) == 0
+        assert main(["list", "environments"]) == 0
+        output = capsys.readouterr().out
+        assert "sorting" in output and "kth-smallest" in output
+        assert "rotating-partition" in output and "mobility" in output
 
 
 class TestRuns:
-    def test_minimum_with_explicit_values(self, capsys):
-        status = main(["minimum", "--values", "9,4,7,1", "--environment", "static", "--seed", "1"])
+    """One spec per algorithm family, run through ``repro run``."""
+
+    def _run(self, tmp_path, *flags, **fields):
+        spec = {
+            "environment": "static",
+            "environment_params": {"topology": "complete"},
+            "seeds": [1],
+            **fields,
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        return main(["run", str(path), *flags])
+
+    def test_minimum_with_explicit_values(self, tmp_path, capsys):
+        status = self._run(tmp_path, algorithm="minimum", initial_values=[9, 4, 7, 1])
         output = capsys.readouterr().out
         assert status == 0
-        assert "converged:    True" in output
-        assert "output:       1" in output
+        assert "seed 1: converged at round" in output
+        assert "output 1 (expected 1)" in output
 
-    def test_sum_under_churn(self, capsys):
-        status = main(["sum", "--values", "3,5,3,7", "--churn", "0.5", "--seed", "2"])
+    def test_sum_under_churn(self, tmp_path, capsys):
+        status = self._run(
+            tmp_path,
+            algorithm="sum",
+            environment="churn",
+            environment_params={"topology": "complete", "edge_up_probability": 0.5},
+            initial_values=[3, 5, 3, 7],
+            seeds=[2],
+        )
         assert status == 0
-        assert "output:       18" in capsys.readouterr().out
+        assert "output 18" in capsys.readouterr().out
 
-    def test_sorting_with_duplicates_deduplicated(self, capsys):
-        status = main(["sorting", "--values", "5,2,5,1", "--environment", "static"])
+    def test_sorting_with_duplicates_deduplicated(self, tmp_path, capsys):
+        status = self._run(tmp_path, algorithm="sorting", initial_values=[5, 2, 5, 1])
         assert status == 0
-        assert "[1, 2, 5]" in capsys.readouterr().out
+        assert "output [1, 2, 5]" in capsys.readouterr().out
 
-    def test_kth_smallest(self, capsys):
-        status = main(["kth-smallest", "--values", "9,4,7,1,6", "--k", "2",
-                       "--environment", "static"])
+    def test_kth_smallest(self, tmp_path, capsys):
+        status = self._run(
+            tmp_path,
+            algorithm="kth-smallest",
+            algorithm_params={"k": 2},
+            initial_values=[9, 4, 7, 1, 6],
+        )
         assert status == 0
-        assert "output:       4" in capsys.readouterr().out
+        assert "output 4" in capsys.readouterr().out
 
     def test_hull_on_mobility(self, capsys):
-        status = main(["hull", "--agents", "6", "--environment", "mobility", "--seed", "3"])
+        status = main(["run", str(SPECS_DIR / "hull_mobility.json"), "--seed", "3"])
         assert status == 0
+        assert "seed 3: converged" in capsys.readouterr().out
 
-    def test_verbose_prints_specification(self, capsys):
-        status = main(["minimum", "--values", "3,1", "--environment", "static", "--verbose"])
+    def test_verbose_prints_specification(self, tmp_path, capsys):
+        status = self._run(
+            tmp_path, "--verbose", algorithm="minimum", initial_values=[3, 1]
+        )
         assert status == 0
-        assert "specification: [PASS]" in capsys.readouterr().out
+        assert "seed 1 specification: [PASS]" in capsys.readouterr().out
 
-    def test_failure_exit_status_when_not_converged(self, capsys):
-        # Zero availability: nothing can ever happen.
-        status = main(["minimum", "--values", "3,1", "--churn", "0.0", "--max-rounds", "20"])
+    def test_bad_values_rejected(self, tmp_path, capsys):
+        # The algorithm refuses a non-numeric value; the seed is reported
+        # as an error and the run exits non-zero instead of crashing.
+        status = self._run(tmp_path, algorithm="minimum", initial_values=[1, "two", 3])
         assert status == 1
+        assert "seed 1: ERROR" in capsys.readouterr().out
 
-    def test_partition_preset(self, capsys):
-        status = main(["second-smallest", "--values", "8,3,5,9", "--environment", "partition"])
+    def test_failure_exit_status_when_not_converged(self, tmp_path, capsys):
+        # Zero availability: nothing can ever happen.
+        status = self._run(
+            tmp_path,
+            algorithm="minimum",
+            environment="churn",
+            environment_params={"topology": "complete", "edge_up_probability": 0.0},
+            initial_values=[3, 1],
+            max_rounds=20,
+        )
+        assert status == 1
+        assert "seed 1: did not converge in 20 rounds" in capsys.readouterr().out
+
+    def test_rotating_partition(self, tmp_path, capsys):
+        status = self._run(
+            tmp_path,
+            algorithm="second-smallest",
+            environment="rotating-partition",
+            environment_params={
+                "topology": "complete",
+                "num_blocks": 2,
+                "rotate_every": 3,
+            },
+            initial_values=[8, 3, 5, 9],
+        )
         assert status == 0
-        assert "output:       5" in capsys.readouterr().out
+        assert "output 5" in capsys.readouterr().out
 
 
 class TestExamplesRun:
@@ -89,10 +140,9 @@ class TestExamplesRun:
         ],
     )
     def test_example_runs(self, example, capsys):
-        import pathlib
         import runpy
 
-        path = pathlib.Path(__file__).resolve().parent.parent / "examples" / example
+        path = SPECS_DIR.parent / example
         runpy.run_path(str(path), run_name="__main__")
         assert capsys.readouterr().out  # produced some report
 
@@ -111,8 +161,6 @@ class TestSpecSubcommands:
     }
 
     def _spec_file(self, tmp_path, payload=None):
-        import json
-
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(payload or self.SPEC))
         return str(path)
@@ -131,8 +179,6 @@ class TestSpecSubcommands:
 
         status = main(["run", self._spec_file(tmp_path), "--json"])
         assert status == 0
-        import json
-
         batch = json.loads(capsys.readouterr().out)
         for item in batch["items"]:
             direct = Simulator(
@@ -219,9 +265,6 @@ class TestSpecSubcommands:
             )
 
     def test_bundled_example_specs_run(self, capsys):
-        import pathlib
-
-        specs_dir = pathlib.Path(__file__).resolve().parent.parent / "examples" / "specs"
-        status = main(["run", str(specs_dir / "minimum_churn.json")])
+        status = main(["run", str(SPECS_DIR / "minimum_churn.json")])
         assert status == 0
         assert "minimum-under-churn" in capsys.readouterr().out

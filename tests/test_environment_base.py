@@ -18,6 +18,7 @@ from repro.environment import (
     star_graph,
     tree_graph,
 )
+from repro.environment.base import connected_component_tuples, edge_components
 
 
 class TestTopology:
@@ -122,6 +123,20 @@ class TestConnectedComponents:
     def test_single_component(self):
         components = connected_components({0, 1, 2}, [(0, 1), (1, 2)])
         assert components == [frozenset({0, 1, 2})]
+
+    def test_edge_components_skip_untouched_agents(self):
+        # Only edge-touched vertices appear: sorted members, components
+        # ordered by smallest member, whatever order the edges arrive in.
+        edges = [(7, 3), (5, 6), (3, 9), (1, 5)]
+        assert edge_components(edges) == [(1, 5, 6), (3, 7, 9)]
+        assert edge_components([]) == []
+
+    def test_tuples_merge_singletons_into_edge_components(self):
+        agents = {0, 1, 2, 3, 4, 5}
+        edges = [(4, 1), (2, 5), (3, 6)]  # (3, 6) leaves the agent set
+        assert connected_component_tuples(agents, edges) == [
+            (0,), (1, 4), (2, 5), (3,),
+        ]
 
 
 class TestEnvironmentState:

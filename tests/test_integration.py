@@ -175,20 +175,21 @@ class TestAdaptivityClaim:
         """The paper's "speed up or slow down with available resources":
         median convergence rounds should not increase when availability
         rises from 10% to 100%."""
-        from repro.simulation import sweep
+        from repro import BatchRunner, ExperimentSpec
 
-        points = sweep(
-            minimum_algorithm(),
-            parameter_values=[0.1, 1.0],
-            environment_factory=lambda p, seed: RandomChurnEnvironment(
-                complete_graph(8), edge_up_probability=p
-            ),
-            initial_values=[13, 5, 8, 1, 11, 7, 3, 9],
-            repetitions=5,
+        spec = ExperimentSpec(
+            algorithm="minimum",
+            environment="churn",
+            environment_params={"topology": "complete"},
+            initial_values=(13, 5, 8, 1, 11, 7, 3, 9),
+            seeds=(0, 1, 2, 3, 4),
             max_rounds=2000,
         )
-        scarce, abundant = points
-        assert abundant.statistics.median_rounds <= scarce.statistics.median_rounds
+        batch = BatchRunner(backend="serial").run_grid(
+            spec, {"environment_params.edge_up_probability": [0.1, 1.0]}
+        )
+        scarce, abundant = batch.statistics().values()
+        assert abundant.median_rounds <= scarce.median_rounds
 
     def test_self_similar_min_beats_snapshot_under_partitions(self):
         from repro.baselines import SnapshotAggregationBaseline

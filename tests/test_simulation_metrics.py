@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import math
 
-from repro import Simulator, minimum_algorithm
-from repro.simulation import aggregate, format_table, run_repeated, sweep
+from repro import BatchRunner, ExperimentSpec
+from repro.simulation import aggregate, format_table
 from repro.simulation.result import SimulationResult
 from repro.core import Multiset
 from repro.temporal import Trace
-from repro.environment import RandomChurnEnvironment, StaticEnvironment, complete_graph
 
 
 def make_result(converged, convergence_round, group_steps=10, improving=5, correct=True):
@@ -86,46 +85,52 @@ class TestFormatTable:
         assert "a" in table and "b" in table
 
 
-class TestRunnerHelpers:
-    def test_run_repeated_produces_distinct_seeds(self):
-        results = run_repeated(
-            minimum_algorithm(),
-            environment_factory=lambda seed: RandomChurnEnvironment(
-                complete_graph(5), edge_up_probability=0.3
-            ),
-            initial_values=[5, 4, 3, 2, 1],
-            repetitions=4,
+class TestRepeatedRunsAndSweeps:
+    """Repeated runs and parameter sweeps are specs run by ``BatchRunner``."""
+
+    @staticmethod
+    def _spec(**overrides) -> ExperimentSpec:
+        fields = dict(
+            name="minimum",
+            algorithm="minimum",
+            environment="churn",
+            environment_params={"topology": "complete", "edge_up_probability": 0.3},
+            initial_values=(5, 4, 3, 2, 1),
+            seeds=(0, 1, 2, 3),
             max_rounds=300,
         )
+        fields.update(overrides)
+        return ExperimentSpec(**fields).validate()
+
+    def test_repeated_runs_use_distinct_seeds(self):
+        batch = BatchRunner(backend="serial").run(self._spec())
+        results = batch.results_for("minimum")
         assert len(results) == 4
-        assert all(result.converged for result in results)
-        assert {result.metadata["seed"] for result in results} == {0, 1, 2, 3}
+        assert all(result["converged"] for result in results)
+        assert {result["metadata"]["seed"] for result in results} == {0, 1, 2, 3}
 
     def test_sweep_structure(self):
-        points = sweep(
-            minimum_algorithm(),
-            parameter_values=[0.2, 1.0],
-            environment_factory=lambda p, seed: RandomChurnEnvironment(
-                complete_graph(5), edge_up_probability=p
-            ),
-            initial_values=[5, 4, 3, 2, 1],
-            repetitions=3,
-            max_rounds=300,
+        batch = BatchRunner(backend="serial").run_grid(
+            self._spec(seeds=(0, 1, 2)),
+            {"environment_params.edge_up_probability": [0.2, 1.0]},
         )
-        assert [point.parameter for point in points] == [0.2, 1.0]
-        assert all(point.statistics.runs == 3 for point in points)
+        scarce, abundant = batch.statistics().values()
+        assert scarce.runs == abundant.runs == 3
         # Full availability should not be slower than 20% availability.
-        assert points[1].statistics.mean_rounds <= points[0].statistics.mean_rounds
+        assert abundant.mean_rounds <= scarce.mean_rounds
 
     def test_sweep_keeps_individual_results(self):
-        points = sweep(
-            minimum_algorithm(),
-            parameter_values=[1.0],
-            environment_factory=lambda p, seed: StaticEnvironment(complete_graph(4)),
-            initial_values=[4, 3, 2, 1],
-            repetitions=2,
-            max_rounds=10,
+        batch = BatchRunner(backend="serial").run_grid(
+            self._spec(
+                environment="static",
+                environment_params={"topology": "complete"},
+                initial_values=(4, 3, 2, 1),
+                seeds=(0, 1),
+                max_rounds=10,
+            ),
+            {"max_rounds": [10]},
         )
-        assert len(points) == 1
-        assert len(points[0].results) == 2
-        assert all(result.converged for result in points[0].results)
+        (label,) = batch.labels()
+        results = batch.results_for(label)
+        assert len(results) == 2
+        assert all(result["converged"] for result in results)
