@@ -113,5 +113,4 @@ def average_algorithm() -> SelfSimilarAlgorithm:
         environment_requirement="connected",
         singleton_stutters=True,
         description="consensus on the exact average of the initial values (§3.1)",
-        kernel="average",
     )

@@ -151,5 +151,4 @@ def kth_smallest_algorithm(
         environment_requirement="connected",
         singleton_stutters=True,
         description="generalisation of §4.3 to the k-th smallest distinct value",
-        kernel="kth-smallest",
     )

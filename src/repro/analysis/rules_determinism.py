@@ -354,9 +354,10 @@ class D004FloatInExactPath(Rule):
     # Only the exact-arithmetic core is listed.  The array engine
     # (src/repro/simulation/array_engine.py) stays outside this scope on
     # purpose: its numpy kernels are integer-only by construction
-    # (int64-range proofs in _select_backend), and its cross-check path
-    # compares against the reference engine value-for-value, which is a
-    # stronger guarantee than this syntactic rule provides.
+    # (the int64-range proofs in _refusal run at construction), and its
+    # cross-check path compares against the reference engine
+    # value-for-value, which is a stronger guarantee than this syntactic
+    # rule provides.
     include: tuple[str, ...] = (
         "src/repro/algorithms/average.py",
         "src/repro/algorithms/kth_smallest.py",

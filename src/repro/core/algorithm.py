@@ -114,10 +114,10 @@ class SelfSimilarAlgorithm:
         random stream; the engine's full-recompute reference mode ignores
         it entirely, which is how the parity suite pins the equivalence.
     kernel:
-        Optional name of the vectorizable kernel this algorithm's step
-        rule implements (``"minimum"``, ``"maximum"``, ``"sum"``,
-        ``"average"``, ``"kth-smallest"``).  Declaring a kernel is a
-        three-part contract the struct-of-arrays engine
+        Optional name of the int64 kernel this algorithm's step rule
+        implements: ``"minimum"``, ``"maximum"`` or ``"sum"``, the only
+        kernels the struct-of-arrays engine executes.  Declaring a kernel
+        is a three-part contract that engine
         (:class:`repro.simulation.array_engine.ArrayEngine`) relies on:
         the step rule (a) draws no randomness at any group size, (b) is a
         deterministic pure function of the ordered state list, and (c)

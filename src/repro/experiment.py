@@ -134,8 +134,10 @@ class ExperimentSpec:
 
     ``engine`` selects the execution backend (``"reference"`` — the
     default, byte-identical object-per-agent simulator — or ``"array"``,
-    the struct-of-arrays vectorized engine for kernel algorithms at
-    100k–1M agents); results are value-identical either way.
+    the numpy int64 engine for the minimum/maximum/sum kernels at
+    100k–1M agents); results are value-identical either way.  The array
+    engine refuses, at build time, any workload its int64 kernels cannot
+    run exactly, and the refusal names ``engine="reference"``.
     """
 
     algorithm: str
@@ -379,7 +381,9 @@ class ExperimentSpec:
         struct-of-arrays
         :class:`~repro.simulation.array_engine.ArrayEngine`.  Both
         implement the same ``Engine`` protocol and produce
-        value-identical results for kernel algorithms.
+        value-identical results on every workload the array engine
+        admits; it raises :class:`SpecificationError` for the rest
+        (no numpy, a non-int64 kernel, non-int or out-of-range values).
 
         ``seed`` defaults to the spec's first seed.  Environments whose
         constructor accepts a ``seed`` receive the run seed unless the

@@ -5,21 +5,27 @@ every round in Python objects — one :class:`~repro.agents.agent.Agent`
 per agent, one :class:`~repro.agents.group.Group` per component, one
 :class:`~repro.core.relation.StepJudgement` per step — which caps the
 flagship workload at a few hundred rounds/sec at n=10k.  This module is
-the scale path: agent state lives in one flat array (a numpy ``int64``
-array when numpy is installed and the algorithm's domain is machine
-integers, a pure-Python ``array('q')`` or plain list otherwise), whole
-rounds of group steps run as a handful of vectorized reductions, and
-grouping walks the effective edge set directly without materializing
-``Group`` objects.
+the scale path, and it has exactly one representation: agent state lives
+in one flat numpy ``int64`` array, whole rounds of group steps run as a
+handful of ``reduceat`` reductions, and grouping labels the effective
+edge set as arrays without materializing ``Group`` objects.
 
-What makes that safe is the :attr:`~repro.core.algorithm.SelfSimilarAlgorithm.kernel`
-contract: an algorithm that declares a kernel promises its step rule is a
+Anything that representation cannot hold exactly is refused at
+construction with a :class:`~repro.core.errors.SpecificationError`
+pointing at ``engine="reference"``: numpy not importable, a kernel other
+than the integer kernels (minimum, maximum, sum), a state that is not an
+``int``, or initial values whose closed range under the step rule does
+not provably fit ``int64``.  Everything else runs on the reference
+engine, which already does it.
+
+What makes the vectorized round safe is the
+:attr:`~repro.core.algorithm.SelfSimilarAlgorithm.kernel` contract: an
+algorithm that declares a kernel promises its step rule is a
 deterministic pure function of the ordered state list that draws no
 randomness at any group size and changes at least one element *iff* the
-step is an improvement.  Every kernel in this library (minimum, maximum,
-sum, average, kth-smallest) satisfies it, so the engine can classify
-steps (improvement / stutter, never invalid) without running the
-relation judge, and — because the run's only random draws are the
+step is an improvement, so the engine can classify steps (improvement /
+stutter, never invalid) without running the relation judge, and —
+because the run's only random draws are the
 environment's and the scheduler's, made identically here and in the
 reference engine — every round's state delta, objective value and
 convergence verdict is **value-identical** to the reference
@@ -36,7 +42,7 @@ via :meth:`~repro.core.algorithm.SelfSimilarAlgorithm.objective_delta`,
 decide convergence by fingerprint — but never takes a per-round snapshot:
 round records are :class:`ArrayRoundRecord` objects whose ``multiset`` is
 a lazy property, so a ``history="none"`` run materializes no per-agent
-objects and no per-round bags at all.  On the numpy backend the last
+objects and no per-round bags at all.  Outside ``cross_check`` the last
 Python-loop costs disappear too: the stock churn environment's per-round
 draws are made vectorized on a state-shared MT19937 (bit-identical to the
 run RNG's stream, state written back), communication components are
@@ -52,7 +58,6 @@ runner and the service's drain/restart path work unchanged.
 from __future__ import annotations
 
 import random
-from array import array
 from itertools import chain
 from typing import Any, Callable, Hashable, Iterator, Sequence
 
@@ -70,7 +75,6 @@ from ..environment.base import (
     Environment,
     EnvironmentState,
     connected_component_tuples,
-    edge_components,
 )
 from ..environment.dynamics import RandomChurnEnvironment
 from ..registry import register_engine
@@ -91,8 +95,8 @@ from .result import SimulationResult
 
 __all__ = ["ArrayEngine", "ArrayRoundRecord", "HAVE_NUMPY", "INT64_MAX"]
 
-#: Whether numpy is importable.  Module-level so tests can monkeypatch it
-#: to False and prove the pure-Python fallback produces identical results.
+#: Whether numpy is importable.  Module-level so tests (and the benchmark
+#: guards) can monkeypatch it to False and see the engine refuse to build.
 HAVE_NUMPY = _numpy is not None
 
 #: Largest value a flat ``int64`` slot can hold.
@@ -103,6 +107,40 @@ INT64_MAX = 2**63 - 1
 #: keeps every value within ±(sum of absolute initial values) — so the
 #: flat int64 representation cannot overflow once the initial values fit.
 _INT_KERNELS = frozenset({"minimum", "maximum", "sum"})
+
+
+def _refusal(kernel: str | None, states: Sequence[Hashable]) -> str | None:
+    """Why the array engine cannot run these initial states, or None.
+
+    The engine runs only the int64 ``reduceat`` kernels, so it admits a
+    workload only when the kernel is one of :data:`_INT_KERNELS`, every
+    state is an ``int``, the step rule's closed value range provably fits
+    ``int64``, and numpy is importable.
+    """
+    if kernel is None:
+        return (
+            "declares no vectorizable kernel (kernels promise a "
+            "deterministic, draw-free step rule — see "
+            "SelfSimilarAlgorithm.kernel)"
+        )
+    if kernel not in _INT_KERNELS:
+        return (
+            f"declares the {kernel!r} kernel, but the array engine runs "
+            f"only the int64 kernels {sorted(_INT_KERNELS)}"
+        )
+    if not all(type(value) is int for value in states):
+        return "has initial states that are not ints"
+    if kernel == "sum":
+        if sum(map(abs, states)) > INT64_MAX:
+            return (
+                "has initial values whose sum of absolute values exceeds "
+                "the int64 range a sum step can reach"
+            )
+    elif states and not (-(2**63) <= min(states) and max(states) <= INT64_MAX):
+        return "has initial values outside the int64 range"
+    if not HAVE_NUMPY:
+        return "needs numpy for its int64 kernels, and numpy is not importable"
+    return None
 
 
 def _label_components(u, v, enabled_count: int):
@@ -254,11 +292,13 @@ class ArrayEngine:
 
     Implements the same :class:`~repro.simulation.protocol.Engine`
     protocol as the reference :class:`~repro.simulation.engine.Simulator`
-    and produces value-identical results for every algorithm that
-    declares a :attr:`~repro.core.algorithm.SelfSimilarAlgorithm.kernel`;
-    algorithms without one (the partial variants, hull, circle, sorting)
-    are rejected at construction with a pointer back to the reference
-    engine.
+    and produces value-identical results for every workload it admits:
+    an algorithm declaring one of the int64
+    :attr:`~repro.core.algorithm.SelfSimilarAlgorithm.kernel` values
+    (minimum, maximum, sum) over ``int`` initial values that provably
+    fit ``int64``, with numpy importable.  Everything else (the partial
+    variants, average, kth-smallest, hull, circle, sorting, huge ints) is
+    rejected at construction with a pointer back to the reference engine.
 
     Parameters
     ----------
@@ -311,12 +351,12 @@ class ArrayEngine:
                 f"{environment.num_agents} agents"
             )
         kernel = getattr(algorithm, "kernel", None)
-        if kernel is None:
+        initial_states = algorithm.initial_states(initial_values)
+        refusal = _refusal(kernel, initial_states)
+        if refusal is not None:
             raise SpecificationError(
-                f"algorithm {algorithm.name!r} declares no vectorizable "
-                "kernel, so the array engine cannot execute it; run it "
-                'with engine="reference" (kernels promise a deterministic, '
-                "draw-free step rule — see SelfSimilarAlgorithm.kernel)"
+                f"algorithm {algorithm.name!r} {refusal}, so the array "
+                'engine cannot execute it; run it with engine="reference"'
             )
         if seed is None:
             # Draw the effective seed explicitly so the run stays
@@ -338,10 +378,7 @@ class ArrayEngine:
         # for real on the run RNG.
         self._maximal_bypass = type(self.scheduler) is MaximalGroupsScheduler
 
-        initial_states = algorithm.initial_states(self.initial_values)
-        self._initial_states = list(initial_states)
-        self._backend = self._select_backend(kernel, initial_states)
-        self._states: Any = None
+        self._initial_states = initial_states
         self._install_states(initial_states)
         self._initial_multiset = Multiset(initial_states)
         self._target = algorithm.target(initial_states)
@@ -351,19 +388,15 @@ class ArrayEngine:
         # Bumped on every maintained-bag mutation; ArrayRoundRecord uses
         # it to refuse stale lazy snapshots.
         self._epoch = 0
-        # Fast fold (numpy backend, no cross-check, exact objective
-        # deltas): the maintained bag is rebuilt lazily on first access
-        # instead of updated element-by-element every round, and the
-        # convergence verdict comes from a vectorized comparison that is
-        # provably equivalent to multiset equality with the target — see
+        # Fast fold (no cross-check, exact objective deltas): the
+        # maintained bag is rebuilt lazily on first access instead of
+        # updated element-by-element every round, and the convergence
+        # verdict comes from a vectorized comparison that is provably
+        # equivalent to multiset equality with the target — see
         # _vectorized_converged.  The slow path keeps the incremental
         # bag, so cross_check still verifies fingerprints every round.
         self._bag_stale = False
-        self._fast_fold = (
-            self._backend == "numpy"
-            and not cross_check
-            and algorithm.objective.supports_delta
-        )
+        self._fast_fold = not cross_check and algorithm.objective.supports_delta
         self._fast_target = self._build_fast_target() if self._fast_fold else None
         # Churn bypass: RandomChurnEnvironment draws one uniform per
         # agent then one per edge in a fixed sequence, so the engine can
@@ -374,9 +407,7 @@ class ArrayEngine:
         # vectorized.  Exact-type gate, like the maximal bypass: a
         # subclass may override the dynamics.
         self._churn_bypass = (
-            self._backend == "numpy"
-            and not cross_check
-            and type(environment) is RandomChurnEnvironment
+            not cross_check and type(environment) is RandomChurnEnvironment
         )
         self._churn_pending: tuple | None = None
         if self._churn_bypass:
@@ -384,32 +415,9 @@ class ArrayEngine:
 
     # -- storage ---------------------------------------------------------------
 
-    def _select_backend(self, kernel: str, states: Sequence[Hashable]) -> str:
-        """Pick the flat representation the initial states admit.
-
-        Only the integer kernels get a machine-word backend, and only
-        when the step rule's closed value range provably fits ``int64``;
-        everything else (Fractions, tuples, huge ints, float inputs)
-        falls back to a plain list of objects, which still benefits from
-        the materialization-free round loop.
-        """
-        if kernel in _INT_KERNELS and all(type(value) is int for value in states):
-            if kernel == "sum":
-                fits = sum(abs(value) for value in states) <= INT64_MAX
-            else:
-                fits = all(-(2**63) <= value <= INT64_MAX for value in states)
-            if fits:
-                return "numpy" if HAVE_NUMPY else "int-array"
-        return "list"
-
     def _install_states(self, states: Sequence[Hashable]) -> None:
-        """(Re)build the flat state storage from a list of agent states."""
-        if self._backend == "numpy":
-            self._states = _numpy.array(states, dtype=_numpy.int64)
-        elif self._backend == "int-array":
-            self._states = array("q", states)
-        else:
-            self._states = list(states)
+        """(Re)build the flat ``int64`` state array from a list of agent states."""
+        self._states = _numpy.array(states, dtype=_numpy.int64)
 
     # -- the explicit run state (see RoundState) --------------------------------
 
@@ -435,8 +443,6 @@ class ArrayEngine:
 
     def current_states(self) -> list:
         """Return the current agent states, indexed by agent id."""
-        if self._backend == "list":
-            return list(self._states)
         return self._states.tolist()
 
     def current_multiset(self) -> Multiset:
@@ -670,18 +676,16 @@ class ArrayEngine:
         """Execute one round — one environment transition, one vectorized
         agent transition — and record what happened.
 
-        Under the maximal scheduler the partition is derived straight
-        from the effective edges — labelled as arrays on the numpy
-        backend, walked by :func:`edge_components` otherwise; any other
-        scheduler runs for real (its random draws are part of the run
-        stream).  Group steps then run through the numpy kernel, the
-        ``array('q')``/list object path, or — always, under
-        ``cross_check`` — the algorithm's own step rule, and the resulting
-        ``(removed, added)`` delta folds into the maintained round state
-        exactly as in the reference engine.
+        Under the maximal scheduler the partition is labelled as arrays
+        straight from the effective edges; any other scheduler runs for
+        real (its random draws are part of the run stream).  Group steps
+        then run as ``reduceat`` kernels — re-derived through the
+        algorithm's own step rule under ``cross_check`` — and the
+        resulting ``(removed, added)`` delta folds into the maintained
+        round state exactly as in the reference engine.
         """
         environment_state = self._advance_environment(round_index)
-        if self._maximal_bypass and self._backend == "numpy":
+        if self._maximal_bypass:
             # Masks or edges -> component arrays -> flat kernel
             # reductions, with no Group lists at all.
             flat, offsets, sizes, group_steps, largest = self._labelled_components(
@@ -698,21 +702,6 @@ class ArrayEngine:
                 )
             else:
                 removed, added, improving = [], [], 0
-            objective, converged = self._fold_round(removed, added)
-            return ArrayRoundRecord(
-                self,
-                round_index,
-                objective,
-                converged,
-                group_steps,
-                improving,
-                largest,
-            )
-        if self._maximal_bypass:
-            groups = edge_components(environment_state.effective_edges())
-            enabled_count = len(environment_state.enabled_agents)
-            group_steps = len(groups) + enabled_count - sum(map(len, groups))
-            largest = max(map(len, groups), default=1 if enabled_count else 0)
         else:
             scheduled = self.scheduler.schedule(environment_state, self._rng)
             _validate_partition(scheduled, self.environment.num_agents)
@@ -730,14 +719,10 @@ class ArrayEngine:
                     # Singleton kernel steps are identity by contract
                     # (and draw nothing), so only real groups execute.
                     groups.append(group.members)
-
-        if groups:
-            if self._backend == "numpy":
+            if groups:
                 removed, added, improving = self._numpy_group_round(groups)
             else:
-                removed, added, improving = self._python_group_round(groups)
-        else:
-            removed, added, improving = [], [], 0
+                removed, added, improving = [], [], 0
 
         objective, converged = self._fold_round(removed, added)
         return ArrayRoundRecord(
@@ -825,64 +810,6 @@ class ArrayEngine:
         if self.cross_check:
             self._verify_kernel_groups(groups, values.tolist(), new_values.tolist())
         states[flat[changed]] = new_values[changed]
-        return removed, added, improving
-
-    def _python_group_round(
-        self, groups: Sequence[Sequence[int]]
-    ) -> tuple[list, list, int]:
-        """One round of group steps through the algorithm's own step rule.
-
-        The pure-Python path (and the only path for non-int kernels):
-        kernel step rules are deterministic and draw-free by contract, so
-        calling them directly — with the guard RNG enforcing the no-draw
-        promise — reproduces the reference engine's state transitions
-        exactly, while the flat storage and delta bookkeeping keep the
-        per-round object traffic at O(|active agents|).
-        """
-        algorithm = self.algorithm
-        group_step = algorithm.group_step
-        guard = self._guard_rng
-        storage = self._states
-        cross_check = self.cross_check
-        removed: list = []
-        added: list = []
-        improving = 0
-        try:
-            for members in groups:
-                before = [storage[member] for member in members]
-                if cross_check:
-                    after = self._checked_group_step(before)
-                else:
-                    after = group_step(before, guard)
-                    if type(after) is not list:
-                        after = list(after)
-                    if len(after) != len(before):
-                        raise SpecificationError(
-                            f"group step of {algorithm.name!r} returned "
-                            f"{len(after)} states for a group of "
-                            f"{len(before)} agents"
-                        )
-                group_changed = False
-                for position, member in enumerate(members):
-                    new = after[position]
-                    if new != before[position]:
-                        storage[member] = new
-                        removed.append(before[position])
-                        added.append(new)
-                        group_changed = True
-                if group_changed:
-                    improving += 1
-        except BaseException:
-            # A mid-round exception must not desynchronise the maintained
-            # round state: earlier groups already installed their new
-            # states.  Fold what was installed, drop the cached objective
-            # (it describes the pre-round bag), and re-raise — the same
-            # contract as the reference engine's round loop.
-            if removed or added:
-                self._maintained.apply_delta(removed, added)
-                self._state.objective_value = None
-                self._epoch += 1
-            raise
         return removed, added, improving
 
     def _checked_group_step(self, before: list) -> list:
@@ -1138,7 +1065,7 @@ class ArrayEngine:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ArrayEngine({self.algorithm.name!r}, "
-            f"n={self.environment.num_agents}, backend={self._backend!r})"
+            f"n={self.environment.num_agents}, kernel={self._kernel!r})"
         )
 
 

@@ -232,9 +232,9 @@ class EngineCheckpoint:
     """Serialized mutable state of one engine at a round boundary.
 
     ``engine`` names the execution backend (``"simulator"`` /
-    ``"messaging"``) so a checkpoint cannot be restored into the wrong
-    engine kind; ``counters`` carries backend-specific totals (the
-    messaging runtime's sent/delivered counts).
+    ``"messaging"`` / ``"array"``) so a checkpoint cannot be restored
+    into the wrong engine kind; ``counters`` carries backend-specific
+    totals (the messaging runtime's sent/delivered counts).
     """
 
     engine: str

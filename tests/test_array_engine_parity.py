@@ -2,29 +2,34 @@
 ``Simulator``.
 
 The array engine promises *value-identical* results — not "statistically
-equivalent", identical — for every algorithm that declares a vectorizable
-kernel, on every scheduler and environment family, because the run's only
-random draws (the environment's and the scheduler's) are made exactly as
-the reference engine makes them.  These tests pin that promise the same
-way :mod:`tests.test_incremental_parity` pins the incremental round
-state: two independent code paths, one byte-identical
-:class:`SimulationResult`.
+equivalent", identical — for every workload it admits (the int64 kernels
+minimum, maximum and sum over int values that fit int64), on every
+scheduler and environment family, because the run's only random draws
+(the environment's and the scheduler's) are made exactly as the
+reference engine makes them.  These tests pin that promise the same way
+:mod:`tests.test_incremental_parity` pins the incremental round state:
+two independent code paths, one byte-identical :class:`SimulationResult`.
 
 Axes covered:
 
-* every kernel algorithm (minimum, maximum, sum, average, kth-smallest)
-  × every scheduler (the maximal-bypass fast path and the run-for-real
-  randomized schedulers) × churn / markov / duty-cycle environments;
-* the numpy backend against the pure-Python ``array('q')`` fallback
-  (``HAVE_NUMPY`` monkeypatched off) — the flag changes *how* rounds are
-  priced, never what they compute;
+* every kernel algorithm (minimum, maximum, sum) × every scheduler (the
+  maximal-bypass fast path and the run-for-real randomized schedulers)
+  × every environment family;
+* the int64 admission boundaries: min/max values at the ±2**63 limits
+  and a sum whose absolute values total exactly ``INT64_MAX``;
 * ``cross_check=True``, which re-derives every vectorized round from the
   algorithm's own step rule through the full relation judge;
 * engine-level checkpoint/restore and spec-level resume, byte-identical
   to the uninterrupted run;
-* the guard rails: kernel-less algorithms rejected at construction,
-  randomness-drawing "kernels" caught at the first draw, stale lazy
-  round records refused.
+* the refusals: every workload the int64 kernels cannot run exactly (no
+  numpy, no kernel or a non-int64 kernel, non-int states, values outside
+  the int64 range proof) raises ``SpecificationError`` at construction,
+  pointing at ``engine="reference"``;
+* the guard rails: randomness-drawing "kernels" caught at the first
+  draw, a step rule raising mid-round leaving the pre-round state
+  intact, stale lazy round records refused.
+
+Without numpy only the refusal tests run: the engine refuses to build.
 """
 
 from __future__ import annotations
@@ -38,11 +43,16 @@ from repro.agents.scheduler import (
     SingleGroupScheduler,
 )
 from repro.algorithms.average import average_algorithm
-from repro.algorithms.kth_smallest import kth_smallest_algorithm
 from repro.algorithms.maximum import maximum_algorithm
 from repro.algorithms.minimum import minimum_algorithm
 from repro.algorithms.summation import summation_algorithm
 from repro.core.errors import SimulationError, SpecificationError
+from repro.environment.adversary import (
+    BlackoutAdversary,
+    EdgeBudgetAdversary,
+    RotatingPartitionAdversary,
+    TargetedCrashAdversary,
+)
 from repro.environment.dynamics import (
     MarkovChurnEnvironment,
     PeriodicDutyCycleEnvironment,
@@ -50,21 +60,23 @@ from repro.environment.dynamics import (
     StaticEnvironment,
 )
 from repro.environment.graphs import complete_graph, ring_graph
+from repro.environment.mobility import RandomWaypointEnvironment
 from repro.simulation import array_engine as array_engine_module
-from repro.simulation.array_engine import HAVE_NUMPY, ArrayEngine
+from repro.simulation.array_engine import HAVE_NUMPY, INT64_MAX, ArrayEngine
 from repro.simulation.engine import Simulator
+
+#: Marks every test that builds an ArrayEngine: without numpy it refuses.
+needs_numpy = pytest.mark.skipif(
+    not HAVE_NUMPY, reason="the array engine runs only on numpy"
+)
 
 VALUES = [9, 4, 7, 1, 8, 3, 6, 2]
 
-#: Every algorithm family that declares a vectorizable kernel.  minimum,
-#: maximum and sum ride the flat int64 backends; average (Fractions) and
-#: kth-smallest (tuples) exercise the object-path round loop.
+#: Every algorithm family whose kernel the array engine executes.
 KERNEL_CASES = {
     "minimum": lambda: minimum_algorithm(),
     "maximum": lambda: maximum_algorithm(upper_bound=20),
     "sum": lambda: summation_algorithm(),
-    "average": lambda: average_algorithm(),
-    "kth-smallest": lambda: kth_smallest_algorithm(k=2, value_bound=32),
 }
 
 SCHEDULERS = {
@@ -81,6 +93,20 @@ ENVIRONMENTS = {
     "markov": lambda n: MarkovChurnEnvironment(ring_graph(n), 0.3, 0.4, 0.15, 0.5),
     "duty": lambda n: PeriodicDutyCycleEnvironment(
         complete_graph(n), period=5, duty_cycle=0.5, seed=2
+    ),
+    "static": lambda n: StaticEnvironment(ring_graph(n)),
+    "mobility": lambda n: RandomWaypointEnvironment(
+        n, arena_size=60.0, range_radius=25.0, speed=8.0, seed=3
+    ),
+    "blackout": lambda n: BlackoutAdversary(
+        ring_graph(n), period=6, blackout_rounds=3
+    ),
+    "edge-budget": lambda n: EdgeBudgetAdversary(ring_graph(n), budget=2),
+    "rotating-partition": lambda n: RotatingPartitionAdversary(
+        complete_graph(n), num_blocks=2, rotate_every=3, seed=1
+    ),
+    "targeted-crash": lambda n: TargetedCrashAdversary(
+        ring_graph(n), targets=[0, 3], period=6, down_rounds=3
     ),
 }
 
@@ -138,7 +164,7 @@ def _assert_identical(array_result, reference_result):
     assert array_result.largest_group == reference_result.largest_group
     # The array engine stamps its metadata with engine="array"; everything
     # else must match the reference verbatim.  (When comparing two array
-    # runs — fallback vs numpy — both carry the stamp.)
+    # runs, both carry the stamp.)
     array_metadata = dict(array_result.metadata)
     assert array_metadata.pop("engine") == "array"
     reference_metadata = dict(reference_result.metadata)
@@ -149,18 +175,28 @@ def _assert_identical(array_result, reference_result):
 # -- the core parity matrix -----------------------------------------------------
 
 
+@needs_numpy
 @pytest.mark.parametrize("scheduler_name", sorted(SCHEDULERS))
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
 def test_array_matches_reference(case, scheduler_name):
     _assert_identical(*_run_pair(case, scheduler_name))
 
 
+@needs_numpy
+@pytest.mark.parametrize("scheduler_name", ["maximal", "random-pair"])
 @pytest.mark.parametrize("environment_name", sorted(ENVIRONMENTS))
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
-def test_array_matches_reference_across_environments(case, environment_name):
-    _assert_identical(*_run_pair(case, environment_name=environment_name, seed=11))
+def test_array_matches_reference_across_environments(
+    case, environment_name, scheduler_name
+):
+    # The maximal fast path and the run-for-real random pairs, on every
+    # environment family.
+    _assert_identical(
+        *_run_pair(case, scheduler_name, environment_name=environment_name, seed=11)
+    )
 
 
+@needs_numpy
 def test_parity_across_seeds_and_churn_levels():
     for seed in (0, 1, 2, 3):
         for edge_up in (0.05, 0.3, 1.0):
@@ -179,6 +215,7 @@ def test_parity_across_seeds_and_churn_levels():
             )
 
 
+@needs_numpy
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
 def test_cross_check_accepts_honest_runs(case):
     # cross_check re-derives every vectorized round from the algorithm's
@@ -189,6 +226,7 @@ def test_cross_check_accepts_honest_runs(case):
     )
 
 
+@needs_numpy
 @pytest.mark.parametrize("scheduler_name", sorted(SCHEDULERS))
 def test_cross_check_on_randomized_schedulers(scheduler_name):
     _assert_identical(
@@ -197,6 +235,7 @@ def test_cross_check_on_randomized_schedulers(scheduler_name):
     )
 
 
+@needs_numpy
 def test_maximal_scheduler_subclass_runs_for_real():
     # The component-walk bypass applies to MaximalGroupsScheduler exactly;
     # a subclass (which may override schedule()) must run for real — and
@@ -227,67 +266,132 @@ def test_maximal_scheduler_subclass_runs_for_real():
     _assert_identical(result, reference)
 
 
-# -- backend selection and the pure-Python fallback -------------------------------
+# -- admission: the int64 range proof and its boundaries --------------------------
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-def test_numpy_backend_selected_for_int_kernels():
-    assert _build(ArrayEngine, "minimum")._backend == "numpy"
-    assert _build(ArrayEngine, "sum")._backend == "numpy"
-
-
-def test_object_backend_selected_for_object_kernels():
-    # Fractions and tuples never ride the int64 arrays.
-    assert _build(ArrayEngine, "average")._backend == "list"
-    assert _build(ArrayEngine, "kth-smallest")._backend == "list"
-
-
-def test_int64_overflow_falls_back_to_objects():
-    # A sum whose total could overflow int64 must take the object path —
-    # and still match the reference engine exactly (Python ints don't
-    # overflow, so this is purely a representation decision).
-    huge = [2**62, 2**62, 5, 3, 1, 0, 2, 4]
-    engine = _build(ArrayEngine, "sum", values=huge)
-    assert engine._backend == "list"
-    _assert_identical(*_run_pair("sum", values=huge))
-
-
-@pytest.mark.parametrize("case", ["minimum", "maximum", "sum"])
-def test_pure_python_fallback_is_identical(case, monkeypatch):
-    _assert_fallback_identical(case, "random-pair", monkeypatch)
-
-
-@pytest.mark.parametrize("case", ["minimum", "maximum", "sum"])
-def test_pure_python_fallback_is_identical_under_maximal(case, monkeypatch):
-    # The object backends group through edge_components, not the numpy
-    # labelling.
-    _assert_fallback_identical(case, "maximal", monkeypatch)
-
-
-def _assert_fallback_identical(case, scheduler_name, monkeypatch):
-    # Forcing HAVE_NUMPY off selects the array('q') backend; results must
-    # be value-identical to both the reference engine and (when numpy is
-    # actually present) the numpy backend.
-    with_numpy = None
-    if HAVE_NUMPY:
-        with_numpy = _build(ArrayEngine, case, scheduler_name, seed=13).run(
-            max_rounds=80, extra_rounds_after_convergence=2
-        )
-    monkeypatch.setattr(array_engine_module, "HAVE_NUMPY", False)
-    engine = _build(ArrayEngine, case, scheduler_name, seed=13)
-    assert engine._backend == "int-array"
-    fallback = engine.run(max_rounds=80, extra_rounds_after_convergence=2)
-    reference = _build(Simulator, case, scheduler_name, seed=13).run(
-        max_rounds=80, extra_rounds_after_convergence=2
+@needs_numpy
+@pytest.mark.parametrize(
+    "case, values",
+    [
+        # minimum assumes non-negative inputs, so its low end is 0.
+        ("minimum", [INT64_MAX, 4, 7, 0, 8, INT64_MAX, 6, 2]),
+        ("maximum", [-(2**63), 4, 7, INT64_MAX, 8, -(2**63), 6, 2]),
+        # Σ|v| == INT64_MAX exactly: the largest admissible sum.
+        ("sum", [2**62, 2**62 - 11, 3, 2, 1, 4, 0, 0]),
+    ],
+    ids=["minimum", "maximum", "sum"],
+)
+@pytest.mark.parametrize("scheduler_name", ["maximal", "random-pair"])
+def test_int64_boundary_values_are_admitted_and_match(
+    case, values, scheduler_name, monkeypatch
+):
+    monkeypatch.setitem(
+        KERNEL_CASES, "maximum", lambda: maximum_algorithm(upper_bound=INT64_MAX)
     )
-    _assert_identical(fallback, reference)
-    if with_numpy is not None:
-        _assert_identical(fallback, with_numpy)
+    if case == "sum":
+        assert sum(values) == INT64_MAX
+    _assert_identical(*_run_pair(case, scheduler_name, values=values))
+
+
+# -- refusals: everything the int64 kernels cannot run exactly --------------------
+
+
+def _non_int64_kernel():
+    # average's step rule is exact over Fractions, not machine words; an
+    # algorithm declaring it as a kernel still names no int64 kernel.
+    algorithm = average_algorithm()
+    algorithm.kernel = "average"
+    return algorithm
+
+
+#: reason -> (algorithm factory, initial values, refusal message fragment)
+REFUSALS = {
+    "no-kernel": (
+        lambda: minimum_algorithm(partial=True), VALUES, "no vectorizable kernel"
+    ),
+    "non-int64-kernel": (_non_int64_kernel, VALUES, "'average' kernel"),
+    "non-int-state": (
+        lambda: minimum_algorithm(), [9.5, 4, 7, 1, 8, 3, 6, 2], "not ints"
+    ),
+    "bool-state": (
+        lambda: minimum_algorithm(), [True, 4, 7, 1, 8, 3, 6, 2], "not ints"
+    ),
+    "above-int64": (
+        lambda: minimum_algorithm(), [2**63, 4, 7, 1, 8, 3, 6, 2],
+        "outside the int64 range",
+    ),
+    "below-int64": (
+        lambda: maximum_algorithm(upper_bound=20),
+        [-(2**63) - 1, 4, 7, 1, 8, 3, 6, 2],
+        "outside the int64 range",
+    ),
+    "sum-overflow": (
+        lambda: summation_algorithm(), [2**62, 2**62 - 10, 3, 2, 1, 4, 0, 0],
+        "sum of absolute values",
+    ),
+}
+
+
+@pytest.mark.parametrize("reason", sorted(REFUSALS))
+def test_unrunnable_workloads_are_refused_at_construction(reason):
+    make_algorithm, values, fragment = REFUSALS[reason]
+    with pytest.raises(SpecificationError, match=fragment) as refusal:
+        ArrayEngine(
+            make_algorithm(),
+            ENVIRONMENTS["churn"](len(values)),
+            initial_values=values,
+        )
+    assert 'engine="reference"' in str(refusal.value)
+
+
+def test_missing_numpy_is_refused_at_construction(monkeypatch):
+    # Runs on both CI legs: forcing the flag off is what a container
+    # without numpy looks like to the engine.
+    monkeypatch.setattr(array_engine_module, "HAVE_NUMPY", False)
+    with pytest.raises(SpecificationError, match="numpy is not importable") as refusal:
+        _build(ArrayEngine, "minimum")
+    assert 'engine="reference"' in str(refusal.value)
+
+
+def test_int64_overflow_is_refused():
+    # A sum whose total could overflow int64 has no exact machine-word
+    # representation; the reference engine (Python ints) runs it.
+    huge = [2**62, 2**62, 5, 3, 1, 0, 2, 4]
+    with pytest.raises(SpecificationError, match='engine="reference"'):
+        _build(ArrayEngine, "sum", values=huge)
+    reference = _build(Simulator, "sum", values=huge).run(max_rounds=80)
+    assert reference.output == sum(huge)
+
+
+@pytest.mark.parametrize(
+    "algorithm, params", [("average", {}), ("kth-smallest", {"k": 2})]
+)
+def test_builtin_object_kernels_are_refused_through_a_spec(algorithm, params):
+    from repro.experiment import ExperimentSpec
+
+    spec = ExperimentSpec.from_dict({
+        "name": "array-refusal",
+        "algorithm": algorithm,
+        "algorithm_params": params,
+        "engine": "array",
+        "environment": "static",
+        "environment_params": {"topology": "complete"},
+        "initial_values": list(VALUES),
+        "seeds": [0],
+        "max_rounds": 20,
+    })
+    with pytest.raises(SpecificationError, match='engine="reference"'):
+        spec.run(seed=0)
+    reference = ExperimentSpec.from_dict(
+        {**spec.to_dict(), "engine": "reference"}
+    ).run(seed=0)
+    assert reference.converged
 
 
 # -- checkpoint / restore / resume -------------------------------------------------
 
 
+@needs_numpy
 def test_engine_checkpoint_restore_is_identical():
     uninterrupted = _build(ArrayEngine, "minimum", "random-pair", seed=3)
     stream = uninterrupted.steps()
@@ -310,6 +414,7 @@ def test_engine_checkpoint_restore_is_identical():
     assert restored.current_states() == uninterrupted.current_states()
 
 
+@needs_numpy
 def test_restore_rejects_foreign_checkpoints():
     reference = _build(Simulator, "minimum", seed=3)
     next(reference.steps())
@@ -321,6 +426,7 @@ def test_restore_rejects_foreign_checkpoints():
         other_seed.restore(engine.checkpoint())
 
 
+@needs_numpy
 def test_spec_resume_is_byte_identical(tmp_path):
     from repro.experiment import ExperimentSpec
     from repro.simulation.checkpoint import resume_run
@@ -354,6 +460,7 @@ def test_spec_resume_is_byte_identical(tmp_path):
 # -- spec / builder engine selection ------------------------------------------------
 
 
+@needs_numpy
 def test_spec_engine_selection_builds_each_engine():
     from repro.experiment import ExperimentSpec
 
@@ -374,6 +481,7 @@ def test_spec_engine_selection_builds_each_engine():
         ExperimentSpec.from_dict({**base, "engine": "warp-drive"}).validate()
 
 
+@needs_numpy
 def test_builder_engine_selection_runs_identically():
     from repro.experiment import Experiment
 
@@ -415,9 +523,12 @@ def test_partial_variants_declare_no_kernel():
         )
 
 
+@needs_numpy
 def test_randomness_drawing_kernel_caught_at_first_draw():
     # An algorithm that *claims* the kernel contract but draws from the
     # RNG must fail loudly, not silently desynchronise the run stream.
+    # The numpy kernel never calls the step rule; cross_check re-derives
+    # every group through it, on the guard RNG.
     algorithm = minimum_algorithm()
 
     def drawing_step(states, rng):
@@ -425,17 +536,18 @@ def test_randomness_drawing_kernel_caught_at_first_draw():
         return [min(states)] * len(states)
 
     algorithm.group_step = drawing_step
-    algorithm.kernel = "average"  # any non-int kernel takes the python path
     engine = ArrayEngine(
         algorithm,
         StaticEnvironment(complete_graph(4)),
         initial_values=[4, 3, 2, 1],
         seed=0,
+        cross_check=True,
     )
     with pytest.raises(SimulationError, match="drew randomness"):
         next(engine.steps())
 
 
+@needs_numpy
 def test_stale_lazy_round_record_refuses_to_snapshot():
     engine = _build(ArrayEngine, "minimum", seed=1)
     record = next(engine.steps())
@@ -445,17 +557,15 @@ def test_stale_lazy_round_record_refuses_to_snapshot():
         _ = record.multiset
 
 
-def test_mid_round_exception_keeps_maintained_state_in_sync(monkeypatch):
-    # A later group raising mid-round must leave the maintained bag
-    # reflecting the states earlier groups already installed (the same
-    # contract the reference engine pins in test_incremental_parity).
-    # Forcing the python path: the numpy kernel never calls group_step,
-    # so only the object path can hit a mid-round exception.
+@needs_numpy
+def test_cross_check_exception_leaves_the_pre_round_state():
+    # A later group's step rule raising during the cross-check
+    # re-derivation must leave the flat states and the maintained bag at
+    # their pre-round values: the kernel's results are verified before
+    # any of them is installed or folded.
     from repro.agents.group import Group
     from repro.agents.scheduler import Scheduler
     from repro.core.multiset import Multiset
-
-    monkeypatch.setattr(array_engine_module, "HAVE_NUMPY", False)
 
     algorithm = minimum_algorithm()
     real_step = algorithm.group_step
@@ -477,17 +587,20 @@ def test_mid_round_exception_keeps_maintained_state_in_sync(monkeypatch):
         initial_values=[5, 3, 7, 99],
         scheduler=FixedPairs(),
         seed=0,
+        cross_check=True,
     )
     with pytest.raises(RuntimeError, match="injected fault"):
         next(engine.steps())
-    # Group (0, 1) installed [3, 3] before group (2, 3) raised.
-    assert engine.current_states() == [3, 3, 7, 99]
-    assert engine.current_multiset() == Multiset([3, 3, 7, 99])
+    # Group (0, 1) re-derived fine before group (2, 3) raised; nothing
+    # was installed.
+    assert engine.current_states() == [5, 3, 7, 99]
+    assert engine.current_multiset() == Multiset([5, 3, 7, 99])
 
 
 # -- history retention ------------------------------------------------------------
 
 
+@needs_numpy
 def test_history_none_run_matches_reference_summary():
     array_result = _build(ArrayEngine, "minimum", seed=2).run(
         max_rounds=80, history="none"
@@ -503,6 +616,7 @@ def test_history_none_run_matches_reference_summary():
     assert list(array_result.trace) == list(reference_result.trace)
 
 
+@needs_numpy
 def test_history_none_never_snapshots_the_bag(monkeypatch):
     # The lazy record is the point of the design: under history="none"
     # nothing may read record.multiset, so the maintained bag is never
@@ -526,7 +640,7 @@ def test_history_none_never_snapshots_the_bag(monkeypatch):
 # -- the numpy-only fast paths ----------------------------------------------------
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="requires numpy")
+@needs_numpy
 class TestVectorizedFastPaths:
     """The numpy-only shortcuts — the state-shared MT19937 churn advance,
     the vectorized component labelling and the deferred bag maintenance —
@@ -536,7 +650,6 @@ class TestVectorizedFastPaths:
 
     def test_fast_paths_engage_on_the_flagship_configuration(self):
         engine = _build(ArrayEngine, "minimum")
-        assert engine._backend == "numpy"
         assert engine._churn_bypass
         assert engine._fast_fold
 
