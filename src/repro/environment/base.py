@@ -320,11 +320,22 @@ class EnvironmentState:
     group accessors serve those instead of computing from scratch; the
     installed views are always equal to what the from-scratch computation
     would produce (pinned by the differential test suite).
+
+    An environment that already holds its state as arrays may also hand
+    over the effective edges as ``effective_edge_arrays``: a pair of
+    ``int64`` numpy arrays ``(u, v)``, one entry per effective edge, owned
+    by this state (never views of the environment's live state).  It is a
+    transport for array consumers, not part of the state's value, so it
+    takes no part in equality, hashing or ``repr``; None when the
+    environment did not build it.
     """
 
     enabled_agents: frozenset[int]
     available_edges: frozenset[Edge]
     round_index: int = 0
+    effective_edge_arrays: tuple | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def effective_edges(self) -> frozenset[Edge]:
         """Edges whose both endpoints are enabled (only these support steps).

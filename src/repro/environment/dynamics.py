@@ -15,6 +15,13 @@ from __future__ import annotations
 
 import math
 import random
+import threading
+from itertools import chain, compress
+
+try:
+    import numpy as _numpy
+except ImportError:  # pragma: no cover - exercised by the without-numpy CI leg
+    _numpy = None
 
 from ..core.errors import EnvironmentError_
 from ..registry import register_environment
@@ -31,7 +38,60 @@ __all__ = [
     "RandomChurnEnvironment",
     "MarkovChurnEnvironment",
     "PeriodicDutyCycleEnvironment",
+    "VECTORIZED_MIN_DRAWS",
+    "edge_endpoints",
+    "uniform_draws",
 ]
+
+#: Per-round draw count (edges + agents) from which
+#: :class:`MarkovChurnEnvironment` makes its draws as one numpy batch
+#: instead of a Python loop.  Measured, not tuned per run: a batch pays a
+#: fixed ~0.3 ms (the generator state into numpy and back, plus a dozen
+#: small array calls), the loop ~0.1 µs per draw, and the two break even
+#: near 3000 draws on ring and complete graphs (Python 3.11, numpy 2.4,
+#: one x86-64 vCPU).
+VECTORIZED_MIN_DRAWS = 3000
+
+#: Per-thread numpy ``RandomState`` used by :func:`uniform_draws` as a
+#: state container.  Built once per thread because construction costs
+#: about as much as a whole state round trip; every call overwrites its
+#: entire state first, so nothing carries over from one call to the next.
+_draw_scratch = threading.local()
+
+
+def uniform_draws(rng: random.Random, count: int):
+    """``count`` uniforms from ``rng`` as one float64 numpy array.
+
+    Bit-identical to ``[rng.random() for _ in range(count)]``, and ``rng``
+    is left in exactly the state that loop leaves.  numpy's legacy
+    ``RandomState`` runs the same MT19937 core as :class:`random.Random`
+    and derives doubles with the identical ``(a >> 5, b >> 6)`` 53-bit
+    recipe, and the two state tuples interconvert losslessly: the batch
+    is drawn on a ``RandomState`` loaded with ``rng``'s exact state, and
+    the advanced state is written back.  A pending ``gauss()`` value is
+    carried through untouched (``random()`` never consumes it).  Needs
+    numpy.
+    """
+    np = _numpy
+    scratch = getattr(_draw_scratch, "state", None)
+    if scratch is None:
+        scratch = _draw_scratch.state = np.random.RandomState()
+    version, internal, gauss = rng.getstate()
+    scratch.set_state(
+        ("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1])
+    )
+    draws = scratch.random_sample(count)
+    keys, position = scratch.get_state()[1:3]
+    rng.setstate((version, tuple(keys.tolist()) + (int(position),), gauss))
+    return draws
+
+
+def edge_endpoints(edges) -> tuple:
+    """The ``(u, v)`` endpoints of a sequence of edges as two ``int64``
+    numpy arrays, in sequence order.  Needs numpy."""
+    np = _numpy
+    flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
+    return flat[0::2].copy(), flat[1::2].copy()
 
 
 @register_environment("static")
@@ -201,9 +261,22 @@ class MarkovChurnEnvironment(Environment):
     dark until it finds power — while still satisfying ``Q_E`` with
     probability one as long as the recovery probability is positive.
 
+    The chain's state is two byte masks (1 = up): one over the edges in a
+    frozen sequence (``tuple(topology.edges)``), one over the agent ids.
+    Each round draws one uniform per edge, then one per agent, in that
+    order, and an entry flips when its draw is below its failure (up) or
+    recovery (down) probability.  From :data:`VECTORIZED_MIN_DRAWS` draws
+    per round, with numpy importable, the draws are one
+    :func:`uniform_draws` batch and the masks flip vectorized; below it a
+    Python loop makes the same draws.  Both paths leave the random stream
+    in the same place and build the same states — frozenset insertion
+    order included — the same deltas and the same checkpoints.  A
+    vectorized round also hands over its effective edges as
+    ``int64`` arrays (:attr:`EnvironmentState.effective_edge_arrays`).
+
     The Markov chain is naturally incremental: the per-round delta is
     exactly the set of edges and agents whose state flipped, collected
-    during the transition sweep at no extra draw.
+    during the transition at no extra draw.
     """
 
     reports_deltas = True
@@ -229,74 +302,145 @@ class MarkovChurnEnvironment(Environment):
         self.edge_recovery_probability = edge_recovery_probability
         self.agent_failure_probability = agent_failure_probability
         self.agent_recovery_probability = agent_recovery_probability
-        self._edge_up: dict = {}
-        self._agent_up: dict = {}
+        # tuple() of a frozenset keeps its iteration order, so the draw
+        # order matches iterating topology.edges directly.
+        self._edge_sequence = tuple(self.topology.edges)
+        # The edges' (u, v) endpoints as int64 arrays, built on the first
+        # vectorized round (not at construction: small runs never need
+        # them).
+        self._edge_endpoints: tuple | None = None
+        self._edge_up = bytearray()
+        self._agent_up = bytearray()
         self._previous: tuple[frozenset, frozenset] | None = None
         self.reset()
 
     def reset(self) -> None:
-        self._edge_up = {edge: True for edge in self.topology.edges}
-        self._agent_up = {agent: True for agent in self.topology.agent_ids}
+        self._edge_up = bytearray(b"\x01") * len(self._edge_sequence)
+        self._agent_up = bytearray(b"\x01") * self.topology.num_agents
         self._previous = None
 
     def advance(self, round_index: int, rng: random.Random) -> EnvironmentState:
-        state, _ = self._advance(round_index, rng)
+        state, _ = self._advance(round_index, rng, want_flips=False)
         self._previous = None
         return state
 
     def advance_with_delta(self, round_index, rng):
-        state, flips = self._advance(round_index, rng)
+        state, flips = self._advance(round_index, rng, want_flips=True)
         if self._previous is None:
             delta = None
-        elif any(flips):
-            edges_down, edges_up, agents_disabled, agents_enabled = flips
-            delta = EnvironmentDelta(
-                edges_down, edges_up, agents_disabled, agents_enabled
-            )
+        elif flips is not None:
+            delta = EnvironmentDelta(*flips)
         else:
             delta = EMPTY_DELTA
         self._previous = (state.enabled_agents, state.available_edges)
         return state, delta
 
-    def _advance(self, round_index: int, rng: random.Random):
-        edges_down: list = []
-        edges_up: list = []
-        agents_disabled: list = []
-        agents_enabled: list = []
-        for edge, up in self._edge_up.items():
-            if up:
-                if rng.random() < self.edge_failure_probability:
-                    self._edge_up[edge] = False
-                    edges_down.append(edge)
-            else:
-                if rng.random() < self.edge_recovery_probability:
-                    self._edge_up[edge] = True
-                    edges_up.append(edge)
-        for agent, up in self._agent_up.items():
-            if up:
-                if rng.random() < self.agent_failure_probability:
-                    self._agent_up[agent] = False
-                    agents_disabled.append(agent)
-            else:
-                if rng.random() < self.agent_recovery_probability:
-                    self._agent_up[agent] = True
-                    agents_enabled.append(agent)
-        previous = self._previous
-        if previous is not None and not (
-            edges_down or edges_up or agents_disabled or agents_enabled
+    def _advance(self, round_index: int, rng: random.Random, want_flips: bool):
+        """One chain transition and the state it leads to.
+
+        Returns ``(state, flips)``: ``flips`` is None when nothing flipped,
+        otherwise ``(edges_down, edges_up, agents_disabled,
+        agents_enabled)`` in draw order — on a vectorized round only when
+        ``want_flips`` (without it, an empty tuple).
+        """
+        if (
+            _numpy is not None
+            and len(self._edge_up) + len(self._agent_up) >= VECTORIZED_MIN_DRAWS
         ):
+            flips, up_agents, up_edges, edge_arrays = self._vectorized_transition(
+                rng, want_flips
+            )
+        else:
+            flips = self._loop_transition(rng)
+            up_agents = compress(self.topology.agent_ids, self._agent_up)
+            up_edges = compress(self._edge_sequence, self._edge_up)
+            edge_arrays = None
+        previous = self._previous
+        if previous is not None and flips is None:
             # Nothing flipped: reuse the previous round's sets (identical
             # content, identical construction) instead of re-filtering.
             enabled, edges = previous
         else:
-            enabled = frozenset(a for a, up in self._agent_up.items() if up)
-            edges = frozenset(e for e, up in self._edge_up.items() if up)
-        state = EnvironmentState(
-            enabled_agents=enabled,
-            available_edges=edges,
-            round_index=round_index,
+            # Both paths insert in mask order, so the sets iterate alike.
+            enabled = frozenset(up_agents)
+            edges = frozenset(up_edges)
+        state = EnvironmentState(enabled, edges, round_index, edge_arrays)
+        return state, flips
+
+    def _loop_transition(self, rng: random.Random):
+        draw = rng.random
+        edges_down, edges_up = _flip_loop(
+            self._edge_up,
+            self._edge_sequence,
+            draw,
+            self.edge_failure_probability,
+            self.edge_recovery_probability,
         )
-        return state, (edges_down, edges_up, agents_disabled, agents_enabled)
+        agents_disabled, agents_enabled = _flip_loop(
+            self._agent_up,
+            self.topology.agent_ids,
+            draw,
+            self.agent_failure_probability,
+            self.agent_recovery_probability,
+        )
+        if edges_down or edges_up or agents_disabled or agents_enabled:
+            return edges_down, edges_up, agents_disabled, agents_enabled
+        return None
+
+    def _vectorized_transition(self, rng: random.Random, want_flips: bool):
+        """The transition on one batch of draws.
+
+        Returns ``(flips, up_agents, up_edges, edge_arrays)``: the flips
+        as :meth:`_advance` reports them, the up agents and edges as
+        iterables in mask order, and the effective edges as fresh
+        ``int64`` ``(u, v)`` arrays.
+        """
+        np = _numpy
+        sequence = self._edge_sequence
+        agent_ids = self.topology.agent_ids
+        edge_count = len(sequence)
+        draws = uniform_draws(rng, edge_count + len(agent_ids))
+        edge_up = np.frombuffer(self._edge_up, dtype=np.bool_)
+        agent_up = np.frombuffer(self._agent_up, dtype=np.bool_)
+        edge_flips = _flip_masked(
+            edge_up,
+            draws[:edge_count],
+            self.edge_failure_probability,
+            self.edge_recovery_probability,
+        )
+        agent_flips = _flip_masked(
+            agent_up,
+            draws[edge_count:],
+            self.agent_failure_probability,
+            self.agent_recovery_probability,
+        )
+        if not (edge_flips.any() or agent_flips.any()):
+            flips = None
+        elif want_flips:
+            flips = (
+                *_flip_lists(sequence, edge_up, edge_flips),
+                *_flip_lists(agent_ids, agent_up, agent_flips),
+            )
+        else:
+            flips = ()
+
+        if self._edge_endpoints is None:
+            self._edge_endpoints = edge_endpoints(sequence)
+        edge_u, edge_v = self._edge_endpoints
+        up_edges = np.flatnonzero(edge_up)
+        up_agents = np.flatnonzero(agent_up).tolist()
+        effective = up_edges
+        if len(up_agents) < len(agent_ids):
+            both_up = agent_up[edge_u[up_edges]] & agent_up[edge_v[up_edges]]
+            effective = up_edges[both_up]
+        # Integer-array indexing copies: the arrays never alias the masks.
+        edge_arrays = (edge_u[effective], edge_v[effective])
+        return (
+            flips,
+            up_agents,
+            map(sequence.__getitem__, up_edges.tolist()),
+            edge_arrays,
+        )
 
     def state_dict(self) -> dict:
         # The chain's current up/down assignment decides which transition
@@ -305,33 +449,42 @@ class MarkovChurnEnvironment(Environment):
         # sparsely (down sets only; everything starts up).
         return {
             "edges_down": sorted(
-                list(edge) for edge, up in self._edge_up.items() if not up
+                list(edge)
+                for edge, up in zip(self._edge_sequence, self._edge_up)
+                if not up
             ),
             "agents_down": sorted(
-                agent for agent, up in self._agent_up.items() if not up
+                agent
+                for agent, up in zip(self.topology.agent_ids, self._agent_up)
+                if not up
             ),
         }
 
     def load_state(self, state) -> None:
-        # reset() rebuilds both tables from the topology in construction
-        # order — the same iteration order the per-round transition sweep
-        # walks — then the down sets are applied on top (flipping values
-        # never changes dict order, so the draw sequence is identical to
-        # the uninterrupted run's).
+        # reset() rebuilds both masks all-up over the frozen edge sequence
+        # and the agent ids — the order the per-round transition walks —
+        # then the down sets are applied on top, so the draw sequence is
+        # identical to the uninterrupted run's.
         super().load_state(state)
-        for a, b in state.get("edges_down", ()):
-            edge = (a, b)
-            if edge not in self._edge_up:
-                raise EnvironmentError_(
-                    f"checkpointed edge {edge} is not in this topology"
-                )
-            self._edge_up[edge] = False
+        edges_down = state.get("edges_down", ())
+        if edges_down:
+            position_of = {
+                edge: index for index, edge in enumerate(self._edge_sequence)
+            }
+            for a, b in edges_down:
+                edge = (a, b)
+                index = position_of.get(edge)
+                if index is None:
+                    raise EnvironmentError_(
+                        f"checkpointed edge {edge} is not in this topology"
+                    )
+                self._edge_up[index] = 0
         for agent in state.get("agents_down", ()):
-            if agent not in self._agent_up:
+            if agent not in self.topology.agent_ids:
                 raise EnvironmentError_(
                     f"checkpointed agent {agent} is not in this topology"
                 )
-            self._agent_up[agent] = False
+            self._agent_up[agent] = 0
 
     def describe(self) -> str:
         return (
@@ -347,6 +500,47 @@ class MarkovChurnEnvironment(Environment):
                 f"edge {edge} eventually recovers" for edge in sorted(self.topology.edges)
             )
         return ()
+
+
+def _flip_loop(mask: bytearray, sequence, draw, fail: float, recover: float):
+    """One Markov transition of ``mask`` in a Python loop, one draw per entry.
+
+    Returns the entries (from ``sequence``) that went down and came up, in
+    order.
+    """
+    went_down: list = []
+    went_up: list = []
+    for index, up in enumerate(mask):
+        if up:
+            if draw() < fail:
+                mask[index] = 0
+                went_down.append(sequence[index])
+        elif draw() < recover:
+            mask[index] = 1
+            went_up.append(sequence[index])
+    return went_down, went_up
+
+
+def _flip_masked(up, draws, fail: float, recover: float):
+    """One Markov transition of the bool array ``up``, in place.
+
+    The same comparisons :func:`_flip_loop` makes, on the same draws;
+    returns the flipped positions as a bool array.
+    """
+    flipped = draws < _numpy.where(up, fail, recover)
+    up ^= flipped
+    return flipped
+
+
+def _flip_lists(sequence, up, flipped) -> tuple[list, list]:
+    """The entries of ``sequence`` that went down and came up, in order."""
+    np = _numpy
+    went_down = np.flatnonzero(flipped & ~up).tolist()
+    went_up = np.flatnonzero(flipped & up).tolist()
+    return (
+        list(map(sequence.__getitem__, went_down)),
+        list(map(sequence.__getitem__, went_up)),
+    )
 
 
 @register_environment("duty-cycle")

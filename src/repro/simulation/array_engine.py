@@ -42,13 +42,20 @@ via :meth:`~repro.core.algorithm.SelfSimilarAlgorithm.objective_delta`,
 decide convergence by fingerprint — but never takes a per-round snapshot:
 round records are :class:`ArrayRoundRecord` objects whose ``multiset`` is
 a lazy property, so a ``history="none"`` run materializes no per-agent
-objects and no per-round bags at all.  Outside ``cross_check`` the last
-Python-loop costs disappear too: the stock churn environment's per-round
-draws are made vectorized on a state-shared MT19937 (bit-identical to the
-run RNG's stream, state written back), communication components are
-labelled by vectorized min-label propagation, and the maintained bag is
-rebuilt lazily on access while convergence comes from a vectorized
-comparison provably equivalent to multiset equality with the target.
+objects and no per-round bags at all.  The environment side stays in
+arrays too: the stock churn environment's per-round draws are made here
+as one :func:`~repro.environment.dynamics.uniform_draws` batch
+(bit-identical to the run RNG's stream) and filtered as masks, bypassing
+its ``advance`` (outside ``cross_check``); Markov churn is advanced
+through its public ``advance``, which vectorizes its own transition on
+large graphs and hands over the effective edges as ``int64`` arrays
+(:attr:`~repro.environment.base.EnvironmentState.effective_edge_arrays`).
+Communication components are labelled from those arrays by vectorized
+min-label propagation — only an environment that builds no arrays pays
+for a frozenset-to-array conversion — and, outside ``cross_check``, the
+maintained bag is rebuilt lazily on access while convergence comes from a
+vectorized comparison provably equivalent to multiset equality with the
+target.
 
 Checkpoints serialize through the same tagged codec as the reference
 engine (``engine="array"``), so ``repro resume``, the durable batch
@@ -76,7 +83,11 @@ from ..environment.base import (
     EnvironmentState,
     connected_component_tuples,
 )
-from ..environment.dynamics import RandomChurnEnvironment
+from ..environment.dynamics import (
+    RandomChurnEnvironment,
+    edge_endpoints,
+    uniform_draws,
+)
 from ..registry import register_engine
 from .checkpoint import (
     EngineCheckpoint,
@@ -400,12 +411,10 @@ class ArrayEngine:
         self._fast_target = self._build_fast_target() if self._fast_fold else None
         # Churn bypass: RandomChurnEnvironment draws one uniform per
         # agent then one per edge in a fixed sequence, so the engine can
-        # make those draws on a numpy MT19937 seeded with the run RNG's
-        # *exact* state (the legacy RandomState shares CPython's
-        # generator and 53-bit double derivation bit-for-bit, and the
-        # advanced state is written back), then filter agents and edges
-        # vectorized.  Exact-type gate, like the maximal bypass: a
-        # subclass may override the dynamics.
+        # make those draws as one uniform_draws batch (bit-identical to
+        # the run RNG's stream, which it leaves where the loop would),
+        # then filter agents and edges vectorized.  Exact-type gate, like
+        # the maximal bypass: a subclass may override the dynamics.
         self._churn_bypass = (
             not cross_check and type(environment) is RandomChurnEnvironment
         )
@@ -548,8 +557,8 @@ class ArrayEngine:
         suite), so the array engine and the reference engine consume one
         identical random stream whichever bookkeeping mode each uses.
 
-        Under the churn bypass the same draws are made vectorized on a
-        state-shared MT19937 (see :meth:`_churn_advance`); with the
+        Under the churn bypass the same draws are made as one vectorized
+        batch (see :meth:`_churn_advance`); with the
         maximal scheduler on top, no :class:`EnvironmentState` is needed
         at all — the round goes straight from boolean masks to the
         component arrays, and this method returns None with the masks
@@ -562,57 +571,29 @@ class ArrayEngine:
     # -- the churn bypass ----------------------------------------------------
 
     def _init_churn_tables(self) -> None:
-        """Precompute the arrays the vectorized churn advance filters.
+        """Precompute the edge endpoint arrays the vectorized churn advance
+        filters.
 
-        ``agent_ids`` and the edge endpoints are frozen in exactly the
-        iteration order :meth:`RandomChurnEnvironment._advance` consumes
-        its draws, so a boolean mask over the draw vector selects the
-        same agents and edges the reference loop selects.
+        The endpoints are frozen in exactly the iteration order
+        :meth:`RandomChurnEnvironment._advance` consumes its edge draws,
+        and the agent ids are ``range(num_agents)`` (the agent draws come
+        first, in id order), so boolean masks over the draw vector select
+        the same agents and edges the reference loop selects.
         """
-        np = _numpy
-        env = self.environment
-        agent_ids = np.fromiter(env.topology.agent_ids, dtype=np.int64)
-        if agent_ids.size and int(agent_ids.min()) < 0:
-            # The enabled-lookup table indexes by agent id; negative ids
-            # (no topology in this library produces them) fall back to
-            # the reference advance.
-            self._churn_bypass = False
-            return
-        edges = env._edge_sequence
-        self._churn_agent_ids = agent_ids
-        self._churn_edges = edges
-        self._churn_edge_u = np.fromiter(
-            (edge[0] for edge in edges), dtype=np.int64, count=len(edges)
-        )
-        self._churn_edge_v = np.fromiter(
-            (edge[1] for edge in edges), dtype=np.int64, count=len(edges)
-        )
-        self._churn_lookup_size = int(agent_ids.max()) + 1 if agent_ids.size else 0
-        # State container only — every use starts from set_state() with
-        # the run RNG's exact MT19937 state, so no seeding happens here.
-        self._churn_rs = np.random.RandomState()
+        self._churn_edges = self.environment._edge_sequence
+        self._churn_edge_u, self._churn_edge_v = edge_endpoints(self._churn_edges)
 
     def _churn_advance(self, round_index: int) -> EnvironmentState | None:
         """RandomChurnEnvironment.advance, with the draws made vectorized.
 
-        numpy's legacy ``RandomState`` runs the same MT19937 core as
-        :class:`random.Random` and derives doubles with the identical
-        ``(a >> 5, b >> 6)`` 53-bit recipe, and the two state tuples
-        interconvert losslessly — so the batch of uniforms drawn here is
-        bit-for-bit the stream the reference loop would draw, and
-        writing the advanced state back leaves the run RNG exactly where
+        :func:`~repro.environment.dynamics.uniform_draws` makes the whole
+        round's uniforms as one batch, bit-for-bit the stream the
+        reference loop would draw, and leaves the run RNG exactly where
         ``environment.advance`` would have left it.
         """
-        np = _numpy
         env = self.environment
-        rng = self._rng
-        version, internal, gauss = rng.getstate()
-        rs = self._churn_rs
-        rs.set_state(("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1]))
-        num_agents = self._churn_agent_ids.shape[0]
-        draws = rs.random_sample(num_agents + self._churn_edge_u.shape[0])
-        keys, pos = rs.get_state()[1:3]
-        rng.setstate((version, tuple(keys.tolist()) + (int(pos),), gauss))
+        num_agents = env.num_agents
+        draws = uniform_draws(self._rng, num_agents + self._churn_edge_u.shape[0])
         agent_up = env.agent_up_probability
         enabled_mask = None if agent_up >= 1.0 else draws[:num_agents] < agent_up
         edge_mask = draws[num_agents:] < env.edge_up_probability
@@ -633,7 +614,7 @@ class ArrayEngine:
         if enabled_mask is None or bool(enabled_mask.all()):
             enabled = env._all_agents
         else:
-            enabled = frozenset(self._churn_agent_ids[enabled_mask].tolist())
+            enabled = frozenset(_numpy.flatnonzero(enabled_mask).tolist())
         edges = self._churn_edges
         selected = frozenset(
             edges[index] for index in _numpy.flatnonzero(edge_mask).tolist()
@@ -645,9 +626,10 @@ class ArrayEngine:
 
         The effective edges (both endpoints enabled) come from the
         pending churn masks on a vectorized churn round
-        (``environment_state`` is None) and from the state's effective
-        edge set otherwise; either way they are labelled by
-        :func:`_label_components`.
+        (``environment_state`` is None), from the state's
+        ``effective_edge_arrays`` when its environment built them, and
+        from its effective edge set otherwise; either way they are
+        labelled by :func:`_label_components`.
         """
         np = _numpy
         if environment_state is None:
@@ -657,20 +639,20 @@ class ArrayEngine:
             edge_v = self._churn_edge_v
             if enabled_mask is None:
                 keep = edge_mask
-                enabled_count = self._churn_agent_ids.shape[0]
+                enabled_count = self.environment.num_agents
             else:
-                up = np.zeros(self._churn_lookup_size, dtype=bool)
-                up[self._churn_agent_ids[enabled_mask]] = True
-                keep = edge_mask & up[edge_u] & up[edge_v]
+                keep = edge_mask & enabled_mask[edge_u] & enabled_mask[edge_v]
                 enabled_count = int(np.count_nonzero(enabled_mask))
             return _label_components(edge_u[keep], edge_v[keep], enabled_count)
+        enabled_count = len(environment_state.enabled_agents)
+        arrays = environment_state.effective_edge_arrays
+        if arrays is not None:
+            return _label_components(arrays[0], arrays[1], enabled_count)
         edges = environment_state.effective_edges()
         endpoints = np.fromiter(
             chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges)
         )
-        return _label_components(
-            endpoints[0::2], endpoints[1::2], len(environment_state.enabled_agents)
-        )
+        return _label_components(endpoints[0::2], endpoints[1::2], enabled_count)
 
     def _execute_round(self, round_index: int) -> ArrayRoundRecord:
         """Execute one round — one environment transition, one vectorized

@@ -53,6 +53,7 @@ from repro.environment.adversary import (
     RotatingPartitionAdversary,
     TargetedCrashAdversary,
 )
+from repro.environment.base import EnvironmentState
 from repro.environment.dynamics import (
     MarkovChurnEnvironment,
     PeriodicDutyCycleEnvironment,
@@ -71,6 +72,11 @@ needs_numpy = pytest.mark.skipif(
 )
 
 VALUES = [9, 4, 7, 1, 8, 3, 6, 2]
+
+#: Initial values for the dense Markov case: 80 agents on a complete graph
+#: make 3160 + 80 draws a round, past the environment's vectorized-draw
+#: threshold (pinned by test_dense_markov_labels_the_state_arrays).
+DENSE_VALUES = [(7 * index) % 19 for index in range(80)]
 
 #: Every algorithm family whose kernel the array engine executes.
 KERNEL_CASES = {
@@ -91,6 +97,9 @@ ENVIRONMENTS = {
         ring_graph(n), edge_up_probability=0.6, agent_up_probability=0.9
     ),
     "markov": lambda n: MarkovChurnEnvironment(ring_graph(n), 0.3, 0.4, 0.15, 0.5),
+    "dense-markov": lambda n: MarkovChurnEnvironment(
+        complete_graph(n), 0.6, 0.1, 0.05, 0.5
+    ),
     "duty": lambda n: PeriodicDutyCycleEnvironment(
         complete_graph(n), period=5, duty_cycle=0.5, seed=2
     ),
@@ -120,7 +129,8 @@ def _build(
     values=None,
     **engine_kwargs,
 ):
-    values = VALUES if values is None else values
+    if values is None:
+        values = DENSE_VALUES if environment_name == "dense-markov" else VALUES
     return engine_cls(
         KERNEL_CASES[case](),
         ENVIRONMENTS[environment_name](len(values)),
@@ -726,6 +736,63 @@ class TestVectorizedFastPaths:
             max_rounds=80, extra_rounds_after_convergence=2
         )
         _assert_identical(result, reference)
+
+    def test_dense_markov_labels_the_state_arrays(self, monkeypatch):
+        # Above the threshold the Markov environment hands over its
+        # effective edges as int64 arrays; the engine labels those and
+        # never falls back to the frozenset conversion.  It still calls
+        # the public advance once per round.
+        engine = _build(ArrayEngine, "minimum", environment_name="dense-markov")
+        environment = engine.environment
+        advance = environment.advance
+        received = []
+
+        def recording_advance(round_index, rng):
+            state = advance(round_index, rng)
+            u, v = state.effective_edge_arrays
+            received.append((state, u.copy(), v.copy()))
+            return state
+
+        monkeypatch.setattr(environment, "advance", recording_advance)
+        conversions = []
+        effective_edges = EnvironmentState.effective_edges
+
+        def counting_effective_edges(state):
+            conversions.append(state.round_index)
+            return effective_edges(state)
+
+        monkeypatch.setattr(
+            EnvironmentState, "effective_edges", counting_effective_edges
+        )
+        result = engine.run(max_rounds=12, stop_at_convergence=False)
+        assert conversions == []
+        assert len(received) == result.rounds_executed == 12
+        monkeypatch.setattr(EnvironmentState, "effective_edges", effective_edges)
+        # The arrays equal each state's effective edges (agent failures
+        # make those differ from the available edges), and later advances
+        # never changed them.
+        assert any(s.effective_edges() != s.available_edges for s, _, _ in received)
+        for state, u_then, v_then in received:
+            u, v = state.effective_edge_arrays
+            assert u.tolist() == u_then.tolist() and v.tolist() == v_then.tolist()
+            pairs = list(zip(u.tolist(), v.tolist()))
+            assert len(pairs) == len(state.effective_edges())
+            assert set(pairs) == state.effective_edges()
+        reference = _build(Simulator, "minimum", environment_name="dense-markov").run(
+            max_rounds=12, stop_at_convergence=False
+        )
+        _assert_identical(result, reference)
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_cross_check_on_dense_markov(self, case):
+        _assert_identical(
+            *_run_pair(
+                case,
+                environment_name="dense-markov",
+                seed=23,
+                array_kwargs={"cross_check": True},
+            )
+        )
 
     def test_cross_check_catches_a_diverging_labelling(self, monkeypatch):
         label = array_engine_module._label_components

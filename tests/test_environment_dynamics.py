@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import EnvironmentError_
 from repro.environment import (
@@ -19,6 +21,13 @@ from repro.environment import (
     TargetedCrashAdversary,
     complete_graph,
     line_graph,
+    ring_graph,
+)
+from repro.environment import dynamics
+
+#: Marks the tests of the numpy half of the Markov transition.
+needs_numpy = pytest.mark.skipif(
+    dynamics._numpy is None, reason="the vectorized path needs numpy"
 )
 
 
@@ -112,9 +121,14 @@ class TestMarkovChurn:
         env = MarkovChurnEnvironment(
             complete_graph(4), edge_failure_probability=1.0, edge_recovery_probability=0.0
         )
-        env.advance(0, rng)
+        assert env.advance(0, rng).available_edges == frozenset()
+        assert len(env.state_dict()["edges_down"]) == 6
         env.reset()
-        assert env._edge_up == {edge: True for edge in complete_graph(4).edges}
+        assert env.state_dict() == {"edges_down": [], "agents_down": []}
+        # With failures switched off, the reset chain's next state shows
+        # every edge up again.
+        env.edge_failure_probability = 0.0
+        assert env.advance(1, rng).available_edges == complete_graph(4).edges
 
     def test_agent_failures(self, rng):
         env = MarkovChurnEnvironment(
@@ -124,6 +138,128 @@ class TestMarkovChurn:
         )
         sizes = [len(env.advance(i, rng).enabled_agents) for i in range(30)]
         assert min(sizes) < 4
+
+
+def _markov_run(
+    monkeypatch, min_draws, topology, probabilities, rounds=24, restore=True
+):
+    """Everything observable about one Markov run, with the vectorized
+    path forced on (``min_draws`` 0) or off (a huge ``min_draws``).
+
+    Mixes plain ``advance`` rounds into ``advance_with_delta`` rounds and,
+    with ``restore``, loads a mid-run ``state_dict`` into a fresh
+    environment, which then carries the run on.
+    """
+    monkeypatch.setattr(dynamics, "VECTORIZED_MIN_DRAWS", min_draws)
+    env = MarkovChurnEnvironment(topology, *probabilities)
+    rng = random.Random(5)
+    rng.gauss(0.0, 1.0)  # leaves a pending gauss value in the state
+    observed = []
+    for round_index in range(rounds):
+        if restore and round_index == rounds // 2:
+            checkpoint = env.state_dict()
+            env = MarkovChurnEnvironment(topology, *probabilities)
+            env.load_state(checkpoint)
+        if round_index % 4 == 3:
+            state, delta = env.advance(round_index, rng), "plain"
+        else:
+            state, delta = env.advance_with_delta(round_index, rng)
+            if delta is not None:
+                delta = tuple(
+                    list(part)
+                    for part in (
+                        delta.edges_down,
+                        delta.edges_up,
+                        delta.agents_disabled,
+                        delta.agents_enabled,
+                    )
+                )
+        observed.append(
+            (
+                list(state.enabled_agents),
+                list(state.available_edges),
+                delta,
+                env.state_dict(),
+                rng.getstate(),
+            )
+        )
+        vectorized = min_draws == 0 and dynamics._numpy is not None
+        assert (state.effective_edge_arrays is not None) == vectorized
+    return observed
+
+
+#: (edge fail, edge recover, agent fail, agent recover): agent failures
+#: off, on, and a chain that stops flipping (reused sets, empty deltas).
+MARKOV_PROBABILITIES = {
+    "edges-only": (0.3, 0.4, 0.0, 1.0),
+    "agent-failures": (0.3, 0.4, 0.15, 0.5),
+    "dense-outages": (0.6, 0.1, 0.05, 0.2),
+    "frozen": (0.0, 0.0, 0.0, 0.0),
+}
+
+
+class TestMarkovVectorizedPath:
+    """The numpy transition against the Python loop it replaces above
+    :data:`~repro.environment.dynamics.VECTORIZED_MIN_DRAWS`."""
+
+    @needs_numpy
+    @pytest.mark.parametrize("graph", ["complete", "ring"])
+    @pytest.mark.parametrize("probabilities", sorted(MARKOV_PROBABILITIES))
+    def test_numpy_path_matches_the_loop(self, monkeypatch, graph, probabilities):
+        topology = complete_graph(24) if graph == "complete" else ring_graph(40)
+        params = MARKOV_PROBABILITIES[probabilities]
+        loop = _markov_run(monkeypatch, 10**9, topology, params)
+        vectorized = _markov_run(monkeypatch, 0, topology, params)
+        for round_index, (left, right) in enumerate(zip(loop, vectorized)):
+            assert left == right, f"diverged at round {round_index}"
+        # The restored run is the uninterrupted one, apart from the delta
+        # base the fresh environment starts without.
+        uninterrupted = _markov_run(monkeypatch, 0, topology, params, restore=False)
+        for round_index, (left, right) in enumerate(zip(vectorized, uninterrupted)):
+            if round_index != len(loop) // 2:
+                assert left == right, f"diverged at round {round_index}"
+
+    def test_loop_runs_when_numpy_is_missing(self, monkeypatch):
+        # What a container without numpy looks like to the environment:
+        # the loop runs whatever the draw count (and builds no arrays,
+        # which _markov_run asserts every round).
+        params = MARKOV_PROBABILITIES["agent-failures"]
+        loop = _markov_run(monkeypatch, 10**9, complete_graph(12), params)
+        monkeypatch.setattr(dynamics, "_numpy", None)
+        assert _markov_run(monkeypatch, 0, complete_graph(12), params) == loop
+
+    @needs_numpy
+    def test_edge_arrays_stay_out_of_equality_and_repr(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "VECTORIZED_MIN_DRAWS", 0)
+        vectorized = MarkovChurnEnvironment(complete_graph(10), 0.3, 0.4)
+        state = vectorized.advance(0, random.Random(1))
+        monkeypatch.setattr(dynamics, "VECTORIZED_MIN_DRAWS", 10**9)
+        plain = MarkovChurnEnvironment(complete_graph(10), 0.3, 0.4)
+        twin = plain.advance(0, random.Random(1))
+        assert twin.effective_edge_arrays is None
+        assert state == twin and hash(state) == hash(twin)
+        assert repr(state) == repr(twin)
+
+
+@needs_numpy
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    count=st.integers(min_value=0, max_value=2000),
+    pending_gauss=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_uniform_draws_is_the_random_stream(seed, count, pending_gauss):
+    batch_rng = random.Random(seed)
+    loop_rng = random.Random(seed)
+    if pending_gauss:
+        batch_rng.gauss(0.0, 1.0)
+        loop_rng.gauss(0.0, 1.0)
+    draws = dynamics.uniform_draws(batch_rng, count)
+    expected = [loop_rng.random() for _ in range(count)]
+    assert draws.tolist() == expected
+    assert batch_rng.getstate() == loop_rng.getstate()
+    # The pending gauss value survives the round trip.
+    assert batch_rng.gauss(0.0, 1.0) == loop_rng.gauss(0.0, 1.0)
 
 
 class TestPeriodicDutyCycle:
