@@ -23,7 +23,7 @@ from ..core.algorithm import SelfSimilarAlgorithm
 from ..core.errors import SpecificationError
 from ..core.functions import DistributedFunction
 from ..core.multiset import Multiset
-from ..core.objective import SummationObjective
+from ..core.objective import SummationObjective, exact_int64_sum
 from ..registry import register_algorithm
 
 
@@ -60,6 +60,12 @@ def maximum_objective(upper_bound: int) -> SummationObjective:
         lower_bound=0.0,
         exact_delta=True,
         description="h(S) = total distance of values below the declared upper bound",
+        # Σ(C − added) − Σ(C − removed), with the C terms counted once.
+        array_delta_fn=lambda removed, added: (
+            (len(added) - len(removed)) * upper_bound
+            + exact_int64_sum(removed)
+            - exact_int64_sum(added)
+        ),
     )
 
 

@@ -25,7 +25,7 @@ from ..core.algorithm import SelfSimilarAlgorithm
 from ..core.errors import SpecificationError
 from ..core.functions import DistributedFunction
 from ..core.multiset import Multiset
-from ..core.objective import SummationObjective
+from ..core.objective import SummationObjective, exact_int64_sum
 from ..core.relation import STUTTER_JUDGEMENT, StepJudgement, StepKind
 from ..registry import register_algorithm
 
@@ -56,6 +56,9 @@ def minimum_objective() -> SummationObjective:
         lower_bound=0.0,
         exact_delta=True,
         description="h(S) = sum of agent values; minimized when all hold the minimum",
+        array_delta_fn=lambda removed, added: (
+            exact_int64_sum(added) - exact_int64_sum(removed)
+        ),
     )
 
 

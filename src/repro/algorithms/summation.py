@@ -45,10 +45,13 @@ from ..core.algorithm import SelfSimilarAlgorithm
 from ..core.errors import SpecificationError
 from ..core.functions import DistributedFunction
 from ..core.multiset import Multiset
-from ..core.objective import ObjectiveFunction
+from ..core.objective import ObjectiveFunction, exact_int64_sum
 from ..registry import register_algorithm
 
 __all__ = ["sum_function", "sum_objective", "summation_algorithm"]
+
+#: ``isqrt(2**63 - 1)``: the largest magnitude whose square fits int64.
+_INT64_SQUARE_LIMIT = 3_037_000_499
 
 
 def sum_function() -> DistributedFunction:
@@ -84,6 +87,9 @@ def sum_objective() -> ObjectiveFunction:
             value * value for value in added
         )
 
+    def array_delta(removed, added) -> int:
+        return _sum_of_squares(removed) - _sum_of_squares(added)
+
     return ObjectiveFunction(
         name="(sum)^2 - sum of squares",
         evaluate=evaluate,
@@ -94,7 +100,18 @@ def sum_objective() -> ObjectiveFunction:
             "h(S) = (Σ x)² − Σ x²; with group sums conserved, decreasing h is "
             "equivalent to increasing the summation-form Σ x²"
         ),
+        array_delta_fn=array_delta,
     )
+
+
+def _sum_of_squares(values) -> int:
+    """``Σ x²`` of an ``int64`` array, exactly: squared in int64 when every
+    square fits, as Python ints otherwise."""
+    if not len(values):
+        return 0
+    if -_INT64_SQUARE_LIMIT <= values.min() and values.max() <= _INT64_SQUARE_LIMIT:
+        return exact_int64_sum(values * values)
+    return sum(value * value for value in values.tolist())
 
 
 @register_algorithm("sum")

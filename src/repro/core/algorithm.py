@@ -245,11 +245,27 @@ class SelfSimilarAlgorithm:
         """
         if not removed and not added:
             return before
-        objective = self.objective
-        delta = objective.delta(removed, added)
+        delta = self.objective.delta(removed, added)
         if delta is None:
-            return objective(after)
-        value = before + delta
+            return self.objective(after)
+        return self._bounded_objective(before + delta)
+
+    def objective_array_delta(self, before: float, removed: Any, added: Any) -> float:
+        """:meth:`objective_delta` for a delta given as ``int64`` arrays.
+
+        Prices the delta with the objective's exact
+        :meth:`~repro.core.objective.ObjectiveFunction.array_delta` (only
+        call it when the objective supports one) and applies the same
+        lower-bound guard.
+        """
+        return self._bounded_objective(
+            before + self.objective.array_delta(removed, added)
+        )
+
+    def _bounded_objective(self, value: float) -> float:
+        """``value``, or a :class:`SpecificationError` when it is below
+        the objective's declared lower bound."""
+        objective = self.objective
         if value < objective.lower_bound - 1e-12:
             raise SpecificationError(
                 f"objective {objective.name!r} reached {value}, below its "

@@ -25,12 +25,26 @@ Two properties of ``h`` matter:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable
+from typing import Any, Callable, Hashable, Iterable
 
 from .errors import SpecificationError
 from .multiset import Multiset
 
-__all__ = ["ObjectiveFunction", "SummationObjective"]
+__all__ = ["ObjectiveFunction", "SummationObjective", "exact_int64_sum"]
+
+
+def exact_int64_sum(values: Any) -> int:
+    """``Σ values`` of a numpy ``int64`` array, exactly, as a Python int.
+
+    Summing the array directly wraps around once the total leaves the
+    int64 range.  Summing the high and low 32-bit halves separately
+    cannot: the high halves lie in ``[-2**31, 2**31)`` and the low
+    halves in ``[0, 2**32)``, so for any array shorter than ``2**31``
+    elements both partial sums stay inside int64, and recombining them as
+    Python ints is exact.  Only array methods are used, so this module
+    never imports numpy.
+    """
+    return (int((values >> 32).sum()) << 32) + int((values & 0xFFFFFFFF).sum())
 
 
 @dataclass
@@ -63,6 +77,11 @@ class ObjectiveFunction:
         ``h_before + Δh`` is bit-identical to a full recomputation — the
         simulation engine relies on this to keep incremental runs
         byte-identical to full-recompute runs.
+    array_delta_fn:
+        Optional array form of ``delta_fn`` for the array engine:
+        ``(removed, added) -> Δh`` over numpy ``int64`` arrays, returning
+        exactly ``delta_fn(removed.tolist(), added.tolist())`` as a
+        Python int (see :func:`exact_int64_sum`).
     """
 
     name: str
@@ -72,6 +91,7 @@ class ObjectiveFunction:
     summation_form: bool = False
     delta_fn: Callable[[list, list], float] | None = None
     description: str = ""
+    array_delta_fn: Callable[[Any, Any], int] | None = None
 
     def __call__(self, states: Multiset | Iterable) -> float:
         bag = states if isinstance(states, Multiset) else Multiset(states)
@@ -102,6 +122,19 @@ class ObjectiveFunction:
         if self.delta_fn is None:
             return None
         return self.delta_fn(removed, added)
+
+    @property
+    def supports_array_delta(self) -> bool:
+        """True when :meth:`array_delta` prices ``int64`` array deltas."""
+        return self.array_delta_fn is not None
+
+    def array_delta(self, removed: Any, added: Any) -> int:
+        """Exact change of ``h`` for a state delta given as ``int64`` arrays.
+
+        Same value as ``delta(removed.tolist(), added.tolist())``, without
+        leaving the arrays; only call it when :attr:`supports_array_delta`.
+        """
+        return self.array_delta_fn(removed, added)
 
     def is_improvement(
         self, before: Multiset | Iterable, after: Multiset | Iterable
@@ -142,6 +175,9 @@ class SummationObjective(ObjectiveFunction):
         Leave False for genuinely real-valued contributions (the hull's
         perimeter slack), where floating-point addition is
         order-sensitive and incremental maintenance would drift.
+    array_delta_fn:
+        Optional exact array form of the delta (see
+        :class:`ObjectiveFunction`).
     """
 
     def __init__(
@@ -153,6 +189,7 @@ class SummationObjective(ObjectiveFunction):
         offset=0,
         exact_delta: bool = False,
         description: str = "",
+        array_delta_fn: Callable[[Any, Any], int] | None = None,
     ):
         self.per_agent = per_agent
         self.offset = offset
@@ -182,6 +219,7 @@ class SummationObjective(ObjectiveFunction):
             summation_form=True,
             delta_fn=delta_fn,
             description=description,
+            array_delta_fn=array_delta_fn,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

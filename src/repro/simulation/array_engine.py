@@ -6,9 +6,14 @@ per agent, one :class:`~repro.agents.group.Group` per component, one
 :class:`~repro.core.relation.StepJudgement` per step — which caps the
 flagship workload at a few hundred rounds/sec at n=10k.  This module is
 the scale path, and it has exactly one representation: agent state lives
-in one flat numpy ``int64`` array, whole rounds of group steps run as a
-handful of ``reduceat`` reductions, and grouping labels the effective
-edge set as arrays without materializing ``Group`` objects.
+in one flat numpy ``int64`` array, and neither grouping nor the group
+steps sort.  Grouping labels the effective edge set over the fixed
+agent-id index — each component's label is its smallest agent id —
+without materializing ``Group`` objects; whole rounds of group steps run
+as a handful of scatter reductions (``minimum.at``/``maximum.at``/
+``add.at``) keyed by that label, or by the group's position when a
+scheduler runs for real; and the objective delta is priced on the
+``int64`` delta arrays exactly.
 
 Anything that representation cannot hold exactly is refused at
 construction with a :class:`~repro.core.errors.SpecificationError`
@@ -53,7 +58,9 @@ large graphs and hands over the effective edges as ``int64`` arrays
 Communication components are labelled from those arrays by vectorized
 min-label propagation — only an environment that builds no arrays pays
 for a frozenset-to-array conversion — and, outside ``cross_check``, the
-maintained bag is rebuilt lazily on access while convergence comes from a
+objective is folded with the objective's exact array delta
+(:meth:`~repro.core.objective.ObjectiveFunction.array_delta`), the
+maintained bag is rebuilt lazily on access, and convergence comes from a
 vectorized comparison provably equivalent to multiset equality with the
 target.
 
@@ -113,6 +120,9 @@ HAVE_NUMPY = _numpy is not None
 #: Largest value a flat ``int64`` slot can hold.
 INT64_MAX = 2**63 - 1
 
+#: Smallest value a flat ``int64`` slot can hold.
+INT64_MIN = -(2**63)
+
 #: Kernels whose state domain is machine integers *closed under the step
 #: rule* — minimum/maximum never leave the initial value range, and sum
 #: keeps every value within ±(sum of absolute initial values) — so the
@@ -123,7 +133,7 @@ _INT_KERNELS = frozenset({"minimum", "maximum", "sum"})
 def _refusal(kernel: str | None, states: Sequence[Hashable]) -> str | None:
     """Why the array engine cannot run these initial states, or None.
 
-    The engine runs only the int64 ``reduceat`` kernels, so it admits a
+    The engine runs only the int64 group-step kernels, so it admits a
     workload only when the kernel is one of :data:`_INT_KERNELS`, every
     state is an ``int``, the step rule's closed value range provably fits
     ``int64``, and numpy is importable.
@@ -147,54 +157,113 @@ def _refusal(kernel: str | None, states: Sequence[Hashable]) -> str | None:
                 "has initial values whose sum of absolute values exceeds "
                 "the int64 range a sum step can reach"
             )
-    elif states and not (-(2**63) <= min(states) and max(states) <= INT64_MAX):
+    elif states and not (INT64_MIN <= min(states) and max(states) <= INT64_MAX):
         return "has initial values outside the int64 range"
     if not HAVE_NUMPY:
         return "needs numpy for its int64 kernels, and numpy is not importable"
     return None
 
 
-def _label_components(u, v, enabled_count: int):
+def _label_components(u, v, num_agents: int):
     """Connected components of the effective edges ``(u[i], v[i])``.
 
-    Labels components by min-label propagation with full path
-    compression and returns ``(flat, offsets, sizes, group_steps,
-    largest)``: the non-singleton components in the flat form the kernels
-    consume — groups ordered by smallest member, members ascending (the
-    order every scheduler presents, which the sum collector tie-break
-    needs) — plus the group count including the ``enabled_count`` agents
-    no edge touches, and the largest group size.
+    Labels over the fixed agent-id index: ``labels`` starts as
+    ``arange(num_agents)`` and min-label propagation with full path
+    compression runs over the edge arrays directly, so no sort and no
+    remapping is needed.  Returns ``(ids, labels)``: the ascending ids of
+    the agents some edge touches, and every agent's label — the smallest
+    agent id of its component (an agent no edge touches labels itself).
     """
     np = _numpy
-    empty = np.empty(0, dtype=np.int64)
+    labels = np.arange(num_agents, dtype=np.int64)
     if not u.shape[0]:
-        return empty, empty, empty, enabled_count, (1 if enabled_count else 0)
-    nodes, inverse = np.unique(np.concatenate((u, v)), return_inverse=True)
-    index_u = inverse[: u.shape[0]]
-    index_v = inverse[u.shape[0] :]
-    labels = np.arange(nodes.shape[0], dtype=np.int64)
+        return np.empty(0, dtype=np.int64), labels
     while True:
         # Scatter-min across both edge directions, then compress label
         # chains to their roots; converges in O(log diameter) sweeps
         # because labels only ever decrease toward the component minimum.
-        np.minimum.at(labels, index_u, labels[index_v])
-        np.minimum.at(labels, index_v, labels[index_u])
+        np.minimum.at(labels, u, labels.take(v))
+        np.minimum.at(labels, v, labels.take(u))
         while True:
-            jumped = labels[labels]
+            jumped = labels.take(labels)
             if np.array_equal(jumped, labels):
                 break
             labels = jumped
-        if np.array_equal(labels[index_u], labels[index_v]):
+        if np.array_equal(labels.take(u), labels.take(v)):
             break
-    order = np.argsort(labels, kind="stable")
-    sorted_labels = labels[order]
-    flat = nodes[order]
-    offsets = np.flatnonzero(
-        np.r_[True, sorted_labels[1:] != sorted_labels[:-1]]
-    ).astype(np.int64)
-    sizes = np.diff(np.append(offsets, flat.shape[0]))
-    group_steps = offsets.shape[0] + (enabled_count - nodes.shape[0])
-    return flat, offsets, sizes, group_steps, int(sizes.max())
+    touched = np.zeros(num_agents, dtype=bool)
+    touched[u] = True
+    touched[v] = True
+    return np.flatnonzero(touched), labels
+
+
+def _scheduled_arrays(groups: Sequence[Sequence[int]]):
+    """Scheduled groups as ``(ids, group_of_id)`` for :func:`_group_step_kernel`.
+
+    ``ids`` concatenates the member lists in schedule order, keeping each
+    group's member order, and ``group_of_id`` keys every member by the
+    position of its group in ``groups``.
+    """
+    np = _numpy
+    sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
+    ids = np.fromiter(
+        chain.from_iterable(groups), dtype=np.int64, count=int(sizes.sum())
+    )
+    return ids, np.repeat(np.arange(len(groups), dtype=np.int64), sizes)
+
+
+def _group_step_kernel(kernel: str, values, group_of_id, group_count: int):
+    """One round of group steps as scatter reductions keyed by group.
+
+    ``values[i]`` is the state of the ``i``-th member and
+    ``group_of_id[i]`` (in ``range(group_count)``) its group; a group's
+    member order is the order of its members in ``values``.  Minimum and
+    maximum reduce into a sentinel-filled array indexed by group and
+    gather back.  Sum concentrates each group's total on its collector —
+    the first member, in member order, holding the group maximum — unless
+    the group holds at most one positive value, which stutters, exactly as
+    the step rule does.
+
+    Returns ``(new_values, changed, improving, group_steps, largest)``:
+    the states after the step, the mask of changed slots, the number of
+    groups that changed, the number of non-empty groups and the largest
+    group size.
+    """
+    np = _numpy
+    if kernel == "minimum":
+        reduced = np.full(group_count, INT64_MAX, dtype=np.int64)
+        np.minimum.at(reduced, group_of_id, values)
+        new_values = reduced.take(group_of_id)
+    elif kernel == "maximum":
+        reduced = np.full(group_count, INT64_MIN, dtype=np.int64)
+        np.maximum.at(reduced, group_of_id, values)
+        new_values = reduced.take(group_of_id)
+    else:  # "sum" — _INT_KERNELS gates which kernels reach this path
+        totals = np.zeros(group_count, dtype=np.int64)
+        np.add.at(totals, group_of_id, values)
+        positives = np.bincount(group_of_id[values > 0], minlength=group_count)
+        maxima = np.full(group_count, INT64_MIN, dtype=np.int64)
+        np.maximum.at(maxima, group_of_id, values)
+        # The collector is the first maximum in member order: the
+        # smallest position among the slots holding the group maximum.
+        at_maximum = np.flatnonzero(values == maxima.take(group_of_id))
+        collectors = np.full(group_count, values.shape[0], dtype=np.int64)
+        np.minimum.at(collectors, group_of_id.take(at_maximum), at_maximum)
+        stepping = positives > 1
+        new_values = np.where(stepping.take(group_of_id), 0, values)
+        stepping_groups = np.flatnonzero(stepping)
+        new_values[collectors.take(stepping_groups)] = totals.take(stepping_groups)
+    changed = new_values != values
+    improved = np.zeros(group_count, dtype=bool)
+    improved[group_of_id[changed]] = True
+    counts = np.bincount(group_of_id, minlength=group_count)
+    return (
+        new_values,
+        changed,
+        int(np.count_nonzero(improved)),
+        int(np.count_nonzero(counts)),
+        int(counts.max()) if counts.shape[0] else 0,
+    )
 
 
 class _KernelGuardRng(random.Random):
@@ -311,6 +380,14 @@ class ArrayEngine:
     variants, average, kth-smallest, hull, circle, sorting, huge ints) is
     rejected at construction with a pointer back to the reference engine.
 
+    Grouping and group steps never sort.  Under the maximal scheduler
+    every agent an effective edge touches is keyed by its component's
+    label, the smallest agent id in the component; under any other
+    scheduler by its group's position in the schedule.  One
+    :func:`_group_step_kernel` call then steps every group of two or more
+    agents as scatter reductions over that key, and the ``int64`` delta
+    arrays fold into the objective exactly.
+
     Parameters
     ----------
     algorithm:
@@ -399,7 +476,8 @@ class ArrayEngine:
         # Bumped on every maintained-bag mutation; ArrayRoundRecord uses
         # it to refuse stale lazy snapshots.
         self._epoch = 0
-        # Fast fold (no cross-check, exact objective deltas): the
+        # Fast fold (no cross-check, an objective with an exact int64
+        # array delta): the objective never leaves the arrays, the
         # maintained bag is rebuilt lazily on first access instead of
         # updated element-by-element every round, and the convergence
         # verdict comes from a vectorized comparison that is provably
@@ -407,7 +485,9 @@ class ArrayEngine:
         # _vectorized_converged.  The slow path keeps the incremental
         # bag, so cross_check still verifies fingerprints every round.
         self._bag_stale = False
-        self._fast_fold = not cross_check and algorithm.objective.supports_delta
+        self._fast_fold = (
+            not cross_check and algorithm.objective.supports_array_delta
+        )
         self._fast_target = self._build_fast_target() if self._fast_fold else None
         # Churn bypass: RandomChurnEnvironment draws one uniform per
         # agent then one per edge in a fixed sequence, so the engine can
@@ -622,7 +702,7 @@ class ArrayEngine:
         return EnvironmentState(enabled, selected, round_index)
 
     def _labelled_components(self, environment_state: EnvironmentState | None):
-        """The maximal partition, in the flat form the kernels consume.
+        """The maximal partition as ``(ids, labels, enabled_count)``.
 
         The effective edges (both endpoints enabled) come from the
         pending churn masks on a vectorized churn round
@@ -632,6 +712,7 @@ class ArrayEngine:
         labelled by :func:`_label_components`.
         """
         np = _numpy
+        num_agents = self.environment.num_agents
         if environment_state is None:
             enabled_mask, edge_mask = self._churn_pending
             self._churn_pending = None
@@ -639,73 +720,66 @@ class ArrayEngine:
             edge_v = self._churn_edge_v
             if enabled_mask is None:
                 keep = edge_mask
-                enabled_count = self.environment.num_agents
+                enabled_count = num_agents
             else:
-                keep = edge_mask & enabled_mask[edge_u] & enabled_mask[edge_v]
+                keep = edge_mask & enabled_mask.take(edge_u) & enabled_mask.take(edge_v)
                 enabled_count = int(np.count_nonzero(enabled_mask))
-            return _label_components(edge_u[keep], edge_v[keep], enabled_count)
-        enabled_count = len(environment_state.enabled_agents)
-        arrays = environment_state.effective_edge_arrays
-        if arrays is not None:
-            return _label_components(arrays[0], arrays[1], enabled_count)
-        edges = environment_state.effective_edges()
-        endpoints = np.fromiter(
-            chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges)
-        )
-        return _label_components(endpoints[0::2], endpoints[1::2], enabled_count)
+            index = np.flatnonzero(keep)
+            u, v = edge_u.take(index), edge_v.take(index)
+        else:
+            enabled_count = len(environment_state.enabled_agents)
+            arrays = environment_state.effective_edge_arrays
+            if arrays is not None:
+                u, v = arrays
+            else:
+                edges = environment_state.effective_edges()
+                endpoints = np.fromiter(
+                    chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges)
+                )
+                u, v = endpoints[0::2], endpoints[1::2]
+        ids, labels = _label_components(u, v, num_agents)
+        return ids, labels, enabled_count
 
     def _execute_round(self, round_index: int) -> ArrayRoundRecord:
         """Execute one round — one environment transition, one vectorized
         agent transition — and record what happened.
 
         Under the maximal scheduler the partition is labelled as arrays
-        straight from the effective edges; any other scheduler runs for
-        real (its random draws are part of the run stream).  Group steps
-        then run as ``reduceat`` kernels — re-derived through the
-        algorithm's own step rule under ``cross_check`` — and the
-        resulting ``(removed, added)`` delta folds into the maintained
-        round state exactly as in the reference engine.
+        straight from the effective edges, and each component is keyed by
+        its label; any other scheduler runs for real (its random draws
+        are part of the run stream) and its groups are keyed by their
+        position in the schedule.  Either way the groups of two or more
+        agents run as one :func:`_group_step_kernel` call — re-derived
+        through the algorithm's own step rule under ``cross_check`` — and
+        the resulting ``(removed, added)`` delta folds into the maintained
+        round state exactly as in the reference engine.  Singleton steps
+        are identity by the kernel contract (and draw nothing), so they
+        are only counted.
         """
         environment_state = self._advance_environment(round_index)
         if self._maximal_bypass:
-            # Masks or edges -> component arrays -> flat kernel
-            # reductions, with no Group lists at all.
-            flat, offsets, sizes, group_steps, largest = self._labelled_components(
-                environment_state
-            )
+            ids, labels, enabled_count = self._labelled_components(environment_state)
+            group_of_id = labels.take(ids)
+            group_count = labels.shape[0]
             groups = None
             if self.cross_check:
                 groups = self._verify_components(
-                    environment_state, flat, offsets, group_steps
+                    environment_state, ids, group_of_id, enabled_count
                 )
-            if flat.shape[0]:
-                removed, added, improving = self._numpy_flat_round(
-                    flat, offsets, sizes, groups
-                )
-            else:
-                removed, added, improving = [], [], 0
+            singletons = enabled_count - ids.shape[0]
         else:
             scheduled = self.scheduler.schedule(environment_state, self._rng)
             _validate_partition(scheduled, self.environment.num_agents)
-            groups = []
-            group_steps = 0
-            largest = 0
-            for group in scheduled:
-                size = len(group.members)
-                if size == 0:
-                    continue
-                group_steps += 1
-                if size > largest:
-                    largest = size
-                if size >= 2:
-                    # Singleton kernel steps are identity by contract
-                    # (and draw nothing), so only real groups execute.
-                    groups.append(group.members)
-            if groups:
-                removed, added, improving = self._numpy_group_round(groups)
-            else:
-                removed, added, improving = [], [], 0
-
+            groups = [group.members for group in scheduled if len(group.members) >= 2]
+            singletons = sum(1 for group in scheduled if len(group.members) == 1)
+            group_count = len(groups)
+            ids, group_of_id = _scheduled_arrays(groups)
+        removed, added, improving, group_steps, largest = self._kernel_round(
+            ids, group_of_id, group_count, groups
+        )
+        if singletons:
+            group_steps += singletons
+            largest = max(largest, 1)
         objective, converged = self._fold_round(removed, added)
         return ArrayRoundRecord(
             self,
@@ -717,82 +791,34 @@ class ArrayEngine:
             largest,
         )
 
-    def _numpy_group_round(
-        self, groups: Sequence[Sequence[int]]
-    ) -> tuple[list, list, int]:
-        """One round of group steps as flat ``reduceat`` reductions.
+    def _kernel_round(
+        self,
+        ids,
+        group_of_id,
+        group_count: int,
+        groups: Sequence[Sequence[int]] | None,
+    ) -> tuple[Any, Any, int, int, int]:
+        """Run :func:`_group_step_kernel` on agents ``ids`` and install the
+        result.
 
-        Every group is at least a pair, so the segment offsets are
-        strictly increasing and no reduction sees an empty segment.
-        Returns the round's ``(removed, added)`` delta as Python ints
-        (what the maintained bag and the tagged checkpoint codec store)
-        plus the number of groups that changed.
-        """
-        np = _numpy
-        group_count = len(groups)
-        sizes = np.fromiter(map(len, groups), dtype=np.int64, count=group_count)
-        total = int(sizes.sum())
-        flat = np.fromiter(
-            (member for members in groups for member in members),
-            dtype=np.int64,
-            count=total,
-        )
-        offsets = np.zeros(group_count, dtype=np.int64)
-        np.cumsum(sizes[:-1], out=offsets[1:])
-        return self._numpy_flat_round(flat, offsets, sizes, groups)
-
-    def _numpy_flat_round(
-        self, flat, offsets, sizes, groups: Sequence[Sequence[int]] | None = None
-    ) -> tuple[list, list, int]:
-        """The reduceat core, on a partition already in flat-array form.
-
-        ``groups`` (the same partition as member lists) is only needed
-        for the cross-check re-derivation.
+        Returns the round's ``(removed, added)`` delta as ``int64`` arrays
+        plus the kernel's ``improving``, ``group_steps`` and ``largest``
+        counts.  ``groups`` (the same partition as member lists) is only
+        needed for the cross-check re-derivation, which runs before
+        anything is installed.
         """
         np = _numpy
         states = self._states
-        group_count = offsets.shape[0]
-        total = flat.shape[0]
-        values = states[flat]
-
-        kernel = self._kernel
-        if kernel == "minimum":
-            new_values = np.repeat(np.minimum.reduceat(values, offsets), sizes)
-        elif kernel == "maximum":
-            new_values = np.repeat(np.maximum.reduceat(values, offsets), sizes)
-        else:  # "sum" — _INT_KERNELS gates which kernels reach this path
-            totals = np.add.reduceat(values, offsets)
-            positives = np.add.reduceat((values > 0).astype(np.int64), offsets)
-            group_ids = np.repeat(np.arange(group_count, dtype=np.int64), sizes)
-            maxima = np.maximum.reduceat(values, offsets)
-            positions = np.arange(total, dtype=np.int64)
-            # The step rule's collector is the first occurrence of the
-            # group maximum in member order: mask non-maxima to one past
-            # the end, take the per-group minimum position.
-            collectors = np.minimum.reduceat(
-                np.where(values == maxima[group_ids], positions, total), offsets
-            )
-            new_values = np.zeros(total, dtype=np.int64)
-            new_values[collectors] = totals
-            # Groups with at most one positive value stutter (the step
-            # rule's guard): restore their slots wholesale.
-            inactive = positives <= 1
-            if inactive.any():
-                keep = np.repeat(inactive, sizes)
-                new_values[keep] = values[keep]
-
-        changed = values != new_values
-        if not changed.any():
-            if self.cross_check:
-                self._verify_kernel_groups(groups, values.tolist(), values.tolist())
-            return [], [], 0
-        removed = values[changed].tolist()
-        added = new_values[changed].tolist()
-        improving = int(np.logical_or.reduceat(changed, offsets).sum())
+        values = states.take(ids)
+        new_values, changed, improving, group_steps, largest = _group_step_kernel(
+            self._kernel, values, group_of_id, group_count
+        )
         if self.cross_check:
-            self._verify_kernel_groups(groups, values.tolist(), new_values.tolist())
-        states[flat[changed]] = new_values[changed]
-        return removed, added, improving
+            self._verify_kernel_groups(groups, ids, values, new_values)
+        where = np.flatnonzero(changed)
+        added = new_values.take(where)
+        states[ids.take(where)] = added
+        return values.take(where), added, improving, group_steps, largest
 
     def _checked_group_step(self, before: list) -> list:
         """Run one group step through the full relation judge (cross-check).
@@ -814,14 +840,17 @@ class ArrayEngine:
             )
         return after
 
-    def _fold_round(self, removed: list, added: list) -> tuple[float, bool]:
-        """Fold one round's state delta into the maintained round state.
+    def _fold_round(self, removed, added) -> tuple[float, bool]:
+        """Fold one round's state delta (``int64`` arrays) into the
+        maintained round state.
 
         Mirrors the reference engine's incremental fold, minus the
-        per-round snapshot: the objective delta is priced against the
-        maintained bag itself (kernel objectives all support exact
-        deltas, so the bag is never actually evaluated), and convergence
-        is decided by the bag's size → fingerprint → counts comparison.
+        per-round snapshot.  The fast fold prices the delta with the
+        objective's exact array delta and never leaves the arrays; the
+        slow fold (``cross_check``, or an objective without an array
+        delta) converts the delta to Python ints, patches the maintained
+        bag and decides convergence by the bag's size → fingerprint →
+        counts comparison.
         """
         state = self._state
         if self._fast_fold:
@@ -829,20 +858,19 @@ class ArrayEngine:
                 state.objective_value = self.algorithm.objective(
                     self._maintained.snapshot()
                 )
-            if removed or added:
+            if removed.shape[0]:
                 # Defer the bag update: the flat states already hold the
                 # round's outcome, so the bag is rebuilt from them on
                 # first access instead of patched element-by-element.
                 # The epoch still bumps — the conceptual bag mutated.
                 self._bag_stale = True
                 self._epoch += 1
-                # The exact-delta contract (gated at construction via
-                # objective.supports_delta) means the bag argument is
-                # never evaluated, so passing the deferred one is safe.
-                state.objective_value = self.algorithm.objective_delta(
-                    state.objective_value, state.maintained, removed, added
+                state.objective_value = self.algorithm.objective_array_delta(
+                    state.objective_value, removed, added
                 )
             return state.objective_value, self._vectorized_converged()
+        removed = removed.tolist()
+        added = added.tolist()
         maintained = state.maintained
         if state.objective_value is None:
             # First use: price the objective once, on the pre-delta bag.
@@ -905,20 +933,24 @@ class ArrayEngine:
     def _verify_components(
         self,
         environment_state: EnvironmentState,
-        flat,
-        offsets,
-        group_steps: int,
+        ids,
+        group_of_id,
+        enabled_count: int,
     ) -> list[list[int]]:
         """Debug cross-check: labelled components == the component walk.
 
-        Compares the vectorized labelling against
-        :func:`connected_component_tuples` on the same state and returns
-        the labelled groups as member lists, which the kernel cross-check
-        re-derives through the step rule.
+        Groups the labelled agents into member lists — ordered by
+        smallest member, members ascending, because ``ids`` ascends —
+        compares them and the group count against
+        :func:`connected_component_tuples` on the same state, and returns
+        them for the kernel cross-check to re-derive through the step
+        rule.
         """
-        members = flat.tolist()
-        bounds = offsets.tolist() + [len(members)]
-        groups = [members[start:end] for start, end in zip(bounds, bounds[1:])]
+        components: dict[int, list[int]] = {}
+        for agent, label in zip(ids.tolist(), group_of_id.tolist()):
+            components.setdefault(label, []).append(agent)
+        groups = list(components.values())
+        group_steps = len(groups) + enabled_count - ids.shape[0]
         expected = connected_component_tuples(
             environment_state.enabled_agents, environment_state.effective_edges()
         )
@@ -935,16 +967,21 @@ class ArrayEngine:
     def _verify_kernel_groups(
         self,
         groups: Sequence[Sequence[int]],
-        flat_before: list,
-        flat_after: list,
+        ids,
+        values,
+        new_values,
     ) -> None:
-        """Debug cross-check: vectorized results == the step rule's results."""
-        position = 0
+        """Debug cross-check: kernel results == the step rule's results.
+
+        ``values``/``new_values`` hold agent ``ids[i]``'s state before
+        and after the kernel at position ``i``.
+        """
+        position = {agent: index for index, agent in enumerate(ids.tolist())}
+        flat_before = values.tolist()
+        flat_after = new_values.tolist()
         for members in groups:
-            size = len(members)
-            before = flat_before[position : position + size]
-            after = flat_after[position : position + size]
-            position += size
+            before = [flat_before[position[agent]] for agent in members]
+            after = [flat_after[position[agent]] for agent in members]
             expected = self._checked_group_step(before)
             if expected != after:
                 raise SimulationError(

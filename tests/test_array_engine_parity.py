@@ -96,6 +96,10 @@ ENVIRONMENTS = {
     "churn": lambda n: RandomChurnEnvironment(
         ring_graph(n), edge_up_probability=0.6, agent_up_probability=0.9
     ),
+    # No edge ever comes up: every round is all singletons.
+    "isolated": lambda n: RandomChurnEnvironment(
+        ring_graph(n), edge_up_probability=0.0, agent_up_probability=0.9
+    ),
     "markov": lambda n: MarkovChurnEnvironment(ring_graph(n), 0.3, 0.4, 0.15, 0.5),
     "dense-markov": lambda n: MarkovChurnEnvironment(
         complete_graph(n), 0.6, 0.1, 0.05, 0.5
@@ -725,9 +729,9 @@ class TestVectorizedFastPaths:
         label = array_engine_module._label_components
         calls = []
 
-        def counting_label(u, v, enabled_count):
-            calls.append(enabled_count)
-            return label(u, v, enabled_count)
+        def counting_label(u, v, num_agents):
+            calls.append(num_agents)
+            return label(u, v, num_agents)
 
         monkeypatch.setattr(array_engine_module, "_label_components", counting_label)
         result = engine.run(max_rounds=80, extra_rounds_after_convergence=2)
@@ -797,9 +801,14 @@ class TestVectorizedFastPaths:
     def test_cross_check_catches_a_diverging_labelling(self, monkeypatch):
         label = array_engine_module._label_components
 
-        def miscounting_label(u, v, enabled_count):
-            flat, offsets, sizes, group_steps, largest = label(u, v, enabled_count)
-            return flat, offsets, sizes, group_steps + 1, largest
+        def miscounting_label(u, v, num_agents):
+            # Split one agent off its component: one group too many.
+            ids, labels = label(u, v, num_agents)
+            split = ids[labels[ids] != ids]
+            if split.shape[0]:
+                labels = labels.copy()
+                labels[split[0]] = split[0]
+            return ids, labels
 
         monkeypatch.setattr(
             array_engine_module, "_label_components", miscounting_label
