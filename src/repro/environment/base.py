@@ -14,10 +14,11 @@ This module defines:
   available");
 * :class:`EnvironmentState` — one concrete ``G``: the set of enabled agents
   and the set of currently available edges, together with the group
-  structure (connected components) it induces.  Derived views
-  (:meth:`EnvironmentState.effective_edges`, the communication groups) are
-  computed lazily and memoized on the frozen state, so repeated queries in
-  one round never recompute;
+  structure (connected components) it induces.  Array environments
+  hand over its *array form*, whose two sets are built on first read.
+  Derived views (:meth:`EnvironmentState.effective_edges`, the
+  communication groups) are computed lazily and memoized on the frozen
+  state, so repeated queries in one round never recompute;
 * :class:`EnvironmentDelta` — what changed between two consecutive
   environment states (edges up/down, agents enabled/disabled).
   Environments that can report their churn as a delta set
@@ -307,12 +308,25 @@ EMPTY_DELTA = EnvironmentDelta()
 class EnvironmentState:
     """One environment state ``G``: who is enabled and who can talk to whom.
 
-    The state itself is two frozensets; everything derived from them —
-    the effective edges, the communication groups in either representation
-    — is a *lazy view*: computed on first request and memoized on the
-    instance (via ``object.__setattr__``, the frozen-dataclass idiom), so
-    schedulers, engines and probes can all query the same state without
-    repeating the filter or the component walk.
+    The state's value is the pair of frozensets ``enabled_agents`` and
+    ``available_edges`` (plus the round index); everything derived from
+    them — the effective edges, the communication groups in either
+    representation — is a *lazy view*: computed on first request and
+    memoized on the instance (via ``object.__setattr__``, the
+    frozen-dataclass idiom), so schedulers, engines and probes can all
+    query the same state without repeating the filter or the component
+    walk.
+
+    An environment that holds its state as arrays builds the *array form*
+    (:meth:`from_arrays`) instead: the enabled agents as an ascending id
+    array (or an already-built set) and the available edges as an
+    ascending index into the environment's frozen edge sequence.  The two
+    frozensets are then lazy views too, built on first read in ascending
+    index order — the insertion order an eager build uses — so equality,
+    hashing, ``repr`` and iteration order are those of the eager state
+    built from the same sets, and the two forms compare equal.  A reader
+    that needs only :attr:`enabled_count` and ``effective_edge_arrays``
+    never builds either set.
 
     The simulation layer's connectivity tracker
     (:class:`repro.environment.connectivity.ConnectivityTracker`) can
@@ -326,8 +340,8 @@ class EnvironmentState:
     ``int64`` numpy arrays ``(u, v)``, one entry per effective edge, owned
     by this state (never views of the environment's live state).  It is a
     transport for array consumers, not part of the state's value, so it
-    takes no part in equality, hashing or ``repr``; None when the
-    environment did not build it.
+    takes no part in equality, hashing, ``repr`` or serialization; None
+    when the environment did not build it.
     """
 
     enabled_agents: frozenset[int]
@@ -336,6 +350,57 @@ class EnvironmentState:
     effective_edge_arrays: tuple | None = field(
         default=None, compare=False, repr=False
     )
+
+    @classmethod
+    def from_arrays(
+        cls,
+        enabled,
+        edge_sequence: Sequence[Edge],
+        up_edges,
+        round_index: int = 0,
+        effective_edge_arrays: tuple | None = None,
+    ) -> "EnvironmentState":
+        """The array form of a state (see the class docstring).
+
+        ``enabled`` is the enabled agents as a frozenset (typically an
+        environment's shared all-agents set) or as an ascending ``int64``
+        id array; ``up_edges`` is the ascending ``int64`` index of the
+        available edges into ``edge_sequence``.  The arrays must be owned
+        by the state, never views of the environment's live masks.
+        """
+        state = object.__new__(cls)
+        own = state.__dict__
+        if isinstance(enabled, frozenset):
+            own["enabled_agents"] = enabled
+        else:
+            own["_enabled_ids"] = enabled
+        own["_edge_sequence"] = edge_sequence
+        own["_up_edges"] = up_edges
+        own["round_index"] = round_index
+        own["effective_edge_arrays"] = effective_edge_arrays
+        return state
+
+    def __getattr__(self, name: str):
+        # Reached only when normal lookup fails: an array-form state's
+        # frozensets before their first read.
+        own = self.__dict__
+        if name == "enabled_agents" and "_enabled_ids" in own:
+            value = frozenset(own["_enabled_ids"].tolist())
+        elif name == "available_edges" and "_up_edges" in own:
+            sequence = own["_edge_sequence"]
+            value = frozenset(map(sequence.__getitem__, own["_up_edges"].tolist()))
+        else:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        object.__setattr__(self, name, value)
+        return value
+
+    @property
+    def enabled_count(self) -> int:
+        """``len(enabled_agents)``, without building an array-form state's set."""
+        enabled = self.__dict__.get("_enabled_ids")
+        return len(self.enabled_agents if enabled is None else enabled)
 
     def effective_edges(self) -> frozenset[Edge]:
         """Edges whose both endpoints are enabled (only these support steps).

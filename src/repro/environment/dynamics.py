@@ -40,6 +40,7 @@ __all__ = [
     "PeriodicDutyCycleEnvironment",
     "VECTORIZED_MIN_DRAWS",
     "edge_endpoints",
+    "masked_state",
     "uniform_draws",
 ]
 
@@ -92,6 +93,39 @@ def edge_endpoints(edges) -> tuple:
     np = _numpy
     flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
     return flat[0::2].copy(), flat[1::2].copy()
+
+
+def masked_state(
+    edge_sequence, endpoints, up_edges, agent_up, round_index: int, all_agents=None
+) -> EnvironmentState:
+    """The array form (:meth:`EnvironmentState.from_arrays`) of a masked
+    state.
+
+    The enabled agents are those set in the bool mask ``agent_up``, or —
+    when ``agent_up`` is None — the set ``all_agents``; the available
+    edges are ``up_edges``, an ascending ``int64`` index into
+    ``edge_sequence``, whose ``(u, v)`` endpoint arrays are
+    ``endpoints``.  Every array the state holds is fresh, never a view of
+    the mask.  Needs numpy.
+    """
+    np = _numpy
+    edge_u, edge_v = endpoints
+    enabled = all_agents
+    effective = up_edges
+    if agent_up is not None:
+        enabled = np.flatnonzero(agent_up)
+        if enabled.shape[0] < agent_up.shape[0]:
+            effective = up_edges[
+                agent_up.take(edge_u.take(up_edges))
+                & agent_up.take(edge_v.take(up_edges))
+            ]
+    return EnvironmentState.from_arrays(
+        enabled,
+        edge_sequence,
+        up_edges,
+        round_index,
+        (edge_u.take(effective), edge_v.take(effective)),
+    )
 
 
 @register_environment("static")
@@ -269,10 +303,16 @@ class MarkovChurnEnvironment(Environment):
     per round, with numpy importable, the draws are one
     :func:`uniform_draws` batch and the masks flip vectorized; below it a
     Python loop makes the same draws.  Both paths leave the random stream
-    in the same place and build the same states — frozenset insertion
+    in the same place and produce equal states — frozenset iteration
     order included — the same deltas and the same checkpoints.  A
-    vectorized round also hands over its effective edges as
-    ``int64`` arrays (:attr:`EnvironmentState.effective_edge_arrays`).
+    vectorized round returns the array form of its state
+    (:meth:`EnvironmentState.from_arrays`): the up agents and the up-edge
+    index as ``int64`` arrays, plus the effective edges as ``int64``
+    ``(u, v)`` arrays (:attr:`EnvironmentState.effective_edge_arrays`).
+    Its frozensets are built only when something reads them — which
+    :meth:`advance_with_delta` does for its delta base, so the reference
+    engine, the schedulers and the probes see today's sets, while the
+    array engine, which reads only the arrays, never pays for them.
 
     The Markov chain is naturally incremental: the per-round delta is
     exactly the set of edges and agents whose state flipped, collected
@@ -341,30 +381,28 @@ class MarkovChurnEnvironment(Environment):
         Returns ``(state, flips)``: ``flips`` is None when nothing flipped,
         otherwise ``(edges_down, edges_up, agents_disabled,
         agents_enabled)`` in draw order — on a vectorized round only when
-        ``want_flips`` (without it, an empty tuple).
+        ``want_flips`` (without it, an empty tuple).  A vectorized round's
+        state is in array form unless it reuses the previous round's sets.
         """
         if (
             _numpy is not None
             and len(self._edge_up) + len(self._agent_up) >= VECTORIZED_MIN_DRAWS
         ):
-            flips, up_agents, up_edges, edge_arrays = self._vectorized_transition(
-                rng, want_flips
-            )
+            flips, state = self._vectorized_transition(round_index, rng, want_flips)
         else:
             flips = self._loop_transition(rng)
-            up_agents = compress(self.topology.agent_ids, self._agent_up)
-            up_edges = compress(self._edge_sequence, self._edge_up)
-            edge_arrays = None
-        previous = self._previous
-        if previous is not None and flips is None:
+            state = None
+        if self._previous is not None and flips is None:
             # Nothing flipped: reuse the previous round's sets (identical
             # content, identical construction) instead of re-filtering.
-            enabled, edges = previous
-        else:
-            # Both paths insert in mask order, so the sets iterate alike.
-            enabled = frozenset(up_agents)
-            edges = frozenset(up_edges)
-        state = EnvironmentState(enabled, edges, round_index, edge_arrays)
+            enabled, edges = self._previous
+            edge_arrays = None if state is None else state.effective_edge_arrays
+            return EnvironmentState(enabled, edges, round_index, edge_arrays), flips
+        if state is None:
+            # Mask order: the insertion order the array form's lazy sets use.
+            enabled = frozenset(compress(self.topology.agent_ids, self._agent_up))
+            edges = frozenset(compress(self._edge_sequence, self._edge_up))
+            state = EnvironmentState(enabled, edges, round_index)
         return state, flips
 
     def _loop_transition(self, rng: random.Random):
@@ -387,13 +425,14 @@ class MarkovChurnEnvironment(Environment):
             return edges_down, edges_up, agents_disabled, agents_enabled
         return None
 
-    def _vectorized_transition(self, rng: random.Random, want_flips: bool):
+    def _vectorized_transition(
+        self, round_index: int, rng: random.Random, want_flips: bool
+    ):
         """The transition on one batch of draws.
 
-        Returns ``(flips, up_agents, up_edges, edge_arrays)``: the flips
-        as :meth:`_advance` reports them, the up agents and edges as
-        iterables in mask order, and the effective edges as fresh
-        ``int64`` ``(u, v)`` arrays.
+        Returns ``(flips, state)``: the flips as :meth:`_advance` reports
+        them and the array form of the state they lead to
+        (:func:`masked_state`).
         """
         np = _numpy
         sequence = self._edge_sequence
@@ -426,21 +465,11 @@ class MarkovChurnEnvironment(Environment):
 
         if self._edge_endpoints is None:
             self._edge_endpoints = edge_endpoints(sequence)
-        edge_u, edge_v = self._edge_endpoints
         up_edges = np.flatnonzero(edge_up)
-        up_agents = np.flatnonzero(agent_up).tolist()
-        effective = up_edges
-        if len(up_agents) < len(agent_ids):
-            both_up = agent_up[edge_u[up_edges]] & agent_up[edge_v[up_edges]]
-            effective = up_edges[both_up]
-        # Integer-array indexing copies: the arrays never alias the masks.
-        edge_arrays = (edge_u[effective], edge_v[effective])
-        return (
-            flips,
-            up_agents,
-            map(sequence.__getitem__, up_edges.tolist()),
-            edge_arrays,
+        state = masked_state(
+            sequence, self._edge_endpoints, up_edges, agent_up, round_index
         )
+        return flips, state
 
     def state_dict(self) -> dict:
         # The chain's current up/down assignment decides which transition

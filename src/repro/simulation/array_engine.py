@@ -53,8 +53,12 @@ as one :func:`~repro.environment.dynamics.uniform_draws` batch
 (bit-identical to the run RNG's stream) and filtered as masks, bypassing
 its ``advance`` (outside ``cross_check``); Markov churn is advanced
 through its public ``advance``, which vectorizes its own transition on
-large graphs and hands over the effective edges as ``int64`` arrays
-(:attr:`~repro.environment.base.EnvironmentState.effective_edge_arrays`).
+large graphs.  Both hand the engine the array form of the environment
+state (:meth:`~repro.environment.base.EnvironmentState.from_arrays`):
+the engine reads only its enabled count and its effective edges as
+``int64`` arrays
+(:attr:`~repro.environment.base.EnvironmentState.effective_edge_arrays`),
+so under the maximal scheduler no round builds the state's frozensets.
 Communication components are labelled from those arrays by vectorized
 min-label propagation — only an environment that builds no arrays pays
 for a frozenset-to-array conversion — and, outside ``cross_check``, the
@@ -93,6 +97,7 @@ from ..environment.base import (
 from ..environment.dynamics import (
     RandomChurnEnvironment,
     edge_endpoints,
+    masked_state,
     uniform_draws,
 )
 from ..registry import register_engine
@@ -498,9 +503,12 @@ class ArrayEngine:
         self._churn_bypass = (
             not cross_check and type(environment) is RandomChurnEnvironment
         )
-        self._churn_pending: tuple | None = None
         if self._churn_bypass:
-            self._init_churn_tables()
+            # The endpoints in exactly the order the environment consumes
+            # its edge draws (agent draws come first, in id order), so
+            # masks over the draw vector select the agents and edges the
+            # reference loop selects.
+            self._churn_endpoints = edge_endpoints(environment._edge_sequence)
 
     # -- storage ---------------------------------------------------------------
 
@@ -560,7 +568,6 @@ class ArrayEngine:
         self._install_states(self._initial_states)
         self.environment.reset()
         self._bag_stale = False
-        self._churn_pending = None
         self._epoch += 1
 
     # -- checkpoint / restore -------------------------------------------------------
@@ -623,12 +630,11 @@ class ArrayEngine:
         state.maintained = rebuilt_multiset(self.current_states())
         state.objective_value = decode_state(checkpoint.objective_value)
         self._bag_stale = False
-        self._churn_pending = None
         self._epoch += 1
 
     # -- the round loop --------------------------------------------------------------
 
-    def _advance_environment(self, round_index: int) -> EnvironmentState | None:
+    def _advance_environment(self, round_index: int) -> EnvironmentState:
         """One environment transition.
 
         The plain :meth:`Environment.advance` draws exactly the random
@@ -636,109 +642,55 @@ class ArrayEngine:
         delta-reporting contract, pinned by the environment parity
         suite), so the array engine and the reference engine consume one
         identical random stream whichever bookkeeping mode each uses.
-
         Under the churn bypass the same draws are made as one vectorized
-        batch (see :meth:`_churn_advance`); with the
-        maximal scheduler on top, no :class:`EnvironmentState` is needed
-        at all — the round goes straight from boolean masks to the
-        component arrays, and this method returns None with the masks
-        parked in ``_churn_pending``.
+        batch (see :meth:`_churn_advance`).
         """
         if self._churn_bypass:
             return self._churn_advance(round_index)
         return self.environment.advance(round_index, self._rng)
 
-    # -- the churn bypass ----------------------------------------------------
-
-    def _init_churn_tables(self) -> None:
-        """Precompute the edge endpoint arrays the vectorized churn advance
-        filters.
-
-        The endpoints are frozen in exactly the iteration order
-        :meth:`RandomChurnEnvironment._advance` consumes its edge draws,
-        and the agent ids are ``range(num_agents)`` (the agent draws come
-        first, in id order), so boolean masks over the draw vector select
-        the same agents and edges the reference loop selects.
-        """
-        self._churn_edges = self.environment._edge_sequence
-        self._churn_edge_u, self._churn_edge_v = edge_endpoints(self._churn_edges)
-
-    def _churn_advance(self, round_index: int) -> EnvironmentState | None:
+    def _churn_advance(self, round_index: int) -> EnvironmentState:
         """RandomChurnEnvironment.advance, with the draws made vectorized.
 
         :func:`~repro.environment.dynamics.uniform_draws` makes the whole
         round's uniforms as one batch, bit-for-bit the stream the
         reference loop would draw, and leaves the run RNG exactly where
-        ``environment.advance`` would have left it.
+        ``environment.advance`` would have left it.  The masks become the
+        array form of the state the reference advance builds
+        (:func:`~repro.environment.dynamics.masked_state`), whose sets —
+        built only if a scheduler reads them — have the reference
+        insertion order: agents ascending, edges in ``_edge_sequence``
+        order.
         """
         env = self.environment
         num_agents = env.num_agents
-        draws = uniform_draws(self._rng, num_agents + self._churn_edge_u.shape[0])
+        edge_count = len(env._edge_sequence)
+        draws = uniform_draws(self._rng, num_agents + edge_count)
         agent_up = env.agent_up_probability
-        enabled_mask = None if agent_up >= 1.0 else draws[:num_agents] < agent_up
-        edge_mask = draws[num_agents:] < env.edge_up_probability
         env._previous = None  # exactly what Environment.advance() leaves behind
-        if self._maximal_bypass:
-            self._churn_pending = (enabled_mask, edge_mask)
-            return None
-        return self._churn_state(enabled_mask, edge_mask, round_index)
-
-    def _churn_state(self, enabled_mask, edge_mask, round_index: int) -> EnvironmentState:
-        """Masks -> the EnvironmentState the reference advance builds.
-
-        Insertion order is replicated (agents ascending by draw order,
-        edges in ``_edge_sequence`` order), so even frozenset iteration
-        order matches a reference-built state.
-        """
-        env = self.environment
-        if enabled_mask is None or bool(enabled_mask.all()):
-            enabled = env._all_agents
-        else:
-            enabled = frozenset(_numpy.flatnonzero(enabled_mask).tolist())
-        edges = self._churn_edges
-        selected = frozenset(
-            edges[index] for index in _numpy.flatnonzero(edge_mask).tolist()
+        return masked_state(
+            env._edge_sequence,
+            self._churn_endpoints,
+            _numpy.flatnonzero(draws[num_agents:] < env.edge_up_probability),
+            None if agent_up >= 1.0 else draws[:num_agents] < agent_up,
+            round_index,
+            env._all_agents,
         )
-        return EnvironmentState(enabled, selected, round_index)
 
-    def _labelled_components(self, environment_state: EnvironmentState | None):
+    def _labelled_components(self, environment_state: EnvironmentState):
         """The maximal partition as ``(ids, labels, enabled_count)``.
 
         The effective edges (both endpoints enabled) come from the
-        pending churn masks on a vectorized churn round
-        (``environment_state`` is None), from the state's
-        ``effective_edge_arrays`` when its environment built them, and
-        from its effective edge set otherwise; either way they are
-        labelled by :func:`_label_components`.
+        state's ``effective_edge_arrays`` when its environment (or the
+        churn bypass) built them, and from its effective edge set
+        otherwise; either way they are labelled by
+        :func:`_label_components`.
         """
-        np = _numpy
-        num_agents = self.environment.num_agents
-        if environment_state is None:
-            enabled_mask, edge_mask = self._churn_pending
-            self._churn_pending = None
-            edge_u = self._churn_edge_u
-            edge_v = self._churn_edge_v
-            if enabled_mask is None:
-                keep = edge_mask
-                enabled_count = num_agents
-            else:
-                keep = edge_mask & enabled_mask.take(edge_u) & enabled_mask.take(edge_v)
-                enabled_count = int(np.count_nonzero(enabled_mask))
-            index = np.flatnonzero(keep)
-            u, v = edge_u.take(index), edge_v.take(index)
-        else:
-            enabled_count = len(environment_state.enabled_agents)
-            arrays = environment_state.effective_edge_arrays
-            if arrays is not None:
-                u, v = arrays
-            else:
-                edges = environment_state.effective_edges()
-                endpoints = np.fromiter(
-                    chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges)
-                )
-                u, v = endpoints[0::2], endpoints[1::2]
-        ids, labels = _label_components(u, v, num_agents)
-        return ids, labels, enabled_count
+        arrays = environment_state.effective_edge_arrays
+        if arrays is None:
+            arrays = edge_endpoints(environment_state.effective_edges())
+        ids, labels = _label_components(*arrays, self.environment.num_agents)
+        return ids, labels, environment_state.enabled_count
 
     def _execute_round(self, round_index: int) -> ArrayRoundRecord:
         """Execute one round — one environment transition, one vectorized

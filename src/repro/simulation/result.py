@@ -27,9 +27,11 @@ def jsonify(value: Any) -> Any:
 
     Tuples and sets become lists (sets sorted by repr for determinism),
     exact rationals become ``"p/q"`` strings, dataclass states (points,
-    hull states) become field dictionaries.  Anything else unknown falls
-    back to ``repr`` so serialization never fails — batch results must
-    always be persistable.
+    hull states) become dictionaries of their compared fields — a field
+    declared ``compare=False`` is not part of the value, so two equal
+    dataclasses serialize alike.  Anything else unknown falls back to
+    ``repr`` so serialization never fails — batch results must always be
+    persistable.
     """
     if value is None or isinstance(value, (bool, int, str)):
         return value
@@ -47,6 +49,7 @@ def jsonify(value: Any) -> Any:
         return {
             f.name: jsonify(getattr(value, f.name))
             for f in dataclasses.fields(value)
+            if f.compare
         }
     return repr(value)
 

@@ -186,6 +186,31 @@ def _assert_identical(array_result, reference_result):
     assert array_metadata == reference_metadata
 
 
+def _count_built_sets(monkeypatch) -> list:
+    """Record every frozenset an array-form state builds from here on, as
+    ``(round_index, attribute)`` pairs (eager states build none)."""
+    built = []
+    lookup = EnvironmentState.__getattr__
+
+    def counting_lookup(state, name):
+        if name in ("enabled_agents", "available_edges"):
+            built.append((state.round_index, name))
+        return lookup(state, name)
+
+    monkeypatch.setattr(EnvironmentState, "__getattr__", counting_lookup)
+    return built
+
+
+def _unbuilt(state) -> bool:
+    """True for an array-form state that has built neither frozenset."""
+    own = state.__dict__
+    return (
+        "_up_edges" in own
+        and "available_edges" not in own
+        and not ("_enabled_ids" in own and "enabled_agents" in own)
+    )
+
+
 # -- the core parity matrix -----------------------------------------------------
 
 
@@ -742,10 +767,11 @@ class TestVectorizedFastPaths:
         _assert_identical(result, reference)
 
     def test_dense_markov_labels_the_state_arrays(self, monkeypatch):
-        # Above the threshold the Markov environment hands over its
-        # effective edges as int64 arrays; the engine labels those and
-        # never falls back to the frozenset conversion.  It still calls
-        # the public advance once per round.
+        # Above the threshold the Markov environment hands over the array
+        # form of its state; the engine labels its int64 edge arrays,
+        # never falls back to the frozenset conversion and never builds
+        # either of the state's frozensets.  It still calls the public
+        # advance once per round.
         engine = _build(ArrayEngine, "minimum", environment_name="dense-markov")
         environment = engine.environment
         advance = environment.advance
@@ -768,10 +794,12 @@ class TestVectorizedFastPaths:
         monkeypatch.setattr(
             EnvironmentState, "effective_edges", counting_effective_edges
         )
+        built = _count_built_sets(monkeypatch)
         result = engine.run(max_rounds=12, stop_at_convergence=False)
-        assert conversions == []
+        assert conversions == [] and built == []
         assert len(received) == result.rounds_executed == 12
-        monkeypatch.setattr(EnvironmentState, "effective_edges", effective_edges)
+        assert all(_unbuilt(state) for state, _, _ in received)
+        monkeypatch.undo()
         # The arrays equal each state's effective edges (agent failures
         # make those differ from the available edges), and later advances
         # never changed them.
@@ -785,6 +813,67 @@ class TestVectorizedFastPaths:
         reference = _build(Simulator, "minimum", environment_name="dense-markov").run(
             max_rounds=12, stop_at_convergence=False
         )
+        _assert_identical(result, reference)
+
+    def test_churn_bypass_builds_no_sets(self, monkeypatch):
+        # The churn twin: the bypass's vectorized draws become the array
+        # form of the state the reference advance builds, and under the
+        # maximal scheduler no round builds its frozensets either.
+        engine = _build(ArrayEngine, "minimum", environment_name="churn")
+        assert engine._churn_bypass
+        churn_advance = engine._churn_advance
+        received = []
+
+        def recording_churn_advance(round_index):
+            state = churn_advance(round_index)
+            received.append(state)
+            return state
+
+        monkeypatch.setattr(engine, "_churn_advance", recording_churn_advance)
+        built = _count_built_sets(monkeypatch)
+        result = engine.run(max_rounds=80, extra_rounds_after_convergence=2)
+        assert built == []
+        assert len(received) == result.rounds_executed
+        assert all(_unbuilt(state) for state in received)
+        monkeypatch.undo()
+        # Agent failures make some rounds' enabled set a lazy id array.
+        assert any(state.enabled_count < len(VALUES) for state in received)
+        for state in received:
+            u, v = state.effective_edge_arrays
+            assert set(zip(u.tolist(), v.tolist())) == state.effective_edges()
+            assert state.enabled_count == len(state.enabled_agents)
+        reference = _build(Simulator, "minimum", environment_name="churn").run(
+            max_rounds=80, extra_rounds_after_convergence=2
+        )
+        _assert_identical(result, reference)
+
+    @pytest.mark.parametrize(
+        "environment_name, scheduler_name, cross_check",
+        [
+            ("churn", "random-pair", False),
+            ("churn", "random-subgroup", False),
+            ("dense-markov", "random-pair", False),
+            ("dense-markov", "random-subgroup", False),
+            # (The cross-check turns the churn bypass off: the churn
+            # environment then builds its sets itself.)
+            ("dense-markov", "maximal", True),
+        ],
+    )
+    def test_sets_are_built_on_demand(
+        self, monkeypatch, environment_name, scheduler_name, cross_check
+    ):
+        # A scheduler that runs for real, or the cross-check, reads the
+        # array-form state's sets: they are built then, and the run still
+        # matches the reference engine.
+        built = _count_built_sets(monkeypatch)
+        result, reference = _run_pair(
+            "minimum",
+            scheduler_name,
+            environment_name,
+            array_kwargs={"cross_check": cross_check},
+            max_rounds=12,
+        )
+        assert built
         _assert_identical(result, reference)
 
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))

@@ -88,9 +88,10 @@ class TestCheckRegression:
         failures = bench_engine.check_regression(report, baseline, 0.30)
         assert any("memory" in failure for failure in failures)
 
-    def _with_workload(self, report, rps, speedup, num_agents=10_000):
+    def _with_workload(self, report, rps, speedup, num_agents=10_000,
+                       name="sparse_churn_random_pair"):
         report["workloads"] = {
-            "sparse_churn_random_pair": {
+            name: {
                 "num_agents": num_agents,
                 "rounds": 30,
                 "incremental_rounds_per_sec": rps,
@@ -120,6 +121,18 @@ class TestCheckRegression:
         assert bench_engine.check_regression(
             regressed, baseline, 0.30, min_n=10_000
         ) == []
+
+    def test_dense_markov_row_is_gated_below_min_n(self):
+        def report(rps, speedup):
+            return self._with_workload(_report(100.0, 5.0), rps, speedup,
+                                       num_agents=800,
+                                       name="array_dense_markov_800")
+
+        failures = bench_engine.check_regression(
+            report(10.0, 1.0), report(40.0, 8.0), 0.30, min_n=10_000
+        )
+        assert len(failures) == 1
+        assert "array_dense_markov_800" in failures[0]
 
     def test_same_out_and_check_path_gates_against_old_baseline(self, tmp_path):
         # Regenerating the baseline in place must still compare against

@@ -3,8 +3,16 @@
 from __future__ import annotations
 
 import json
+import random
+from dataclasses import dataclass, field
+
+import pytest
 
 from repro import ExperimentSpec, SimulationResult
+from repro.environment import dynamics
+from repro.environment.dynamics import MarkovChurnEnvironment
+from repro.environment.graphs import complete_graph
+from repro.simulation.result import jsonify
 
 
 def run(algorithm: str, values, **spec_overrides) -> SimulationResult:
@@ -104,3 +112,35 @@ class TestRoundTrip:
         assert restored.convergence_round is None
         assert restored.rounds_executed == 10
         assert restored.correct == result.correct is False
+
+
+class TestJsonifyDataclasses:
+    def test_fields_outside_the_value_are_not_serialized(self):
+        @dataclass(frozen=True)
+        class Tagged:
+            value: int
+            cache: object = field(default=None, compare=False)
+
+        assert Tagged(3, cache=[1, 2]) == Tagged(3)
+        assert jsonify(Tagged(3, cache=[1, 2])) == {"value": 3}
+        assert jsonify(Tagged(3)) == {"value": 3}
+
+    @pytest.mark.skipif(dynamics._numpy is None, reason="needs numpy")
+    def test_equal_markov_states_serialize_alike(self, monkeypatch):
+        # The vectorized transition hands over int64 edge arrays the loop
+        # does not build; they are not part of the state's value.
+        states = []
+        for min_draws in (0, 10**9):
+            monkeypatch.setattr(dynamics, "VECTORIZED_MIN_DRAWS", min_draws)
+            environment = MarkovChurnEnvironment(complete_graph(10), 0.3, 0.4)
+            states.append(environment.advance(0, random.Random(1)))
+        vectorized, loop = states
+        assert vectorized.effective_edge_arrays is not None
+        assert loop.effective_edge_arrays is None
+        assert vectorized == loop
+        assert jsonify(vectorized) == jsonify(loop)
+        assert set(jsonify(loop)) == {
+            "enabled_agents",
+            "available_edges",
+            "round_index",
+        }
