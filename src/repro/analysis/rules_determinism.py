@@ -355,9 +355,10 @@ class D004FloatInExactPath(Rule):
     # (src/repro/simulation/array_engine.py) stays outside this scope on
     # purpose: its numpy kernels are integer-only by construction
     # (the int64-range proofs in _refusal run at construction), and its
-    # cross-check path compares against the reference engine
-    # value-for-value, which is a stronger guarantee than this syntactic
-    # rule provides.
+    # cross-check compares every round value-for-value against the
+    # algorithm's own step rule, the component walk, the environment's
+    # public advance and a from-scratch objective and multiset, which is
+    # a stronger guarantee than this syntactic rule provides.
     include: tuple[str, ...] = (
         "src/repro/algorithms/average.py",
         "src/repro/algorithms/kth_smallest.py",

@@ -39,7 +39,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ..core.errors import EnvironmentError_
 
@@ -553,6 +553,18 @@ class Environment(ABC):
         reports None.
         """
         return self.advance(round_index, rng), None
+
+    def array_transition(
+        self,
+    ) -> Callable[[int, random.Random], EnvironmentState] | None:
+        """The array form of :meth:`advance`, or None (the default).
+
+        A callable ``(round_index, rng) -> EnvironmentState`` that makes
+        :meth:`advance`'s draws and returns its state in array form
+        (:meth:`EnvironmentState.from_arrays`, ``effective_edge_arrays``
+        set).  Asking builds its tables, so consumers ask once, up front.
+        """
+        return None
 
     def reset(self) -> None:
         """Reset any internal state before a new simulation run.

@@ -223,6 +223,9 @@ class RandomChurnEnvironment(Environment):
         # the same ascending-id insertion order a fresh construction uses,
         # so sharing it never changes iteration order.
         self._all_agents = frozenset(self.topology.agent_ids)
+        # The edges' (u, v) endpoints as int64 arrays in draw order, built
+        # by array_transition().
+        self._edge_endpoints: tuple | None = None
         self._previous: tuple[frozenset, frozenset] | None = None
 
     def reset(self) -> None:
@@ -232,6 +235,40 @@ class RandomChurnEnvironment(Environment):
         state, _ = self._advance(round_index, rng)
         self._previous = None
         return state
+
+    def array_transition(self):
+        # With numpy: _advance_arrays.  It reproduces this class's own
+        # transition, so a subclass that overrides it does not inherit it.
+        cls = type(self)
+        if (
+            _numpy is None
+            or cls.advance is not RandomChurnEnvironment.advance
+            or cls._advance is not RandomChurnEnvironment._advance
+        ):
+            return None
+        if self._edge_endpoints is None:
+            self._edge_endpoints = edge_endpoints(self._edge_sequence)
+        return self._advance_arrays
+
+    def _advance_arrays(
+        self, round_index: int, rng: random.Random
+    ) -> EnvironmentState:
+        """:meth:`advance` with the draws — one per agent, then one per
+        edge — made as one :func:`uniform_draws` batch and filtered as
+        masks into the array form of the same state (:func:`masked_state`).
+        """
+        num_agents = self.topology.num_agents
+        draws = uniform_draws(rng, num_agents + len(self._edge_sequence))
+        agent_up = self.agent_up_probability
+        self._previous = None  # exactly what advance() leaves behind
+        return masked_state(
+            self._edge_sequence,
+            self._edge_endpoints,
+            _numpy.flatnonzero(draws[num_agents:] < self.edge_up_probability),
+            None if agent_up >= 1.0 else draws[:num_agents] < agent_up,
+            round_index,
+            self._all_agents,
+        )
 
     def advance_with_delta(self, round_index, rng):
         state, previous = self._advance(round_index, rng)

@@ -18,10 +18,11 @@ scheduler runs for real; and the objective delta is priced on the
 Anything that representation cannot hold exactly is refused at
 construction with a :class:`~repro.core.errors.SpecificationError`
 pointing at ``engine="reference"``: numpy not importable, a kernel other
-than the integer kernels (minimum, maximum, sum), a state that is not an
-``int``, or initial values whose closed range under the step rule does
-not provably fit ``int64``.  Everything else runs on the reference
-engine, which already does it.
+than the integer kernels (minimum, maximum, sum), an objective without
+an exact ``int64`` array delta, a state that is not an ``int``, or
+initial values whose closed range under the step rule does not provably
+fit ``int64``.  Everything else runs on the reference engine, which
+already does it.
 
 What makes the vectorized round safe is the
 :attr:`~repro.core.algorithm.SelfSimilarAlgorithm.kernel` contract: an
@@ -35,38 +36,33 @@ environment's and the scheduler's, made identically here and in the
 reference engine — every round's state delta, objective value and
 convergence verdict is **value-identical** to the reference
 ``Simulator``'s.  The parity suite pins this across algorithms ×
-schedulers × environments, and ``cross_check=True`` re-derives every
-vectorized round from the algorithm's own step rule at run time
-(the PR 2/4 pattern: fast path opt-in, reference path byte-identical,
-divergence loud).
+schedulers × environments.
 
-Round bookkeeping reuses the incremental machinery the reference engine
-introduced — fold the ``(removed, added)`` delta into a maintained
-:class:`~repro.core.multiset.MutableMultiset`, update ``h`` in O(|delta|)
-via :meth:`~repro.core.algorithm.SelfSimilarAlgorithm.objective_delta`,
-decide convergence by fingerprint — but never takes a per-round snapshot:
-round records are :class:`ArrayRoundRecord` objects whose ``multiset`` is
-a lazy property, so a ``history="none"`` run materializes no per-agent
-objects and no per-round bags at all.  The environment side stays in
-arrays too: the stock churn environment's per-round draws are made here
-as one :func:`~repro.environment.dynamics.uniform_draws` batch
-(bit-identical to the run RNG's stream) and filtered as masks, bypassing
-its ``advance`` (outside ``cross_check``); Markov churn is advanced
-through its public ``advance``, which vectorizes its own transition on
-large graphs.  Both hand the engine the array form of the environment
-state (:meth:`~repro.environment.base.EnvironmentState.from_arrays`):
-the engine reads only its enabled count and its effective edges as
-``int64`` arrays
+Round bookkeeping never leaves the arrays and never snapshots: the
+objective is folded with the objective's exact array delta
+(:meth:`~repro.core.objective.ObjectiveFunction.array_delta`), and
+convergence comes from a vectorized comparison provably equivalent to
+multiset equality with the target.  Round records are
+:class:`ArrayRoundRecord` objects whose ``multiset`` is built from the
+flat states only when read, so a ``history="none"`` run materializes no
+per-agent objects and no per-round bags at all.  The environment side
+stays in arrays too: an environment that offers an array form of its
+transition (:meth:`~repro.environment.base.Environment.array_transition`
+— the stock churn environment, whose per-round draws are one
+:func:`~repro.environment.dynamics.uniform_draws` batch bit-identical to
+the run RNG's stream) is advanced through it instead of its ``advance``;
+Markov churn is advanced through its public ``advance``, which
+vectorizes its own transition on large graphs.  Both hand the engine the
+array form of the environment state
+(:meth:`~repro.environment.base.EnvironmentState.from_arrays`): the
+engine reads only its enabled count and its effective edges as ``int64``
+arrays
 (:attr:`~repro.environment.base.EnvironmentState.effective_edge_arrays`),
 so under the maximal scheduler no round builds the state's frozensets.
 Communication components are labelled from those arrays by vectorized
-min-label propagation — only an environment that builds no arrays pays
-for a frozenset-to-array conversion — and, outside ``cross_check``, the
-objective is folded with the objective's exact array delta
-(:meth:`~repro.core.objective.ObjectiveFunction.array_delta`), the
-maintained bag is rebuilt lazily on access, and convergence comes from a
-vectorized comparison provably equivalent to multiset equality with the
-target.
+min-label propagation; only an environment that builds no arrays pays
+for a frozenset-to-array conversion.  ``cross_check=True`` runs this
+same program and checks every round of it against from-scratch oracles.
 
 Checkpoints serialize through the same tagged codec as the reference
 engine (``engine="array"``), so ``repro resume``, the durable batch
@@ -75,6 +71,7 @@ runner and the service's drain/restart path work unchanged.
 
 from __future__ import annotations
 
+import copy
 import random
 from itertools import chain
 from typing import Any, Callable, Hashable, Iterator, Sequence
@@ -88,18 +85,14 @@ from ..agents.scheduler import MaximalGroupsScheduler, Scheduler
 from ..core.algorithm import SelfSimilarAlgorithm
 from ..core.errors import SimulationError, SpecificationError
 from ..core.multiset import Multiset
+from ..core.objective import ObjectiveFunction
 from ..core.relation import StepKind
 from ..environment.base import (
     Environment,
     EnvironmentState,
     connected_component_tuples,
 )
-from ..environment.dynamics import (
-    RandomChurnEnvironment,
-    edge_endpoints,
-    masked_state,
-    uniform_draws,
-)
+from ..environment.dynamics import edge_endpoints
 from ..registry import register_engine
 from .checkpoint import (
     EngineCheckpoint,
@@ -110,7 +103,6 @@ from .checkpoint import (
     encode_rng_state,
     encode_state,
     engine_checkpoint_of,
-    rebuilt_multiset,
 )
 from .engine import Simulator, _validate_partition
 from .protocol import Probe, run_engine
@@ -135,11 +127,14 @@ INT64_MIN = -(2**63)
 _INT_KERNELS = frozenset({"minimum", "maximum", "sum"})
 
 
-def _refusal(kernel: str | None, states: Sequence[Hashable]) -> str | None:
+def _refusal(
+    kernel: str | None, objective: ObjectiveFunction, states: Sequence[Hashable]
+) -> str | None:
     """Why the array engine cannot run these initial states, or None.
 
-    The engine runs only the int64 group-step kernels, so it admits a
-    workload only when the kernel is one of :data:`_INT_KERNELS`, every
+    The engine runs only the int64 group-step kernels and folds ``h``
+    only in int64, so it admits a workload only when the kernel is one of
+    :data:`_INT_KERNELS`, the objective prices int64 deltas exactly, every
     state is an ``int``, the step rule's closed value range provably fits
     ``int64``, and numpy is importable.
     """
@@ -153,6 +148,12 @@ def _refusal(kernel: str | None, states: Sequence[Hashable]) -> str | None:
         return (
             f"declares the {kernel!r} kernel, but the array engine runs "
             f"only the int64 kernels {sorted(_INT_KERNELS)}"
+        )
+    if not objective.supports_array_delta:
+        return (
+            f"declares the {kernel!r} kernel, but its objective "
+            f"{objective.name!r} has no exact int64 array delta (see "
+            "ObjectiveFunction.array_delta_fn)"
         )
     if not all(type(value) is int for value in states):
         return "has initial states that are not ints"
@@ -307,12 +308,13 @@ class ArrayRoundRecord:
     frozen record there are no per-group ``groups``/``judgements`` tuples
     to derive them from, because the engine never materialized any.
 
-    ``multiset`` is a *lazy* property: it snapshots the engine's
-    maintained bag only when read (the history probe reads it under
-    ``history="full"``, nothing does under ``"objective"``/``"none"``),
-    which is what keeps O(1)-memory runs from paying O(distinct) per
-    round.  The record is only current until the engine's bag next
-    mutates; reading it later raises instead of returning a stale bag.
+    ``multiset`` is a *lazy* property: it builds the bag from the
+    engine's flat states only when read (the history probe reads it
+    under ``history="full"``, nothing does under
+    ``"objective"``/``"none"``), which is what keeps O(1)-memory runs
+    from paying O(n) per round.  The record is only current until the
+    engine's states next change; reading it later raises instead of
+    returning a stale bag.
     """
 
     __slots__ = (
@@ -354,7 +356,7 @@ class ArrayRoundRecord:
 
     @property
     def multiset(self) -> Multiset:
-        """The agent-state multiset after this round (lazily snapshotted)."""
+        """The agent-state multiset after this round (built when read)."""
         engine = self._engine
         if engine._epoch != self._epoch:
             raise SimulationError(
@@ -363,7 +365,7 @@ class ArrayRoundRecord:
                 "record.multiset before advancing, or run with "
                 'history="full", which does exactly that'
             )
-        return engine._maintained.snapshot()
+        return engine.current_multiset()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -419,13 +421,14 @@ class ArrayEngine:
         (``"full"`` when True, ``"objective"`` when False), mirroring the
         reference engine's flag.
     cross_check:
-        Debug flag.  When True, every vectorized group result is
-        re-derived from the algorithm's own step rule through the full
-        relation judge, the maintained bag/fingerprint/objective are
-        verified against a from-scratch recomputation every round, and
-        the engine's component labelling is verified against
-        :func:`connected_component_tuples` — any divergence raises
-        :class:`SimulationError`.
+        Debug flag.  When True the engine runs the same paths and checks
+        every round against from-scratch oracles: each group result
+        against the algorithm's own step rule (through the full relation
+        judge), the labelling against :func:`connected_component_tuples`,
+        the array transition's state and RNG state against the public
+        ``advance`` on a copy of the run RNG, and the folded objective and
+        convergence verdict against the multiset of the flat states.  Any
+        divergence raises :class:`SimulationError`.
     """
 
     def __init__(
@@ -445,7 +448,7 @@ class ArrayEngine:
             )
         kernel = getattr(algorithm, "kernel", None)
         initial_states = algorithm.initial_states(initial_values)
-        refusal = _refusal(kernel, initial_states)
+        refusal = _refusal(kernel, algorithm.objective, initial_states)
         if refusal is not None:
             raise SpecificationError(
                 f"algorithm {algorithm.name!r} {refusal}, so the array "
@@ -473,42 +476,18 @@ class ArrayEngine:
 
         self._initial_states = initial_states
         self._install_states(initial_states)
-        self._initial_multiset = Multiset(initial_states)
         self._target = algorithm.target(initial_states)
-        self._target_size = len(self._target)
-        self._target_fingerprint = self._target.fingerprint()
-        self._state = RoundState(seed, self._initial_multiset)
-        # Bumped on every maintained-bag mutation; ArrayRoundRecord uses
-        # it to refuse stale lazy snapshots.
+        # No maintained bag: the objective is folded from int64 deltas and
+        # convergence decided on the flat states (_vectorized_converged).
+        self._state = RoundState(seed)
+        self._converged_test = self._build_converged_test()
+        # Bumped whenever the flat states change; ArrayRoundRecord uses it
+        # to refuse stale lazy bags, and current_multiset() to reuse the
+        # bag it last built.
         self._epoch = 0
-        # Fast fold (no cross-check, an objective with an exact int64
-        # array delta): the objective never leaves the arrays, the
-        # maintained bag is rebuilt lazily on first access instead of
-        # updated element-by-element every round, and the convergence
-        # verdict comes from a vectorized comparison that is provably
-        # equivalent to multiset equality with the target — see
-        # _vectorized_converged.  The slow path keeps the incremental
-        # bag, so cross_check still verifies fingerprints every round.
-        self._bag_stale = False
-        self._fast_fold = (
-            not cross_check and algorithm.objective.supports_array_delta
-        )
-        self._fast_target = self._build_fast_target() if self._fast_fold else None
-        # Churn bypass: RandomChurnEnvironment draws one uniform per
-        # agent then one per edge in a fixed sequence, so the engine can
-        # make those draws as one uniform_draws batch (bit-identical to
-        # the run RNG's stream, which it leaves where the loop would),
-        # then filter agents and edges vectorized.  Exact-type gate, like
-        # the maximal bypass: a subclass may override the dynamics.
-        self._churn_bypass = (
-            not cross_check and type(environment) is RandomChurnEnvironment
-        )
-        if self._churn_bypass:
-            # The endpoints in exactly the order the environment consumes
-            # its edge draws (agent draws come first, in id order), so
-            # masks over the draw vector select the agents and edges the
-            # reference loop selects.
-            self._churn_endpoints = edge_endpoints(environment._edge_sequence)
+        self._bag: tuple[int, Multiset] | None = None
+        # Asked for here, so its tables are built with the engine.
+        self._array_advance = environment.array_transition()
 
     # -- storage ---------------------------------------------------------------
 
@@ -526,16 +505,6 @@ class ArrayEngine:
     def _round_index(self) -> int:
         return self._state.round_index
 
-    @property
-    def _maintained(self):
-        if self._bag_stale:
-            # Fast-fold mode deferred the bag update; materialize it from
-            # the flat states now.  Rebuilding is not a mutation of the
-            # conceptual bag (same contents), so the epoch stays put.
-            self._state.maintained = rebuilt_multiset(self.current_states())
-            self._bag_stale = False
-        return self._state.maintained
-
     # -- state access ------------------------------------------------------------
 
     def current_states(self) -> list:
@@ -543,8 +512,12 @@ class ArrayEngine:
         return self._states.tolist()
 
     def current_multiset(self) -> Multiset:
-        """Return the current agent states as a multiset."""
-        return self._maintained.snapshot()
+        """Return the current agent states as a multiset (built from the
+        flat states on first read after they change)."""
+        bag = self._bag
+        if bag is None or bag[0] != self._epoch:
+            bag = self._bag = (self._epoch, Multiset(self.current_states()))
+        return bag[1]
 
     @property
     def target(self) -> Multiset:
@@ -558,16 +531,15 @@ class ArrayEngine:
 
     def has_converged(self) -> bool:
         """Return True when the agents are currently at ``S*``."""
-        return self._maintained.matches(self._target)
+        return self._vectorized_converged()
 
     # -- execution ----------------------------------------------------------------
 
     def reset(self) -> None:
         """Restore the initial configuration (same seed, same initial values)."""
-        self._state.reset(self.seed, self._initial_multiset)
+        self._state.reset(self.seed)
         self._install_states(self._initial_states)
         self.environment.reset()
-        self._bag_stale = False
         self._epoch += 1
 
     # -- checkpoint / restore -------------------------------------------------------
@@ -597,9 +569,8 @@ class ArrayEngine:
 
         Same contract as the reference engine: engine kind, seed and
         agent count are verified, the RNG and environment state are
-        restored exactly, and the maintained bag is rebuilt from the
-        restored states — the continued run is value-identical to the
-        uninterrupted one.
+        restored exactly, and the objective is restored, not recomputed —
+        the continued run is value-identical to the uninterrupted one.
         """
         if isinstance(checkpoint, RunCheckpoint):
             checkpoint = checkpoint.engine
@@ -627,9 +598,7 @@ class ArrayEngine:
             [decode_state(encoded) for encoded in checkpoint.agent_states]
         )
         self.environment.load_state(checkpoint.environment)
-        state.maintained = rebuilt_multiset(self.current_states())
         state.objective_value = decode_state(checkpoint.objective_value)
-        self._bag_stale = False
         self._epoch += 1
 
     # -- the round loop --------------------------------------------------------------
@@ -637,54 +606,26 @@ class ArrayEngine:
     def _advance_environment(self, round_index: int) -> EnvironmentState:
         """One environment transition.
 
-        The plain :meth:`Environment.advance` draws exactly the random
-        numbers :meth:`advance_with_delta` draws (that is the
-        delta-reporting contract, pinned by the environment parity
-        suite), so the array engine and the reference engine consume one
-        identical random stream whichever bookkeeping mode each uses.
-        Under the churn bypass the same draws are made as one vectorized
-        batch (see :meth:`_churn_advance`).
+        Through the environment's array transition when it offers one,
+        through its public :meth:`Environment.advance` otherwise; both
+        make exactly the draws the reference engine's advance makes, so
+        the two engines consume one identical random stream.  Under
+        ``cross_check`` the public advance also runs, on a copy of the
+        run RNG, as the array transition's oracle.
         """
-        if self._churn_bypass:
-            return self._churn_advance(round_index)
-        return self.environment.advance(round_index, self._rng)
-
-    def _churn_advance(self, round_index: int) -> EnvironmentState:
-        """RandomChurnEnvironment.advance, with the draws made vectorized.
-
-        :func:`~repro.environment.dynamics.uniform_draws` makes the whole
-        round's uniforms as one batch, bit-for-bit the stream the
-        reference loop would draw, and leaves the run RNG exactly where
-        ``environment.advance`` would have left it.  The masks become the
-        array form of the state the reference advance builds
-        (:func:`~repro.environment.dynamics.masked_state`), whose sets —
-        built only if a scheduler reads them — have the reference
-        insertion order: agents ascending, edges in ``_edge_sequence``
-        order.
-        """
-        env = self.environment
-        num_agents = env.num_agents
-        edge_count = len(env._edge_sequence)
-        draws = uniform_draws(self._rng, num_agents + edge_count)
-        agent_up = env.agent_up_probability
-        env._previous = None  # exactly what Environment.advance() leaves behind
-        return masked_state(
-            env._edge_sequence,
-            self._churn_endpoints,
-            _numpy.flatnonzero(draws[num_agents:] < env.edge_up_probability),
-            None if agent_up >= 1.0 else draws[:num_agents] < agent_up,
-            round_index,
-            env._all_agents,
-        )
+        if self._array_advance is None:
+            return self.environment.advance(round_index, self._rng)
+        if self.cross_check:
+            return self._checked_array_advance(round_index)
+        return self._array_advance(round_index, self._rng)
 
     def _labelled_components(self, environment_state: EnvironmentState):
         """The maximal partition as ``(ids, labels, enabled_count)``.
 
         The effective edges (both endpoints enabled) come from the
-        state's ``effective_edge_arrays`` when its environment (or the
-        churn bypass) built them, and from its effective edge set
-        otherwise; either way they are labelled by
-        :func:`_label_components`.
+        state's ``effective_edge_arrays`` when its environment built them,
+        and from its effective edge set otherwise; either way they are
+        labelled by :func:`_label_components`.
         """
         arrays = environment_state.effective_edge_arrays
         if arrays is None:
@@ -703,11 +644,14 @@ class ArrayEngine:
         position in the schedule.  Either way the groups of two or more
         agents run as one :func:`_group_step_kernel` call — re-derived
         through the algorithm's own step rule under ``cross_check`` — and
-        the resulting ``(removed, added)`` delta folds into the maintained
-        round state exactly as in the reference engine.  Singleton steps
-        are identity by the kernel contract (and draw nothing), so they
-        are only counted.
+        the resulting ``(removed, added)`` delta folds into the objective.
+        Singleton steps are identity by the kernel contract (and draw
+        nothing), so they are only counted.
         """
+        state = self._state
+        if state.objective_value is None:
+            # First use: price the objective once, on the pre-round states.
+            state.objective_value = self.algorithm.objective(self.current_multiset())
         environment_state = self._advance_environment(round_index)
         if self._maximal_bypass:
             ids, labels, enabled_count = self._labelled_components(environment_state)
@@ -769,7 +713,9 @@ class ArrayEngine:
             self._verify_kernel_groups(groups, ids, values, new_values)
         where = np.flatnonzero(changed)
         added = new_values.take(where)
-        states[ids.take(where)] = added
+        if where.shape[0]:
+            states[ids.take(where)] = added
+            self._epoch += 1
         return values.take(where), added, improving, group_steps, largest
 
     def _checked_group_step(self, before: list) -> list:
@@ -794,58 +740,23 @@ class ArrayEngine:
 
     def _fold_round(self, removed, added) -> tuple[float, bool]:
         """Fold one round's state delta (``int64`` arrays) into the
-        maintained round state.
+        objective and decide convergence, both without leaving the arrays.
 
-        Mirrors the reference engine's incremental fold, minus the
-        per-round snapshot.  The fast fold prices the delta with the
-        objective's exact array delta and never leaves the arrays; the
-        slow fold (``cross_check``, or an objective without an array
-        delta) converts the delta to Python ints, patches the maintained
-        bag and decides convergence by the bag's size → fingerprint →
-        counts comparison.
+        The objective's exact array delta prices the delta; the verdict
+        comes from :meth:`_vectorized_converged`.  Under ``cross_check``
+        both are compared with a recomputation from the flat states.
         """
         state = self._state
-        if self._fast_fold:
-            if state.objective_value is None:
-                state.objective_value = self.algorithm.objective(
-                    self._maintained.snapshot()
-                )
-            if removed.shape[0]:
-                # Defer the bag update: the flat states already hold the
-                # round's outcome, so the bag is rebuilt from them on
-                # first access instead of patched element-by-element.
-                # The epoch still bumps — the conceptual bag mutated.
-                self._bag_stale = True
-                self._epoch += 1
-                state.objective_value = self.algorithm.objective_array_delta(
-                    state.objective_value, removed, added
-                )
-            return state.objective_value, self._vectorized_converged()
-        removed = removed.tolist()
-        added = added.tolist()
-        maintained = state.maintained
-        if state.objective_value is None:
-            # First use: price the objective once, on the pre-delta bag.
-            state.objective_value = self.algorithm.objective(maintained.snapshot())
-        if removed or added:
-            try:
-                maintained.apply_delta(removed, added)
-            except KeyError as error:
-                raise SimulationError(
-                    "incremental round state out of sync with the flat "
-                    f"agent states: {error.args[0]}"
-                ) from error
-            self._epoch += 1
-        objective = self.algorithm.objective_delta(
-            state.objective_value, maintained, removed, added
-        )
-        state.objective_value = objective
-        converged = maintained.matches(self._target)
+        if removed.shape[0]:
+            state.objective_value = self.algorithm.objective_array_delta(
+                state.objective_value, removed, added
+            )
+        converged = self._vectorized_converged()
         if self.cross_check:
-            self._verify_maintained_state(objective)
-        return objective, converged
+            self._verify_fold(state.objective_value, converged)
+        return state.objective_value, converged
 
-    def _build_fast_target(self) -> tuple:
+    def _build_converged_test(self) -> tuple:
         """Precompute the vectorized form of the convergence test.
 
         A uniform target (minimum/maximum: every agent at the extremum)
@@ -864,15 +775,15 @@ class ArrayEngine:
             return ("uniform", value)
         common, multiplicity = pairs[0]
         sorted_target = np.sort(
-            np.fromiter(self._target, dtype=np.int64, count=self._target_size)
+            np.fromiter(self._target, dtype=np.int64, count=len(self._target))
         )
-        return ("mixed", common, self._target_size - multiplicity, sorted_target)
+        return ("mixed", common, len(self._target) - multiplicity, sorted_target)
 
     def _vectorized_converged(self) -> bool:
-        """Exact convergence verdict from the flat states (fast fold)."""
+        """Exact convergence verdict from the flat states."""
         np = _numpy
         states = self._states
-        target = self._fast_target
+        target = self._converged_test
         if target[0] == "uniform":
             return bool((states == target[1]).all())
         _, common, expected_other, sorted_target = target
@@ -942,26 +853,49 @@ class ArrayEngine:
                     f"{after!r}, step rule produced {expected!r}"
                 )
 
-    def _verify_maintained_state(self, objective: float) -> None:
-        """Debug cross-check: maintained state == full recomputation."""
+    def _checked_array_advance(self, round_index: int) -> EnvironmentState:
+        """Debug cross-check: the array transition's state, enabled count,
+        effective edges and RNG state == those of the public advance, run
+        on a copy of the run RNG (and of the environment)."""
+        oracle_rng = copy.copy(self._rng)
+        expected = copy.copy(self.environment).advance(round_index, oracle_rng)
+        state = self._array_advance(round_index, self._rng)
+        u, v = state.effective_edge_arrays
+        pairs = sorted(zip(u.tolist(), v.tolist()))
+        name = type(self.environment).__name__
+        if (
+            state != expected
+            or state.enabled_count != len(expected.enabled_agents)
+            or pairs != sorted(expected.effective_edges())
+        ):
+            raise SimulationError(
+                f"array environment transition diverged from {name}.advance "
+                f"at round {round_index}: {state!r} (effective edges "
+                f"{pairs!r}) vs {expected!r}"
+            )
+        if self._rng.getstate() != oracle_rng.getstate():
+            raise SimulationError(
+                "array environment transition left the run RNG in a "
+                f"different state from {name}.advance at round {round_index}"
+            )
+        return state
+
+    def _verify_fold(self, objective: float, converged: bool) -> None:
+        """Debug cross-check: the int64 fold and the vectorized verdict ==
+        a recomputation from the multiset of the flat states."""
         full = Multiset(self.current_states())
-        maintained = self._maintained.snapshot()
-        if full != maintained:
-            raise SimulationError(
-                "array-engine maintained multiset diverged from the flat "
-                f"agent states: maintained {maintained!r} vs actual {full!r}"
-            )
-        if full.fingerprint() != self._maintained.fingerprint():
-            raise SimulationError(
-                "array-engine fingerprint diverged from recomputed "
-                f"fingerprint ({self._maintained.fingerprint():#x} vs "
-                f"{full.fingerprint():#x})"
-            )
         full_objective = self.algorithm.objective(full)
         if full_objective != objective:
             raise SimulationError(
                 "array-engine objective diverged from full recomputation "
                 f"({objective!r} vs {full_objective!r})"
+            )
+        expected = full == self._target
+        if converged != expected:
+            raise SimulationError(
+                "array-engine vectorized convergence verdict diverged from "
+                f"multiset equality with the target ({converged} vs "
+                f"{expected})"
             )
 
     # -- the Engine protocol -----------------------------------------------------
@@ -981,7 +915,7 @@ class ArrayEngine:
 
     def initial_snapshot(self) -> tuple[Multiset, float]:
         """The pre-run ``(multiset, objective)`` pair (Engine protocol)."""
-        initial_multiset = self._maintained.snapshot()
+        initial_multiset = self.current_multiset()
         if self._state.objective_value is None:
             self._state.objective_value = self.algorithm.objective(initial_multiset)
         return initial_multiset, self._state.objective_value

@@ -189,7 +189,9 @@ class RoundState:
     round_index:
         Index of the next round ``steps()`` will execute.
     maintained:
-        The incrementally maintained agent-state multiset.
+        The incrementally maintained agent-state multiset, or None for an
+        engine that keeps none (the array engine, which folds ``h`` from
+        its int64 deltas).
     objective_value:
         The maintained objective ``h`` (None until first priced; exact —
         including its float summation history — so it must be restored,
@@ -208,19 +210,16 @@ class RoundState:
         "stutter_tuples",
     )
 
-    def __init__(self, seed: int, initial_bag):
-        self.rng = random.Random(seed)
-        self.round_index = 0
-        self.maintained = MutableMultiset(initial_bag)
-        self.objective_value = None
+    def __init__(self, seed: int, initial_bag=None):
         self.stutter_tuples: dict[int, tuple] = {}
+        self.reset(seed, initial_bag)
 
-    def reset(self, seed: int, initial_bag) -> None:
+    def reset(self, seed: int, initial_bag=None) -> None:
         """Restore the pre-run condition (the stutter-tuple cache, being
         content-neutral, is kept)."""
         self.rng = random.Random(seed)
         self.round_index = 0
-        self.maintained = MutableMultiset(initial_bag)
+        self.maintained = None if initial_bag is None else MutableMultiset(initial_bag)
         self.objective_value = None
 
 

@@ -17,8 +17,11 @@ Axes covered:
   × every environment family;
 * the int64 admission boundaries: min/max values at the ±2**63 limits
   and a sum whose absolute values total exactly ``INT64_MAX``;
-* ``cross_check=True``, which re-derives every vectorized round from the
-  algorithm's own step rule through the full relation judge;
+* ``cross_check=True``, which runs the same paths and checks every round
+  against from-scratch oracles (the step rule through the full relation
+  judge, the component walk, the public ``advance``, the multiset of the
+  states), and catches seeded mutations of the fold, the churn draws
+  and the convergence verdict;
 * engine-level checkpoint/restore and spec-level resume, byte-identical
   to the uninterrupted run;
 * the refusals: every workload the int64 kernels cannot run exactly (no
@@ -46,7 +49,9 @@ from repro.algorithms.average import average_algorithm
 from repro.algorithms.maximum import maximum_algorithm
 from repro.algorithms.minimum import minimum_algorithm
 from repro.algorithms.summation import summation_algorithm
+from repro.core.algorithm import SelfSimilarAlgorithm
 from repro.core.errors import SimulationError, SpecificationError
+from repro.environment import dynamics
 from repro.environment.adversary import (
     BlackoutAdversary,
     EdgeBudgetAdversary,
@@ -343,12 +348,21 @@ def _non_int64_kernel():
     return algorithm
 
 
+def _no_array_delta():
+    # A kernel whose objective cannot price int64 deltas exactly: the
+    # array engine folds h only in int64, so it refuses.
+    algorithm = minimum_algorithm()
+    algorithm.objective.array_delta_fn = None
+    return algorithm
+
+
 #: reason -> (algorithm factory, initial values, refusal message fragment)
 REFUSALS = {
     "no-kernel": (
         lambda: minimum_algorithm(partial=True), VALUES, "no vectorizable kernel"
     ),
     "non-int64-kernel": (_non_int64_kernel, VALUES, "'average' kernel"),
+    "no-array-delta": (_no_array_delta, VALUES, "no exact int64 array delta"),
     "non-int-state": (
         lambda: minimum_algorithm(), [9.5, 4, 7, 1, 8, 3, 6, 2], "not ints"
     ),
@@ -658,22 +672,23 @@ def test_history_none_run_matches_reference_summary():
 @needs_numpy
 def test_history_none_never_snapshots_the_bag(monkeypatch):
     # The lazy record is the point of the design: under history="none"
-    # nothing may read record.multiset, so the maintained bag is never
-    # snapshotted during the round loop.
+    # nothing may read record.multiset, so no bag of the agent states is
+    # built during the round loop.
     engine = _build(ArrayEngine, "minimum", seed=2)
-    snapshots = {"count": 0}
-    original = type(engine._maintained).snapshot
+    builds = []
+    multiset = array_engine_module.Multiset
 
-    def counting_snapshot(self):
-        snapshots["count"] += 1
-        return original(self)
+    def counting_multiset(*args):
+        builds.append(engine.round_index)
+        return multiset(*args)
 
-    monkeypatch.setattr(type(engine._maintained), "snapshot", counting_snapshot)
-    engine.run(max_rounds=80, history="none")
-    # initial_snapshot() takes one; the per-round loop must take none
-    # (the driver builds the result's single-element trace from
-    # current_states(), not from the bag).
-    assert snapshots["count"] <= 2
+    monkeypatch.setattr(array_engine_module, "Multiset", counting_multiset)
+    result = engine.run(max_rounds=80, history="none")
+    assert result.rounds_executed > 1
+    # initial_snapshot() builds one before the first round; the per-round
+    # loop builds none (the driver builds the result's single-element
+    # trace from current_states(), not from the bag).
+    assert builds == [0]
 
 
 # -- the numpy-only fast paths ----------------------------------------------------
@@ -681,29 +696,73 @@ def test_history_none_never_snapshots_the_bag(monkeypatch):
 
 @needs_numpy
 class TestVectorizedFastPaths:
-    """The numpy-only shortcuts — the state-shared MT19937 churn advance,
-    the vectorized component labelling and the deferred bag maintenance —
-    are gated on exact types and flags.  These tests pin the gates and
-    the equivalences directly (the parity matrix above covers them end to
-    end against the reference engine)."""
+    """The numpy-only shortcuts — the environment's array transition (the
+    state-shared MT19937 churn draws), the vectorized component labelling
+    and the int64 fold with its vectorized convergence verdict — are the
+    one path every run takes, ``cross_check`` included.  These tests pin
+    the capability gate and the equivalences directly (the parity matrix
+    above covers them end to end against the reference engine)."""
 
-    def test_fast_paths_engage_on_the_flagship_configuration(self):
+    @staticmethod
+    def _engaged_paths(monkeypatch, engine, rounds=6) -> dict:
+        """Run ``rounds`` rounds of ``engine`` and count the calls to the
+        environment's public advance, its array transition, the int64
+        fold and the vectorized convergence verdict."""
+        calls = {"advance": 0, "array": 0, "fold": 0, "verdict": 0}
+
+        def counting(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return wrapper
+
+        environment = engine.environment
+        monkeypatch.setattr(
+            environment, "advance", counting("advance", environment.advance)
+        )
+        monkeypatch.setattr(
+            engine, "_array_advance", counting("array", engine._array_advance)
+        )
+        monkeypatch.setattr(
+            engine.algorithm,
+            "objective_array_delta",
+            counting("fold", engine.algorithm.objective_array_delta),
+        )
+        monkeypatch.setattr(
+            engine,
+            "_vectorized_converged",
+            counting("verdict", engine._vectorized_converged),
+        )
+        for _ in engine.steps(rounds):
+            pass
+        return calls
+
+    def test_fast_paths_engage_on_the_flagship_configuration(self, monkeypatch):
         engine = _build(ArrayEngine, "minimum")
-        assert engine._churn_bypass
-        assert engine._fast_fold
+        calls = self._engaged_paths(monkeypatch, engine)
+        assert calls["advance"] == 0
+        assert calls["array"] == calls["verdict"] == 6
+        assert calls["fold"] > 0
 
-    def test_fast_paths_disengage_under_cross_check(self):
+    def test_fast_paths_engage_under_cross_check(self, monkeypatch):
+        # cross_check runs the same program: the array transition, the
+        # int64 fold and the vectorized verdict, each checked against its
+        # oracle — the public advance runs too, on a copy of the run RNG.
         engine = _build(ArrayEngine, "minimum", cross_check=True)
-        assert not engine._churn_bypass
-        assert not engine._fast_fold
+        calls = self._engaged_paths(monkeypatch, engine)
+        assert calls["advance"] == calls["array"] == calls["verdict"] == 6
+        assert calls["fold"] > 0
 
     def _paired_engines(self, seed=7):
-        """One engine with the churn bypass, one with it gated off by an
-        environment *subclass* (which must run the real advance), on the
-        identical workload and seed."""
+        """One engine on the churn environment's array transition, one on
+        a *subclass* that overrides the transition (and so loses the array
+        form and runs the real advance), on the identical workload and
+        seed."""
 
         class SubclassedChurn(RandomChurnEnvironment):
-            pass
+            def advance(self, round_index, rng):
+                return super().advance(round_index, rng)
 
         def build(environment_cls):
             return ArrayEngine(
@@ -720,8 +779,8 @@ class TestVectorizedFastPaths:
 
         fast = build(RandomChurnEnvironment)
         slow = build(SubclassedChurn)
-        assert fast._churn_bypass
-        assert not slow._churn_bypass
+        assert fast._array_advance is not None
+        assert slow._array_advance is None
         return fast, slow
 
     def test_churn_subclass_disables_the_bypass_but_changes_nothing(self):
@@ -750,7 +809,7 @@ class TestVectorizedFastPaths:
         # maximal partition is still labelled as arrays, once per round,
         # from the state's effective edges.
         engine = _build(ArrayEngine, "minimum", environment_name="markov")
-        assert engine._maximal_bypass and not engine._churn_bypass
+        assert engine._maximal_bypass and engine._array_advance is None
         label = array_engine_module._label_components
         calls = []
 
@@ -816,20 +875,21 @@ class TestVectorizedFastPaths:
         _assert_identical(result, reference)
 
     def test_churn_bypass_builds_no_sets(self, monkeypatch):
-        # The churn twin: the bypass's vectorized draws become the array
-        # form of the state the reference advance builds, and under the
-        # maximal scheduler no round builds its frozensets either.
+        # The churn twin: the array transition's vectorized draws become
+        # the array form of the state the reference advance builds, and
+        # under the maximal scheduler no round builds its frozensets
+        # either.
         engine = _build(ArrayEngine, "minimum", environment_name="churn")
-        assert engine._churn_bypass
-        churn_advance = engine._churn_advance
+        array_advance = engine._array_advance
+        assert array_advance is not None
         received = []
 
-        def recording_churn_advance(round_index):
-            state = churn_advance(round_index)
+        def recording_array_advance(round_index, rng):
+            state = array_advance(round_index, rng)
             received.append(state)
             return state
 
-        monkeypatch.setattr(engine, "_churn_advance", recording_churn_advance)
+        monkeypatch.setattr(engine, "_array_advance", recording_array_advance)
         built = _count_built_sets(monkeypatch)
         result = engine.run(max_rounds=80, extra_rounds_after_convergence=2)
         assert built == []
@@ -854,8 +914,9 @@ class TestVectorizedFastPaths:
             ("churn", "random-subgroup", False),
             ("dense-markov", "random-pair", False),
             ("dense-markov", "random-subgroup", False),
-            # (The cross-check turns the churn bypass off: the churn
-            # environment then builds its sets itself.)
+            # (The cross-check compares each state with its oracle's,
+            # which reads the sets.)
+            ("churn", "maximal", True),
             ("dense-markov", "maximal", True),
         ],
     )
@@ -914,8 +975,64 @@ class TestVectorizedFastPaths:
         # gated sorted comparison; each round the vectorized verdict must
         # equal multiset equality with S* exactly.
         engine = _build(ArrayEngine, case)
-        assert engine._fast_fold
         for record in engine.steps(40):
             expected = engine.current_multiset() == engine.target
             assert engine._vectorized_converged() == expected
+            assert engine.has_converged() == expected
             assert record.converged == expected
+
+
+# -- cross_check catches seeded mutations of the paths every run takes -----------
+
+
+def _off_by_one_fold(monkeypatch):
+    fold = SelfSimilarAlgorithm.objective_array_delta
+    monkeypatch.setattr(
+        SelfSimilarAlgorithm,
+        "objective_array_delta",
+        lambda self, before, removed, added: fold(self, before, removed, added) + 1,
+    )
+
+
+def _dropped_up_edge(monkeypatch):
+    masked_state = dynamics.masked_state
+
+    def dropping(edge_sequence, endpoints, up_edges, *rest):
+        return masked_state(edge_sequence, endpoints, up_edges[1:], *rest)
+
+    monkeypatch.setattr(dynamics, "masked_state", dropping)
+
+
+def _extra_draw(monkeypatch):
+    uniform_draws = dynamics.uniform_draws
+    monkeypatch.setattr(
+        dynamics,
+        "uniform_draws",
+        lambda rng, count: uniform_draws(rng, count + 1)[:count],
+    )
+
+
+def _negated_verdict(monkeypatch):
+    verdict = ArrayEngine._vectorized_converged
+    monkeypatch.setattr(
+        ArrayEngine, "_vectorized_converged", lambda self: not verdict(self)
+    )
+
+
+#: mutation -> (seeds it, fragment of the SimulationError cross_check raises)
+MUTATIONS = {
+    "fold-off-by-one": (_off_by_one_fold, "objective diverged"),
+    "churn-drops-an-up-edge": (_dropped_up_edge, "transition diverged"),
+    "churn-extra-draw": (_extra_draw, "run RNG"),
+    "negated-convergence-verdict": (_negated_verdict, "verdict diverged"),
+}
+
+
+@needs_numpy
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_cross_check_catches_seeded_mutations(monkeypatch, mutation):
+    seed_mutation, fragment = MUTATIONS[mutation]
+    seed_mutation(monkeypatch)
+    engine = _build(ArrayEngine, "minimum", cross_check=True)
+    with pytest.raises(SimulationError, match=fragment):
+        engine.run(max_rounds=80)

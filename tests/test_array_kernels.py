@@ -239,15 +239,17 @@ def test_exact_int64_sum(values):
 
 def test_fast_fold_keeps_the_lower_bound_check():
     # The array-form delta goes through the same lower-bound guard as
-    # objective_delta: an objective pushed below its bound still raises.
-    engine = ArrayEngine(
-        minimum_algorithm(),
-        StaticEnvironment(complete_graph(4)),
-        initial_values=[4, 3, 2, 1],
-        seed=0,
-    )
-    assert engine._fast_fold
-    engine.initial_snapshot()
-    engine._state.objective_value = 0
-    with pytest.raises(SpecificationError, match="below its declared lower bound"):
-        next(engine.steps())
+    # objective_delta: an objective pushed below its bound still raises,
+    # with and without the cross-check.
+    for cross_check in (False, True):
+        engine = ArrayEngine(
+            minimum_algorithm(),
+            StaticEnvironment(complete_graph(4)),
+            initial_values=[4, 3, 2, 1],
+            seed=0,
+            cross_check=cross_check,
+        )
+        engine.initial_snapshot()
+        engine._state.objective_value = 0
+        with pytest.raises(SpecificationError, match="below its declared lower bound"):
+            next(engine.steps())

@@ -21,7 +21,10 @@ from repro.environment import (
     TargetedCrashAdversary,
     complete_graph,
     line_graph,
+    random_graph,
     ring_graph,
+    star_graph,
+    tree_graph,
 )
 from repro.environment import dynamics
 
@@ -260,6 +263,85 @@ def test_uniform_draws_is_the_random_stream(seed, count, pending_gauss):
     assert batch_rng.getstate() == loop_rng.getstate()
     # The pending gauss value survives the round trip.
     assert batch_rng.gauss(0.0, 1.0) == loop_rng.gauss(0.0, 1.0)
+
+
+#: Topologies for the churn array-transition property, by name.
+CHURN_TOPOLOGIES = {
+    "ring": ring_graph,
+    "line": line_graph,
+    "star": star_graph,
+    "tree": tree_graph,
+    "complete": complete_graph,
+    "random": lambda n: random_graph(n, 0.3, seed=n),
+}
+
+#: Probabilities with the 0.0 and 1.0 edge cases drawn often.
+probabilities = st.one_of(
+    st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)
+)
+
+
+@needs_numpy
+@given(
+    topology=st.sampled_from(sorted(CHURN_TOPOLOGIES)),
+    num_agents=st.integers(min_value=1, max_value=40),
+    edge_up=probabilities,
+    agent_up=probabilities,
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_churn_array_transition_is_advance(
+    topology, num_agents, edge_up, agent_up, seed
+):
+    # Three consecutive rounds through the array transition and through the
+    # public advance loop: same enabled set, same available edges (both in
+    # the same iteration order), the effective edges as (u, v) arrays, and
+    # the same RNG state after every round.
+    graph = CHURN_TOPOLOGIES[topology](num_agents)
+    transition = RandomChurnEnvironment(graph, edge_up, agent_up).array_transition()
+    loop = RandomChurnEnvironment(graph, edge_up, agent_up)
+    array_rng = random.Random(seed)
+    loop_rng = random.Random(seed)
+    for round_index in range(3):
+        state = transition(round_index, array_rng)
+        expected = loop.advance(round_index, loop_rng)
+        assert state.enabled_count == len(expected.enabled_agents)
+        u, v = state.effective_edge_arrays
+        pairs = list(zip(u.tolist(), v.tolist()))
+        assert len(pairs) == len(expected.effective_edges())
+        assert set(pairs) == expected.effective_edges()
+        assert state == expected
+        assert list(state.enabled_agents) == list(expected.enabled_agents)
+        assert list(state.available_edges) == list(expected.available_edges)
+        assert array_rng.getstate() == loop_rng.getstate()
+
+
+@pytest.mark.parametrize("method", ["advance", "_advance"])
+def test_churn_subclass_overriding_the_transition_loses_the_array_form(method):
+    # The array form reproduces RandomChurnEnvironment's own transition;
+    # a subclass that overrides it, even by plain delegation, must be
+    # advanced through its own advance.
+    def delegate(self, *args):
+        return getattr(super(Overriding, self), method)(*args)
+
+    Overriding = type("Overriding", (RandomChurnEnvironment,), {method: delegate})
+    assert Overriding(ring_graph(6)).array_transition() is None
+    state = Overriding(ring_graph(6), 0.5, 0.5).advance(0, random.Random(3))
+    assert state == RandomChurnEnvironment(ring_graph(6), 0.5, 0.5).advance(
+        0, random.Random(3)
+    )
+
+
+def test_array_transition_needs_numpy_and_the_churn_dynamics(monkeypatch):
+    class Plain(RandomChurnEnvironment):
+        pass
+
+    has_numpy = dynamics._numpy is not None
+    assert (Plain(ring_graph(6)).array_transition() is not None) == has_numpy
+    assert MarkovChurnEnvironment(ring_graph(6)).array_transition() is None
+    assert StaticEnvironment(ring_graph(6)).array_transition() is None
+    monkeypatch.setattr(dynamics, "_numpy", None)
+    assert RandomChurnEnvironment(ring_graph(6)).array_transition() is None
 
 
 class TestPeriodicDutyCycle:
