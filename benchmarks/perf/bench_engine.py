@@ -10,8 +10,7 @@ while the collective state stays large.
 * **Throughput**: for each n the harness executes a fixed number of rounds
   through ``Simulator.steps()`` twice, once with the incremental engine
   (the default) and once in the full-recompute reference mode
-  (``incremental=False, incremental_environment=False``), and reports
-  rounds/sec plus the speedup.
+  (``incremental=False``), and reports rounds/sec plus the speedup.
 * **Scheduler/environment diversity**: additional named workloads cover
   random-pair gossip at n=10k (a scheduler that never touches
   components), a periodic duty cycle at n=10k (pure agent-toggle deltas)
@@ -121,7 +120,6 @@ def build_simulator(num_agents: int, incremental: bool = True) -> Simulator:
         seed=SEED,
         record_trace=False,
         incremental=incremental,
-        incremental_environment=incremental,
     )
 
 
@@ -137,7 +135,6 @@ def build_random_pair(num_agents: int, incremental: bool = True) -> Simulator:
         seed=SEED,
         record_trace=False,
         incremental=incremental,
-        incremental_environment=incremental,
     )
 
 
@@ -152,7 +149,6 @@ def build_duty_cycle(num_agents: int, incremental: bool = True) -> Simulator:
         seed=SEED,
         record_trace=False,
         incremental=incremental,
-        incremental_environment=incremental,
     )
 
 
@@ -175,7 +171,6 @@ def build_dense_markov(num_agents: int, incremental: bool = True) -> Simulator:
         seed=SEED,
         record_trace=False,
         incremental=incremental,
-        incremental_environment=incremental,
     )
 
 

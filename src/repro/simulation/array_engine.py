@@ -495,16 +495,6 @@ class ArrayEngine:
         """(Re)build the flat ``int64`` state array from a list of agent states."""
         self._states = _numpy.array(states, dtype=_numpy.int64)
 
-    # -- the explicit run state (see RoundState) --------------------------------
-
-    @property
-    def _rng(self) -> random.Random:
-        return self._state.rng
-
-    @property
-    def _round_index(self) -> int:
-        return self._state.round_index
-
     # -- state access ------------------------------------------------------------
 
     def current_states(self) -> list:
@@ -527,7 +517,7 @@ class ArrayEngine:
     @property
     def round_index(self) -> int:
         """Index of the next round :meth:`steps` will execute."""
-        return self._round_index
+        return self._state.round_index
 
     def has_converged(self) -> bool:
         """Return True when the agents are currently at ``S*``."""
@@ -613,11 +603,12 @@ class ArrayEngine:
         ``cross_check`` the public advance also runs, on a copy of the
         run RNG, as the array transition's oracle.
         """
+        rng = self._state.rng
         if self._array_advance is None:
-            return self.environment.advance(round_index, self._rng)
+            return self.environment.advance(round_index, rng)
         if self.cross_check:
-            return self._checked_array_advance(round_index)
-        return self._array_advance(round_index, self._rng)
+            return self._checked_array_advance(round_index, rng)
+        return self._array_advance(round_index, rng)
 
     def _labelled_components(self, environment_state: EnvironmentState):
         """The maximal partition as ``(ids, labels, enabled_count)``.
@@ -664,7 +655,7 @@ class ArrayEngine:
                 )
             singletons = enabled_count - ids.shape[0]
         else:
-            scheduled = self.scheduler.schedule(environment_state, self._rng)
+            scheduled = self.scheduler.schedule(environment_state, self._state.rng)
             _validate_partition(scheduled, self.environment.num_agents)
             groups = [group.members for group in scheduled if len(group.members) >= 2]
             singletons = sum(1 for group in scheduled if len(group.members) == 1)
@@ -853,13 +844,15 @@ class ArrayEngine:
                     f"{after!r}, step rule produced {expected!r}"
                 )
 
-    def _checked_array_advance(self, round_index: int) -> EnvironmentState:
+    def _checked_array_advance(
+        self, round_index: int, rng: random.Random
+    ) -> EnvironmentState:
         """Debug cross-check: the array transition's state, enabled count,
         effective edges and RNG state == those of the public advance, run
         on a copy of the run RNG (and of the environment)."""
-        oracle_rng = copy.copy(self._rng)
+        oracle_rng = copy.copy(rng)
         expected = copy.copy(self.environment).advance(round_index, oracle_rng)
-        state = self._array_advance(round_index, self._rng)
+        state = self._array_advance(round_index, rng)
         u, v = state.effective_edge_arrays
         pairs = sorted(zip(u.tolist(), v.tolist()))
         name = type(self.environment).__name__
@@ -873,7 +866,7 @@ class ArrayEngine:
                 f"at round {round_index}: {state!r} (effective edges "
                 f"{pairs!r}) vs {expected!r}"
             )
-        if self._rng.getstate() != oracle_rng.getstate():
+        if rng.getstate() != oracle_rng.getstate():
             raise SimulationError(
                 "array environment transition left the run RNG in a "
                 f"different state from {name}.advance at round {round_index}"
@@ -906,10 +899,11 @@ class ArrayEngine:
         Same contract as the reference engine: lazy, resumable, no loose
         state when abandoned.
         """
+        state = self._state
         executed = 0
         while max_rounds is None or executed < max_rounds:
-            record = self._execute_round(self._round_index)
-            self._state.round_index += 1
+            record = self._execute_round(state.round_index)
+            state.round_index += 1
             executed += 1
             yield record
 

@@ -28,18 +28,21 @@ position, so resuming is just pulling the next record.
 policy and the probe pipeline for every execution backend and accumulates
 the classic :class:`SimulationResult`.
 
-Round bookkeeping is *incremental* by default: instead of rebuilding the
-agent-state multiset and recomputing the objective ``h`` from scratch
-every round, the engine folds each round's ``(removed, added)`` state
-delta into a maintained :class:`MutableMultiset`, updates ``h`` in
-O(|delta|) for objectives that support exact increments, and compares
-against the target via an O(1) content fingerprint.  A round in which two
-agents moved therefore costs O(2) bookkeeping, not O(n) — matching the
-paper's "speed up or slow down depending on the resources available"
-story.  Results are byte-identical to full recomputation (enforced by the
-parity test suite); ``incremental=False`` selects the full-recompute
-reference mode and ``cross_check=True`` validates the maintained state
-against it every round.
+Bookkeeping is *incremental* by default, in both layers.  Instead of
+rebuilding the agent-state multiset and recomputing the objective ``h``
+from scratch every round, the engine folds each round's ``(removed,
+added)`` state delta into a maintained :class:`MutableMultiset`, updates
+``h`` in O(|delta|) for objectives that support exact increments, and
+compares against the target via an O(1) content fingerprint.  The
+environment layer is maintained from the per-round environment delta the
+same way: a :class:`ConnectivityTracker` keeps the communication groups,
+and quiet rounds adopt the previous state's memoized views.  A round in
+which two agents moved therefore costs O(2) bookkeeping, not O(n) —
+matching the paper's "speed up or slow down depending on the resources
+available" story.  ``incremental=False`` selects the from-scratch
+reference mode for both layers, the oracle the parity test suite compares
+the default against byte for byte; ``cross_check=True`` validates the
+maintained state against a full recomputation every round.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from ..agents.group import Group
 from ..agents.scheduler import MaximalGroupsScheduler, Scheduler
 from ..core.algorithm import SelfSimilarAlgorithm
 from ..core.errors import SimulationError
-from ..core.multiset import Multiset, MutableMultiset
+from ..core.multiset import Multiset
 from ..core.relation import STUTTER_JUDGEMENT, StepJudgement, StepKind
 from ..environment.base import Environment, EnvironmentState, connected_component_tuples
 from ..environment.connectivity import ConnectivityTracker
@@ -103,38 +106,37 @@ class Simulator:
         When False, only the latest state is kept; long benchmark runs use
         this to keep memory flat.
     incremental:
-        When True (default), the simulator maintains the round multiset
-        and the objective value incrementally: each round folds the
-        ``(removed, added)`` state delta reported by the executed group
-        steps into a :class:`MutableMultiset`, updates the objective in
-        O(|delta|) for objectives that support exact deltas, and checks
-        convergence against the target via an O(1) content fingerprint.
-        Results are byte-identical to full recomputation.  When False, the
-        simulator recomputes everything from the agent states every round
-        — the reference behaviour the incremental path is measured and
-        cross-checked against.  Note: the incremental path assumes agent
-        states change only through executed group steps; code that mutates
-        ``Agent.state`` directly between rounds must use
+        The engine's single mode switch.  When True (default), the
+        simulator maintains both layers of the round incrementally.  The
+        round state: each round folds the ``(removed, added)`` state delta
+        reported by the executed group steps into a
+        :class:`MutableMultiset`, updates the objective in O(|delta|) for
+        objectives that support exact deltas, checks convergence against
+        the target via an O(1) content fingerprint, and skips the step
+        rule for lone agents of algorithms that declare
+        ``singleton_stutters``.  The environment layer, when the
+        environment reports per-round deltas
+        (:attr:`Environment.reports_deltas`): the communication groups are
+        maintained by a
+        :class:`~repro.environment.connectivity.ConnectivityTracker` (when
+        the scheduler consumes components), and quiet rounds adopt the
+        previous state's memoized views.  When False, every round
+        recomputes both layers from scratch — plain ``advance``, the
+        component walk, a freshly built multiset and objective — the
+        reference behaviour the incremental path is measured and
+        cross-checked against.  The random draws and the results are
+        byte-identical either way.  Note: the incremental path assumes
+        agent states change only through executed group steps; code that
+        mutates ``Agent.state`` directly between rounds must use
         ``incremental=False`` (or will be caught by ``cross_check``).
-    incremental_environment:
-        When True (default), and the environment reports per-round deltas
-        (:attr:`Environment.reports_deltas`), the simulator maintains the
-        communication groups incrementally across rounds with a
-        :class:`~repro.environment.connectivity.ConnectivityTracker`
-        (when the scheduler consumes components) and propagates memoized
-        environment views across unchanged rounds.  The environment's
-        random draws and the produced states are identical either way —
-        this flag only selects how connectivity is computed.  When False,
-        every round recomputes the components from scratch: the reference
-        mode the incremental environment layer is measured and
-        cross-checked against, mirroring ``incremental=False``.
     cross_check:
-        Debug flag.  When True (and ``incremental``), every round the
+        Debug flag for the incremental path.  When True, every round the
         maintained multiset, fingerprint and objective are verified
-        against a full recomputation from the agent states — and, when
-        the environment layer is incremental, the maintained communication
-        groups against a from-scratch component walk — raising
-        :class:`SimulationError` on any divergence.
+        against a full recomputation from the agent states — and the
+        maintained communication groups against a from-scratch component
+        walk — raising :class:`SimulationError` on any divergence.  With
+        ``incremental=False`` there is no maintained state to verify, so
+        the combination is refused at construction.
     """
 
     def __init__(
@@ -146,9 +148,14 @@ class Simulator:
         seed: int | None = None,
         record_trace: bool = True,
         incremental: bool = True,
-        incremental_environment: bool = True,
         cross_check: bool = False,
     ):
+        if cross_check and not incremental:
+            raise SimulationError(
+                "cross_check verifies the incremental path against a full "
+                "recomputation; with incremental=False every round already "
+                "recomputes from scratch, so there is nothing to check"
+            )
         if len(initial_values) != environment.num_agents:
             raise SimulationError(
                 f"{len(initial_values)} initial values supplied for "
@@ -164,7 +171,6 @@ class Simulator:
         self.seed = seed
         self.record_trace = record_trace
         self.incremental = incremental
-        self.incremental_environment = incremental_environment
         self.cross_check = cross_check
         self.initial_values = list(initial_values)
 
@@ -172,9 +178,7 @@ class Simulator:
         # deltas can be tracked, and the tracker itself is only worth its
         # per-round upkeep when the scheduler consumes communication
         # groups (pairwise gossip, for one, never looks at components).
-        self._use_environment_delta = (
-            incremental_environment and environment.reports_deltas
-        )
+        self._use_environment_delta = incremental and environment.reports_deltas
         self._tracker: ConnectivityTracker | None = None
         if self._use_environment_delta and getattr(
             self.scheduler, "uses_communication_groups", False
@@ -200,47 +204,6 @@ class Simulator:
         # building a simulator never evaluates it.)
         self._state = RoundState(seed, self._initial_multiset)
 
-    # -- the explicit run state (see RoundState) -------------------------------
-    # Attribute-style access is kept so call sites (and the parity test
-    # suite's references) read naturally; the state object is the single
-    # owner.
-
-    @property
-    def _rng(self) -> random.Random:
-        return self._state.rng
-
-    @_rng.setter
-    def _rng(self, value: random.Random) -> None:
-        self._state.rng = value
-
-    @property
-    def _round_index(self) -> int:
-        return self._state.round_index
-
-    @_round_index.setter
-    def _round_index(self, value: int) -> None:
-        self._state.round_index = value
-
-    @property
-    def _maintained(self) -> MutableMultiset:
-        return self._state.maintained
-
-    @_maintained.setter
-    def _maintained(self, value: MutableMultiset) -> None:
-        self._state.maintained = value
-
-    @property
-    def _objective_value(self) -> float | None:
-        return self._state.objective_value
-
-    @_objective_value.setter
-    def _objective_value(self, value: float | None) -> None:
-        self._state.objective_value = value
-
-    @property
-    def _stutter_tuples(self) -> dict[int, tuple[StepJudgement, ...]]:
-        return self._state.stutter_tuples
-
     # -- state access ----------------------------------------------------------
 
     def current_states(self) -> list:
@@ -259,7 +222,7 @@ class Simulator:
     @property
     def round_index(self) -> int:
         """Index of the next round :meth:`steps` will execute."""
-        return self._round_index
+        return self._state.round_index
 
     def has_converged(self) -> bool:
         """Return True when the agents are currently at ``S*``."""
@@ -359,10 +322,11 @@ class Simulator:
         edges) are maintained from the reported delta or recomputed
         lazily from scratch.
         """
+        rng = self._state.rng
         if not self._use_environment_delta:
-            return self.environment.advance(round_index, self._rng)
+            return self.environment.advance(round_index, rng)
         environment_state, delta = self.environment.advance_with_delta(
-            round_index, self._rng
+            round_index, rng
         )
         if self._tracker is not None:
             self._tracker.observe(environment_state, delta)
@@ -385,7 +349,8 @@ class Simulator:
         the pre-incremental engine did.
         """
         environment_state = self._advance_environment(round_index)
-        scheduled = self.scheduler.schedule(environment_state, self._rng)
+        rng = self._state.rng
+        scheduled = self.scheduler.schedule(environment_state, rng)
 
         incremental = self.incremental
         # Singleton groups dominate sparse rounds; when the algorithm
@@ -413,7 +378,6 @@ class Simulator:
 
         agents = self.agents
         algorithm = self.algorithm
-        rng = self._rng
         groups: list[Group] = []
         judgements: list[StepJudgement] = []
         removed: list = []
@@ -453,8 +417,8 @@ class Simulator:
             # objective value — it describes the pre-round bag and will
             # be recomputed lazily if the caller resumes.
             if incremental and (removed or added):
-                self._maintained.apply_delta(removed, added)
-                self._objective_value = None
+                self._state.maintained.apply_delta(removed, added)
+                self._state.objective_value = None
             raise
 
         if incremental:
@@ -492,7 +456,7 @@ class Simulator:
         """
         agents = self.agents
         apply_group_step = self.algorithm.apply_group_step
-        rng = self._rng
+        rng = self._state.rng
         stutter = STUTTER_JUDGEMENT
         improvement = StepKind.IMPROVEMENT
         judgements: list[StepJudgement] | None = None
@@ -521,8 +485,8 @@ class Simulator:
             # installed their states, so fold what was applied before
             # re-raising (see :meth:`_execute_round`).
             if removed or added:
-                self._maintained.apply_delta(removed, added)
-                self._objective_value = None
+                self._state.maintained.apply_delta(removed, added)
+                self._state.objective_value = None
             raise
 
         multiset, objective, converged = self._fold_round(removed, added, clean)
@@ -545,11 +509,12 @@ class Simulator:
 
     def _stutter_judgements(self, size: int) -> tuple[StepJudgement, ...]:
         """A shared all-stutter judgements tuple of the given length."""
-        cached = self._stutter_tuples.get(size)
+        stutter_tuples = self._state.stutter_tuples
+        cached = stutter_tuples.get(size)
         if cached is None:
             cached = (STUTTER_JUDGEMENT,) * size
-            if len(self._stutter_tuples) < 64:
-                self._stutter_tuples[size] = cached
+            if len(stutter_tuples) < 64:
+                stutter_tuples[size] = cached
         return cached
 
     def _verify_maintained_components(
@@ -622,17 +587,18 @@ class Simulator:
         drift (e.g. external ``Agent.state`` mutation).
         """
         full = self.current_multiset()
-        maintained = self._maintained.snapshot()
-        if full != maintained or full != multiset:
+        maintained = self._state.maintained
+        snapshot = maintained.snapshot()
+        if full != snapshot or full != multiset:
             raise SimulationError(
                 "incremental multiset diverged from the agent states "
                 "(were agent states mutated outside a group step?): "
-                f"maintained {maintained!r} vs actual {full!r}"
+                f"maintained {snapshot!r} vs actual {full!r}"
             )
-        if full.fingerprint() != self._maintained.fingerprint():
+        if full.fingerprint() != maintained.fingerprint():
             raise SimulationError(
                 "incremental fingerprint diverged from recomputed fingerprint "
-                f"({self._maintained.fingerprint():#x} vs {full.fingerprint():#x})"
+                f"({maintained.fingerprint():#x} vs {full.fingerprint():#x})"
             )
         full_objective = self.algorithm.objective(full)
         if full_objective != objective:
@@ -658,10 +624,11 @@ class Simulator:
         re-executes the same round index as a fresh round from the current
         RNG state.
         """
+        state = self._state
         executed = 0
         while max_rounds is None or executed < max_rounds:
-            record = self._execute_round(self._round_index)
-            self._round_index += 1
+            record = self._execute_round(state.round_index)
+            state.round_index += 1
             executed += 1
             yield record
 
@@ -675,10 +642,11 @@ class Simulator:
         first round starts from a known ``h`` instead of recomputing.
         """
         if self.incremental:
-            initial_multiset = self._maintained.snapshot()
-            if self._objective_value is None:
-                self._objective_value = self.algorithm.objective(initial_multiset)
-            return initial_multiset, self._objective_value
+            state = self._state
+            initial_multiset = state.maintained.snapshot()
+            if state.objective_value is None:
+                state.objective_value = self.algorithm.objective(initial_multiset)
+            return initial_multiset, state.objective_value
         initial_multiset = self.current_multiset()
         return initial_multiset, self.algorithm.objective(initial_multiset)
 

@@ -40,7 +40,8 @@ delivered merge's ``(old, new)`` state delta in O(1), the objective is
 updated from the same delta when it supports exact increments, and
 convergence is checked against the target via an O(1) content fingerprint
 — instead of rebuilding multisets per delivered message and three more per
-round.
+round.  Quiet rounds of a delta-reporting environment adopt the previous
+state's memoized effective-edge view.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from typing import Any, Callable, Hashable, Iterator, Sequence
 
 from ..agents.group import Group
 from ..core.errors import SimulationError
-from ..core.multiset import Multiset, MutableMultiset
+from ..core.multiset import Multiset
 from ..core.algorithm import SelfSimilarAlgorithm
 from ..core.relation import StepJudgement, StepKind
 from ..environment.base import Environment, EnvironmentState
@@ -85,6 +86,12 @@ _MERGE_JUDGEMENT = StepJudgement(kind=StepKind.IMPROVEMENT)
 class MergeMessagePassingSimulator:
     """Asynchronous (one-sided) execution of a merge-style algorithm.
 
+    The runtime has one mode.  When the environment reports per-round
+    deltas, rounds whose delta is empty reuse the previous state's
+    memoized effective-edge view instead of re-filtering the edge set;
+    the random stream and all results are identical to a from-scratch
+    filter, which the parity suite's legacy send/deliver loop pins.
+
     Parameters
     ----------
     algorithm:
@@ -105,13 +112,6 @@ class MergeMessagePassingSimulator:
         Seed for reproducibility.  When None, an explicit seed is drawn
         once and recorded as :attr:`seed` (and in the result metadata), so
         every run — including "unseeded" ones — is reproducible.
-    incremental_environment:
-        When True (default) and the environment reports per-round deltas,
-        rounds whose delta is empty reuse the previous state's memoized
-        effective-edge view instead of re-filtering the edge set.  The
-        random stream and all results are identical either way; False
-        selects the from-scratch reference mode, mirroring the
-        synchronous engine's flag.
     """
 
     #: One-sided merges are pair steps by construction: the result's
@@ -127,7 +127,6 @@ class MergeMessagePassingSimulator:
         initial_values: Sequence[Any],
         loss_probability: float = 0.0,
         seed: int | None = None,
-        incremental_environment: bool = True,
     ):
         if len(initial_values) != environment.num_agents:
             raise SimulationError(
@@ -145,10 +144,6 @@ class MergeMessagePassingSimulator:
         self.environment = environment
         self.loss_probability = loss_probability
         self.seed = seed
-        self.incremental_environment = incremental_environment
-        self._use_environment_delta = (
-            incremental_environment and environment.reports_deltas
-        )
         self._previous_environment_state: EnvironmentState | None = None
         self.states: list[Hashable] = algorithm.initial_states(list(initial_values))
         self._initial_states = list(self.states)
@@ -189,36 +184,6 @@ class MergeMessagePassingSimulator:
         self._pair_groups: dict[tuple[int, int], Group] = {}
         self._pair_group_cap = 65536
 
-    # -- the explicit run state (see RoundState) --------------------------------
-
-    @property
-    def _rng(self) -> random.Random:
-        return self._state.rng
-
-    @_rng.setter
-    def _rng(self, value: random.Random) -> None:
-        self._state.rng = value
-
-    @property
-    def _round_index(self) -> int:
-        return self._state.round_index
-
-    @_round_index.setter
-    def _round_index(self, value: int) -> None:
-        self._state.round_index = value
-
-    @property
-    def _maintained(self) -> MutableMultiset:
-        return self._state.maintained
-
-    @property
-    def _objective_value(self) -> float | None:
-        return self._state.objective_value
-
-    @_objective_value.setter
-    def _objective_value(self, value: float | None) -> None:
-        self._state.objective_value = value
-
     # -- the Engine protocol ----------------------------------------------------
 
     @property
@@ -229,7 +194,7 @@ class MergeMessagePassingSimulator:
     @property
     def round_index(self) -> int:
         """Index of the next round :meth:`steps` will execute."""
-        return self._round_index
+        return self._state.round_index
 
     def current_states(self) -> list:
         """Return the current agent states, indexed by agent id."""
@@ -249,10 +214,11 @@ class MergeMessagePassingSimulator:
 
     def initial_snapshot(self) -> tuple[Multiset, float]:
         """The pre-run ``(multiset, objective)`` pair (Engine protocol)."""
-        snapshot = self._maintained.snapshot()
-        if self._objective_value is None:
-            self._objective_value = self.algorithm.objective(snapshot)
-        return snapshot, self._objective_value
+        state = self._state
+        snapshot = state.maintained.snapshot()
+        if state.objective_value is None:
+            state.objective_value = self.algorithm.objective(snapshot)
+        return snapshot, state.objective_value
 
     def trace_complete(self, converged: bool, stopped_by_callback: bool) -> bool:
         """An idempotent merge at ``S*`` can only stutter, so a converged,
@@ -349,10 +315,11 @@ class MergeMessagePassingSimulator:
         same frozenset object (identical iteration order, identical
         random stream).
         """
-        if not self._use_environment_delta:
-            return self.environment.advance(round_index, self._rng)
+        rng = self._state.rng
+        if not self.environment.reports_deltas:
+            return self.environment.advance(round_index, rng)
         environment_state, delta = self.environment.advance_with_delta(
-            round_index, self._rng
+            round_index, rng
         )
         if delta is not None and delta.is_empty:
             previous = self._previous_environment_state
@@ -370,11 +337,13 @@ class MergeMessagePassingSimulator:
         updated from the same delta when exact increments are available,
         and convergence is a fingerprint comparison.
         """
-        if self._objective_value is None:
-            self._objective_value = self.algorithm.objective(
-                self._maintained.snapshot()
-            )
+        state = self._state
+        maintained = state.maintained
+        if state.objective_value is None:
+            state.objective_value = self.algorithm.objective(maintained.snapshot())
         environment_state = self._advance_environment(round_index)
+        random_draw = state.rng.random
+        loss_probability = self.loss_probability
         states = self.states
         enforce = self.algorithm.enforce
         conserves = self.algorithm.function.conserves
@@ -390,7 +359,7 @@ class MergeMessagePassingSimulator:
         for a, b in environment_state.effective_edges():
             for sender, receiver in ((a, b), (b, a)):
                 self.messages_sent += 1
-                if self._rng.random() < self.loss_probability:
+                if random_draw() < loss_probability:
                     continue
                 self.messages_delivered += 1
                 inboxes[receiver].append((sender, states[sender]))
@@ -440,28 +409,28 @@ class MergeMessagePassingSimulator:
             # describes the pre-round bag and is recomputed lazily if the
             # caller resumes or queries has_converged().
             if removed or added:
-                self._maintained.apply_delta(removed, added)
-                self._objective_value = None
+                maintained.apply_delta(removed, added)
+                state.objective_value = None
             raise
 
         if removed or added:
-            self._maintained.apply_delta(removed, added)
-        multiset = self._maintained.snapshot()
+            maintained.apply_delta(removed, added)
+        multiset = maintained.snapshot()
         if self._supports_delta:
             objective = self.algorithm.objective_delta(
-                self._objective_value, multiset, removed, added
+                state.objective_value, multiset, removed, added
             )
         else:
             # Order-sensitive float objectives (hull): recompute on a
             # freshly built multiset so values match the historic,
             # full-recompute behaviour bit for bit.
             objective = self.algorithm.objective(Multiset(states))
-        self._objective_value = objective
+        state.objective_value = objective
         return RoundRecord(
             round_index=round_index,
             multiset=multiset,
             objective=objective,
-            converged=self._maintained.matches(self._target),
+            converged=maintained.matches(self._target),
             groups=tuple(groups),
             judgements=tuple(judgements),
         )
@@ -483,10 +452,11 @@ class MergeMessagePassingSimulator:
         counters are not rolled back: pulling the stream again re-executes
         the same round index as a fresh round from the current RNG state.
         """
+        state = self._state
         executed = 0
         while max_rounds is None or executed < max_rounds:
-            record = self._execute_round(self._round_index)
-            self._round_index += 1
+            record = self._execute_round(state.round_index)
+            state.round_index += 1
             executed += 1
             yield record
 

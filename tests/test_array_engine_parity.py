@@ -800,7 +800,7 @@ class TestVectorizedFastPaths:
         for _ in range(6):
             next(fast_stream)
             next(slow_stream)
-            assert fast._rng.getstate() == slow._rng.getstate()
+            assert fast._state.rng.getstate() == slow._state.rng.getstate()
 
     def test_labelling_serves_environments_without_vectorized_draws(
         self, monkeypatch

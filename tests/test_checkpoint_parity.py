@@ -122,17 +122,11 @@ def test_resume_parity_at_every_round(case):
 
 
 @pytest.mark.parametrize("incremental", [True, False])
-@pytest.mark.parametrize("incremental_environment", [True, False])
-def test_resume_parity_across_engine_modes(incremental, incremental_environment):
-    # The guarantee holds in the reference modes too, not just the
-    # incremental default (the existing 4-combo incremental parity matrix
-    # is untouched; this pins checkpointing orthogonally onto it).
+def test_resume_parity_across_engine_modes(incremental):
+    # The guarantee holds in the from-scratch reference mode too, not
+    # just the incremental default.
     build = lambda: _build_case_simulator(  # noqa: E731
-        "sum",
-        "maximal",
-        seed=5,
-        incremental=incremental,
-        incremental_environment=incremental_environment,
+        "sum", "maximal", seed=5, incremental=incremental
     )
     _assert_resume_parity(build, every=5, max_rounds=60)
 

@@ -15,8 +15,9 @@ environment family, over long runs of churn,
 * component/group identity is reused across quiet rounds (the allocation
   contract behind the scheduler's group interning).
 
-The engine-level byte-parity of ``incremental_environment`` modes is
-pinned separately (:mod:`tests.test_incremental_parity`).
+The engine-level byte-parity of the incremental engine against its
+from-scratch reference (``incremental=False``) is pinned separately
+(:mod:`tests.test_incremental_parity`).
 """
 
 from __future__ import annotations

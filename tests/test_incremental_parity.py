@@ -129,73 +129,45 @@ def _assert_identical(incremental, full):
     assert incremental.metadata == full.metadata
 
 
+@pytest.mark.parametrize("seed", [7, 13])
 @pytest.mark.parametrize("scheduler_name", sorted(SCHEDULERS))
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_incremental_matches_full_recompute(case, scheduler_name):
+def test_incremental_matches_full_recompute(case, scheduler_name, seed):
     # Fully incremental engine (round state + environment layer) vs the
     # fully from-scratch reference: two independent code paths, one
     # byte-identical result.
-    incremental = _run(case, scheduler_name, seed=7, incremental=True)
-    full = _run(
-        case,
-        scheduler_name,
-        seed=7,
-        incremental=False,
-        incremental_environment=False,
-    )
+    incremental = _run(case, scheduler_name, seed=seed, incremental=True)
+    full = _run(case, scheduler_name, seed=seed, incremental=False)
     _assert_identical(incremental, full)
-
-
-@pytest.mark.parametrize("case", ["minimum", "sorting", "sum", "hull"])
-@pytest.mark.parametrize("scheduler_name", sorted(SCHEDULERS))
-def test_environment_mode_parity_matrix(case, scheduler_name):
-    # The incremental-environment flag must be independent of the
-    # incremental-round-state flag: all four combinations are
-    # byte-identical.
-    reference = _run(
-        case,
-        scheduler_name,
-        seed=13,
-        incremental=False,
-        incremental_environment=False,
-    )
-    for incremental in (True, False):
-        for incremental_environment in (True, False):
-            result = _run(
-                case,
-                scheduler_name,
-                seed=13,
-                incremental=incremental,
-                incremental_environment=incremental_environment,
-            )
-            _assert_identical(result, reference)
 
 
 @pytest.mark.parametrize("case", ["minimum", "block-sorting", "average"])
 def test_cross_check_covers_maintained_components(case):
-    # cross_check with the incremental environment verifies the maintained
+    # cross_check on the incremental path verifies the maintained
     # communication groups against a from-scratch walk every round.
-    checked = _run(
-        case,
-        "maximal",
-        seed=19,
-        incremental=True,
-        incremental_environment=True,
-        cross_check=True,
-    )
-    reference = _run(
-        case,
-        "maximal",
-        seed=19,
-        incremental=False,
-        incremental_environment=False,
-    )
+    checked = _run(case, "maximal", seed=19, incremental=True, cross_check=True)
+    reference = _run(case, "maximal", seed=19, incremental=False)
     _assert_identical(checked, reference)
 
 
+def test_cross_check_refuses_the_from_scratch_mode():
+    # With incremental=False nothing is maintained, so cross_check would
+    # silently verify nothing; the combination is refused up front.
+    with pytest.raises(SimulationError, match="incremental path"):
+        Simulator(
+            minimum_algorithm(),
+            StaticEnvironment(ring_graph(4)),
+            initial_values=[4, 3, 2, 1],
+            seed=0,
+            incremental=False,
+            cross_check=True,
+        )
+
+
 def test_environment_parity_across_environment_families():
-    # The incremental environment layer must be byte-identical for every
-    # delta-reporting environment family, not just churn.
+    # The incremental engine (both layers) must be byte-identical to the
+    # from-scratch reference for every delta-reporting environment
+    # family, not just churn.
     from repro.environment.adversary import (
         BlackoutAdversary,
         EdgeBudgetAdversary,
@@ -236,13 +208,13 @@ def test_environment_parity_across_environment_families():
         "edge-budget": lambda: EdgeBudgetAdversary(ring_graph(8), budget=2),
     }
     for name, build in environments.items():
-        def run(incremental_environment):
+        def run(incremental):
             return Simulator(
                 minimum_algorithm(),
                 build(),
                 initial_values=[9, 4, 7, 1, 8, 3, 6, 2],
                 seed=23,
-                incremental_environment=incremental_environment,
+                incremental=incremental,
             ).run(max_rounds=120)
         _assert_identical(run(True), run(False))
 
@@ -371,7 +343,7 @@ def test_mid_round_enforcement_error_keeps_maintained_state_in_sync():
         next(stream)
     # Group (0, 1) installed [3, 3] before group (2, 3) raised.
     assert simulator.current_states() == [3, 3, 7, 99]
-    assert simulator._maintained.snapshot() == Multiset([3, 3, 7, 99])
+    assert simulator._state.maintained.snapshot() == Multiset([3, 3, 7, 99])
 
     # Resuming must execute cleanly and pass the per-round cross-check
     # (which would raise SimulationError on any maintained-state drift).
@@ -416,12 +388,11 @@ def _legacy_simulator_run(
     from repro.temporal.trace import Trace
 
     if simulator.incremental:
-        initial_multiset = simulator._maintained.snapshot()
-        if simulator._objective_value is None:
-            simulator._objective_value = simulator.algorithm.objective(
-                initial_multiset
-            )
-        initial_objective = simulator._objective_value
+        state = simulator._state
+        initial_multiset = state.maintained.snapshot()
+        if state.objective_value is None:
+            state.objective_value = simulator.algorithm.objective(initial_multiset)
+        initial_objective = state.objective_value
     else:
         initial_multiset = simulator.current_multiset()
         initial_objective = simulator.algorithm.objective(initial_multiset)
@@ -514,13 +485,14 @@ def _legacy_messaging_run(simulator, max_rounds):
         if convergence_round is not None:
             break
         rounds_executed += 1
-        environment_state = simulator.environment.advance(round_index, simulator._rng)
+        rng = simulator._state.rng
+        environment_state = simulator.environment.advance(round_index, rng)
 
         inboxes = {agent: [] for agent in range(simulator.environment.num_agents)}
         for a, b in environment_state.effective_edges():
             for sender, receiver in ((a, b), (b, a)):
                 simulator.messages_sent += 1
-                if simulator._rng.random() < simulator.loss_probability:
+                if rng.random() < simulator.loss_probability:
                     continue
                 simulator.messages_delivered += 1
                 inboxes[receiver].append(states[sender])
@@ -645,7 +617,19 @@ class TestDriverMatchesLegacyRun:
         _assert_identical(driven, reference)
 
 
-def _build_messaging(case, seed, loss=0.0):
+#: Environments for the messaging runtime.  On the static ring every
+#: environment delta is empty, so the runtime adopts the previous state's
+#: memoized view every round; the legacy loop's plain ``advance`` is the
+#: from-scratch reference for that path.
+MESSAGING_ENVIRONMENTS = {
+    "churn": lambda num_agents: RandomChurnEnvironment(
+        ring_graph(num_agents), edge_up_probability=0.6, agent_up_probability=0.9
+    ),
+    "static": lambda num_agents: StaticEnvironment(ring_graph(num_agents)),
+}
+
+
+def _build_messaging(case, seed, loss=0.0, environment="churn"):
     from repro.algorithms import (
         convex_hull_algorithm,
         hull_merge,
@@ -669,13 +653,10 @@ def _build_messaging(case, seed, loss=0.0):
             hull_merge,
             POINTS,
         )
-    environment = RandomChurnEnvironment(
-        ring_graph(len(values)), edge_up_probability=0.6, agent_up_probability=0.9
-    )
     return MergeMessagePassingSimulator(
         algorithm,
         merge=merge,
-        environment=environment,
+        environment=MESSAGING_ENVIRONMENTS[environment](len(values)),
         initial_values=values,
         loss_probability=loss,
         seed=seed,
@@ -683,12 +664,15 @@ def _build_messaging(case, seed, loss=0.0):
 
 
 class TestMessagingDriverMatchesLegacyRun:
+    @pytest.mark.parametrize("environment", sorted(MESSAGING_ENVIRONMENTS))
     @pytest.mark.parametrize("case", ["minimum", "maximum", "hull"])
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_default_run_identical(self, case, seed):
-        driven = _build_messaging(case, seed).run(max_rounds=200)
+    def test_default_run_identical(self, case, seed, environment):
+        driven = _build_messaging(case, seed, environment=environment).run(
+            max_rounds=200
+        )
         reference = _legacy_messaging_run(
-            _build_messaging(case, seed), max_rounds=200
+            _build_messaging(case, seed, environment=environment), max_rounds=200
         )
         _assert_identical(driven, reference)
 
