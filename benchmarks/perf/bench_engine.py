@@ -268,10 +268,11 @@ def measure_environment_share(num_agents: int, rounds: int, incremental: bool,
 
     The environment layer here is everything between "the round starts"
     and "the engine has the round's groups": the environment transition
-    (with or without delta reporting), connectivity maintenance, and
-    scheduling.  Measured with plain ``perf_counter`` section timers on a
-    dedicated instrumented run, separate from the throughput measurement
-    so the timers never taint the reported rounds/sec.
+    (and, incrementally, the engine's diff against the previous state),
+    connectivity maintenance, and scheduling.  Measured with plain
+    ``perf_counter`` section timers on a dedicated instrumented run,
+    separate from the throughput measurement so the timers never taint
+    the reported rounds/sec.
     """
     simulator = build(num_agents, incremental)
     clock = time.perf_counter

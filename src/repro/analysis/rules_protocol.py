@@ -10,9 +10,7 @@ codec :mod:`repro.simulation.checkpoint` exposes for introspection.
 * **P101** — registered environments and probes implement the durable-run
   protocol coherently.  An environment overriding one of
   ``state_dict``/``load_state`` without the other either loses state at
-  checkpoint or cannot restore it; a delta-reporting environment must
-  pair ``reports_deltas = True`` with an ``advance_with_delta``
-  override (and vice versa); a probe that captures resumable state
+  checkpoint or cannot restore it; a probe that captures resumable state
   (``state_dict``) must also define its restore path (``load_state`` or
   ``on_resume``), and restore-side overrides without ``state_dict`` can
   never receive state.
@@ -144,20 +142,6 @@ def _defined_methods(
     return names
 
 
-def _class_flag_true(node: ast.ClassDef, flag: str) -> bool:
-    for item in node.body:
-        if isinstance(item, ast.Assign):
-            for target in item.targets:
-                if (
-                    isinstance(target, ast.Name)
-                    and target.id == flag
-                    and isinstance(item.value, ast.Constant)
-                    and item.value.value is True
-                ):
-                    return True
-    return False
-
-
 @dataclass
 class P101ProtocolPairing(ProjectRule):
     """Registered environments/probes implement the durable-run protocol."""
@@ -181,26 +165,6 @@ class P101ProtocolPairing(ProjectRule):
                         f"registered environment {label!r} overrides half the "
                         f"checkpoint protocol: define {missing}() too, or the "
                         "environment cannot round-trip through a checkpoint",
-                    )
-                has_delta = "advance_with_delta" in defined
-                declares = _class_flag_true(registered.node, "reports_deltas") or (
-                    "reports_deltas" in defined and has_delta
-                )
-                if has_delta and "reports_deltas" not in defined:
-                    self.report(
-                        *where,
-                        f"registered environment {label!r} defines "
-                        "advance_with_delta() but does not declare "
-                        "reports_deltas = True; the engines will never use "
-                        "the incremental path",
-                    )
-                elif "reports_deltas" in defined and declares and not has_delta:
-                    self.report(
-                        *where,
-                        f"registered environment {label!r} declares "
-                        "reports_deltas = True without overriding "
-                        "advance_with_delta(); consumers would treat every "
-                        "round as a resync",
                     )
             else:  # probe
                 capture = "state_dict" in defined
@@ -398,7 +362,6 @@ class C201CodecCoverage(ProjectRule):
         {
             "__init__",
             "advance",
-            "advance_with_delta",
             "load_state",
             "on_initial",
             "on_round",

@@ -22,13 +22,7 @@ from typing import Sequence
 
 from ..core.errors import EnvironmentError_
 from ..registry import register_environment
-from .base import (
-    EMPTY_DELTA,
-    Environment,
-    EnvironmentDelta,
-    EnvironmentState,
-    Topology,
-)
+from .base import Environment, EnvironmentState, Topology
 
 __all__ = [
     "RotatingPartitionAdversary",
@@ -52,12 +46,9 @@ class RotatingPartitionAdversary(Environment):
     self-similarity: each partition block must behave like a complete
     system on its own.
 
-    Within an epoch the state is constant (the cached edge set is shared
-    and the reported delta empty); crossing an epoch boundary reports the
-    exact edge diff between the outgoing and incoming partitions.
+    Within an epoch the state is constant: every round shares the cached
+    edge set, so consecutive states differ only across an epoch boundary.
     """
-
-    reports_deltas = True
 
     def __init__(
         self,
@@ -77,10 +68,6 @@ class RotatingPartitionAdversary(Environment):
         self._epoch_cache: dict[int, dict[int, int]] = {}
         self._all_agents = frozenset(topology.agent_ids)
         self._epoch_edges: tuple[int, frozenset] | None = None
-        self._last_round: int | None = None
-
-    def reset(self) -> None:
-        self._last_round = None
 
     def _blocks_for_epoch(self, epoch: int) -> dict[int, int]:
         """Block assignment for one epoch: a seeded shuffle cut into
@@ -114,38 +101,12 @@ class RotatingPartitionAdversary(Environment):
         self._epoch_edges = (epoch, edges)
         return edges
 
-    def _build_state(self, round_index: int) -> EnvironmentState:
+    def advance(self, round_index: int, rng: random.Random) -> EnvironmentState:
         return EnvironmentState(
             enabled_agents=self._all_agents,
             available_edges=self._edges_for_round(round_index),
             round_index=round_index,
         )
-
-    def advance(self, round_index: int, rng: random.Random) -> EnvironmentState:
-        state = self._build_state(round_index)
-        # Plain advances invalidate the delta base: an interleaved caller
-        # may have crossed an epoch boundary the delta tracking never saw.
-        self._last_round = None
-        return state
-
-    def advance_with_delta(self, round_index, rng):
-        previous_edges = (
-            self._epoch_edges[1] if self._epoch_edges is not None else None
-        )
-        state = self._build_state(round_index)
-        if self._last_round != round_index - 1 or previous_edges is None:
-            delta = None
-        elif previous_edges is state.available_edges:
-            delta = EMPTY_DELTA
-        else:
-            delta = EnvironmentDelta.between(
-                self._all_agents,
-                previous_edges,
-                self._all_agents,
-                state.available_edges,
-            )
-        self._last_round = round_index
-        return state, delta
 
     def describe(self) -> str:
         return (
@@ -171,11 +132,8 @@ class TargetedCrashAdversary(Environment):
     targets is starved for most of the computation.
 
     Only two enabled sets ever occur (targets down / everyone up); both
-    are cached, and the reported delta is the target set toggling at the
-    phase boundaries.
+    are built once and shared by every round's state.
     """
-
-    reports_deltas = True
 
     def __init__(
         self,
@@ -197,10 +155,6 @@ class TargetedCrashAdversary(Environment):
         self._survivors = frozenset(
             a for a in topology.agent_ids if a not in self.targets
         )
-        self._last_round: int | None = None
-
-    def reset(self) -> None:
-        self._last_round = None
 
     def _in_down_phase(self, round_index: int) -> bool:
         return (round_index % self.period) < self.down_rounds
@@ -214,22 +168,6 @@ class TargetedCrashAdversary(Environment):
             available_edges=self.topology.edges,
             round_index=round_index,
         )
-
-    def advance_with_delta(self, round_index, rng):
-        state = self.advance(round_index, rng)
-        if self._last_round != round_index - 1:
-            delta = None
-        else:
-            down_now = self._in_down_phase(round_index)
-            down_before = self._in_down_phase(round_index - 1)
-            if down_now == down_before:
-                delta = EMPTY_DELTA
-            elif down_now:
-                delta = EnvironmentDelta(agents_disabled=self.targets)
-            else:
-                delta = EnvironmentDelta(agents_enabled=self.targets)
-        self._last_round = round_index
-        return state, delta
 
     def describe(self) -> str:
         return (
@@ -253,11 +191,9 @@ class BlackoutAdversary(Environment):
     blackouts the system is fully available.  The escape postulate is
     respected because blackouts always end.
 
-    Only two states ever occur (dark / fully up); the reported delta is
-    everything toggling at the blackout boundaries.
+    Only two states ever occur (dark / fully up); their sets are built
+    once and shared by every round's state.
     """
-
-    reports_deltas = True
 
     def __init__(self, topology: Topology, period: int = 10, blackout_rounds: int = 5):
         super().__init__(topology)
@@ -268,10 +204,6 @@ class BlackoutAdversary(Environment):
         self._all_agents = frozenset(topology.agent_ids)
         self._nobody: frozenset[int] = frozenset()
         self._no_edges: frozenset = frozenset()
-        self._last_round: int | None = None
-
-    def reset(self) -> None:
-        self._last_round = None
 
     def _in_blackout(self, round_index: int) -> bool:
         return (round_index % self.period) < self.blackout_rounds
@@ -288,28 +220,6 @@ class BlackoutAdversary(Environment):
             available_edges=self.topology.edges,
             round_index=round_index,
         )
-
-    def advance_with_delta(self, round_index, rng):
-        state = self.advance(round_index, rng)
-        if self._last_round != round_index - 1:
-            delta = None
-        else:
-            dark_now = self._in_blackout(round_index)
-            dark_before = self._in_blackout(round_index - 1)
-            if dark_now == dark_before:
-                delta = EMPTY_DELTA
-            elif dark_now:
-                delta = EnvironmentDelta(
-                    edges_down=self.topology.edges,
-                    agents_disabled=self._all_agents,
-                )
-            else:
-                delta = EnvironmentDelta(
-                    edges_up=self.topology.edges,
-                    agents_enabled=self._all_agents,
-                )
-        self._last_round = round_index
-        return state, delta
 
     def describe(self) -> str:
         return f"blackout ({self.blackout_rounds}/{self.period} rounds dark)"
@@ -330,11 +240,9 @@ class EdgeBudgetAdversary(Environment):
     to quantify the "speed up or slow down with available resources"
     claim.
 
-    The per-round delta is the diff between consecutive round-robin
-    windows — at most ``2 · budget`` edges regardless of the topology.
+    Consecutive round-robin windows differ in at most ``2 · budget``
+    edges, regardless of the topology.
     """
-
-    reports_deltas = True
 
     def __init__(self, topology: Topology, budget: int = 1):
         super().__init__(topology)
@@ -343,32 +251,8 @@ class EdgeBudgetAdversary(Environment):
         self.budget = budget
         self._ordered_edges = sorted(topology.edges)
         self._all_agents = frozenset(topology.agent_ids)
-        self._previous: tuple[int, frozenset] | None = None
-
-    def reset(self) -> None:
-        self._previous = None
 
     def advance(self, round_index: int, rng: random.Random) -> EnvironmentState:
-        state = self._build_state(round_index)
-        self._previous = None
-        return state
-
-    def advance_with_delta(self, round_index, rng):
-        previous = self._previous
-        state = self._build_state(round_index)
-        if previous is None or previous[0] != round_index - 1:
-            delta = None
-        else:
-            delta = EnvironmentDelta.between(
-                self._all_agents,
-                previous[1],
-                self._all_agents,
-                state.available_edges,
-            )
-        self._previous = (round_index, state.available_edges)
-        return state, delta
-
-    def _build_state(self, round_index: int) -> EnvironmentState:
         if not self._ordered_edges:
             edges: frozenset = frozenset()
         else:

@@ -20,13 +20,12 @@ This module defines:
   communication groups) are computed lazily and memoized on the frozen
   state, so repeated queries in one round never recompute;
 * :class:`EnvironmentDelta` — what changed between two consecutive
-  environment states (edges up/down, agents enabled/disabled).
-  Environments that can report their churn as a delta set
-  :attr:`Environment.reports_deltas` and implement
-  :meth:`Environment.advance_with_delta`, which lets the simulation layer
-  maintain connectivity incrementally
+  environment states (edges up/down, agents enabled/disabled).  It is a
+  function of the two states alone (:meth:`EnvironmentDelta.between`), so
+  the engines derive it themselves from each pair of states they observe
+  and maintain connectivity incrementally
   (:mod:`repro.environment.connectivity`) instead of re-walking the whole
-  graph every round;
+  graph every round; no environment reports or tracks its own churn;
 * :class:`Environment` — the abstract driver that produces a (possibly
   adversarial, possibly random) sequence of environment states.
 
@@ -40,6 +39,11 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
+
+try:
+    import numpy as _numpy
+except ImportError:  # pragma: no cover - exercised by the without-numpy CI leg
+    _numpy = None
 
 from ..core.errors import EnvironmentError_
 
@@ -228,10 +232,10 @@ class EnvironmentDelta:
 
     A delta is the exact symmetric difference between two consecutive
     states: edges that became available / unavailable and agents that
-    became enabled / disabled.  Environments that know their own churn
-    report one per round (:meth:`Environment.advance_with_delta`), which
-    is what lets the connectivity layer update communication groups in
-    O(|delta|) instead of re-walking the graph.
+    became enabled / disabled.  The engines take it with :meth:`between`
+    from each pair of states they observe, which is what lets the
+    connectivity layer update communication groups in O(|delta|) instead
+    of re-walking the graph.
 
     Field order is not semantically meaningful; each field may hold any
     iterable of edges / agent ids (consumers only iterate and test
@@ -264,29 +268,37 @@ class EnvironmentDelta:
 
     @classmethod
     def between(
-        cls,
-        previous_enabled: frozenset[int],
-        previous_edges: frozenset[Edge],
-        enabled: frozenset[int],
-        edges: frozenset[Edge],
+        cls, previous: "EnvironmentState", state: "EnvironmentState"
     ) -> "EnvironmentDelta":
-        """Delta between two (enabled, available-edges) snapshots.
+        """The delta from ``previous`` to ``state``.
 
         Returns the shared :data:`EMPTY_DELTA` when nothing changed, so
-        quiet rounds allocate nothing.
+        quiet rounds allocate nothing.  Two array-form states are diffed
+        on their arrays — the enabled-id arrays, and the up-edge indexes
+        when both index one edge sequence — so neither builds a set; every
+        other pair is diffed on the frozensets.
         """
-        if previous_enabled is enabled or previous_enabled == enabled:
-            agents_disabled: Iterable[int] = ()
-            agents_enabled: Iterable[int] = ()
+        if previous is state:
+            return EMPTY_DELTA
+        old = previous.__dict__
+        new = state.__dict__
+        old_ids = old.get("_enabled_ids")
+        new_ids = new.get("_enabled_ids")
+        if old_ids is not None and new_ids is not None:
+            agents_disabled, agents_enabled = _index_diff(old_ids, new_ids)
         else:
-            agents_disabled = previous_enabled - enabled
-            agents_enabled = enabled - previous_enabled
-        if previous_edges is edges or previous_edges == edges:
-            edges_down: Iterable[Edge] = ()
-            edges_up: Iterable[Edge] = ()
+            agents_disabled, agents_enabled = _set_diff(
+                previous.enabled_agents, state.enabled_agents
+            )
+        sequence = new.get("_edge_sequence")
+        if sequence is not None and old.get("_edge_sequence") is sequence:
+            down, up = _index_diff(old["_up_edges"], new["_up_edges"])
+            edges_down = list(map(sequence.__getitem__, down))
+            edges_up = list(map(sequence.__getitem__, up))
         else:
-            edges_down = previous_edges - edges
-            edges_up = edges - previous_edges
+            edges_down, edges_up = _set_diff(
+                previous.available_edges, state.available_edges
+            )
         if not (agents_disabled or agents_enabled or edges_down or edges_up):
             return EMPTY_DELTA
         return cls(edges_down, edges_up, agents_disabled, agents_enabled)
@@ -302,6 +314,24 @@ class EnvironmentDelta:
 
 #: The delta of a round in which nothing changed.
 EMPTY_DELTA = EnvironmentDelta()
+
+
+def _set_diff(previous: frozenset, current: frozenset) -> tuple:
+    """``(previous - current, current - previous)``, skipping equal sets."""
+    if previous is current or previous == current:
+        return (), ()
+    return previous - current, current - previous
+
+
+def _index_diff(previous, current) -> tuple[list[int], list[int]]:
+    """The ``(gone, came)`` entries of two ascending ``int64`` id arrays."""
+    np = _numpy
+    if np.array_equal(previous, current):
+        return [], []
+    return (
+        np.setdiff1d(previous, current, assume_unique=True).tolist(),
+        np.setdiff1d(current, previous, assume_unique=True).tolist(),
+    )
 
 
 @dataclass(frozen=True)
@@ -518,12 +548,6 @@ class Environment(ABC):
     topology's edges.
     """
 
-    #: True when this environment implements :meth:`advance_with_delta`
-    #: with real per-round deltas.  The engines only attempt incremental
-    #: connectivity maintenance for environments that declare it; every
-    #: other environment keeps the classic from-scratch path.
-    reports_deltas: bool = False
-
     def __init__(self, topology: Topology):
         self.topology = topology
 
@@ -539,18 +563,14 @@ class Environment(ABC):
     def advance_with_delta(
         self, round_index: int, rng: random.Random
     ) -> tuple[EnvironmentState, EnvironmentDelta | None]:
-        """Produce the next state together with the delta from the last one.
+        """:meth:`advance`, paired with a None ("unknown") delta.
 
-        The state (and every random draw behind it) is exactly what
-        :meth:`advance` would have produced — reporting a delta never
-        changes the random stream, so seeded runs are byte-identical in
-        either mode.  A ``None`` delta means "unknown": the first round
-        after construction or :meth:`reset`, or an environment that cannot
-        (or does not care to) track its own churn.  Consumers treat None
-        as "resynchronize from the full state".
-
-        The default implementation delegates to :meth:`advance` and always
-        reports None.
+        Environments do not track their own churn: the engines call
+        :meth:`advance` and take the delta from the two states with
+        :meth:`EnvironmentDelta.between`.  This adapter remains for callers
+        that still expect a ``(state, delta)`` pair; a None delta tells a
+        consumer to resynchronize from the full state.  The engines never
+        call it, so overriding it changes nothing they do.
         """
         return self.advance(round_index, rng), None
 
@@ -584,10 +604,9 @@ class Environment(ABC):
         batteries.  The default is empty — correct for every environment
         whose states are a pure function of the round index (static, duty
         cycles, the adversaries) or of fresh per-round draws (random
-        churn).  Delta-reporting bases (the previous round's snapshot) are
-        deliberately *not* state: :meth:`load_state` drops them, the next
-        ``advance_with_delta`` reports None, and the consumer
-        resynchronizes — same states, same random draws, same results.
+        churn).  Derived structure the engines keep across rounds (the
+        previous state, the maintained components) is not environment
+        state: a restored engine resynchronizes it from the next state.
         """
         return {}
 
@@ -595,11 +614,11 @@ class Environment(ABC):
         """Restore :meth:`state_dict` output into this environment.
 
         The restored environment continues at identical random draw order:
-        after this call, ``advance_with_delta(round_index, rng)`` produces
-        exactly the states the uninterrupted environment would have.  The
-        default implementation resets (which is the whole restoration for
-        stateless environments and clears the delta base for all);
-        stateful overrides call it first, then apply their state.
+        after this call, ``advance(round_index, rng)`` produces exactly the
+        states the uninterrupted environment would have.  The default
+        implementation resets (which is the whole restoration for
+        stateless environments); stateful overrides call it first, then
+        apply their state.
         """
         self.reset()
 

@@ -7,10 +7,11 @@ communication groups, and rebuilt one group object per connected component
 — O(n + |E|) work even when the round's churn flipped a handful of edges.
 
 :class:`ConnectivityTracker` replaces the from-scratch walk with delta
-maintenance.  Environments that know their own churn report an
-:class:`~repro.environment.base.EnvironmentDelta` per round
-(:meth:`~repro.environment.base.Environment.advance_with_delta`); the
-tracker folds it into a maintained component structure:
+maintenance.  The engines take the
+:class:`~repro.environment.base.EnvironmentDelta` between each round's
+state and the last
+(:meth:`~repro.environment.base.EnvironmentDelta.between`); the tracker
+folds it into a maintained component structure:
 
 * **edge insertions** merge components union-find style (union by size,
   with deferred materialization so a cascade of unions costs the size of
@@ -109,11 +110,10 @@ class ConnectivityTracker:
         :meth:`EnvironmentState.maintained_scheduler_groups` stays None
         and only the component tuples are served.
 
-    Usage: call :meth:`observe` once per round with the state and the
-    delta produced by
-    :meth:`~repro.environment.base.Environment.advance_with_delta`.  A
-    None delta (first round, post-reset, or an environment that lost
-    track) resynchronizes from the full state.
+    Usage: call :meth:`observe` once per round with the state and its
+    :meth:`~repro.environment.base.EnvironmentDelta.between` delta from
+    the previously observed state.  A None delta (first round, post-reset
+    or post-restore) resynchronizes from the full state.
     """
 
     def __init__(

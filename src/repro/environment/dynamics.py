@@ -25,13 +25,7 @@ except ImportError:  # pragma: no cover - exercised by the without-numpy CI leg
 
 from ..core.errors import EnvironmentError_
 from ..registry import register_environment
-from .base import (
-    EMPTY_DELTA,
-    Environment,
-    EnvironmentDelta,
-    EnvironmentState,
-    Topology,
-)
+from .base import Environment, EnvironmentState, Topology
 
 __all__ = [
     "StaticEnvironment",
@@ -137,20 +131,14 @@ class StaticEnvironment(Environment):
     global snapshot are at their best here.
 
     The enabled set never changes, so it is built once and shared by every
-    round's state, and :meth:`advance_with_delta` reports an empty delta
-    after the first round — a static run's connectivity is computed
+    round's state: consecutive states share both sets, their delta is
+    empty by identity, and a static run's connectivity is computed
     exactly once.
     """
-
-    reports_deltas = True
 
     def __init__(self, topology: Topology):
         super().__init__(topology)
         self._all_agents: frozenset[int] | None = None
-        self._last_round: int | None = None
-
-    def reset(self) -> None:
-        self._last_round = None
 
     def advance(self, round_index: int, rng: random.Random) -> EnvironmentState:
         if self._all_agents is None:
@@ -160,14 +148,6 @@ class StaticEnvironment(Environment):
             available_edges=self.topology.edges,
             round_index=round_index,
         )
-
-    def advance_with_delta(self, round_index, rng):
-        state = self.advance(round_index, rng)
-        delta = (
-            EMPTY_DELTA if self._last_round == round_index - 1 else None
-        )
-        self._last_round = round_index
-        return state, delta
 
     def fairness_predicates(self):
         return tuple(f"edge {edge} available" for edge in sorted(self.topology.edges))
@@ -195,8 +175,6 @@ class RandomChurnEnvironment(Environment):
     agent_up_probability:
         Probability that an agent is enabled in a given round.
     """
-
-    reports_deltas = True
 
     def __init__(
         self,
@@ -226,62 +204,8 @@ class RandomChurnEnvironment(Environment):
         # The edges' (u, v) endpoints as int64 arrays in draw order, built
         # by array_transition().
         self._edge_endpoints: tuple | None = None
-        self._previous: tuple[frozenset, frozenset] | None = None
-
-    def reset(self) -> None:
-        self._previous = None
 
     def advance(self, round_index: int, rng: random.Random) -> EnvironmentState:
-        state, _ = self._advance(round_index, rng)
-        self._previous = None
-        return state
-
-    def array_transition(self):
-        # With numpy: _advance_arrays.  It reproduces this class's own
-        # transition, so a subclass that overrides it does not inherit it.
-        cls = type(self)
-        if (
-            _numpy is None
-            or cls.advance is not RandomChurnEnvironment.advance
-            or cls._advance is not RandomChurnEnvironment._advance
-        ):
-            return None
-        if self._edge_endpoints is None:
-            self._edge_endpoints = edge_endpoints(self._edge_sequence)
-        return self._advance_arrays
-
-    def _advance_arrays(
-        self, round_index: int, rng: random.Random
-    ) -> EnvironmentState:
-        """:meth:`advance` with the draws — one per agent, then one per
-        edge — made as one :func:`uniform_draws` batch and filtered as
-        masks into the array form of the same state (:func:`masked_state`).
-        """
-        num_agents = self.topology.num_agents
-        draws = uniform_draws(rng, num_agents + len(self._edge_sequence))
-        agent_up = self.agent_up_probability
-        self._previous = None  # exactly what advance() leaves behind
-        return masked_state(
-            self._edge_sequence,
-            self._edge_endpoints,
-            _numpy.flatnonzero(draws[num_agents:] < self.edge_up_probability),
-            None if agent_up >= 1.0 else draws[:num_agents] < agent_up,
-            round_index,
-            self._all_agents,
-        )
-
-    def advance_with_delta(self, round_index, rng):
-        state, previous = self._advance(round_index, rng)
-        if previous is None:
-            delta = None
-        else:
-            delta = EnvironmentDelta.between(
-                previous[0], previous[1], state.enabled_agents, state.available_edges
-            )
-        self._previous = (state.enabled_agents, state.available_edges)
-        return state, delta
-
-    def _advance(self, round_index: int, rng: random.Random):
         # One uniform draw per agent, then one per edge, in a fixed order —
         # exactly the stream the filtering loops below consume.  When every
         # agent passes (agent_up_probability 1), the draws are still made
@@ -304,7 +228,35 @@ class RandomChurnEnvironment(Environment):
             )
         edge_up = self.edge_up_probability
         edges = frozenset(edge for edge in self._edge_sequence if draw() < edge_up)
-        return EnvironmentState(enabled, edges, round_index), self._previous
+        return EnvironmentState(enabled, edges, round_index)
+
+    def array_transition(self):
+        # With numpy: _advance_arrays.  It reproduces this class's own
+        # transition, so a subclass that overrides it does not inherit it.
+        if _numpy is None or type(self).advance is not RandomChurnEnvironment.advance:
+            return None
+        if self._edge_endpoints is None:
+            self._edge_endpoints = edge_endpoints(self._edge_sequence)
+        return self._advance_arrays
+
+    def _advance_arrays(
+        self, round_index: int, rng: random.Random
+    ) -> EnvironmentState:
+        """:meth:`advance` with the draws — one per agent, then one per
+        edge — made as one :func:`uniform_draws` batch and filtered as
+        masks into the array form of the same state (:func:`masked_state`).
+        """
+        num_agents = self.topology.num_agents
+        draws = uniform_draws(rng, num_agents + len(self._edge_sequence))
+        agent_up = self.agent_up_probability
+        return masked_state(
+            self._edge_sequence,
+            self._edge_endpoints,
+            _numpy.flatnonzero(draws[num_agents:] < self.edge_up_probability),
+            None if agent_up >= 1.0 else draws[:num_agents] < agent_up,
+            round_index,
+            self._all_agents,
+        )
 
     def fairness_predicates(self):
         if self.edge_up_probability > 0 and self.agent_up_probability > 0:
@@ -341,22 +293,16 @@ class MarkovChurnEnvironment(Environment):
     :func:`uniform_draws` batch and the masks flip vectorized; below it a
     Python loop makes the same draws.  Both paths leave the random stream
     in the same place and produce equal states — frozenset iteration
-    order included — the same deltas and the same checkpoints.  A
-    vectorized round returns the array form of its state
+    order included — and the same checkpoints.  A vectorized round
+    returns the array form of its state
     (:meth:`EnvironmentState.from_arrays`): the up agents and the up-edge
     index as ``int64`` arrays, plus the effective edges as ``int64``
     ``(u, v)`` arrays (:attr:`EnvironmentState.effective_edge_arrays`).
-    Its frozensets are built only when something reads them — which
-    :meth:`advance_with_delta` does for its delta base, so the reference
-    engine, the schedulers and the probes see today's sets, while the
-    array engine, which reads only the arrays, never pays for them.
-
-    The Markov chain is naturally incremental: the per-round delta is
-    exactly the set of edges and agents whose state flipped, collected
-    during the transition at no extra draw.
+    Its frozensets are built only when something reads them: the array
+    engine reads only the arrays, and the reference engine diffs
+    consecutive array-form states on their arrays
+    (:meth:`~repro.environment.base.EnvironmentDelta.between`).
     """
-
-    reports_deltas = True
 
     def __init__(
         self,
@@ -388,125 +334,70 @@ class MarkovChurnEnvironment(Environment):
         self._edge_endpoints: tuple | None = None
         self._edge_up = bytearray()
         self._agent_up = bytearray()
-        self._previous: tuple[frozenset, frozenset] | None = None
         self.reset()
 
     def reset(self) -> None:
         self._edge_up = bytearray(b"\x01") * len(self._edge_sequence)
         self._agent_up = bytearray(b"\x01") * self.topology.num_agents
-        self._previous = None
 
     def advance(self, round_index: int, rng: random.Random) -> EnvironmentState:
-        state, _ = self._advance(round_index, rng, want_flips=False)
-        self._previous = None
-        return state
-
-    def advance_with_delta(self, round_index, rng):
-        state, flips = self._advance(round_index, rng, want_flips=True)
-        if self._previous is None:
-            delta = None
-        elif flips is not None:
-            delta = EnvironmentDelta(*flips)
-        else:
-            delta = EMPTY_DELTA
-        self._previous = (state.enabled_agents, state.available_edges)
-        return state, delta
-
-    def _advance(self, round_index: int, rng: random.Random, want_flips: bool):
-        """One chain transition and the state it leads to.
-
-        Returns ``(state, flips)``: ``flips`` is None when nothing flipped,
-        otherwise ``(edges_down, edges_up, agents_disabled,
-        agents_enabled)`` in draw order — on a vectorized round only when
-        ``want_flips`` (without it, an empty tuple).  A vectorized round's
-        state is in array form unless it reuses the previous round's sets.
-        """
         if (
             _numpy is not None
             and len(self._edge_up) + len(self._agent_up) >= VECTORIZED_MIN_DRAWS
         ):
-            flips, state = self._vectorized_transition(round_index, rng, want_flips)
-        else:
-            flips = self._loop_transition(rng)
-            state = None
-        if self._previous is not None and flips is None:
-            # Nothing flipped: reuse the previous round's sets (identical
-            # content, identical construction) instead of re-filtering.
-            enabled, edges = self._previous
-            edge_arrays = None if state is None else state.effective_edge_arrays
-            return EnvironmentState(enabled, edges, round_index, edge_arrays), flips
-        if state is None:
-            # Mask order: the insertion order the array form's lazy sets use.
-            enabled = frozenset(compress(self.topology.agent_ids, self._agent_up))
-            edges = frozenset(compress(self._edge_sequence, self._edge_up))
-            state = EnvironmentState(enabled, edges, round_index)
-        return state, flips
-
-    def _loop_transition(self, rng: random.Random):
+            return self._vectorized_transition(round_index, rng)
         draw = rng.random
-        edges_down, edges_up = _flip_loop(
+        _flip_loop(
             self._edge_up,
-            self._edge_sequence,
             draw,
             self.edge_failure_probability,
             self.edge_recovery_probability,
         )
-        agents_disabled, agents_enabled = _flip_loop(
+        _flip_loop(
             self._agent_up,
-            self.topology.agent_ids,
             draw,
             self.agent_failure_probability,
             self.agent_recovery_probability,
         )
-        if edges_down or edges_up or agents_disabled or agents_enabled:
-            return edges_down, edges_up, agents_disabled, agents_enabled
-        return None
+        # Mask order: the insertion order the array form's lazy sets use.
+        return EnvironmentState(
+            frozenset(compress(self.topology.agent_ids, self._agent_up)),
+            frozenset(compress(self._edge_sequence, self._edge_up)),
+            round_index,
+        )
 
     def _vectorized_transition(
-        self, round_index: int, rng: random.Random, want_flips: bool
-    ):
-        """The transition on one batch of draws.
-
-        Returns ``(flips, state)``: the flips as :meth:`_advance` reports
-        them and the array form of the state they lead to
-        (:func:`masked_state`).
-        """
+        self, round_index: int, rng: random.Random
+    ) -> EnvironmentState:
+        """The transition on one batch of draws, returning the array form
+        of the state it leads to (:func:`masked_state`)."""
         np = _numpy
         sequence = self._edge_sequence
-        agent_ids = self.topology.agent_ids
         edge_count = len(sequence)
-        draws = uniform_draws(rng, edge_count + len(agent_ids))
+        draws = uniform_draws(rng, edge_count + len(self._agent_up))
         edge_up = np.frombuffer(self._edge_up, dtype=np.bool_)
         agent_up = np.frombuffer(self._agent_up, dtype=np.bool_)
-        edge_flips = _flip_masked(
+        _flip_masked(
             edge_up,
             draws[:edge_count],
             self.edge_failure_probability,
             self.edge_recovery_probability,
         )
-        agent_flips = _flip_masked(
+        _flip_masked(
             agent_up,
             draws[edge_count:],
             self.agent_failure_probability,
             self.agent_recovery_probability,
         )
-        if not (edge_flips.any() or agent_flips.any()):
-            flips = None
-        elif want_flips:
-            flips = (
-                *_flip_lists(sequence, edge_up, edge_flips),
-                *_flip_lists(agent_ids, agent_up, agent_flips),
-            )
-        else:
-            flips = ()
-
         if self._edge_endpoints is None:
             self._edge_endpoints = edge_endpoints(sequence)
-        up_edges = np.flatnonzero(edge_up)
-        state = masked_state(
-            sequence, self._edge_endpoints, up_edges, agent_up, round_index
+        return masked_state(
+            sequence,
+            self._edge_endpoints,
+            np.flatnonzero(edge_up),
+            agent_up,
+            round_index,
         )
-        return flips, state
 
     def state_dict(self) -> dict:
         # The chain's current up/down assignment decides which transition
@@ -568,45 +459,20 @@ class MarkovChurnEnvironment(Environment):
         return ()
 
 
-def _flip_loop(mask: bytearray, sequence, draw, fail: float, recover: float):
-    """One Markov transition of ``mask`` in a Python loop, one draw per entry.
-
-    Returns the entries (from ``sequence``) that went down and came up, in
-    order.
-    """
-    went_down: list = []
-    went_up: list = []
+def _flip_loop(mask: bytearray, draw, fail: float, recover: float) -> None:
+    """One Markov transition of ``mask`` in a Python loop, one draw per entry."""
     for index, up in enumerate(mask):
         if up:
             if draw() < fail:
                 mask[index] = 0
-                went_down.append(sequence[index])
         elif draw() < recover:
             mask[index] = 1
-            went_up.append(sequence[index])
-    return went_down, went_up
 
 
-def _flip_masked(up, draws, fail: float, recover: float):
-    """One Markov transition of the bool array ``up``, in place.
-
-    The same comparisons :func:`_flip_loop` makes, on the same draws;
-    returns the flipped positions as a bool array.
-    """
-    flipped = draws < _numpy.where(up, fail, recover)
-    up ^= flipped
-    return flipped
-
-
-def _flip_lists(sequence, up, flipped) -> tuple[list, list]:
-    """The entries of ``sequence`` that went down and came up, in order."""
-    np = _numpy
-    went_down = np.flatnonzero(flipped & ~up).tolist()
-    went_up = np.flatnonzero(flipped & up).tolist()
-    return (
-        list(map(sequence.__getitem__, went_down)),
-        list(map(sequence.__getitem__, went_up)),
-    )
+def _flip_masked(up, draws, fail: float, recover: float) -> None:
+    """One Markov transition of the bool array ``up``, in place: the same
+    comparisons :func:`_flip_loop` makes, on the same draws."""
+    up ^= draws < _numpy.where(up, fail, recover)
 
 
 @register_environment("duty-cycle")
@@ -625,12 +491,10 @@ class PeriodicDutyCycleEnvironment(Environment):
     guaranteed overlapping wake windows regardless of phases, which keeps
     the assumption ``Q_E`` satisfied deterministically.
 
-    The schedule repeats with the period, so the enabled set and the
-    round-to-round toggle delta are cached per phase residue: after the
-    first period every round is served from the cache in O(|toggles|).
+    The schedule repeats with the period, so the enabled set is cached per
+    phase residue: after the first period every round's state is served
+    from the cache.
     """
-
-    reports_deltas = True
 
     def __init__(
         self,
@@ -662,23 +526,18 @@ class PeriodicDutyCycleEnvironment(Environment):
         if len(phases) != topology.num_agents:
             raise EnvironmentError_("one phase per agent is required")
         self.phases = list(phases)
-        # Wake state depends only on round_index % period, so both the
-        # enabled sets and the per-round toggle deltas are cacheable by
-        # residue.  The cached frozensets were built by the construction
-        # below on their first use, so sharing them across periods keeps
-        # iteration order identical to building them fresh.
+        # Wake state depends only on round_index % period, so the enabled
+        # sets are cacheable by residue.  The cached frozensets were built
+        # by the construction below on their first use, so sharing them
+        # across periods keeps iteration order identical to building them
+        # fresh.
         self._enabled_by_residue: dict[int, frozenset[int]] = {}
-        self._delta_by_residue: dict[int, EnvironmentDelta] = {}
-        self._last_round: int | None = None
-
-    def reset(self) -> None:
-        self._last_round = None
 
     def _is_awake(self, agent: int, round_index: int) -> bool:
         position = (round_index - self.phases[agent]) % self.period
         return position < self.wake_rounds
 
-    def _enabled_at(self, round_index: int) -> frozenset[int]:
+    def advance(self, round_index: int, rng: random.Random) -> EnvironmentState:
         residue = round_index % self.period
         enabled = self._enabled_by_residue.get(residue)
         if enabled is None:
@@ -688,32 +547,11 @@ class PeriodicDutyCycleEnvironment(Environment):
                 if self._is_awake(agent, round_index)
             )
             self._enabled_by_residue[residue] = enabled
-        return enabled
-
-    def advance(self, round_index: int, rng: random.Random) -> EnvironmentState:
         return EnvironmentState(
-            enabled_agents=self._enabled_at(round_index),
+            enabled_agents=enabled,
             available_edges=self.topology.edges,
             round_index=round_index,
         )
-
-    def advance_with_delta(self, round_index, rng):
-        state = self.advance(round_index, rng)
-        if self._last_round != round_index - 1:
-            delta = None
-        else:
-            residue = round_index % self.period
-            delta = self._delta_by_residue.get(residue)
-            if delta is None:
-                delta = EnvironmentDelta.between(
-                    self._enabled_at(round_index - 1),
-                    self.topology.edges,
-                    state.enabled_agents,
-                    self.topology.edges,
-                )
-                self._delta_by_residue[residue] = delta
-        self._last_round = round_index
-        return state, delta
 
     def state_dict(self) -> dict:
         # The schedule is a pure function of the round index *given the
@@ -733,7 +571,6 @@ class PeriodicDutyCycleEnvironment(Environment):
                 )
             self.phases = [int(phase) for phase in phases]
             self._enabled_by_residue = {}
-            self._delta_by_residue = {}
 
     def describe(self) -> str:
         return f"periodic duty cycle (period {self.period}, duty {self.duty_cycle})"

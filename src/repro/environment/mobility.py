@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from ..core.errors import EnvironmentError_
 from ..registry import register_environment
-from .base import Environment, EnvironmentDelta, EnvironmentState, Topology
+from .base import Environment, EnvironmentState, Topology
 from .graphs import complete_graph
 
 __all__ = ["MobileAgent", "RandomWaypointEnvironment"]
@@ -72,12 +72,10 @@ class RandomWaypointEnvironment(Environment):
         simulation can be reproduced exactly.
 
     The contact graph is recomputed from positions every round (that *is*
-    the model), but the round-to-round delta — who moved in or out of
-    range, whose battery crossed empty — is reported alongside, so the
-    connectivity layer downstream still updates incrementally.
+    the model); the engines diff consecutive contact graphs — who moved in
+    or out of range, whose battery crossed empty — so the connectivity
+    layer downstream still updates incrementally.
     """
-
-    reports_deltas = True
 
     def __init__(
         self,
@@ -114,7 +112,6 @@ class RandomWaypointEnvironment(Environment):
             seed = random.randrange(2**63)
         self.seed = seed
         self._agents: list[MobileAgent] = []
-        self._previous: tuple[frozenset, frozenset] | None = None
         self.reset()
 
     # -- lifecycle ------------------------------------------------------------
@@ -122,7 +119,6 @@ class RandomWaypointEnvironment(Environment):
     def reset(self) -> None:
         rng = random.Random(self.seed)
         self._agents = []
-        self._previous = None
         for _ in range(self.num_agents):
             x = rng.uniform(0, self.arena_size)
             y = rng.uniform(0, self.arena_size)
@@ -165,23 +161,6 @@ class RandomWaypointEnvironment(Environment):
             )
 
     def advance(self, round_index: int, rng: random.Random) -> EnvironmentState:
-        state = self._advance(round_index, rng)
-        self._previous = None
-        return state
-
-    def advance_with_delta(self, round_index, rng):
-        previous = self._previous
-        state = self._advance(round_index, rng)
-        if previous is None:
-            delta = None
-        else:
-            delta = EnvironmentDelta.between(
-                previous[0], previous[1], state.enabled_agents, state.available_edges
-            )
-        self._previous = (state.enabled_agents, state.available_edges)
-        return state, delta
-
-    def _advance(self, round_index: int, rng: random.Random) -> EnvironmentState:
         for agent in self._agents:
             self._move(agent, rng)
 

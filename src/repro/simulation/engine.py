@@ -34,12 +34,14 @@ from scratch every round, the engine folds each round's ``(removed,
 added)`` state delta into a maintained :class:`MutableMultiset`, updates
 ``h`` in O(|delta|) for objectives that support exact increments, and
 compares against the target via an O(1) content fingerprint.  The
-environment layer is maintained from the per-round environment delta the
-same way: a :class:`ConnectivityTracker` keeps the communication groups,
-and quiet rounds adopt the previous state's memoized views.  A round in
-which two agents moved therefore costs O(2) bookkeeping, not O(n) —
-matching the paper's "speed up or slow down depending on the resources
-available" story.  ``incremental=False`` selects the from-scratch
+environment layer is maintained the same way, from the delta between
+each round's environment state and the last
+(:meth:`EnvironmentDelta.between`, taken by the engine for every
+environment): a :class:`ConnectivityTracker` keeps the communication
+groups, and quiet rounds adopt the previous state's memoized views.  A
+round in which two agents moved therefore costs O(2) bookkeeping, not
+O(n) — matching the paper's "speed up or slow down depending on the
+resources available" story.  ``incremental=False`` selects the from-scratch
 reference mode for both layers, the oracle the parity test suite compares
 the default against byte for byte; ``cross_check=True`` validates the
 maintained state against a full recomputation every round.
@@ -59,7 +61,13 @@ from ..core.algorithm import SelfSimilarAlgorithm
 from ..core.errors import SimulationError
 from ..core.multiset import Multiset
 from ..core.relation import STUTTER_JUDGEMENT, StepJudgement, StepKind
-from ..environment.base import Environment, EnvironmentState, connected_component_tuples
+from ..environment.base import (
+    EMPTY_DELTA,
+    Environment,
+    EnvironmentDelta,
+    EnvironmentState,
+    connected_component_tuples,
+)
 from ..environment.connectivity import ConnectivityTracker
 from .checkpoint import (
     EngineCheckpoint,
@@ -114,10 +122,10 @@ class Simulator:
         objectives that support exact deltas, checks convergence against
         the target via an O(1) content fingerprint, and skips the step
         rule for lone agents of algorithms that declare
-        ``singleton_stutters``.  The environment layer, when the
-        environment reports per-round deltas
-        (:attr:`Environment.reports_deltas`): the communication groups are
-        maintained by a
+        ``singleton_stutters``.  The environment layer: the engine diffs
+        each environment state against the last
+        (:meth:`EnvironmentDelta.between`), the communication groups are
+        maintained from that delta by a
         :class:`~repro.environment.connectivity.ConnectivityTracker` (when
         the scheduler consumes components), and quiet rounds adopt the
         previous state's memoized views.  When False, every round
@@ -174,13 +182,11 @@ class Simulator:
         self.cross_check = cross_check
         self.initial_values = list(initial_values)
 
-        # Incremental environment layer: only environments that report
-        # deltas can be tracked, and the tracker itself is only worth its
+        # Incremental environment layer: the tracker is only worth its
         # per-round upkeep when the scheduler consumes communication
         # groups (pairwise gossip, for one, never looks at components).
-        self._use_environment_delta = incremental and environment.reports_deltas
         self._tracker: ConnectivityTracker | None = None
-        if self._use_environment_delta and getattr(
+        if incremental and getattr(
             self.scheduler, "uses_communication_groups", False
         ):
             self._tracker = ConnectivityTracker(
@@ -319,22 +325,25 @@ class Simulator:
 
         The random draws are identical in every mode; what differs is
         whether the new state's derived views (components, effective
-        edges) are maintained from the reported delta or recomputed
-        lazily from scratch.
+        edges) are maintained from its delta to the previous state or
+        recomputed lazily from scratch.  The delta is taken against the
+        state this engine last observed, so it is exact by construction
+        (None after construction, reset or restore: resynchronize).
         """
-        rng = self._state.rng
-        if not self._use_environment_delta:
-            return self.environment.advance(round_index, rng)
-        environment_state, delta = self.environment.advance_with_delta(
-            round_index, rng
+        environment_state = self.environment.advance(round_index, self._state.rng)
+        if not self.incremental:
+            return environment_state
+        previous = self._previous_environment_state
+        self._previous_environment_state = environment_state
+        delta = (
+            None
+            if previous is None
+            else EnvironmentDelta.between(previous, environment_state)
         )
         if self._tracker is not None:
             self._tracker.observe(environment_state, delta)
-        elif delta is not None and delta.is_empty:
-            previous = self._previous_environment_state
-            if previous is not None:
-                environment_state._adopt_view_memos(previous)
-        self._previous_environment_state = environment_state
+        elif delta is EMPTY_DELTA:
+            environment_state._adopt_view_memos(previous)
         return environment_state
 
     def _execute_round(self, round_index: int) -> RoundRecord:

@@ -40,8 +40,9 @@ delivered merge's ``(old, new)`` state delta in O(1), the objective is
 updated from the same delta when it supports exact increments, and
 convergence is checked against the target via an O(1) content fingerprint
 — instead of rebuilding multisets per delivered message and three more per
-round.  Quiet rounds of a delta-reporting environment adopt the previous
-state's memoized effective-edge view.
+round.  A quiet round — an empty delta between its environment state and
+the last (:meth:`EnvironmentDelta.between`) — adopts the previous state's
+memoized effective-edge view.
 """
 
 from __future__ import annotations
@@ -54,7 +55,12 @@ from ..core.errors import SimulationError
 from ..core.multiset import Multiset
 from ..core.algorithm import SelfSimilarAlgorithm
 from ..core.relation import StepJudgement, StepKind
-from ..environment.base import Environment, EnvironmentState
+from ..environment.base import (
+    EMPTY_DELTA,
+    Environment,
+    EnvironmentDelta,
+    EnvironmentState,
+)
 from .checkpoint import (
     EngineCheckpoint,
     RoundState,
@@ -308,23 +314,19 @@ class MergeMessagePassingSimulator:
     def _advance_environment(self, round_index: int) -> EnvironmentState:
         """One environment transition, with view reuse across quiet rounds.
 
-        When the environment reports an empty delta, the new state is
-        semantically identical to the previous one, so the previous
-        state's memoized effective-edge view is adopted instead of being
-        re-filtered — the per-round send loop then starts from the exact
-        same frozenset object (identical iteration order, identical
-        random stream).
+        When the delta from the previous state is empty, the new state is
+        semantically identical to it, so the previous state's memoized
+        effective-edge view is adopted instead of being re-filtered — the
+        per-round send loop then starts from the exact same frozenset
+        object (identical iteration order, identical random stream).
         """
-        rng = self._state.rng
-        if not self.environment.reports_deltas:
-            return self.environment.advance(round_index, rng)
-        environment_state, delta = self.environment.advance_with_delta(
-            round_index, rng
-        )
-        if delta is not None and delta.is_empty:
-            previous = self._previous_environment_state
-            if previous is not None:
-                environment_state._adopt_view_memos(previous)
+        environment_state = self.environment.advance(round_index, self._state.rng)
+        previous = self._previous_environment_state
+        if (
+            previous is not None
+            and EnvironmentDelta.between(previous, environment_state) is EMPTY_DELTA
+        ):
+            environment_state._adopt_view_memos(previous)
         self._previous_environment_state = environment_state
         return environment_state
 

@@ -29,19 +29,6 @@ class FullCheckpointEnvironment:
         return None
 
 
-@register_environment("honest-delta")
-class HonestDeltaEnvironment:
-    """reports_deltas declared alongside the incremental path."""
-
-    reports_deltas = True
-
-    def advance(self, round_index):
-        return None
-
-    def advance_with_delta(self, round_index):
-        return None, ()
-
-
 @register_environment("pure-function")
 class PureFunctionEnvironment:
     """No overrides at all: the base defaults are coherent."""

@@ -26,27 +26,6 @@ class HalfCheckpointEnvironment:
         return {"round": 0}
 
 
-@register_environment("silent-delta")
-class SilentDeltaEnvironment:
-    """P101: advance_with_delta without declaring reports_deltas."""
-
-    def advance(self, round_index):
-        return None
-
-    def advance_with_delta(self, round_index):
-        return None, ()
-
-
-@register_environment("broken-promise")
-class BrokenPromiseEnvironment:
-    """P101: reports_deltas = True without advance_with_delta."""
-
-    reports_deltas = True
-
-    def advance(self, round_index):
-        return None
-
-
 @register_probe("capture-only")
 class CaptureOnlyProbe:
     """P101: state_dict without a restore path."""

@@ -1,13 +1,12 @@
 """Differential suite for the incremental environment layer.
 
 Pins the central contract of the O(Δ) environment work: for every
-environment family, over long runs of churn,
+environment family, over long runs of churn driven through the public
+``advance`` as the engines drive it,
 
-* the per-round :class:`EnvironmentDelta` reported by
-  ``advance_with_delta`` is exactly the symmetric difference between
-  consecutive states, and reporting it does not perturb the random
-  stream (a twin environment driven through plain ``advance`` produces
-  identical states *and* an identical RNG state);
+* :meth:`EnvironmentDelta.between` of consecutive states is exactly their
+  symmetric difference — on frozensets and on the array form alike — and
+  the shared :data:`EMPTY_DELTA` when nothing changed;
 * the :class:`ConnectivityTracker`'s maintained components are identical
   — members and order — to a from-scratch
   :func:`connected_component_tuples` walk of the same state, including
@@ -25,6 +24,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.agents.group import Group
 from repro.environment.adversary import (
@@ -40,6 +41,7 @@ from repro.environment.base import (
     connected_component_tuples,
 )
 from repro.environment.connectivity import ConnectivityTracker
+from repro.environment import dynamics
 from repro.environment.dynamics import (
     MarkovChurnEnvironment,
     PeriodicDutyCycleEnvironment,
@@ -77,7 +79,7 @@ ENVIRONMENTS = {
     "churn-agents-dense": lambda: RandomChurnEnvironment(
         complete_graph(14), edge_up_probability=0.3, agent_up_probability=0.6
     ),
-    # markov churn: temporally correlated outages, flip-list deltas
+    # markov churn: temporally correlated outages
     "markov": lambda: MarkovChurnEnvironment(
         random_connected_graph(30, extra_edge_probability=0.08, seed=5),
         edge_failure_probability=0.25,
@@ -121,37 +123,128 @@ def from_scratch(state: EnvironmentState) -> list[tuple[int, ...]]:
     return connected_component_tuples(state.enabled_agents, state.effective_edges())
 
 
-@pytest.mark.parametrize("name", sorted(ENVIRONMENTS))
-def test_deltas_are_exact_and_stream_preserving(name):
-    environment = ENVIRONMENTS[name]()
-    twin = ENVIRONMENTS[name]()
-    assert environment.reports_deltas
-    rng = random.Random(99)
-    twin_rng = random.Random(99)
+def observed(environment, rng, rounds):
+    """Each round's state and its delta from the previous round's — the
+    engines' own diff, None on the first round."""
     previous = None
-    for round_index in range(ROUNDS):
-        state, delta = environment.advance_with_delta(round_index, rng)
-        twin_state = twin.advance(round_index, twin_rng)
-        # Same states whether or not a delta is requested...
-        assert state.enabled_agents == twin_state.enabled_agents
-        assert state.available_edges == twin_state.available_edges
-        # ...and the same number and order of random draws.
-        assert rng.getstate() == twin_rng.getstate()
-        if previous is not None:
-            assert delta is not None, f"{name} lost delta tracking mid-run"
-            assert set(delta.edges_down) == set(
-                previous.available_edges - state.available_edges
-            )
-            assert set(delta.edges_up) == set(
-                state.available_edges - previous.available_edges
-            )
-            assert set(delta.agents_disabled) == set(
-                previous.enabled_agents - state.enabled_agents
-            )
-            assert set(delta.agents_enabled) == set(
-                state.enabled_agents - previous.enabled_agents
-            )
+    for round_index in range(rounds):
+        state = environment.advance(round_index, rng)
+        yield state, (
+            None if previous is None else EnvironmentDelta.between(previous, state)
+        )
         previous = state
+
+
+def assert_exact(delta, previous, state):
+    """``delta`` is the symmetric difference from ``previous`` to ``state``."""
+    parts = (
+        delta.edges_down,
+        delta.edges_up,
+        delta.agents_disabled,
+        delta.agents_enabled,
+    )
+    expected = (
+        previous.available_edges - state.available_edges,
+        state.available_edges - previous.available_edges,
+        previous.enabled_agents - state.enabled_agents,
+        state.enabled_agents - previous.enabled_agents,
+    )
+    for part, want in zip(parts, expected):
+        items = list(part)
+        assert len(items) == len(want) and set(items) == want
+    unchanged = (
+        previous.enabled_agents == state.enabled_agents
+        and previous.available_edges == state.available_edges
+    )
+    assert (delta is EMPTY_DELTA) == unchanged
+
+
+@pytest.mark.parametrize("name", sorted(ENVIRONMENTS))
+def test_between_is_the_exact_symmetric_difference(name):
+    environment = ENVIRONMENTS[name]()
+    rng = random.Random(99)
+    previous = None
+    for state, delta in observed(environment, rng, ROUNDS):
+        if previous is not None:
+            assert_exact(delta, previous, state)
+            assert EnvironmentDelta.between(state, state) is EMPTY_DELTA
+        previous = state
+
+
+@pytest.mark.parametrize("name", sorted(ENVIRONMENTS))
+def test_advance_with_delta_is_advance_with_an_unknown_delta(name):
+    # The base adapter: the same state and the same draws as ``advance``,
+    # paired with a None delta, for every family (none overrides it).
+    plain, adapted = ENVIRONMENTS[name](), ENVIRONMENTS[name]()
+    plain_rng, adapted_rng = random.Random(7), random.Random(7)
+    for round_index in range(40):
+        expected = plain.advance(round_index, plain_rng)
+        state, delta = adapted.advance_with_delta(round_index, adapted_rng)
+        assert delta is None
+        assert state == expected
+        assert list(state.enabled_agents) == list(expected.enabled_agents)
+        assert list(state.available_edges) == list(expected.available_edges)
+        assert adapted_rng.getstate() == plain_rng.getstate()
+
+
+#: The transitions of the ``between`` property: Markov below and above
+#: VECTORIZED_MIN_DRAWS (frozensets / array form), and random churn
+#: through ``advance`` (frozensets) and ``_advance_arrays`` (array form).
+TRANSITIONS = ("markov-loop", "markov-vectorized", "churn", "churn-arrays")
+
+#: Probabilities with the 0.0 and 1.0 edge cases drawn often, so frozen
+#: chains and unchanged rounds come up.
+probabilities = st.one_of(
+    st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)
+)
+
+
+@given(
+    transition=st.sampled_from(TRANSITIONS),
+    num_agents=st.integers(min_value=1, max_value=14),
+    edge_probabilities=st.tuples(probabilities, probabilities),
+    agent_probabilities=st.tuples(probabilities, probabilities),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_between_property_over_state_forms(
+    transition, num_agents, edge_probabilities, agent_probabilities, seed
+):
+    arrays = transition in ("markov-vectorized", "churn-arrays")
+    if arrays and dynamics._numpy is None:
+        return
+    graph = random_connected_graph(num_agents, extra_edge_probability=0.3, seed=seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "VECTORIZED_MIN_DRAWS", 0 if arrays else 10**9)
+        if transition.startswith("markov"):
+            advance = MarkovChurnEnvironment(
+                graph, *edge_probabilities, *agent_probabilities
+            ).advance
+        else:
+            environment = RandomChurnEnvironment(
+                graph, edge_probabilities[0], agent_probabilities[0]
+            )
+            advance = (
+                environment.array_transition() if arrays else environment.advance
+            )
+        rng = random.Random(seed)
+        states = [advance(round_index, rng) for round_index in range(4)]
+    pairs = list(zip(states, states[1:]))
+    deltas = [EnvironmentDelta.between(previous, state) for previous, state in pairs]
+    for state in states:
+        # Two array-form states are diffed without building a set.
+        assert ("_up_edges" in state.__dict__) == arrays
+        assert ("available_edges" in state.__dict__) != arrays
+    for delta, (previous, state) in zip(deltas, pairs):
+        assert_exact(delta, previous, state)
+        assert EnvironmentDelta.between(state, state) is EMPTY_DELTA
+        # An equal eager twin (the other form, for array states): nothing
+        # changed.
+        twin = EnvironmentState(
+            state.enabled_agents, state.available_edges, state.round_index
+        )
+        assert EnvironmentDelta.between(state, twin) is EMPTY_DELTA
+        assert EnvironmentDelta.between(twin, state) is EMPTY_DELTA
 
 
 @pytest.mark.parametrize("name", sorted(ENVIRONMENTS))
@@ -159,11 +252,11 @@ def test_incremental_connectivity_matches_from_scratch(name):
     environment = ENVIRONMENTS[name]()
     tracker = ConnectivityTracker(environment.topology)
     rng = random.Random(4242)
-    for round_index in range(ROUNDS):
-        state, delta = environment.advance_with_delta(round_index, rng)
+    for state, delta in observed(environment, rng, ROUNDS):
         tracker.observe(state, delta)
         assert tracker.component_tuples(state) == from_scratch(state), (
-            f"{name}: maintained components diverged at round {round_index}"
+            f"{name}: maintained components diverged at round "
+            f"{state.round_index}"
         )
 
 
@@ -172,8 +265,7 @@ def test_state_group_views_serve_maintained_components(name):
     environment = ENVIRONMENTS[name]()
     tracker = ConnectivityTracker(environment.topology, group_factory=Group)
     rng = random.Random(17)
-    for round_index in range(80):
-        state, delta = environment.advance_with_delta(round_index, rng)
+    for state, delta in observed(environment, rng, 80):
         tracker.observe(state, delta)
         expected = from_scratch(state)
         assert state.communication_group_tuples() == expected
@@ -196,8 +288,7 @@ def test_group_objects_reused_across_rounds():
     tracker = ConnectivityTracker(environment.topology, group_factory=Group)
     rng = random.Random(3)
     seen_singletons: dict[int, int] = {}
-    for round_index in range(120):
-        state, delta = environment.advance_with_delta(round_index, rng)
+    for state, delta in observed(environment, rng, 120):
         tracker.observe(state, delta)
         for group in state.maintained_scheduler_groups():
             assert isinstance(group, Group)
@@ -215,12 +306,12 @@ def test_group_objects_reused_across_rounds():
 def test_quiet_round_shares_group_list():
     environment = StaticEnvironment(ring_graph(12))
     tracker = ConnectivityTracker(environment.topology, group_factory=Group)
-    rng = random.Random(0)
-    state0, delta0 = environment.advance_with_delta(0, rng)
+    rounds = observed(environment, random.Random(0), 2)
+    state0, delta0 = next(rounds)
     tracker.observe(state0, delta0)
     first = state0.maintained_scheduler_groups()
     first_tuple = tracker.groups_tuple()
-    state1, delta1 = environment.advance_with_delta(1, rng)
+    state1, delta1 = next(rounds)
     assert delta1 is EMPTY_DELTA
     tracker.observe(state1, delta1)
     assert state1.maintained_scheduler_groups() is first
@@ -242,16 +333,9 @@ class _ScriptedEnvironment:
                 available_edges=frozenset(edges),
                 round_index=index,
             )
-            if previous is None:
-                delta = None
-            else:
-                delta = EnvironmentDelta.between(
-                    previous.enabled_agents,
-                    previous.available_edges,
-                    state.enabled_agents,
-                    state.available_edges,
-                )
-            yield state, delta
+            yield state, (
+                None if previous is None else EnvironmentDelta.between(previous, state)
+            )
             previous = state
 
 
@@ -283,10 +367,9 @@ def test_resync_after_none_delta_mid_run():
     environment = RandomChurnEnvironment(ring_graph(20), edge_up_probability=0.3)
     tracker = ConnectivityTracker(environment.topology)
     rng = random.Random(8)
-    for round_index in range(40):
-        state, delta = environment.advance_with_delta(round_index, rng)
-        if round_index == 20:
-            delta = None  # simulate an environment losing track mid-run
+    for state, delta in observed(environment, rng, 40):
+        if state.round_index == 20:
+            delta = None  # a consumer that lost track resynchronizes
         tracker.observe(state, delta)
         assert tracker.component_tuples(state) == from_scratch(state)
 
@@ -294,15 +377,11 @@ def test_resync_after_none_delta_mid_run():
 def test_tracker_reset_forces_resync():
     environment = RandomChurnEnvironment(ring_graph(16), edge_up_probability=0.4)
     tracker = ConnectivityTracker(environment.topology)
-    rng = random.Random(12)
-    for round_index in range(10):
-        state, delta = environment.advance_with_delta(round_index, rng)
+    for state, delta in observed(environment, random.Random(12), 10):
         tracker.observe(state, delta)
     tracker.reset()
     environment.reset()
-    rng = random.Random(12)
-    for round_index in range(10):
-        state, delta = environment.advance_with_delta(round_index, rng)
+    for state, delta in observed(environment, random.Random(12), 10):
         tracker.observe(state, delta)
         assert tracker.component_tuples(state) == from_scratch(state)
 
@@ -310,47 +389,39 @@ def test_tracker_reset_forces_resync():
 def test_stale_state_falls_back_to_from_scratch():
     environment = RandomChurnEnvironment(ring_graph(10), edge_up_probability=0.5)
     tracker = ConnectivityTracker(environment.topology, group_factory=Group)
-    rng = random.Random(1)
-    old_state, old_delta = environment.advance_with_delta(0, rng)
+    rounds = observed(environment, random.Random(1), 2)
+    old_state, old_delta = next(rounds)
     tracker.observe(old_state, old_delta)
-    new_state, new_delta = environment.advance_with_delta(1, rng)
+    new_state, new_delta = next(rounds)
     tracker.observe(new_state, new_delta)
     # The superseded state still answers truthfully (served from scratch).
     assert tracker.component_tuples(old_state) == from_scratch(old_state)
     assert old_state.maintained_scheduler_groups() is None
 
 
-def test_plain_advance_invalidates_delta_base():
-    environment = RandomChurnEnvironment(ring_graph(12), edge_up_probability=0.4)
-    rng = random.Random(5)
-    environment.advance_with_delta(0, rng)
-    environment.advance(1, rng)  # interleaved plain call
-    _, delta = environment.advance_with_delta(2, rng)
-    # The environment must not fabricate a delta across the untracked
-    # round; None forces consumers to resynchronize.
-    assert delta is None
-
-
 def test_rotating_partition_interleaved_advance_does_not_corrupt_deltas():
-    # Regression: the epoch-edge cache is shared between advance() and
-    # advance_with_delta(); a plain advance() that crosses an epoch
-    # boundary must invalidate the delta base, or the next
-    # advance_with_delta() would diff against the wrong epoch (observed
-    # as an EMPTY delta right after a rotation, i.e. silently wrong
-    # maintained components).
+    # Regression: the epoch-edge cache is shared by every advance() call,
+    # observed or not.  A plain advance() between observed rounds that
+    # crosses an epoch boundary once produced an EMPTY delta right after
+    # a rotation (silently wrong maintained components).  The delta is
+    # now taken against the state the tracker last observed, whatever
+    # the environment did in between.
     environment = RotatingPartitionAdversary(
         complete_graph(9), num_blocks=3, rotate_every=4, seed=0
     )
     tracker = ConnectivityTracker(environment.topology)
     rng = random.Random(0)
-    for round_index in range(4):  # epoch 0
-        state, delta = environment.advance_with_delta(round_index, rng)
+    previous = None
+    for round_index in range(16):
+        if round_index % 4 == 0:
+            environment.advance(round_index, rng)  # unobserved, enters the epoch
+        state = environment.advance(round_index, rng)
+        delta = None if previous is None else EnvironmentDelta.between(previous, state)
+        if round_index and round_index % 4 == 0:
+            assert not delta.is_empty  # every rotation here moves some edge
         tracker.observe(state, delta)
-    environment.advance(4, rng)  # interleaved plain call crosses the epoch
-    state, delta = environment.advance_with_delta(4, rng)
-    assert delta is None  # base invalidated, consumers resynchronize
-    tracker.observe(state, delta)
-    assert tracker.component_tuples(state) == from_scratch(state)
+        assert tracker.component_tuples(state) == from_scratch(state)
+        previous = state
 
 
 def test_environment_state_memoizes_derived_views():

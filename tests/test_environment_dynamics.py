@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from repro.core.errors import EnvironmentError_
 from repro.environment import (
+    EMPTY_DELTA,
     BlackoutAdversary,
     EdgeBudgetAdversary,
+    EnvironmentDelta,
     MarkovChurnEnvironment,
     PeriodicDutyCycleEnvironment,
     RandomChurnEnvironment,
@@ -149,34 +151,35 @@ def _markov_run(
     """Everything observable about one Markov run, with the vectorized
     path forced on (``min_draws`` 0) or off (a huge ``min_draws``).
 
-    Mixes plain ``advance`` rounds into ``advance_with_delta`` rounds and,
-    with ``restore``, loads a mid-run ``state_dict`` into a fresh
-    environment, which then carries the run on.
+    Records each round's delta from the previous state, as the engines
+    take it, and with ``restore`` loads a mid-run ``state_dict`` into a
+    fresh environment, which then carries the run on.
     """
     monkeypatch.setattr(dynamics, "VECTORIZED_MIN_DRAWS", min_draws)
     env = MarkovChurnEnvironment(topology, *probabilities)
     rng = random.Random(5)
     rng.gauss(0.0, 1.0)  # leaves a pending gauss value in the state
     observed = []
+    previous = None
     for round_index in range(rounds):
         if restore and round_index == rounds // 2:
             checkpoint = env.state_dict()
             env = MarkovChurnEnvironment(topology, *probabilities)
             env.load_state(checkpoint)
-        if round_index % 4 == 3:
-            state, delta = env.advance(round_index, rng), "plain"
-        else:
-            state, delta = env.advance_with_delta(round_index, rng)
-            if delta is not None:
-                delta = tuple(
-                    list(part)
-                    for part in (
-                        delta.edges_down,
-                        delta.edges_up,
-                        delta.agents_disabled,
-                        delta.agents_enabled,
-                    )
+        state = env.advance(round_index, rng)
+        delta = None
+        if previous is not None:
+            found = EnvironmentDelta.between(previous, state)
+            delta = (found is EMPTY_DELTA,) + tuple(
+                sorted(part)
+                for part in (
+                    found.edges_down,
+                    found.edges_up,
+                    found.agents_disabled,
+                    found.agents_enabled,
                 )
+            )
+        previous = state
         observed.append(
             (
                 list(state.enabled_agents),
@@ -192,7 +195,7 @@ def _markov_run(
 
 
 #: (edge fail, edge recover, agent fail, agent recover): agent failures
-#: off, on, and a chain that stops flipping (reused sets, empty deltas).
+#: off, on, and a chain that stops flipping (empty deltas).
 MARKOV_PROBABILITIES = {
     "edges-only": (0.3, 0.4, 0.0, 1.0),
     "agent-failures": (0.3, 0.4, 0.15, 0.5),
@@ -215,12 +218,10 @@ class TestMarkovVectorizedPath:
         vectorized = _markov_run(monkeypatch, 0, topology, params)
         for round_index, (left, right) in enumerate(zip(loop, vectorized)):
             assert left == right, f"diverged at round {round_index}"
-        # The restored run is the uninterrupted one, apart from the delta
-        # base the fresh environment starts without.
+        # The restored run is the uninterrupted one.
         uninterrupted = _markov_run(monkeypatch, 0, topology, params, restore=False)
         for round_index, (left, right) in enumerate(zip(vectorized, uninterrupted)):
-            if round_index != len(loop) // 2:
-                assert left == right, f"diverged at round {round_index}"
+            assert left == right, f"diverged at round {round_index}"
 
     def test_loop_runs_when_numpy_is_missing(self, monkeypatch):
         # What a container without numpy looks like to the environment:
@@ -316,15 +317,14 @@ def test_churn_array_transition_is_advance(
         assert array_rng.getstate() == loop_rng.getstate()
 
 
-@pytest.mark.parametrize("method", ["advance", "_advance"])
-def test_churn_subclass_overriding_the_transition_loses_the_array_form(method):
+def test_churn_subclass_overriding_the_transition_loses_the_array_form():
     # The array form reproduces RandomChurnEnvironment's own transition;
     # a subclass that overrides it, even by plain delegation, must be
     # advanced through its own advance.
-    def delegate(self, *args):
-        return getattr(super(Overriding, self), method)(*args)
+    class Overriding(RandomChurnEnvironment):
+        def advance(self, *args):
+            return super().advance(*args)
 
-    Overriding = type("Overriding", (RandomChurnEnvironment,), {method: delegate})
     assert Overriding(ring_graph(6)).array_transition() is None
     state = Overriding(ring_graph(6), 0.5, 0.5).advance(0, random.Random(3))
     assert state == RandomChurnEnvironment(ring_graph(6), 0.5, 0.5).advance(

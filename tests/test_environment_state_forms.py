@@ -154,9 +154,7 @@ def test_deltas_between_mixed_forms(pair):
     eager_b, make_b = _forms(*second)
 
     def delta(a, b):
-        found = EnvironmentDelta.between(
-            a.enabled_agents, a.available_edges, b.enabled_agents, b.available_edges
-        )
+        found = EnvironmentDelta.between(a, b)
         return [
             sorted(part)
             for part in (
@@ -170,7 +168,11 @@ def test_deltas_between_mixed_forms(pair):
     expected = delta(eager_a, eager_b)
     assert delta(make_a(), eager_b) == expected
     assert delta(eager_a, make_b()) == expected
-    assert delta(make_a(), make_b()) == expected
+    # Two array-form states are diffed on their up-edge indexes, and on
+    # their id arrays when both hold one: no edge set is built.
+    array_a, array_b = make_a(), make_b()
+    assert delta(array_a, array_b) == expected
+    assert _is_lazy(array_a) and _is_lazy(array_b)
 
 
 def test_adopted_views_cross_forms_without_building_sets():

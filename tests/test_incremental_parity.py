@@ -49,6 +49,7 @@ from repro.algorithms.second_smallest import (
 from repro.algorithms.sorting import sorting_algorithm
 from repro.algorithms.summation import summation_algorithm
 from repro.core.errors import SimulationError
+from repro.environment.base import Environment, EnvironmentState
 from repro.environment.dynamics import RandomChurnEnvironment, StaticEnvironment
 from repro.environment.graphs import complete_graph, ring_graph
 from repro.simulation.engine import Simulator
@@ -164,10 +165,31 @@ def test_cross_check_refuses_the_from_scratch_mode():
         )
 
 
+class _OnlyAdvance(Environment):
+    """An unregistered environment with no delta code: it overrides only
+    ``advance``, and its states are rebuilt every round, so the engine's
+    own diff is all the incremental path has to go on."""
+
+    def __init__(self):
+        super().__init__(ring_graph(8))
+
+    def advance(self, round_index, rng):
+        draw = rng.random
+        edges = [edge for edge in sorted(self.topology.edges) if draw() < 0.5]
+        # Odd agents sleep every third round.
+        enabled = [
+            agent
+            for agent in self.topology.agent_ids
+            if round_index % 3 or agent % 2 == 0
+        ]
+        return EnvironmentState(frozenset(enabled), frozenset(edges), round_index)
+
+
 def test_environment_parity_across_environment_families():
     # The incremental engine (both layers) must be byte-identical to the
-    # from-scratch reference for every delta-reporting environment
-    # family, not just churn.
+    # from-scratch reference for every environment family, not just
+    # churn, and cross_check must find nothing to object to — including
+    # for an environment that has no delta code of its own.
     from repro.environment.adversary import (
         BlackoutAdversary,
         EdgeBudgetAdversary,
@@ -206,17 +228,61 @@ def test_environment_parity_across_environment_families():
             grid_graph(2, 4), period=4, blackout_rounds=1
         ),
         "edge-budget": lambda: EdgeBudgetAdversary(ring_graph(8), budget=2),
+        "only-advance": _OnlyAdvance,
     }
     for name, build in environments.items():
-        def run(incremental):
+        def run(**modes):
             return Simulator(
                 minimum_algorithm(),
                 build(),
                 initial_values=[9, 4, 7, 1, 8, 3, 6, 2],
                 seed=23,
-                incremental=incremental,
+                **modes,
             ).run(max_rounds=120)
-        _assert_identical(run(True), run(False))
+        reference = run(incremental=False)
+        _assert_identical(run(), reference)
+        _assert_identical(run(cross_check=True), reference)
+
+
+class _NoAdapter(RandomChurnEnvironment):
+    """Random churn whose ``advance_with_delta`` adapter refuses to run."""
+
+    def advance_with_delta(self, round_index, rng):
+        raise AssertionError("the engines advance through advance alone")
+
+
+@pytest.mark.parametrize(
+    "modes", [{}, {"cross_check": True}, {"incremental": False}]
+)
+def test_engines_never_call_advance_with_delta(modes):
+    # The engines take each delta from ``EnvironmentDelta.between`` of
+    # consecutive ``advance`` states; the adapter is for outside callers.
+    def run(environment_type):
+        return Simulator(
+            minimum_algorithm(),
+            environment_type(ring_graph(8), edge_up_probability=0.5),
+            initial_values=VALUES,
+            seed=5,
+            **modes,
+        ).run(max_rounds=80)
+
+    _assert_identical(run(_NoAdapter), run(RandomChurnEnvironment))
+
+
+def test_messaging_never_calls_advance_with_delta():
+    from repro.algorithms import minimum_merge
+    from repro.simulation import MergeMessagePassingSimulator
+
+    def run(environment_type):
+        return MergeMessagePassingSimulator(
+            minimum_algorithm(),
+            merge=minimum_merge,
+            environment=environment_type(ring_graph(8), edge_up_probability=0.5),
+            initial_values=VALUES,
+            seed=5,
+        ).run(max_rounds=80)
+
+    _assert_identical(run(_NoAdapter), run(RandomChurnEnvironment))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
