@@ -248,7 +248,7 @@ class SelfSimilarAlgorithm:
         delta = self.objective.delta(removed, added)
         if delta is None:
             return self.objective(after)
-        return self._bounded_objective(before + delta)
+        return self.objective.bounded(before + delta)
 
     def objective_array_delta(self, before: float, removed: Any, added: Any) -> float:
         """:meth:`objective_delta` for a delta given as ``int64`` arrays.
@@ -258,20 +258,9 @@ class SelfSimilarAlgorithm:
         call it when the objective supports one) and applies the same
         lower-bound guard.
         """
-        return self._bounded_objective(
+        return self.objective.bounded(
             before + self.objective.array_delta(removed, added)
         )
-
-    def _bounded_objective(self, value: float) -> float:
-        """``value``, or a :class:`SpecificationError` when it is below
-        the objective's declared lower bound."""
-        objective = self.objective
-        if value < objective.lower_bound - 1e-12:
-            raise SpecificationError(
-                f"objective {objective.name!r} reached {value}, below its "
-                f"declared lower bound {objective.lower_bound}"
-            )
-        return value
 
     # -- convergence ----------------------------------------------------------
 

@@ -95,10 +95,15 @@ class ObjectiveFunction:
 
     def __call__(self, states: Multiset | Iterable) -> float:
         bag = states if isinstance(states, Multiset) else Multiset(states)
-        value = self.evaluate(bag)
+        return self.bounded(self.evaluate(bag))
+
+    def bounded(self, value: float) -> float:
+        """``value``, or a :class:`SpecificationError` when it is below
+        :attr:`lower_bound` (the well-foundedness guard on every value of
+        ``h``, evaluated or maintained incrementally)."""
         if value < self.lower_bound - 1e-12:
             raise SpecificationError(
-                f"objective {self.name!r} returned {value}, below its declared "
+                f"objective {self.name!r} reached {value}, below its declared "
                 f"lower bound {self.lower_bound}"
             )
         return value
@@ -135,6 +140,23 @@ class ObjectiveFunction:
         leaving the arrays; only call it when :attr:`supports_array_delta`.
         """
         return self.array_delta_fn(removed, added)
+
+    def array_value(self, states: Any) -> float | None:
+        """``h`` of the bag of an ``int64`` array's values, priced on the
+        array, or None when the array delta cannot price it.
+
+        A summation-form objective ``h(S) = Σ h_a(S_a)`` prices every
+        delta exactly, the one from the empty bag included, so ``h(S) =
+        h(∅) + array_delta(∅, S)``, checked against :attr:`lower_bound`
+        as :meth:`__call__` checks.  Any other objective's array delta may
+        assume a conserved quantity (the sum objective's assumes a fixed
+        total), so it gets None.
+        """
+        if not (self.summation_form and self.supports_array_delta):
+            return None
+        return self.bounded(
+            self.evaluate(Multiset.empty()) + self.array_delta(states[:0], states)
+        )
 
     def is_improvement(
         self, before: Multiset | Iterable, after: Multiset | Iterable

@@ -79,13 +79,23 @@ class Topology:
         if num_agents <= 0:
             raise EnvironmentError_("a topology needs at least one agent")
         self.num_agents = num_agents
+        # One pass, with _normalize_edge inlined: the insertion order fixes
+        # the frozenset's iteration order, which is the environments' draw
+        # order, so edges go in exactly as given.
         normalized = set()
-        for a, b in edges:
+        add = normalized.add
+        for edge in edges:
+            a, b = edge
             if not (0 <= a < num_agents and 0 <= b < num_agents):
                 raise EnvironmentError_(
                     f"edge ({a}, {b}) references an agent outside 0..{num_agents - 1}"
                 )
-            normalized.add(_normalize_edge(a, b))
+            if a < b:
+                add(edge if type(edge) is tuple else (a, b))
+            elif b < a:
+                add((b, a))
+            else:
+                raise EnvironmentError_(f"self-loop edge ({a}, {b}) is not allowed")
         self.edges: frozenset[Edge] = frozenset(normalized)
         self._adjacency: dict[int, frozenset[int]] | None = None
         self._is_connected: bool | None = None

@@ -35,22 +35,26 @@ __all__ = [
     "VECTORIZED_MIN_DRAWS",
     "edge_endpoints",
     "masked_state",
+    "randint_draws",
     "uniform_draws",
 ]
 
-#: Per-round draw count (edges + agents) from which
-#: :class:`MarkovChurnEnvironment` makes its draws as one numpy batch
-#: instead of a Python loop.  Measured, not tuned per run: a batch pays a
-#: fixed ~0.3 ms (the generator state into numpy and back, plus a dozen
-#: small array calls), the loop ~0.1 µs per draw, and the two break even
-#: near 3000 draws on ring and complete graphs (Python 3.11, numpy 2.4,
-#: one x86-64 vCPU).
+#: Draw count from which this module's draws run as numpy batches
+#: instead of a Python loop: :class:`MarkovChurnEnvironment`'s per-round
+#: draws (edges + agents) and :func:`randint_draws`.  Measured, not tuned
+#: per run: a batch pays a fixed ~0.3 ms (the generator state into numpy
+#: and back, plus a dozen small array calls), and the Markov loop ~0.1 µs
+#: per draw, so the two break even near 3000 draws on ring and complete
+#: graphs.  The ``randint`` loop costs ~0.8 µs a draw, but the first batch
+#: in a process also imports ``numpy.random`` (~16 ms, ~2 MB), so smaller
+#: instances keep the loop (Python 3.11, numpy 2.4, one x86-64 vCPU).
 VECTORIZED_MIN_DRAWS = 3000
 
-#: Per-thread numpy ``RandomState`` used by :func:`uniform_draws` as a
-#: state container.  Built once per thread because construction costs
-#: about as much as a whole state round trip; every call overwrites its
-#: entire state first, so nothing carries over from one call to the next.
+#: Per-thread numpy ``RandomState`` used by :func:`uniform_draws` and
+#: :func:`randint_draws` as a state container.  Built once per thread
+#: because construction costs about as much as a whole state round trip;
+#: every call overwrites its entire state first, so nothing carries over
+#: from one call to the next.
 _draw_scratch = threading.local()
 
 
@@ -67,6 +71,51 @@ def uniform_draws(rng: random.Random, count: int):
     carried through untouched (``random()`` never consumes it).  Needs
     numpy.
     """
+    return _drawn_on_scratch(rng, lambda scratch: scratch.random_sample(count))
+
+
+def randint_draws(rng: random.Random, count: int, low: int, high: int) -> list:
+    """``count`` integers from ``[low, high]`` drawn from ``rng``, as a list.
+
+    Equal to ``[rng.randint(low, high) for _ in range(count)]``, and
+    ``rng`` is left in exactly the state that loop leaves.  For a span
+    ``high - low + 1`` below ``2**32``, ``randint`` takes the top
+    ``k = span.bit_length()`` bits of one 32-bit MT19937 word and rejects
+    values ``>= span``; numpy's legacy ``RandomState`` yields the same raw
+    words from the same state (NEP 19 freezes that stream), so the words
+    are drawn as numpy batches, shifted and filtered.  Each batch draws
+    only as many words as values are still missing, so no batch overshoots
+    and the final generator state is the loop's.  Counts below
+    :data:`VECTORIZED_MIN_DRAWS`, larger spans (whose ``randint`` reads
+    two words per try), endpoints outside ``int64`` and a missing numpy
+    run the loop itself.
+    """
+    np = _numpy
+    span = high - low + 1
+    if (
+        np is None
+        or count < VECTORIZED_MIN_DRAWS
+        or span.bit_length() > 32
+        or not (-(2**63) <= low and high < 2**63)
+    ):
+        return [rng.randint(low, high) for _ in range(count)]
+    shift = 32 - span.bit_length()
+
+    def draw(scratch) -> list:
+        drawn: list = []
+        while len(drawn) < count:
+            words = scratch.randint(0, 2**32, size=count - len(drawn), dtype=np.uint32)
+            values = words >> shift
+            drawn += (values[values < span].astype(np.int64) + low).tolist()
+        return drawn
+
+    return _drawn_on_scratch(rng, draw)
+
+
+def _drawn_on_scratch(rng: random.Random, draw):
+    """``draw(scratch)`` on this thread's scratch ``RandomState`` loaded
+    with ``rng``'s exact MT19937 state, after which ``rng`` is advanced to
+    the scratch's state.  A pending ``gauss()`` value is kept."""
     np = _numpy
     scratch = getattr(_draw_scratch, "state", None)
     if scratch is None:
@@ -75,10 +124,10 @@ def uniform_draws(rng: random.Random, count: int):
     scratch.set_state(
         ("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1])
     )
-    draws = scratch.random_sample(count)
+    drawn = draw(scratch)
     keys, position = scratch.get_state()[1:3]
     rng.setstate((version, tuple(keys.tolist()) + (int(position),), gauss))
-    return draws
+    return drawn
 
 
 def edge_endpoints(edges) -> tuple:

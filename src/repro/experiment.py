@@ -39,6 +39,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Mapping, Sequence
 
 from .core.errors import SpecificationError
+from .environment.dynamics import randint_draws
 from .registry import (
     ALGORITHMS,
     ENGINES,
@@ -73,13 +74,35 @@ __all__ = [
 # -- named value generators -----------------------------------------------------
 
 
+def _check_count(generator: str, count: int) -> None:
+    """Reject a negative instance size, naming the generator."""
+    if count < 0:
+        raise SpecificationError(f"{generator}: count must be non-negative, got {count}")
+
+
+def _check_integer_range(generator: str, count: int, low: int, high: int) -> None:
+    """Reject integer-generator parameters that describe no draw."""
+    for name, value in (("count", count), ("low", low), ("high", high)):
+        if not isinstance(value, int):
+            raise SpecificationError(
+                f"{generator}: {name} must be an integer, got {value!r}"
+            )
+    _check_count(generator, count)
+    if high < low:
+        raise SpecificationError(
+            f"{generator}: high ({high}) is below low ({low}), so the range is empty"
+        )
+
+
 @register_value_generator("random-integers")
 def random_integers(
     count: int, low: int = 0, high: int = 99, seed: int | None = None
 ) -> list[int]:
-    """``count`` integers drawn uniformly from ``[low, high]``."""
-    rng = random.Random(seed)
-    return [rng.randint(low, high) for _ in range(count)]
+    """``count`` integers drawn uniformly from ``[low, high]`` (the
+    ``randint`` stream of ``random.Random(seed)``, drawn in numpy batches
+    when it can be; see :func:`~repro.environment.dynamics.randint_draws`)."""
+    _check_integer_range("random-integers", count, low, high)
+    return randint_draws(random.Random(seed), count, low, high)
 
 
 @register_value_generator("random-distinct-integers")
@@ -88,6 +111,12 @@ def random_distinct_integers(
 ) -> list[int]:
     """``count`` pairwise-distinct integers from ``[low, high]`` (sorting
     and block-sorting instances require distinct values)."""
+    _check_integer_range("random-distinct-integers", count, low, high)
+    if count > high - low + 1:
+        raise SpecificationError(
+            f"random-distinct-integers: count ({count}) exceeds the "
+            f"{high - low + 1} distinct integers in [{low}, {high}]"
+        )
     rng = random.Random(seed)
     return rng.sample(range(low, high + 1), count)
 
@@ -98,6 +127,7 @@ def random_points(
 ) -> list[tuple[float, float]]:
     """``count`` uniform positions in an ``arena_size`` × ``arena_size`` square
     (instances for the geometric algorithms)."""
+    _check_count("random-points", count)
     rng = random.Random(seed)
     return [
         (rng.uniform(0, arena_size), rng.uniform(0, arena_size)) for _ in range(count)

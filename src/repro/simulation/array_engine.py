@@ -426,9 +426,11 @@ class ArrayEngine:
         against the algorithm's own step rule (through the full relation
         judge), the labelling against :func:`connected_component_tuples`,
         the array transition's state and RNG state against the public
-        ``advance`` on a copy of the run RNG, and the folded objective and
-        convergence verdict against the multiset of the flat states.  Any
-        divergence raises :class:`SimulationError`.
+        ``advance`` on a copy of the run RNG, the initial objective and
+        target against ``h`` and ``algorithm.target`` recomputed from the
+        initial states, and the folded objective and convergence verdict
+        against the multiset of the flat states.  Any divergence raises
+        :class:`SimulationError`.
     """
 
     def __init__(
@@ -476,7 +478,10 @@ class ArrayEngine:
 
         self._initial_states = initial_states
         self._install_states(initial_states)
-        self._target = algorithm.target(initial_states)
+        # The initial bag is built once: the target is f of it, and it is
+        # cached below as the epoch-0 bag that initial_snapshot() returns.
+        initial_bag = Multiset(initial_states)
+        self._target = algorithm.function(initial_bag)
         # No maintained bag: the objective is folded from int64 deltas and
         # convergence decided on the flat states (_vectorized_converged).
         self._state = RoundState(seed)
@@ -485,7 +490,7 @@ class ArrayEngine:
         # to refuse stale lazy bags, and current_multiset() to reuse the
         # bag it last built.
         self._epoch = 0
-        self._bag: tuple[int, Multiset] | None = None
+        self._bag: tuple[int, Multiset] | None = (0, initial_bag)
         # Asked for here, so its tables are built with the engine.
         self._array_advance = environment.array_transition()
 
@@ -642,7 +647,7 @@ class ArrayEngine:
         state = self._state
         if state.objective_value is None:
             # First use: price the objective once, on the pre-round states.
-            state.objective_value = self.algorithm.objective(self.current_multiset())
+            state.objective_value = self._initial_objective()
         environment_state = self._advance_environment(round_index)
         if self._maximal_bypass:
             ids, labels, enabled_count = self._labelled_components(environment_state)
@@ -908,11 +913,39 @@ class ArrayEngine:
             yield record
 
     def initial_snapshot(self) -> tuple[Multiset, float]:
-        """The pre-run ``(multiset, objective)`` pair (Engine protocol)."""
+        """The pre-run ``(multiset, objective)`` pair (Engine protocol).
+
+        Under ``cross_check`` the objective is compared with ``h`` of the
+        bag and the target with ``algorithm.target`` of the initial
+        states, both recomputed from scratch.
+        """
         initial_multiset = self.current_multiset()
-        if self._state.objective_value is None:
-            self._state.objective_value = self.algorithm.objective(initial_multiset)
-        return initial_multiset, self._state.objective_value
+        state = self._state
+        if state.objective_value is None:
+            state.objective_value = self._initial_objective()
+        if self.cross_check:
+            full_objective = self.algorithm.objective(initial_multiset)
+            if full_objective != state.objective_value:
+                raise SimulationError(
+                    "array-engine initial objective diverged from full "
+                    f"recomputation ({state.objective_value!r} vs "
+                    f"{full_objective!r})"
+                )
+            if self.algorithm.target(self._initial_states) != self._target:
+                raise SimulationError(
+                    "array-engine target diverged from algorithm.target of "
+                    "the initial states"
+                )
+        return initial_multiset, state.objective_value
+
+    def _initial_objective(self) -> float:
+        """``h`` of the flat states: priced on the ``int64`` array when the
+        objective can (:meth:`ObjectiveFunction.array_value`), on the bag
+        otherwise."""
+        value = self.algorithm.objective.array_value(self._states)
+        if value is None:
+            value = self.algorithm.objective(self.current_multiset())
+        return value
 
     def trace_complete(self, converged: bool, stopped_by_callback: bool) -> bool:
         """Once at ``S* = f(S*)``, every further step is a stutter, so the

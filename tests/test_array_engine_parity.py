@@ -51,6 +51,8 @@ from repro.algorithms.minimum import minimum_algorithm
 from repro.algorithms.summation import summation_algorithm
 from repro.core.algorithm import SelfSimilarAlgorithm
 from repro.core.errors import SimulationError, SpecificationError
+from repro.core.multiset import Multiset
+from repro.core.objective import ObjectiveFunction
 from repro.environment import dynamics
 from repro.environment.adversary import (
     BlackoutAdversary,
@@ -669,26 +671,54 @@ def test_history_none_run_matches_reference_summary():
     assert list(array_result.trace) == list(reference_result.trace)
 
 
+def _counting_builds(monkeypatch) -> list:
+    """Log the elements of every bag the array engine builds."""
+    builds = []
+
+    class CountingMultiset(array_engine_module.Multiset):
+        __slots__ = ()
+
+        def __init__(self, elements=()):
+            super().__init__(elements)
+            builds.append(list(elements))
+
+    monkeypatch.setattr(array_engine_module, "Multiset", CountingMultiset)
+    return builds
+
+
 @needs_numpy
 def test_history_none_never_snapshots_the_bag(monkeypatch):
     # The lazy record is the point of the design: under history="none"
     # nothing may read record.multiset, so no bag of the agent states is
     # built during the round loop.
+    builds = _counting_builds(monkeypatch)
     engine = _build(ArrayEngine, "minimum", seed=2)
-    builds = []
-    multiset = array_engine_module.Multiset
-
-    def counting_multiset(*args):
-        builds.append(engine.round_index)
-        return multiset(*args)
-
-    monkeypatch.setattr(array_engine_module, "Multiset", counting_multiset)
+    # Construction builds the initial bag (the target is f of it).
+    assert builds == [VALUES]
     result = engine.run(max_rounds=80, history="none")
     assert result.rounds_executed > 1
-    # initial_snapshot() builds one before the first round; the per-round
-    # loop builds none (the driver builds the result's single-element
-    # trace from current_states(), not from the bag).
-    assert builds == [0]
+    # initial_snapshot() reuses that bag, and the per-round loop builds
+    # none (run_engine builds the result's single-element trace from
+    # current_states(), not from the bag).
+    assert builds == [VALUES]
+
+
+@needs_numpy
+@pytest.mark.parametrize("case", ["minimum", "maximum", "sum"])
+def test_default_run_builds_the_initial_bag_once(monkeypatch, case):
+    # Construction, initial_snapshot() and the history's round-0 entry
+    # share one initial bag; the default (full-history) run builds a bag
+    # per round that changed the states, never the initial one again.
+    builds = _counting_builds(monkeypatch)
+    engine = _build(ArrayEngine, case, seed=3)
+    initial = engine.current_states()
+    snapshot, objective = engine.initial_snapshot()
+    assert snapshot is engine.current_multiset()
+    assert objective == engine.algorithm.objective(Multiset(initial))
+    result = engine.run(max_rounds=80)
+    assert result.rounds_executed > 1
+    assert builds.count(initial) == 1
+    assert result.objective_trajectory[0] == objective
 
 
 # -- the numpy-only fast paths ----------------------------------------------------
@@ -1012,6 +1042,15 @@ def _extra_draw(monkeypatch):
     )
 
 
+def _off_by_one_initial_price(monkeypatch):
+    price = ObjectiveFunction.array_value
+    monkeypatch.setattr(
+        ObjectiveFunction,
+        "array_value",
+        lambda self, states: price(self, states) + 1,
+    )
+
+
 def _negated_verdict(monkeypatch):
     verdict = ArrayEngine._vectorized_converged
     monkeypatch.setattr(
@@ -1021,10 +1060,11 @@ def _negated_verdict(monkeypatch):
 
 #: mutation -> (seeds it, fragment of the SimulationError cross_check raises)
 MUTATIONS = {
-    "fold-off-by-one": (_off_by_one_fold, "objective diverged"),
+    "fold-off-by-one": (_off_by_one_fold, "array-engine objective diverged"),
     "churn-drops-an-up-edge": (_dropped_up_edge, "transition diverged"),
     "churn-extra-draw": (_extra_draw, "run RNG"),
     "negated-convergence-verdict": (_negated_verdict, "verdict diverged"),
+    "initial-price-off-by-one": (_off_by_one_initial_price, "initial objective diverged"),
 }
 
 

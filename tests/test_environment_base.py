@@ -18,7 +18,9 @@ from repro.environment import (
     star_graph,
     tree_graph,
 )
+from repro.environment import graphs
 from repro.environment.base import connected_component_tuples, edge_components
+from repro.registry import GRAPHS
 
 
 class TestTopology:
@@ -58,6 +60,89 @@ class TestTopology:
         assert line_graph(4).is_connected()
         assert not line_graph(4).is_complete()
         assert not Topology(3, [(0, 1)]).is_connected()
+
+
+def _oracle_edges(num_agents, edges) -> tuple:
+    """The edge order of the straightforward build: check, normalize and
+    set-insert each edge in turn, then freeze."""
+    normalized = set()
+    for a, b in edges:
+        if not (0 <= a < num_agents and 0 <= b < num_agents):
+            raise EnvironmentError_(
+                f"edge ({a}, {b}) references an agent outside 0..{num_agents - 1}"
+            )
+        if a == b:
+            raise EnvironmentError_(f"self-loop edge ({a}, {b}) is not allowed")
+        normalized.add((a, b) if a < b else (b, a))
+    return tuple(frozenset(normalized))
+
+
+#: Parameters for every registered graph (sizes where set collisions and
+#: resizes shape the iteration order).
+GRAPH_PARAMS = {
+    "complete": {"num_agents": 60},
+    "grid": {"rows": 17, "cols": 23},
+    "line": {"num_agents": 500},
+    "random": {"num_agents": 90, "edge_probability": 0.2, "seed": 4},
+    "random-connected": {"num_agents": 90, "extra_edge_probability": 0.1, "seed": 4},
+    "ring": {"num_agents": 500},
+    "star": {"num_agents": 300, "center": 7},
+    "tree": {"num_agents": 5000, "branching": 3},
+}
+
+
+class TestTopologyEdgeOrder:
+    """``tuple(topology.edges)`` is the environments' draw order, so the
+    build must keep the order of the plain check-normalize-insert loop."""
+
+    @pytest.mark.parametrize("name", sorted(GRAPH_PARAMS))
+    def test_registered_graphs_keep_the_edge_order(self, monkeypatch, name):
+        assert sorted(GRAPH_PARAMS) == GRAPHS.available()
+        calls = []
+
+        def recording(num_agents, edges):
+            edges = list(edges)
+            calls.append((num_agents, edges))
+            return Topology(num_agents, edges)
+
+        monkeypatch.setattr(graphs, "Topology", recording)
+        topology = GRAPHS.build(name, **GRAPH_PARAMS[name])
+        [(num_agents, edges)] = calls
+        assert tuple(topology.edges) == _oracle_edges(num_agents, edges)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(5, 1), (1, 5), (0, 9), (9, 0), (3, 4)],
+            [[2, 7], [7, 2], (2, 7), [0, 1], (8, 3)],
+            [(i, (i * 7 + 3) % 40) for i in range(40) if i != (i * 7 + 3) % 40] * 2,
+            [[(i * 13) % 40, i] for i in range(40) if (i * 13) % 40 != i],
+        ],
+        ids=["reversed", "list-pairs", "duplicates", "list-reversed"],
+    )
+    def test_user_edge_lists_keep_the_edge_order(self, edges):
+        topology = Topology(40, edges)
+        assert tuple(topology.edges) == _oracle_edges(40, edges)
+        assert all(type(edge) is tuple for edge in topology.edges)
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1), (3, 3)], r"self-loop edge \(3, 3\) is not allowed"),
+            ([(0, 1), (2, 9)], r"edge \(2, 9\) references an agent outside 0..3"),
+            ([(0, -1)], r"edge \(0, -1\) references an agent outside 0..3"),
+            # Out of range wins over self-loop on the same edge ...
+            ([(7, 7)], r"edge \(7, 7\) references an agent outside 0..3"),
+            # ... and the first bad edge in input order wins across edges.
+            ([(1, 1), (0, 9)], r"self-loop edge \(1, 1\)"),
+            ([(0, 9), (1, 1)], r"edge \(0, 9\) references"),
+        ],
+    )
+    def test_errors_and_their_precedence(self, edges, message):
+        with pytest.raises(EnvironmentError_, match=message):
+            Topology(4, edges)
+        with pytest.raises(EnvironmentError_, match=message):
+            _oracle_edges(4, edges)
 
 
 class TestGraphConstructors:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from repro.environment import (
     tree_graph,
 )
 from repro.environment import dynamics
+from repro.experiment import random_integers
 
 #: Marks the tests of the numpy half of the Markov transition.
 needs_numpy = pytest.mark.skipif(
@@ -264,6 +266,49 @@ def test_uniform_draws_is_the_random_stream(seed, count, pending_gauss):
     assert batch_rng.getstate() == loop_rng.getstate()
     # The pending gauss value survives the round trip.
     assert batch_rng.gauss(0.0, 1.0) == loop_rng.gauss(0.0, 1.0)
+
+
+#: Spans of ``randint``: 1 (one bit per word, half rejected), 2, the
+#: numpy path's ends 2**31 + 1 and 2**32 - 1, and 2**32 and 2**32 + 1,
+#: whose ``randint`` reads two words per try and so runs the loop.
+RANDINT_SPANS = [1, 2, 3, 1000, 900_000, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1]
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    count=st.integers(min_value=0, max_value=2000),
+    low=st.one_of(
+        st.sampled_from([0, -(2**63), 2**63 - 2**33, 2**63 - 1]),
+        st.integers(min_value=-(10**12), max_value=10**12),
+    ),
+    span=st.sampled_from(RANDINT_SPANS),
+)
+@settings(max_examples=80, deadline=None)
+def test_randint_draws_is_the_randint_stream(seed, count, low, span):
+    batch_rng = random.Random(seed)
+    loop_rng = random.Random(seed)
+    high = low + span - 1
+    # Every count takes the numpy batches (where numpy and the span allow).
+    with mock.patch.object(dynamics, "VECTORIZED_MIN_DRAWS", 0):
+        drawn = dynamics.randint_draws(batch_rng, count, low, high)
+        assert random_integers(count, low, high, seed) == drawn
+    assert drawn == [loop_rng.randint(low, high) for _ in range(count)]
+    assert all(type(value) is int for value in drawn)
+    assert batch_rng.getstate() == loop_rng.getstate()
+
+
+def test_random_integers_without_numpy_is_the_same_list(monkeypatch):
+    # What a container without numpy looks like to the generator: the loop
+    # runs, and hands back the same instance and the same generator state.
+    params = {"count": 5000, "low": 100000, "high": 999999, "seed": 11}
+    vectorized = random_integers(**params)
+    vectorized_rng = random.Random(3)
+    dynamics.randint_draws(vectorized_rng, 5000, -7, 7)
+    monkeypatch.setattr(dynamics, "_numpy", None)
+    assert random_integers(**params) == vectorized
+    loop_rng = random.Random(3)
+    dynamics.randint_draws(loop_rng, 5000, -7, 7)
+    assert loop_rng.getstate() == vectorized_rng.getstate()
 
 
 #: Topologies for the churn array-transition property, by name.

@@ -280,6 +280,56 @@ class TestValueGenerators:
         assert spec.resolve_values(0) != spec.resolve_values(1)
         assert spec.resolve_values(2) == spec.resolve_values(2)
 
+    @pytest.mark.parametrize(
+        "generator, params, message",
+        [
+            (
+                "random-integers",
+                {"count": 5, "low": 9, "high": 4},
+                r"random-integers: high \(4\) is below low \(9\)",
+            ),
+            (
+                "random-integers",
+                {"count": -3},
+                "random-integers: count must be non-negative, got -3",
+            ),
+            (
+                "random-integers",
+                {"count": 5, "high": 9.5},
+                "random-integers: high must be an integer, got 9.5",
+            ),
+            (
+                "random-distinct-integers",
+                {"count": 11, "low": 0, "high": 9},
+                r"random-distinct-integers: count \(11\) exceeds the 10 "
+                r"distinct integers in \[0, 9\]",
+            ),
+            (
+                "random-distinct-integers",
+                {"count": -1},
+                "random-distinct-integers: count must be non-negative",
+            ),
+            (
+                "random-points",
+                {"count": -2},
+                "random-points: count must be non-negative",
+            ),
+        ],
+    )
+    def test_bad_generator_parameters_are_specification_errors(
+        self, generator, params, message
+    ):
+        # Each names the generator, from inside build(), instead of a bare
+        # ValueError from random or an empty instance that fails later.
+        spec = ExperimentSpec(
+            algorithm="minimum",
+            environment="static",
+            value_generator=generator,
+            generator_params=params,
+        )
+        with pytest.raises(SpecificationError, match=message):
+            spec.build(0)
+
 
 class TestBuilder:
     def test_fluent_chain_builds_valid_spec(self):
