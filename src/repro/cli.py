@@ -398,25 +398,25 @@ def _cmd_resume(args: argparse.Namespace) -> int:
         )
     try:
         spec = ExperimentSpec.from_dict(checkpoint.spec)
-        result = spec.resume(checkpoint)
+        result = spec.run_dict(resume_from=checkpoint)
     except SpecificationError as error:
         raise SystemExit(str(error))
 
     if args.json:
-        print(result.to_json(indent=2))
+        print(json.dumps(result, indent=2))
     else:
         print(f"experiment:  {spec.label} (seed {checkpoint.seed}, resumed "
               f"from round {checkpoint.driver.rounds_executed})")
         status = (
-            f"converged at round {result.convergence_round}"
-            if result.converged
-            else f"did not converge in {result.rounds_executed} rounds"
+            f"converged at round {result['convergence_round']}"
+            if result["converged"]
+            else f"did not converge in {result['rounds_executed']} rounds"
         )
-        print(f"  {status}; output {result.output!r} "
-              f"(expected {result.expected_output!r})")
-        for probe_name, payload in (result.probes or {}).items():
+        print(f"  {status}; output {result['output']!r} "
+              f"(expected {result['expected_output']!r})")
+        for probe_name, payload in (result.get("probes") or {}).items():
             print(f"    probe {probe_name}: {json.dumps(payload)}")
-    return 0 if result.converged and result.correct else 1
+    return 0 if result["converged"] and result["correct"] else 1
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -51,7 +51,8 @@ from .registry import (
     register_value_generator,
 )
 from .simulation.engine import Simulator
-from .simulation.protocol import HISTORY_MODES, Probe
+from .simulation.checkpoint import RunCheckpoint
+from .simulation.protocol import HISTORY_MODES, Probe, resolve_history
 from .simulation.result import SimulationResult
 
 # Importing these packages populates the registries; without them a spec
@@ -493,19 +494,20 @@ class ExperimentSpec:
     def effective_history(self) -> str:
         """The retention mode this spec's runs actually use.
 
-        A declared ``history`` probe takes over retention in the engine
-        driver, so its pinned mode wins; otherwise the ``history`` field
-        applies, falling back to the legacy ``record_trace`` mapping
-        (True → ``"full"``, False → ``"objective"``).
+        The one place a spec resolves its three retention knobs (see
+        :func:`~repro.simulation.protocol.resolve_history`): a declared
+        ``history`` probe's pinned mode wins, then the ``history`` field,
+        then the legacy ``record_trace`` mapping (True → ``"full"``,
+        False → ``"objective"``).  :meth:`run_kwargs` hands the driver
+        this value.
         """
-        declared = self.history if self.history is not None else (
-            "full" if self.record_trace else "objective"
-        )
+        pinned = None
         for entry in self.probes:
             name, params = _probe_request(entry)
             if name == "history":
-                return params.get("history", declared)
-        return declared
+                pinned = params.get("history")
+                break
+        return resolve_history(self.record_trace, self.history, pinned)
 
     def run_kwargs(self) -> dict:
         """The engine-driver keyword arguments this spec declares
@@ -514,16 +516,20 @@ class ExperimentSpec:
             "max_rounds": self.max_rounds,
             "stop_at_convergence": self.stop_at_convergence,
             "extra_rounds_after_convergence": self.extra_rounds_after_convergence,
+            "history": self.effective_history,
         }
         if self.probes:
             kwargs["probes"] = self.build_probes()
-        if self.history is not None:
-            kwargs["history"] = self.history
         return kwargs
 
     def run(self, seed: int | None = None) -> SimulationResult:
-        """Build and run one simulation (``seed`` defaults to the first seed)."""
-        return self.build(seed).run(**self.run_kwargs())
+        """Build and run one simulation (``seed`` defaults to the first seed).
+
+        The result keeps the full trace its retention selects, for
+        in-process temporal checks; :meth:`run_dict` is the cheaper call
+        when only :meth:`SimulationResult.to_dict` is kept.
+        """
+        return self._drive(seed, None, count_trace=False)
 
     def resume(self, checkpoint) -> SimulationResult:
         """Resume a checkpointed run of this spec to completion.
@@ -534,13 +540,36 @@ class ExperimentSpec:
         and driven with this spec's stopping policy and a fresh instance of
         its probe pipeline (whose states the checkpoint restores) — the
         completed :class:`SimulationResult` is byte-identical to the
-        uninterrupted run's.
+        uninterrupted run's.  Retention follows the checkpoint: one written
+        by a dictionary-returning run (:meth:`run_dict`) resumes with a
+        counted trace.
         """
-        from .simulation.checkpoint import RunCheckpoint
+        return self._drive(None, RunCheckpoint.load(checkpoint), count_trace=False)
 
-        checkpoint = RunCheckpoint.load(checkpoint)
-        simulator = self.build(checkpoint.seed)
-        return simulator.run(**self.run_kwargs(), resume_from=checkpoint)
+    def run_dict(self, seed: int | None = None, resume_from=None) -> dict:
+        """Run (or, with ``resume_from``, resume) one simulation and return
+        its :meth:`SimulationResult.to_dict`.
+
+        The entry point of every caller that keeps only the dictionary —
+        batch and service units, ``repro resume``.  The dictionary equals
+        ``self.run(seed).to_dict()`` byte for byte, but under ``"full"``
+        retention the run keeps a counted trace
+        (:class:`~repro.temporal.trace.CountedTrace`) instead of every
+        round's multiset, so its rolling checkpoints carry a count rather
+        than the whole history.
+        """
+        checkpoint = None if resume_from is None else RunCheckpoint.load(resume_from)
+        return self._drive(seed, checkpoint, count_trace=True).to_dict()
+
+    def _drive(
+        self, seed: int | None, checkpoint: RunCheckpoint | None, count_trace: bool
+    ) -> SimulationResult:
+        """Build the engine (for the checkpoint's seed when resuming) and
+        run it under this spec's driver arguments."""
+        engine = self.build(seed if checkpoint is None else checkpoint.seed)
+        return engine.run(
+            **self.run_kwargs(), resume_from=checkpoint, count_trace=count_trace
+        )
 
     def run_all(self) -> list[SimulationResult]:
         """Run the experiment once per declared seed, in order."""

@@ -973,14 +973,13 @@ class ArrayEngine:
         probes: Sequence[Probe] | None = None,
         history: str | None = None,
         resume_from: RunCheckpoint | None = None,
+        count_trace: bool = False,
     ) -> SimulationResult:
         """Run the simulation and return a :class:`SimulationResult`.
 
         Delegates to the shared engine driver exactly as the reference
         engine does; see :func:`~repro.simulation.protocol.run_engine`.
         """
-        if history is None:
-            history = "full" if self.record_trace else "objective"
         if resume_from is not None:
             self.restore(resume_from)
         return run_engine(
@@ -992,6 +991,7 @@ class ArrayEngine:
             probes=probes,
             history=history,
             resume_from=resume_from,
+            count_trace=count_trace,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

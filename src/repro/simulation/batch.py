@@ -5,9 +5,11 @@ A :class:`BatchRunner` takes a list (or grid) of
 pair across a :mod:`concurrent.futures` pool.  Because specs and results
 are plain serializable data, the work units cross process boundaries
 untouched: each worker rebuilds its spec from a dictionary, runs the
-simulator, and ships back :meth:`SimulationResult.to_dict` — nothing in
-the hot path depends on shared state, which is what lets one driver fan a
-parameter study out over every core.
+simulator, and ships back :meth:`SimulationResult.to_dict` (through
+:meth:`~repro.experiment.ExperimentSpec.run_dict`, so a unit counts its
+trace instead of keeping it) — nothing in the hot path depends on shared
+state, which is what lets one driver fan a parameter study out over every
+core.
 
 The produced :class:`BatchResult` aggregates per-experiment statistics
 (via :func:`repro.simulation.metrics.aggregate_records`) and serializes to
@@ -69,8 +71,7 @@ def _execute_payload(payload: tuple[dict, int]) -> dict:
     spec_data, seed = payload
     from ..experiment import ExperimentSpec
 
-    spec = ExperimentSpec.from_dict(spec_data)
-    return spec.run(seed).to_dict()
+    return ExperimentSpec.from_dict(spec_data).run_dict(seed)
 
 
 def _execute_durable_payload(payload: tuple[dict, int, str]) -> dict:
@@ -106,11 +107,7 @@ def _execute_durable_payload(payload: tuple[dict, int, str]) -> dict:
 
     spec = ExperimentSpec.from_dict(spec_data)
     checkpoint = load_newest_verified(unit_dir / "engine")
-    if checkpoint is not None:
-        result = spec.resume(checkpoint)
-    else:
-        result = spec.run(seed)
-    data = result.to_dict()
+    data = spec.run_dict(seed, resume_from=checkpoint)
     atomic_write_text(result_path, json.dumps(data))
     return data
 

@@ -684,6 +684,7 @@ class Simulator:
         probes: Sequence[Probe] | None = None,
         history: str | None = None,
         resume_from: RunCheckpoint | None = None,
+        count_trace: bool = False,
     ) -> SimulationResult:
         """Run the simulation and return a :class:`SimulationResult`.
 
@@ -692,18 +693,16 @@ class Simulator:
         records from :meth:`steps`, applies the stopping policy and feeds
         the probe pipeline; see its docstring for the ``max_rounds``,
         ``stop_at_convergence``, ``extra_rounds_after_convergence``,
-        ``on_round``, ``probes``, ``history`` and ``resume_from``
-        parameters.  With ``resume_from``, the checkpointed engine state
-        is restored first and the completed result is byte-identical to
-        the uninterrupted run's.
+        ``on_round``, ``probes``, ``history``, ``resume_from`` and
+        ``count_trace`` parameters.  With ``resume_from``, the
+        checkpointed engine state is restored first and the completed
+        result is byte-identical to the uninterrupted run's.
 
         ``history`` defaults to ``"full"`` (the classic result with its
         complete trace), or ``"objective"`` when the simulator was built
         with ``record_trace=False`` — exactly the retention that flag
-        always selected.
+        always selected; the driver resolves it.
         """
-        if history is None:
-            history = "full" if self.record_trace else "objective"
         if resume_from is not None:
             self.restore(resume_from)
         return run_engine(
@@ -715,6 +714,7 @@ class Simulator:
             probes=probes,
             history=history,
             resume_from=resume_from,
+            count_trace=count_trace,
         )
 
 

@@ -469,8 +469,9 @@ class MergeMessagePassingSimulator:
         extra_rounds_after_convergence: int = 0,
         on_round: Callable[[RoundRecord], bool | None] | None = None,
         probes: Sequence[Probe] | None = None,
-        history: str = "full",
+        history: str | None = None,
         resume_from: RunCheckpoint | None = None,
+        count_trace: bool = False,
     ) -> SimulationResult:
         """Run the asynchronous computation and return a
         :class:`SimulationResult`.
@@ -479,10 +480,10 @@ class MergeMessagePassingSimulator:
         (:func:`repro.simulation.protocol.run_engine`), so this runtime
         carries the same stopping policy (``stop_at_convergence``,
         ``extra_rounds_after_convergence``, ``on_round``), the same
-        probe pipeline (``probes``, ``history``) and the same
-        checkpoint/resume semantics (``resume_from``) as the synchronous
-        :class:`~repro.simulation.engine.Simulator` — see the driver's
-        docstring for the parameters.
+        probe pipeline (``probes``, ``history``, ``count_trace``) and the
+        same checkpoint/resume semantics (``resume_from``) as the
+        synchronous :class:`~repro.simulation.engine.Simulator` — see the
+        driver's docstring for the parameters.
         """
         if resume_from is not None:
             self.restore(resume_from)
@@ -495,4 +496,5 @@ class MergeMessagePassingSimulator:
             probes=probes,
             history=history,
             resume_from=resume_from,
+            count_trace=count_trace,
         )

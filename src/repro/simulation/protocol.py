@@ -17,7 +17,9 @@ Observation is not wired into the engines at all.  It is a pipeline of
 :class:`Probe` objects — ``on_start(engine)``, ``on_round(record)``,
 ``on_finish() -> payload`` — attached per run.  The driver owns exactly one
 :class:`HistoryProbe` (supplied or implicit), whose ``history`` mode
-decides what a run *retains*:
+decides what a run *retains* (:func:`resolve_history` is the one rule that
+turns ``record_trace``, a ``history`` setting and a pinned probe mode into
+that mode):
 
 ``"full"``
     every round's multiset and objective value (the default; preserves the
@@ -28,6 +30,14 @@ decides what a run *retains*:
 ``"none"``
     O(1) memory: no per-round multisets, no trajectory list — only the
     endpoints of the objective and the run counters survive.
+
+A run whose result leaves the process as a dictionary
+(``run_engine(count_trace=True)``, which batch units, the service and
+``repro resume`` use) keeps a *counted* ``"full"`` trace: its length and
+completeness, plus the objective endpoints — everything
+:meth:`SimulationResult.to_dict` emits, and nothing more.  Its checkpoints
+carry a count instead of every retained multiset.  In-process runs
+(``Simulator.run``, ``spec.run``, ``repro run --verbose``) keep the states.
 
 Any other probe streams alongside: online temporal-logic checking, running
 statistics, JSONL export — all without the engine materialising state it
@@ -51,7 +61,7 @@ from ..agents.group import Group
 from ..core.errors import SpecificationError
 from ..core.multiset import Multiset
 from ..core.relation import StepJudgement, StepKind
-from ..temporal.trace import Trace
+from ..temporal.trace import CountedTrace, Trace
 from .checkpoint import (
     DriverState,
     EngineCheckpoint,
@@ -68,11 +78,29 @@ __all__ = [
     "Probe",
     "HistoryProbe",
     "RunContext",
+    "resolve_history",
     "run_engine",
 ]
 
 #: Retention modes of the run driver / :class:`HistoryProbe`.
 HISTORY_MODES = ("full", "objective", "none")
+
+
+def resolve_history(
+    record_trace: bool = True, history: str | None = None, pinned: str | None = None
+) -> str:
+    """The retention mode a run uses: the one rule for its three knobs.
+
+    A history probe's ``pinned`` mode wins (the probe takes over
+    retention in the driver), then an explicit ``history``, then the
+    legacy ``record_trace`` flag (True → ``"full"``, False →
+    ``"objective"``).
+    """
+    if pinned is not None:
+        return pinned
+    if history is not None:
+        return history
+    return "full" if record_trace else "objective"
 
 
 @dataclass(frozen=True)
@@ -319,6 +347,12 @@ class HistoryProbe(Probe):
     mode is the knob that turns the classic record-everything simulator
     into a bounded-memory streaming engine.  See module docstring for the
     three modes.
+
+    ``counted`` makes ``"full"`` retention keep a
+    :class:`~repro.temporal.trace.CountedTrace` and the objective
+    endpoints instead of every multiset and the whole trajectory.  The
+    driver sets it from ``run_engine(count_trace=...)``; loading a
+    counted checkpoint sets it too, so retention follows the checkpoint.
     """
 
     name = "history"
@@ -329,11 +363,19 @@ class HistoryProbe(Probe):
                 f"history must be one of {HISTORY_MODES}, got {history!r}"
             )
         self.history = history
+        self.counted = False
         self._states: list[Multiset] = []
         self._trajectory: list[float] = []
         self._initial_objective: float | None = None
         self._final_objective: float | None = None
         self._rounds = 0
+        self._retain()
+
+    def _retain(self) -> None:
+        """Derive what each observation keeps from the mode and ``counted``."""
+        self._counting = self.counted and self.history == "full"
+        self._keep_states = self.history == "full" and not self._counting
+        self._keep_trajectory = self.history != "none" and not self._counting
 
     def on_start(self, engine: Engine) -> None:
         self._states = []
@@ -341,39 +383,43 @@ class HistoryProbe(Probe):
         self._initial_objective = None
         self._final_objective = None
         self._rounds = 0
+        self._retain()
 
     def on_initial(self, multiset: Multiset, objective: float) -> None:
         self._initial_objective = objective
         self._final_objective = objective
-        if self.history == "full":
+        if self._keep_states:
             self._states.append(multiset)
-        if self.history != "none":
+        if self._keep_trajectory:
             self._trajectory.append(objective)
 
     def on_round(self, record: RoundRecord) -> None:
         self._rounds += 1
         self._final_objective = record.objective
-        if self.history == "full":
+        if self._keep_states:
             self._states.append(record.multiset)
-        if self.history != "none":
+        if self._keep_trajectory:
             self._trajectory.append(record.objective)
 
     def state_dict(self) -> dict:
         # Retention is the probe's whole job, so its checkpoint *is* the
-        # retained history: under "full" that means every observed
-        # multiset (checkpoint size grows with the trace — exactly the
-        # runs the reduced modes exist for).
-        return {
-            "history": self.history,
-            "states": [
+        # retained history.  A counted trace is its length — a full trace
+        # holds the initial state plus one per observed round — so a
+        # counted checkpoint stays the same size however long the run;
+        # only an in-process "full" run writes every multiset.
+        state: dict[str, Any] = {"history": self.history}
+        if self._counting:
+            state["length"] = self._rounds + 1
+        else:
+            state["states"] = [
                 [encode_state(value) for value in multiset]
                 for multiset in self._states
-            ],
-            "trajectory": [encode_state(value) for value in self._trajectory],
-            "objective_initial": encode_state(self._initial_objective),
-            "objective_final": encode_state(self._final_objective),
-            "rounds": self._rounds,
-        }
+            ]
+            state["trajectory"] = [encode_state(value) for value in self._trajectory]
+        state["objective_initial"] = encode_state(self._initial_objective)
+        state["objective_final"] = encode_state(self._final_objective)
+        state["rounds"] = self._rounds
+        return state
 
     def load_state(self, state: dict) -> None:
         if state.get("history") != self.history:
@@ -382,11 +428,29 @@ class HistoryProbe(Probe):
                 f"this run declares history={self.history!r}; resume with "
                 "the retention mode the checkpoint was taken under"
             )
-        self._states = [
-            Multiset(decode_state(value) for value in elements)
-            for elements in state["states"]
-        ]
-        self._trajectory = [decode_state(value) for value in state["trajectory"]]
+        if "length" in state:
+            # A counted checkpoint has no states to restore: the resumed
+            # run counts too.
+            self.counted = True
+            self._retain()
+        if self._counting:
+            # A checkpoint that recorded every state (written by an
+            # in-process run, or before traces were counted) is counted
+            # by its length; its trajectory is summarized to the
+            # endpoints below.
+            if "length" not in state and len(state["states"]) != state["rounds"] + 1:
+                raise SpecificationError(
+                    f"checkpoint history holds {len(state['states'])} states "
+                    f"for {state['rounds']} rounds"
+                )
+            self._states = []
+            self._trajectory = []
+        else:
+            self._states = [
+                Multiset(decode_state(value) for value in elements)
+                for elements in state["states"]
+            ]
+            self._trajectory = [decode_state(value) for value in state["trajectory"]]
         self._initial_objective = decode_state(state["objective_initial"])
         self._final_objective = decode_state(state["objective_final"])
         self._rounds = state["rounds"]
@@ -396,16 +460,20 @@ class HistoryProbe(Probe):
     ) -> tuple[Trace[Multiset], list[float]]:
         """Assemble the result's trace and objective trajectory.
 
-        In ``"full"`` mode the trace holds every observed multiset and
-        carries the completeness verdict; the reduced modes keep only the
-        final state (never marked complete, matching the historic
-        ``record_trace=False`` behaviour) and, in ``"none"`` mode, only the
-        endpoints of the objective.
+        In ``"full"`` mode the trace holds every observed multiset (or,
+        counted, their number) and carries the completeness verdict; the
+        reduced modes keep only the final state (never marked complete,
+        matching the historic ``record_trace=False`` behaviour).  The
+        trajectory is every objective value, except in ``"none"`` mode and
+        counted ``"full"`` mode, which keep only its endpoints.
         """
-        if self.history == "full":
-            return Trace(self._states, complete=complete), self._trajectory
-        trace: Trace[Multiset] = Trace([final_multiset])
-        if self.history == "objective":
+        if self._counting:
+            trace: Trace[Multiset] = CountedTrace(self._rounds + 1, complete=complete)
+        elif self.history == "full":
+            trace = Trace(self._states, complete=complete)
+        else:
+            trace = Trace([final_multiset])
+        if self._keep_trajectory:
             return trace, self._trajectory
         trajectory = (
             [self._initial_objective] if self._initial_objective is not None else []
@@ -430,8 +498,9 @@ def run_engine(
     extra_rounds_after_convergence: int = 0,
     on_round: Callable[[RoundRecord], bool | None] | None = None,
     probes: Sequence[Probe] | None = None,
-    history: str = "full",
+    history: str | None = None,
     resume_from: RunCheckpoint | None = None,
+    count_trace: bool = False,
 ) -> SimulationResult:
     """Drive any :class:`Engine` to a :class:`SimulationResult`.
 
@@ -460,7 +529,8 @@ def run_engine(
         ``history`` mode.
     history:
         Retention mode of the implicit history probe (ignored when the
-        caller supplies a :class:`HistoryProbe`).
+        caller supplies a :class:`HistoryProbe`).  None follows the
+        engine's ``record_trace`` flag (see :func:`resolve_history`).
     resume_from:
         A :class:`RunCheckpoint` to continue from instead of starting a
         fresh run.  The engine must already hold the checkpointed state
@@ -470,13 +540,21 @@ def run_engine(
         the rest of the stopping policy count from the *original* run
         start, so a resumed run executes exactly the rounds the
         interrupted one still had left.
+    count_trace:
+        Keep a counted trace under ``"full"`` retention (see
+        :class:`HistoryProbe`), for callers that only keep
+        :meth:`SimulationResult.to_dict`: the dictionary is byte-identical,
+        and neither the run nor its checkpoints hold the multisets.
     """
     probe_list = list(probes or ())
     history_probe = next(
         (probe for probe in probe_list if isinstance(probe, HistoryProbe)), None
     )
     if history_probe is None:
-        history_probe = HistoryProbe(history)
+        history_probe = HistoryProbe(
+            resolve_history(getattr(engine, "record_trace", True), history)
+        )
+    history_probe.counted = count_trace
     observers = [history_probe] + [p for p in probe_list if p is not history_probe]
     # The post-round pass exists only for run-level observers
     # (checkpointing); with none attached the per-round cost is one

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Any, Hashable, Mapping, Sequence
 
 from ..core.multiset import Multiset
-from ..temporal.trace import Trace
+from ..temporal.trace import CountedTrace, Trace
 
 __all__ = ["SimulationResult"]
 
@@ -54,17 +54,49 @@ def jsonify(value: Any) -> Any:
     return repr(value)
 
 
+class RestoredRecord(Mapping):
+    """A serialized dataclass state, restored as a hashable mapping.
+
+    :func:`jsonify` writes a dataclass state (a point, a hull state) as a
+    dictionary of its compared fields.  Restored states must stay
+    hashable, so they form a :class:`Multiset`, and must serialize back to
+    the same dictionary, so a restored result round-trips.
+    """
+
+    __slots__ = ("_fields",)
+
+    def __init__(self, fields: Mapping[str, Any]):
+        self._fields = dict(fields)
+
+    def __getitem__(self, key: str) -> Any:
+        return self._fields[key]
+
+    def __iter__(self):
+        return iter(self._fields)
+
+    def __len__(self) -> int:
+        return len(self._fields)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._fields.items()))
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"RestoredRecord({self._fields!r})"
+
+
 def _restore_state(value: Any) -> Any:
-    """Undo the list-for-tuple coercion of :func:`jsonify` on agent states.
+    """Undo the hashable-to-JSON coercion of :func:`jsonify` on agent states.
 
     Agent states are hashable, so any list in serialized state data must
-    have been a tuple.  Other serialized forms (rational strings,
-    dataclass dictionaries) are left as-is — they are hashable or only
-    used for content comparisons."""
+    have been a tuple, and any dictionary a dataclass (restored as a
+    :class:`RestoredRecord`).  Rational strings are left as-is — they are
+    hashable and only used for content comparisons."""
     if isinstance(value, list):
         return tuple(_restore_state(item) for item in value)
     if isinstance(value, dict):
-        return tuple(sorted((key, _restore_state(item)) for key, item in value.items()))
+        return RestoredRecord(
+            {key: _restore_state(item) for key, item in value.items()}
+        )
     return value
 
 
@@ -204,16 +236,22 @@ class SimulationResult:
         """Rebuild a result from :meth:`to_dict` output.
 
         The reconstruction is faithful for everything :meth:`to_dict`
-        kept: counters, convergence data, outputs (in their serialized
-        form) and final states (tuples restored).  The trace comes back as
-        the single final multiset plus the recorded completeness flag —
-        per-round multisets are intentionally not persisted.
+        kept, so ``from_dict(data).to_dict() == data``: counters,
+        convergence data, outputs (in their serialized form) and final
+        states (tuples and dataclass records restored).  Per-round
+        multisets are intentionally not persisted, so the trace comes back
+        as a :class:`~repro.temporal.trace.CountedTrace` of the recorded
+        length and completeness — or, for a one-state trace, as the final
+        multiset itself, which is then its only state.
         """
         final_states = [_restore_state(state) for state in data["final_states"]]
         trace_info = data.get("trace", {})
-        trace: Trace[Multiset] = Trace(
-            [Multiset(final_states)], complete=bool(trace_info.get("complete", False))
-        )
+        length = trace_info.get("length", 1)
+        complete = bool(trace_info.get("complete", False))
+        if length == 1:
+            trace: Trace[Multiset] = Trace([Multiset(final_states)], complete=complete)
+        else:
+            trace = CountedTrace(length, complete=complete)
         trajectory = data.get(
             "objective_trajectory",
             [data.get("objective_initial"), data.get("objective_final")],

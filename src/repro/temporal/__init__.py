@@ -13,10 +13,11 @@ from .formulas import (
     until,
 )
 from .online import OnlineFormula, OPERATORS, online
-from .trace import Trace
+from .trace import CountedTrace, Trace
 
 __all__ = [
     "Trace",
+    "CountedTrace",
     "OnlineFormula",
     "OPERATORS",
     "online",

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 from typing import Callable, Generic, Iterable, Iterator, Sequence, TypeVar
 
+from ..core.errors import VerificationError
+
 State = TypeVar("State")
 
-__all__ = ["Trace"]
+__all__ = ["Trace", "CountedTrace"]
 
 
 class Trace(Generic[State]):
@@ -117,3 +119,58 @@ class Trace(Generic[State]):
             if not collapsed or collapsed[-1] != state:
                 collapsed.append(state)
         return Trace(collapsed, complete=self.complete)
+
+
+class CountedTrace(Trace):
+    """A trace that kept its length and completeness flag, not its states.
+
+    Runs whose result leaves the process as a dictionary
+    (:meth:`~repro.simulation.result.SimulationResult.to_dict` keeps only
+    ``{"length", "complete"}`` of the trace) count their states instead of
+    retaining them: batch units, the service, ``repro run`` without
+    ``--verbose``, ``repro resume`` and
+    :meth:`~repro.simulation.result.SimulationResult.from_dict`.
+    ``len``, ``bool``, ``complete`` and ``==`` work as on any trace.
+    Reading a state — iterating, indexing, ``initial``/``final``, or a
+    temporal check such as ``check_specification`` — raises
+    :class:`~repro.core.errors.VerificationError` rather than answering
+    from states that were never kept.
+    """
+
+    def __init__(self, length: int, complete: bool = False):
+        if length < 0:
+            raise ValueError(f"a trace length is never negative, got {length!r}")
+        self._length = length
+        self.complete = complete
+
+    @property
+    def _states(self):
+        # Every state-reading method of Trace goes through ``_states``, so
+        # refusing here makes all of them (present and future) raise.
+        raise VerificationError(
+            f"this trace was counted, not recorded: it kept its length "
+            f"({self._length}) and completeness, but no states, because the "
+            "run's result was produced as a dictionary (a batch or service "
+            "unit, repro run without --verbose, repro resume, or "
+            "SimulationResult.from_dict); run it in-process with "
+            "spec.run(seed) for a trace whose states can be checked"
+        )
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __bool__(self) -> bool:
+        return self._length > 0
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, CountedTrace):
+            return self._length == other._length and self.complete == other.complete
+        if isinstance(other, Trace):
+            # Python asks the subclass first, so this also answers
+            # ``trace == counted`` without reading the missing states.
+            return False
+        return NotImplemented
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        suffix = "complete" if self.complete else "prefix"
+        return f"CountedTrace(length={self._length}, {suffix})"
