@@ -118,7 +118,6 @@ def build_simulator(num_agents: int, incremental: bool = True) -> Simulator:
         ),
         initial_values=values,
         seed=SEED,
-        record_trace=False,
         incremental=incremental,
     )
 
@@ -133,7 +132,6 @@ def build_random_pair(num_agents: int, incremental: bool = True) -> Simulator:
         initial_values=_values(num_agents),
         scheduler=RandomPairScheduler(),
         seed=SEED,
-        record_trace=False,
         incremental=incremental,
     )
 
@@ -147,7 +145,6 @@ def build_duty_cycle(num_agents: int, incremental: bool = True) -> Simulator:
         ),
         initial_values=_values(num_agents),
         seed=SEED,
-        record_trace=False,
         incremental=incremental,
     )
 
@@ -169,7 +166,6 @@ def build_dense_markov(num_agents: int, incremental: bool = True) -> Simulator:
         ),
         initial_values=_values(num_agents),
         seed=SEED,
-        record_trace=False,
         incremental=incremental,
     )
 
@@ -192,7 +188,6 @@ def build_array_vs_reference(num_agents: int, incremental: bool = True):
         ),
         initial_values=_values(num_agents),
         seed=SEED,
-        record_trace=False,
     )
 
 
@@ -217,7 +212,6 @@ def build_array_dense_markov(num_agents: int, incremental: bool = True):
         environment,
         initial_values=_values(num_agents),
         seed=SEED,
-        record_trace=False,
     )
 
 

@@ -50,9 +50,8 @@ from .registry import (
     VALUE_GENERATORS,
     register_value_generator,
 )
-from .simulation.engine import Simulator
 from .simulation.checkpoint import RunCheckpoint
-from .simulation.protocol import HISTORY_MODES, Probe, resolve_history
+from .simulation.protocol import HISTORY_MODES, Engine, Probe, resolve_history
 from .simulation.result import SimulationResult
 
 # Importing these packages populates the registries; without them a spec
@@ -62,6 +61,7 @@ from . import algorithms as _algorithms  # noqa: F401  (registration side effect
 from . import environment as _environment  # noqa: F401  (registration side effect)
 from .agents import scheduler as _scheduler  # noqa: F401  (registration side effect)
 from .simulation import array_engine as _array_engine  # noqa: F401  (registration side effect)
+from .simulation import engine as _engine  # noqa: F401  (registration side effect)
 from .simulation import probes as _probes  # noqa: F401  (registration side effect)
 
 __all__ = [
@@ -237,8 +237,22 @@ class ExperimentSpec:
             GRAPHS.entry(graph)
         if not self.seeds:
             raise SpecificationError("an experiment needs at least one seed")
-        if not all(isinstance(seed, int) for seed in self.seeds):
+        if not all(_is_integer(seed) for seed in self.seeds):
             raise SpecificationError(f"seeds must be integers, got {self.seeds!r}")
+        # Specs arrive as JSON from outside the program (files, the
+        # service): type-check the scalars before comparing them, and
+        # refuse a bool where an integer belongs and a string where a
+        # bool belongs ("false" is truthy).
+        for name in ("max_rounds", "extra_rounds_after_convergence"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise SpecificationError(f"{name} must be an integer, got {value!r}")
+        for name in ("stop_at_convergence", "record_trace"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise SpecificationError(
+                    f"{name} must be true or false, got {value!r}"
+                )
         if self.max_rounds < 1:
             raise SpecificationError("max_rounds must be at least 1")
         if self.extra_rounds_after_convergence < 0:
@@ -403,15 +417,15 @@ class ExperimentSpec:
             params["seed"] = seed
         return list(VALUE_GENERATORS.build(self.value_generator, **params))
 
-    def build(self, seed: int | None = None) -> Simulator:
+    def build(self, seed: int | None = None) -> Engine:
         """Materialize the spec into a ready-to-run engine.
 
         The ``engine`` field selects the execution backend through the
         engine registry: ``"reference"`` (the default) builds the classic
-        object-per-agent :class:`Simulator`, ``"array"`` the
-        struct-of-arrays
-        :class:`~repro.simulation.array_engine.ArrayEngine`.  Both
-        implement the same ``Engine`` protocol and produce
+        object-per-agent :class:`~repro.simulation.engine.Simulator`,
+        ``"array"`` the struct-of-arrays
+        :class:`~repro.simulation.array_engine.ArrayEngine`.  Both are
+        :class:`~repro.simulation.protocol.Engine` subclasses and produce
         value-identical results on every workload the array engine
         admits; it raises :class:`SpecificationError` for the rest
         (no numpy, a non-int64 kernel, non-int or out-of-range values).
@@ -461,7 +475,6 @@ class ExperimentSpec:
             initial_values=values,
             scheduler=scheduler,
             seed=seed,
-            record_trace=self.record_trace,
         )
 
     def build_probes(self) -> list[Probe]:
@@ -581,6 +594,11 @@ class ExperimentSpec:
         return self.name or f"{self.algorithm}@{self.environment}"
 
 
+def _is_integer(value: Any) -> bool:
+    """True for an ``int`` that is not a ``bool`` (JSON ``true`` is not 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _probe_request(entry: Any) -> tuple[str, dict]:
     """Normalize a declarative probe (name or dict) to (name, params)."""
     if isinstance(entry, str):
@@ -697,7 +715,7 @@ class Experiment:
     def from_json(cls, text: str) -> "Experiment":
         return cls(ExperimentSpec.from_json(text))
 
-    def simulator(self, seed: int | None = None) -> Simulator:
+    def simulator(self, seed: int | None = None) -> Engine:
         """The materialized simulator for one run (see :meth:`ExperimentSpec.build`)."""
         return self.spec.build(seed)
 

@@ -230,9 +230,9 @@ VALUE_GENERATORS = Registry("value generator")
 #: Observation probes attachable to any engine run
 #: (see :mod:`repro.simulation.probes`).
 PROBES = Registry("probe")
-#: Execution engines implementing the :class:`repro.simulation.Engine`
-#: protocol ("reference" = the byte-identical object-per-agent
-#: Simulator, "array" = the struct-of-arrays vectorized engine).
+#: Execution engines: :class:`repro.simulation.Engine` subclasses
+#: ("reference" = the byte-identical object-per-agent Simulator,
+#: "array" = the struct-of-arrays vectorized engine).
 ENGINES = Registry("engine")
 
 register_algorithm = ALGORITHMS.register

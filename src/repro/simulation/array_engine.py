@@ -74,7 +74,7 @@ from __future__ import annotations
 import copy
 import random
 from itertools import chain
-from typing import Any, Callable, Hashable, Iterator, Sequence
+from typing import Any, Hashable, Sequence
 
 try:
     import numpy as _numpy
@@ -94,19 +94,9 @@ from ..environment.base import (
 )
 from ..environment.dynamics import edge_endpoints
 from ..registry import register_engine
-from .checkpoint import (
-    EngineCheckpoint,
-    RoundState,
-    RunCheckpoint,
-    decode_rng_state,
-    decode_state,
-    encode_rng_state,
-    encode_state,
-    engine_checkpoint_of,
-)
-from .engine import Simulator, _validate_partition
-from .protocol import Probe, run_engine
-from .result import SimulationResult
+from .checkpoint import EngineCheckpoint, RoundState, decode_state, encode_state
+from .engine import _validate_partition
+from .protocol import Engine
 
 __all__ = ["ArrayEngine", "ArrayRoundRecord", "HAVE_NUMPY", "INT64_MAX"]
 
@@ -374,12 +364,14 @@ class ArrayRoundRecord:
         )
 
 
-class ArrayEngine:
-    """Simulate one kernel algorithm over flat state arrays.
+@register_engine("array")
+class ArrayEngine(Engine):
+    """The struct-of-arrays vectorized engine for kernel algorithms (100k-1M agents).
 
-    Implements the same :class:`~repro.simulation.protocol.Engine`
-    protocol as the reference :class:`~repro.simulation.engine.Simulator`
-    and produces value-identical results for every workload it admits:
+    Simulates one kernel algorithm over flat state arrays.  It is an
+    :class:`~repro.simulation.protocol.Engine` like the reference
+    :class:`~repro.simulation.engine.Simulator` and produces
+    value-identical results for every workload it admits:
     an algorithm declaring one of the int64
     :attr:`~repro.core.algorithm.SelfSimilarAlgorithm.kernel` values
     (minimum, maximum, sum) over ``int`` initial values that provably
@@ -416,10 +408,6 @@ class ArrayEngine:
     seed:
         Seed of the run's random generator; drawn and recorded when None,
         exactly as the reference engine does.
-    record_trace:
-        Selects the default ``history`` retention of :meth:`run`
-        (``"full"`` when True, ``"objective"`` when False), mirroring the
-        reference engine's flag.
     cross_check:
         Debug flag.  When True the engine runs the same paths and checks
         every round against from-scratch oracles: each group result
@@ -433,6 +421,8 @@ class ArrayEngine:
         :class:`SimulationError`.
     """
 
+    checkpoint_kind = "array"
+
     def __init__(
         self,
         algorithm: SelfSimilarAlgorithm,
@@ -440,33 +430,19 @@ class ArrayEngine:
         initial_values: Sequence[Any],
         scheduler: Scheduler | None = None,
         seed: int | None = None,
-        record_trace: bool = True,
         cross_check: bool = False,
     ):
-        if len(initial_values) != environment.num_agents:
-            raise SimulationError(
-                f"{len(initial_values)} initial values supplied for "
-                f"{environment.num_agents} agents"
-            )
+        super().__init__(algorithm, environment, initial_values, seed)
         kernel = getattr(algorithm, "kernel", None)
-        initial_states = algorithm.initial_states(initial_values)
+        initial_states = algorithm.initial_states(self.initial_values)
         refusal = _refusal(kernel, algorithm.objective, initial_states)
         if refusal is not None:
             raise SpecificationError(
                 f"algorithm {algorithm.name!r} {refusal}, so the array "
                 'engine cannot execute it; run it with engine="reference"'
             )
-        if seed is None:
-            # Draw the effective seed explicitly so the run stays
-            # reproducible: the result metadata records this value.
-            seed = random.randrange(2**63)
-        self.algorithm = algorithm
-        self.environment = environment
         self.scheduler = scheduler or MaximalGroupsScheduler()
-        self.seed = seed
-        self.record_trace = record_trace
         self.cross_check = cross_check
-        self.initial_values = list(initial_values)
         self._kernel = kernel
         self._guard_rng = _KernelGuardRng(algorithm.name)
         # The maximal scheduler draws no randomness and schedules exactly
@@ -484,7 +460,7 @@ class ArrayEngine:
         self._target = algorithm.function(initial_bag)
         # No maintained bag: the objective is folded from int64 deltas and
         # convergence decided on the flat states (_vectorized_converged).
-        self._state = RoundState(seed)
+        self._state = RoundState(self.seed)
         self._converged_test = self._build_converged_test()
         # Bumped whenever the flat states change; ArrayRoundRecord uses it
         # to refuse stale lazy bags, and current_multiset() to reuse the
@@ -514,16 +490,6 @@ class ArrayEngine:
             bag = self._bag = (self._epoch, Multiset(self.current_states()))
         return bag[1]
 
-    @property
-    def target(self) -> Multiset:
-        """The multiset ``S* = f(S(0))`` the agents must reach and keep."""
-        return self._target
-
-    @property
-    def round_index(self) -> int:
-        """Index of the next round :meth:`steps` will execute."""
-        return self._state.round_index
-
     def has_converged(self) -> bool:
         """Return True when the agents are currently at ``S*``."""
         return self._vectorized_converged()
@@ -537,63 +503,20 @@ class ArrayEngine:
         self.environment.reset()
         self._epoch += 1
 
-    # -- checkpoint / restore -------------------------------------------------------
+    # -- checkpoint / restore: the engine's half -----------------------------------
 
-    def checkpoint(self) -> EngineCheckpoint:
-        """Serialize the run state at the current round boundary.
+    def _checkpoint_agents(self) -> dict:
+        """The flat agent states.  Per-agent participation counters do
+        not exist here (the engine never materializes agents), so
+        ``agent_counters`` stays None."""
+        return {
+            "agent_states": [encode_state(value) for value in self.current_states()]
+        }
 
-        Same codec and same shape as the reference engine's checkpoint
-        (``engine="array"``): agent states, RNG state, the maintained
-        objective value, the environment's mutable state.  Per-agent
-        participation counters do not exist here (the engine never
-        materializes agents), so ``agent_counters`` stays None.
-        """
-        state = self._state
-        return EngineCheckpoint(
-            engine="array",
-            seed=self.seed,
-            round_index=state.round_index,
-            rng_state=encode_rng_state(state.rng.getstate()),
-            agent_states=[encode_state(value) for value in self.current_states()],
-            objective_value=encode_state(state.objective_value),
-            environment=self.environment.state_dict(),
-        )
-
-    def restore(self, checkpoint: EngineCheckpoint | RunCheckpoint | dict) -> None:
-        """Restore a checkpoint into this (identically-constructed) engine.
-
-        Same contract as the reference engine: engine kind, seed and
-        agent count are verified, the RNG and environment state are
-        restored exactly, and the objective is restored, not recomputed —
-        the continued run is value-identical to the uninterrupted one.
-        """
-        if isinstance(checkpoint, RunCheckpoint):
-            checkpoint = checkpoint.engine
-        checkpoint = engine_checkpoint_of(checkpoint)
-        if checkpoint.engine != "array":
-            raise SimulationError(
-                f"cannot restore a {checkpoint.engine!r} checkpoint into "
-                "the array engine"
-            )
-        if checkpoint.seed != self.seed:
-            raise SimulationError(
-                f"checkpoint was taken under seed {checkpoint.seed}, but "
-                f"this engine runs seed {self.seed}; restore requires an "
-                "identically-constructed engine"
-            )
-        if len(checkpoint.agent_states) != self.environment.num_agents:
-            raise SimulationError(
-                f"checkpoint holds {len(checkpoint.agent_states)} agent "
-                f"states for {self.environment.num_agents} agents"
-            )
-        state = self._state
-        state.rng.setstate(decode_rng_state(checkpoint.rng_state))
-        state.round_index = checkpoint.round_index
+    def _restore_agents(self, checkpoint: EngineCheckpoint) -> None:
         self._install_states(
             [decode_state(encoded) for encoded in checkpoint.agent_states]
         )
-        self.environment.load_state(checkpoint.environment)
-        state.objective_value = decode_state(checkpoint.objective_value)
         self._epoch += 1
 
     # -- the round loop --------------------------------------------------------------
@@ -896,24 +819,10 @@ class ArrayEngine:
                 f"{expected})"
             )
 
-    # -- the Engine protocol -----------------------------------------------------
-
-    def steps(self, max_rounds: int | None = None) -> Iterator[ArrayRoundRecord]:
-        """Stream the simulation, one :class:`ArrayRoundRecord` per round.
-
-        Same contract as the reference engine: lazy, resumable, no loose
-        state when abandoned.
-        """
-        state = self._state
-        executed = 0
-        while max_rounds is None or executed < max_rounds:
-            record = self._execute_round(state.round_index)
-            state.round_index += 1
-            executed += 1
-            yield record
+    # -- Engine hooks -------------------------------------------------------------
 
     def initial_snapshot(self) -> tuple[Multiset, float]:
-        """The pre-run ``(multiset, objective)`` pair (Engine protocol).
+        """The pre-run ``(multiset, objective)`` pair.
 
         Under ``cross_check`` the objective is compared with ``h`` of the
         bag and the target with ``algorithm.target`` of the initial
@@ -947,14 +856,8 @@ class ArrayEngine:
             value = self.algorithm.objective(self.current_multiset())
         return value
 
-    def trace_complete(self, converged: bool, stopped_by_callback: bool) -> bool:
-        """Once at ``S* = f(S*)``, every further step is a stutter, so the
-        observed prefix determines the whole computation — provided the
-        algorithm actually enforces ``D`` and the run was not cut short."""
-        return converged and self.algorithm.enforce and not stopped_by_callback
-
     def finish_metadata(self) -> dict:
-        """Run metadata recorded on the result (Engine protocol)."""
+        """Run metadata recorded on the result."""
         return {
             "algorithm": self.algorithm.name,
             "environment": self.environment.describe(),
@@ -964,85 +867,8 @@ class ArrayEngine:
             "engine": "array",
         }
 
-    def run(
-        self,
-        max_rounds: int = 1000,
-        stop_at_convergence: bool = True,
-        extra_rounds_after_convergence: int = 0,
-        on_round: Callable[[ArrayRoundRecord], bool | None] | None = None,
-        probes: Sequence[Probe] | None = None,
-        history: str | None = None,
-        resume_from: RunCheckpoint | None = None,
-        count_trace: bool = False,
-    ) -> SimulationResult:
-        """Run the simulation and return a :class:`SimulationResult`.
-
-        Delegates to the shared engine driver exactly as the reference
-        engine does; see :func:`~repro.simulation.protocol.run_engine`.
-        """
-        if resume_from is not None:
-            self.restore(resume_from)
-        return run_engine(
-            self,
-            max_rounds=max_rounds,
-            stop_at_convergence=stop_at_convergence,
-            extra_rounds_after_convergence=extra_rounds_after_convergence,
-            on_round=on_round,
-            probes=probes,
-            history=history,
-            resume_from=resume_from,
-            count_trace=count_trace,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ArrayEngine({self.algorithm.name!r}, "
             f"n={self.environment.num_agents}, kernel={self._kernel!r})"
         )
-
-
-# -- registry entries -------------------------------------------------------------
-
-
-@register_engine("reference")
-def reference_engine(
-    algorithm: SelfSimilarAlgorithm,
-    environment: Environment,
-    initial_values: Sequence[Any],
-    scheduler: Scheduler | None = None,
-    seed: int | None = None,
-    record_trace: bool = True,
-    **kwargs: Any,
-) -> Simulator:
-    """The byte-identical object-per-agent reference engine (the classic Simulator)."""
-    return Simulator(
-        algorithm=algorithm,
-        environment=environment,
-        initial_values=initial_values,
-        scheduler=scheduler,
-        seed=seed,
-        record_trace=record_trace,
-        **kwargs,
-    )
-
-
-@register_engine("array")
-def array_engine(
-    algorithm: SelfSimilarAlgorithm,
-    environment: Environment,
-    initial_values: Sequence[Any],
-    scheduler: Scheduler | None = None,
-    seed: int | None = None,
-    record_trace: bool = True,
-    **kwargs: Any,
-) -> ArrayEngine:
-    """The struct-of-arrays vectorized engine for kernel algorithms (100k-1M agents)."""
-    return ArrayEngine(
-        algorithm=algorithm,
-        environment=environment,
-        initial_values=initial_values,
-        scheduler=scheduler,
-        seed=seed,
-        record_trace=record_trace,
-        **kwargs,
-    )

@@ -18,15 +18,14 @@ Every group step is validated against the optimization relation ``D``
 The engine records a full trace of agent-state multisets so that the
 temporal-logic specifications (3)–(5) can be checked after the fact.
 
-The execution core is the :meth:`Simulator.steps` generator, which yields
-one :class:`RoundRecord` per simulated round.  Streaming consumers (live
-dashboards, early-stop policies, the declarative experiment layer) iterate
-it directly and can pause between rounds — the simulator keeps its
-position, so resuming is just pulling the next record.
-:meth:`Simulator.run` delegates to the shared engine driver
-(:func:`repro.simulation.protocol.run_engine`), which carries the stopping
-policy and the probe pipeline for every execution backend and accumulates
-the classic :class:`SimulationResult`.
+The simulator is an :class:`~repro.simulation.protocol.Engine`: the base
+class streams its rounds (:meth:`Engine.steps` yields one
+:class:`RoundRecord` per simulated round; streaming consumers iterate it
+directly and can pause between rounds), and :meth:`Engine.run` is the
+shared engine driver (:func:`repro.simulation.protocol.run_engine`), which
+carries the stopping policy and the probe pipeline for every execution
+backend and accumulates the classic :class:`SimulationResult`.  This
+module supplies how one round executes.
 
 Bookkeeping is *incremental* by default, in both layers.  Instead of
 rebuilding the agent-state multiset and recomputing the objective ``h``
@@ -49,10 +48,9 @@ maintained state against a full recomputation every round.
 
 from __future__ import annotations
 
-import random
 from itertools import chain
 from operator import attrgetter
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Sequence
 
 from ..agents.agent import Agent
 from ..agents.group import Group
@@ -69,27 +67,26 @@ from ..environment.base import (
     connected_component_tuples,
 )
 from ..environment.connectivity import ConnectivityTracker
+from ..registry import register_engine
 from .checkpoint import (
     EngineCheckpoint,
     RoundState,
-    RunCheckpoint,
-    decode_rng_state,
     decode_state,
-    encode_rng_state,
     encode_state,
-    engine_checkpoint_of,
     rebuilt_multiset,
 )
-from .protocol import Probe, RoundRecord, run_engine
-from .result import SimulationResult
+from .protocol import Engine, RoundRecord
 
 __all__ = ["RoundRecord", "Simulator"]
 
 _group_members = attrgetter("members")
 
 
-class Simulator:
-    """Simulate one self-similar algorithm under one environment.
+@register_engine("reference")
+class Simulator(Engine):
+    """The byte-identical object-per-agent reference engine.
+
+    Simulates one self-similar algorithm under one environment.
 
     Parameters
     ----------
@@ -110,9 +107,6 @@ class Simulator:
         an explicit seed is drawn once and recorded as :attr:`seed`, so
         every run — including "unseeded" ones — is reproducible from its
         result metadata.
-    record_trace:
-        When False, only the latest state is kept; long benchmark runs use
-        this to keep memory flat.
     incremental:
         The engine's single mode switch.  When True (default), the
         simulator maintains both layers of the round incrementally.  The
@@ -147,6 +141,8 @@ class Simulator:
         the combination is refused at construction.
     """
 
+    checkpoint_kind = "simulator"
+
     def __init__(
         self,
         algorithm: SelfSimilarAlgorithm,
@@ -154,7 +150,6 @@ class Simulator:
         initial_values: Sequence[Any],
         scheduler: Scheduler | None = None,
         seed: int | None = None,
-        record_trace: bool = True,
         incremental: bool = True,
         cross_check: bool = False,
     ):
@@ -164,23 +159,10 @@ class Simulator:
                 "recomputation; with incremental=False every round already "
                 "recomputes from scratch, so there is nothing to check"
             )
-        if len(initial_values) != environment.num_agents:
-            raise SimulationError(
-                f"{len(initial_values)} initial values supplied for "
-                f"{environment.num_agents} agents"
-            )
-        if seed is None:
-            # Draw the effective seed explicitly so the run stays
-            # reproducible: the result metadata records this value.
-            seed = random.randrange(2**63)
-        self.algorithm = algorithm
-        self.environment = environment
+        super().__init__(algorithm, environment, initial_values, seed)
         self.scheduler = scheduler or MaximalGroupsScheduler()
-        self.seed = seed
-        self.record_trace = record_trace
         self.incremental = incremental
         self.cross_check = cross_check
-        self.initial_values = list(initial_values)
 
         # Incremental environment layer: the tracker is only worth its
         # per-round upkeep when the scheduler consumes communication
@@ -208,7 +190,7 @@ class Simulator:
         # in one explicit object, which is what checkpoint()/restore()
         # serialize.  (The objective stays lazily initialised so that
         # building a simulator never evaluates it.)
-        self._state = RoundState(seed, self._initial_multiset)
+        self._state = RoundState(self.seed, self._initial_multiset)
 
     # -- state access ----------------------------------------------------------
 
@@ -219,16 +201,6 @@ class Simulator:
     def current_multiset(self) -> Multiset:
         """Return the current agent states as a multiset."""
         return Multiset(self.current_states())
-
-    @property
-    def target(self) -> Multiset:
-        """The multiset ``S* = f(S(0))`` the agents must reach and keep."""
-        return self._target
-
-    @property
-    def round_index(self) -> int:
-        """Index of the next round :meth:`steps` will execute."""
-        return self._state.round_index
 
     def has_converged(self) -> bool:
         """Return True when the agents are currently at ``S*``."""
@@ -246,63 +218,20 @@ class Simulator:
             self._tracker.reset()
         self._previous_environment_state = None
 
-    # -- checkpoint / restore ---------------------------------------------------
+    # -- checkpoint / restore: the engine's half -----------------------------------
 
-    def checkpoint(self) -> EngineCheckpoint:
-        """Serialize the run state at the current round boundary.
-
-        Everything the continuation depends on is captured exactly: agent
-        states (and their participation counters), the RNG state, the
-        maintained objective value (whose float summation history is not
-        recomputable), and the environment's own mutable state.  Derived
-        structure — the maintained multiset, the connectivity tracker —
-        is rebuilt deterministically on restore.
-        """
-        state = self._state
-        return EngineCheckpoint(
-            engine="simulator",
-            seed=self.seed,
-            round_index=state.round_index,
-            rng_state=encode_rng_state(state.rng.getstate()),
-            agent_states=[encode_state(agent.state) for agent in self.agents],
-            objective_value=encode_state(state.objective_value),
-            agent_counters=[
+    def _checkpoint_agents(self) -> dict:
+        """Agent states and their participation counters (the maintained
+        multiset and the connectivity tracker are rebuilt on restore)."""
+        return {
+            "agent_states": [encode_state(agent.state) for agent in self.agents],
+            "agent_counters": [
                 [agent.steps_participated, agent.steps_changed]
                 for agent in self.agents
             ],
-            environment=self.environment.state_dict(),
-        )
+        }
 
-    def restore(self, checkpoint: EngineCheckpoint | RunCheckpoint | dict) -> None:
-        """Restore a checkpoint into this (identically-constructed) engine.
-
-        The continued run is byte-identical to the uninterrupted one: same
-        random draws, same round records, same maintained objective.  The
-        checkpoint must come from the same configuration — engine kind,
-        seed and agent count are verified.
-        """
-        if isinstance(checkpoint, RunCheckpoint):
-            checkpoint = checkpoint.engine
-        checkpoint = engine_checkpoint_of(checkpoint)
-        if checkpoint.engine != "simulator":
-            raise SimulationError(
-                f"cannot restore a {checkpoint.engine!r} checkpoint into "
-                "the synchronous Simulator"
-            )
-        if checkpoint.seed != self.seed:
-            raise SimulationError(
-                f"checkpoint was taken under seed {checkpoint.seed}, but "
-                f"this simulator runs seed {self.seed}; restore requires an "
-                "identically-constructed engine"
-            )
-        if len(checkpoint.agent_states) != len(self.agents):
-            raise SimulationError(
-                f"checkpoint holds {len(checkpoint.agent_states)} agent "
-                f"states for {len(self.agents)} agents"
-            )
-        state = self._state
-        state.rng.setstate(decode_rng_state(checkpoint.rng_state))
-        state.round_index = checkpoint.round_index
+    def _restore_agents(self, checkpoint: EngineCheckpoint) -> None:
         counters = checkpoint.agent_counters or [None] * len(self.agents)
         for agent, encoded, counter in zip(
             self.agents, checkpoint.agent_states, counters
@@ -310,9 +239,7 @@ class Simulator:
             agent.state = decode_state(encoded)
             if counter is not None:
                 agent.steps_participated, agent.steps_changed = counter
-        self.environment.load_state(checkpoint.environment)
-        state.maintained = rebuilt_multiset(self.current_states())
-        state.objective_value = decode_state(checkpoint.objective_value)
+        self._state.maintained = rebuilt_multiset(self.current_states())
         if self._tracker is not None:
             # The tracker resynchronizes from the next observed state —
             # the deterministic rebuild recipe; maintained components are
@@ -616,35 +543,10 @@ class Simulator:
                 f"({objective!r} vs {full_objective!r})"
             )
 
-    def steps(self, max_rounds: int | None = None) -> Iterator[RoundRecord]:
-        """Stream the simulation, one :class:`RoundRecord` per round.
-
-        The generator executes rounds lazily: nothing runs until a record
-        is pulled, and abandoning the iterator pauses the simulation with
-        no loose state — calling :meth:`steps` again resumes from the next
-        round.  ``max_rounds`` bounds how many rounds *this* iterator will
-        execute; None streams indefinitely (the caller decides when to
-        stop, e.g. on :attr:`RoundRecord.converged`).
-
-        A round that *raises* (an enforcement violation, say) keeps the
-        group steps installed before the failure — the maintained round
-        state stays consistent with the agent states — but the aborted
-        attempt's RNG draws are not rolled back: pulling the stream again
-        re-executes the same round index as a fresh round from the current
-        RNG state.
-        """
-        state = self._state
-        executed = 0
-        while max_rounds is None or executed < max_rounds:
-            record = self._execute_round(state.round_index)
-            state.round_index += 1
-            executed += 1
-            yield record
-
-    # -- the Engine protocol -----------------------------------------------------
+    # -- Engine hooks -------------------------------------------------------------
 
     def initial_snapshot(self) -> tuple[Multiset, float]:
-        """The pre-run ``(multiset, objective)`` pair (Engine protocol).
+        """The pre-run ``(multiset, objective)`` pair.
 
         In incremental mode the maintained bag already holds the current
         states; its cached snapshot also seeds the objective value so the
@@ -659,14 +561,8 @@ class Simulator:
         initial_multiset = self.current_multiset()
         return initial_multiset, self.algorithm.objective(initial_multiset)
 
-    def trace_complete(self, converged: bool, stopped_by_callback: bool) -> bool:
-        """Once at ``S* = f(S*)``, every further step is a stutter, so the
-        observed prefix determines the whole computation — provided the
-        algorithm actually enforces ``D`` and the run was not cut short."""
-        return converged and self.algorithm.enforce and not stopped_by_callback
-
     def finish_metadata(self) -> dict:
-        """Run metadata recorded on the result (Engine protocol)."""
+        """Run metadata recorded on the result."""
         return {
             "algorithm": self.algorithm.name,
             "environment": self.environment.describe(),
@@ -674,48 +570,6 @@ class Simulator:
             "num_agents": self.environment.num_agents,
             "seed": self.seed,
         }
-
-    def run(
-        self,
-        max_rounds: int = 1000,
-        stop_at_convergence: bool = True,
-        extra_rounds_after_convergence: int = 0,
-        on_round: Callable[[RoundRecord], bool | None] | None = None,
-        probes: Sequence[Probe] | None = None,
-        history: str | None = None,
-        resume_from: RunCheckpoint | None = None,
-        count_trace: bool = False,
-    ) -> SimulationResult:
-        """Run the simulation and return a :class:`SimulationResult`.
-
-        Delegates to the shared engine driver
-        (:func:`repro.simulation.protocol.run_engine`), which pulls round
-        records from :meth:`steps`, applies the stopping policy and feeds
-        the probe pipeline; see its docstring for the ``max_rounds``,
-        ``stop_at_convergence``, ``extra_rounds_after_convergence``,
-        ``on_round``, ``probes``, ``history``, ``resume_from`` and
-        ``count_trace`` parameters.  With ``resume_from``, the
-        checkpointed engine state is restored first and the completed
-        result is byte-identical to the uninterrupted run's.
-
-        ``history`` defaults to ``"full"`` (the classic result with its
-        complete trace), or ``"objective"`` when the simulator was built
-        with ``record_trace=False`` — exactly the retention that flag
-        always selected; the driver resolves it.
-        """
-        if resume_from is not None:
-            self.restore(resume_from)
-        return run_engine(
-            self,
-            max_rounds=max_rounds,
-            stop_at_convergence=stop_at_convergence,
-            extra_rounds_after_convergence=extra_rounds_after_convergence,
-            on_round=on_round,
-            probes=probes,
-            history=history,
-            resume_from=resume_from,
-            count_trace=count_trace,
-        )
 
 
 def _validate_partition(groups: Sequence[Group], num_agents: int) -> None:

@@ -28,11 +28,11 @@ two-sided exchanges (value mass or array slots must move *between* agents
 atomically).  The :class:`Simulator` covers those; this runtime exists to
 reproduce the asynchronous claim for the algorithms it applies to.
 
-The simulator satisfies the :class:`~repro.simulation.protocol.Engine`
-protocol: :meth:`MergeMessagePassingSimulator.steps` streams one
+The simulator is an :class:`~repro.simulation.protocol.Engine`: its
+inherited ``steps`` streams one
 :class:`~repro.simulation.protocol.RoundRecord` per round, lazily and
-resumably, and :meth:`MergeMessagePassingSimulator.run` is the shared
-engine driver — same stopping policy, same probe pipeline, same
+resumably, and its inherited ``run`` is the shared engine driver — same
+stopping policy, same probe pipeline, same checkpoint and resume, same
 :class:`SimulationResult` shape as the synchronous engine.
 
 Round bookkeeping is incremental: one maintained multiset absorbs each
@@ -47,8 +47,7 @@ memoized effective-edge view.
 
 from __future__ import annotations
 
-import random
-from typing import Any, Callable, Hashable, Iterator, Sequence
+from typing import Any, Callable, Hashable, Sequence
 
 from ..agents.group import Group
 from ..core.errors import SimulationError
@@ -64,16 +63,11 @@ from ..environment.base import (
 from .checkpoint import (
     EngineCheckpoint,
     RoundState,
-    RunCheckpoint,
-    decode_rng_state,
     decode_state,
-    encode_rng_state,
     encode_state,
-    engine_checkpoint_of,
     rebuilt_multiset,
 )
-from .protocol import Probe, RoundRecord, run_engine
-from .result import SimulationResult
+from .protocol import Engine, RoundRecord
 
 __all__ = ["MergeMessagePassingSimulator"]
 
@@ -89,14 +83,15 @@ MergeFunction = Callable[[Hashable, Hashable], Hashable]
 _MERGE_JUDGEMENT = StepJudgement(kind=StepKind.IMPROVEMENT)
 
 
-class MergeMessagePassingSimulator:
+class MergeMessagePassingSimulator(Engine):
     """Asynchronous (one-sided) execution of a merge-style algorithm.
 
-    The runtime has one mode.  When the environment reports per-round
-    deltas, rounds whose delta is empty reuse the previous state's
-    memoized effective-edge view instead of re-filtering the edge set;
-    the random stream and all results are identical to a from-scratch
-    filter, which the parity suite's legacy send/deliver loop pins.
+    The runtime has one mode.  The engine diffs each environment state
+    against the last (:meth:`EnvironmentDelta.between`), and rounds whose
+    delta is empty reuse the previous state's memoized effective-edge
+    view instead of re-filtering the edge set; the random stream and all
+    results are identical to a from-scratch filter, which the parity
+    suite's legacy send/deliver loop pins.
 
     Parameters
     ----------
@@ -125,6 +120,8 @@ class MergeMessagePassingSimulator:
     #: convention of this runtime).
     largest_group_floor = 2
 
+    checkpoint_kind = "messaging"
+
     def __init__(
         self,
         algorithm: SelfSimilarAlgorithm,
@@ -134,24 +131,13 @@ class MergeMessagePassingSimulator:
         loss_probability: float = 0.0,
         seed: int | None = None,
     ):
-        if len(initial_values) != environment.num_agents:
-            raise SimulationError(
-                f"{len(initial_values)} initial values supplied for "
-                f"{environment.num_agents} agents"
-            )
         if not 0.0 <= loss_probability <= 1.0:
             raise SimulationError("loss_probability must be in [0, 1]")
-        if seed is None:
-            # Draw the effective seed explicitly so the run stays
-            # reproducible from its result metadata, matching Simulator.
-            seed = random.randrange(2**63)
-        self.algorithm = algorithm
+        super().__init__(algorithm, environment, initial_values, seed)
         self.merge = merge
-        self.environment = environment
         self.loss_probability = loss_probability
-        self.seed = seed
         self._previous_environment_state: EnvironmentState | None = None
-        self.states: list[Hashable] = algorithm.initial_states(list(initial_values))
+        self.states: list[Hashable] = algorithm.initial_states(self.initial_values)
         self._initial_states = list(self.states)
         self._target = algorithm.target(self.states)
         self.messages_sent = 0
@@ -161,7 +147,7 @@ class MergeMessagePassingSimulator:
         # with the synchronous engine; checkpoint()/restore() serialize
         # it.  (The objective stays lazily initialised so that building a
         # simulator never evaluates it.)
-        self._state = RoundState(seed, self.states)
+        self._state = RoundState(self.seed, self.states)
         # Incremental objective maintenance requires that every applied
         # merge respected the conservation law; that is only guaranteed
         # when enforcement checks each delivery (Simulator's equivalent is
@@ -190,17 +176,7 @@ class MergeMessagePassingSimulator:
         self._pair_groups: dict[tuple[int, int], Group] = {}
         self._pair_group_cap = 65536
 
-    # -- the Engine protocol ----------------------------------------------------
-
-    @property
-    def target(self) -> Multiset:
-        """The multiset ``S* = f(S(0))`` the agents must reach and keep."""
-        return self._target
-
-    @property
-    def round_index(self) -> int:
-        """Index of the next round :meth:`steps` will execute."""
-        return self._state.round_index
+    # -- Engine hooks -------------------------------------------------------------
 
     def current_states(self) -> list:
         """Return the current agent states, indexed by agent id."""
@@ -219,7 +195,7 @@ class MergeMessagePassingSimulator:
         return Multiset(self.states) == self._target
 
     def initial_snapshot(self) -> tuple[Multiset, float]:
-        """The pre-run ``(multiset, objective)`` pair (Engine protocol)."""
+        """The pre-run ``(multiset, objective)`` pair."""
         state = self._state
         snapshot = state.maintained.snapshot()
         if state.objective_value is None:
@@ -232,7 +208,7 @@ class MergeMessagePassingSimulator:
         return converged and not stopped_by_callback
 
     def finish_metadata(self) -> dict:
-        """Run metadata recorded on the result (Engine protocol)."""
+        """Run metadata recorded on the result."""
         return {
             "algorithm": self.algorithm.name,
             "environment": self.environment.describe(),
@@ -242,7 +218,7 @@ class MergeMessagePassingSimulator:
             "seed": self.seed,
         }
 
-    # -- lifecycle: reset, checkpoint, restore ----------------------------------
+    # -- reset, and the engine's half of checkpoint / restore ---------------------
 
     def reset(self) -> None:
         """Restore the initial configuration (same seed, same initial values)."""
@@ -253,58 +229,21 @@ class MergeMessagePassingSimulator:
         self.messages_delivered = 0
         self._previous_environment_state = None
 
-    def checkpoint(self) -> EngineCheckpoint:
-        """Serialize the run state at the current round boundary.
-
-        Mirrors :meth:`Simulator.checkpoint`; the messaging runtime
-        additionally records its send/delivery totals (result metadata).
+    def _checkpoint_agents(self) -> dict:
+        """Agent states plus the send/delivery totals (result metadata).
         The conservation and pair-group memos are pure caches and refill
-        on demand after restore.
-        """
-        state = self._state
-        return EngineCheckpoint(
-            engine="messaging",
-            seed=self.seed,
-            round_index=state.round_index,
-            rng_state=encode_rng_state(state.rng.getstate()),
-            agent_states=[encode_state(value) for value in self.states],
-            objective_value=encode_state(state.objective_value),
-            environment=self.environment.state_dict(),
-            counters={
+        on demand after restore."""
+        return {
+            "agent_states": [encode_state(value) for value in self.states],
+            "counters": {
                 "messages_sent": self.messages_sent,
                 "messages_delivered": self.messages_delivered,
             },
-        )
+        }
 
-    def restore(self, checkpoint: EngineCheckpoint | RunCheckpoint | dict) -> None:
-        """Restore a checkpoint into this (identically-constructed) engine;
-        the continued run is byte-identical to the uninterrupted one."""
-        if isinstance(checkpoint, RunCheckpoint):
-            checkpoint = checkpoint.engine
-        checkpoint = engine_checkpoint_of(checkpoint)
-        if checkpoint.engine != "messaging":
-            raise SimulationError(
-                f"cannot restore a {checkpoint.engine!r} checkpoint into "
-                "the message-passing simulator"
-            )
-        if checkpoint.seed != self.seed:
-            raise SimulationError(
-                f"checkpoint was taken under seed {checkpoint.seed}, but "
-                f"this simulator runs seed {self.seed}; restore requires an "
-                "identically-constructed engine"
-            )
-        if len(checkpoint.agent_states) != len(self.states):
-            raise SimulationError(
-                f"checkpoint holds {len(checkpoint.agent_states)} agent "
-                f"states for {len(self.states)} agents"
-            )
-        state = self._state
-        state.rng.setstate(decode_rng_state(checkpoint.rng_state))
-        state.round_index = checkpoint.round_index
+    def _restore_agents(self, checkpoint: EngineCheckpoint) -> None:
         self.states = [decode_state(value) for value in checkpoint.agent_states]
-        self.environment.load_state(checkpoint.environment)
-        state.maintained = rebuilt_multiset(self.states)
-        state.objective_value = decode_state(checkpoint.objective_value)
+        self._state.maintained = rebuilt_multiset(self.states)
         self.messages_sent = checkpoint.counters.get("messages_sent", 0)
         self.messages_delivered = checkpoint.counters.get("messages_delivered", 0)
         self._previous_environment_state = None
@@ -435,66 +374,4 @@ class MergeMessagePassingSimulator:
             converged=maintained.matches(self._target),
             groups=tuple(groups),
             judgements=tuple(judgements),
-        )
-
-    def steps(self, max_rounds: int | None = None) -> Iterator[RoundRecord]:
-        """Stream the computation, one :class:`RoundRecord` per round.
-
-        The generator executes rounds lazily: nothing runs until a record
-        is pulled, and abandoning the iterator pauses the simulation with
-        no loose state — calling :meth:`steps` again resumes from the next
-        round.  ``max_rounds`` bounds how many rounds *this* iterator will
-        execute; None streams indefinitely (the caller decides when to
-        stop, e.g. on :attr:`RoundRecord.converged`).
-
-        A round that *raises* (an enforcement violation, say) was applied
-        up to the failing delivery — the maintained round state stays
-        consistent with the agent states — but, as with
-        :meth:`Simulator.steps`, the aborted attempt's RNG draws and send
-        counters are not rolled back: pulling the stream again re-executes
-        the same round index as a fresh round from the current RNG state.
-        """
-        state = self._state
-        executed = 0
-        while max_rounds is None or executed < max_rounds:
-            record = self._execute_round(state.round_index)
-            state.round_index += 1
-            executed += 1
-            yield record
-
-    def run(
-        self,
-        max_rounds: int = 1000,
-        stop_at_convergence: bool = True,
-        extra_rounds_after_convergence: int = 0,
-        on_round: Callable[[RoundRecord], bool | None] | None = None,
-        probes: Sequence[Probe] | None = None,
-        history: str | None = None,
-        resume_from: RunCheckpoint | None = None,
-        count_trace: bool = False,
-    ) -> SimulationResult:
-        """Run the asynchronous computation and return a
-        :class:`SimulationResult`.
-
-        Delegates to the shared engine driver
-        (:func:`repro.simulation.protocol.run_engine`), so this runtime
-        carries the same stopping policy (``stop_at_convergence``,
-        ``extra_rounds_after_convergence``, ``on_round``), the same
-        probe pipeline (``probes``, ``history``, ``count_trace``) and the
-        same checkpoint/resume semantics (``resume_from``) as the
-        synchronous :class:`~repro.simulation.engine.Simulator` — see the
-        driver's docstring for the parameters.
-        """
-        if resume_from is not None:
-            self.restore(resume_from)
-        return run_engine(
-            self,
-            max_rounds=max_rounds,
-            stop_at_convergence=stop_at_convergence,
-            extra_rounds_after_convergence=extra_rounds_after_convergence,
-            on_round=on_round,
-            probes=probes,
-            history=history,
-            resume_from=resume_from,
-            count_trace=count_trace,
         )

@@ -1,32 +1,33 @@
-"""The unified simulation surface: the ``Engine`` protocol and the probe pipeline.
+"""The unified simulation surface: the ``Engine`` base class and the probe pipeline.
 
 The paper specifies its self-similar algorithms by temporal-logic
 properties over *computations* — streams of states — and this module gives
 the library the matching execution shape.  Every execution backend (the
 synchronous group-step :class:`~repro.simulation.engine.Simulator`, the
+numpy :class:`~repro.simulation.array_engine.ArrayEngine`, the
 asynchronous :class:`~repro.simulation.messaging.MergeMessagePassingSimulator`)
-implements one :class:`Engine` protocol: a lazy, resumable
-:meth:`Engine.steps` generator yielding one :class:`RoundRecord` per round,
-plus a handful of snapshot hooks.  One shared driver, :func:`run_engine`,
-carries the single stopping policy (``max_rounds``,
-``stop_at_convergence``, ``extra_rounds_after_convergence``, ``on_round``)
-for every engine, so execution backends differ only in *how a round runs*,
-never in how runs stop or what a :class:`SimulationResult` contains.
+subclasses one :class:`Engine`, which owns the run lifecycle — seeding, the
+lazy, resumable :meth:`Engine.steps` generator yielding one
+:class:`RoundRecord` per round, :meth:`Engine.run`, checkpoint and restore
+— while each backend supplies only its round and a handful of snapshot
+hooks.  One shared driver, :func:`run_engine`, carries the single
+stopping policy (``max_rounds``, ``stop_at_convergence``,
+``extra_rounds_after_convergence``, ``on_round``) for every engine, so
+execution backends differ only in *how a round runs*, never in how runs
+stop or what a :class:`SimulationResult` contains.
 
 Observation is not wired into the engines at all.  It is a pipeline of
 :class:`Probe` objects — ``on_start(engine)``, ``on_round(record)``,
 ``on_finish() -> payload`` — attached per run.  The driver owns exactly one
 :class:`HistoryProbe` (supplied or implicit), whose ``history`` mode
 decides what a run *retains* (:func:`resolve_history` is the one rule that
-turns ``record_trace``, a ``history`` setting and a pinned probe mode into
-that mode):
+turns a spec's retention settings into that mode):
 
 ``"full"``
     every round's multiset and objective value (the default; preserves the
     classic, byte-identical :class:`SimulationResult` with its full trace);
 ``"objective"``
-    the objective trajectory only — the trace keeps just the final state
-    (what ``record_trace=False`` always meant);
+    the objective trajectory only — the trace keeps just the final state;
 ``"none"``
     O(1) memory: no per-round multisets, no trajectory list — only the
     endpoints of the objective and the run counters survive.
@@ -47,18 +48,12 @@ maintained multiset, not 10M of them.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Callable,
-    Iterator,
-    Protocol,
-    Sequence,
-    runtime_checkable,
-)
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from ..agents.group import Group
-from ..core.errors import SpecificationError
+from ..core.errors import SimulationError, SpecificationError
 from ..core.multiset import Multiset
 from ..core.relation import StepJudgement, StepKind
 from ..temporal.trace import CountedTrace, Trace
@@ -66,10 +61,17 @@ from .checkpoint import (
     DriverState,
     EngineCheckpoint,
     RunCheckpoint,
+    decode_rng_state,
     decode_state,
+    encode_rng_state,
     encode_state,
+    engine_checkpoint_of,
 )
 from .result import SimulationResult
+
+if TYPE_CHECKING:
+    from ..core.algorithm import SelfSimilarAlgorithm
+    from ..environment.base import Environment
 
 __all__ = [
     "HISTORY_MODES",
@@ -93,7 +95,7 @@ def resolve_history(
 
     A history probe's ``pinned`` mode wins (the probe takes over
     retention in the driver), then an explicit ``history``, then the
-    legacy ``record_trace`` flag (True → ``"full"``, False →
+    spec's ``record_trace`` field (True → ``"full"``, False →
     ``"objective"``).
     """
     if pinned is not None:
@@ -161,66 +163,207 @@ class RoundRecord:
         return max((len(group) for group in self.groups), default=0)
 
 
-@runtime_checkable
-class Engine(Protocol):
-    """What an execution backend must provide to be driven by :func:`run_engine`.
+class Engine:
+    """The base class of every execution backend :func:`run_engine` drives.
 
-    The protocol is deliberately small: a lazily resumable round stream
-    plus the snapshot hooks the driver needs to assemble a
-    :class:`SimulationResult`.  Everything about stopping, observing and
-    retaining lives in the driver and the probes, so a new backend (an
-    event-driven runtime, a remote shard) is a new ``Engine``
-    implementation — not a new ``run()`` monolith.
+    It holds the whole run lifecycle once: the construction preamble (the
+    initial-value count check and the effective seed), the lazily
+    resumable round stream :meth:`steps`, :meth:`run`, and the checkpoint
+    identity and common state (kind, seed, agent count, RNG, round
+    index, environment, objective).  Everything about stopping,
+    observing and retaining lives in the driver and the probes.  A
+    subclass supplies only how one round executes and the snapshot
+    hooks the driver reads, so a new backend (an event-driven runtime, a
+    remote shard) is a new ``Engine`` subclass — never a new ``run()``.
+
+    A subclass implements :meth:`_execute_round`, :meth:`initial_snapshot`,
+    :meth:`current_states`, :meth:`has_converged`, :meth:`reset`,
+    :meth:`finish_metadata` and its halves of the checkpoint
+    (:meth:`_checkpoint_agents`, :meth:`_restore_agents`); it sets
+    ``_target`` (the multiset ``S*``) and ``_state`` (its
+    :class:`~repro.simulation.checkpoint.RoundState`) at construction.
     """
 
-    algorithm: Any
-    seed: int
+    #: ``EngineCheckpoint.engine`` of this engine's checkpoints; a
+    #: checkpoint restores only into an engine of the same kind.
+    checkpoint_kind = ""
 
-    def steps(self, max_rounds: int | None = None) -> Iterator[RoundRecord]:
-        """Stream rounds lazily; abandoning the iterator pauses the engine
-        with no loose state, and calling :meth:`steps` again resumes."""
-        ...
+    #: Lower bound of the result's ``largest_group``, for engines whose
+    #: execution style fixes the collaboration width.
+    largest_group_floor = 0
 
-    def has_converged(self) -> bool:
-        """True when the agents currently form the target multiset."""
-        ...
+    def __init__(
+        self,
+        algorithm: SelfSimilarAlgorithm,
+        environment: Environment,
+        initial_values: Sequence[Any],
+        seed: int | None,
+    ):
+        if len(initial_values) != environment.num_agents:
+            raise SimulationError(
+                f"{len(initial_values)} initial values supplied for "
+                f"{environment.num_agents} agents"
+            )
+        if seed is None:
+            # Draw the effective seed explicitly so the run stays
+            # reproducible: the result metadata records this value.
+            seed = random.randrange(2**63)
+        self.algorithm = algorithm
+        self.environment = environment
+        self.seed = seed
+        self.initial_values = list(initial_values)
 
-    def current_states(self) -> list:
-        """The current agent states, indexed by agent id."""
-        ...
+    # -- what every engine shares ------------------------------------------------
 
     @property
     def target(self) -> Multiset:
-        """The multiset ``S* = f(S(0))`` the computation must reach."""
-        ...
+        """The multiset ``S* = f(S(0))`` the agents must reach and keep."""
+        return self._target
+
+    @property
+    def round_index(self) -> int:
+        """Index of the next round :meth:`steps` will execute."""
+        return self._state.round_index
+
+    def steps(self, max_rounds: int | None = None) -> Iterator[RoundRecord]:
+        """Stream the computation, one :class:`RoundRecord` per round.
+
+        The generator executes rounds lazily: nothing runs until a record
+        is pulled, and abandoning the iterator pauses the engine with no
+        loose state — calling :meth:`steps` again resumes from the next
+        round.  ``max_rounds`` bounds how many rounds *this* iterator will
+        execute; None streams indefinitely (the caller decides when to
+        stop, e.g. on :attr:`RoundRecord.converged`).
+
+        A round that *raises* (an enforcement violation, say) keeps the
+        group steps applied before the failure — the maintained round
+        state stays consistent with the agent states — but the aborted
+        attempt's RNG draws and counters are not rolled back: pulling the
+        stream again re-executes the same round index as a fresh round
+        from the current RNG state.
+        """
+        state = self._state
+        executed = 0
+        while max_rounds is None or executed < max_rounds:
+            record = self._execute_round(state.round_index)
+            state.round_index += 1
+            executed += 1
+            yield record
+
+    def run(self, *args: Any, **kwargs: Any) -> SimulationResult:
+        """Run the engine and return a :class:`SimulationResult`.
+
+        This is :func:`run_engine` on this engine; see its docstring for
+        the parameters (``max_rounds``, ``stop_at_convergence``,
+        ``extra_rounds_after_convergence``, ``on_round``, ``probes``,
+        ``history``, ``resume_from``, ``count_trace``).
+        """
+        return run_engine(self, *args, **kwargs)
+
+    def trace_complete(self, converged: bool, stopped_by_callback: bool) -> bool:
+        """Whether the observed prefix determines the whole computation.
+
+        Once at ``S* = f(S*)`` every further step is a stutter, provided
+        the algorithm actually enforces ``D`` and the run was not cut
+        short."""
+        return converged and self.algorithm.enforce and not stopped_by_callback
+
+    def checkpoint(self) -> EngineCheckpoint:
+        """Serialize the run state at the current round boundary.
+
+        Everything the continuation depends on is captured exactly: the
+        RNG state, the maintained objective value (whose float summation
+        history is not recomputable), the environment's own mutable state
+        and the engine's agent states (:meth:`_checkpoint_agents`).
+        Derived structure is rebuilt deterministically on restore.
+        """
+        state = self._state
+        return EngineCheckpoint(
+            engine=self.checkpoint_kind,
+            seed=self.seed,
+            round_index=state.round_index,
+            rng_state=encode_rng_state(state.rng.getstate()),
+            objective_value=encode_state(state.objective_value),
+            environment=self.environment.state_dict(),
+            **self._checkpoint_agents(),
+        )
+
+    def restore(self, checkpoint: EngineCheckpoint | RunCheckpoint | dict) -> None:
+        """Restore a checkpoint into this (identically-constructed) engine.
+
+        The continued run is byte-identical to the uninterrupted one: same
+        random draws, same round records, same maintained objective.  The
+        checkpoint must come from the same configuration — engine kind,
+        seed and agent count are verified.
+        """
+        if isinstance(checkpoint, RunCheckpoint):
+            checkpoint = checkpoint.engine
+        checkpoint = engine_checkpoint_of(checkpoint)
+        if checkpoint.engine != self.checkpoint_kind:
+            raise SimulationError(
+                f"cannot restore a {checkpoint.engine!r} checkpoint into "
+                f"{type(self).__name__} (checkpoint kind "
+                f"{self.checkpoint_kind!r})"
+            )
+        if checkpoint.seed != self.seed:
+            raise SimulationError(
+                f"checkpoint was taken under seed {checkpoint.seed}, but "
+                f"this engine runs seed {self.seed}; restore requires an "
+                "identically-constructed engine"
+            )
+        num_agents = self.environment.num_agents
+        if len(checkpoint.agent_states) != num_agents:
+            raise SimulationError(
+                f"checkpoint holds {len(checkpoint.agent_states)} agent "
+                f"states for {num_agents} agents"
+            )
+        state = self._state
+        state.rng.setstate(decode_rng_state(checkpoint.rng_state))
+        state.round_index = checkpoint.round_index
+        self.environment.load_state(checkpoint.environment)
+        self._restore_agents(checkpoint)
+        state.objective_value = decode_state(checkpoint.objective_value)
+
+    # -- what each engine implements ---------------------------------------------
+
+    def _execute_round(self, round_index: int) -> RoundRecord:
+        """Execute round ``round_index`` and record what it did."""
+        raise NotImplementedError
 
     def initial_snapshot(self) -> tuple[Multiset, float]:
         """The pre-run ``(multiset, objective)`` pair, computed the way the
-        engine's bookkeeping mode dictates (maintained snapshot in
-        incremental engines, fresh rebuild otherwise)."""
-        ...
+        engine's bookkeeping mode dictates."""
+        raise NotImplementedError
 
-    def trace_complete(self, converged: bool, stopped_by_callback: bool) -> bool:
-        """Whether the observed prefix determines the whole computation
-        (the engine knows its own fixpoint semantics)."""
-        ...
+    def current_states(self) -> list:
+        """The current agent states, indexed by agent id."""
+        raise NotImplementedError
+
+    def has_converged(self) -> bool:
+        """True when the agents currently form the target multiset."""
+        raise NotImplementedError
+
+    def reset(self) -> None:
+        """Restore the initial configuration (same seed, same initial values)."""
+        raise NotImplementedError
 
     def finish_metadata(self) -> dict:
         """Run metadata recorded on the result (read at run end, so
         engine-side counters like delivered messages are final)."""
-        ...
+        raise NotImplementedError
 
-    def checkpoint(self) -> EngineCheckpoint:
-        """Serialize the engine's mutable run state at the current round
-        boundary (agent states, RNG state, maintained objective,
-        environment state) as JSON-round-trippable data."""
-        ...
+    def _checkpoint_agents(self) -> dict:
+        """The engine's own :class:`EngineCheckpoint` fields:
+        ``agent_states`` (encoded) and any ``agent_counters`` or
+        ``counters``."""
+        raise NotImplementedError
 
-    def restore(self, checkpoint: EngineCheckpoint) -> None:
-        """Restore a checkpoint into this (identically-constructed)
-        engine; the continued run is byte-identical to the uninterrupted
-        one."""
-        ...
+    def _restore_agents(self, checkpoint: EngineCheckpoint) -> None:
+        """Install the checkpoint's agent states and counters and rebuild
+        what derives from them; :meth:`restore` has verified the
+        checkpoint and restored the RNG, round index and environment, and
+        restores the objective value afterwards."""
+        raise NotImplementedError
 
 
 @dataclass
@@ -462,8 +605,7 @@ class HistoryProbe(Probe):
 
         In ``"full"`` mode the trace holds every observed multiset (or,
         counted, their number) and carries the completeness verdict; the
-        reduced modes keep only the final state (never marked complete,
-        matching the historic ``record_trace=False`` behaviour).  The
+        reduced modes keep only the final state (never marked complete).  The
         trajectory is every objective value, except in ``"none"`` mode and
         counted ``"full"`` mode, which keep only its endpoints.
         """
@@ -504,8 +646,9 @@ def run_engine(
 ) -> SimulationResult:
     """Drive any :class:`Engine` to a :class:`SimulationResult`.
 
-    This is the single ``run()`` implementation behind every simulator: it
-    pulls round records from :meth:`Engine.steps`, applies the stopping
+    This is the single ``run()`` implementation behind every engine
+    (:meth:`Engine.run` forwards here): it pulls round records from
+    :meth:`Engine.steps`, applies the stopping
     policy, feeds the probe pipeline, and assembles the result from the
     history probe plus the engine's final snapshot.
 
@@ -529,14 +672,14 @@ def run_engine(
         ``history`` mode.
     history:
         Retention mode of the implicit history probe (ignored when the
-        caller supplies a :class:`HistoryProbe`).  None follows the
-        engine's ``record_trace`` flag (see :func:`resolve_history`).
+        caller supplies a :class:`HistoryProbe`); None means ``"full"``.
     resume_from:
         A :class:`RunCheckpoint` to continue from instead of starting a
-        fresh run.  The engine must already hold the checkpointed state
-        (``Engine.restore``; the engines' ``run()`` wrappers do this) and
-        the probe pipeline must match the one the checkpoint was taken
-        under — alignment is verified by probe name.  ``max_rounds`` and
+        fresh run.  The driver restores its engine state first
+        (:meth:`Engine.restore`), and the probe pipeline must match the
+        one the checkpoint was taken under — alignment is verified by
+        probe name.  The completed result is byte-identical to the
+        uninterrupted run's.  ``max_rounds`` and
         the rest of the stopping policy count from the *original* run
         start, so a resumed run executes exactly the rounds the
         interrupted one still had left.
@@ -546,14 +689,14 @@ def run_engine(
         :meth:`SimulationResult.to_dict`: the dictionary is byte-identical,
         and neither the run nor its checkpoints hold the multisets.
     """
+    if resume_from is not None:
+        engine.restore(resume_from)
     probe_list = list(probes or ())
     history_probe = next(
         (probe for probe in probe_list if isinstance(probe, HistoryProbe)), None
     )
     if history_probe is None:
-        history_probe = HistoryProbe(
-            resolve_history(getattr(engine, "record_trace", True), history)
-        )
+        history_probe = HistoryProbe("full" if history is None else history)
     history_probe.counted = count_trace
     observers = [history_probe] + [p for p in probe_list if p is not history_probe]
     # The post-round pass exists only for run-level observers
@@ -645,7 +788,7 @@ def run_engine(
         # report it as a floor (one-sided merges are pair steps even in
         # merge-free runs).
         progress.largest_group = max(
-            progress.largest_group, getattr(engine, "largest_group_floor", 0)
+            progress.largest_group, engine.largest_group_floor
         )
         # Not checkpointed: whenever convergence happened, every round
         # executed since was an after-convergence round.

@@ -47,7 +47,7 @@ from repro.agents.scheduler import (
 )
 from repro.algorithms.average import average_algorithm
 from repro.algorithms.maximum import maximum_algorithm
-from repro.algorithms.minimum import minimum_algorithm
+from repro.algorithms.minimum import minimum_algorithm, minimum_merge
 from repro.algorithms.summation import summation_algorithm
 from repro.core.algorithm import SelfSimilarAlgorithm
 from repro.core.errors import SimulationError, SpecificationError
@@ -72,6 +72,7 @@ from repro.environment.mobility import RandomWaypointEnvironment
 from repro.simulation import array_engine as array_engine_module
 from repro.simulation.array_engine import HAVE_NUMPY, INT64_MAX, ArrayEngine
 from repro.simulation.engine import Simulator
+from repro.simulation.messaging import MergeMessagePassingSimulator
 
 #: Marks every test that builds an ArrayEngine: without numpy it refuses.
 needs_numpy = pytest.mark.skipif(
@@ -469,16 +470,40 @@ def test_engine_checkpoint_restore_is_identical():
     assert restored.current_states() == uninterrupted.current_states()
 
 
+def _build_any(engine_cls, seed=3, values=VALUES):
+    """A minimum run under churn on any of the three engines."""
+    if engine_cls is MergeMessagePassingSimulator:
+        return MergeMessagePassingSimulator(
+            minimum_algorithm(),
+            merge=minimum_merge,
+            environment=ENVIRONMENTS["churn"](len(values)),
+            initial_values=values,
+            seed=seed,
+        )
+    return _build(engine_cls, "minimum", seed=seed, values=values)
+
+
+ENGINE_CLASSES = [Simulator, ArrayEngine, MergeMessagePassingSimulator]
+
+
 @needs_numpy
-def test_restore_rejects_foreign_checkpoints():
-    reference = _build(Simulator, "minimum", seed=3)
-    next(reference.steps())
-    engine = _build(ArrayEngine, "minimum", seed=3)
-    with pytest.raises(SimulationError, match="simulator"):
-        engine.restore(reference.checkpoint())
-    other_seed = _build(ArrayEngine, "minimum", seed=4)
+@pytest.mark.parametrize("engine_cls", ENGINE_CLASSES, ids=lambda cls: cls.__name__)
+def test_restore_rejects_foreign_checkpoints(engine_cls):
+    # The identity checks are the Engine base class's: every engine
+    # refuses each other engine's kind, another seed and another agent
+    # count.
+    engine = _build_any(engine_cls)
+    for other_cls in ENGINE_CLASSES:
+        if other_cls is engine_cls:
+            continue
+        foreign = _build_any(other_cls)
+        next(foreign.steps())
+        with pytest.raises(SimulationError, match=repr(other_cls.checkpoint_kind)):
+            engine.restore(foreign.checkpoint())
     with pytest.raises(SimulationError, match="seed"):
-        other_seed.restore(engine.checkpoint())
+        _build_any(engine_cls, seed=4).restore(engine.checkpoint())
+    with pytest.raises(SimulationError, match="6 agent states for 8 agents"):
+        engine.restore(_build_any(engine_cls, values=VALUES[:6]).checkpoint())
 
 
 @needs_numpy

@@ -44,6 +44,7 @@ from repro.simulation.checkpoint import (
     encode_rng_state,
     encode_state,
 )
+from repro.simulation.array_engine import HAVE_NUMPY
 from repro.simulation.engine import Simulator
 from repro.simulation.probes import CheckpointProbe
 
@@ -55,6 +56,40 @@ from test_incremental_parity import (
     _build_case_simulator,
     _build_messaging,
 )
+
+
+def _build_array_engine(seed):
+    from repro.simulation.array_engine import ArrayEngine
+
+    algorithm, values = CASES["minimum"]()
+    return ArrayEngine(
+        algorithm,
+        RandomChurnEnvironment(
+            ring_graph(len(values)), edge_up_probability=0.6, agent_up_probability=0.9
+        ),
+        initial_values=values,
+        seed=seed,
+    )
+
+
+#: engine registry name (or "messaging") -> builder of a minimum run
+#: under churn for a given seed; every engine shares the restore checks.
+RESTORE_BUILDERS = {
+    "reference": lambda seed: _build_case_simulator("minimum", "maximal", seed=seed),
+    "array": _build_array_engine,
+    "messaging": lambda seed: _build_messaging("minimum", seed=seed),
+}
+
+ENGINE_KINDS = [
+    "reference",
+    pytest.param(
+        "array",
+        marks=pytest.mark.skipif(
+            not HAVE_NUMPY, reason="the array engine runs only on numpy"
+        ),
+    ),
+    "messaging",
+]
 
 
 class RecordingCheckpointProbe(CheckpointProbe):
@@ -412,19 +447,19 @@ class TestCheckpointFormat:
         twin.setstate(decode_rng_state(encoded))
         assert [twin.random() for _ in range(5)] == [rng.random() for _ in range(5)]
 
-    def test_restore_rejects_wrong_engine_kind(self):
-        simulator = _build_case_simulator("minimum", "maximal", seed=1)
-        checkpoint = simulator.checkpoint()
-        messaging = _build_messaging("minimum", seed=1)
-        with pytest.raises(SimulationError, match="simulator"):
-            messaging.restore(checkpoint)
+    @pytest.mark.parametrize("engine", ENGINE_KINDS)
+    def test_restore_rejects_wrong_engine_kind(self, engine):
+        # Each engine refuses a checkpoint of another kind, naming it.
+        foreign = "messaging" if engine == "reference" else "reference"
+        checkpoint = RESTORE_BUILDERS[foreign](1).checkpoint()
+        with pytest.raises(SimulationError, match=repr(checkpoint.engine)):
+            RESTORE_BUILDERS[engine](1).restore(checkpoint)
 
-    def test_restore_rejects_wrong_seed(self):
-        simulator = _build_case_simulator("minimum", "maximal", seed=1)
-        checkpoint = simulator.checkpoint()
-        other = _build_case_simulator("minimum", "maximal", seed=2)
+    @pytest.mark.parametrize("engine", ENGINE_KINDS)
+    def test_restore_rejects_wrong_seed(self, engine):
+        checkpoint = RESTORE_BUILDERS[engine](1).checkpoint()
         with pytest.raises(SimulationError, match="seed"):
-            other.restore(checkpoint)
+            RESTORE_BUILDERS[engine](2).restore(checkpoint)
 
     def test_load_rejects_non_checkpoint_json(self, tmp_path):
         path = tmp_path / "not-a-checkpoint.json"

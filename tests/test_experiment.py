@@ -71,6 +71,30 @@ class TestValidation:
         with pytest.raises(SpecificationError, match="max_rounds"):
             minimum_spec(max_rounds=0)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"max_rounds": "10"}, "max_rounds must be an integer, got '10'"),
+            ({"max_rounds": 2.5}, "max_rounds must be an integer, got 2.5"),
+            ({"max_rounds": True}, "max_rounds must be an integer, got True"),
+            (
+                {"extra_rounds_after_convergence": "2"},
+                "extra_rounds_after_convergence must be an integer",
+            ),
+            ({"seeds": (True,)}, "seeds must be integers"),
+            (
+                {"stop_at_convergence": "false"},
+                "stop_at_convergence must be true or false, got 'false'",
+            ),
+            ({"record_trace": 0}, "record_trace must be true or false, got 0"),
+        ],
+    )
+    def test_scalar_fields_are_type_checked(self, overrides, message):
+        # JSON from outside the program: a wrong type is a
+        # SpecificationError, never a TypeError or a truthy string.
+        with pytest.raises(SpecificationError, match=message):
+            minimum_spec(**overrides)
+
 
 class TestSerialization:
     def test_json_round_trip_is_exact(self):

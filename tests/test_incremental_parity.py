@@ -27,6 +27,11 @@ recorded trace.
 
 from __future__ import annotations
 
+import __future__
+import inspect
+import sys
+import textwrap
+
 import pytest
 
 from repro.agents.scheduler import (
@@ -441,14 +446,18 @@ def _legacy_simulator_run(
     stop_at_convergence=True,
     extra_rounds_after_convergence=0,
     on_round=None,
+    history="full",
 ):
     """Verbatim port of the pre-redesign ``Simulator.run`` accumulation.
 
     Kept as an independent reference: the production ``run()`` is now the
     shared engine driver plus the default :class:`HistoryProbe`, and this
     function proves that stack byte-identical to what the old monolith
-    built from the same ``steps()`` stream.
+    built from the same ``steps()`` stream.  ``history="objective"``
+    keeps what the monolith kept without a trace: the trajectory and the
+    final state.
     """
+    record_trace = history == "full"
     from repro.core.multiset import Multiset
     from repro.simulation.result import SimulationResult
     from repro.temporal.trace import Trace
@@ -485,7 +494,7 @@ def _legacy_simulator_run(
         stutter_steps += record.stutter_steps
         invalid_steps += record.invalid_steps
         largest_group = max(largest_group, record.largest_group)
-        if simulator.record_trace:
+        if record_trace:
             trace.append(record.multiset)
         objective_trajectory.append(record.objective)
         if convergence_round is None and record.converged:
@@ -506,7 +515,7 @@ def _legacy_simulator_run(
         final_states=final_states,
         output=simulator.algorithm.result(Multiset(final_states)),
         expected_output=simulator.algorithm.result(simulator.target),
-        trace=trace if simulator.record_trace else Trace([Multiset(final_states)]),
+        trace=trace if record_trace else Trace([Multiset(final_states)]),
         objective_trajectory=objective_trajectory,
         group_steps=group_steps,
         improving_steps=improving_steps,
@@ -660,13 +669,14 @@ class TestDriverMatchesLegacyRun:
         _assert_identical(driven, reference)
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_simulator_record_trace_false_identical(self, case):
-        driven = _build_case_simulator(
-            case, "random-pair", seed=5, record_trace=False
-        ).run(max_rounds=60)
+    def test_simulator_objective_history_identical(self, case):
+        driven = _build_case_simulator(case, "random-pair", seed=5).run(
+            max_rounds=60, history="objective"
+        )
         reference = _legacy_simulator_run(
-            _build_case_simulator(case, "random-pair", seed=5, record_trace=False),
+            _build_case_simulator(case, "random-pair", seed=5),
             max_rounds=60,
+            history="objective",
         )
         _assert_identical(driven, reference)
 
@@ -881,3 +891,114 @@ class TestTemporalProbeParity:
                 result.trace, *prop.predicates
             )
             assert verdicts[prop.name] == offline
+
+
+# -- the checks catch seeded mutations of the maintained paths --------------------
+
+
+def _recompile(monkeypatch, owner, name, original, replacement):
+    """Replace ``owner.name`` with its own source, ``original`` → ``replacement``.
+
+    The fragment must occur exactly once, so a refactor that moves the
+    code fails here instead of silently seeding nothing.
+    """
+    function = getattr(owner, name)
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(original) == 1, (
+        f"{owner.__name__}.{name} no longer contains {original!r} exactly once"
+    )
+    # Padding keeps the recompiled lines at their place in the file, for
+    # tracebacks and for the next recompile's getsource.
+    padding = "\n" * (function.__code__.co_firstlineno - 1)
+    code = compile(
+        padding + source.replace(original, replacement),
+        inspect.getsourcefile(function),
+        "exec",
+        flags=__future__.annotations.compiler_flag,
+        dont_inherit=True,
+    )
+    namespace: dict = {}
+    exec(code, vars(sys.modules[function.__module__]), namespace)
+    monkeypatch.setattr(owner, name, namespace[name])
+
+
+def _caught_by_cross_check(scheduler_name):
+    """A ``cross_check=True`` run raises a divergence."""
+    try:
+        _run("minimum", scheduler_name, seed=7, cross_check=True)
+    except SimulationError as error:
+        assert "diverged" in str(error)
+        return True
+    return False
+
+
+def _caught_by_reference_mode(scheduler_name):
+    """The default run diverges from the ``incremental=False`` oracle."""
+    default = _run("minimum", scheduler_name, seed=7)
+    reference = _run("minimum", scheduler_name, seed=7, incremental=False)
+    try:
+        _assert_identical(default, reference)
+    except AssertionError:
+        return True
+    return False
+
+
+def _caught_by_legacy_loop(_scheduler_name):
+    """The messaging run diverges from the legacy send/deliver loop, whose
+    plain ``advance`` recomputes every view from scratch."""
+    driven = _build_messaging("minimum", seed=3).run(max_rounds=200)
+    reference = _legacy_messaging_run(_build_messaging("minimum", seed=3), 200)
+    try:
+        _assert_identical(driven, reference)
+    except AssertionError:
+        return True
+    return False
+
+
+def _seeded_mutations():
+    from repro.environment.connectivity import ConnectivityTracker
+    from repro.simulation.messaging import MergeMessagePassingSimulator
+
+    # mutation -> (owner, method, original, mutated, scheduler, the check
+    # that catches it)
+    return {
+        "tracker-drops-revived-edges": (
+            ConnectivityTracker, "_apply_delta",
+            "if edge in available:", "if False:",
+            "maximal", _caught_by_cross_check,
+        ),
+        "fold-round-objective-off-by-one": (
+            Simulator, "_fold_round",
+            "state.objective_value, multiset, removed, added",
+            "state.objective_value + 1, multiset, removed, added",
+            "maximal", _caught_by_cross_check,
+        ),
+        "memo-adoption-on-nonempty-delta": (
+            Simulator, "_advance_environment",
+            "elif delta is EMPTY_DELTA:", "elif delta is not None:",
+            "random-pair", _caught_by_reference_mode,
+        ),
+        "singleton-skip-widened-to-pairs": (
+            Simulator, "_execute_round",
+            "if size == 1 and skip_singletons:", "if size <= 2 and skip_singletons:",
+            "random-pair", _caught_by_reference_mode,
+        ),
+        "messaging-memo-adoption-on-nonempty-delta": (
+            MergeMessagePassingSimulator, "_advance_environment",
+            "is EMPTY_DELTA", "is not None",
+            None, _caught_by_legacy_loop,
+        ),
+    }
+
+
+@pytest.mark.parametrize("mutation", sorted(_seeded_mutations()))
+def test_checks_catch_seeded_mutations(monkeypatch, mutation):
+    owner, name, original, mutated, scheduler_name, caught = (
+        _seeded_mutations()[mutation]
+    )
+    # The unmutated recompile passes the check, so what the mutated one
+    # trips over is the mutation, not the recompile.
+    _recompile(monkeypatch, owner, name, original, original)
+    assert not caught(scheduler_name)
+    _recompile(monkeypatch, owner, name, original, mutated)
+    assert caught(scheduler_name), f"{mutation} slipped past {caught.__name__}"

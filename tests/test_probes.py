@@ -23,8 +23,9 @@ from repro.environment import (
     ring_graph,
 )
 from repro.experiment import Experiment, ExperimentSpec
-from repro.registry import PROBES
+from repro.registry import ENGINES, PROBES
 from repro.simulation import (
+    ArrayEngine,
     BatchRunner,
     ConvergenceProbe,
     Engine,
@@ -68,6 +69,19 @@ class TestEngineProtocol:
 
     def test_protocol_rejects_unrelated_objects(self):
         assert not isinstance(object(), Engine)
+
+    def test_engines_share_one_lifecycle(self):
+        # Each engine supplies its round; the base class owns streaming,
+        # running, checkpointing and restoring, and the registry builds
+        # the classes themselves.
+        for engine_cls in (Simulator, ArrayEngine, MergeMessagePassingSimulator):
+            assert issubclass(engine_cls, Engine)
+            for name in ("run", "steps", "checkpoint", "restore"):
+                assert getattr(engine_cls, name) is getattr(Engine, name), (
+                    f"{engine_cls.__name__} overrides {name}"
+                )
+        assert ENGINES.get("reference") is Simulator
+        assert ENGINES.get("array") is ArrayEngine
 
     def test_messaging_has_converged_tracks_stream(self):
         simulator = _messaging()
@@ -130,11 +144,12 @@ class TestHistoryModes:
         with pytest.raises(SpecificationError):
             _simulator().run(max_rounds=5, history="sometimes")
 
-    def test_record_trace_false_maps_to_objective_mode(self):
-        legacy = _simulator(record_trace=False).run(max_rounds=60)
-        explicit = _simulator().run(max_rounds=60, history="objective")
-        assert legacy.objective_trajectory == explicit.objective_trajectory
-        assert len(legacy.trace) == len(explicit.trace) == 1
+    def test_objective_mode_keeps_the_trajectory_and_final_state(self):
+        full = _simulator().run(max_rounds=60)
+        objective = _simulator().run(max_rounds=60, history="objective")
+        assert objective.objective_trajectory == full.objective_trajectory
+        assert len(objective.trace) == 1
+        assert objective.trace[-1] == full.trace[-1]
 
     def test_supplied_history_probe_takes_over_retention(self):
         probe = HistoryProbe("none")

@@ -345,6 +345,17 @@ class TestExperimentService:
         assert health["status"] == "ok" and not health["draining"]
         assert "minimum" in client.registry()["algorithms"]
 
+    def test_mistyped_spec_scalar_is_a_400(self, service):
+        instance = service()
+        client = ServiceClient(instance.url)
+        for field, value in (("max_rounds", "10"), ("stop_at_convergence", "false")):
+            spec = dict(churn_spec().to_dict(), **{field: value})
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit(spec)
+            assert excinfo.value.status == 400
+            assert field in str(excinfo.value)
+        assert client.health()["status"] == "ok"
+
     def test_drain_checkpoints_and_restart_resumes_identically(self, service):
         spec = slow_spec(delay=0.05, max_rounds=400)
         offline = spec.run(0).to_dict()

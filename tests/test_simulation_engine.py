@@ -192,15 +192,14 @@ class TestTraceAndMetrics:
         assert result.invalid_steps == 0
         assert result.largest_group >= 2
 
-    def test_record_trace_false_keeps_only_final_state(self):
+    def test_objective_history_keeps_only_final_state(self):
         sim = Simulator(
             minimum_algorithm(),
             StaticEnvironment(complete_graph(4)),
             initial_values=[4, 3, 2, 1],
             seed=0,
-            record_trace=False,
         )
-        result = sim.run(max_rounds=10)
+        result = sim.run(max_rounds=10, history="objective")
         assert len(result.trace) == 1
         assert result.converged
 
