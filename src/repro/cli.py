@@ -52,6 +52,7 @@ from .core.errors import SpecificationError
 from .experiment import ExperimentSpec
 from .registry import available, load_plugins
 from .simulation.batch import BatchItem, BatchResult, BatchRunner
+from .simulation.result import readable_json
 from .verification import check_specification
 
 __all__ = ["main", "build_parser"]
@@ -403,7 +404,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
         raise SystemExit(str(error))
 
     if args.json:
-        print(json.dumps(result, indent=2))
+        print(readable_json(result))
     else:
         print(f"experiment:  {spec.label} (seed {checkpoint.seed}, resumed "
               f"from round {checkpoint.driver.rounds_executed})")
@@ -501,7 +502,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         raise SystemExit(str(error))
 
     if args.json:
-        print(json.dumps(record, indent=2))
+        print(readable_json(record))
     elif record is job:
         dedup = " (joined in-flight run)" if job.get("deduplicated") else ""
         cached = " [cache hit: served without executing]" if job.get("cached") else ""
@@ -586,7 +587,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         raise SystemExit(str(error))
 
     if args.json:
-        print(json.dumps(report, indent=2))
+        print(readable_json(report))
     else:
         print(f"chaos: {spec.label} under fault plan seed {plan.seed} "
               f"({len(plan.entries)} faults)")
@@ -614,7 +615,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
             health = client.health()
             runs = client.runs()
             if args.json:
-                print(json.dumps({"health": health, "runs": runs}, indent=2))
+                print(readable_json({"health": health, "runs": runs}))
             else:
                 jobs = ", ".join(f"{k}={v}" for k, v in sorted(health["jobs"].items()))
                 cache = health["cache"]
@@ -632,7 +633,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
     except ServiceError as error:
         raise SystemExit(str(error))
     if args.json:
-        print(json.dumps(record, indent=2))
+        print(readable_json(record))
     else:
         print(f"run {record['id']}: {record['status']}"
               + (" [cached]" if record.get("cached") else ""))

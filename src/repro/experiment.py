@@ -52,7 +52,7 @@ from .registry import (
 )
 from .simulation.checkpoint import RunCheckpoint
 from .simulation.protocol import HISTORY_MODES, Engine, Probe, resolve_history
-from .simulation.result import SimulationResult
+from .simulation.result import SimulationResult, readable_json
 
 # Importing these packages populates the registries; without them a spec
 # could not be validated when repro.experiment is imported on its own
@@ -334,7 +334,7 @@ class ExperimentSpec:
 
     def to_json(self, indent: int | None = 2) -> str:
         """Serialize to JSON text."""
-        return json.dumps(self.to_dict(), indent=indent)
+        return readable_json(self.to_dict(), indent=indent)
 
     def canonical_json(self) -> str:
         """The spec as canonical JSON: sorted keys, minimal separators.

@@ -40,6 +40,7 @@ from typing import Any, Iterable, Mapping
 from urllib.error import URLError
 
 from ..core.errors import SpecificationError
+from ..simulation.result import readable_json
 from .corrupt import CORRUPTION_MODES
 
 __all__ = ["FAULT_KINDS", "PLAN_FORMAT", "FaultPlan", "HTTPFaultHook", "ClientFaultHook"]
@@ -128,7 +129,7 @@ class FaultPlan:
         }
 
     def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+        return readable_json(self.to_dict(), indent=indent)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":

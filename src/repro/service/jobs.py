@@ -38,6 +38,7 @@ from ..core.durable import atomic_write_text, quarantine
 from ..core.errors import SpecificationError
 from ..experiment import ExperimentSpec, expand_grid
 from ..simulation.batch import MANIFEST_NAME, BatchRunner
+from ..simulation.result import readable_json
 from .cache import ResultCache
 from .streams import BROKER, EventBroker
 
@@ -273,7 +274,7 @@ class JobStore:
                 f"unknown job status {job.status!r}; known: {JOB_STATUSES}"
             )
         atomic_write_text(
-            self.job_dir(job.id) / "job.json", json.dumps(job.to_dict(), indent=2)
+            self.job_dir(job.id) / "job.json", readable_json(job.to_dict())
         )
 
     def update(self, job: Job, **changes: Any) -> Job:

@@ -47,6 +47,7 @@ from urllib.parse import urlsplit
 
 from ..core.errors import SpecificationError
 from ..registry import available, load_plugins
+from ..simulation.result import readable_json
 from .cache import ResultCache
 from .jobs import JobQueue, JobStore, Submission
 from .streams import BROKER, EventBroker
@@ -84,7 +85,7 @@ class _Handler(BaseHTTPRequestHandler):
     # -- plumbing ----------------------------------------------------------------
 
     def _send_json(self, status: int, payload: dict) -> None:
-        body = (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+        body = (readable_json(payload) + "\n").encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))

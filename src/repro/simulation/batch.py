@@ -45,6 +45,7 @@ from .metrics import (
     statistics_from_payloads,
 )
 from .probes import StatsProbe
+from .result import readable_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; avoids an import cycle
     from ..experiment import ExperimentSpec
@@ -231,7 +232,7 @@ class BatchResult:
         return {"items": [item.to_dict() for item in self.items]}
 
     def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+        return readable_json(self.to_dict(), indent=indent)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "BatchResult":
@@ -461,7 +462,7 @@ class BatchRunner:
                     "use a fresh checkpoint directory"
                 )
             return
-        atomic_write_text(path, json.dumps(manifest, indent=2))
+        atomic_write_text(path, readable_json(manifest))
 
     def _map(
         self, fn: Callable[[Any], Any], payloads: Sequence[Any]

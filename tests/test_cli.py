@@ -190,6 +190,23 @@ class TestSpecSubcommands:
             assert item["result"]["output"] == direct.output
             assert item["result"]["convergence_round"] == direct.convergence_round
 
+    def test_resume_json_is_the_run_dict(self, tmp_path, capsys, monkeypatch):
+        from repro import ExperimentSpec
+
+        monkeypatch.chdir(tmp_path)
+        status = main([
+            "run", self._spec_file(tmp_path), "--seed", "0",
+            "--checkpoint-every", "2", "--checkpoint-dir", "ckpts",
+        ])
+        assert status == 0
+        capsys.readouterr()
+        checkpoint = tmp_path / "ckpts" / "minimum-seed0" / "round-00000002.json"
+        assert main(["resume", str(checkpoint), "--json"]) == 0
+        output = capsys.readouterr().out
+        spec = ExperimentSpec.from_dict(json.loads(checkpoint.read_text())["spec"])
+        assert json.loads(output) == spec.run_dict(resume_from=checkpoint)
+        assert '"final_states": [' in output and output.count("\n") < 40
+
     def test_run_seed_and_round_overrides(self, tmp_path, capsys):
         status = main(
             ["run", self._spec_file(tmp_path), "--seed", "7", "--max-rounds", "300"]

@@ -29,6 +29,7 @@ from repro.simulation import array_engine as array_engine_module
 from repro.simulation.array_engine import HAVE_NUMPY
 from repro.simulation.batch import BatchRunner
 from repro.simulation.checkpoint import RunCheckpoint, resume_run
+from repro.simulation.result import readable_json
 from repro.temporal import CountedTrace, Trace
 from repro.verification import check_specification
 
@@ -269,12 +270,18 @@ def test_parent_written_durable_unit_resumes_byte_identically(tmp_path, monkeypa
     unit = _copy_fixture(tmp_path)
     expected = FIXTURE_RESULT.read_text()
     assert "states" in _history_state(unit / "engine" / "minimum-seed0" / "latest.json")
+    # Manifests are compared parsed: the parent's one-item-per-line
+    # layout still matches this batch, and resuming does not rewrite it.
+    manifest = tmp_path / "durable" / "manifest.json"
+    written = manifest.read_text()
+    assert readable_json(json.loads(written)) != written
     (unit / "result.json").unlink()
     monkeypatch.chdir(tmp_path)
     batch = BatchRunner(backend="serial").resume("durable")
     assert not batch.failures()
     assert json.dumps(batch.items[0].result) == expected
     assert (unit / "result.json").read_text() == expected
+    assert manifest.read_text() == written
 
 
 def test_parent_written_mid_run_checkpoint_resumes_byte_identically(

@@ -3,16 +3,25 @@
 from __future__ import annotations
 
 import json
+import math
+import pathlib
 import random
 from dataclasses import dataclass, field
+from enum import IntEnum
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import ExperimentSpec, SimulationResult
 from repro.environment import dynamics
 from repro.environment.dynamics import MarkovChurnEnvironment
 from repro.environment.graphs import complete_graph
-from repro.simulation.result import jsonify
+from repro.simulation.batch import BatchRunner
+from repro.simulation.result import jsonify, readable_json
+
+SPECS = pathlib.Path(__file__).resolve().parent.parent / "examples" / "specs"
 
 
 def run(algorithm: str, values, **spec_overrides) -> SimulationResult:
@@ -141,3 +150,120 @@ class TestJsonifyDataclasses:
             "available_edges",
             "round_index",
         }
+
+
+class TestJsonifyScalarLists:
+    def test_exact_scalar_lists_come_back_equal_and_fresh(self):
+        for value in ([], [3, 1, 2], [None, True, 0, -0.0, 1e308, "é"], (4, 5)):
+            encoded = jsonify(value)
+            assert encoded == list(value)
+            assert type(encoded) is list and encoded is not value
+
+    def test_other_items_take_the_general_path(self):
+        class Colour(IntEnum):
+            RED = 1
+
+        @dataclass(frozen=True)
+        class Cell:
+            index: int
+            value: Fraction
+
+        assert jsonify([1, Fraction(1, 2)]) == [1, "1/2"]
+        enums = jsonify([Colour.RED, 2])
+        assert enums == [1, 2] and type(enums[0]) is Colour
+        assert jsonify([(1, 2), (3,)]) == [[1, 2], [3]]
+        assert jsonify([{3, 1, 2}, frozenset()]) == [[1, 2, 3], []]
+        assert jsonify([Cell(0, Fraction(3, 4))]) == [{"index": 0, "value": "3/4"}]
+
+
+# -- the readable writer -----------------------------------------------------------
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([-0.0, 1e308, math.inf, -math.inf, math.nan])
+    | st.text()
+)
+_KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.dictionaries(_KEYS, children, max_size=5)
+    ),
+    max_leaves=25,
+)
+_UNSERIALIZABLE = st.sampled_from([object(), {1, 2}, b"bytes", 1j, Fraction(1, 3)])
+_BAD_VALUES = st.recursive(
+    _SCALARS | _UNSERIALIZABLE,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.dictionaries(_KEYS | st.tuples(st.integers()), children, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+def _parsed(text: str) -> str:
+    # Re-encoded, so NaN compares equal to itself and -0.0 differs from 0.0.
+    return json.dumps(json.loads(text))
+
+
+class TestReadableJson:
+    @settings(max_examples=300, deadline=None)
+    @given(_VALUES)
+    def test_parses_like_the_indented_encoder(self, value):
+        assert _parsed(readable_json(value)) == _parsed(json.dumps(value, indent=2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_VALUES)
+    def test_without_indent_it_is_json_dumps(self, value):
+        assert readable_json(value, indent=None) == json.dumps(value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_BAD_VALUES)
+    def test_unserializable_values_raise_what_json_raises(self, value):
+        try:
+            json.dumps(value, indent=2)
+        except TypeError as expected:
+            with pytest.raises(TypeError) as raised:
+                readable_json(value)
+            assert str(raised.value) == str(expected)
+        else:
+            readable_json(value)
+
+    def test_layout(self):
+        value = {"a": [1, 2.5, None], "b": {"c": [], "d": {}, "e": [[1], (2, "x")]}}
+        assert readable_json(value) == (
+            '{\n'
+            '  "a": [1, 2.5, null],\n'
+            '  "b": {\n'
+            '    "c": [],\n'
+            '    "d": {},\n'
+            '    "e": [\n'
+            '      [1],\n'
+            '      [2, "x"]\n'
+            '    ]\n'
+            '  }\n'
+            '}'
+        )
+        assert readable_json({1: [True]}, indent=1) == '{\n "1": [true]\n}'
+
+
+@pytest.mark.skipif(dynamics._numpy is None, reason="the array engine runs on numpy")
+def test_batch_json_lines_do_not_grow_with_n():
+    spec = ExperimentSpec.from_json((SPECS / "minimum_array.json").read_text())
+    bodies = []
+    for count in (3000, 20000):
+        batch = BatchRunner(backend="serial").run(
+            spec.with_updates({"generator_params.count": count})
+        )
+        body = batch.to_json()
+        assert json.loads(body) == batch.to_dict()
+        assert len(json.loads(body)["items"][0]["result"]["final_states"]) == count
+        bodies.append(body)
+    small, large = (body.count("\n") for body in bodies)
+    assert small == large

@@ -19,6 +19,7 @@ from __future__ import annotations
 import io
 import json
 import time
+import urllib.request
 
 import pytest
 
@@ -290,6 +291,22 @@ class TestExperimentService:
         everything = list(client.events(job["id"]))
         tail = list(client.events(job["id"], offset="0:2"))
         assert tail == everything[2:]
+
+    def test_raw_run_body_parses_to_the_record_with_states_on_one_line(self, service):
+        instance = service()
+        client = ServiceClient(instance.url)
+        job = client.submit(churn_spec(seeds=(0, 1)))
+        record = client.wait(job["id"], timeout=60)
+        assert record["status"] == "done"
+        with urllib.request.urlopen(f"{instance.url}/runs/{job['id']}") as response:
+            body = response.read().decode("utf-8")
+        assert json.loads(body) == record
+        lines = [line for line in body.splitlines() if '"final_states"' in line]
+        assert len(lines) == len(record["results"]) == 2
+        for line, unit in zip(lines, record["results"]):
+            assert json.loads("{" + line.strip().rstrip(",") + "}") == {
+                "final_states": unit["result"]["final_states"]
+            }
 
     def test_sweep_submission_runs_the_grid(self, service):
         instance = service()
