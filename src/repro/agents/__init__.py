@@ -1,6 +1,10 @@
-"""Agents, groups and the schedulers that decide which groups act."""
+"""Groups of agents and the schedulers that decide which groups act.
 
-from .agent import Agent
+An agent is an id with a state: engines keep the states in one list
+indexed by agent id, and a :class:`Group` reads and writes its members'
+entries of that list.
+"""
+
 from .group import Group
 from .scheduler import (
     MaximalGroupsScheduler,
@@ -11,7 +15,6 @@ from .scheduler import (
 )
 
 __all__ = [
-    "Agent",
     "Group",
     "MaximalGroupsScheduler",
     "RandomPairScheduler",

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Any, Hashable, Iterable, Sequence
 
 from ..core.multiset import Multiset
-from .agent import Agent
 
 __all__ = ["Group"]
 
@@ -59,31 +58,32 @@ class Group:
         """True when the group contains exactly one agent."""
         return len(self.members) == 1
 
-    def states_of(self, agents: Sequence[Agent]) -> list[Hashable]:
-        """Return the member agents' states, in member order."""
-        return [agents[agent_id].state for agent_id in self.members]
+    def states_of(self, states: Sequence[Hashable]) -> list[Hashable]:
+        """Return the members' states, in member order."""
+        return [states[agent_id] for agent_id in self.members]
 
-    def state_multiset(self, agents: Sequence[Agent]) -> Multiset:
+    def state_multiset(self, states: Sequence[Hashable]) -> Multiset:
         """Return the group state ``S_B`` as a multiset."""
-        return Multiset(self.states_of(agents))
+        return Multiset(self.states_of(states))
 
     def install(
-        self, agents: Sequence[Agent], new_states: Sequence[Hashable]
+        self, states: list[Hashable], new_states: Sequence[Hashable]
     ) -> tuple[list[Hashable], list[Hashable]]:
-        """Write new states back to the member agents.
+        """Write new states back into the agent-state list.
 
         Returns the ``(removed, added)`` state delta: the old and the new
-        state of every member agent whose state actually changed, aligned
-        by position.  The simulator folds this delta into its maintained
-        round multiset, so a round's bookkeeping costs O(|delta|) rather
-        than O(num_agents); ``len(removed)`` is the changed-agent count.
+        state of every member whose state actually changed, aligned by
+        position; only those entries of ``states`` are written.  The
+        simulator folds this delta into its maintained round multiset, so
+        a round's bookkeeping costs O(|delta|) rather than O(num_agents);
+        ``len(removed)`` is the changed-agent count.
         """
         removed: list[Hashable] = []
         added: list[Hashable] = []
         for agent_id, new_state in zip(self.members, new_states):
-            agent = agents[agent_id]
-            old_state = agent.state
-            if agent.update(new_state):
+            old_state = states[agent_id]
+            if new_state != old_state:
+                states[agent_id] = new_state
                 removed.append(old_state)
                 added.append(new_state)
         return removed, added

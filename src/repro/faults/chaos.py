@@ -252,15 +252,10 @@ def _chaos_service(
             detail = corrupt_file(path, entry["mode"], plan.corruption_rng(label))
             corruptions.append({"path": label, "detail": detail})
             second = client.wait(client.submit(target)["id"], timeout=600)
-            # Unit records embed job-private plumbing (durable probe
-            # directories, broker channels), so byte-identity is judged
-            # on the run results themselves.
             resubmit_matches.append(
                 second["status"] == "done"
-                and json.dumps(
-                    [unit["result"] for unit in second["results"]], sort_keys=True
-                )
-                == json.dumps([unit["result"] for unit in results], sort_keys=True)
+                and json.dumps(second["results"], sort_keys=True)
+                == json.dumps(results, sort_keys=True)
             )
 
         # Drain any scheduled HTTP faults that outlived the run, so the

@@ -185,15 +185,16 @@ class Registry:
     def build(self, name: str, **params: Any) -> Any:
         """Instantiate the factory registered under ``name``.
 
-        Parameter errors (unknown keyword, missing required argument) are
-        reported as :class:`SpecificationError` naming the offending
-        registry entry, so a bad JSON spec fails with a readable message
-        instead of a bare ``TypeError``.
+        Parameter errors (unknown keyword, missing required argument, a
+        value the factory rejects) are reported as
+        :class:`SpecificationError` naming the offending registry entry, so
+        a bad JSON spec fails with a readable message instead of a bare
+        ``TypeError`` or ``ValueError``.
         """
         entry = self.entry(name)
         try:
             return entry.factory(**params)
-        except TypeError as error:
+        except (TypeError, ValueError) as error:
             raise SpecificationError(
                 f"cannot build {self.kind} {name!r} with parameters "
                 f"{params!r}: {error}"

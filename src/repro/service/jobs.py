@@ -532,7 +532,13 @@ class JobQueue:
         if failures:
             self.store.update(job, status="failed", error=failures[0].error)
         else:
-            results = [item.to_dict() for item in batch]
+            # Served records carry the unit's spec as submitted, not the
+            # durable spec with this service's channel and checkpoint path.
+            unit_specs = [spec.to_dict() for spec in specs for _ in spec.seeds]
+            results = [
+                {**item.to_dict(), "spec": unit_spec}
+                for item, unit_spec in zip(batch, unit_specs)
+            ]
             self.store.save_results(job.id, results)
             self.cache.put(job.fingerprint, job.submission, results)
             self.store.update(job, status="done")

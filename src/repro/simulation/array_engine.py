@@ -1,8 +1,8 @@
 """The struct-of-arrays vectorized engine: 100k–1M agents behind ``Engine``.
 
-The object-per-agent :class:`~repro.simulation.engine.Simulator` prices
-every round in Python objects — one :class:`~repro.agents.agent.Agent`
-per agent, one :class:`~repro.agents.group.Group` per component, one
+The reference :class:`~repro.simulation.engine.Simulator` prices
+every round in Python objects — one state object per agent, one
+:class:`~repro.agents.group.Group` per component, one
 :class:`~repro.core.relation.StepJudgement` per step — which caps the
 flagship workload at a few hundred rounds/sec at n=10k.  This module is
 the scale path, and it has exactly one representation: agent state lives
@@ -506,9 +506,7 @@ class ArrayEngine(Engine):
     # -- checkpoint / restore: the engine's half -----------------------------------
 
     def _checkpoint_agents(self) -> dict:
-        """The flat agent states.  Per-agent participation counters do
-        not exist here (the engine never materializes agents), so
-        ``agent_counters`` stays None."""
+        """The flat agent states, encoded."""
         return {
             "agent_states": [encode_state(value) for value in self.current_states()]
         }

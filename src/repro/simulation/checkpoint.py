@@ -233,7 +233,9 @@ class EngineCheckpoint:
     ``engine`` names the execution backend (``"simulator"`` /
     ``"messaging"`` / ``"array"``) so a checkpoint cannot be restored
     into the wrong engine kind; ``counters`` carries backend-specific
-    totals (the messaging runtime's sent/delivered counts).
+    totals (the messaging runtime's sent/delivered counts).  Files from
+    older versions may also carry the reference engine's per-agent step
+    counters; nothing reads them, so :meth:`from_dict` ignores that key.
     """
 
     engine: str
@@ -242,7 +244,6 @@ class EngineCheckpoint:
     rng_state: list
     agent_states: list
     objective_value: Any = None
-    agent_counters: list | None = None
     environment: dict = field(default_factory=dict)
     counters: dict = field(default_factory=dict)
 
@@ -254,7 +255,6 @@ class EngineCheckpoint:
             "rng_state": self.rng_state,
             "agent_states": self.agent_states,
             "objective_value": self.objective_value,
-            "agent_counters": self.agent_counters,
             "environment": dict(self.environment),
             "counters": dict(self.counters),
         }
@@ -269,7 +269,6 @@ class EngineCheckpoint:
                 rng_state=data["rng_state"],
                 agent_states=data["agent_states"],
                 objective_value=data.get("objective_value"),
-                agent_counters=data.get("agent_counters"),
                 environment=dict(data.get("environment") or {}),
                 counters=dict(data.get("counters") or {}),
             )

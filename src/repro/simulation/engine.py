@@ -52,7 +52,6 @@ from itertools import chain
 from operator import attrgetter
 from typing import Any, Sequence
 
-from ..agents.agent import Agent
 from ..agents.group import Group
 from ..agents.scheduler import MaximalGroupsScheduler, Scheduler
 from ..core.algorithm import SelfSimilarAlgorithm
@@ -68,13 +67,7 @@ from ..environment.base import (
 )
 from ..environment.connectivity import ConnectivityTracker
 from ..registry import register_engine
-from .checkpoint import (
-    EngineCheckpoint,
-    RoundState,
-    decode_state,
-    encode_state,
-    rebuilt_multiset,
-)
+from .checkpoint import EngineCheckpoint, RoundState
 from .protocol import Engine, RoundRecord
 
 __all__ = ["RoundRecord", "Simulator"]
@@ -84,7 +77,7 @@ _group_members = attrgetter("members")
 
 @register_engine("reference")
 class Simulator(Engine):
-    """The byte-identical object-per-agent reference engine.
+    """The byte-identical reference engine.
 
     Simulates one self-similar algorithm under one environment.
 
@@ -129,7 +122,7 @@ class Simulator(Engine):
         cross-checked against.  The random draws and the results are
         byte-identical either way.  Note: the incremental path assumes
         agent states change only through executed group steps; code that
-        mutates ``Agent.state`` directly between rounds must use
+        mutates :attr:`states` directly between rounds must use
         ``incremental=False`` (or will be caught by ``cross_check``).
     cross_check:
         Debug flag for the incremental path.  When True, every round the
@@ -174,15 +167,11 @@ class Simulator(Engine):
             self._tracker = ConnectivityTracker(
                 environment.topology, group_factory=Group
             )
-        self._previous_environment_state: EnvironmentState | None = None
 
-        initial_states = algorithm.initial_states(self.initial_values)
-        self.agents: list[Agent] = [
-            Agent(agent_id=index, state=state)
-            for index, state in enumerate(initial_states)
-        ]
-        self._initial_multiset = Multiset(initial_states)
-        self._target = algorithm.target(initial_states)
+        #: The agent states, indexed by agent id.
+        self.states: list = algorithm.initial_states(self.initial_values)
+        self._initial_states = list(self.states)
+        self._target = algorithm.target(self.states)
         self._target_size = len(self._target)
         self._target_fingerprint = self._target.fingerprint()
         # The entire mutable run state — RNG, round index, maintained
@@ -190,62 +179,29 @@ class Simulator(Engine):
         # in one explicit object, which is what checkpoint()/restore()
         # serialize.  (The objective stays lazily initialised so that
         # building a simulator never evaluates it.)
-        self._state = RoundState(self.seed, self._initial_multiset)
+        self._state = RoundState(self.seed, self.states)
 
     # -- state access ----------------------------------------------------------
 
-    def current_states(self) -> list:
-        """Return the current agent states, indexed by agent id."""
-        return [agent.state for agent in self.agents]
-
     def current_multiset(self) -> Multiset:
         """Return the current agent states as a multiset."""
-        return Multiset(self.current_states())
+        return Multiset(self.states)
 
-    def has_converged(self) -> bool:
-        """Return True when the agents are currently at ``S*``."""
-        return self.current_multiset() == self._target
-
-    # -- execution --------------------------------------------------------------
+    # -- reset and restore: the connectivity tracker -------------------------------
 
     def reset(self) -> None:
-        """Restore the initial configuration (same seed, same initial values)."""
-        self._state.reset(self.seed, self._initial_multiset)
-        for agent in self.agents:
-            agent.reset()
-        self.environment.reset()
+        """Restore the initial configuration, connectivity tracker included."""
+        super().reset()
         if self._tracker is not None:
             self._tracker.reset()
-        self._previous_environment_state = None
-
-    # -- checkpoint / restore: the engine's half -----------------------------------
-
-    def _checkpoint_agents(self) -> dict:
-        """Agent states and their participation counters (the maintained
-        multiset and the connectivity tracker are rebuilt on restore)."""
-        return {
-            "agent_states": [encode_state(agent.state) for agent in self.agents],
-            "agent_counters": [
-                [agent.steps_participated, agent.steps_changed]
-                for agent in self.agents
-            ],
-        }
 
     def _restore_agents(self, checkpoint: EngineCheckpoint) -> None:
-        counters = checkpoint.agent_counters or [None] * len(self.agents)
-        for agent, encoded, counter in zip(
-            self.agents, checkpoint.agent_states, counters
-        ):
-            agent.state = decode_state(encoded)
-            if counter is not None:
-                agent.steps_participated, agent.steps_changed = counter
-        self._state.maintained = rebuilt_multiset(self.current_states())
+        super()._restore_agents(checkpoint)
         if self._tracker is not None:
             # The tracker resynchronizes from the next observed state —
             # the deterministic rebuild recipe; maintained components are
             # pinned equal to the from-scratch walk either way.
             self._tracker.reset()
-        self._previous_environment_state = None
 
     def _advance_environment(self, round_index: int) -> EnvironmentState:
         """One environment transition, maintaining the incremental views.
@@ -312,7 +268,7 @@ class Simulator(Engine):
         else:
             _validate_partition(scheduled, self.environment.num_agents)
 
-        agents = self.agents
+        states = self.states
         algorithm = self.algorithm
         groups: list[Group] = []
         judgements: list[StepJudgement] = []
@@ -328,7 +284,7 @@ class Simulator(Engine):
                     groups.append(group)
                     judgements.append(STUTTER_JUDGEMENT)
                     continue
-                states_before = group.states_of(agents)
+                states_before = group.states_of(states)
                 states_after, judgement = algorithm.apply_group_step(
                     states_before, rng, fast_stutter=incremental
                 )
@@ -340,7 +296,7 @@ class Simulator(Engine):
                     # (Figure 1 / direct second-smallest).
                     if judgement.kind is not StepKind.IMPROVEMENT:
                         clean = False
-                    group_removed, group_added = group.install(agents, states_after)
+                    group_removed, group_added = group.install(states, states_after)
                     removed.extend(group_removed)
                     added.extend(group_added)
                 groups.append(group)
@@ -390,7 +346,7 @@ class Simulator(Engine):
         ``singleton_stutters`` declaration) are pre-filled instead of
         iterated, so the loop runs over the round's active groups only.
         """
-        agents = self.agents
+        states = self.states
         apply_group_step = self.algorithm.apply_group_step
         rng = self._state.rng
         stutter = STUTTER_JUDGEMENT
@@ -403,14 +359,14 @@ class Simulator(Engine):
             for index, group in tracker.nonsingleton_groups():
                 members = group.members
                 states_after, judgement = apply_group_step(
-                    [agents[member].state for member in members],
+                    [states[member] for member in members],
                     rng,
                     fast_stutter=True,
                 )
                 if judgement is not stutter and judgement.kind is not StepKind.STUTTER:
                     if judgement.kind is not improvement:
                         clean = False
-                    group_removed, group_added = group.install(agents, states_after)
+                    group_removed, group_added = group.install(states, states_after)
                     removed.extend(group_removed)
                     added.extend(group_added)
                     if judgements is None:
@@ -498,7 +454,7 @@ class Simulator(Engine):
             # not delta-reconstructible (enforcement off): recompute in
             # full, on a freshly built multiset so that order-sensitive
             # float summations match the reference path bit for bit.
-            multiset = Multiset(self.current_states())
+            multiset = Multiset(self.states)
             objective = self.algorithm.objective(multiset)
         state.objective_value = objective
 
@@ -520,7 +476,7 @@ class Simulator(Engine):
         Always validates the *maintained* bag against the agent states —
         on fallback rounds the round's ``multiset`` is itself a fresh
         rebuild, so comparing only it would never catch maintained-state
-        drift (e.g. external ``Agent.state`` mutation).
+        drift (e.g. external mutation of :attr:`states`).
         """
         full = self.current_multiset()
         maintained = self._state.maintained

@@ -60,13 +60,7 @@ from ..environment.base import (
     EnvironmentDelta,
     EnvironmentState,
 )
-from .checkpoint import (
-    EngineCheckpoint,
-    RoundState,
-    decode_state,
-    encode_state,
-    rebuilt_multiset,
-)
+from .checkpoint import EngineCheckpoint, RoundState
 from .protocol import Engine, RoundRecord
 
 __all__ = ["MergeMessagePassingSimulator"]
@@ -136,7 +130,6 @@ class MergeMessagePassingSimulator(Engine):
         super().__init__(algorithm, environment, initial_values, seed)
         self.merge = merge
         self.loss_probability = loss_probability
-        self._previous_environment_state: EnvironmentState | None = None
         self.states: list[Hashable] = algorithm.initial_states(self.initial_values)
         self._initial_states = list(self.states)
         self._target = algorithm.target(self.states)
@@ -178,22 +171,6 @@ class MergeMessagePassingSimulator(Engine):
 
     # -- Engine hooks -------------------------------------------------------------
 
-    def current_states(self) -> list:
-        """Return the current agent states, indexed by agent id."""
-        return list(self.states)
-
-    def has_converged(self) -> bool:
-        """True when the agents' states form the target multiset ``S*``.
-
-        Deliberately rebuilt from the public ``states`` list (like
-        :meth:`Simulator.has_converged`) rather than answered from the
-        maintained round state, so the query stays truthful even if a
-        caller mutated ``states`` directly between rounds.  Per-round
-        convergence checks inside :meth:`steps` use the O(1) fingerprint
-        instead.
-        """
-        return Multiset(self.states) == self._target
-
     def initial_snapshot(self) -> tuple[Multiset, float]:
         """The pre-run ``(multiset, objective)`` pair."""
         state = self._state
@@ -218,23 +195,20 @@ class MergeMessagePassingSimulator(Engine):
             "seed": self.seed,
         }
 
-    # -- reset, and the engine's half of checkpoint / restore ---------------------
+    # -- reset, checkpoint and restore: the message counters ---------------------
 
     def reset(self) -> None:
-        """Restore the initial configuration (same seed, same initial values)."""
-        self.states = list(self._initial_states)
-        self._state.reset(self.seed, self.states)
-        self.environment.reset()
+        """Restore the initial configuration, message counters included."""
+        super().reset()
         self.messages_sent = 0
         self.messages_delivered = 0
-        self._previous_environment_state = None
 
     def _checkpoint_agents(self) -> dict:
         """Agent states plus the send/delivery totals (result metadata).
         The conservation and pair-group memos are pure caches and refill
         on demand after restore."""
         return {
-            "agent_states": [encode_state(value) for value in self.states],
+            **super()._checkpoint_agents(),
             "counters": {
                 "messages_sent": self.messages_sent,
                 "messages_delivered": self.messages_delivered,
@@ -242,11 +216,9 @@ class MergeMessagePassingSimulator(Engine):
         }
 
     def _restore_agents(self, checkpoint: EngineCheckpoint) -> None:
-        self.states = [decode_state(value) for value in checkpoint.agent_states]
-        self._state.maintained = rebuilt_multiset(self.states)
+        super()._restore_agents(checkpoint)
         self.messages_sent = checkpoint.counters.get("messages_sent", 0)
         self.messages_delivered = checkpoint.counters.get("messages_delivered", 0)
-        self._previous_environment_state = None
 
     # -- execution --------------------------------------------------------------
 

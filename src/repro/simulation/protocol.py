@@ -66,12 +66,13 @@ from .checkpoint import (
     encode_rng_state,
     encode_state,
     engine_checkpoint_of,
+    rebuilt_multiset,
 )
 from .result import SimulationResult
 
 if TYPE_CHECKING:
     from ..core.algorithm import SelfSimilarAlgorithm
-    from ..environment.base import Environment
+    from ..environment.base import Environment, EnvironmentState
 
 __all__ = [
     "HISTORY_MODES",
@@ -176,12 +177,18 @@ class Engine:
     hooks the driver reads, so a new backend (an event-driven runtime, a
     remote shard) is a new ``Engine`` subclass — never a new ``run()``.
 
-    A subclass implements :meth:`_execute_round`, :meth:`initial_snapshot`,
-    :meth:`current_states`, :meth:`has_converged`, :meth:`reset`,
-    :meth:`finish_metadata` and its halves of the checkpoint
-    (:meth:`_checkpoint_agents`, :meth:`_restore_agents`); it sets
-    ``_target`` (the multiset ``S*``) and ``_state`` (its
+    A subclass implements :meth:`_execute_round`, :meth:`initial_snapshot`
+    and :meth:`finish_metadata`; it sets ``_target`` (the multiset
+    ``S*``) and ``_state`` (its
     :class:`~repro.simulation.checkpoint.RoundState`) at construction.
+    The state hooks (:meth:`current_states`, :meth:`has_converged`,
+    :meth:`reset` and the engine's halves of the checkpoint,
+    :meth:`_checkpoint_agents` and :meth:`_restore_agents`) default to a
+    *list-state* engine: one that keeps the agent states in the list
+    ``states``, indexed by agent id, and their starting values in
+    ``_initial_states``.  A subclass extends them only with what it keeps
+    beside the states; the array engine replaces them with its numpy
+    forms.
     """
 
     #: ``EngineCheckpoint.engine`` of this engine's checkpoints; a
@@ -212,6 +219,9 @@ class Engine:
         self.environment = environment
         self.seed = seed
         self.initial_values = list(initial_values)
+        # The environment state the engine last observed: the base its
+        # next state is diffed against (None after reset or restore).
+        self._previous_environment_state: EnvironmentState | None = None
 
     # -- what every engine shares ------------------------------------------------
 
@@ -335,35 +345,48 @@ class Engine:
         engine's bookkeeping mode dictates."""
         raise NotImplementedError
 
-    def current_states(self) -> list:
-        """The current agent states, indexed by agent id."""
-        raise NotImplementedError
-
-    def has_converged(self) -> bool:
-        """True when the agents currently form the target multiset."""
-        raise NotImplementedError
-
-    def reset(self) -> None:
-        """Restore the initial configuration (same seed, same initial values)."""
-        raise NotImplementedError
-
     def finish_metadata(self) -> dict:
         """Run metadata recorded on the result (read at run end, so
         engine-side counters like delivered messages are final)."""
         raise NotImplementedError
 
+    # -- the list-state hooks ------------------------------------------------------
+
+    def current_states(self) -> list:
+        """The current agent states, indexed by agent id."""
+        return list(self.states)
+
+    def has_converged(self) -> bool:
+        """True when the agents currently form the target multiset.
+
+        Deliberately rebuilt from ``states`` rather than answered from the
+        maintained round state, so the query stays truthful even if a
+        caller mutated ``states`` directly between rounds.  Per-round
+        convergence checks inside :meth:`steps` use the O(1) fingerprint
+        instead.
+        """
+        return Multiset(self.states) == self._target
+
+    def reset(self) -> None:
+        """Restore the initial configuration (same seed, same initial values)."""
+        self.states = list(self._initial_states)
+        self._state.reset(self.seed, self.states)
+        self.environment.reset()
+        self._previous_environment_state = None
+
     def _checkpoint_agents(self) -> dict:
-        """The engine's own :class:`EngineCheckpoint` fields:
-        ``agent_states`` (encoded) and any ``agent_counters`` or
-        ``counters``."""
-        raise NotImplementedError
+        """The engine's own :class:`EngineCheckpoint` fields: the encoded
+        ``agent_states`` (the maintained multiset is rebuilt on restore)."""
+        return {"agent_states": [encode_state(state) for state in self.states]}
 
     def _restore_agents(self, checkpoint: EngineCheckpoint) -> None:
-        """Install the checkpoint's agent states and counters and rebuild
-        what derives from them; :meth:`restore` has verified the
-        checkpoint and restored the RNG, round index and environment, and
-        restores the objective value afterwards."""
-        raise NotImplementedError
+        """Install the checkpoint's agent states and rebuild what derives
+        from them; :meth:`restore` has verified the checkpoint and
+        restored the RNG, round index and environment, and restores the
+        objective value afterwards."""
+        self.states = [decode_state(encoded) for encoded in checkpoint.agent_states]
+        self._state.maintained = rebuilt_multiset(self.states)
+        self._previous_environment_state = None
 
 
 @dataclass

@@ -7,7 +7,6 @@ import random
 import pytest
 
 from repro.agents import (
-    Agent,
     Group,
     MaximalGroupsScheduler,
     RandomPairScheduler,
@@ -29,28 +28,6 @@ def env_state(enabled, edges):
     )
 
 
-class TestAgent:
-    def test_initial_state_defaults_to_state(self):
-        agent = Agent(agent_id=0, state=5)
-        assert agent.initial_state == 5
-
-    def test_update_counts_changes(self):
-        agent = Agent(agent_id=0, state=5)
-        assert agent.update(3)
-        assert not agent.update(3)
-        assert agent.state == 3
-        assert agent.steps_participated == 2
-        assert agent.steps_changed == 1
-
-    def test_reset(self):
-        agent = Agent(agent_id=0, state=5)
-        agent.update(1)
-        agent.reset()
-        assert agent.state == 5
-        assert agent.steps_participated == 0
-        assert agent.steps_changed == 0
-
-
 class TestGroup:
     def test_of_sorts_members(self):
         assert Group.of([3, 1, 2]).members == (1, 2, 3)
@@ -65,25 +42,27 @@ class TestGroup:
         assert Group.of([5]).is_singleton
 
     def test_states_and_multiset(self):
-        agents = [Agent(i, state=value) for i, value in enumerate([9, 8, 7])]
+        states = [9, 8, 7]
         group = Group.of([0, 2])
-        assert group.states_of(agents) == [9, 7]
-        assert group.state_multiset(agents) == Multiset([9, 7])
+        assert group.states_of(states) == [9, 7]
+        assert group.state_multiset(states) == Multiset([9, 7])
 
     def test_install_reports_state_delta(self):
-        agents = [Agent(i, state=value) for i, value in enumerate([9, 8, 7])]
+        states = [9, 8, 7]
         group = Group.of([0, 2])
-        removed, added = group.install(agents, [9, 5])
+        removed, added = group.install(states, [9, 5])
         assert removed == [7]
         assert added == [5]
-        assert agents[2].state == 5
-        assert agents[1].state == 8
+        assert states == [9, 8, 5]
 
     def test_install_no_change_reports_empty_delta(self):
-        agents = [Agent(i, state=value) for i, value in enumerate([9, 8, 7])]
-        removed, added = Group.of([0, 1]).install(agents, [9, 8])
+        states = [9, 8, 7]
+        removed, added = Group.of([0, 1]).install(states, [9.0, 8])
         assert removed == []
         assert added == []
+        # An equal state is not written: the list keeps its own objects.
+        assert states == [9, 8, 7]
+        assert type(states[0]) is int
 
 
 class TestMaximalGroupsScheduler:

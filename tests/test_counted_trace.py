@@ -269,7 +269,11 @@ def test_parent_written_durable_unit_resumes_byte_identically(tmp_path, monkeypa
     # batch resumes from the copy's directory.
     unit = _copy_fixture(tmp_path)
     expected = FIXTURE_RESULT.read_text()
-    assert "states" in _history_state(unit / "engine" / "minimum-seed0" / "latest.json")
+    latest = unit / "engine" / "minimum-seed0" / "latest.json"
+    assert "states" in _history_state(latest)
+    # The parent's engine checkpoint carries the per-agent step counters
+    # this version no longer writes: reading it proves they are ignored.
+    assert "agent_counters" in json.loads(latest.read_text())["engine"]
     # Manifests are compared parsed: the parent's one-item-per-line
     # layout still matches this batch, and resuming does not rewrite it.
     manifest = tmp_path / "durable" / "manifest.json"

@@ -349,7 +349,7 @@ def test_cross_check_detects_external_state_mutation():
     next(stream)
     # Mutating agent state behind the engine's back desynchronises the
     # maintained multiset; the debug flag must catch it on the next round.
-    simulator.agents[0].state = 2
+    simulator.states[0] = 2
     with pytest.raises(SimulationError):
         next(stream)
 
@@ -369,7 +369,7 @@ def test_cross_check_detects_mutation_on_fallback_objectives():
     )
     stream = simulator.steps()
     next(stream)
-    simulator.agents[0].state = simulator.agents[1].state
+    simulator.states[0] = simulator.states[1]
     with pytest.raises(SimulationError):
         next(stream)
 

@@ -82,6 +82,34 @@ class TestEngineProtocol:
                 )
         assert ENGINES.get("reference") is Simulator
         assert ENGINES.get("array") is ArrayEngine
+        # Agents are their states: the list-state engines keep a plain
+        # ``states`` list and share the base class's state hooks.
+        for engine_cls in (Simulator, MergeMessagePassingSimulator):
+            for name in ("current_states", "has_converged"):
+                assert name not in vars(engine_cls), (
+                    f"{engine_cls.__name__} defines {name}"
+                )
+        import repro.agents
+
+        assert not hasattr(repro.agents, "Agent")
+        simulator = _simulator()
+        assert type(simulator.states) is list
+        assert simulator.current_states() == VALUES
+        assert simulator.current_states() is not simulator.states
+
+    def test_reference_checkpoints_carry_no_agent_counters(self):
+        simulator = _simulator()
+        simulator.run(max_rounds=5)
+        data = simulator.checkpoint().to_dict()
+        assert "agent_counters" not in data
+        assert data["agent_states"] == simulator.current_states()
+
+    def test_simulator_has_converged_sees_external_state_mutation(self):
+        simulator = _simulator()
+        simulator.run(max_rounds=60)
+        assert simulator.has_converged()
+        simulator.states[0] = 999
+        assert not simulator.has_converged()
 
     def test_messaging_has_converged_tracks_stream(self):
         simulator = _messaging()

@@ -113,6 +113,11 @@ class TestBuild:
         with pytest.raises(SpecificationError, match="kth-smallest"):
             ALGORITHMS.build("kth-smallest", nonsense=1)
 
+    def test_rejected_parameter_value_reports_entry(self):
+        # A factory's ValueError is a bad spec, reported like a TypeError.
+        with pytest.raises(SpecificationError, match="'random-subgroup'.*min_size"):
+            SCHEDULERS.build("random-subgroup", min_size=0)
+
     def test_accepts_inspects_signature(self):
         assert ENVIRONMENTS.accepts("rotating-partition", "seed")
         assert not ENVIRONMENTS.accepts("static", "seed")

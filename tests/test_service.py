@@ -23,7 +23,7 @@ import urllib.request
 
 import pytest
 
-from repro import ExperimentSpec, SpecificationError
+from repro import BatchRunner, ExperimentSpec, SpecificationError
 from repro.registry import register_probe
 from repro.service import (
     BROKER,
@@ -372,6 +372,38 @@ class TestExperimentService:
             assert excinfo.value.status == 400
             assert field in str(excinfo.value)
         assert client.health()["status"] == "ok"
+
+    @pytest.mark.parametrize(
+        "probe, message",
+        [
+            ({"probe": "checkpoint", "every": "x"}, "invalid literal"),
+            ({"probe": "fault-crash", "at_round": 0}, "at_round >= 1"),
+        ],
+    )
+    def test_probe_parameter_value_error_is_a_400(self, service, probe, message):
+        instance = service()
+        client = ServiceClient(instance.url)
+        spec = dict(churn_spec().to_dict(), probes=[probe])
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(spec)
+        assert excinfo.value.status == 400
+        assert message in str(excinfo.value)
+        assert client.health()["status"] == "ok"
+
+    def test_served_records_are_the_offline_batch_records(self, service, tmp_path):
+        # Durable units run with the service's stream channel and
+        # checkpoint directory, but the records it serves carry the spec
+        # as submitted: label, seed, spec, result and error all equal an
+        # offline batch's, wherever the data directory lives.
+        instance = service()
+        client = ServiceClient(instance.url)
+        spec = churn_spec(seeds=(0, 1))
+        results = client.results(client.submit(spec)["id"], timeout=60)
+        offline = BatchRunner(backend="serial").run(spec).to_dict()["items"]
+        assert results == offline
+        served = json.dumps(results)
+        assert str(tmp_path) not in served
+        assert "service-sink" not in served
 
     def test_drain_checkpoints_and_restart_resumes_identically(self, service):
         spec = slow_spec(delay=0.05, max_rounds=400)
