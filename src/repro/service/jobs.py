@@ -37,7 +37,7 @@ from typing import Any, Mapping
 from ..core.durable import atomic_write_text, quarantine
 from ..core.errors import SpecificationError
 from ..experiment import ExperimentSpec, expand_grid
-from ..simulation.batch import MANIFEST_NAME, BatchRunner
+from ..simulation.batch import MANIFEST_NAME, BatchRunner, format_failure
 from ..simulation.result import readable_json
 from .cache import ResultCache
 from .streams import BROKER, EventBroker
@@ -492,8 +492,8 @@ class JobQueue:
         try:
             submission = Submission.from_payload(job.submission)
             specs = submission.expanded()
-        except SpecificationError:
-            self.store.update(job, status="failed", error=traceback.format_exc())
+        except SpecificationError as failure:
+            self.store.update(job, status="failed", error=format_failure(failure))
             self._close_channels(job)
             return
 
@@ -521,8 +521,8 @@ class JobQueue:
         except JobInterrupted:
             self.store.update(job, status="queued")
             raise
-        except Exception:
-            self.store.update(job, status="failed", error=traceback.format_exc())
+        except Exception as failure:
+            self.store.update(job, status="failed", error=format_failure(failure))
             self._close_channels(job)
             return
 

@@ -29,6 +29,7 @@ different semantics.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import traceback
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
@@ -60,6 +61,12 @@ MANIFEST_NAME = "manifest.json"
 
 #: Identifies batch manifests (the ``format`` key of the JSON object).
 MANIFEST_FORMAT = "repro-batch-manifest"
+
+#: The directory that holds the ``repro`` package; recorded tracebacks
+#: name the package's files relative to it.
+_PACKAGE_PARENT = os.path.dirname(
+    os.path.dirname(os.path.dirname(os.path.realpath(__file__)))
+)
 
 
 def _execute_payload(payload: tuple[dict, int]) -> dict:
@@ -516,9 +523,41 @@ def _guard(
             policy.sleep_before(attempt, key=_payload_key(payload))
         try:
             return fn(payload), None
-        except Exception:  # noqa: BLE001 - any worker failure becomes data
-            error = traceback.format_exc()
+        except Exception as failure:  # noqa: BLE001 - any worker failure becomes data
+            error = format_failure(failure)
     return None, error
+
+
+def format_failure(error: BaseException) -> str:
+    """``error``'s traceback as :func:`traceback.format_exc` writes it, except
+    that frames inside the ``repro`` package name their file relative to the
+    package's parent directory (``repro/simulation/batch.py``).
+
+    A recorded failure therefore reads the same from every checkout.
+    Chained exceptions get the same treatment; source lines and exception
+    messages are kept as they are.
+    """
+    # The report reads every source line as it is built, so renaming a
+    # frame's file afterwards keeps its line.  It is a tree: it wraps each
+    # chained exception once.
+    report = traceback.TracebackException.from_exception(error, compact=True)
+    prefix = os.path.join(_PACKAGE_PARENT, "repro", "")
+    pending = [report]
+    while pending:
+        current = pending.pop()
+        for frame in current.stack:
+            path = os.path.realpath(frame.filename)
+            if path.startswith(prefix):
+                frame.filename = os.path.relpath(path, _PACKAGE_PARENT).replace(
+                    os.sep, "/"
+                )
+        pending.extend(
+            chained
+            for chained in (current.__cause__, current.__context__)
+            if chained is not None
+        )
+        pending.extend(current.exceptions or ())
+    return "".join(report.format())
 
 
 def _payload_key(payload: Any) -> str:

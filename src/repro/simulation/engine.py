@@ -274,12 +274,14 @@ class Simulator(Engine):
         judgements: list[StepJudgement] = []
         removed: list = []
         added: list = []
-        clean = True
+        improving = invalid = largest = 0
         try:
             for group in scheduled:
                 size = len(group.members)
                 if size == 0:
                     continue
+                if size > largest:
+                    largest = size
                 if size == 1 and skip_singletons:
                     groups.append(group)
                     judgements.append(STUTTER_JUDGEMENT)
@@ -294,8 +296,10 @@ class Simulator(Engine):
                     # recorded and applied anyway, so that benchmarks can
                     # observe the consequences of violating the methodology
                     # (Figure 1 / direct second-smallest).
-                    if judgement.kind is not StepKind.IMPROVEMENT:
-                        clean = False
+                    if judgement.kind is StepKind.IMPROVEMENT:
+                        improving += 1
+                    else:
+                        invalid += 1
                     group_removed, group_added = group.install(states, states_after)
                     removed.extend(group_removed)
                     added.extend(group_added)
@@ -314,21 +318,17 @@ class Simulator(Engine):
             raise
 
         if incremental:
-            multiset, objective, converged = self._fold_round(removed, added, clean)
+            fold = self._fold_round(removed, added, not invalid)
         else:
             # Reference path: the round's multiset is recomputed from the
             # agent states and shared by the trace, the objective
             # trajectory and the convergence check.
             multiset = self.current_multiset()
             objective = self.algorithm.objective(multiset)
-            converged = multiset == self._target
-        return RoundRecord(
-            round_index=round_index,
-            multiset=multiset,
-            objective=objective,
-            converged=converged,
-            groups=tuple(groups),
-            judgements=tuple(judgements),
+            fold = multiset, objective, multiset == self._target
+        return self._round_record(
+            round_index, fold, tuple(groups), tuple(judgements),
+            improving, invalid, largest,
         )
 
     def _execute_maintained_round(
@@ -354,18 +354,25 @@ class Simulator(Engine):
         judgements: list[StepJudgement] | None = None
         removed: list = []
         added: list = []
-        clean = True
+        improving = invalid = 0
+        # Every scheduled component is at least a singleton; the loop
+        # raises the floor to the largest non-singleton.
+        largest = 1 if scheduled else 0
         try:
             for index, group in tracker.nonsingleton_groups():
                 members = group.members
+                if len(members) > largest:
+                    largest = len(members)
                 states_after, judgement = apply_group_step(
                     [states[member] for member in members],
                     rng,
                     fast_stutter=True,
                 )
                 if judgement is not stutter and judgement.kind is not StepKind.STUTTER:
-                    if judgement.kind is not improvement:
-                        clean = False
+                    if judgement.kind is improvement:
+                        improving += 1
+                    else:
+                        invalid += 1
                     group_removed, group_added = group.install(states, states_after)
                     removed.extend(group_removed)
                     added.extend(group_added)
@@ -381,23 +388,51 @@ class Simulator(Engine):
                 self._state.objective_value = None
             raise
 
-        multiset, objective, converged = self._fold_round(removed, added, clean)
+        fold = self._fold_round(removed, added, not invalid)
         if judgements is None:
             # All-stutter round: share one cached all-stutter tuple per
             # partition size instead of rebuilding it every quiet round.
             judgements_tuple = self._stutter_judgements(len(scheduled))
         else:
             judgements_tuple = tuple(judgements)
-        return RoundRecord(
+        # The tracker shares one tuple per partition: records of quiet
+        # rounds reference the same groups tuple instead of copying.
+        return self._round_record(
+            round_index, fold, tracker.groups_tuple(), judgements_tuple,
+            improving, invalid, largest,
+        )
+
+    def _round_record(
+        self,
+        round_index: int,
+        fold: tuple[Multiset, float, bool],
+        groups: tuple[Group, ...],
+        judgements: tuple[StepJudgement, ...],
+        improving: int,
+        invalid: int,
+        largest: int,
+    ) -> RoundRecord:
+        """The round's record, from the counts its loop kept while executing.
+
+        Every judgement is an improvement, a stutter or invalid, so the
+        stutters are what the other two leave of the round's steps.
+        """
+        multiset, objective, converged = fold
+        record = RoundRecord(
             round_index=round_index,
             multiset=multiset,
             objective=objective,
             converged=converged,
-            # The tracker shares one tuple per partition: records of quiet
-            # rounds reference the same groups tuple instead of copying.
-            groups=tracker.groups_tuple(),
-            judgements=judgements_tuple,
+            groups=groups,
+            judgements=judgements,
+            improving_steps=improving,
+            stutter_steps=len(judgements) - improving - invalid,
+            invalid_steps=invalid,
+            largest_group=largest,
         )
+        if self.cross_check:
+            _verify_round_counts(record)
+        return record
 
     def _stutter_judgements(self, size: int) -> tuple[StepJudgement, ...]:
         """A shared all-stutter judgements tuple of the given length."""
@@ -526,6 +561,26 @@ class Simulator(Engine):
             "num_agents": self.environment.num_agents,
             "seed": self.seed,
         }
+
+
+def _verify_round_counts(record: RoundRecord) -> None:
+    """Debug cross-check: the counts a round loop kept == a rescan of its record."""
+    kinds = [judgement.kind for judgement in record.judgements]
+    improving = kinds.count(StepKind.IMPROVEMENT)
+    stutter = kinds.count(StepKind.STUTTER)
+    rescanned = {
+        "improving_steps": improving,
+        "stutter_steps": stutter,
+        "invalid_steps": len(kinds) - improving - stutter,
+        "largest_group": max((len(group) for group in record.groups), default=0),
+    }
+    for name, expected in rescanned.items():
+        kept = getattr(record, name)
+        if kept != expected:
+            raise SimulationError(
+                f"{name} diverged from a rescan of round {record.round_index}'s "
+                f"judgements and groups ({kept} vs {expected})"
+            )
 
 
 def _validate_partition(groups: Sequence[Group], num_agents: int) -> None:

@@ -346,4 +346,9 @@ class MergeMessagePassingSimulator(Engine):
             converged=maintained.matches(self._target),
             groups=tuple(groups),
             judgements=tuple(judgements),
+            # Every applied merge is an improving pair step.
+            improving_steps=len(judgements),
+            stutter_steps=0,
+            invalid_steps=0,
+            largest_group=2 if groups else 0,
         )

@@ -55,7 +55,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 from ..agents.group import Group
 from ..core.errors import SimulationError, SpecificationError
 from ..core.multiset import Multiset
-from ..core.relation import StepJudgement, StepKind
+from ..core.relation import StepJudgement
 from ..temporal.trace import CountedTrace, Trace
 from .checkpoint import (
     DriverState,
@@ -129,6 +129,18 @@ class RoundRecord:
     judgements:
         The relation ``D``'s verdict for each group step, aligned with
         ``groups``.
+    improving_steps:
+        Group steps that strictly decreased the objective.
+    stutter_steps:
+        Group steps that left their group's state unchanged.
+    invalid_steps:
+        Steps that violated ``D`` (possible only with enforcement off).
+    largest_group:
+        Size of the largest group scheduled this round (0 when none).
+
+    The engine counts the four step totals while it executes the round;
+    they always agree with a scan of ``judgements`` and ``groups``,
+    which ``Simulator(cross_check=True)`` re-derives every round.
     """
 
     round_index: int
@@ -137,31 +149,15 @@ class RoundRecord:
     converged: bool
     groups: tuple[Group, ...]
     judgements: tuple[StepJudgement, ...]
+    improving_steps: int
+    stutter_steps: int
+    invalid_steps: int
+    largest_group: int
 
     @property
     def group_steps(self) -> int:
         """Number of group steps executed this round."""
         return len(self.judgements)
-
-    @property
-    def improving_steps(self) -> int:
-        """Group steps that strictly decreased the objective."""
-        return sum(1 for j in self.judgements if j.kind is StepKind.IMPROVEMENT)
-
-    @property
-    def stutter_steps(self) -> int:
-        """Group steps that left their group's state unchanged."""
-        return sum(1 for j in self.judgements if j.kind is StepKind.STUTTER)
-
-    @property
-    def invalid_steps(self) -> int:
-        """Steps that violated ``D`` (possible only with enforcement off)."""
-        return len(self.judgements) - self.improving_steps - self.stutter_steps
-
-    @property
-    def largest_group(self) -> int:
-        """Size of the largest group scheduled this round (0 when none)."""
-        return max((len(group) for group in self.groups), default=0)
 
 
 class Engine:

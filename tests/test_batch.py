@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import traceback
+
 import pytest
 
+import repro
 from repro import BatchRunner, ExperimentSpec, Simulator, minimum_algorithm
 from repro.environment import RandomChurnEnvironment, complete_graph
 from repro.registry import register_probe
-from repro.simulation.batch import BatchResult
+from repro.simulation.batch import BatchResult, format_failure
 from repro.simulation.protocol import Probe
 
 VALUES = [5, 3, 9, 1, 7, 2, 8, 4]
@@ -91,6 +96,41 @@ class TestBatchSemantics:
         assert batch.failures()[0].error is not None
         # the good spec still completed
         assert batch.results_for("batch-minimum")[0]["converged"]
+
+    def test_failure_names_package_files_relative_to_the_package(self):
+        bad = ExperimentSpec(
+            name="bad",
+            algorithm="kth-smallest",
+            algorithm_params={"k": -1},
+            environment="static",
+            initial_values=(1, 2, 3),
+        )
+        with pytest.raises(Exception) as raised:
+            bad.run(0)
+        error = BatchRunner(backend="serial").run([bad]).failures()[0].error
+        assert 'File "repro/simulation/batch.py"' in error
+        assert str(pathlib.Path(repro.__file__).resolve().parent.parent) not in error
+        assert error.endswith(traceback.format_exception_only(raised.value)[-1])
+
+    def test_format_failure_rewrites_only_package_paths(self):
+        package_parent = os.path.dirname(os.path.dirname(repro.__file__))
+        try:
+            try:
+                minimum_spec(algorithm="no-such-algorithm")
+            except Exception as inner:
+                raise RuntimeError("wrapped failure") from inner
+        except RuntimeError as outer:
+            failure = outer
+        formatted = format_failure(failure)
+        assert "direct cause of the following exception" in formatted
+        assert 'File "repro/experiment.py"' in formatted
+        assert package_parent not in formatted
+        # Frames outside the package keep their paths; source lines and
+        # messages stay as they were.
+        assert f'File "{__file__}"' in formatted
+        assert formatted == "".join(traceback.format_exception(failure)).replace(
+            f'File "{package_parent}{os.sep}', 'File "'
+        )
 
     def test_statistics_per_label(self):
         batch = BatchRunner(backend="serial").run(minimum_spec())

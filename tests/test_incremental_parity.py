@@ -99,10 +99,18 @@ SCHEDULERS = {
 }
 
 
-def _run(case: str, scheduler_name: str, seed: int, **simulator_kwargs):
+def _run(
+    case: str,
+    scheduler_name: str,
+    seed: int,
+    edge_up_probability: float = 0.6,
+    **simulator_kwargs,
+):
     algorithm, values = CASES[case]()
     environment = RandomChurnEnvironment(
-        ring_graph(len(values)), edge_up_probability=0.6, agent_up_probability=0.9
+        ring_graph(len(values)),
+        edge_up_probability=edge_up_probability,
+        agent_up_probability=0.9,
     )
     simulator = Simulator(
         algorithm,
@@ -923,9 +931,14 @@ def _recompile(monkeypatch, owner, name, original, replacement):
 
 
 def _caught_by_cross_check(scheduler_name):
-    """A ``cross_check=True`` run raises a divergence."""
+    """A ``cross_check=True`` run raises a divergence, on the usual churn
+    or on a sparse one, where whole rounds leave every agent alone."""
     try:
-        _run("minimum", scheduler_name, seed=7, cross_check=True)
+        for edge_up_probability in (0.6, 0.1):
+            _run(
+                "minimum", scheduler_name, seed=7,
+                edge_up_probability=edge_up_probability, cross_check=True,
+            )
     except SimulationError as error:
         assert "diverged" in str(error)
         return True
@@ -971,6 +984,11 @@ def _seeded_mutations():
             Simulator, "_fold_round",
             "state.objective_value, multiset, removed, added",
             "state.objective_value + 1, multiset, removed, added",
+            "maximal", _caught_by_cross_check,
+        ),
+        "maintained-round-drops-singleton-floor": (
+            Simulator, "_execute_maintained_round",
+            "largest = 1 if scheduled else 0", "largest = 0",
             "maximal", _caught_by_cross_check,
         ),
         "memo-adoption-on-nonempty-delta": (

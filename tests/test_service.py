@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import io
 import json
+import pathlib
 import time
 import urllib.request
 
 import pytest
 
+import repro
 from repro import BatchRunner, ExperimentSpec, SpecificationError
 from repro.registry import register_probe
 from repro.service import (
@@ -346,6 +348,10 @@ class TestExperimentService:
         record = client.wait(client.submit(spec)["id"], timeout=60)
         assert record["status"] == "failed"
         assert record["error"]
+        # The error names the package's files as the checkout lays them
+        # out below its source directory, not by their absolute path.
+        assert 'File "repro/simulation/batch.py"' in record["error"]
+        assert str(pathlib.Path(repro.__file__).resolve().parent) not in record["error"]
         with pytest.raises(ServiceError, match="failed"):
             client.results(record["id"])
 

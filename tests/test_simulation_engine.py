@@ -6,15 +6,19 @@ import pytest
 
 from repro import Simulator, minimum_algorithm, summation_algorithm
 from repro.agents import Group, RandomPairScheduler, Scheduler
+from repro.algorithms import minimum_merge, second_smallest_direct_algorithm
 from repro.core import Multiset
 from repro.core.errors import SimulationError
+from repro.core.relation import StepKind
 from repro.environment import (
     BlackoutAdversary,
     RandomChurnEnvironment,
     StaticEnvironment,
     complete_graph,
     line_graph,
+    tree_graph,
 )
+from repro.simulation import MergeMessagePassingSimulator
 from repro.temporal import always, stable
 
 
@@ -354,6 +358,124 @@ class TestStreamingSteps:
         result = sim.run(max_rounds=200, on_round=stop_after_three)
         assert seen == [0, 1, 2]
         assert result.rounds_executed == 3
+
+
+def _counts(record):
+    """A record's step counts, as the engine kept them."""
+    return (
+        record.group_steps,
+        record.improving_steps,
+        record.stutter_steps,
+        record.invalid_steps,
+        record.largest_group,
+    )
+
+
+def _rescanned_counts(record):
+    """The same counts, rescanned from the record's judgements and groups."""
+    kinds = [judgement.kind for judgement in record.judgements]
+    improving = kinds.count(StepKind.IMPROVEMENT)
+    stutter = kinds.count(StepKind.STUTTER)
+    return (
+        len(record.groups),
+        improving,
+        stutter,
+        len(kinds) - improving - stutter,
+        max((len(group) for group in record.groups), default=0),
+    )
+
+
+def _tree_churn_simulator(seed=5, edge_up_probability=0.5, **kwargs):
+    environment = RandomChurnEnvironment(
+        tree_graph(15),
+        edge_up_probability=edge_up_probability,
+        agent_up_probability=0.9,
+    )
+    values = [(7 * agent) % 15 for agent in range(15)]
+    return Simulator(minimum_algorithm(), environment, values, seed=seed, **kwargs)
+
+
+class TestRoundCounts:
+    """Every round's counts equal a rescan of its judgements and groups."""
+
+    def _assert_counts_rescan(self, engine, rounds=40):
+        records = list(engine.steps(max_rounds=rounds))
+        assert records
+        for record in records:
+            assert _counts(record) == _rescanned_counts(record), record.round_index
+        return records
+
+    def _maintained_rounds(self, monkeypatch):
+        calls = []
+        execute = Simulator._execute_maintained_round
+
+        def counted(self, *args):
+            calls.append(args[0])
+            return execute(self, *args)
+
+        monkeypatch.setattr(Simulator, "_execute_maintained_round", counted)
+        return calls
+
+    def test_maintained_loop(self, monkeypatch):
+        maintained = self._maintained_rounds(monkeypatch)
+        # Sparse enough that some rounds leave every agent alone.
+        records = self._assert_counts_rescan(
+            _tree_churn_simulator(edge_up_probability=0.15)
+        )
+        assert len(maintained) == len(records)
+        assert any(record.improving_steps for record in records)
+        assert any(record.largest_group == 1 for record in records)
+
+    def test_generic_loop(self, monkeypatch):
+        maintained = self._maintained_rounds(monkeypatch)
+        records = self._assert_counts_rescan(
+            _tree_churn_simulator(scheduler=RandomPairScheduler())
+        )
+        assert maintained == []
+        assert any(record.improving_steps for record in records)
+
+    def test_from_scratch_mode(self):
+        records = self._assert_counts_rescan(_tree_churn_simulator(incremental=False))
+        assert any(record.improving_steps for record in records)
+
+    def test_messaging_engine(self):
+        environment = RandomChurnEnvironment(
+            tree_graph(15), edge_up_probability=0.5, agent_up_probability=0.9
+        )
+        engine = MergeMessagePassingSimulator(
+            minimum_algorithm(),
+            minimum_merge,
+            environment,
+            [(7 * agent) % 15 for agent in range(15)],
+            loss_probability=0.2,
+            seed=5,
+        )
+        records = self._assert_counts_rescan(engine)
+        assert any(record.largest_group == 2 for record in records)
+        assert any(record.largest_group == 0 for record in records)
+
+    def test_invalid_steps_with_enforcement_off(self):
+        # The direct second-smallest rule is not a D step (Figure 1), so
+        # its algorithm runs with enforcement off and some steps are
+        # recorded as invalid.
+        environment = RandomChurnEnvironment(
+            complete_graph(6), edge_up_probability=0.4
+        )
+        engine = Simulator(
+            second_smallest_direct_algorithm(), environment, [1, 2, 3, 4, 5, 6], seed=0
+        )
+        records = self._assert_counts_rescan(engine)
+        assert any(record.invalid_steps for record in records)
+
+    @pytest.mark.parametrize("scheduler", [None, RandomPairScheduler])
+    def test_default_and_from_scratch_counts_agree(self, scheduler):
+        def counts(incremental):
+            engine = _tree_churn_simulator(
+                scheduler=scheduler and scheduler(), incremental=incremental
+            )
+            return [_counts(record) for record in engine.steps(max_rounds=40)]
+
+        assert counts(True) == counts(False)
 
 
 class TestEffectiveSeed:
