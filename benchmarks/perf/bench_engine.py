@@ -2,7 +2,7 @@
 """Engine microbenchmark: rounds/sec, environment-layer share, peak memory.
 
 The flagship workload is the sparse-activity scenario the incremental
-round state and the incremental environment layer are built for:
+round state is built for:
 minimum-consensus on a ring topology under random churn with a low
 edge-up probability, so that most rounds change only a handful of agents
 while the collective state stays large.
@@ -14,9 +14,8 @@ while the collective state stays large.
 * **Scheduler/environment diversity**: additional named workloads cover
   random-pair gossip at n=10k (a scheduler that never touches
   components), a periodic duty cycle at n=10k (pure agent-toggle deltas)
-  and a dense complete-graph Markov-churn case where deletions inside one
-  giant component dominate (the incremental tracker's worst case, kept
-  honest in the report).
+  and a dense complete-graph Markov-churn case where one giant component
+  loses and regains edges every round (the labeller's densest input).
 * **Array engine**: two workloads cover the struct-of-arrays scale path,
   both racing the :class:`ArrayEngine` against the reference engine's
   best mode on the flagship scenario (the "speedup" column is the array
@@ -29,7 +28,7 @@ while the collective state stays large.
   the environment's per-edge transition dominates the round.
 * **Environment share**: for each workload, an instrumented pass records
   the fraction of round time spent in the environment layer (environment
-  advance + connectivity maintenance + scheduling) in both engine modes,
+  advance + component labelling + scheduling) in both engine modes,
   so the next perf PR can see where the bottleneck actually is instead of
   guessing.
 * **Memory**: one run per history mode (``"full"`` vs ``"none"``) at large
@@ -152,10 +151,9 @@ def build_duty_cycle(num_agents: int, incremental: bool = True) -> Simulator:
 def build_dense_markov(num_agents: int, incremental: bool = True) -> Simulator:
     """Dense complete graph under Markov churn: deletions dominate.
 
-    The graph stays one giant component, so every deleted edge dirties it
-    and the localized rebuild walks almost everything — the incremental
-    tracker's worst case, recorded so the report stays honest about where
-    delta maintenance does *not* pay.
+    The graph stays one giant component of ~40k effective edges, so each
+    round's labelling covers the whole graph: the densest input of the
+    component labeller.
     """
     return Simulator(
         minimum_algorithm(),
@@ -263,7 +261,8 @@ def measure_environment_share(num_agents: int, rounds: int, incremental: bool,
     The environment layer here is everything between "the round starts"
     and "the engine has the round's groups": the environment transition
     (and, incrementally, the engine's diff against the previous state),
-    connectivity maintenance, and scheduling.  Measured with plain
+    the component labelling (run by the scheduler's first read of the
+    state's groups), and scheduling.  Measured with plain
     ``perf_counter`` section timers on a dedicated instrumented run,
     separate from the throughput measurement so the timers never taint
     the reported rounds/sec.

@@ -44,15 +44,6 @@ __all__ = [
 class Scheduler(ABC):
     """Chooses which groups act in a round, given the environment state."""
 
-    #: True for schedulers whose round is built from the environment's
-    #: communication groups.  The simulation engine only maintains
-    #: incremental connectivity (a per-round cost of its own) when the
-    #: active scheduler declares it will consume the components; the
-    #: default is False so unknown schedulers never pay for maintenance
-    #: they do not use — their component queries still work, served by the
-    #: state's memoized from-scratch computation.
-    uses_communication_groups: bool = False
-
     @abstractmethod
     def schedule(
         self, environment_state: EnvironmentState, rng: random.Random
@@ -73,29 +64,18 @@ class Scheduler(ABC):
 class MaximalGroupsScheduler(Scheduler):
     """Every communication group of the environment acts, whole.
 
-    When the engine maintains connectivity incrementally, the environment
-    state carries one interned :class:`Group` per maintained component;
-    scheduling is then just handing back that shared list — components
-    unchanged since the previous round reuse their group object, so a
-    quiet round allocates O(|delta|) groups instead of O(n).  The list is
-    owned by the connectivity tracker and must be treated as read-only,
-    which the engine's consumption (iteration only) respects.
+    The partition is the state's own
+    :meth:`~repro.environment.base.EnvironmentState.component_groups`
+    list, in component order: one list per state, shared by every reader
+    (and recognised by the engine as the component partition), so it
+    must be treated as read-only, which the engine's consumption
+    (iteration only) respects.  The scheduler draws no randomness.
     """
-
-    uses_communication_groups = True
 
     def schedule(
         self, environment_state: EnvironmentState, rng: random.Random
     ) -> list[Group]:
-        maintained = environment_state.maintained_scheduler_groups()
-        if maintained is not None:
-            return maintained
-        # The tuples arrive sorted exactly as Group stores its members, so
-        # the groups are built without re-sorting each component.
-        return [
-            Group(members)
-            for members in environment_state.communication_group_tuples()
-        ]
+        return environment_state.component_groups()
 
     def describe(self) -> str:
         return "maximal groups (every connected component acts)"
@@ -133,8 +113,6 @@ class RandomPairScheduler(Scheduler):
 class SingleGroupScheduler(Scheduler):
     """Exactly one communication group acts per round (chosen at random)."""
 
-    uses_communication_groups = True
-
     def schedule(
         self, environment_state: EnvironmentState, rng: random.Random
     ) -> list[Group]:
@@ -161,8 +139,6 @@ class RandomSubgroupScheduler(Scheduler):
     ``max_size``.  (Chunk members are drawn from the same component, so
     they can in fact communicate.)
     """
-
-    uses_communication_groups = True
 
     def __init__(self, min_size: int = 2, max_size: int = 4):
         if min_size < 1 or max_size < min_size:

@@ -20,7 +20,6 @@ from .base import (
     Topology,
     connected_components,
 )
-from .connectivity import ConnectivityTracker
 from .dynamics import (
     MarkovChurnEnvironment,
     PeriodicDutyCycleEnvironment,
@@ -44,7 +43,6 @@ __all__ = [
     "EdgeBudgetAdversary",
     "RotatingPartitionAdversary",
     "TargetedCrashAdversary",
-    "ConnectivityTracker",
     "EMPTY_DELTA",
     "Environment",
     "EnvironmentDelta",

@@ -19,13 +19,16 @@ This module defines:
   Derived views (:meth:`EnvironmentState.effective_edges`, the
   communication groups) are computed lazily and memoized on the frozen
   state, so repeated queries in one round never recompute;
+* :func:`label_components` — the one component labeller: min-label
+  propagation over ``int64`` edge arrays, from which a state derives its
+  communication groups in canonical order (the from-scratch walk
+  :func:`connected_component_tuples` serves when numpy is missing, and
+  as the cross-check oracle);
 * :class:`EnvironmentDelta` — what changed between two consecutive
   environment states (edges up/down, agents enabled/disabled).  It is a
-  function of the two states alone (:meth:`EnvironmentDelta.between`), so
-  the engines derive it themselves from each pair of states they observe
-  and maintain connectivity incrementally
-  (:mod:`repro.environment.connectivity`) instead of re-walking the whole
-  graph every round; no environment reports or tracks its own churn;
+  function of the two states alone (:meth:`EnvironmentDelta.between`),
+  so no environment reports or tracks its own churn; the engines use it
+  to let a quiet round adopt the previous state's memoized views;
 * :class:`Environment` — the abstract driver that produces a (possibly
   adversarial, possibly random) sequence of environment states.
 
@@ -38,6 +41,8 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 try:
@@ -45,7 +50,7 @@ try:
 except ImportError:  # pragma: no cover - exercised by the without-numpy CI leg
     _numpy = None
 
-from ..core.errors import EnvironmentError_
+from ..core.errors import EnvironmentError_, SimulationError
 
 __all__ = [
     "Topology",
@@ -53,9 +58,14 @@ __all__ = [
     "EnvironmentDelta",
     "EMPTY_DELTA",
     "Environment",
+    "check_components",
+    "edge_endpoints",
+    "label_components",
 ]
 
 Edge = tuple[int, int]
+
+_group_members = attrgetter("members")
 
 
 def _normalize_edge(a: int, b: int) -> Edge:
@@ -237,6 +247,132 @@ def connected_components(
     ]
 
 
+def edge_endpoints(edges) -> tuple:
+    """The ``(u, v)`` endpoints of a sequence of edges as two ``int64``
+    numpy arrays, in sequence order.  Needs numpy."""
+    np = _numpy
+    flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
+    return flat[0::2].copy(), flat[1::2].copy()
+
+
+def label_components(u, v, num_agents: int):
+    """Connected components of the edges ``(u[i], v[i])``.  Needs numpy.
+
+    Labels over the fixed agent-id index: ``labels`` starts as
+    ``arange(num_agents)`` and min-label propagation with full path
+    compression runs over the edge arrays directly, so no sort and no
+    remapping is needed.  Returns ``(ids, labels)``: the ascending ids of
+    the agents some edge touches, and every agent's label — the smallest
+    agent id of its component (an agent no edge touches labels itself).
+    Every endpoint must be below ``num_agents``.
+    """
+    np = _numpy
+    labels = np.arange(num_agents, dtype=np.int64)
+    if not u.shape[0]:
+        return np.empty(0, dtype=np.int64), labels
+    while True:
+        # Scatter-min across both edge directions, then compress label
+        # chains to their roots; converges in O(log diameter) sweeps
+        # because labels only ever decrease toward the component minimum.
+        np.minimum.at(labels, u, labels.take(v))
+        np.minimum.at(labels, v, labels.take(u))
+        while True:
+            jumped = labels.take(labels)
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+        if np.array_equal(labels.take(u), labels.take(v)):
+            break
+    touched = np.zeros(num_agents, dtype=bool)
+    touched[u] = True
+    touched[v] = True
+    return np.flatnonzero(touched), labels
+
+
+def _labelled_groups(enabled_ids, ids, labels) -> tuple[list, list[int]]:
+    """The canonical component groups of a labelling, and where the
+    non-singleton ones sit among them.
+
+    ``enabled_ids`` is the ascending enabled agents; ``(ids, labels)``
+    is :func:`label_components`' output over edges between enabled
+    agents.  A component's label is its smallest member, so the enabled
+    agents that label themselves — the *roots* — ascend exactly in
+    :func:`connected_component_tuples`' order: the group list is the
+    roots' interned singleton groups, with no sort, and its Python cost
+    scales with the component count.  The touched agents are the members
+    of the non-singleton components; one stable argsort of their labels
+    groups them, members ascending, and their groups replace their
+    roots' singletons.
+    """
+    from ..agents.group import Group  # the agents layer imports this module
+
+    np = _numpy
+    # Enabled agents past the labelled range are touched by no edge.
+    cut = int(np.searchsorted(enabled_ids, labels.shape[0]))
+    head = enabled_ids[:cut]
+    roots = np.concatenate((head[labels.take(head) == head], enabled_ids[cut:]))
+    groups = _interned_singletons(roots)
+    if not ids.shape[0]:
+        return groups, []
+    keys = labels.take(ids)
+    order = np.argsort(keys, kind="stable")
+    keys = keys.take(order)
+    starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    firsts = np.concatenate(([0], starts))
+    positions = np.searchsorted(roots, keys.take(firsts)).tolist()
+    members = ids.take(order).tolist()
+    bounds = [0, *starts.tolist(), len(members)]
+    for position, start, stop in zip(positions, bounds, bounds[1:]):
+        groups[position] = Group(tuple(members[start:stop]))
+    return groups, positions
+
+
+#: Singleton groups interned by agent id (a numpy object array, grown on
+#: demand).  A sparse round's partition is mostly lone agents, and taking
+#: their groups from this table costs a tenth of building a fresh
+#: :class:`~repro.agents.group.Group` per lone agent per round.
+_singleton_groups = None
+
+
+def _interned_singletons(roots) -> list:
+    """The interned singleton group of every agent in ``roots``, in order."""
+    global _singleton_groups
+    table = _singleton_groups
+    needed = int(roots[-1]) + 1 if roots.shape[0] else 0
+    if table is None or table.shape[0] < needed:
+        from ..agents.group import Group
+
+        start = 0 if table is None else table.shape[0]
+        grown = _numpy.empty(max(needed, 2 * start), dtype=object)
+        if table is not None:
+            grown[:start] = table
+        for agent in range(start, grown.shape[0]):
+            grown[agent] = Group((agent,))
+        _singleton_groups = table = grown
+    return table.take(roots).tolist()
+
+
+def check_components(state: "EnvironmentState", source: str) -> list[tuple[int, ...]]:
+    """Debug cross-check: the state's labelled components == its
+    from-scratch component walk.
+
+    Returns the components
+    (:meth:`EnvironmentState.communication_group_tuples`).  On divergence
+    raises :class:`~repro.core.errors.SimulationError` naming ``source``
+    (the engine's labelling), with the round index and both partitions.
+    """
+    components = state.communication_group_tuples()
+    expected = connected_component_tuples(
+        state.enabled_agents, state.effective_edges()
+    )
+    if components != expected:
+        raise SimulationError(
+            f"{source} diverged from the from-scratch component walk at "
+            f"round {state.round_index}: {components!r} vs actual {expected!r}"
+        )
+    return components
+
+
 class EnvironmentDelta:
     """What changed from one environment state to the next.
 
@@ -368,12 +504,13 @@ class EnvironmentState:
     that needs only :attr:`enabled_count` and ``effective_edge_arrays``
     never builds either set.
 
-    The simulation layer's connectivity tracker
-    (:class:`repro.environment.connectivity.ConnectivityTracker`) can
-    pre-install maintained component views on a state, in which case the
-    group accessors serve those instead of computing from scratch; the
-    installed views are always equal to what the from-scratch computation
-    would produce (pinned by the differential test suite).
+    The communication groups come from one labelling per state
+    (:meth:`component_labels`, by :func:`label_components`), memoized
+    like every other view: the schedulers, the probes and both engines
+    read the same one.  Without numpy the from-scratch walk
+    :func:`connected_component_tuples` computes them instead; the two
+    agree member for member and in order (pinned by the differential
+    test suite).
 
     An environment that already holds its state as arrays may also hand
     over the effective edges as ``effective_edge_arrays``: a pair of
@@ -482,32 +619,83 @@ class EnvironmentState:
         each component is a sorted tuple — the exact member layout
         :class:`~repro.agents.group.Group` stores — so schedulers can
         build their groups without materialising a frozenset per
-        component."""
+        component.  The members of :meth:`component_groups` when numpy
+        is importable; the component walk otherwise."""
         memo = self.__dict__.get("_component_tuples")
         if memo is None:
-            maintained = self.__dict__.get("_maintained_components")
-            if maintained is not None:
-                memo = maintained.component_tuples(self)
-            else:
+            if _numpy is None:
                 memo = connected_component_tuples(
                     self.enabled_agents, self.effective_edges()
                 )
+            else:
+                memo = list(map(_group_members, self.component_groups()))
             object.__setattr__(self, "_component_tuples", memo)
         return memo
 
-    def maintained_scheduler_groups(self):
-        """The maintained, interned per-component group objects, or None.
+    def component_labels(self) -> tuple:
+        """The state's component labelling ``(ids, labels)``.  Needs numpy.
 
-        Populated (indirectly) by the connectivity tracker when the
-        simulation runs with an incremental environment; schedulers that
-        act on whole components use it to reuse group objects for
-        components unchanged since the previous round.  Callers must treat
-        the returned list as read-only.
+        :func:`label_components` over the effective edges: the
+        ``effective_edge_arrays`` when the environment built them, the
+        effective edge set otherwise.  ``labels`` covers the agents up to
+        the largest endpoint; any agent past it is touched by no edge.
         """
-        maintained = self.__dict__.get("_maintained_components")
-        if maintained is None:
+        memo = self.__dict__.get("_component_labels")
+        if memo is None:
+            arrays = self.effective_edge_arrays
+            if arrays is None:
+                arrays = edge_endpoints(self.effective_edges())
+            u, v = arrays
+            size = int(max(u.max(), v.max())) + 1 if u.shape[0] else 0
+            memo = label_components(u, v, size)
+            object.__setattr__(self, "_component_labels", memo)
+        return memo
+
+    def component_groups(self) -> list:
+        """The communication groups as :class:`~repro.agents.group.Group`
+        objects, in component order — the maximal scheduler's partition.
+
+        Built from :meth:`component_labels` (lone agents get interned
+        groups) when numpy is importable, from the component walk
+        otherwise.  Memoized like the other views and shared, so callers
+        must treat the list as read-only.
+        """
+        memo = self.__dict__.get("_component_groups")
+        if memo is None:
+            if _numpy is None:
+                from ..agents.group import Group  # the agents layer imports this module
+
+                memo = list(map(Group, self.communication_group_tuples()))
+            else:
+                enabled = self.__dict__.get("_enabled_ids")
+                if enabled is None:
+                    agents = self.enabled_agents
+                    enabled = _numpy.sort(
+                        _numpy.fromiter(agents, _numpy.int64, len(agents))
+                    )
+                memo, positions = _labelled_groups(enabled, *self.component_labels())
+                object.__setattr__(self, "_nonsingleton_positions", positions)
+            object.__setattr__(self, "_component_groups", memo)
+        return memo
+
+    def nonsingleton_positions(self, groups: Sequence) -> list[int] | None:
+        """The positions of the non-singleton groups in ``groups``, or None.
+
+        None unless ``groups`` is this state's own :meth:`component_groups`
+        list (compared by identity): only then is it the component
+        partition — disjoint and in range by construction, with its
+        non-singleton positions known from the labelling.
+        """
+        own = self.__dict__
+        if groups is not own.get("_component_groups"):
             return None
-        return maintained.scheduler_groups(self)
+        positions = own.get("_nonsingleton_positions")
+        if positions is None:
+            positions = [
+                index for index, group in enumerate(groups) if len(group.members) > 1
+            ]
+            object.__setattr__(self, "_nonsingleton_positions", positions)
+        return positions
 
     def _adopt_view_memos(self, previous: "EnvironmentState") -> None:
         """Copy ``previous``'s memoized derived views onto this state.
@@ -521,8 +709,10 @@ class EnvironmentState:
         for key in (
             "_effective_edges",
             "_communication_groups",
+            "_component_labels",
+            "_component_groups",
+            "_nonsingleton_positions",
             "_component_tuples",
-            "_maintained_components",
         ):
             if key not in own:
                 memo = source.get(key)
@@ -615,8 +805,8 @@ class Environment(ABC):
         whose states are a pure function of the round index (static, duty
         cycles, the adversaries) or of fresh per-round draws (random
         churn).  Derived structure the engines keep across rounds (the
-        previous state, the maintained components) is not environment
-        state: a restored engine resynchronizes it from the next state.
+        previous state) is not environment state: a restored engine
+        resynchronizes it from the next state.
         """
         return {}
 

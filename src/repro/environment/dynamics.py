@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import random
 import threading
-from itertools import chain, compress
+from itertools import compress
 
 try:
     import numpy as _numpy
@@ -25,7 +25,7 @@ except ImportError:  # pragma: no cover - exercised by the without-numpy CI leg
 
 from ..core.errors import EnvironmentError_
 from ..registry import register_environment
-from .base import Environment, EnvironmentState, Topology
+from .base import Environment, EnvironmentState, Topology, edge_endpoints
 
 __all__ = [
     "StaticEnvironment",
@@ -128,14 +128,6 @@ def _drawn_on_scratch(rng: random.Random, draw):
     keys, position = scratch.get_state()[1:3]
     rng.setstate((version, tuple(keys.tolist()) + (int(position),), gauss))
     return drawn
-
-
-def edge_endpoints(edges) -> tuple:
-    """The ``(u, v)`` endpoints of a sequence of edges as two ``int64``
-    numpy arrays, in sequence order.  Needs numpy."""
-    np = _numpy
-    flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
-    return flat[0::2].copy(), flat[1::2].copy()
 
 
 def masked_state(
@@ -347,10 +339,10 @@ class MarkovChurnEnvironment(Environment):
     (:meth:`EnvironmentState.from_arrays`): the up agents and the up-edge
     index as ``int64`` arrays, plus the effective edges as ``int64``
     ``(u, v)`` arrays (:attr:`EnvironmentState.effective_edge_arrays`).
-    Its frozensets are built only when something reads them: the array
-    engine reads only the arrays, and the reference engine diffs
-    consecutive array-form states on their arrays
-    (:meth:`~repro.environment.base.EnvironmentDelta.between`).
+    Its frozensets are built only when something reads them: the
+    component labelling and the array engine read only the arrays, and
+    the reference engine diffs consecutive array-form states on their
+    arrays (:meth:`~repro.environment.base.EnvironmentDelta.between`).
     """
 
     def __init__(

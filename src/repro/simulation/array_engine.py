@@ -59,9 +59,11 @@ engine reads only its enabled count and its effective edges as ``int64``
 arrays
 (:attr:`~repro.environment.base.EnvironmentState.effective_edge_arrays`),
 so under the maximal scheduler no round builds the state's frozensets.
-Communication components are labelled from those arrays by vectorized
-min-label propagation; only an environment that builds no arrays pays
-for a frozenset-to-array conversion.  ``cross_check=True`` runs this
+Communication components are the state's own labelling
+(:meth:`~repro.environment.base.EnvironmentState.component_labels`,
+vectorized min-label propagation over those arrays — the same labelling
+the reference engine reads); only an environment that builds no arrays
+pays for a frozenset-to-array conversion.  ``cross_check=True`` runs this
 same program and checks every round of it against from-scratch oracles.
 
 Checkpoints serialize through the same tagged codec as the reference
@@ -87,12 +89,7 @@ from ..core.errors import SimulationError, SpecificationError
 from ..core.multiset import Multiset
 from ..core.objective import ObjectiveFunction
 from ..core.relation import StepKind
-from ..environment.base import (
-    Environment,
-    EnvironmentState,
-    connected_component_tuples,
-)
-from ..environment.dynamics import edge_endpoints
+from ..environment.base import Environment, EnvironmentState, check_components
 from ..registry import register_engine
 from .checkpoint import EngineCheckpoint, RoundState, decode_state, encode_state
 from .engine import _validate_partition
@@ -158,39 +155,6 @@ def _refusal(
     if not HAVE_NUMPY:
         return "needs numpy for its int64 kernels, and numpy is not importable"
     return None
-
-
-def _label_components(u, v, num_agents: int):
-    """Connected components of the effective edges ``(u[i], v[i])``.
-
-    Labels over the fixed agent-id index: ``labels`` starts as
-    ``arange(num_agents)`` and min-label propagation with full path
-    compression runs over the edge arrays directly, so no sort and no
-    remapping is needed.  Returns ``(ids, labels)``: the ascending ids of
-    the agents some edge touches, and every agent's label — the smallest
-    agent id of its component (an agent no edge touches labels itself).
-    """
-    np = _numpy
-    labels = np.arange(num_agents, dtype=np.int64)
-    if not u.shape[0]:
-        return np.empty(0, dtype=np.int64), labels
-    while True:
-        # Scatter-min across both edge directions, then compress label
-        # chains to their roots; converges in O(log diameter) sweeps
-        # because labels only ever decrease toward the component minimum.
-        np.minimum.at(labels, u, labels.take(v))
-        np.minimum.at(labels, v, labels.take(u))
-        while True:
-            jumped = labels.take(labels)
-            if np.array_equal(jumped, labels):
-                break
-            labels = jumped
-        if np.array_equal(labels.take(u), labels.take(v)):
-            break
-    touched = np.zeros(num_agents, dtype=bool)
-    touched[u] = True
-    touched[v] = True
-    return np.flatnonzero(touched), labels
 
 
 def _scheduled_arrays(groups: Sequence[Sequence[int]]):
@@ -412,7 +376,8 @@ class ArrayEngine(Engine):
         Debug flag.  When True the engine runs the same paths and checks
         every round against from-scratch oracles: each group result
         against the algorithm's own step rule (through the full relation
-        judge), the labelling against :func:`connected_component_tuples`,
+        judge), the labelling against the from-scratch component walk
+        (:func:`~repro.environment.base.check_components`),
         the array transition's state and RNG state against the public
         ``advance`` on a copy of the run RNG, the initial objective and
         target against ``h`` and ``algorithm.target`` recomputed from the
@@ -536,20 +501,6 @@ class ArrayEngine(Engine):
             return self._checked_array_advance(round_index, rng)
         return self._array_advance(round_index, rng)
 
-    def _labelled_components(self, environment_state: EnvironmentState):
-        """The maximal partition as ``(ids, labels, enabled_count)``.
-
-        The effective edges (both endpoints enabled) come from the
-        state's ``effective_edge_arrays`` when its environment built them,
-        and from its effective edge set otherwise; either way they are
-        labelled by :func:`_label_components`.
-        """
-        arrays = environment_state.effective_edge_arrays
-        if arrays is None:
-            arrays = edge_endpoints(environment_state.effective_edges())
-        ids, labels = _label_components(*arrays, self.environment.num_agents)
-        return ids, labels, environment_state.enabled_count
-
     def _execute_round(self, round_index: int) -> ArrayRoundRecord:
         """Execute one round — one environment transition, one vectorized
         agent transition — and record what happened.
@@ -571,15 +522,16 @@ class ArrayEngine(Engine):
             state.objective_value = self._initial_objective()
         environment_state = self._advance_environment(round_index)
         if self._maximal_bypass:
-            ids, labels, enabled_count = self._labelled_components(environment_state)
+            ids, labels = environment_state.component_labels()
             group_of_id = labels.take(ids)
             group_count = labels.shape[0]
             groups = None
             if self.cross_check:
-                groups = self._verify_components(
-                    environment_state, ids, group_of_id, enabled_count
+                components = check_components(
+                    environment_state, "array-engine component labelling"
                 )
-            singletons = enabled_count - ids.shape[0]
+                groups = [list(members) for members in components if len(members) >= 2]
+            singletons = environment_state.enabled_count - ids.shape[0]
         else:
             scheduled = self.scheduler.schedule(environment_state, self._state.rng)
             _validate_partition(scheduled, self.environment.num_agents)
@@ -709,40 +661,6 @@ class ArrayEngine(Engine):
         return bool(np.array_equal(np.sort(states), sorted_target))
 
     # -- cross-checks ------------------------------------------------------------
-
-    def _verify_components(
-        self,
-        environment_state: EnvironmentState,
-        ids,
-        group_of_id,
-        enabled_count: int,
-    ) -> list[list[int]]:
-        """Debug cross-check: labelled components == the component walk.
-
-        Groups the labelled agents into member lists — ordered by
-        smallest member, members ascending, because ``ids`` ascends —
-        compares them and the group count against
-        :func:`connected_component_tuples` on the same state, and returns
-        them for the kernel cross-check to re-derive through the step
-        rule.
-        """
-        components: dict[int, list[int]] = {}
-        for agent, label in zip(ids.tolist(), group_of_id.tolist()):
-            components.setdefault(label, []).append(agent)
-        groups = list(components.values())
-        group_steps = len(groups) + enabled_count - ids.shape[0]
-        expected = connected_component_tuples(
-            environment_state.enabled_agents, environment_state.effective_edges()
-        )
-        expected_groups = [list(c) for c in expected if len(c) >= 2]
-        if groups != expected_groups or group_steps != len(expected):
-            raise SimulationError(
-                "array-engine component labelling diverged from the "
-                f"component walk at round {environment_state.round_index}: "
-                f"{groups!r} ({group_steps} groups) vs {expected_groups!r} "
-                f"({len(expected)} groups)"
-            )
-        return groups
 
     def _verify_kernel_groups(
         self,

@@ -34,11 +34,9 @@ trajectory, probe payloads, metadata) to the uninterrupted run, for all
 ``k``.
 
 What is deliberately *not* serialized: derived caches.  The maintained
-multiset is rebuilt from the restored agent states, the connectivity
-tracker resynchronizes from the first post-restore environment state (the
-deterministic rebuild recipe — maintained components are pinned equal to
-the from-scratch walk), and memo caches (fingerprints, interned groups,
-conservation triples) refill on demand.  None of it affects results, so
+multiset is rebuilt from the restored agent states, each environment
+state labels its own components when first asked, and memo caches
+(fingerprints, interned groups, conservation triples) refill on demand.  None of it affects results, so
 none of it needs to survive.
 """
 

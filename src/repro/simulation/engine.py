@@ -27,23 +27,22 @@ carries the stopping policy and the probe pipeline for every execution
 backend and accumulates the classic :class:`SimulationResult`.  This
 module supplies how one round executes.
 
-Bookkeeping is *incremental* by default, in both layers.  Instead of
-rebuilding the agent-state multiset and recomputing the objective ``h``
-from scratch every round, the engine folds each round's ``(removed,
-added)`` state delta into a maintained :class:`MutableMultiset`, updates
-``h`` in O(|delta|) for objectives that support exact increments, and
-compares against the target via an O(1) content fingerprint.  The
-environment layer is maintained the same way, from the delta between
-each round's environment state and the last
-(:meth:`EnvironmentDelta.between`, taken by the engine for every
-environment): a :class:`ConnectivityTracker` keeps the communication
-groups, and quiet rounds adopt the previous state's memoized views.  A
-round in which two agents moved therefore costs O(2) bookkeeping, not
-O(n) — matching the paper's "speed up or slow down depending on the
-resources available" story.  ``incremental=False`` selects the from-scratch
-reference mode for both layers, the oracle the parity test suite compares
-the default against byte for byte; ``cross_check=True`` validates the
-maintained state against a full recomputation every round.
+Bookkeeping is *incremental* by default.  Instead of rebuilding the
+agent-state multiset and recomputing the objective ``h`` from scratch
+every round, the engine folds each round's ``(removed, added)`` state
+delta into a maintained :class:`MutableMultiset`, updates ``h`` in
+O(|delta|) for objectives that support exact increments, and compares
+against the target via an O(1) content fingerprint.  The communication
+groups are the state's own labelling
+(:meth:`EnvironmentState.component_groups`), and quiet rounds — an
+empty :meth:`EnvironmentDelta.between` the previous state — adopt the
+previous state's memoized views.  A round in which two agents moved
+therefore costs O(2) bookkeeping, not O(n) — matching the paper's
+"speed up or slow down depending on the resources available" story.
+``incremental=False`` selects the from-scratch reference mode, the
+oracle the parity test suite compares the default against byte for
+byte; ``cross_check=True`` validates the maintained state and the
+labelled components against a full recomputation every round.
 """
 
 from __future__ import annotations
@@ -63,11 +62,10 @@ from ..environment.base import (
     Environment,
     EnvironmentDelta,
     EnvironmentState,
-    connected_component_tuples,
+    check_components,
 )
-from ..environment.connectivity import ConnectivityTracker
 from ..registry import register_engine
-from .checkpoint import EngineCheckpoint, RoundState
+from .checkpoint import RoundState
 from .protocol import Engine, RoundRecord
 
 __all__ = ["RoundRecord", "Simulator"]
@@ -111,24 +109,21 @@ class Simulator(Engine):
         rule for lone agents of algorithms that declare
         ``singleton_stutters``.  The environment layer: the engine diffs
         each environment state against the last
-        (:meth:`EnvironmentDelta.between`), the communication groups are
-        maintained from that delta by a
-        :class:`~repro.environment.connectivity.ConnectivityTracker` (when
-        the scheduler consumes components), and quiet rounds adopt the
+        (:meth:`EnvironmentDelta.between`), and quiet rounds adopt the
         previous state's memoized views.  When False, every round
-        recomputes both layers from scratch — plain ``advance``, the
-        component walk, a freshly built multiset and objective — the
-        reference behaviour the incremental path is measured and
-        cross-checked against.  The random draws and the results are
-        byte-identical either way.  Note: the incremental path assumes
-        agent states change only through executed group steps; code that
-        mutates :attr:`states` directly between rounds must use
-        ``incremental=False`` (or will be caught by ``cross_check``).
+        recomputes from scratch — plain ``advance``, the state's groups,
+        a freshly built multiset and objective — the reference behaviour
+        the incremental path is measured and cross-checked against.  The
+        random draws and the results are byte-identical either way.
+        Note: the incremental path assumes agent states change only
+        through executed group steps; code that mutates :attr:`states`
+        directly between rounds must use ``incremental=False`` (or will
+        be caught by ``cross_check``).
     cross_check:
         Debug flag for the incremental path.  When True, every round the
         maintained multiset, fingerprint and objective are verified
         against a full recomputation from the agent states — and the
-        maintained communication groups against a from-scratch component
+        labelled communication groups against a from-scratch component
         walk — raising :class:`SimulationError` on any divergence.  With
         ``incremental=False`` there is no maintained state to verify, so
         the combination is refused at construction.
@@ -157,17 +152,6 @@ class Simulator(Engine):
         self.incremental = incremental
         self.cross_check = cross_check
 
-        # Incremental environment layer: the tracker is only worth its
-        # per-round upkeep when the scheduler consumes communication
-        # groups (pairwise gossip, for one, never looks at components).
-        self._tracker: ConnectivityTracker | None = None
-        if incremental and getattr(
-            self.scheduler, "uses_communication_groups", False
-        ):
-            self._tracker = ConnectivityTracker(
-                environment.topology, group_factory=Group
-            )
-
         #: The agent states, indexed by agent id.
         self.states: list = algorithm.initial_states(self.initial_values)
         self._initial_states = list(self.states)
@@ -187,45 +171,24 @@ class Simulator(Engine):
         """Return the current agent states as a multiset."""
         return Multiset(self.states)
 
-    # -- reset and restore: the connectivity tracker -------------------------------
-
-    def reset(self) -> None:
-        """Restore the initial configuration, connectivity tracker included."""
-        super().reset()
-        if self._tracker is not None:
-            self._tracker.reset()
-
-    def _restore_agents(self, checkpoint: EngineCheckpoint) -> None:
-        super()._restore_agents(checkpoint)
-        if self._tracker is not None:
-            # The tracker resynchronizes from the next observed state —
-            # the deterministic rebuild recipe; maintained components are
-            # pinned equal to the from-scratch walk either way.
-            self._tracker.reset()
-
     def _advance_environment(self, round_index: int) -> EnvironmentState:
-        """One environment transition, maintaining the incremental views.
+        """One environment transition, with view reuse across quiet rounds.
 
-        The random draws are identical in every mode; what differs is
-        whether the new state's derived views (components, effective
-        edges) are maintained from its delta to the previous state or
-        recomputed lazily from scratch.  The delta is taken against the
-        state this engine last observed, so it is exact by construction
-        (None after construction, reset or restore: resynchronize).
+        The random draws are identical in every mode.  In incremental
+        mode, a state semantically identical to the previous one (an
+        empty delta, taken against the state this engine last observed)
+        adopts that state's memoized views — its labelling and its
+        groups — instead of recomputing them.
         """
         environment_state = self.environment.advance(round_index, self._state.rng)
         if not self.incremental:
             return environment_state
         previous = self._previous_environment_state
         self._previous_environment_state = environment_state
-        delta = (
-            None
-            if previous is None
-            else EnvironmentDelta.between(previous, environment_state)
-        )
-        if self._tracker is not None:
-            self._tracker.observe(environment_state, delta)
-        elif delta is EMPTY_DELTA:
+        if (
+            previous is not None
+            and EnvironmentDelta.between(previous, environment_state) is EMPTY_DELTA
+        ):
             environment_state._adopt_view_memos(previous)
         return environment_state
 
@@ -250,20 +213,22 @@ class Simulator(Engine):
         # randomness), their step-rule calls can be skipped outright.
         skip_singletons = incremental and self.algorithm.singleton_stutters
 
-        tracker = self._tracker
-        if tracker is not None and scheduled is tracker.scheduler_groups(
-            environment_state
-        ):
-            # The scheduled list *is* the maintained component partition:
+        positions = (
+            environment_state.nonsingleton_positions(scheduled)
+            if incremental
+            else None
+        )
+        if positions is not None:
+            # The scheduled list *is* the state's component partition:
             # disjoint and in-range by construction, so the O(n)
             # validation pass is unnecessary — and the non-singleton
             # components are already known, so the round loop touches
             # O(active) groups instead of iterating every singleton.
             if self.cross_check:
-                self._verify_maintained_components(environment_state)
+                check_components(environment_state, "component labelling")
             if skip_singletons:
                 return self._execute_maintained_round(
-                    round_index, scheduled, tracker
+                    round_index, scheduled, positions
                 )
         else:
             _validate_partition(scheduled, self.environment.num_agents)
@@ -335,16 +300,17 @@ class Simulator(Engine):
         self,
         round_index: int,
         scheduled: Sequence[Group],
-        tracker: ConnectivityTracker,
+        positions: list[int],
     ) -> RoundRecord:
-        """Round execution over the maintained component partition.
+        """Round execution over the state's component partition.
 
         Semantically identical to the generic loop in
         :meth:`_execute_round` — same groups in the same order, same
         judgements, same state deltas, same random draws — but the
         singleton components (which all stutter, by the algorithm's
         ``singleton_stutters`` declaration) are pre-filled instead of
-        iterated, so the loop runs over the round's active groups only.
+        iterated, so the loop runs over the round's active groups only:
+        ``positions`` are the non-singleton groups' places in ``scheduled``.
         """
         states = self.states
         apply_group_step = self.algorithm.apply_group_step
@@ -359,7 +325,8 @@ class Simulator(Engine):
         # raises the floor to the largest non-singleton.
         largest = 1 if scheduled else 0
         try:
-            for index, group in tracker.nonsingleton_groups():
+            for index in positions:
+                group = scheduled[index]
                 members = group.members
                 if len(members) > largest:
                     largest = len(members)
@@ -395,10 +362,8 @@ class Simulator(Engine):
             judgements_tuple = self._stutter_judgements(len(scheduled))
         else:
             judgements_tuple = tuple(judgements)
-        # The tracker shares one tuple per partition: records of quiet
-        # rounds reference the same groups tuple instead of copying.
         return self._round_record(
-            round_index, fold, tracker.groups_tuple(), judgements_tuple,
+            round_index, fold, tuple(scheduled), judgements_tuple,
             improving, invalid, largest,
         )
 
@@ -443,21 +408,6 @@ class Simulator(Engine):
             if len(stutter_tuples) < 64:
                 stutter_tuples[size] = cached
         return cached
-
-    def _verify_maintained_components(
-        self, environment_state: EnvironmentState
-    ) -> None:
-        """Debug cross-check: maintained components == from-scratch walk."""
-        expected = connected_component_tuples(
-            environment_state.enabled_agents, environment_state.effective_edges()
-        )
-        maintained = environment_state.communication_group_tuples()
-        if maintained != expected:
-            raise SimulationError(
-                "incremental connectivity diverged from the from-scratch "
-                f"component walk at round {environment_state.round_index}: "
-                f"maintained {maintained!r} vs actual {expected!r}"
-            )
 
     def _fold_round(
         self, removed: list, added: list, clean: bool

@@ -53,6 +53,7 @@ from repro.core.algorithm import SelfSimilarAlgorithm
 from repro.core.errors import SimulationError, SpecificationError
 from repro.core.multiset import Multiset
 from repro.core.objective import ObjectiveFunction
+from repro.environment import base as environment_base
 from repro.environment import dynamics
 from repro.environment.adversary import (
     BlackoutAdversary,
@@ -865,14 +866,14 @@ class TestVectorizedFastPaths:
         # from the state's effective edges.
         engine = _build(ArrayEngine, "minimum", environment_name="markov")
         assert engine._maximal_bypass and engine._array_advance is None
-        label = array_engine_module._label_components
+        label = environment_base.label_components
         calls = []
 
         def counting_label(u, v, num_agents):
             calls.append(num_agents)
             return label(u, v, num_agents)
 
-        monkeypatch.setattr(array_engine_module, "_label_components", counting_label)
+        monkeypatch.setattr(environment_base, "label_components", counting_label)
         result = engine.run(max_rounds=80, extra_rounds_after_convergence=2)
         assert len(calls) == result.rounds_executed
         reference = _build(Simulator, "minimum", environment_name="markov").run(
@@ -963,24 +964,26 @@ class TestVectorizedFastPaths:
         _assert_identical(result, reference)
 
     @pytest.mark.parametrize(
-        "environment_name, scheduler_name, cross_check",
+        "environment_name, scheduler_name, cross_check, reads_sets",
         [
-            ("churn", "random-pair", False),
-            ("churn", "random-subgroup", False),
-            ("dense-markov", "random-pair", False),
-            ("dense-markov", "random-subgroup", False),
+            ("churn", "random-pair", False, True),
+            ("dense-markov", "random-pair", False, True),
+            # Components come from the state's labelling, which reads
+            # only the arrays.
+            ("churn", "random-subgroup", False, False),
+            ("dense-markov", "random-subgroup", False, False),
             # (The cross-check compares each state with its oracle's,
             # which reads the sets.)
-            ("churn", "maximal", True),
-            ("dense-markov", "maximal", True),
+            ("churn", "maximal", True, True),
+            ("dense-markov", "maximal", True, True),
         ],
     )
     def test_sets_are_built_on_demand(
-        self, monkeypatch, environment_name, scheduler_name, cross_check
+        self, monkeypatch, environment_name, scheduler_name, cross_check, reads_sets
     ):
-        # A scheduler that runs for real, or the cross-check, reads the
-        # array-form state's sets: they are built then, and the run still
-        # matches the reference engine.
+        # A scheduler that runs for real on the effective edge set, or the
+        # cross-check, reads the array-form state's sets: they are built
+        # then, and only then; the run still matches the reference engine.
         built = _count_built_sets(monkeypatch)
         result, reference = _run_pair(
             "minimum",
@@ -989,7 +992,7 @@ class TestVectorizedFastPaths:
             array_kwargs={"cross_check": cross_check},
             max_rounds=12,
         )
-        assert built
+        assert bool(built) == reads_sets
         _assert_identical(result, reference)
 
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
@@ -1004,7 +1007,7 @@ class TestVectorizedFastPaths:
         )
 
     def test_cross_check_catches_a_diverging_labelling(self, monkeypatch):
-        label = array_engine_module._label_components
+        label = environment_base.label_components
 
         def miscounting_label(u, v, num_agents):
             # Split one agent off its component: one group too many.
@@ -1015,9 +1018,7 @@ class TestVectorizedFastPaths:
                 labels[split[0]] = split[0]
             return ids, labels
 
-        monkeypatch.setattr(
-            array_engine_module, "_label_components", miscounting_label
-        )
+        monkeypatch.setattr(environment_base, "label_components", miscounting_label)
         engine = _build(
             ArrayEngine, "minimum", environment_name="markov", cross_check=True
         )

@@ -30,7 +30,7 @@ from repro.algorithms.minimum import minimum_algorithm, minimum_objective
 from repro.algorithms.summation import summation_algorithm, sum_objective
 from repro.core.errors import SpecificationError
 from repro.core.objective import exact_int64_sum
-from repro.environment.base import connected_component_tuples
+from repro.environment.base import connected_component_tuples, label_components
 from repro.environment.dynamics import StaticEnvironment
 from repro.environment.graphs import complete_graph
 from repro.simulation.array_engine import (
@@ -38,7 +38,6 @@ from repro.simulation.array_engine import (
     INT64_MIN,
     ArrayEngine,
     _group_step_kernel,
-    _label_components,
     _scheduled_arrays,
 )
 
@@ -146,7 +145,7 @@ def test_maximal_round_matches_the_step_rule(case):
 
     u = np.array([a for a, _ in edges], dtype=np.int64)
     v = np.array([b for _, b in edges], dtype=np.int64)
-    ids, labels = _label_components(u, v, num_agents)
+    ids, labels = label_components(u, v, num_agents)
     # Every label is the smallest agent id of its component; agents no
     # edge touches (isolated or disabled) label themselves.
     expected_labels = list(range(num_agents))

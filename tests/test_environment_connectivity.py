@@ -1,18 +1,23 @@
-"""Differential suite for the incremental environment layer.
+"""Differential suite for the environment layer: state deltas and the
+component labeller.
 
-Pins the central contract of the O(Δ) environment work: for every
-environment family, over long runs of churn driven through the public
-``advance`` as the engines drive it,
+Pins two contracts, for every environment family, over long runs of
+churn driven through the public ``advance`` as the engines drive it (and
+through the array transitions, whose states carry ``int64`` edge
+arrays):
 
 * :meth:`EnvironmentDelta.between` of consecutive states is exactly their
   symmetric difference — on frozensets and on the array form alike — and
   the shared :data:`EMPTY_DELTA` when nothing changed;
-* the :class:`ConnectivityTracker`'s maintained components are identical
-  — members and order — to a from-scratch
+* the state's labelled components (:func:`label_components`, read
+  through :meth:`EnvironmentState.communication_group_tuples`,
+  :meth:`~EnvironmentState.component_groups` and
+  :meth:`~EnvironmentState.nonsingleton_positions`) are identical —
+  members and order — to a from-scratch
   :func:`connected_component_tuples` walk of the same state, including
-  agent-disable edge cases and components that split and re-merge;
-* component/group identity is reused across quiet rounds (the allocation
-  contract behind the scheduler's group interning).
+  rounds with no effective edge, blackouts, one giant component and
+  edges that touch a disabled agent; with numpy hidden the walk serves
+  and the engine's results are byte-identical.
 
 The engine-level byte-parity of the incremental engine against its
 from-scratch reference (``incremental=False``) is pinned separately
@@ -21,6 +26,7 @@ from-scratch reference (``incremental=False``) is pinned separately
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -28,20 +34,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.agents.group import Group
+from repro.algorithms.minimum import minimum_algorithm
 from repro.environment.adversary import (
     BlackoutAdversary,
     EdgeBudgetAdversary,
     RotatingPartitionAdversary,
     TargetedCrashAdversary,
 )
+from repro.environment import base, dynamics
 from repro.environment.base import (
     EMPTY_DELTA,
     EnvironmentDelta,
     EnvironmentState,
     connected_component_tuples,
 )
-from repro.environment.connectivity import ConnectivityTracker
-from repro.environment import dynamics
 from repro.environment.dynamics import (
     MarkovChurnEnvironment,
     PeriodicDutyCycleEnvironment,
@@ -56,19 +62,18 @@ from repro.environment.graphs import (
     ring_graph,
 )
 from repro.environment.mobility import RandomWaypointEnvironment
+from repro.simulation.engine import Simulator
 
 # Each factory returns a fresh environment; names document what aspect of
-# the delta/connectivity machinery the family stresses.
+# the delta and labelling machinery the family stresses.
 ENVIRONMENTS = {
     # static: one resync, then empty deltas forever
     "static": lambda: StaticEnvironment(ring_graph(24)),
-    # sparse churn on a low-degree graph: the static-adjacency fast path,
-    # pair splits/merges dominating
+    # sparse churn on a low-degree graph: pairs and singletons dominating
     "churn-sparse-ring": lambda: RandomChurnEnvironment(
         ring_graph(40), edge_up_probability=0.15
     ),
-    # dense churn on a complete graph: the dynamic-adjacency path, with
-    # deletions dominating round over round
+    # dense churn on a complete graph: few, large components
     "churn-dense-complete": lambda: RandomChurnEnvironment(
         complete_graph(18), edge_up_probability=0.55
     ),
@@ -247,96 +252,96 @@ def test_between_property_over_state_forms(
         assert EnvironmentDelta.between(twin, state) is EMPTY_DELTA
 
 
+def assert_labelled(state: EnvironmentState) -> None:
+    """Every labelled view of ``state`` == the from-scratch walk."""
+    components = state.communication_group_tuples()
+    groups = state.component_groups()
+    expected = from_scratch(state)
+    assert components == expected, f"diverged at round {state.round_index}"
+    assert [group.members for group in groups] == expected
+    assert all(type(group) is Group for group in groups)
+    assert state.nonsingleton_positions(groups) == [
+        index for index, members in enumerate(expected) if len(members) > 1
+    ]
+    assert state.communication_groups() == [frozenset(m) for m in expected]
+
+
 @pytest.mark.parametrize("name", sorted(ENVIRONMENTS))
-def test_incremental_connectivity_matches_from_scratch(name):
+def test_labelled_components_match_the_walk(name):
     environment = ENVIRONMENTS[name]()
-    tracker = ConnectivityTracker(environment.topology)
     rng = random.Random(4242)
-    for state, delta in observed(environment, rng, ROUNDS):
-        tracker.observe(state, delta)
-        assert tracker.component_tuples(state) == from_scratch(state), (
-            f"{name}: maintained components diverged at round "
-            f"{state.round_index}"
-        )
+    for round_index in range(ROUNDS):
+        assert_labelled(environment.advance(round_index, rng))
 
 
-@pytest.mark.parametrize("name", sorted(ENVIRONMENTS))
-def test_state_group_views_serve_maintained_components(name):
-    environment = ENVIRONMENTS[name]()
-    tracker = ConnectivityTracker(environment.topology, group_factory=Group)
-    rng = random.Random(17)
-    for state, delta in observed(environment, rng, 80):
-        tracker.observe(state, delta)
-        expected = from_scratch(state)
-        assert state.communication_group_tuples() == expected
-        assert [set(g) for g in state.communication_groups()] == [
-            set(t) for t in expected
-        ]
-        groups = state.maintained_scheduler_groups()
-        assert groups is not None
-        assert [group.members for group in groups] == expected
-        # Non-singleton view: correct groups at correct positions.
-        assert [
-            (index, group)
-            for index, group in enumerate(groups)
-            if len(group) > 1
-        ] == tracker.nonsingleton_groups()
+def _array_transitions():
+    """Array-form transitions: random churn's, and Markov churn's above
+    its vectorization threshold (forced down to every size here)."""
+    churn = RandomChurnEnvironment(
+        grid_graph(6, 7), edge_up_probability=0.35, agent_up_probability=0.75
+    )
+    markov = MarkovChurnEnvironment(
+        random_connected_graph(40, extra_edge_probability=0.1, seed=3),
+        edge_failure_probability=0.3,
+        edge_recovery_probability=0.3,
+        agent_failure_probability=0.15,
+        agent_recovery_probability=0.4,
+    )
+    return {
+        "churn-arrays": churn.array_transition(),
+        "markov-vectorized": markov.advance,
+    }
 
 
-def test_group_objects_reused_across_rounds():
-    environment = RandomChurnEnvironment(ring_graph(30), edge_up_probability=0.1)
-    tracker = ConnectivityTracker(environment.topology, group_factory=Group)
-    rng = random.Random(3)
-    seen_singletons: dict[int, int] = {}
-    for state, delta in observed(environment, rng, 120):
-        tracker.observe(state, delta)
-        for group in state.maintained_scheduler_groups():
-            assert isinstance(group, Group)
-            if len(group.members) == 1:
-                agent = group.members[0]
-                # A lone agent keeps one interned group object for the
-                # whole run, no matter how often it joins and leaves
-                # larger components in between.
-                if agent in seen_singletons:
-                    assert seen_singletons[agent] == id(group)
-                else:
-                    seen_singletons[agent] = id(group)
+@pytest.mark.parametrize("name", ["churn-arrays", "markov-vectorized"])
+def test_array_form_states_label_their_edge_arrays(name, monkeypatch):
+    if base._numpy is None:
+        pytest.skip("array-form states need numpy")
+    monkeypatch.setattr(dynamics, "VECTORIZED_MIN_DRAWS", 0)
+    advance = _array_transitions()[name]
+    rng = random.Random(21)
+    for round_index in range(ROUNDS):
+        state = advance(round_index, rng)
+        assert state.effective_edge_arrays is not None
+        state.component_labels()
+        # Labelling reads the int64 arrays only: neither frozenset exists.
+        assert "available_edges" not in state.__dict__
+        assert "enabled_agents" not in state.__dict__
+        assert_labelled(state)
 
 
-def test_quiet_round_shares_group_list():
-    environment = StaticEnvironment(ring_graph(12))
-    tracker = ConnectivityTracker(environment.topology, group_factory=Group)
-    rounds = observed(environment, random.Random(0), 2)
-    state0, delta0 = next(rounds)
-    tracker.observe(state0, delta0)
-    first = state0.maintained_scheduler_groups()
-    first_tuple = tracker.groups_tuple()
-    state1, delta1 = next(rounds)
-    assert delta1 is EMPTY_DELTA
-    tracker.observe(state1, delta1)
-    assert state1.maintained_scheduler_groups() is first
-    assert tracker.groups_tuple() is first_tuple
+@given(
+    num_agents=st.integers(min_value=1, max_value=16),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_labelling_property(num_agents, data):
+    agents = st.integers(min_value=0, max_value=num_agents - 1)
+    pairs = data.draw(st.lists(st.tuples(agents, agents), max_size=3 * num_agents))
+    enabled = data.draw(st.sets(agents))
+    edges = {(min(a, b), max(a, b)) for a, b in pairs if a != b}
+    assert_labelled(EnvironmentState(frozenset(enabled), frozenset(edges)))
 
 
-class _ScriptedEnvironment:
-    """Drives the tracker through a scripted split / re-merge scenario."""
+#: Hand-built states for the edge cases: (enabled agents, available edges).
+EDGE_CASES = {
+    "no-effective-edges": (range(6), []),
+    "all-disabled": ([], [(0, 1), (1, 2), (3, 4)]),
+    "edges-touch-only-disabled-agents": ([0, 2, 4], [(0, 1), (1, 2), (3, 4)]),
+    "disabled-agent-splits-a-chain": ([0, 1, 3, 4], [(0, 1), (1, 2), (2, 3), (3, 4)]),
+    "one-giant-component": (range(12), complete_graph(12).edges),
+    "giant-component-but-one-disabled": (range(1, 12), complete_graph(12).edges),
+    "lone-agents-past-the-last-edge": ([0, 1, 2, 7, 9], [(0, 1)]),
+    "edge-to-a-disabled-top-agent": ([0, 1, 2, 3], [(0, 1), (2, 9), (3, 9)]),
+    "lone-agent-zero": ([0, 5, 6, 7], [(5, 7), (6, 7)]),
+    "single-agent": ([0], []),
+}
 
-    def __init__(self, topology, scripts):
-        self.topology = topology
-        self.scripts = scripts  # list of (enabled, edges)
 
-    def states(self):
-        previous = None
-        for index, (enabled, edges) in enumerate(self.scripts):
-            state = EnvironmentState(
-                enabled_agents=frozenset(enabled),
-                available_edges=frozenset(edges),
-                round_index=index,
-            )
-            yield state, (
-                None if previous is None else EnvironmentDelta.between(previous, state)
-            )
-            previous = state
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_edge_case_states(case):
+    enabled, edges = EDGE_CASES[case]
+    assert_labelled(EnvironmentState(frozenset(enabled), frozenset(edges)))
 
 
 def test_scripted_split_and_remerge():
@@ -354,75 +359,116 @@ def test_scripted_split_and_remerge():
         ([], []),                                     # blackout
         (everyone, chain),                            # recovery
     ]
-    environment = _ScriptedEnvironment(
-        ring_graph(6), scripts  # topology is only used for sizing
-    )
-    tracker = ConnectivityTracker(environment.topology, group_factory=Group)
-    for state, delta in environment.states():
-        tracker.observe(state, delta)
-        assert tracker.component_tuples(state) == from_scratch(state)
+    for index, (enabled, edges) in enumerate(scripts):
+        assert_labelled(EnvironmentState(frozenset(enabled), frozenset(edges), index))
 
 
-def test_resync_after_none_delta_mid_run():
-    environment = RandomChurnEnvironment(ring_graph(20), edge_up_probability=0.3)
-    tracker = ConnectivityTracker(environment.topology)
-    rng = random.Random(8)
-    for state, delta in observed(environment, rng, 40):
-        if state.round_index == 20:
-            delta = None  # a consumer that lost track resynchronizes
-        tracker.observe(state, delta)
-        assert tracker.component_tuples(state) == from_scratch(state)
+def test_component_groups_are_memoized_and_lone_agents_interned():
+    first = EnvironmentState(frozenset(range(6)), frozenset([(1, 2)]))
+    second = EnvironmentState(frozenset(range(6)), frozenset([(3, 4)]))
+    assert first.component_groups() is first.component_groups()
+    assert first.communication_group_tuples() is first.communication_group_tuples()
+    if base._numpy is not None:
+        # Agent 0 is alone in both states: one interned group object.
+        assert first.component_groups()[0] is second.component_groups()[0]
+        assert first.component_labels() is first.component_labels()
 
 
-def test_tracker_reset_forces_resync():
-    environment = RandomChurnEnvironment(ring_graph(16), edge_up_probability=0.4)
-    tracker = ConnectivityTracker(environment.topology)
-    for state, delta in observed(environment, random.Random(12), 10):
-        tracker.observe(state, delta)
-    tracker.reset()
-    environment.reset()
-    for state, delta in observed(environment, random.Random(12), 10):
-        tracker.observe(state, delta)
-        assert tracker.component_tuples(state) == from_scratch(state)
+def test_nonsingleton_positions_recognise_only_the_state_partition():
+    state = EnvironmentState(frozenset(range(5)), frozenset([(0, 1), (3, 4)]))
+    other = EnvironmentState(frozenset(range(5)), frozenset([(0, 1), (3, 4)]))
+    groups = state.component_groups()
+    assert state.nonsingleton_positions(groups) == [0, 2]
+    # An equal list is not the state's partition, nor is another state's.
+    assert state.nonsingleton_positions(list(groups)) is None
+    assert state.nonsingleton_positions(other.component_groups()) is None
 
 
-def test_stale_state_falls_back_to_from_scratch():
-    environment = RandomChurnEnvironment(ring_graph(10), edge_up_probability=0.5)
-    tracker = ConnectivityTracker(environment.topology, group_factory=Group)
-    rounds = observed(environment, random.Random(1), 2)
-    old_state, old_delta = next(rounds)
-    tracker.observe(old_state, old_delta)
-    new_state, new_delta = next(rounds)
-    tracker.observe(new_state, new_delta)
-    # The superseded state still answers truthfully (served from scratch).
-    assert tracker.component_tuples(old_state) == from_scratch(old_state)
-    assert old_state.maintained_scheduler_groups() is None
+def test_quiet_round_adopts_the_labelling():
+    environment = StaticEnvironment(ring_graph(12))
+    rng = random.Random(0)
+    state0 = environment.advance(0, rng)
+    state1 = environment.advance(1, rng)
+    groups = state0.component_groups()
+    assert EnvironmentDelta.between(state0, state1) is EMPTY_DELTA
+    state1._adopt_view_memos(state0)
+    assert state1.component_groups() is groups
+    assert state1.nonsingleton_positions(groups) == [0]
+    assert_labelled(state1)
 
 
 def test_rotating_partition_interleaved_advance_does_not_corrupt_deltas():
     # Regression: the epoch-edge cache is shared by every advance() call,
     # observed or not.  A plain advance() between observed rounds that
     # crosses an epoch boundary once produced an EMPTY delta right after
-    # a rotation (silently wrong maintained components).  The delta is
-    # now taken against the state the tracker last observed, whatever
-    # the environment did in between.
+    # a rotation, and a quiet-round adoption of stale groups.  The delta
+    # is taken against the state last observed, whatever the environment
+    # did in between.
     environment = RotatingPartitionAdversary(
         complete_graph(9), num_blocks=3, rotate_every=4, seed=0
     )
-    tracker = ConnectivityTracker(environment.topology)
     rng = random.Random(0)
     previous = None
     for round_index in range(16):
         if round_index % 4 == 0:
             environment.advance(round_index, rng)  # unobserved, enters the epoch
         state = environment.advance(round_index, rng)
-        delta = None if previous is None else EnvironmentDelta.between(previous, state)
-        if round_index and round_index % 4 == 0:
-            assert not delta.is_empty  # every rotation here moves some edge
-        tracker.observe(state, delta)
-        assert tracker.component_tuples(state) == from_scratch(state)
+        if previous is not None:
+            delta = EnvironmentDelta.between(previous, state)
+            if round_index % 4 == 0:
+                assert not delta.is_empty  # every rotation here moves some edge
+            elif delta is EMPTY_DELTA:
+                state._adopt_view_memos(previous)
+        assert_labelled(state)
         previous = state
 
+
+# -- numpy hidden: the from-scratch walk serves ----------------------------------
+
+
+@pytest.fixture
+def without_numpy(monkeypatch):
+    monkeypatch.setattr(base, "_numpy", None)
+
+
+@pytest.mark.parametrize("name", ["churn-agents", "duty-cycle", "markov", "mobility"])
+def test_walk_serves_without_numpy(name, without_numpy):
+    environment = ENVIRONMENTS[name]()
+    rng = random.Random(5)
+    for round_index in range(60):
+        state = environment.advance(round_index, rng)
+        assert_labelled(state)
+        assert "_component_labels" not in state.__dict__
+
+
+#: Simulator workloads for the numpy-hidden parity: all-enabled churn,
+#: agent churn and a duty cycle (disabled agents), each converging.
+WALK_PARITY = {
+    "churn": lambda: RandomChurnEnvironment(ring_graph(40), edge_up_probability=0.2),
+    "churn-agents": lambda: RandomChurnEnvironment(
+        grid_graph(6, 6), edge_up_probability=0.3, agent_up_probability=0.7
+    ),
+    "duty-cycle": lambda: PeriodicDutyCycleEnvironment(
+        line_graph(30), period=7, duty_cycle=0.6, seed=11
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_PARITY))
+def test_simulator_results_identical_without_numpy(name, monkeypatch):
+    def run():
+        environment = WALK_PARITY[name]()
+        values = [(13 * agent) % 97 for agent in range(environment.num_agents)]
+        simulator = Simulator(minimum_algorithm(), environment, values, seed=3)
+        result = simulator.run(max_rounds=300, extra_rounds_after_convergence=2)
+        return result, json.dumps(result.to_dict(include_trajectory=True))
+
+    labelled, labelled_text = run()
+    monkeypatch.setattr(base, "_numpy", None)
+    walked, walked_text = run()
+    assert labelled.converged
+    assert walked_text == labelled_text
+    assert list(walked.trace) == list(labelled.trace)
 
 def test_environment_state_memoizes_derived_views():
     state = EnvironmentState(

@@ -57,6 +57,7 @@ from repro.core.errors import SimulationError
 from repro.environment.base import Environment, EnvironmentState
 from repro.environment.dynamics import RandomChurnEnvironment, StaticEnvironment
 from repro.environment.graphs import complete_graph, ring_graph
+from repro.simulation.array_engine import HAVE_NUMPY
 from repro.simulation.engine import Simulator
 
 VALUES = [9, 4, 7, 1, 8, 3, 6, 2]
@@ -945,6 +946,42 @@ def _caught_by_cross_check(scheduler_name):
     return False
 
 
+def _caught_by_array_cross_check():
+    """A ``cross_check=True`` array-engine run raises a divergence, on the
+    same two churn levels as :func:`_caught_by_cross_check`."""
+    from repro.simulation.array_engine import ArrayEngine
+
+    algorithm, values = CASES["minimum"]()
+    try:
+        for edge_up_probability in (0.6, 0.1):
+            ArrayEngine(
+                algorithm,
+                RandomChurnEnvironment(
+                    ring_graph(len(values)),
+                    edge_up_probability=edge_up_probability,
+                    agent_up_probability=0.9,
+                ),
+                initial_values=values,
+                seed=7,
+                cross_check=True,
+            ).run(max_rounds=80, extra_rounds_after_convergence=2)
+    except SimulationError as error:
+        assert "diverged" in str(error)
+        return True
+    return False
+
+
+def _caught_by_both_cross_checks(scheduler_name):
+    """Both engines read the state's one labelling, so ``cross_check``
+    must catch a labeller fault on the reference and the array engine."""
+    reference = _caught_by_cross_check(scheduler_name)
+    array = _caught_by_array_cross_check()
+    assert reference == array, (
+        f"reference cross_check caught: {reference}, array: {array}"
+    )
+    return reference
+
+
 def _caught_by_reference_mode(scheduler_name):
     """The default run diverges from the ``incremental=False`` oracle."""
     default = _run("minimum", scheduler_name, seed=7)
@@ -969,16 +1006,16 @@ def _caught_by_legacy_loop(_scheduler_name):
 
 
 def _seeded_mutations():
-    from repro.environment.connectivity import ConnectivityTracker
+    from repro.environment import base
     from repro.simulation.messaging import MergeMessagePassingSimulator
 
     # mutation -> (owner, method, original, mutated, scheduler, the check
     # that catches it)
     return {
-        "tracker-drops-revived-edges": (
-            ConnectivityTracker, "_apply_delta",
-            "if edge in available:", "if False:",
-            "maximal", _caught_by_cross_check,
+        "labeller-accepts-one-sweep": (
+            base, "label_components",
+            "if np.array_equal(labels.take(u), labels.take(v)):", "if True:",
+            "maximal", _caught_by_both_cross_checks,
         ),
         "fold-round-objective-off-by-one": (
             Simulator, "_fold_round",
@@ -993,7 +1030,7 @@ def _seeded_mutations():
         ),
         "memo-adoption-on-nonempty-delta": (
             Simulator, "_advance_environment",
-            "elif delta is EMPTY_DELTA:", "elif delta is not None:",
+            "is EMPTY_DELTA", "is not None",
             "random-pair", _caught_by_reference_mode,
         ),
         "singleton-skip-widened-to-pairs": (
@@ -1014,6 +1051,8 @@ def test_checks_catch_seeded_mutations(monkeypatch, mutation):
     owner, name, original, mutated, scheduler_name, caught = (
         _seeded_mutations()[mutation]
     )
+    if caught is _caught_by_both_cross_checks and not HAVE_NUMPY:
+        pytest.skip("the labeller and the array engine need numpy")
     # The unmutated recompile passes the check, so what the mutated one
     # trips over is the mutation, not the recompile.
     _recompile(monkeypatch, owner, name, original, original)

@@ -12,16 +12,20 @@ drawn from every environment family, hundreds of rounds each.
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
 from repro.agents import (
+    Group,
     MaximalGroupsScheduler,
     RandomPairScheduler,
     RandomSubgroupScheduler,
+    Scheduler,
     SingleGroupScheduler,
 )
+from repro.algorithms.minimum import minimum_algorithm
 from repro.environment import (
     BlackoutAdversary,
     EdgeBudgetAdversary,
@@ -36,6 +40,7 @@ from repro.environment import (
     line_graph,
     random_connected_graph,
 )
+from repro.simulation.engine import Simulator
 
 SCHEDULERS = [
     MaximalGroupsScheduler(),
@@ -135,3 +140,49 @@ def test_single_group_scheduler_at_most_one_group():
     for round_index in range(40):
         state = environment.advance(round_index, rng)
         assert len(scheduler.schedule(state, rng)) <= 1
+
+
+class _ComponentScheduler(Scheduler):
+    """A plugin scheduler that acts on every component, building its own
+    groups: a fresh list each round, so the engine validates it and runs
+    the generic round loop."""
+
+    def schedule(self, environment_state, rng):
+        return [
+            Group(members)
+            for members in environment_state.communication_group_tuples()
+        ]
+
+    def describe(self):
+        # The result metadata records the description; the rest of the
+        # result must match the maximal scheduler's byte for byte.
+        return MaximalGroupsScheduler().describe()
+
+
+class _LegacyComponentScheduler(_ComponentScheduler):
+    """The same plugin, still declaring the retired component-consumer
+    attribute, which nothing reads any more."""
+
+    uses_communication_groups = True
+
+
+@pytest.mark.parametrize("plugin", [_ComponentScheduler, _LegacyComponentScheduler])
+def test_plugin_component_scheduler_matches_maximal(plugin):
+    def run(scheduler):
+        simulator = Simulator(
+            minimum_algorithm(),
+            RandomChurnEnvironment(
+                grid_graph(5, 6), edge_up_probability=0.3, agent_up_probability=0.8
+            ),
+            initial_values=[(7 * agent) % 31 for agent in range(30)],
+            scheduler=scheduler,
+            seed=11,
+        )
+        return simulator.run(max_rounds=120, extra_rounds_after_convergence=3)
+
+    plugin_result, maximal_result = run(plugin()), run(MaximalGroupsScheduler())
+    assert plugin_result.converged
+    assert list(plugin_result.trace) == list(maximal_result.trace)
+    assert json.dumps(
+        plugin_result.to_dict(include_trajectory=True), sort_keys=True
+    ) == json.dumps(maximal_result.to_dict(include_trajectory=True), sort_keys=True)
