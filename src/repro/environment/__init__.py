@@ -13,9 +13,7 @@ from .adversary import (
     TargetedCrashAdversary,
 )
 from .base import (
-    EMPTY_DELTA,
     Environment,
-    EnvironmentDelta,
     EnvironmentState,
     Topology,
     connected_components,
@@ -43,9 +41,7 @@ __all__ = [
     "EdgeBudgetAdversary",
     "RotatingPartitionAdversary",
     "TargetedCrashAdversary",
-    "EMPTY_DELTA",
     "Environment",
-    "EnvironmentDelta",
     "EnvironmentState",
     "Topology",
     "connected_components",

@@ -24,11 +24,10 @@ This module defines:
   communication groups in canonical order (the from-scratch walk
   :func:`connected_component_tuples` serves when numpy is missing, and
   as the cross-check oracle);
-* :class:`EnvironmentDelta` — what changed between two consecutive
-  environment states (edges up/down, agents enabled/disabled).  It is a
-  function of the two states alone (:meth:`EnvironmentDelta.between`),
-  so no environment reports or tracks its own churn; the engines use it
-  to let a quiet round adopt the previous state's memoized views;
+* :meth:`EnvironmentState.unchanged_from` — whether a state equals the
+  one before it, round index aside.  It is a function of the two states
+  alone, so no environment reports or tracks its own churn; the engines
+  use it to let a quiet round adopt the previous state's memoized views;
 * :class:`Environment` — the abstract driver that produces a (possibly
   adversarial, possibly random) sequence of environment states.
 
@@ -55,8 +54,6 @@ from ..core.errors import EnvironmentError_, SimulationError
 __all__ = [
     "Topology",
     "EnvironmentState",
-    "EnvironmentDelta",
-    "EMPTY_DELTA",
     "Environment",
     "check_components",
     "edge_endpoints",
@@ -373,113 +370,6 @@ def check_components(state: "EnvironmentState", source: str) -> list[tuple[int, 
     return components
 
 
-class EnvironmentDelta:
-    """What changed from one environment state to the next.
-
-    A delta is the exact symmetric difference between two consecutive
-    states: edges that became available / unavailable and agents that
-    became enabled / disabled.  The engines take it with :meth:`between`
-    from each pair of states they observe, which is what lets the
-    connectivity layer update communication groups in O(|delta|) instead
-    of re-walking the graph.
-
-    Field order is not semantically meaningful; each field may hold any
-    iterable of edges / agent ids (consumers only iterate and test
-    emptiness).
-    """
-
-    __slots__ = ("edges_down", "edges_up", "agents_disabled", "agents_enabled")
-
-    def __init__(
-        self,
-        edges_down: Iterable[Edge] = (),
-        edges_up: Iterable[Edge] = (),
-        agents_disabled: Iterable[int] = (),
-        agents_enabled: Iterable[int] = (),
-    ):
-        self.edges_down = edges_down
-        self.edges_up = edges_up
-        self.agents_disabled = agents_disabled
-        self.agents_enabled = agents_enabled
-
-    @property
-    def is_empty(self) -> bool:
-        """True when nothing changed (the state is identical to the last)."""
-        return not (
-            self.edges_down
-            or self.edges_up
-            or self.agents_disabled
-            or self.agents_enabled
-        )
-
-    @classmethod
-    def between(
-        cls, previous: "EnvironmentState", state: "EnvironmentState"
-    ) -> "EnvironmentDelta":
-        """The delta from ``previous`` to ``state``.
-
-        Returns the shared :data:`EMPTY_DELTA` when nothing changed, so
-        quiet rounds allocate nothing.  Two array-form states are diffed
-        on their arrays — the enabled-id arrays, and the up-edge indexes
-        when both index one edge sequence — so neither builds a set; every
-        other pair is diffed on the frozensets.
-        """
-        if previous is state:
-            return EMPTY_DELTA
-        old = previous.__dict__
-        new = state.__dict__
-        old_ids = old.get("_enabled_ids")
-        new_ids = new.get("_enabled_ids")
-        if old_ids is not None and new_ids is not None:
-            agents_disabled, agents_enabled = _index_diff(old_ids, new_ids)
-        else:
-            agents_disabled, agents_enabled = _set_diff(
-                previous.enabled_agents, state.enabled_agents
-            )
-        sequence = new.get("_edge_sequence")
-        if sequence is not None and old.get("_edge_sequence") is sequence:
-            down, up = _index_diff(old["_up_edges"], new["_up_edges"])
-            edges_down = list(map(sequence.__getitem__, down))
-            edges_up = list(map(sequence.__getitem__, up))
-        else:
-            edges_down, edges_up = _set_diff(
-                previous.available_edges, state.available_edges
-            )
-        if not (agents_disabled or agents_enabled or edges_down or edges_up):
-            return EMPTY_DELTA
-        return cls(edges_down, edges_up, agents_disabled, agents_enabled)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"EnvironmentDelta(-{len(tuple(self.edges_down))}e "
-            f"+{len(tuple(self.edges_up))}e "
-            f"-{len(tuple(self.agents_disabled))}a "
-            f"+{len(tuple(self.agents_enabled))}a)"
-        )
-
-
-#: The delta of a round in which nothing changed.
-EMPTY_DELTA = EnvironmentDelta()
-
-
-def _set_diff(previous: frozenset, current: frozenset) -> tuple:
-    """``(previous - current, current - previous)``, skipping equal sets."""
-    if previous is current or previous == current:
-        return (), ()
-    return previous - current, current - previous
-
-
-def _index_diff(previous, current) -> tuple[list[int], list[int]]:
-    """The ``(gone, came)`` entries of two ascending ``int64`` id arrays."""
-    np = _numpy
-    if np.array_equal(previous, current):
-        return [], []
-    return (
-        np.setdiff1d(previous, current, assume_unique=True).tolist(),
-        np.setdiff1d(current, previous, assume_unique=True).tolist(),
-    )
-
-
 @dataclass(frozen=True)
 class EnvironmentState:
     """One environment state ``G``: who is enabled and who can talk to whom.
@@ -697,11 +587,36 @@ class EnvironmentState:
             object.__setattr__(self, "_nonsingleton_positions", positions)
         return positions
 
+    def unchanged_from(self, previous: "EnvironmentState") -> bool:
+        """True when this state's enabled agents and available edges equal
+        ``previous``'s (the round index aside).
+
+        Stops at the first difference.  Two array-form states compare
+        their enabled-id arrays, and their up-edge indexes when both index
+        one edge sequence, so neither builds a set; every other pair
+        compares the frozensets.
+        """
+        if previous is self:
+            return True
+        old = previous.__dict__
+        new = self.__dict__
+        old_ids = old.get("_enabled_ids")
+        new_ids = new.get("_enabled_ids")
+        if old_ids is not None and new_ids is not None:
+            if not _numpy.array_equal(old_ids, new_ids):
+                return False
+        elif previous.enabled_agents != self.enabled_agents:
+            return False
+        sequence = new.get("_edge_sequence")
+        if sequence is not None and old.get("_edge_sequence") is sequence:
+            return bool(_numpy.array_equal(old["_up_edges"], new["_up_edges"]))
+        return previous.available_edges == self.available_edges
+
     def _adopt_view_memos(self, previous: "EnvironmentState") -> None:
         """Copy ``previous``'s memoized derived views onto this state.
 
         Only valid when this state is known to be semantically identical
-        to ``previous`` (an empty :class:`EnvironmentDelta` between them);
+        to ``previous`` (:meth:`unchanged_from`);
         the engines use it so that quiet rounds never recompute a view
         some earlier round already paid for."""
         source = previous.__dict__
@@ -762,13 +677,13 @@ class Environment(ABC):
 
     def advance_with_delta(
         self, round_index: int, rng: random.Random
-    ) -> tuple[EnvironmentState, EnvironmentDelta | None]:
+    ) -> tuple[EnvironmentState, None]:
         """:meth:`advance`, paired with a None ("unknown") delta.
 
         Environments do not track their own churn: the engines call
-        :meth:`advance` and take the delta from the two states with
-        :meth:`EnvironmentDelta.between`.  This adapter remains for callers
-        that still expect a ``(state, delta)`` pair; a None delta tells a
+        :meth:`advance` and compare consecutive states with
+        :meth:`EnvironmentState.unchanged_from`.  This adapter remains for
+        callers that still expect a ``(state, delta)`` pair; a None delta tells a
         consumer to resynchronize from the full state.  The engines never
         call it, so overriding it changes nothing they do.
         """

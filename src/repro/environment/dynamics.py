@@ -341,8 +341,8 @@ class MarkovChurnEnvironment(Environment):
     ``(u, v)`` arrays (:attr:`EnvironmentState.effective_edge_arrays`).
     Its frozensets are built only when something reads them: the
     component labelling and the array engine read only the arrays, and
-    the reference engine diffs consecutive array-form states on their
-    arrays (:meth:`~repro.environment.base.EnvironmentDelta.between`).
+    the reference engine compares consecutive array-form states on their
+    arrays (:meth:`~repro.environment.base.EnvironmentState.unchanged_from`).
     """
 
     def __init__(

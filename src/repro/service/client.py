@@ -12,8 +12,11 @@ service through this module; programmatic users can too::
     final = client.wait(job["id"])
     results = final["results"]
 
-Everything is ``urllib.request``; errors the server reports as JSON come
-back as :class:`ServiceError` carrying the HTTP status and payload.
+JSON requests go over one kept-alive HTTP/1.1 connection per thread
+(``http.client``), so a run of requests pays for one TCP set-up; each
+event stream opens a connection of its own (``urllib.request``).  Errors
+the server reports as JSON come back as :class:`ServiceError` carrying
+the HTTP status and payload.
 
 The client self-heals over a flaky transport:
 
@@ -21,7 +24,9 @@ The client self-heals over a flaky transport:
   timeouts and retryable statuses (502/503/504) — with the exponential
   backoff + deterministic jitter of a
   :class:`~repro.faults.retry.RetryPolicy`, under an optional overall
-  deadline;
+  deadline.  A kept connection the server has closed since its last
+  answer (idle timeout, restart) is replaced once within the attempt,
+  without spending the retry budget;
 * :meth:`wait` polls with exponential backoff (``poll`` doubling up to
   ``poll_cap``) instead of a fixed-rate hammer;
 * :meth:`events` reconnects a dropped SSE stream with ``Last-Event-ID``
@@ -36,10 +41,11 @@ failure (see :class:`~repro.faults.plan.ClientFaultHook`).
 from __future__ import annotations
 
 import json
+import threading
 import time
-from http.client import HTTPException
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from typing import Any, Callable, Iterator, Mapping
-from urllib.error import HTTPError, URLError
+from urllib.error import HTTPError
 from urllib.parse import urlsplit
 from urllib.request import Request, urlopen
 
@@ -52,9 +58,13 @@ __all__ = ["ServiceClient", "ServiceError", "RETRYABLE_STATUSES"]
 #: HTTP statuses worth retrying: transient unavailability, not client error.
 RETRYABLE_STATUSES = frozenset({502, 503, 504})
 
-#: Transport-level failures worth retrying (HTTPError is *not* here — it
-#: subclasses URLError but carries a status and is decided separately).
-_TRANSIENT_ERRORS = (URLError, ConnectionError, TimeoutError, HTTPException)
+#: Transport-level failures worth retrying: refused and reset connections,
+#: timeouts and the fault hook's URLError are all OSErrors.  (So is
+#: HTTPError, which carries a status: :meth:`events` decides it first.)
+_TRANSIENT_ERRORS = (OSError, HTTPException)
+
+#: How a kept connection the server already closed fails on its next use.
+_STALE_ERRORS = (BrokenPipeError, ConnectionResetError, ConnectionAbortedError)
 
 
 class ServiceError(Exception):
@@ -86,14 +96,64 @@ class ServiceClient:
             )
         )
         self.fault_hook = fault_hook
+        self._base_path = urlsplit(self.base_url).path
+        self._local = threading.local()
 
     # -- transport ---------------------------------------------------------------
+
+    def close(self) -> None:
+        """Close the calling thread's kept connection, if it has one."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
+            connection.close()
 
     def _open(self, request: Request):
         """One raw attempt; the fault hook fires before any bytes move."""
         if self.fault_hook is not None:
             self.fault_hook(request.get_method(), urlsplit(request.full_url).path)
         return urlopen(request, timeout=self.timeout)
+
+    def _connect(self) -> HTTPConnection:
+        parts = urlsplit(self.base_url)
+        factory = {"http": HTTPConnection, "https": HTTPSConnection}.get(parts.scheme)
+        try:
+            port = parts.port
+        except ValueError:
+            factory = None
+        if factory is None or not parts.hostname:
+            raise ServiceError(
+                f"not a service URL: {self.base_url!r} (expected http://host:port)"
+            )
+        return factory(parts.hostname, port, timeout=self.timeout)
+
+    def _exchange(
+        self, method: str, path: str, data: bytes | None, headers: dict
+    ) -> tuple[int, bytes]:
+        """One request and its whole response on this thread's connection.
+
+        A reused connection that fails as a closed one does is replaced
+        once; any other failure closes it, so the next attempt starts on
+        a fresh one.
+        """
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = self._connect()
+        reused = connection.sock is not None
+        while True:
+            try:
+                connection.request(
+                    method, self._base_path + path, body=data, headers=headers
+                )
+                response = connection.getresponse()
+                return response.status, response.read()
+            except _STALE_ERRORS:
+                connection.close()
+                if not reused:
+                    raise
+                reused = False
+            except BaseException:
+                connection.close()
+                raise
 
     def _request(
         self,
@@ -115,28 +175,28 @@ class ServiceClient:
                 )
                 if deadline is not None and time.monotonic() >= deadline:
                     break
-            request = Request(
-                self.base_url + path, data=data, headers=headers, method=method
-            )
             try:
-                with self._open(request) as response:
-                    return json.loads(response.read().decode("utf-8"))
-            except HTTPError as error:
-                payload: Any = None
-                message = f"{method} {path} -> HTTP {error.code}"
-                try:
-                    payload = json.loads(error.read().decode("utf-8"))
-                    message = f"{message}: {payload.get('error', payload)}"
-                except Exception:  # pragma: no cover - non-JSON error body
-                    pass
-                last_error = ServiceError(message, status=error.code, payload=payload)
-                if error.code not in RETRYABLE_STATUSES:
-                    raise last_error from error
+                if self.fault_hook is not None:
+                    self.fault_hook(method, path)
+                status, raw = self._exchange(method, path, data, headers)
             except _TRANSIENT_ERRORS as error:
                 reason = getattr(error, "reason", error)
                 last_error = ServiceError(
                     f"cannot reach service at {self.base_url}: {reason}"
                 )
+                continue
+            if status < 400:
+                return json.loads(raw.decode("utf-8"))
+            payload: Any = None
+            message = f"{method} {path} -> HTTP {status}"
+            try:
+                payload = json.loads(raw.decode("utf-8"))
+                message = f"{message}: {payload.get('error', payload)}"
+            except Exception:  # pragma: no cover - non-JSON error body
+                pass
+            last_error = ServiceError(message, status=status, payload=payload)
+            if status not in RETRYABLE_STATUSES:
+                raise last_error
         assert last_error is not None
         raise last_error
 

@@ -31,8 +31,8 @@ import pathlib
 import queue
 import threading
 import traceback
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Mapping
 
 from ..core.durable import atomic_write_text, quarantine
 from ..core.errors import SpecificationError
@@ -206,12 +206,17 @@ class Job:
 class JobStore:
     """Persisted jobs under one directory; the single process-local index.
 
-    Layout: ``<directory>/<job id>/job.json`` (the record),
-    ``.../results.json`` (per-seed results once done) and ``.../batch/``
-    (the durable BatchRunner directory the run executes in).  Records are
-    loaded once at construction — the service owns its data directory
-    exclusively — and every mutation is saved back atomically and durably
-    (:func:`~repro.core.durable.atomic_write_text`).
+    Layout: ``<directory>/<job id>/job.json`` (the record) and
+    ``.../batch/`` (the durable BatchRunner directory the run executes
+    in).  A finished job owns its results inside its ``job.json``: the
+    record as readable JSON, then the per-seed results as one JSON line,
+    written together in one atomic write — a cache hit's whole footprint.
+    Records are loaded once at construction — the service owns its data
+    directory exclusively — decoding only each file's leading record, and
+    every mutation is saved back atomically and durably
+    (:func:`~repro.core.durable.atomic_write_text`).  Directories written
+    before results moved into ``job.json`` keep them in ``results.json``,
+    which is still served.
 
     A record that no longer parses is quarantined (``.corrupt``) with a
     logged reason instead of aborting the whole service start: one
@@ -223,13 +228,21 @@ class JobStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._jobs: dict[str, Job] = {}
+        #: Byte offset of the results in each finished job's ``job.json``.
+        self._results_at: dict[str, int] = {}
+        #: In-flight (queued/running) job ids by fingerprint: dedup never
+        #: walks the history.
+        self._active: dict[str, set[str]] = {}
         for record in sorted(self.directory.glob("*/job.json")):
             try:
-                job = Job.from_dict(json.loads(record.read_text()))
+                job, results_at = _read_job_file(record)
             except (OSError, ValueError, KeyError, SpecificationError) as error:
                 quarantine(record, f"corrupt service job record: {error}")
                 continue
             self._jobs[job.id] = job
+            self._track(job)
+            if results_at is not None:
+                self._results_at[job.id] = results_at
 
     # -- paths -------------------------------------------------------------------
 
@@ -239,7 +252,11 @@ class JobStore:
     def batch_dir(self, job_id: str) -> pathlib.Path:
         return self.job_dir(job_id) / "batch"
 
+    def record_path(self, job_id: str) -> pathlib.Path:
+        return self.job_dir(job_id) / "job.json"
+
     def results_path(self, job_id: str) -> pathlib.Path:
+        """Where jobs finished before the single-file layout keep results."""
         return self.job_dir(job_id) / "results.json"
 
     # -- records -----------------------------------------------------------------
@@ -248,34 +265,59 @@ class JobStore:
         self,
         fingerprint: str,
         submission: dict,
-        channels: tuple = (),
+        channels: tuple | Callable[[str], tuple] = (),
         status: str = "queued",
         cached: bool = False,
+        results: list[dict] | None = None,
     ) -> Job:
+        """Create, index and persist a job in one write.
+
+        ``channels`` may be a function of the new job's id, so a record is
+        never persisted without them.  ``results`` (a finished job, such
+        as a cache hit) are written into the same ``job.json``.
+        """
         with self._lock:
             index = len(self._jobs) + 1
             while f"run-{index:04d}" in self._jobs:
                 index += 1
+            job_id = f"run-{index:04d}"
             job = Job(
-                id=f"run-{index:04d}",
+                id=job_id,
                 fingerprint=fingerprint,
                 submission=submission,
                 status=status,
                 cached=cached,
-                channels=channels,
+                channels=tuple(channels(job_id) if callable(channels) else channels),
             )
             self._jobs[job.id] = job
-        self.save(job)
+            self._track(job)
+        results_at = self._write(job, results)
+        if results_at is not None:
+            with self._lock:
+                self._results_at[job.id] = results_at
         return job
 
     def save(self, job: Job) -> None:
+        """Persist the record alone; only :meth:`complete` and
+        :meth:`new_job` write a finished job's results."""
+        self._write(job, None)
+        with self._lock:
+            self._results_at.pop(job.id, None)
+
+    def _write(self, job: Job, results: list[dict] | None) -> int | None:
+        """Persist ``job``'s record, followed by ``results`` when given;
+        returns the results' byte offset in the file."""
         if job.status not in JOB_STATUSES:
             raise SpecificationError(
                 f"unknown job status {job.status!r}; known: {JOB_STATUSES}"
             )
-        atomic_write_text(
-            self.job_dir(job.id) / "job.json", readable_json(job.to_dict())
-        )
+        record = readable_json(job.to_dict())
+        path = self.record_path(job.id)
+        if results is None:
+            atomic_write_text(path, record)
+            return None
+        atomic_write_text(path, f"{record}\n{json.dumps(results)}\n")
+        return len(record.encode("utf-8")) + 1
 
     def update(self, job: Job, **changes: Any) -> Job:
         """Apply field changes under the store lock, then persist.
@@ -289,10 +331,37 @@ class JobStore:
             if not hasattr(job, name):
                 raise SpecificationError(f"unknown job field {name!r}")
         with self._lock:
+            self._untrack(job)
             for name, value in changes.items():
                 setattr(job, name, value)
+            self._track(job)
         self.save(job)
         return job
+
+    def complete(self, job: Job, results: list[dict]) -> Job:
+        """Persist ``job`` as done together with its results, in one write.
+
+        The file lands before the record turns ``done`` in memory, so a
+        reader that sees the status also finds the results.
+        """
+        results_at = self._write(replace(job, status="done", error=None), results)
+        with self._lock:
+            self._untrack(job)
+            job.status, job.error = "done", None
+            self._results_at[job.id] = results_at
+        return job
+
+    def _track(self, job: Job) -> None:
+        """Index ``job`` if it is in flight (callers hold the lock)."""
+        if job.status in ("queued", "running"):
+            self._active.setdefault(job.fingerprint, set()).add(job.id)
+
+    def _untrack(self, job: Job) -> None:
+        ids = self._active.get(job.fingerprint)
+        if ids is not None:
+            ids.discard(job.id)
+            if not ids:
+                del self._active[job.fingerprint]
 
     def get(self, job_id: str) -> Job | None:
         with self._lock:
@@ -306,26 +375,57 @@ class JobStore:
         return [self.get(job_id) for job_id in self.ids()]
 
     def find_active(self, fingerprint: str) -> Job | None:
-        """A queued/running job with this fingerprint (in-flight dedup)."""
-        for job in self.jobs():
-            if job.fingerprint == fingerprint and job.status in ("queued", "running"):
-                return job
-        return None
+        """A queued/running job with this fingerprint (in-flight dedup);
+        the oldest when a forced submission runs beside it."""
+        with self._lock:
+            ids = self._active.get(fingerprint)
+            return self._jobs[min(ids)] if ids else None
 
     # -- results -----------------------------------------------------------------
 
-    def save_results(self, job_id: str, results: list[dict]) -> None:
-        atomic_write_text(self.results_path(job_id), json.dumps(results))
-
     def load_results(self, job_id: str) -> list[dict] | None:
-        path = self.results_path(job_id)
+        """The job's results, or None before they exist.
+
+        Results that no longer parse are quarantined with their file and
+        the record is saved back without them, as a job that never
+        finished writing would read.
+        """
+        with self._lock:
+            offset = self._results_at.get(job_id)
+        if offset is None:
+            path = self.results_path(job_id)
+        else:
+            path = self.record_path(job_id)
         try:
-            return json.loads(path.read_text())
+            with open(path, "rb") as handle:
+                handle.seek(offset or 0)
+                return json.loads(handle.read())
         except OSError:
             return None
         except ValueError as error:
             quarantine(path, f"corrupt service job results: {error}")
+            job = self.get(job_id)
+            if offset is not None and job is not None:
+                self.save(job)
             return None
+
+
+_DECODER = json.JSONDecoder()
+
+
+def _read_job_file(path: pathlib.Path) -> tuple[Job, int | None]:
+    """A ``job.json``'s record, and the byte offset of the results that
+    follow it (None when it holds only the record); the results are not
+    parsed."""
+    text = path.read_bytes().decode("utf-8")
+    data, end = _DECODER.raw_decode(text)
+    if not isinstance(data, Mapping):
+        raise SpecificationError("a job record must be a JSON object")
+    job = Job.from_dict(data)
+    if not text[end:].strip():
+        return job, None
+    return job, len(text[:end].encode("utf-8")) + 1
+
 
 
 class JobQueue:
@@ -429,17 +529,18 @@ class JobQueue:
                 job = self.store.new_job(
                     fingerprint,
                     submission.to_dict(),
-                    channels=(),
                     status="done",
                     cached=True,
+                    results=entry["results"],
                 )
-                self.store.save_results(job.id, entry["results"])
                 return job, True
         units = submission.unit_count()
-        job = self.store.new_job(fingerprint, submission.to_dict())
-        self.store.update(
-            job,
-            channels=tuple(self.channel_name(job.id, index) for index in range(units)),
+        job = self.store.new_job(
+            fingerprint,
+            submission.to_dict(),
+            channels=lambda job_id: tuple(
+                self.channel_name(job_id, index) for index in range(units)
+            ),
         )
         self._queue.put(job.id)
         return job, True
@@ -539,9 +640,8 @@ class JobQueue:
                 {**item.to_dict(), "spec": unit_spec}
                 for item, unit_spec in zip(batch, unit_specs)
             ]
-            self.store.save_results(job.id, results)
             self.cache.put(job.fingerprint, job.submission, results)
-            self.store.update(job, status="done")
+            self.store.complete(job, results)
         self._close_channels(job)
 
     def _close_channels(self, job: Job) -> None:

@@ -26,6 +26,14 @@ single :class:`~repro.service.jobs.JobQueue` worker thread executes runs.
 SSE handlers each occupy one daemon thread blocking on the broker, which
 is plenty for an experiment service's handful of live watchers.
 
+Connections are HTTP/1.1 and kept alive between JSON requests, so a
+client pays for one TCP set-up and one handler thread, not one per
+request.  Each JSON response leaves in a single write with Nagle off
+(a head and body sent apart would wait on the client's delayed ACK), a
+request's body is read in full before any answer (bytes left unread
+would parse as the next request), and a connection idle for
+:data:`KEEPALIVE_IDLE_S` is closed.
+
 Event identity on the wire: a job fans out to one broker channel per
 (spec, seed) work unit, and the SSE stream concatenates the unit streams
 in order.  Event ids are ``"<unit>:<line>"``; a client resuming with
@@ -52,7 +60,11 @@ from .cache import ResultCache
 from .jobs import JobQueue, JobStore, Submission
 from .streams import BROKER, EventBroker
 
-__all__ = ["ExperimentService"]
+__all__ = ["ExperimentService", "KEEPALIVE_IDLE_S"]
+
+#: Seconds a kept-alive connection may sit idle before the server closes
+#: it; longer than a client's polling interval, so polls reuse it.
+KEEPALIVE_IDLE_S = 5.0
 
 
 def _parse_offset(text: str) -> tuple[int, int]:
@@ -68,8 +80,17 @@ def _parse_offset(text: str) -> tuple[int, int]:
         ) from None
 
 
+def _json_body(raw: bytes):
+    try:
+        return json.loads(raw.decode("utf-8") or "null")
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise SpecificationError(f"request body is not JSON: {error}") from error
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    timeout = KEEPALIVE_IDLE_S
 
     #: Injected SSE budget: cut the stream after this many events (None = off).
     _sse_event_budget: int | None = None
@@ -89,19 +110,38 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        # Head and body in one write: end_headers() would send the head
+        # on its own.
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
 
     def _error(self, status: int, message: str) -> None:
         self._send_json(status, {"error": message})
 
-    def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
+    def _read_body(self) -> bytes:
+        """The request's body, read in full before the request is answered.
+
+        A body this server cannot delimit (no usable ``Content-Length``)
+        closes the connection after the answer instead.
+        """
+        text = self.headers.get("Content-Length")
+        if self.headers.get("Transfer-Encoding") is not None or (
+            text is not None and not text.strip().isdigit()
+        ):
+            self.close_connection = True
+            raise SpecificationError("a request body needs a Content-Length")
+        length = int(text or 0)
+        return self.rfile.read(length) if length else b""
+
+    def _admit(self, method: str, path: str) -> bytes | None:
+        """Read the request's body, then consult the fault hook; None when
+        the request is already answered (or cut)."""
         try:
-            return json.loads(raw.decode("utf-8") or "null")
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise SpecificationError(f"request body is not JSON: {error}") from error
+            raw = self._read_body()
+        except SpecificationError as error:
+            self._error(400, str(error))
+            return None
+        return None if self._injected_fault(method, path) else raw
 
     # -- fault injection ---------------------------------------------------------
 
@@ -144,7 +184,7 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         path = urlsplit(self.path).path.rstrip("/")
         try:
-            if self._injected_fault("GET", path):
+            if self._admit("GET", path) is None:
                 return
             if path == "/healthz":
                 self._send_json(200, self.service.health())
@@ -167,15 +207,16 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         path = urlsplit(self.path).path.rstrip("/")
         try:
-            if self._injected_fault("POST", path):
-                return
+            raw = self._admit("POST", path)
         except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
+            return
+        if raw is None:
             return
         if path != "/runs":
             self._error(404, f"unknown path {path!r}")
             return
         try:
-            submission = Submission.from_payload(self._read_body())
+            submission = Submission.from_payload(_json_body(raw))
         except SpecificationError as error:
             self._error(400, str(error))
             return
@@ -284,6 +325,36 @@ class _Server(ThreadingHTTPServer):
     allow_reuse_address = True
     service: "ExperimentService"
 
+    def __init__(self, *args, **kwargs):
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+        super().__init__(*args, **kwargs)
+
+    def process_request_thread(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            with self._connections_lock:
+                self._connections.discard(request)
+
+    def close_connections(self) -> None:
+        """End every open connection after its current request.
+
+        Shutting the read side wakes a handler waiting for a kept
+        connection's next request, so no stopped service keeps answering
+        a client's pooled connection; a request in flight still gets its
+        answer.
+        """
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:  # pragma: no cover - already closed
+                pass
+
 
 class ExperimentService:
     """A long-running experiment service bound to one data directory.
@@ -375,6 +446,7 @@ class ExperimentService:
         if self._server is not None:
             self._server.shutdown()
             self._server.server_close()
+            self._server.close_connections()
             self._server = None
         if self._thread is not None:
             self._thread.join(timeout=timeout)

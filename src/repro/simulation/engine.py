@@ -34,8 +34,8 @@ delta into a maintained :class:`MutableMultiset`, updates ``h`` in
 O(|delta|) for objectives that support exact increments, and compares
 against the target via an O(1) content fingerprint.  The communication
 groups are the state's own labelling
-(:meth:`EnvironmentState.component_groups`), and quiet rounds — an
-empty :meth:`EnvironmentDelta.between` the previous state — adopt the
+(:meth:`EnvironmentState.component_groups`), and quiet rounds — a state
+:meth:`~EnvironmentState.unchanged_from` the previous one — adopt the
 previous state's memoized views.  A round in which two agents moved
 therefore costs O(2) bookkeeping, not O(n) — matching the paper's
 "speed up or slow down depending on the resources available" story.
@@ -57,13 +57,7 @@ from ..core.algorithm import SelfSimilarAlgorithm
 from ..core.errors import SimulationError
 from ..core.multiset import Multiset
 from ..core.relation import STUTTER_JUDGEMENT, StepJudgement, StepKind
-from ..environment.base import (
-    EMPTY_DELTA,
-    Environment,
-    EnvironmentDelta,
-    EnvironmentState,
-    check_components,
-)
+from ..environment.base import Environment, EnvironmentState, check_components
 from ..registry import register_engine
 from .checkpoint import RoundState
 from .protocol import Engine, RoundRecord
@@ -107,10 +101,10 @@ class Simulator(Engine):
         objectives that support exact deltas, checks convergence against
         the target via an O(1) content fingerprint, and skips the step
         rule for lone agents of algorithms that declare
-        ``singleton_stutters``.  The environment layer: the engine diffs
-        each environment state against the last
-        (:meth:`EnvironmentDelta.between`), and quiet rounds adopt the
-        previous state's memoized views.  When False, every round
+        ``singleton_stutters``.  The environment layer: the engine
+        compares each environment state with the last
+        (:meth:`EnvironmentState.unchanged_from`), and quiet rounds adopt
+        the previous state's memoized views.  When False, every round
         recomputes from scratch — plain ``advance``, the state's groups,
         a freshly built multiset and objective — the reference behaviour
         the incremental path is measured and cross-checked against.  The
@@ -175,20 +169,17 @@ class Simulator(Engine):
         """One environment transition, with view reuse across quiet rounds.
 
         The random draws are identical in every mode.  In incremental
-        mode, a state semantically identical to the previous one (an
-        empty delta, taken against the state this engine last observed)
-        adopts that state's memoized views — its labelling and its
-        groups — instead of recomputing them.
+        mode, a state semantically identical to the previous one (compared
+        with the state this engine last observed) adopts that state's
+        memoized views — its labelling and its groups — instead of
+        recomputing them.
         """
         environment_state = self.environment.advance(round_index, self._state.rng)
         if not self.incremental:
             return environment_state
         previous = self._previous_environment_state
         self._previous_environment_state = environment_state
-        if (
-            previous is not None
-            and EnvironmentDelta.between(previous, environment_state) is EMPTY_DELTA
-        ):
+        if previous is not None and environment_state.unchanged_from(previous):
             environment_state._adopt_view_memos(previous)
         return environment_state
 

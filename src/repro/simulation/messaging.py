@@ -40,8 +40,8 @@ delivered merge's ``(old, new)`` state delta in O(1), the objective is
 updated from the same delta when it supports exact increments, and
 convergence is checked against the target via an O(1) content fingerprint
 — instead of rebuilding multisets per delivered message and three more per
-round.  A quiet round — an empty delta between its environment state and
-the last (:meth:`EnvironmentDelta.between`) — adopts the previous state's
+round.  A quiet round — an environment state unchanged from the last
+(:meth:`EnvironmentState.unchanged_from`) — adopts the previous state's
 memoized effective-edge view.
 """
 
@@ -54,12 +54,7 @@ from ..core.errors import SimulationError
 from ..core.multiset import Multiset
 from ..core.algorithm import SelfSimilarAlgorithm
 from ..core.relation import StepJudgement, StepKind
-from ..environment.base import (
-    EMPTY_DELTA,
-    Environment,
-    EnvironmentDelta,
-    EnvironmentState,
-)
+from ..environment.base import Environment, EnvironmentState
 from .checkpoint import EngineCheckpoint, RoundState
 from .protocol import Engine, RoundRecord
 
@@ -80,10 +75,10 @@ _MERGE_JUDGEMENT = StepJudgement(kind=StepKind.IMPROVEMENT)
 class MergeMessagePassingSimulator(Engine):
     """Asynchronous (one-sided) execution of a merge-style algorithm.
 
-    The runtime has one mode.  The engine diffs each environment state
-    against the last (:meth:`EnvironmentDelta.between`), and rounds whose
-    delta is empty reuse the previous state's memoized effective-edge
-    view instead of re-filtering the edge set; the random stream and all
+    The runtime has one mode.  The engine compares each environment state
+    with the last (:meth:`EnvironmentState.unchanged_from`), and unchanged
+    rounds reuse the previous state's memoized effective-edge view
+    instead of re-filtering the edge set; the random stream and all
     results are identical to a from-scratch filter, which the parity
     suite's legacy send/deliver loop pins.
 
@@ -225,7 +220,7 @@ class MergeMessagePassingSimulator(Engine):
     def _advance_environment(self, round_index: int) -> EnvironmentState:
         """One environment transition, with view reuse across quiet rounds.
 
-        When the delta from the previous state is empty, the new state is
+        When the new state is unchanged from the previous one, it is
         semantically identical to it, so the previous state's memoized
         effective-edge view is adopted instead of being re-filtered — the
         per-round send loop then starts from the exact same frozenset
@@ -233,10 +228,7 @@ class MergeMessagePassingSimulator(Engine):
         """
         environment_state = self.environment.advance(round_index, self._state.rng)
         previous = self._previous_environment_state
-        if (
-            previous is not None
-            and EnvironmentDelta.between(previous, environment_state) is EMPTY_DELTA
-        ):
+        if previous is not None and environment_state.unchanged_from(previous):
             environment_state._adopt_view_memos(previous)
         self._previous_environment_state = environment_state
         return environment_state

@@ -1,14 +1,14 @@
-"""Differential suite for the environment layer: state deltas and the
-component labeller.
+"""Differential suite for the environment layer: quiet-round checks and
+the component labeller.
 
 Pins two contracts, for every environment family, over long runs of
 churn driven through the public ``advance`` as the engines drive it (and
 through the array transitions, whose states carry ``int64`` edge
 arrays):
 
-* :meth:`EnvironmentDelta.between` of consecutive states is exactly their
-  symmetric difference — on frozensets and on the array form alike — and
-  the shared :data:`EMPTY_DELTA` when nothing changed;
+* :meth:`EnvironmentState.unchanged_from` of consecutive states is
+  exactly the equality of their enabled-agent and available-edge sets —
+  on frozensets and on the array form alike, quiet rounds included;
 * the state's labelled components (:func:`label_components`, read
   through :meth:`EnvironmentState.communication_group_tuples`,
   :meth:`~EnvironmentState.component_groups` and
@@ -42,12 +42,7 @@ from repro.environment.adversary import (
     TargetedCrashAdversary,
 )
 from repro.environment import base, dynamics
-from repro.environment.base import (
-    EMPTY_DELTA,
-    EnvironmentDelta,
-    EnvironmentState,
-    connected_component_tuples,
-)
+from repro.environment.base import EnvironmentState, connected_component_tuples
 from repro.environment.dynamics import (
     MarkovChurnEnvironment,
     PeriodicDutyCycleEnvironment,
@@ -65,9 +60,9 @@ from repro.environment.mobility import RandomWaypointEnvironment
 from repro.simulation.engine import Simulator
 
 # Each factory returns a fresh environment; names document what aspect of
-# the delta and labelling machinery the family stresses.
+# the quiet-round and labelling machinery the family stresses.
 ENVIRONMENTS = {
-    # static: one resync, then empty deltas forever
+    # static: one labelling, then quiet rounds forever
     "static": lambda: StaticEnvironment(ring_graph(24)),
     # sparse churn on a low-degree graph: pairs and singletons dominating
     "churn-sparse-ring": lambda: RandomChurnEnvironment(
@@ -129,51 +124,37 @@ def from_scratch(state: EnvironmentState) -> list[tuple[int, ...]]:
 
 
 def observed(environment, rng, rounds):
-    """Each round's state and its delta from the previous round's — the
-    engines' own diff, None on the first round."""
+    """Each round's state and whether it is unchanged from the previous
+    round's — the engines' own check, None on the first round."""
     previous = None
     for round_index in range(rounds):
         state = environment.advance(round_index, rng)
-        yield state, (
-            None if previous is None else EnvironmentDelta.between(previous, state)
-        )
+        yield state, None if previous is None else state.unchanged_from(previous)
         previous = state
 
 
-def assert_exact(delta, previous, state):
-    """``delta`` is the symmetric difference from ``previous`` to ``state``."""
-    parts = (
-        delta.edges_down,
-        delta.edges_up,
-        delta.agents_disabled,
-        delta.agents_enabled,
-    )
-    expected = (
-        previous.available_edges - state.available_edges,
-        state.available_edges - previous.available_edges,
-        previous.enabled_agents - state.enabled_agents,
-        state.enabled_agents - previous.enabled_agents,
-    )
-    for part, want in zip(parts, expected):
-        items = list(part)
-        assert len(items) == len(want) and set(items) == want
-    unchanged = (
+def assert_exact(unchanged, previous, state):
+    """``unchanged`` is the equality of the two states' sets."""
+    assert unchanged == (
         previous.enabled_agents == state.enabled_agents
         and previous.available_edges == state.available_edges
     )
-    assert (delta is EMPTY_DELTA) == unchanged
 
 
 @pytest.mark.parametrize("name", sorted(ENVIRONMENTS))
-def test_between_is_the_exact_symmetric_difference(name):
+def test_unchanged_from_is_the_exact_set_equality(name):
     environment = ENVIRONMENTS[name]()
     rng = random.Random(99)
     previous = None
-    for state, delta in observed(environment, rng, ROUNDS):
+    quiet = 0
+    for state, unchanged in observed(environment, rng, ROUNDS):
         if previous is not None:
-            assert_exact(delta, previous, state)
-            assert EnvironmentDelta.between(state, state) is EMPTY_DELTA
+            assert_exact(unchanged, previous, state)
+            assert state.unchanged_from(state)
+            quiet += unchanged
         previous = state
+    if name == "static":
+        assert quiet == ROUNDS - 1
 
 
 @pytest.mark.parametrize("name", sorted(ENVIRONMENTS))
@@ -192,7 +173,7 @@ def test_advance_with_delta_is_advance_with_an_unknown_delta(name):
         assert adapted_rng.getstate() == plain_rng.getstate()
 
 
-#: The transitions of the ``between`` property: Markov below and above
+#: The transitions of the ``unchanged_from`` property: Markov below and above
 #: VECTORIZED_MIN_DRAWS (frozensets / array form), and random churn
 #: through ``advance`` (frozensets) and ``_advance_arrays`` (array form).
 TRANSITIONS = ("markov-loop", "markov-vectorized", "churn", "churn-arrays")
@@ -212,7 +193,7 @@ probabilities = st.one_of(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 @settings(max_examples=120, deadline=None)
-def test_between_property_over_state_forms(
+def test_unchanged_from_property_over_state_forms(
     transition, num_agents, edge_probabilities, agent_probabilities, seed
 ):
     arrays = transition in ("markov-vectorized", "churn-arrays")
@@ -235,21 +216,20 @@ def test_between_property_over_state_forms(
         rng = random.Random(seed)
         states = [advance(round_index, rng) for round_index in range(4)]
     pairs = list(zip(states, states[1:]))
-    deltas = [EnvironmentDelta.between(previous, state) for previous, state in pairs]
+    verdicts = [state.unchanged_from(previous) for previous, state in pairs]
     for state in states:
-        # Two array-form states are diffed without building a set.
+        # Two array-form states are compared without building a set.
         assert ("_up_edges" in state.__dict__) == arrays
         assert ("available_edges" in state.__dict__) != arrays
-    for delta, (previous, state) in zip(deltas, pairs):
-        assert_exact(delta, previous, state)
-        assert EnvironmentDelta.between(state, state) is EMPTY_DELTA
-        # An equal eager twin (the other form, for array states): nothing
-        # changed.
+    for unchanged, (previous, state) in zip(verdicts, pairs):
+        assert_exact(unchanged, previous, state)
+        assert state.unchanged_from(state)
+        # An equal eager twin (the other form, for array states), at
+        # another round: nothing changed.
         twin = EnvironmentState(
-            state.enabled_agents, state.available_edges, state.round_index
+            state.enabled_agents, state.available_edges, state.round_index + 1
         )
-        assert EnvironmentDelta.between(state, twin) is EMPTY_DELTA
-        assert EnvironmentDelta.between(twin, state) is EMPTY_DELTA
+        assert state.unchanged_from(twin) and twin.unchanged_from(state)
 
 
 def assert_labelled(state: EnvironmentState) -> None:
@@ -390,7 +370,7 @@ def test_quiet_round_adopts_the_labelling():
     state0 = environment.advance(0, rng)
     state1 = environment.advance(1, rng)
     groups = state0.component_groups()
-    assert EnvironmentDelta.between(state0, state1) is EMPTY_DELTA
+    assert state1.unchanged_from(state0)
     state1._adopt_view_memos(state0)
     assert state1.component_groups() is groups
     assert state1.nonsingleton_positions(groups) == [0]
@@ -400,10 +380,10 @@ def test_quiet_round_adopts_the_labelling():
 def test_rotating_partition_interleaved_advance_does_not_corrupt_deltas():
     # Regression: the epoch-edge cache is shared by every advance() call,
     # observed or not.  A plain advance() between observed rounds that
-    # crosses an epoch boundary once produced an EMPTY delta right after
-    # a rotation, and a quiet-round adoption of stale groups.  The delta
-    # is taken against the state last observed, whatever the environment
-    # did in between.
+    # crosses an epoch boundary once read as unchanged right after a
+    # rotation, and a quiet-round adoption of stale groups.  The check is
+    # made against the state last observed, whatever the environment did
+    # in between.
     environment = RotatingPartitionAdversary(
         complete_graph(9), num_blocks=3, rotate_every=4, seed=0
     )
@@ -414,10 +394,10 @@ def test_rotating_partition_interleaved_advance_does_not_corrupt_deltas():
             environment.advance(round_index, rng)  # unobserved, enters the epoch
         state = environment.advance(round_index, rng)
         if previous is not None:
-            delta = EnvironmentDelta.between(previous, state)
+            unchanged = state.unchanged_from(previous)
             if round_index % 4 == 0:
-                assert not delta.is_empty  # every rotation here moves some edge
-            elif delta is EMPTY_DELTA:
+                assert not unchanged  # every rotation here moves some edge
+            elif unchanged:
                 state._adopt_view_memos(previous)
         assert_labelled(state)
         previous = state

@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 
 from repro.core.errors import EnvironmentError_
 from repro.environment import (
-    EMPTY_DELTA,
     BlackoutAdversary,
     EdgeBudgetAdversary,
-    EnvironmentDelta,
     MarkovChurnEnvironment,
     PeriodicDutyCycleEnvironment,
     RandomChurnEnvironment,
@@ -153,8 +151,8 @@ def _markov_run(
     """Everything observable about one Markov run, with the vectorized
     path forced on (``min_draws`` 0) or off (a huge ``min_draws``).
 
-    Records each round's delta from the previous state, as the engines
-    take it, and with ``restore`` loads a mid-run ``state_dict`` into a
+    Records whether each round's state is unchanged from the previous
+    one, as the engines check it, and with ``restore`` loads a mid-run ``state_dict`` into a
     fresh environment, which then carries the run on.
     """
     monkeypatch.setattr(dynamics, "VECTORIZED_MIN_DRAWS", min_draws)
@@ -169,24 +167,13 @@ def _markov_run(
             env = MarkovChurnEnvironment(topology, *probabilities)
             env.load_state(checkpoint)
         state = env.advance(round_index, rng)
-        delta = None
-        if previous is not None:
-            found = EnvironmentDelta.between(previous, state)
-            delta = (found is EMPTY_DELTA,) + tuple(
-                sorted(part)
-                for part in (
-                    found.edges_down,
-                    found.edges_up,
-                    found.agents_disabled,
-                    found.agents_enabled,
-                )
-            )
+        unchanged = None if previous is None else state.unchanged_from(previous)
         previous = state
         observed.append(
             (
                 list(state.enabled_agents),
                 list(state.available_edges),
-                delta,
+                unchanged,
                 env.state_dict(),
                 rng.getstate(),
             )
@@ -197,7 +184,7 @@ def _markov_run(
 
 
 #: (edge fail, edge recover, agent fail, agent recover): agent failures
-#: off, on, and a chain that stops flipping (empty deltas).
+#: off, on, and a chain that stops flipping (unchanged rounds).
 MARKOV_PROBABILITIES = {
     "edges-only": (0.3, 0.4, 0.0, 1.0),
     "agent-failures": (0.3, 0.4, 0.15, 0.5),

@@ -3,8 +3,8 @@
 An array-form state (:meth:`EnvironmentState.from_arrays`) holds its
 enabled agents and its available edges as index arrays and builds the
 frozensets on first read.  Whatever a reader can observe — equality,
-hash, ``repr``, iteration order, serialization, copies, pickles, deltas
-and adopted views — must be that of the eager state built from the same
+hash, ``repr``, iteration order, serialization, copies, pickles,
+quiet-round checks and adopted views — must be that of the eager state built from the same
 sets in the same insertion order.
 """
 
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.environment import dynamics
-from repro.environment.base import EnvironmentDelta, EnvironmentState
+from repro.environment.base import EnvironmentState
 from repro.simulation.result import jsonify
 
 np = dynamics._numpy
@@ -148,31 +148,26 @@ def test_array_form_copies_and_pickles(inputs):
 
 @given(state_pairs())
 @settings(max_examples=40, deadline=None)
-def test_deltas_between_mixed_forms(pair):
+def test_unchanged_from_across_mixed_forms(pair):
     first, second = pair
-    eager_a, make_a = _forms(*first)
-    eager_b, make_b = _forms(*second)
-
-    def delta(a, b):
-        found = EnvironmentDelta.between(a, b)
-        return [
-            sorted(part)
-            for part in (
-                found.edges_down,
-                found.edges_up,
-                found.agents_disabled,
-                found.agents_enabled,
-            )
-        ]
-
-    expected = delta(eager_a, eager_b)
-    assert delta(make_a(), eager_b) == expected
-    assert delta(eager_a, make_b()) == expected
-    # Two array-form states are diffed on their up-edge indexes, and on
-    # their id arrays when both hold one: no edge set is built.
-    array_a, array_b = make_a(), make_b()
-    assert delta(array_a, array_b) == expected
-    assert _is_lazy(array_a) and _is_lazy(array_b)
+    # The first state's agents with the second's edges: a pair that can
+    # differ in its edges alone.
+    mixed = first[:2] + (second[2],) + first[3:5] + (second[5],)
+    for a, b in ((first, second), (first, mixed), (first, first)):
+        eager_a, make_a = _forms(*a)
+        eager_b, make_b = _forms(*b)
+        expected = (
+            eager_a.enabled_agents == eager_b.enabled_agents
+            and eager_a.available_edges == eager_b.available_edges
+        )
+        assert eager_b.unchanged_from(eager_a) == expected
+        assert eager_b.unchanged_from(make_a()) == expected
+        assert make_b().unchanged_from(eager_a) == expected
+        # Two array-form states are compared on their up-edge indexes,
+        # and on their id arrays when both hold one: no edge set is built.
+        array_a, array_b = make_a(), make_b()
+        assert array_b.unchanged_from(array_a) == expected
+        assert _is_lazy(array_a) and _is_lazy(array_b)
 
 
 def test_adopted_views_cross_forms_without_building_sets():

@@ -269,8 +269,9 @@ class _NoAdapter(RandomChurnEnvironment):
     "modes", [{}, {"cross_check": True}, {"incremental": False}]
 )
 def test_engines_never_call_advance_with_delta(modes):
-    # The engines take each delta from ``EnvironmentDelta.between`` of
-    # consecutive ``advance`` states; the adapter is for outside callers.
+    # The engines compare consecutive ``advance`` states themselves
+    # (``EnvironmentState.unchanged_from``); the adapter is for outside
+    # callers.
     def run(environment_type):
         return Simulator(
             minimum_algorithm(),
@@ -1030,7 +1031,7 @@ def _seeded_mutations():
         ),
         "memo-adoption-on-nonempty-delta": (
             Simulator, "_advance_environment",
-            "is EMPTY_DELTA", "is not None",
+            " and environment_state.unchanged_from(previous):", ":",
             "random-pair", _caught_by_reference_mode,
         ),
         "singleton-skip-widened-to-pairs": (
@@ -1040,7 +1041,7 @@ def _seeded_mutations():
         ),
         "messaging-memo-adoption-on-nonempty-delta": (
             MergeMessagePassingSimulator, "_advance_environment",
-            "is EMPTY_DELTA", "is not None",
+            " and environment_state.unchanged_from(previous):", ":",
             None, _caught_by_legacy_loop,
         ),
     }

@@ -16,16 +16,23 @@ The anchor claims, end to end over real HTTP on an ephemeral port:
 
 from __future__ import annotations
 
+import http.client
 import io
 import json
 import pathlib
+import random
+import shutil
+import threading
 import time
 import urllib.request
+from urllib.error import URLError
 
 import pytest
 
 import repro
 from repro import BatchRunner, ExperimentSpec, SpecificationError
+from repro.faults import corrupt_file
+from repro.faults.retry import RetryPolicy
 from repro.registry import register_probe
 from repro.service import (
     BROKER,
@@ -37,10 +44,19 @@ from repro.service import (
     ServiceSinkProbe,
     Submission,
 )
-from repro.service.jobs import JobInterrupted
+from repro.service import cache as cache_module
+from repro.service import jobs as jobs_module
+from repro.service import server as server_module
+from repro.service.jobs import JobInterrupted, JobQueue, JobStore
 from repro.simulation.protocol import Probe
 
 VALUES = (9, 5, 7, 1)
+
+#: Two finished jobs written before results moved into ``job.json`` (a
+#: ``job.json`` and a ``results.json`` each; run-0001 executed, run-0002 a
+#: cache hit; the batch directory left out), and ``served.json``, the
+#: ``GET /runs/<id>`` bodies that layout was served as.
+PARENT_LAYOUT = pathlib.Path(__file__).parent / "fixtures" / "parent_service_jobs"
 
 
 def churn_spec(**overrides) -> ExperimentSpec:
@@ -458,3 +474,239 @@ class TestExperimentService:
         # budget: a drain is not a crash.
         assert issubclass(JobInterrupted, BaseException)
         assert not issubclass(JobInterrupted, Exception)
+
+
+# -- kept connections --------------------------------------------------------------
+
+
+def accepted_connections(monkeypatch, instance) -> list:
+    """Record every connection ``instance``'s server accepts from now on."""
+    server = instance._server
+    accepted = []
+    accept = server.get_request
+
+    def counting():
+        request = accept()
+        accepted.append(request[1])
+        return request
+
+    monkeypatch.setattr(server, "get_request", counting)
+    return accepted
+
+
+class TestKeptConnections:
+    def test_sequential_requests_share_one_connection_without_stalls(
+        self, service, monkeypatch
+    ):
+        instance = service()
+        accepted = accepted_connections(monkeypatch, instance)
+        client = ServiceClient(instance.url)
+        job = client.wait(client.submit(churn_spec())["id"], timeout=60)
+        start = time.monotonic()
+        for _ in range(50):
+            assert client.status(job["id"]) == job
+        # A response held back by Nagle behind the client's delayed ACK
+        # costs ~40 ms: 50 of them would take at least 2 s.
+        assert time.monotonic() - start < 1.0
+        assert len(accepted) == 1
+
+    def test_early_answers_read_the_body_first(self, service, monkeypatch):
+        faults = []
+        instance = service(fault_hook=lambda *request: faults.pop() if faults else None)
+        accepted = accepted_connections(monkeypatch, instance)
+        body = json.dumps({"spec": churn_spec().to_dict()}).encode("utf-8")
+        headers = {"Content-Type": "application/json"}
+        connection = http.client.HTTPConnection(
+            instance.host, instance.port, timeout=10
+        )
+        try:
+            connection.request("POST", "/nope", body=body, headers=headers)
+            response = connection.getresponse()
+            assert response.status == 404
+            response.read()
+            faults.append({"action": "status", "status": 503})
+            connection.request("POST", "/runs", body=body, headers=headers)
+            response = connection.getresponse()
+            assert response.status == 503
+            response.read()
+            # What was left of either body would now parse as a request.
+            connection.request("POST", "/runs", body=body, headers=headers)
+            response = connection.getresponse()
+            assert response.status == 201
+            assert json.loads(response.read())["id"] == "run-0001"
+        finally:
+            connection.close()
+        assert len(accepted) == 1
+
+    def test_client_reconnects_after_the_idle_timeout(self, service, monkeypatch):
+        monkeypatch.setattr(server_module._Handler, "timeout", 0.2)
+        instance = service()
+        accepted = accepted_connections(monkeypatch, instance)
+        calls = []
+        # No retries: the replaced connection must not spend the budget.
+        client = ServiceClient(
+            instance.url,
+            retry=RetryPolicy(retries=0),
+            fault_hook=lambda method, path: calls.append((method, path)),
+        )
+        assert client.health()["status"] == "ok"
+        time.sleep(0.6)  # the server closes the idle connection
+        assert client.health()["status"] == "ok"
+        assert calls == [("GET", "/healthz")] * 2, "one hook call per attempt"
+        assert len(accepted) == 2
+
+    def test_client_reconnects_to_a_restarted_service(self, service):
+        first = service("first")
+        client = ServiceClient(first.url)
+        client.wait(client.submit(churn_spec())["id"], timeout=60)
+        assert len(client.runs()) == 1
+        port = first.port
+        first.stop(drain=False, timeout=5.0)
+        # A new service on the same port, over another data directory:
+        # the kept connection must not reach the stopped one.
+        service("second", port=port)
+        assert client.runs() == []
+
+    def test_a_malformed_url_is_a_service_error(self):
+        for url in ("not a url", "http://", "http://host:port"):
+            with pytest.raises(ServiceError, match="not a service URL"):
+                ServiceClient(url).health()
+
+    def test_fault_hook_fires_once_per_attempt(self, service):
+        faults = [{"action": "status", "status": 503}]
+        instance = service(fault_hook=lambda *request: faults.pop() if faults else None)
+        calls = []
+
+        def hook(method, path):
+            calls.append((method, path))
+            if len(calls) == 1:
+                raise URLError("injected connection failure")
+
+        client = ServiceClient(
+            instance.url,
+            retry=RetryPolicy(retries=3, base_delay=0.01, max_delay=0.05),
+            fault_hook=hook,
+        )
+        # Attempts: the hook's failure, the server's 503, then success.
+        assert client.runs() == []
+        assert calls == [("GET", "/runs")] * 3
+        assert not faults
+
+
+# -- what a job writes -------------------------------------------------------------
+
+
+def recorded_writes(monkeypatch) -> list:
+    """Record every durable write the job store and the cache make, as
+    ``(thread name, path, text)``."""
+    writes = []
+    write = jobs_module.atomic_write_text
+
+    def recording(path, text):
+        writes.append((threading.current_thread().name, pathlib.Path(path), text))
+        return write(path, text)
+
+    monkeypatch.setattr(jobs_module, "atomic_write_text", recording)
+    monkeypatch.setattr(cache_module, "atomic_write_text", recording)
+    return writes
+
+
+def served_body(instance, job_id: str) -> bytes:
+    with urllib.request.urlopen(f"{instance.url}/runs/{job_id}") as response:
+        return response.read()
+
+
+class TestJobWrites:
+    def test_cache_hit_is_one_durable_write(self, service, monkeypatch):
+        instance = service()
+        client = ServiceClient(instance.url)
+        spec = churn_spec(seeds=(0, 1))
+        first = client.wait(client.submit(spec)["id"], timeout=60)
+        writes = recorded_writes(monkeypatch)
+        hit = client.submit(spec)
+        assert hit["cached"]
+        assert [path.name for _, path, _ in writes] == ["job.json"]
+        assert client.wait(hit["id"])["results"] == first["results"]
+
+    def test_fresh_submission_writes_its_record_once(self, service, monkeypatch):
+        instance = service()
+        writes = recorded_writes(monkeypatch)
+        client = ServiceClient(instance.url)
+        job = client.submit(churn_spec(seeds=(0, 1)))
+        client.wait(job["id"], timeout=60)
+        records = [
+            (thread, json.JSONDecoder().raw_decode(text)[0])
+            for thread, path, text in writes
+            if path == instance.store.record_path(job["id"])
+        ]
+        posted = [job for thread, job in records if thread != "repro-service-worker"]
+        assert len(posted) == 1, "the POST writes the record once"
+        # The first record on disk already names the job's channels.
+        expected = [instance.queue.channel_name(job["id"], index) for index in (0, 1)]
+        assert records[0][1]["channels"] == expected
+
+    def test_finished_jobs_own_their_results(self, service, tmp_path):
+        instance = service("owned")
+        client = ServiceClient(instance.url)
+        spec = churn_spec(seeds=(0, 1))
+        fresh = client.wait(client.submit(spec)["id"], timeout=60)
+        hit = client.wait(client.submit(spec)["id"])
+        assert hit["cached"] and hit["results"] == fresh["results"]
+        bodies = {job: served_body(instance, job) for job in (fresh["id"], hit["id"])}
+        entry = instance.cache._path(spec.fingerprint())
+        corrupt_file(entry, "bitflip", random.Random(0))
+        assert {job: served_body(instance, job) for job in bodies} == bodies
+        entry.unlink()
+        assert {job: served_body(instance, job) for job in bodies} == bodies
+        instance.stop(drain=False, timeout=5.0)
+        restarted = service("owned")
+        assert {job: served_body(restarted, job) for job in bodies} == bodies
+        assert not list((tmp_path / "owned" / "jobs").glob("*/results.json"))
+
+    def test_start_up_reads_records_without_parsing_results(self, tmp_path):
+        store = JobStore(tmp_path / "jobs")
+        job = store.new_job(
+            "ab" * 32, {"spec": {}}, status="done", results=[{"result": 1}]
+        )
+        path = store.record_path(job.id)
+        assert store.load_results(job.id) == [{"result": 1}]
+        path.write_text(path.read_text()[:-6])  # the results line, cut short
+        reloaded = JobStore(tmp_path / "jobs")
+        assert reloaded.get(job.id).status == "done"
+        assert reloaded.load_results(job.id) is None
+        assert path.with_name("job.json.corrupt").exists()
+        # The record is saved back without the damaged results.
+        assert JobStore(tmp_path / "jobs").get(job.id).summary() == job.summary()
+
+    def test_parent_layout_job_directories_serve_unchanged(self, service, tmp_path):
+        shutil.copytree(PARENT_LAYOUT / "jobs", tmp_path / "parent" / "jobs")
+        instance = service("parent")
+        client = ServiceClient(instance.url)
+        served = json.loads((PARENT_LAYOUT / "served.json").read_text())
+        assert {job_id: client.status(job_id) for job_id in served} == served
+
+    def test_dedup_never_walks_the_history(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(jobs_module, "atomic_write_text", _plain_write)
+        store = JobStore(tmp_path / "jobs")
+        for index in range(2000):
+            store.new_job(f"{index:064x}", {"spec": {}}, status="done")
+        store = JobStore(tmp_path / "jobs")
+        queue = JobQueue(store, ResultCache(tmp_path / "cache"), token="t")
+
+        def walk():
+            raise AssertionError("a submission walked every job record")
+
+        monkeypatch.setattr(store, "jobs", walk)
+        submission = Submission.from_payload(churn_spec().to_dict())
+        job, created = queue.submit(submission)
+        assert created and job.id == "run-2001"
+        assert queue.submit(submission) == (job, False)
+        store.update(job, status="done")
+        assert queue.submit(submission)[1], "a finished job is not joined"
+
+
+def _plain_write(path, text):
+    path = pathlib.Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    return path
