@@ -29,8 +29,8 @@ The library has five layers:
   :class:`~repro.simulation.batch.BatchRunner`;
 * :mod:`repro.faults` — deterministic fault injection (seeded
   :class:`FaultPlan` crash/corruption/flaky-transport schedules) and the
-  self-healing it proves out: stamped checkpoints with verified
-  fallback, retry policies with deterministic jitter, and the
+  self-healing it proves out: self-verifying checkpoints with
+  generation fallback, retry policies with deterministic jitter, and the
   ``repro chaos`` byte-identical-recovery harness.
 
 Quickstart (declarative — experiments as data)::

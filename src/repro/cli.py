@@ -11,7 +11,8 @@ experiments are JSON specs, dispatched through the registries and the
     python -m repro run spec.json --history none --jsonl rounds-{seed}.jsonl \
         --probe temporal
     python -m repro run spec.json --checkpoint-every 100 --checkpoint-dir ckpts
-    python -m repro resume ckpts/minimum-seed0/latest.json
+    python -m repro resume ckpts/minimum-seed0                # newest that verifies
+    python -m repro resume ckpts/minimum-seed0/round-00000100.json
     python -m repro sweep spec.json --param environment_params.edge_up_probability \
         --values 0.1,0.3,1.0
 
@@ -116,8 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
              "the uninterrupted run)",
     )
     resume.add_argument("checkpoint", type=pathlib.Path,
-                        help="path to a run checkpoint written by "
-                             "--checkpoint-every (e.g. .../latest.json)")
+                        help="a run checkpoint written by --checkpoint-every "
+                             "(.../round-00000100.json), or its run directory "
+                             "to resume from the newest one that verifies")
     resume.add_argument("--json", action="store_true",
                         help="print the completed SimulationResult as JSON")
 

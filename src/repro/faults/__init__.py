@@ -10,7 +10,7 @@ The subsystem has two halves that meet in the middle:
   :class:`ClientFaultHook`);
 * **healing** — the uniform :class:`RetryPolicy` (exponential backoff,
   deterministic jitter) used by the service client and the batch layer,
-  stamped checkpoints with verified fallback
+  self-verifying checkpoints with generation fallback
   (:func:`~repro.simulation.checkpoint.load_newest_verified`), and
   quarantine-instead-of-crash reads everywhere persisted state is
   loaded.

@@ -123,19 +123,17 @@ def _corrupt_checkpoints(
 ) -> list[dict]:
     """Damage on-disk checkpoints per the plan; returns what was done.
 
-    Every unit's newest checkpoint (``latest.json``) is corrupted; with
-    ``stale_fallback`` the newest rolling generation is damaged too, so
-    recovery must reach back a full generation.  Corruption bytes come
-    from a per-file seeded RNG — identical on every replay.
+    Every unit's newest checkpoint (its last ``round-*.json``) is
+    corrupted; with ``stale_fallback`` the second-newest generation is
+    damaged too, so recovery must reach back two generations.  Corruption
+    bytes come from a per-file seeded RNG — identical on every replay.
     """
     corruptions: list[dict] = []
     for entry in plan.entries_of("checkpoint-corrupt"):
-        targets = sorted(chaos_dir.glob("unit-*/engine/*/latest.json"))
-        if entry.get("stale_fallback"):
-            for engine_dir in sorted(chaos_dir.glob("unit-*/engine/*")):
-                rounds = sorted(engine_dir.glob("round-*.json"))
-                if rounds:
-                    targets.append(rounds[-1])
+        depth = 2 if entry.get("stale_fallback") else 1
+        targets = []
+        for run_dir in sorted(chaos_dir.glob("unit-*/engine/*")):
+            targets += sorted(run_dir.glob("round-*.json"))[-depth:]
         for path in targets:
             label = str(path.relative_to(chaos_dir))
             detail = corrupt_file(path, entry["mode"], plan.corruption_rng(label))

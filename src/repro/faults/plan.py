@@ -14,9 +14,9 @@ through:
     rolling checkpoint files are damaged on disk
     (:func:`~repro.faults.corrupt.corrupt_file`) before resume;
 ``cache-corrupt``
-    a result-cache entry is damaged between submissions (modes that
-    guarantee unparseable JSON — silent valid-JSON damage is a stamp
-    problem, not a cache-read problem);
+    a result-cache entry is damaged between submissions (any
+    :data:`~repro.faults.corrupt.CORRUPTION_MODES` mode: entries carry
+    their own digest, so even a flipped bit is a counted miss);
 ``http-flaky``
     the service answers with 503s, resets the connection, or delays
     responses (served through :class:`HTTPFaultHook`, the injection
@@ -85,14 +85,14 @@ class FaultPlan:
                     {
                         "kind": "checkpoint-corrupt",
                         "mode": rng.choice(CORRUPTION_MODES),
-                        # also damage the newest round-NNN generation, so
-                        # recovery must reach back a full generation
+                        # also damage the second-newest round-NNN
+                        # generation, so recovery must reach back two
                         "stale_fallback": rng.random() < 0.5,
                     }
                 )
             elif kind == "cache-corrupt":
                 entries.append(
-                    {"kind": "cache-corrupt", "mode": rng.choice(("truncate", "empty"))}
+                    {"kind": "cache-corrupt", "mode": rng.choice(CORRUPTION_MODES)}
                 )
             elif kind == "http-flaky":
                 entries.append(

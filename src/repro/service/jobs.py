@@ -233,6 +233,8 @@ class JobStore:
         #: In-flight (queued/running) job ids by fingerprint: dedup never
         #: walks the history.
         self._active: dict[str, set[str]] = {}
+        #: Jobs per status: ``/healthz`` never walks the history either.
+        self._status_counts: dict[str, int] = {}
         for record in sorted(self.directory.glob("*/job.json")):
             try:
                 job, results_at = _read_job_file(record)
@@ -348,15 +350,23 @@ class JobStore:
         with self._lock:
             self._untrack(job)
             job.status, job.error = "done", None
+            self._track(job)
             self._results_at[job.id] = results_at
         return job
 
     def _track(self, job: Job) -> None:
-        """Index ``job`` if it is in flight (callers hold the lock)."""
+        """Count ``job`` under its status and index it if it is in flight
+        (callers hold the lock)."""
+        self._status_counts[job.status] = self._status_counts.get(job.status, 0) + 1
         if job.status in ("queued", "running"):
             self._active.setdefault(job.fingerprint, set()).add(job.id)
 
     def _untrack(self, job: Job) -> None:
+        remaining = self._status_counts[job.status] - 1
+        if remaining:
+            self._status_counts[job.status] = remaining
+        else:
+            del self._status_counts[job.status]
         ids = self._active.get(job.fingerprint)
         if ids is not None:
             ids.discard(job.id)
@@ -373,6 +383,11 @@ class JobStore:
 
     def jobs(self) -> list[Job]:
         return [self.get(job_id) for job_id in self.ids()]
+
+    def status_counts(self) -> dict[str, int]:
+        """How many jobs hold each status (statuses with none are absent)."""
+        with self._lock:
+            return dict(self._status_counts)
 
     def find_active(self, fingerprint: str) -> Job | None:
         """A queued/running job with this fingerprint (in-flight dedup);
@@ -566,8 +581,8 @@ class JobQueue:
         then the (payload-silenced) checkpoint writer.
 
         The checkpoint directory must stay at ``<unit>/engine`` — that is
-        where the batch layer's idempotent worker looks for
-        ``latest.json`` when it restores an in-flight unit.
+        where the batch layer's idempotent worker looks for the newest
+        ``round-*.json`` that verifies when it restores an in-flight unit.
         """
 
         def entries(spec: ExperimentSpec, seed: int, unit_dir: pathlib.Path):

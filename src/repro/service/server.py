@@ -469,13 +469,10 @@ class ExperimentService:
     # -- introspection -----------------------------------------------------------
 
     def health(self) -> dict:
-        counts: dict[str, int] = {}
-        for job in self.store.jobs():
-            counts[job.status] = counts.get(job.status, 0) + 1
         return {
             "status": "ok",
             "draining": self.queue.draining,
-            "jobs": counts,
+            "jobs": self.store.status_counts(),
             "executed_jobs": self.queue.executed_jobs,
             "cache": self.cache.stats(),
         }

@@ -89,8 +89,8 @@ def _execute_durable_payload(payload: tuple[dict, int, str]) -> dict:
 
     * a persisted ``result.json`` means the unit already completed — load
       and return it, byte for byte (resume skips completed units);
-    * otherwise, the newest engine checkpoint that *verifies* (stamp +
-      parse; see
+    * otherwise, the newest engine ``round-*.json`` that *verifies*
+      (embedded digest + parse; see
       :func:`~repro.simulation.checkpoint.load_newest_verified`) means
       the unit was in flight when the batch died — restore and finish it
       (the result is byte-identical to an uninterrupted run of the

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Hashable, Iterable, Mapping
 
-from ..core.durable import atomic_write_text, quarantine, sha256_hex
+from ..core.durable import atomic_write_text, quarantine, read_digested, with_digest
 from ..core.errors import SpecificationError
 from ..core.multiset import Multiset, MutableMultiset
 from ..geometry.point import Point
@@ -58,7 +58,6 @@ __all__ = [
     "CHECKPOINT_FORMAT",
     "CODEC_SCALARS",
     "CODEC_TAGS",
-    "STAMP_SUFFIX",
     "codec_types",
     "encode_state",
     "decode_state",
@@ -69,9 +68,6 @@ __all__ = [
     "DriverState",
     "RunCheckpoint",
     "resume_run",
-    "stamp_path",
-    "write_checkpoint_text",
-    "verify_checkpoint_file",
     "load_newest_verified",
 ]
 
@@ -80,9 +76,6 @@ CHECKPOINT_FORMAT = "repro-run-checkpoint"
 
 #: Current checkpoint schema version.
 CHECKPOINT_VERSION = 1
-
-#: Suffix of a checkpoint's integrity-stamp sidecar file.
-STAMP_SUFFIX = ".sha256"
 
 
 # -- the state codec ------------------------------------------------------------
@@ -398,18 +391,30 @@ class RunCheckpoint:
         return cls.from_dict(data)
 
     def save(self, path: str | pathlib.Path) -> pathlib.Path:
-        """Write the checkpoint atomically and durably, with an integrity
-        stamp sidecar (see :func:`write_checkpoint_text`)."""
-        path = pathlib.Path(path)
-        write_checkpoint_text(path, self.to_json())
-        return path
+        """Write the checkpoint atomically and durably, in one file that
+        carries the SHA-256 of its JSON (see
+        :func:`~repro.core.durable.with_digest`)."""
+        return atomic_write_text(path, with_digest(self.to_json()))
 
     @classmethod
     def load(cls, source: "RunCheckpoint | str | pathlib.Path") -> "RunCheckpoint":
-        """Accept an in-memory checkpoint or a path to a checkpoint file."""
+        """Accept an in-memory checkpoint, a checkpoint file or a run
+        directory.
+
+        A file must pass :func:`~repro.core.durable.read_digested`.  A run
+        directory (``<directory>/<algorithm>-seed<seed>``) yields its newest
+        ``round-*.json`` that verifies, with the same fallback as
+        :func:`load_newest_verified`.
+        """
         if isinstance(source, RunCheckpoint):
             return source
-        return cls.from_json(pathlib.Path(source).read_text())
+        path = pathlib.Path(source)
+        if path.is_dir():
+            checkpoint = _newest_verified(path.glob("round-*.json"))
+            if checkpoint is None:
+                raise SpecificationError(f"no checkpoint in {path} verifies")
+            return checkpoint
+        return cls.from_json(read_digested(path))
 
 
 def resume_run(source: RunCheckpoint | str | pathlib.Path):
@@ -433,60 +438,15 @@ def resume_run(source: RunCheckpoint | str | pathlib.Path):
     return ExperimentSpec.from_dict(checkpoint.spec).resume(checkpoint)
 
 
-# -- checkpoint integrity: stamps, verification, generation fallback ------------
+# -- checkpoint integrity: generation fallback -----------------------------------
 #
 # A checkpoint that parses is not necessarily the checkpoint that was
 # written: truncation usually breaks the JSON, but a flipped bit in a
-# number does not.  Every checkpoint file therefore gets a ``.sha256``
-# sidecar stamping the exact bytes, written through the same durable
-# helper; resume verifies stamp + parse and falls back, newest first,
-# through the retained generations — quarantining (never deleting) what
-# fails, so one bad sector costs one generation of progress, not the run.
-
-
-def stamp_path(path: str | pathlib.Path) -> pathlib.Path:
-    """The integrity-stamp sidecar of a checkpoint file."""
-    path = pathlib.Path(path)
-    return path.with_name(path.name + STAMP_SUFFIX)
-
-
-def write_checkpoint_text(path: str | pathlib.Path, text: str) -> pathlib.Path:
-    """Persist checkpoint JSON durably plus its ``.sha256`` stamp.
-
-    The stamp is written *after* the data: a crash between the two
-    writes leaves a checkpoint without a stamp, which verification
-    accepts (stamps harden against silent corruption, not against the
-    checkpoint simply being the older generation).
-    """
-    path = pathlib.Path(path)
-    atomic_write_text(path, text)
-    atomic_write_text(stamp_path(path), sha256_hex(text) + "\n")
-    return path
-
-
-def verify_checkpoint_file(path: str | pathlib.Path) -> RunCheckpoint:
-    """Load one checkpoint file, verifying its integrity stamp if present.
-
-    Raises :class:`SpecificationError` on a stamp mismatch or unparseable
-    content (and lets ``OSError`` escape for an unreadable file); callers
-    that can fall back catch both.
-    """
-    path = pathlib.Path(path)
-    try:
-        text = path.read_text()
-    except UnicodeDecodeError as error:
-        raise SpecificationError(
-            f"checkpoint {path} is not valid UTF-8: {error}"
-        ) from error
-    stamp = stamp_path(path)
-    if stamp.exists():
-        recorded = stamp.read_text().strip()
-        if recorded and recorded != sha256_hex(text):
-            raise SpecificationError(
-                f"integrity stamp mismatch for {path} (the file's bytes "
-                "are not the bytes that were written)"
-            )
-    return RunCheckpoint.from_json(text)
+# number does not.  Every checkpoint file therefore carries the SHA-256 of
+# its own JSON, and every read verifies it; resume falls back, newest
+# first, through the retained generations — quarantining (never deleting)
+# what fails, so one bad sector costs one generation of progress, not the
+# run.
 
 
 def load_newest_verified(
@@ -496,27 +456,26 @@ def load_newest_verified(
 
     ``directory`` is a :class:`~repro.simulation.probes.CheckpointProbe`
     target (or the batch layer's ``<unit>/engine``): run subdirectories
-    holding ``latest.json`` plus rolling ``round-NNNNNNNN.json``
-    generations.  Candidates are tried newest first — ``latest.json``,
-    then the round files in descending round order; the first one that
-    reads, verifies and parses wins.  Anything that fails is quarantined
-    (with its stamp, so a stale stamp can never damn a future file of
-    the same name) and the search falls back a generation.  Returns None
-    when nothing verifies — the caller starts the run over.
+    holding rolling ``round-NNNNNNNN.json`` generations.  Candidates are
+    tried in descending round order; the first one that reads, verifies
+    and parses wins.  Anything that fails is quarantined and the search
+    falls back a generation.  Returns None when nothing verifies — the
+    caller starts the run over.
     """
-    directory = pathlib.Path(directory)
-    candidates = sorted(directory.glob("*/latest.json")) + sorted(
-        directory.glob("*/round-*.json"), reverse=True
+    return _newest_verified(
+        pathlib.Path(directory).glob("*/round-*.json"), quarantine_corrupt
     )
-    for path in candidates:
+
+
+def _newest_verified(
+    paths: Iterable[pathlib.Path], quarantine_corrupt: bool = True
+) -> RunCheckpoint | None:
+    for path in sorted(paths, reverse=True):
         try:
-            return verify_checkpoint_file(path)
+            return RunCheckpoint.load(path)
         except (OSError, SpecificationError) as error:
             if quarantine_corrupt:
                 quarantine(path, f"corrupt checkpoint: {error}")
-                stamp = stamp_path(path)
-                if stamp.exists():
-                    quarantine(stamp, f"stamp of quarantined {path.name}")
     return None
 
 

@@ -43,13 +43,7 @@ from ..core.errors import SpecificationError
 from ..core.multiset import Multiset
 from ..registry import register_probe
 from ..temporal.online import OnlineFormula, OPERATORS, online
-from .checkpoint import (
-    RunCheckpoint,
-    decode_state,
-    encode_state,
-    stamp_path,
-    write_checkpoint_text,
-)
+from .checkpoint import RunCheckpoint, decode_state, encode_state
 from .protocol import Engine, HistoryProbe, Probe, RoundRecord, RunContext
 from .result import jsonify
 
@@ -734,10 +728,11 @@ class CheckpointProbe(Probe):
     :func:`~repro.simulation.checkpoint.resume_run`) needs nothing else.
 
     Files land in ``<directory>/<algorithm>-seed<seed>/`` as
-    ``round-<NNNNNNNN>.json`` plus a ``latest.json`` copy (both written
-    atomically and durably, each with a ``.sha256`` integrity-stamp
-    sidecar), so per-seed runs of a batch never collide and "the most
-    recent checkpoint" is always one known filename.  A final checkpoint
+    ``round-<NNNNNNNN>.json``, one file per checkpoint, written atomically
+    and durably and carrying the SHA-256 of its own JSON
+    (:meth:`RunCheckpoint.save`), so per-seed runs of a batch never collide.
+    The run directory itself names "the most recent checkpoint that
+    verifies" (``repro resume <directory>``).  A final checkpoint
     is written when the run completes (``final=False`` disables it), which
     makes every finished run resumable into exactly itself.
 
@@ -746,7 +741,7 @@ class CheckpointProbe(Probe):
     than one is what makes corruption survivable:
     :func:`~repro.simulation.checkpoint.load_newest_verified` falls back
     through the retained generations when the newest file fails its
-    stamp or does not parse.
+    digest or does not parse.
     """
 
     name = "checkpoint"
@@ -863,26 +858,17 @@ class CheckpointProbe(Probe):
 
     def _store(self, checkpoint: RunCheckpoint, rounds_executed: int) -> None:
         """Persist one checkpoint (tests override this to capture in memory)."""
-        # Serialize once, write twice: the latest.json copy is the same
-        # bytes, and serialization dominates the write cost.  Each write
-        # is durable (fsync before replace) and stamped with the SHA-256
-        # of its bytes, so resume can tell silent corruption from a
-        # merely-older generation.
-        text = checkpoint.to_json()
-        self._run_dir.mkdir(parents=True, exist_ok=True)
-        for name in (f"round-{rounds_executed:08d}.json", "latest.json"):
-            write_checkpoint_text(self._run_dir / name, text)
+        checkpoint.save(self._run_dir / f"round-{rounds_executed:08d}.json")
         self._prune_generations()
 
     def _prune_generations(self) -> None:
         """Drop rolling round files beyond the retention budget, oldest
-        first (``latest.json`` and quarantined files are never touched)."""
+        first (quarantined files are never touched)."""
         if self.generations < 1:
             return
         rounds = sorted(self._run_dir.glob("round-*.json"))
         for stale in rounds[: -self.generations]:
-            for path in (stale, stamp_path(stale)):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
+            try:
+                stale.unlink()
+            except OSError:
+                pass

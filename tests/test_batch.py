@@ -260,7 +260,7 @@ def test_batch_resume_after_worker_crash(tmp_path):
     assert [item.label for item in completed] == ["healthy", "healthy"]
 
     sentinel_dir = tmp_path / "live" / "unit-0002"
-    checkpoints = list((sentinel_dir / "engine").glob("*/latest.json"))
+    checkpoints = list((sentinel_dir / "engine").glob("*/round-*.json"))
     assert checkpoints, "the crashed unit should have left an engine checkpoint"
     assert not (sentinel_dir / "result.json").exists()
 

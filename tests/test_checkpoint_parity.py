@@ -278,13 +278,13 @@ def test_full_probe_pipeline_resumes_byte_identically(tmp_path, history):
         assert sink_path.read_bytes() == full_stream
 
 
-def test_resume_via_embedded_spec_and_latest(tmp_path):
+def test_resume_via_embedded_spec_and_run_directory(tmp_path):
     from repro.simulation.checkpoint import resume_run
 
     spec = _probe_spec(tmp_path, "none")
     full = spec.run(4)
-    latest = tmp_path / "ckpts" / "minimum-seed4" / "latest.json"
-    resumed = resume_run(latest)
+    run_dir = tmp_path / "ckpts" / "minimum-seed4"
+    resumed = resume_run(run_dir)
     _assert_identical(resumed, full)
     assert resumed.probes == full.probes
 
@@ -292,8 +292,7 @@ def test_resume_via_embedded_spec_and_latest(tmp_path):
 def test_resume_rejects_mismatched_probe_pipeline(tmp_path):
     spec = _probe_spec(tmp_path, "none")
     spec.run(4)
-    latest = tmp_path / "ckpts" / "minimum-seed4" / "latest.json"
-    checkpoint = RunCheckpoint.load(latest)
+    checkpoint = RunCheckpoint.load(tmp_path / "ckpts" / "minimum-seed4")
     simulator = spec.build(4)
     with pytest.raises(SpecificationError, match="probe pipeline"):
         # No probes attached, but the checkpoint was taken under six.
@@ -386,9 +385,9 @@ def test_jsonl_sink_is_durable_at_checkpoint_time(tmp_path):
 def test_resume_rejects_mismatched_history_mode(tmp_path):
     spec = _probe_spec(tmp_path, "none")
     spec.run(4)
-    latest = tmp_path / "ckpts" / "minimum-seed4" / "latest.json"
+    run_dir = tmp_path / "ckpts" / "minimum-seed4"
     with pytest.raises(SpecificationError, match="history"):
-        spec.with_updates({"history": "full"}).resume(latest)
+        spec.with_updates({"history": "full"}).resume(run_dir)
 
 
 # -- checkpoint integrity --------------------------------------------------------

@@ -8,6 +8,7 @@ import pathlib
 import pytest
 
 from repro.cli import build_parser, main
+from repro.simulation.checkpoint import RunCheckpoint
 
 SPECS_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples" / "specs"
 
@@ -203,9 +204,31 @@ class TestSpecSubcommands:
         checkpoint = tmp_path / "ckpts" / "minimum-seed0" / "round-00000002.json"
         assert main(["resume", str(checkpoint), "--json"]) == 0
         output = capsys.readouterr().out
-        spec = ExperimentSpec.from_dict(json.loads(checkpoint.read_text())["spec"])
+        spec = ExperimentSpec.from_dict(RunCheckpoint.load(checkpoint).spec)
         assert json.loads(output) == spec.run_dict(resume_from=checkpoint)
         assert '"final_states": [' in output and output.count("\n") < 40
+
+    def test_resume_refuses_a_damaged_checkpoint(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        spec = str(SPECS_DIR / "minimum_checkpoint.json")
+        assert main(["run", spec, "--checkpoint-every", "25", "--checkpoint-dir",
+                     "ckpts"]) == 0
+        capsys.readouterr()
+        run_dir = tmp_path / "ckpts" / "minimum-seed0"
+        checkpoint = run_dir / "round-00000050.json"
+        text = checkpoint.read_text()
+        at = text.index('"agent_states": [') + len('"agent_states": [')
+        while not text[at].isdigit():
+            at += 1
+        digit = str((int(text[at]) + 1) % 10)
+        checkpoint.write_text(text[:at] + digit + text[at + 1:])
+
+        with pytest.raises(SystemExit, match="integrity digest mismatch"):
+            main(["resume", str(checkpoint), "--json"])
+        assert capsys.readouterr().out == "", "no result is printed"
+        # The damaged file does not poison its run directory: the newest
+        # checkpoint still verifies and resumes.
+        assert main(["resume", str(run_dir), "--json"]) == 0
 
     def test_run_seed_and_round_overrides(self, tmp_path, capsys):
         status = main(

@@ -253,8 +253,7 @@ def test_array_dict_unit_never_builds_a_round_bag(monkeypatch):
 
 
 def _history_state(path: pathlib.Path) -> dict:
-    checkpoint = json.loads(path.read_text())
-    entry = checkpoint["probes"][0]
+    entry = RunCheckpoint.load(path).probe_states[0]
     assert entry["name"] == "history"
     return entry["state"]
 
@@ -303,7 +302,7 @@ def test_parent_written_mid_run_checkpoint_resumes_byte_identically(
     batch = BatchRunner(backend="serial").resume("durable")
     assert json.dumps(batch.items[0].result) == expected
     # The finishing run counted: its own checkpoints carry a length.
-    state = _history_state(run_dir / "latest.json")
+    state = _history_state(run_dir)
     assert "states" not in state and state["length"] == 30
 
 
@@ -350,14 +349,13 @@ def test_cli_run_and_resume_of_counted_checkpoints(tmp_path, capsys):
     )
 
     run_dir = directory / "sorting-seed0"
-    latest = run_dir / "latest.json"
-    state = _history_state(latest)
+    state = _history_state(run_dir)
     assert state["history"] == "full"
     assert "states" not in state and "trajectory" not in state
     assert state["length"] == uninterrupted["trace"]["length"]
 
     mid = run_dir / "round-00000012.json"
-    for checkpoint in (mid, latest):
+    for checkpoint in (mid, run_dir):
         assert main(["resume", str(checkpoint), "--json"]) == 0
         resumed = json.loads(capsys.readouterr().out)
         assert _without_checkpoint_payload(resumed) == _without_checkpoint_payload(

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import json
 import pathlib
+import random
+import shutil
 import urllib.error
 
 import pytest
@@ -41,13 +43,26 @@ from repro.faults.chaos import split_crash_probes
 from repro.service import ExperimentService, ResultCache, ServiceClient
 from repro.service.jobs import JobStore
 from repro.simulation import BatchRunner, MergeMessagePassingSimulator
-from repro.simulation.checkpoint import (
-    load_newest_verified,
-    stamp_path,
-    verify_checkpoint_file,
-)
+from repro.simulation import checkpoint as checkpoint_module
+from repro.simulation.checkpoint import RunCheckpoint, load_newest_verified
 
 VALUES = (5, 3, 9, 1, 7, 2, 8, 4)
+#: A durable unit written before checkpoints embedded their digest: every
+#: round file has a ``.sha256`` sidecar, and ``latest.json`` copies the
+#: newest one.
+PARENT_RUN_DIR = (
+    pathlib.Path(__file__).resolve().parent
+    / "fixtures" / "parent_full_history" / "durable" / "unit-0000" / "engine"
+    / "minimum-seed0"
+)
+#: Bytes of the header line :func:`repro.core.durable.with_digest` writes.
+HEADER_LENGTH = len(durable.DIGEST_HEADER) + 64 + 1
+
+
+def flip_bit(path: pathlib.Path, index: int, bit: int) -> None:
+    data = bytearray(path.read_bytes())
+    data[index] ^= 1 << bit
+    path.write_bytes(bytes(data))
 
 
 def minimum_spec(**overrides) -> ExperimentSpec:
@@ -232,7 +247,7 @@ class TestSharedDurablePrimitives:
         assert durable.quarantine(tmp_path / "gone.json", "again") is None
 
 
-# -- stamped checkpoints and verified fallback -----------------------------------
+# -- self-verifying checkpoints and generation fallback ---------------------------
 
 
 class TestCheckpointIntegrity:
@@ -252,46 +267,135 @@ class TestCheckpointIntegrity:
         spec.run(0)
         return directory
 
-    def test_every_checkpoint_gets_a_stamp(self, tmp_path):
+    def test_every_checkpoint_is_one_self_verifying_file(self, tmp_path):
         directory = self._checkpoint_dir(tmp_path)
-        files = sorted(directory.glob("*/*.json"))
+        run_dir = next(directory.glob("*"))
+        files = sorted(run_dir.iterdir())
         assert files, "the run must have checkpointed"
+        assert all(path.name.startswith("round-") for path in files), files
+        assert all(path.suffix == ".json" for path in files), files
         for path in files:
-            assert stamp_path(path).exists()
-            verify_checkpoint_file(path)
+            assert path.read_text().startswith(durable.DIGEST_HEADER)
+            RunCheckpoint.load(path)
+
+    def test_one_checkpoint_is_one_durable_write(self, tmp_path, monkeypatch):
+        writes = []
+
+        def recording(path, text):
+            writes.append(pathlib.Path(path))
+            return durable.atomic_write_text(path, text)
+
+        monkeypatch.setattr(checkpoint_module, "atomic_write_text", recording)
+        directory = tmp_path / "ckpt"
+        result = minimum_spec(
+            seeds=(0,),
+            probes=({"probe": "checkpoint", "every": 2, "directory": str(directory)},),
+        ).run(0)
+        written = result.probes["checkpoint"]["checkpoints_written"]
+        assert written > 1
+        assert len(writes) == written
+        assert sorted(writes) == sorted(directory.glob("*/*"))
 
     def test_tampering_fails_verification(self, tmp_path):
-        directory = self._checkpoint_dir(tmp_path)
-        latest = next(directory.glob("*/latest.json"))
-        latest.write_text(latest.read_text().replace(" ", "  ", 1))
-        with pytest.raises(SpecificationError, match="integrity stamp"):
-            verify_checkpoint_file(latest)
+        directory = self._checkpoint_dir(tmp_path, every=1)
+        newest = sorted(directory.glob("*/round-*.json"))[-1]
+        header, body = newest.read_text().split("\n", 1)
+        newest.write_text(f"{header}\n{body.replace(' ', '  ', 1)}")
+        with pytest.raises(SpecificationError, match="integrity digest mismatch"):
+            RunCheckpoint.load(newest)
+        assert load_newest_verified(directory, quarantine_corrupt=False) is not None
 
-    def test_unstamped_checkpoint_still_accepted(self, tmp_path):
-        # A crash between the data write and the stamp write must not
-        # damn a perfectly good checkpoint.
+    def test_one_bit_flips_are_always_rejected(self, tmp_path):
+        directory = self._checkpoint_dir(tmp_path, every=50)
+        original = sorted(directory.glob("*/round-*.json"))[-1]
+        data = original.read_bytes()
+        target = tmp_path / "flipped.json"
+        rng = random.Random("bit-flips")
+        # Every bit of the header line, its newline included, then
+        # seeded positions in the JSON after it.
+        flips = [(index, bit) for index in range(HEADER_LENGTH) for bit in range(8)]
+        flips += [
+            (rng.randrange(HEADER_LENGTH, len(data)), rng.randrange(8))
+            for _ in range(200)
+        ]
+        for index, bit in flips:
+            target.write_bytes(data)
+            flip_bit(target, index, bit)
+            with pytest.raises(SpecificationError):
+                RunCheckpoint.load(target)
+
+    def test_header_damage_never_falls_back_to_the_older_layout(self, tmp_path):
         directory = self._checkpoint_dir(tmp_path)
-        latest = next(directory.glob("*/latest.json"))
-        stamp_path(latest).unlink()
-        verify_checkpoint_file(latest)
-        assert load_newest_verified(directory) is not None
+        path = sorted(directory.glob("*/round-*.json"))[-1]
+        text = path.read_text()
+        path.write_text("x" + text[1:])
+        with pytest.raises(SpecificationError, match="neither an integrity header"):
+            RunCheckpoint.load(path)
+        path.write_text(text.replace("\n", " ", 1))
+        with pytest.raises(SpecificationError, match="malformed integrity header"):
+            RunCheckpoint.load(path)
+
+    def test_parent_layout_still_loads(self, tmp_path):
+        run_dir = tmp_path / "minimum-seed0"
+        shutil.copytree(PARENT_RUN_DIR, run_dir)
+        assert (run_dir / "latest.json.sha256").exists()
+        latest = RunCheckpoint.load(run_dir / "latest.json")
+        newest = RunCheckpoint.load(run_dir / "round-00000029.json")
+        assert latest.to_dict() == newest.to_dict()
+        # The newest round file wins; latest.json is only its copy.
+        found = load_newest_verified(tmp_path, quarantine_corrupt=False)
+        assert found.to_dict() == newest.to_dict()
+        assert RunCheckpoint.load(run_dir).to_dict() == newest.to_dict()
+        # The sidecar still guards a parent-written file ...
+        mid = run_dir / "round-00000015.json"
+        text = mid.read_text()
+        mid.write_text(text.replace('"round_index": 15', '"round_index": 14', 1))
+        with pytest.raises(SpecificationError, match="integrity digest mismatch"):
+            RunCheckpoint.load(mid)
+        # ... and a parent-written file without one is read as it is.
+        mid.write_text(text)
+        (run_dir / "round-00000015.json.sha256").unlink()
+        assert RunCheckpoint.load(mid).driver.rounds_executed == 15
+
+    def test_stale_sidecar_never_rejects_a_rewritten_file(self, tmp_path):
+        run_dir = tmp_path / "minimum-seed0"
+        shutil.copytree(PARENT_RUN_DIR, run_dir)
+        path = run_dir / "round-00000029.json"
+        sidecar = path.with_name(path.name + ".sha256")
+        RunCheckpoint.load(path).save(path)
+        assert sidecar.read_text().strip() != durable.sha256_hex(path.read_bytes())
+        assert RunCheckpoint.load(path).driver.rounds_executed == 29
+        found = load_newest_verified(tmp_path)
+        assert found.driver.rounds_executed == 29
+        assert not list(run_dir.glob("*.corrupt"))
 
     @pytest.mark.parametrize("mode", CORRUPTION_MODES)
-    def test_fallback_skips_corrupt_latest(self, tmp_path, mode):
-        import random
-
-        directory = self._checkpoint_dir(tmp_path, every=3)
+    def test_fallback_skips_corrupt_newest(self, tmp_path, mode):
+        directory = self._checkpoint_dir(tmp_path, every=1)
         run_dir = next(directory.glob("*"))
-        latest = run_dir / "latest.json"
-        corrupt_file(latest, mode, random.Random(f"t:{mode}"))
+        rounds = sorted(run_dir.glob("round-*.json"))
+        corrupt_file(rounds[-1], mode, random.Random(f"t:{mode}"))
         checkpoint = load_newest_verified(directory)
         assert checkpoint is not None
-        assert (run_dir / "latest.json.corrupt").exists(), "quarantined"
-        assert not latest.exists()
+        assert checkpoint.to_dict() == RunCheckpoint.load(rounds[-2]).to_dict()
+        assert rounds[-1].with_name(rounds[-1].name + ".corrupt").exists()
+        assert not rounds[-1].exists()
+
+    def test_run_directory_resumes_its_newest_verified_checkpoint(self, tmp_path):
+        directory = self._checkpoint_dir(tmp_path, every=1)
+        run_dir = next(directory.glob("*"))
+        rounds = sorted(run_dir.glob("round-*.json"))
+        newest = RunCheckpoint.load(rounds[-1])
+        assert RunCheckpoint.load(run_dir).to_dict() == newest.to_dict()
+        corrupt_file(rounds[-1], "bitflip", random.Random("dir"))
+        fallback = RunCheckpoint.load(run_dir)
+        assert fallback.to_dict() == RunCheckpoint.load(rounds[-2]).to_dict()
+        for path in run_dir.glob("round-*.json"):
+            corrupt_file(path, "empty", random.Random("dir"))
+        with pytest.raises(SpecificationError, match="no checkpoint in"):
+            RunCheckpoint.load(run_dir)
 
     def test_all_corrupt_returns_none(self, tmp_path):
-        import random
-
         directory = self._checkpoint_dir(tmp_path, every=3)
         rng = random.Random("all")
         for path in sorted(directory.glob("*/*.json")):
@@ -303,11 +407,7 @@ class TestCheckpointIntegrity:
         run_dir = next(directory.glob("*"))
         rounds = sorted(run_dir.glob("round-*.json"))
         assert len(rounds) == 2
-        for path in rounds:
-            assert stamp_path(path).exists()
-        # No orphaned stamps for the pruned generations.
-        stamps = {p.name for p in run_dir.glob("round-*.json.sha256")}
-        assert stamps == {path.name + ".sha256" for path in rounds}
+        assert sorted(run_dir.iterdir()) == rounds, "nothing but the round files"
 
 
 # -- crash + recovery on both engines --------------------------------------------
@@ -411,38 +511,33 @@ class TestDurableBatchRecovery:
         return tmp_path / "live"
 
     @pytest.mark.parametrize("mode", CORRUPTION_MODES)
-    def test_resume_survives_corrupt_latest(self, tmp_path, mode):
-        import random
-
+    def test_resume_survives_corrupt_newest(self, tmp_path, mode):
         reference = self._reference(tmp_path)
         live = self._crashed(tmp_path, f"batch-{mode}")
-        latest = next(live.glob("unit-0000/engine/*/latest.json"))
-        corrupt_file(latest, mode, random.Random(f"batch:{mode}"))
+        newest = sorted(live.glob("unit-0000/engine/*/round-*.json"))[-1]
+        corrupt_file(newest, mode, random.Random(f"batch:{mode}"))
 
         resumed = BatchRunner(backend="serial").resume(live)
         assert not resumed.failures()
         assert comparable(resumed) == comparable(reference)
-        assert latest.with_name("latest.json.corrupt").exists()
+        assert newest.with_name(newest.name + ".corrupt").exists()
 
     def test_resume_survives_stale_generation_fallback(self, tmp_path):
-        import random
-
         reference = self._reference(tmp_path)
         live = self._crashed(tmp_path, "batch-stale", at_round=4, checkpoint_every=1)
         engine_dir = next(live.glob("unit-0000/engine/*"))
         rng = random.Random("stale")
-        corrupt_file(engine_dir / "latest.json", "truncate", rng)
         rounds = sorted(engine_dir.glob("round-*.json"))
-        assert len(rounds) >= 2, "need at least two generations to fall back"
-        corrupt_file(rounds[-1], "bitflip", rng)
+        assert len(rounds) >= 3, "need a generation left after two damaged ones"
+        corrupt_file(rounds[-1], "truncate", rng)
+        corrupt_file(rounds[-2], "bitflip", rng)
 
         resumed = BatchRunner(backend="serial").resume(live)
         assert not resumed.failures()
         assert comparable(resumed) == comparable(reference)
+        assert len(list(engine_dir.glob("*.corrupt"))) == 2
 
     def test_resume_survives_every_checkpoint_corrupt(self, tmp_path):
-        import random
-
         reference = self._reference(tmp_path)
         live = self._crashed(tmp_path, "batch-total")
         rng = random.Random("total")
@@ -485,6 +580,59 @@ class TestServiceStateRecovery:
         assert path.with_name(path.name + ".corrupt").exists()
         stats = cache.stats()
         assert stats["corrupt"] == 1 and stats["misses"] == 1 and stats["hits"] == 0
+
+    def test_one_digit_change_is_a_counted_corrupt_miss(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        fingerprint = minimum_spec().fingerprint()
+        cache.put(fingerprint, {"spec": True}, [{"output": 41}])
+        path = cache._path(fingerprint)
+        path.write_text(path.read_text().replace('"output": 41', '"output": 11'))
+
+        assert cache.get(fingerprint) is None
+        assert path.with_name(path.name + ".corrupt").exists()
+        assert cache.stats() == {"entries": 0, "hits": 0, "misses": 1, "corrupt": 1}
+
+    def test_one_bit_flips_in_an_entry_are_always_caught(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        fingerprint = minimum_spec().fingerprint()
+        cache.put(fingerprint, {"spec": True}, [{"output": 41, "rounds": 7}])
+        path = cache._path(fingerprint)
+        data = path.read_bytes()
+        rng = random.Random("cache-flips")
+        flips = [(index, rng.randrange(8)) for index in range(len(data))]
+        for count, (index, bit) in enumerate(flips, start=1):
+            path.write_bytes(data)
+            flip_bit(path, index, bit)
+            assert cache.get(fingerprint) is None, (index, bit)
+            assert cache.stats()["corrupt"] == count
+        path.write_bytes(data)
+        assert cache.get(fingerprint)["results"] == [{"output": 41, "rounds": 7}]
+
+    def test_parent_written_entry_is_still_served(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        fingerprint = minimum_spec().fingerprint()
+        entry = cache.put(fingerprint, {"spec": True}, [{"output": 41}])
+        cache._path(fingerprint).write_text(json.dumps(entry))
+        assert ResultCache(tmp_path / "cache").get(fingerprint) == entry
+
+    def test_damaged_entry_re_executes_byte_identically(self, service):
+        instance = service()
+        client = ServiceClient(instance.url)
+        spec = minimum_spec(seeds=(0,))
+        first = client.wait(client.submit(spec)["id"], timeout=60)
+        path = instance.cache._path(spec.fingerprint())
+        written = path.read_text()
+        at = written.index('"output": ') + len('"output": ')
+        digit = written[at]
+        assert digit.isdigit()
+        path.write_text(written[:at] + str((int(digit) + 1) % 10) + written[at + 1 :])
+
+        second = client.wait(client.submit(spec)["id"], timeout=60)
+        assert not second["cached"], "a damaged entry is a miss, never a hit"
+        assert json.dumps(second["results"]) == json.dumps(first["results"])
+        assert path.read_text() == written, "the re-executed entry is the original"
+        stats = client.cache_stats()
+        assert stats["corrupt"] == 1 and stats["hits"] == 0 and stats["entries"] == 1
 
     def test_foreign_file_is_not_served(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

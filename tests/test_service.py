@@ -444,7 +444,7 @@ class TestExperimentService:
         record = first.store.get(job["id"])
         assert record.status == "queued", "drain must re-queue the in-flight job"
         engine_dir = first.store.batch_dir(job["id"]) / "unit-0000" / "engine"
-        assert list(engine_dir.glob("*/latest.json")), "drain must checkpoint"
+        assert list(engine_dir.glob("*/round-*.json")), "drain must checkpoint"
 
         second = service("durable", checkpoint_every=2)
         final = ServiceClient(second.url).wait(job["id"], timeout=120)
@@ -703,6 +703,40 @@ class TestJobWrites:
         assert queue.submit(submission) == (job, False)
         store.update(job, status="done")
         assert queue.submit(submission)[1], "a finished job is not joined"
+
+
+class TestHealthCost:
+    def test_health_and_cache_stats_never_walk_the_history(
+        self, service, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(jobs_module, "atomic_write_text", _plain_write)
+        monkeypatch.setattr(cache_module, "atomic_write_text", _plain_write)
+        store = JobStore(tmp_path / "busy" / "jobs")
+        cache = ResultCache(tmp_path / "busy" / "cache")
+        for index in range(2000):
+            status = "failed" if index % 7 == 0 else "done"
+            store.new_job(f"{index:064x}", {"spec": {}}, status=status)
+            cache.put(f"{index:064x}", {"spec": {}}, [])
+        monkeypatch.undo()
+        instance = service("busy")
+        client = ServiceClient(instance.url)
+        client.wait(client.submit(churn_spec(seeds=(0,)))["id"], timeout=60)
+        walked: dict[str, int] = {}
+        for job in instance.store.jobs():
+            walked[job.status] = walked.get(job.status, 0) + 1
+        entries = sum(1 for _ in (tmp_path / "busy" / "cache").glob("*/*.json"))
+        assert walked == {"done": 1715, "failed": 286} and entries == 2001
+
+        def walk(*args, **kwargs):
+            raise AssertionError("a health check walked the history")
+
+        monkeypatch.setattr(instance.store, "jobs", walk)
+        monkeypatch.setattr(pathlib.Path, "glob", walk)
+        monkeypatch.setattr(pathlib.Path, "rglob", walk)
+        health = client.health()
+        stats = client.cache_stats()
+        assert health["jobs"] == walked
+        assert stats["entries"] == health["cache"]["entries"] == entries
 
 
 def _plain_write(path, text):
