@@ -288,7 +288,8 @@ class ServiceClient:
 
         ``data`` is the parsed probe payload — line for line what a JSONL
         sink would have written for the same run.  The iterator follows
-        the stream live and ends when the server sends its ``end`` event.
+        the stream live and ends when the server sends its ``end`` event,
+        which it does once the job is terminal.
         ``offset`` resumes mid-stream (``"unit:line"``, or a line number
         in unit 0).
 

@@ -227,6 +227,8 @@ class JobStore:
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
+        #: Notified whenever a job's status changes in memory.
+        self._changed = threading.Condition(self._lock)
         self._jobs: dict[str, Job] = {}
         #: Byte offset of the results in each finished job's ``job.json``.
         self._results_at: dict[str, int] = {}
@@ -337,6 +339,7 @@ class JobStore:
             for name, value in changes.items():
                 setattr(job, name, value)
             self._track(job)
+            self._changed.notify_all()
         self.save(job)
         return job
 
@@ -352,7 +355,25 @@ class JobStore:
             job.status, job.error = "done", None
             self._track(job)
             self._results_at[job.id] = results_at
+            self._changed.notify_all()
         return job
+
+    def wait_finished(
+        self, job_id: str, stop: Callable[[], bool], poll_interval: float
+    ) -> Job | None:
+        """Block until the job leaves ``queued``/``running`` and return it.
+
+        ``stop`` is polled every ``poll_interval`` seconds; None means it
+        turned true first (or the job is unknown).
+        """
+        with self._changed:
+            while True:
+                job = self._jobs.get(job_id)
+                if job is None or job.status not in ("queued", "running"):
+                    return job
+                if stop():
+                    return None
+                self._changed.wait(timeout=poll_interval)
 
     def _track(self, job: Job) -> None:
         """Count ``job`` under its status and index it if it is in flight

@@ -39,7 +39,11 @@ Event identity on the wire: a job fans out to one broker channel per
 in order.  Event ids are ``"<unit>:<line>"``; a client resuming with
 ``Last-Event-ID: 2:17`` replays from line 18 of unit 2.  Lines a process
 restart dropped from the in-memory history are skipped, never renumbered
-— offsets stay meaningful across reconnects, retries and restarts.
+— offsets stay meaningful across reconnects, retries and restarts.  The
+handler sends each batch the broker hands it (lines at most
+:data:`~repro.service.streams.STREAM_BATCH_S` old) in one write, and the
+closing ``end`` event once the job is terminal, carrying its final
+summary.
 """
 
 from __future__ import annotations
@@ -247,21 +251,23 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- server-sent events ------------------------------------------------------
 
-    def _write_event(self, event_id: str | None, data: str, name: str | None = None) -> None:
-        if self._sse_event_budget is not None:
-            if self._sse_event_budget <= 0:
-                # Injected disconnect: drop the stream exactly as a dead
-                # peer would, so the client's Last-Event-ID resume runs.
-                raise BrokenPipeError("injected SSE disconnect")
-            self._sse_event_budget -= 1
-        parts = []
-        if name is not None:
-            parts.append(f"event: {name}\n")
-        if event_id is not None:
-            parts.append(f"id: {event_id}\n")
-        parts.append(f"data: {data}\n\n")
-        self.wfile.write("".join(parts).encode("utf-8"))
-        self.wfile.flush()
+    def _write_events(self, events: list[str]) -> None:
+        """Send framed events in one write.
+
+        An injected SSE budget counts events: those within it are sent,
+        then the stream drops exactly as a dead peer would, so the
+        client's ``Last-Event-ID`` resume runs.
+        """
+        budget = self._sse_event_budget
+        cut = budget is not None and budget < len(events)
+        if budget is not None:
+            events = events[:budget]
+            self._sse_event_budget = budget - len(events)
+        if events:
+            self.wfile.write("".join(events).encode("utf-8"))
+            self.wfile.flush()
+        if cut:
+            raise BrokenPipeError("injected SSE disconnect")
 
     def _stream_events(self, job_id: str) -> None:
         service = self.service
@@ -290,32 +296,31 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Connection", "close")
         self.end_headers()
 
-        def live() -> bool:
-            current = service.store.get(job_id)
-            return current is not None and current.status in ("queued", "running")
-
+        if job.status not in ("queued", "running"):
+            # No run will publish to a terminal job's channels again:
+            # closed, they replay what history remains and never block.
+            for channel in job.channels:
+                service.broker.close(channel)
         stop = service.stopping
         try:
             for unit in range(start_unit, len(job.channels)):
-                channel = job.channels[unit]
                 offset = start_line if unit == start_unit else 0
-                if live():
-                    for index, line in service.broker.subscribe(
-                        channel, offset=offset, stop=stop, poll_interval=0.1
-                    ):
-                        self._write_event(f"{unit}:{index}", line)
-                    if stop():
-                        break
-                else:
-                    # Terminal job: replay whatever history remains, never
-                    # block on a channel no run will publish to again.
-                    base, lines, _closed = service.broker.snapshot(channel)
-                    for index, line in enumerate(lines, start=base):
-                        if index >= offset:
-                            self._write_event(f"{unit}:{index}", line)
-            final = service.store.get(job_id)
-            summary = final.summary() if final is not None else {"id": job_id}
-            self._write_event(None, json.dumps(summary), name="end")
+                for batch in service.broker.subscribe(
+                    job.channels[unit], offset=offset, stop=stop, poll_interval=0.1
+                ):
+                    self._write_events(
+                        [
+                            f"id: {unit}:{index}\ndata: {line}\n\n"
+                            for index, line in batch
+                        ]
+                    )
+            # "end" means the job is terminal, results and record written;
+            # a stopping server drops the stream without it instead, so the
+            # client resumes from its Last-Event-ID.
+            final = service.store.wait_finished(job_id, stop, poll_interval=0.1)
+            if final is not None:
+                summary = json.dumps(final.summary())
+                self._write_events([f"event: end\ndata: {summary}\n\n"])
         except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
             pass
 

@@ -17,6 +17,15 @@ The broker keeps per-channel line history with a base offset, so
   and keeps appending at stable indices, which is what makes SSE
   ``Last-Event-ID`` reconnection offsets meaningful across retries and
   even server restarts.
+
+Subscribers take lines in batches: after handing over a batch, a
+subscriber lets the channel gather lines for up to
+:data:`STREAM_BATCH_S` before it takes the next, so a run publishing
+every round wakes its followers once per batch, not once per line.  A
+subscriber that has caught up still wakes on the next publish, so the
+first line after a quiet spell goes out at once, and closing or
+truncating a channel ends the gathering wait, so the end of a stream is
+never delayed.
 """
 
 from __future__ import annotations
@@ -36,17 +45,31 @@ from ..simulation.probes import (
     stream_start_payload,
 )
 
-__all__ = ["EventBroker", "ServiceSinkProbe", "BROKER"]
+__all__ = ["EventBroker", "ServiceSinkProbe", "BROKER", "STREAM_BATCH_S"]
+
+#: Seconds a subscriber lets lines gather after handing over a batch.
+#: Measured, not tuned per run: each wake-up of a subscriber (an SSE
+#: handler thread) takes the interpreter lock from the worker running
+#: the job.  Following every ``service_sweep`` job's events, one wake-up
+#: per line (~1500 for 1548 lines over twelve jobs) held the worker to
+#: 541 rounds/s; gathering for 20 ms woke it 150–186 times and ran 674
+#: rounds/s (medians of 10 perfbench runs each); 50 ms measured no
+#: better.  A follower sees lines at most this old (Python 3.11, a
+#: shared 2-vCPU x86-64 container).
+STREAM_BATCH_S = 0.02
 
 
 class _Channel:
     """One run's event stream: an append-only line log with a base offset."""
 
-    def __init__(self, condition: threading.Condition):
+    def __init__(self, lock: threading.Lock):
         self.base = 0
         self.lines: list[str] = []
         self.closed = False
-        self.condition = condition
+        self.truncations = 0
+        #: Notified when the channel closes or is truncated, never on a
+        #: publish: subscribers gathering a batch wait on it.
+        self.settled = threading.Condition(lock)
 
     @property
     def end(self) -> int:
@@ -69,7 +92,10 @@ class EventBroker:
     """
 
     def __init__(self):
-        self._condition = threading.Condition()
+        self._lock = threading.Lock()
+        #: Notified on every publish, close and truncate: caught-up
+        #: subscribers wait on it.
+        self._condition = threading.Condition(self._lock)
         self._channels: dict[str, _Channel] = {}
         self._draining: set[str] = set()
 
@@ -77,7 +103,7 @@ class EventBroker:
         with self._condition:
             channel = self._channels.get(name)
             if channel is None:
-                channel = self._channels[name] = _Channel(self._condition)
+                channel = self._channels[name] = _Channel(self._lock)
             return channel
 
     # -- publishing ------------------------------------------------------------
@@ -111,6 +137,7 @@ class EventBroker:
         channel = self._channel(name)
         with self._condition:
             channel.closed = False
+            channel.truncations += 1
             if count <= channel.base:
                 channel.base = count
                 channel.lines = []
@@ -122,6 +149,7 @@ class EventBroker:
                 channel.base = count
                 channel.lines = []
             self._condition.notify_all()
+            channel.settled.notify_all()
 
     def close(self, name: str) -> None:
         """Mark the channel complete; subscribers drain and stop."""
@@ -129,6 +157,7 @@ class EventBroker:
         with self._condition:
             channel.closed = True
             self._condition.notify_all()
+            channel.settled.notify_all()
 
     def drop(self, name: str) -> None:
         """Forget a channel and its history entirely."""
@@ -156,19 +185,30 @@ class EventBroker:
         offset: int = 0,
         stop: Callable[[], bool] | None = None,
         poll_interval: float = 0.25,
-    ) -> Iterator[tuple[int, str]]:
-        """Yield ``(index, line)`` from ``offset`` until the channel closes.
+    ) -> Iterator[list[tuple[int, str]]]:
+        """Yield batches of ``(index, line)`` from ``offset`` until the
+        channel closes.
 
-        Blocks waiting for new lines; ``stop`` is polled every
-        ``poll_interval`` seconds so an HTTP handler can abandon the
-        subscription when its server shuts down.  Lines older than the
-        channel's base (lost to a process restart) are silently skipped —
-        the subscriber sees the honest remainder of the stream.
+        A batch is every line published since the last one.  After
+        handing one over, the subscriber waits up to
+        :data:`STREAM_BATCH_S` for the channel to close or be truncated
+        (new lines do not end this wait), then takes what gathered.  A
+        subscriber that has caught up blocks until the next publish;
+        ``stop`` is polled every ``poll_interval`` seconds meanwhile so
+        an HTTP handler can abandon the subscription when its server
+        shuts down.  Lines older than the channel's base (lost to a
+        process restart) are silently skipped — the subscriber sees the
+        honest remainder of the stream.
         """
         channel = self._channel(name)
         position = max(0, offset)
+        truncations = None
         while True:
             with self._condition:
+                # Let lines gather after a handed-over batch, unless the
+                # channel closed or was truncated since.
+                if truncations == channel.truncations and not channel.closed:
+                    channel.settled.wait(timeout=STREAM_BATCH_S)
                 while True:
                     if position < channel.base:
                         position = channel.base
@@ -180,13 +220,14 @@ class EventBroker:
                             )
                         )
                         position = channel.end
+                        truncations = channel.truncations
                         break
                     if channel.closed:
                         return
                     if stop is not None and stop():
                         return
                     self._condition.wait(timeout=poll_interval)
-            yield from batch
+            yield batch
 
     # -- cooperative drain -----------------------------------------------------
 

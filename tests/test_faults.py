@@ -752,6 +752,31 @@ class TestClientSelfHealing:
         assert interrupted == replay, "reconnection lost or duplicated events"
         assert len({event["id"] for event in interrupted}) == len(interrupted)
 
+    def test_sse_disconnect_inside_a_batch_is_stitched(self, service):
+        # A finished job's lines were all published before the stream
+        # opens, so each connection gets them as one batch and the
+        # budget cuts it in the middle.
+        plan = FaultPlan.from_dict(
+            {
+                "format": "repro-fault-plan",
+                "seed": 0,
+                "entries": [
+                    {"kind": "sse-disconnect", "after_events": 3, "times": 2}
+                ],
+            }
+        )
+        hook = plan.server_hook()
+        instance = service(fault_hook=hook)
+        client = ServiceClient(instance.url, retry=self._retry(4))
+        job = client.submit(minimum_spec(seeds=(0, 1)))
+        client.wait(job["id"], timeout=60)
+        interrupted = list(client.events(job["id"]))
+        assert hook.exhausted(), "both scheduled disconnects fired"
+        replay = list(client.events(job["id"]))
+        assert len(replay) > 6
+        assert interrupted == replay, "reconnection lost or duplicated events"
+        assert len({event["id"] for event in interrupted}) == len(interrupted)
+
     def test_wait_poll_backs_off_exponentially(self, service, monkeypatch):
         import repro.service.client as client_module
 

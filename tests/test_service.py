@@ -20,12 +20,15 @@ import http.client
 import io
 import json
 import pathlib
+import queue
 import random
 import shutil
+import sys
 import threading
 import time
 import urllib.request
 from urllib.error import URLError
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -47,6 +50,7 @@ from repro.service import (
 from repro.service import cache as cache_module
 from repro.service import jobs as jobs_module
 from repro.service import server as server_module
+from repro.service import streams as streams_module
 from repro.service.jobs import JobInterrupted, JobQueue, JobStore
 from repro.simulation.protocol import Probe
 
@@ -115,14 +119,19 @@ def service(tmp_path):
 # -- the event broker ------------------------------------------------------------
 
 
+def flattened(batches) -> list[tuple[int, str]]:
+    """A subscription's batches as one list of ``(index, line)``."""
+    return [event for batch in batches for event in batch]
+
+
 class TestEventBroker:
     def test_publish_subscribe_and_replay(self):
         broker = EventBroker()
         assert broker.publish("ch", "a") == 0
         assert broker.publish("ch", "b") == 1
         broker.close("ch")
-        assert list(broker.subscribe("ch")) == [(0, "a"), (1, "b")]
-        assert list(broker.subscribe("ch", offset=1)) == [(1, "b")]
+        assert flattened(broker.subscribe("ch")) == [(0, "a"), (1, "b")]
+        assert flattened(broker.subscribe("ch", offset=1)) == [(1, "b")]
         assert broker.history("ch") == ["a", "b"]
 
     def test_publish_to_closed_channel_is_an_error(self):
@@ -139,7 +148,7 @@ class TestEventBroker:
         broker.truncate("ch", 2)
         assert broker.publish("ch", "C") == 2
         broker.close("ch")
-        assert list(broker.subscribe("ch")) == [(0, "a"), (1, "b"), (2, "C")]
+        assert flattened(broker.subscribe("ch")) == [(0, "a"), (1, "b"), (2, "C")]
 
     def test_truncate_past_end_advances_base(self):
         # A fresh process lost the in-memory history; a resumed run keeps
@@ -148,9 +157,71 @@ class TestEventBroker:
         broker.truncate("ch", 10)
         assert broker.publish("ch", "k") == 10
         broker.close("ch")
-        assert list(broker.subscribe("ch")) == [(10, "k")]
-        assert list(broker.subscribe("ch", offset=3)) == [(10, "k")]
+        assert flattened(broker.subscribe("ch")) == [(10, "k")]
+        assert flattened(broker.subscribe("ch", offset=3)) == [(10, "k")]
         assert broker.snapshot("ch") == (10, ["k"], True)
+
+    def test_lines_published_before_subscribing_arrive_as_one_batch(self):
+        broker = EventBroker()
+        for line in "abc":
+            broker.publish("ch", line)
+        subscription = broker.subscribe("ch")
+        assert next(subscription) == [(0, "a"), (1, "b"), (2, "c")]
+        broker.publish("ch", "d")
+        broker.close("ch")
+        assert list(subscription) == [[(3, "d")]]
+
+    def test_close_and_truncate_end_the_gathering_wait(self, monkeypatch):
+        monkeypatch.setattr(streams_module, "STREAM_BATCH_S", 10.0)
+        broker = EventBroker()
+        broker.publish("ch", "a")
+        broker.publish("ch", "b")
+        batches: queue.Queue = queue.Queue()
+
+        def follow():
+            for batch in broker.subscribe("ch"):
+                batches.put(batch)
+            batches.put(None)
+
+        thread = threading.Thread(target=follow, daemon=True)
+        thread.start()
+        assert batches.get(timeout=1) == [(0, "a"), (1, "b")]
+        # The subscriber now gathers for 10 s.  A resume rewrites line 1
+        # and streams on at stable indices; line 1 was already delivered.
+        broker.truncate("ch", 1)
+        assert broker.publish("ch", "b") == 1
+        assert broker.publish("ch", "c") == 2
+        assert batches.get(timeout=1) == [(2, "c")]
+        broker.close("ch")
+        assert batches.get(timeout=1) is None
+        thread.join(timeout=1)
+        assert not thread.is_alive()
+
+    def test_followers_of_a_fast_publisher_get_few_batches(self):
+        broker = EventBroker()
+        followers = [[] for _ in range(3)]
+        threads = [
+            threading.Thread(target=batches.extend, args=(broker.subscribe("ch"),))
+            for batches in followers
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for index in range(1000):
+                broker.publish("ch", f"line {index}")
+            broker.close("ch")
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        history = list(enumerate(broker.history("ch")))
+        assert len(history) == 1000
+        for batches in followers:
+            assert flattened(batches) == history
+            assert len(batches) < 100
 
     def test_drain_flags_match_by_prefix(self):
         broker = EventBroker()
@@ -474,6 +545,137 @@ class TestExperimentService:
         # budget: a drain is not a crash.
         assert issubclass(JobInterrupted, BaseException)
         assert not issubclass(JobInterrupted, Exception)
+
+
+# -- the event stream ------------------------------------------------------------
+
+
+def raw_events(url: str, job_id: str, timeout: float = 10.0) -> list[dict]:
+    """Every event of one SSE connection as ``{"event", "id", "data"}``,
+    the terminal ``end`` included (the client hides it)."""
+    address = urlsplit(url)
+    connection = http.client.HTTPConnection(
+        address.hostname, address.port, timeout=timeout
+    )
+    try:
+        connection.request("GET", f"/runs/{job_id}/events")
+        body = connection.getresponse().read().decode("utf-8")
+    finally:
+        connection.close()
+    events = []
+    for block in body.split("\n\n")[:-1]:
+        event = {"event": "message", "id": None}
+        for line in block.split("\n"):
+            key, _, value = line.partition(": ")
+            event[key] = value
+        events.append(event)
+    return events
+
+
+def recorded_stream_writes(monkeypatch) -> list[bytes]:
+    """Record every ``wfile.write`` the SSE handlers make from now on."""
+    writes: list[bytes] = []
+    stream_events = server_module._Handler._stream_events
+
+    class Recorder:
+        def __init__(self, wfile):
+            self.wfile = wfile
+
+        def write(self, data):
+            writes.append(bytes(data))
+            return self.wfile.write(data)
+
+        def flush(self):
+            self.wfile.flush()
+
+    def recording(handler, job_id):
+        wfile = handler.wfile
+        handler.wfile = Recorder(wfile)
+        try:
+            stream_events(handler, job_id)
+        finally:
+            handler.wfile = wfile
+
+    monkeypatch.setattr(server_module._Handler, "_stream_events", recording)
+    return writes
+
+
+def event_writes(writes: list[bytes]) -> list[bytes]:
+    """The writes that carry probe lines (not the head, not ``end``)."""
+    return [data for data in writes if data.startswith(b"id: ")]
+
+
+class TestEventStream:
+    def test_a_finished_jobs_lines_leave_in_one_write(self, service, monkeypatch):
+        instance = service()
+        client = ServiceClient(instance.url)
+        job = client.wait(client.submit(churn_spec())["id"], timeout=60)
+        writes = recorded_stream_writes(monkeypatch)
+        events = list(client.events(job["id"]))
+        assert len(events) > 3
+        assert [data.count(b"\n\n") for data in event_writes(writes)] == [len(events)]
+        assert writes[-1].startswith(b"event: end\n")
+
+    def test_a_followed_job_takes_fewer_writes_than_events(self, service, monkeypatch):
+        instance = service()
+        writes = recorded_stream_writes(monkeypatch)
+        client = ServiceClient(instance.url)
+        job = client.submit(slow_spec(delay=0.005))
+        events = list(client.events(job["id"]))
+        carried = event_writes(writes)
+        assert sum(data.count(b"\n\n") for data in carried) == len(events)
+        assert len(carried) < len(events)
+
+    def test_end_waits_for_the_job_to_finish(self, service, monkeypatch):
+        # The last channel closes before the cache write and the job's
+        # final record; "end" must carry the finished job.
+        put = ResultCache.put
+
+        def slow_put(cache, *args, **kwargs):
+            time.sleep(0.3)
+            return put(cache, *args, **kwargs)
+
+        monkeypatch.setattr(ResultCache, "put", slow_put)
+        instance = service()
+        job = ServiceClient(instance.url).submit(churn_spec())
+        events = raw_events(instance.url, job["id"])
+        assert events[-1]["event"] == "end"
+        assert json.loads(events[-1]["data"])["status"] == "done"
+
+    def test_a_stopping_service_drops_the_stream_without_end(self, service):
+        # The job is not terminal, so the stream has no "end" to send: the
+        # client sees a cut stream and resumes it from its Last-Event-ID.
+        instance = service()
+        spec = slow_spec(delay=0.05, max_rounds=400)
+        job = ServiceClient(instance.url).submit(spec)
+        events: list[dict] = []
+        reader = threading.Thread(
+            target=lambda: events.extend(raw_events(instance.url, job["id"]))
+        )
+        reader.start()
+        channel = instance.store.get(job["id"]).channels[0]
+        deadline = time.monotonic() + 10
+        while len(instance.broker.history(channel)) < 3:
+            assert time.monotonic() < deadline, "run never streamed"
+            time.sleep(0.01)
+        instance.stop(drain=True)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert instance.store.get(job["id"]).status == "queued"
+        assert events and all(event["event"] == "message" for event in events)
+
+    def test_finished_stream_after_a_restart_is_just_end(self, service):
+        first = service("restart")
+        client = ServiceClient(first.url)
+        job = client.wait(client.submit(churn_spec())["id"], timeout=60)
+        first.stop()
+        # A fresh process: the broker's in-memory history is gone.
+        second = service("restart", broker=EventBroker())
+        start = time.monotonic()
+        events = raw_events(second.url, job["id"])
+        assert time.monotonic() - start < 2.0
+        assert [event["event"] for event in events] == ["end"]
+        assert json.loads(events[0]["data"])["status"] == "done"
 
 
 # -- kept connections --------------------------------------------------------------
