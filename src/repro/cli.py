@@ -490,16 +490,16 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             param: [_parse_sweep_value(part) for part in values.split(",") if part.strip()]
             for param, values in zip(args.params, args.value_lists)
         }
-    client = ServiceClient(args.url)
     try:
-        job = client.submit(spec, grid=grid, force=args.force)
-        if args.events and job["status"] not in ("done", "failed"):
-            for event in client.events(job["id"]):
-                print(json.dumps(event["data"]), flush=True)
-        if args.wait or args.events:
-            record = client.wait(job["id"], timeout=args.timeout)
-        else:
-            record = job
+        with ServiceClient(args.url) as client:
+            job = client.submit(spec, grid=grid, force=args.force)
+            if args.events and job["status"] not in ("done", "failed"):
+                for event in client.events(job["id"]):
+                    print(json.dumps(event["data"]), flush=True)
+            if args.wait or args.events:
+                record = client.wait(job["id"], timeout=args.timeout)
+            else:
+                record = job
     except ServiceError as error:
         raise SystemExit(str(error))
 
@@ -611,27 +611,27 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 def _cmd_status(args: argparse.Namespace) -> int:
     from .service import ServiceClient, ServiceError
 
-    client = ServiceClient(args.url)
     try:
-        if args.run_id is None:
-            health = client.health()
-            runs = client.runs()
-            if args.json:
-                print(readable_json({"health": health, "runs": runs}))
-            else:
-                jobs = ", ".join(f"{k}={v}" for k, v in sorted(health["jobs"].items()))
-                cache = health["cache"]
-                print(f"service {args.url}: {health['status']}"
-                      + (" (draining)" if health["draining"] else ""))
-                print(f"  jobs: {jobs or '(none)'}")
-                print(f"  cache: {cache['entries']} entries, "
-                      f"{cache['hits']} hits, {cache['misses']} misses, "
-                      f"{cache.get('corrupt', 0)} corrupt")
-                for job in runs:
-                    print(f"  {job['id']}: {job['status']}"
-                          + (" [cached]" if job["cached"] else ""))
-            return 0
-        record = client.status(args.run_id)
+        with ServiceClient(args.url) as client:
+            if args.run_id is None:
+                health = client.health()
+                runs = client.runs()
+                if args.json:
+                    print(readable_json({"health": health, "runs": runs}))
+                else:
+                    jobs = ", ".join(f"{k}={v}" for k, v in sorted(health["jobs"].items()))
+                    cache = health["cache"]
+                    print(f"service {args.url}: {health['status']}"
+                          + (" (draining)" if health["draining"] else ""))
+                    print(f"  jobs: {jobs or '(none)'}")
+                    print(f"  cache: {cache['entries']} entries, "
+                          f"{cache['hits']} hits, {cache['misses']} misses, "
+                          f"{cache.get('corrupt', 0)} corrupt")
+                    for job in runs:
+                        print(f"  {job['id']}: {job['status']}"
+                              + (" [cached]" if job["cached"] else ""))
+                return 0
+            record = client.status(args.run_id)
     except ServiceError as error:
         raise SystemExit(str(error))
     if args.json:

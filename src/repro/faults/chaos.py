@@ -214,16 +214,16 @@ def _chaos_service(
         retry_backoff=0.01,
         fault_hook=hook,
     ).start()
+    client = ServiceClient(
+        service.url,
+        retry=RetryPolicy(
+            retries=4,
+            base_delay=0.05,
+            max_delay=0.5,
+            namespace=f"repro-chaos:{plan.seed}",
+        ),
+    )
     try:
-        client = ServiceClient(
-            service.url,
-            retry=RetryPolicy(
-                retries=4,
-                base_delay=0.05,
-                max_delay=0.5,
-                namespace=f"repro-chaos:{plan.seed}",
-            ),
-        )
         job = client.submit(target)
         # Follow the stream live: injected disconnects force the client
         # through its Last-Event-ID reconnection path.
@@ -281,6 +281,7 @@ def _chaos_service(
             "quarantined": _quarantined(directory),
         }
     finally:
+        client.close()
         service.stop(drain=False, timeout=10.0)
 
 

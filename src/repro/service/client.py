@@ -14,9 +14,11 @@ service through this module; programmatic users can too::
 
 JSON requests go over one kept-alive HTTP/1.1 connection per thread
 (``http.client``), so a run of requests pays for one TCP set-up; each
-event stream opens a connection of its own (``urllib.request``).  Errors
-the server reports as JSON come back as :class:`ServiceError` carrying
-the HTTP status and payload.
+event stream opens a connection of its own (``urllib.request``).
+:meth:`ServiceClient.close` (or leaving a ``with ServiceClient(...)``
+block) closes the kept connection of every thread.  Errors the server
+reports as JSON come back as :class:`ServiceError` carrying the HTTP
+status and payload.
 
 The client self-heals over a flaky transport:
 
@@ -98,14 +100,24 @@ class ServiceClient:
         self.fault_hook = fault_hook
         self._base_path = urlsplit(self.base_url).path
         self._local = threading.local()
+        # Every thread's kept connection, so close() reaches them all.
+        self._connections: list[HTTPConnection] = []
+        self._connections_lock = threading.Lock()
 
     # -- transport ---------------------------------------------------------------
 
     def close(self) -> None:
-        """Close the calling thread's kept connection, if it has one."""
-        connection = getattr(self._local, "connection", None)
-        if connection is not None:
+        """Close every thread's kept connection (a later request reconnects)."""
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
             connection.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     def _open(self, request: Request):
         """One raw attempt; the fault hook fires before any bytes move."""
@@ -138,6 +150,8 @@ class ServiceClient:
         connection = getattr(self._local, "connection", None)
         if connection is None:
             connection = self._local.connection = self._connect()
+            with self._connections_lock:
+                self._connections.append(connection)
         reused = connection.sock is not None
         while True:
             try:

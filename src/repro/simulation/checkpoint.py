@@ -187,10 +187,6 @@ class RoundState:
         The maintained objective ``h`` (None until first priced; exact —
         including its float summation history — so it must be restored,
         not recomputed, for bit-identical trajectories).
-    stutter_tuples:
-        Shared all-stutter judgement tuples per partition size.  A pure
-        cache: content-identical whether carried over or rebuilt, so
-        checkpoints do not persist it.
     """
 
     __slots__ = (
@@ -198,16 +194,13 @@ class RoundState:
         "round_index",
         "maintained",
         "objective_value",
-        "stutter_tuples",
     )
 
     def __init__(self, seed: int, initial_bag=None):
-        self.stutter_tuples: dict[int, tuple] = {}
         self.reset(seed, initial_bag)
 
     def reset(self, seed: int, initial_bag=None) -> None:
-        """Restore the pre-run condition (the stutter-tuple cache, being
-        content-neutral, is kept)."""
+        """Restore the pre-run condition."""
         self.rng = random.Random(seed)
         self.round_index = 0
         self.maintained = None if initial_bag is None else MutableMultiset(initial_bag)

@@ -27,6 +27,11 @@ carries the stopping policy and the probe pipeline for every execution
 backend and accumulates the classic :class:`SimulationResult`.  This
 module supplies how one round executes.
 
+A round is one loop over the groups that can change.  A lone agent of
+an algorithm that declares ``singleton_stutters`` can only stutter, so
+by default the loop visits the groups of two or more agents and records
+a stutter for every other; ``incremental=False`` visits every group.
+
 Bookkeeping is *incremental* by default.  Instead of rebuilding the
 agent-state multiset and recomputing the objective ``h`` from scratch
 every round, the engine folds each round's ``(removed, added)`` state
@@ -99,16 +104,18 @@ class Simulator(Engine):
         reported by the executed group steps into a
         :class:`MutableMultiset`, updates the objective in O(|delta|) for
         objectives that support exact deltas, checks convergence against
-        the target via an O(1) content fingerprint, and skips the step
-        rule for lone agents of algorithms that declare
-        ``singleton_stutters``.  The environment layer: the engine
+        the target via an O(1) content fingerprint, and the round's one
+        loop visits only the groups that can change: lone agents of
+        algorithms that declare ``singleton_stutters`` stutter without
+        running the step rule.  The environment layer: the engine
         compares each environment state with the last
         (:meth:`EnvironmentState.unchanged_from`), and quiet rounds adopt
         the previous state's memoized views.  When False, every round
-        recomputes from scratch — plain ``advance``, the state's groups,
-        a freshly built multiset and objective — the reference behaviour
-        the incremental path is measured and cross-checked against.  The
-        random draws and the results are byte-identical either way.
+        recomputes from scratch — plain ``advance``, the step rule on
+        every group, a freshly built multiset and objective — the
+        reference behaviour the incremental path is measured and
+        cross-checked against.  The random draws and the results are
+        byte-identical either way.
         Note: the incremental path assumes agent states change only
         through executed group steps; code that mutates :attr:`states`
         directly between rounds must use ``incremental=False`` (or will
@@ -166,38 +173,26 @@ class Simulator(Engine):
         return Multiset(self.states)
 
     def _advance_environment(self, round_index: int) -> EnvironmentState:
-        """One environment transition, with view reuse across quiet rounds.
-
-        The random draws are identical in every mode.  In incremental
-        mode, a state semantically identical to the previous one (compared
-        with the state this engine last observed) adopts that state's
-        memoized views — its labelling and its groups — instead of
-        recomputing them.
-        """
-        environment_state = self.environment.advance(round_index, self._state.rng)
-        if not self.incremental:
-            return environment_state
-        previous = self._previous_environment_state
-        self._previous_environment_state = environment_state
-        if previous is not None and environment_state.unchanged_from(previous):
-            environment_state._adopt_view_memos(previous)
-        return environment_state
+        """One environment transition; in incremental mode a quiet round
+        adopts the last state's views (:meth:`Engine._advance_environment`)."""
+        if self.incremental:
+            return super()._advance_environment(round_index)
+        return self.environment.advance(round_index, self._state.rng)
 
     def _execute_round(self, round_index: int) -> RoundRecord:
         """Execute one round — one environment transition, one scheduled
         agent transition per group — and record what happened.
 
-        In incremental mode the round's bookkeeping is O(|delta|): the
-        state deltas reported by :meth:`Group.install` are folded into the
-        maintained multiset, the objective is updated from the same delta,
-        and convergence is decided by fingerprint comparison.  In full
-        mode everything is recomputed from the agent states, exactly as
-        the pre-incremental engine did.
+        The loop visits ``positions``, the places in the schedule of the
+        groups that run the step rule; every other group stutters.  In
+        incremental mode the state deltas reported by
+        :meth:`Group.install` are folded into the maintained round state
+        (:meth:`_fold_round`); in full mode everything is recomputed
+        from the agent states.
         """
         environment_state = self._advance_environment(round_index)
         rng = self._state.rng
         scheduled = self.scheduler.schedule(environment_state, rng)
-
         incremental = self.incremental
         # Singleton groups dominate sparse rounds; when the algorithm
         # declares that lone agents always stutter (and draw no
@@ -213,39 +208,46 @@ class Simulator(Engine):
             # The scheduled list *is* the state's component partition:
             # disjoint and in-range by construction, so the O(n)
             # validation pass is unnecessary — and the non-singleton
-            # components are already known, so the round loop touches
-            # O(active) groups instead of iterating every singleton.
+            # components are already known.
             if self.cross_check:
                 check_components(environment_state, "component labelling")
-            if skip_singletons:
-                return self._execute_maintained_round(
-                    round_index, scheduled, positions
-                )
         else:
             _validate_partition(scheduled, self.environment.num_agents)
+            # An empty group takes no step and is left out of the record.
+            scheduled = [group for group in scheduled if group.members]
+            if skip_singletons:
+                positions = [
+                    index
+                    for index, group in enumerate(scheduled)
+                    if len(group.members) > 1
+                ]
+        if not skip_singletons:
+            positions = range(len(scheduled))
 
         states = self.states
-        algorithm = self.algorithm
-        groups: list[Group] = []
-        judgements: list[StepJudgement] = []
+        apply_group_step = self.algorithm.apply_group_step
+        stutter = STUTTER_JUDGEMENT
+        judgements: list[StepJudgement] | None = None
         removed: list = []
         added: list = []
-        improving = invalid = largest = 0
+        improving = invalid = 0
+        # Every scheduled group holds at least one agent; the loop raises
+        # the floor to the largest group it visits.
+        largest = 1 if scheduled else 0
         try:
-            for group in scheduled:
-                size = len(group.members)
-                if size == 0:
-                    continue
-                if size > largest:
-                    largest = size
-                if size == 1 and skip_singletons:
-                    groups.append(group)
-                    judgements.append(STUTTER_JUDGEMENT)
-                    continue
-                states_before = group.states_of(states)
-                states_after, judgement = algorithm.apply_group_step(
-                    states_before, rng, fast_stutter=incremental
+            for index in positions:
+                group = scheduled[index]
+                members = group.members
+                if len(members) > largest:
+                    largest = len(members)
+                states_after, judgement = apply_group_step(
+                    [states[member] for member in members], rng, fast_stutter=incremental
                 )
+                if judgement is stutter:
+                    continue
+                if judgements is None:
+                    judgements = [stutter] * len(scheduled)
+                judgements[index] = judgement
                 if judgement.kind is not StepKind.STUTTER:
                     # Valid improvements are installed; invalid steps (only
                     # reachable when the algorithm's enforcement is off) are
@@ -259,8 +261,6 @@ class Simulator(Engine):
                     group_removed, group_added = group.install(states, states_after)
                     removed.extend(group_removed)
                     added.extend(group_added)
-                groups.append(group)
-                judgements.append(judgement)
         except BaseException:
             # A mid-round exception (an enforcement violation raised by a
             # later group, say) must not desynchronise the maintained
@@ -274,131 +274,36 @@ class Simulator(Engine):
             raise
 
         if incremental:
-            fold = self._fold_round(removed, added, not invalid)
+            multiset, objective, converged = self._fold_round(
+                removed, added, not invalid
+            )
         else:
             # Reference path: the round's multiset is recomputed from the
             # agent states and shared by the trace, the objective
             # trajectory and the convergence check.
             multiset = self.current_multiset()
             objective = self.algorithm.objective(multiset)
-            fold = multiset, objective, multiset == self._target
-        return self._round_record(
-            round_index, fold, tuple(groups), tuple(judgements),
-            improving, invalid, largest,
+            converged = multiset == self._target
+        judgements_tuple = (
+            (stutter,) * len(scheduled) if judgements is None else tuple(judgements)
         )
-
-    def _execute_maintained_round(
-        self,
-        round_index: int,
-        scheduled: Sequence[Group],
-        positions: list[int],
-    ) -> RoundRecord:
-        """Round execution over the state's component partition.
-
-        Semantically identical to the generic loop in
-        :meth:`_execute_round` — same groups in the same order, same
-        judgements, same state deltas, same random draws — but the
-        singleton components (which all stutter, by the algorithm's
-        ``singleton_stutters`` declaration) are pre-filled instead of
-        iterated, so the loop runs over the round's active groups only:
-        ``positions`` are the non-singleton groups' places in ``scheduled``.
-        """
-        states = self.states
-        apply_group_step = self.algorithm.apply_group_step
-        rng = self._state.rng
-        stutter = STUTTER_JUDGEMENT
-        improvement = StepKind.IMPROVEMENT
-        judgements: list[StepJudgement] | None = None
-        removed: list = []
-        added: list = []
-        improving = invalid = 0
-        # Every scheduled component is at least a singleton; the loop
-        # raises the floor to the largest non-singleton.
-        largest = 1 if scheduled else 0
-        try:
-            for index in positions:
-                group = scheduled[index]
-                members = group.members
-                if len(members) > largest:
-                    largest = len(members)
-                states_after, judgement = apply_group_step(
-                    [states[member] for member in members],
-                    rng,
-                    fast_stutter=True,
-                )
-                if judgement is not stutter and judgement.kind is not StepKind.STUTTER:
-                    if judgement.kind is improvement:
-                        improving += 1
-                    else:
-                        invalid += 1
-                    group_removed, group_added = group.install(states, states_after)
-                    removed.extend(group_removed)
-                    added.extend(group_added)
-                    if judgements is None:
-                        judgements = [stutter] * len(scheduled)
-                    judgements[index] = judgement
-        except BaseException:
-            # Same contract as the generic loop: earlier groups already
-            # installed their states, so fold what was applied before
-            # re-raising (see :meth:`_execute_round`).
-            if removed or added:
-                self._state.maintained.apply_delta(removed, added)
-                self._state.objective_value = None
-            raise
-
-        fold = self._fold_round(removed, added, not invalid)
-        if judgements is None:
-            # All-stutter round: share one cached all-stutter tuple per
-            # partition size instead of rebuilding it every quiet round.
-            judgements_tuple = self._stutter_judgements(len(scheduled))
-        else:
-            judgements_tuple = tuple(judgements)
-        return self._round_record(
-            round_index, fold, tuple(scheduled), judgements_tuple,
-            improving, invalid, largest,
-        )
-
-    def _round_record(
-        self,
-        round_index: int,
-        fold: tuple[Multiset, float, bool],
-        groups: tuple[Group, ...],
-        judgements: tuple[StepJudgement, ...],
-        improving: int,
-        invalid: int,
-        largest: int,
-    ) -> RoundRecord:
-        """The round's record, from the counts its loop kept while executing.
-
-        Every judgement is an improvement, a stutter or invalid, so the
-        stutters are what the other two leave of the round's steps.
-        """
-        multiset, objective, converged = fold
+        # Every judgement is an improvement, a stutter or invalid, so the
+        # stutters are what the other two leave of the round's steps.
         record = RoundRecord(
             round_index=round_index,
             multiset=multiset,
             objective=objective,
             converged=converged,
-            groups=groups,
-            judgements=judgements,
+            groups=tuple(scheduled),
+            judgements=judgements_tuple,
             improving_steps=improving,
-            stutter_steps=len(judgements) - improving - invalid,
+            stutter_steps=len(scheduled) - improving - invalid,
             invalid_steps=invalid,
             largest_group=largest,
         )
         if self.cross_check:
             _verify_round_counts(record)
         return record
-
-    def _stutter_judgements(self, size: int) -> tuple[StepJudgement, ...]:
-        """A shared all-stutter judgements tuple of the given length."""
-        stutter_tuples = self._state.stutter_tuples
-        cached = stutter_tuples.get(size)
-        if cached is None:
-            cached = (STUTTER_JUDGEMENT,) * size
-            if len(stutter_tuples) < 64:
-                stutter_tuples[size] = cached
-        return cached
 
     def _fold_round(
         self, removed: list, added: list, clean: bool

@@ -54,7 +54,7 @@ from ..core.errors import SimulationError
 from ..core.multiset import Multiset
 from ..core.algorithm import SelfSimilarAlgorithm
 from ..core.relation import StepJudgement, StepKind
-from ..environment.base import Environment, EnvironmentState
+from ..environment.base import Environment
 from .checkpoint import EngineCheckpoint, RoundState
 from .protocol import Engine, RoundRecord
 
@@ -216,22 +216,6 @@ class MergeMessagePassingSimulator(Engine):
         self.messages_delivered = checkpoint.counters.get("messages_delivered", 0)
 
     # -- execution --------------------------------------------------------------
-
-    def _advance_environment(self, round_index: int) -> EnvironmentState:
-        """One environment transition, with view reuse across quiet rounds.
-
-        When the new state is unchanged from the previous one, it is
-        semantically identical to it, so the previous state's memoized
-        effective-edge view is adopted instead of being re-filtered — the
-        per-round send loop then starts from the exact same frozenset
-        object (identical iteration order, identical random stream).
-        """
-        environment_state = self.environment.advance(round_index, self._state.rng)
-        previous = self._previous_environment_state
-        if previous is not None and environment_state.unchanged_from(previous):
-            environment_state._adopt_view_memos(previous)
-        self._previous_environment_state = environment_state
-        return environment_state
 
     def _execute_round(self, round_index: int) -> RoundRecord:
         """Execute one round — sends, losses, one-sided merge deliveries —

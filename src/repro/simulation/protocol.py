@@ -330,6 +330,18 @@ class Engine:
         self._restore_agents(checkpoint)
         state.objective_value = decode_state(checkpoint.objective_value)
 
+    def _advance_environment(self, round_index: int) -> EnvironmentState:
+        """One environment transition.  A quiet round's state — one
+        :meth:`~EnvironmentState.unchanged_from` the state this engine
+        last observed — adopts that state's memoized views (effective
+        edges, labelling, groups) instead of recomputing them."""
+        environment_state = self.environment.advance(round_index, self._state.rng)
+        previous = self._previous_environment_state
+        self._previous_environment_state = environment_state
+        if previous is not None and environment_state.unchanged_from(previous):
+            environment_state._adopt_view_memos(previous)
+        return environment_state
+
     # -- what each engine implements ---------------------------------------------
 
     def _execute_round(self, round_index: int) -> RoundRecord:

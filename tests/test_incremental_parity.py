@@ -34,10 +34,12 @@ import textwrap
 
 import pytest
 
+from repro.agents.group import Group
 from repro.agents.scheduler import (
     MaximalGroupsScheduler,
     RandomPairScheduler,
     RandomSubgroupScheduler,
+    Scheduler,
     SingleGroupScheduler,
 )
 from repro.algorithms.average import average_algorithm
@@ -56,7 +58,7 @@ from repro.algorithms.summation import summation_algorithm
 from repro.core.errors import SimulationError
 from repro.environment.base import Environment, EnvironmentState
 from repro.environment.dynamics import RandomChurnEnvironment, StaticEnvironment
-from repro.environment.graphs import complete_graph, ring_graph
+from repro.environment.graphs import complete_graph, grid_graph, ring_graph
 from repro.simulation.array_engine import HAVE_NUMPY
 from repro.simulation.engine import Simulator
 
@@ -346,6 +348,49 @@ def test_streaming_steps_parity():
         assert left.judgements == right.judgements
 
 
+class _PaddedComponentScheduler(Scheduler):
+    """The state's own partition, copied, with an empty group inserted:
+    not the state's list, so the engine validates it, drops the empty
+    group and finds the groups that step itself."""
+
+    def schedule(self, environment_state, rng):
+        groups = list(environment_state.component_groups())
+        groups.insert(len(groups) // 2, Group(()))
+        return groups
+
+
+@pytest.mark.parametrize("case", ["minimum", "block-sorting"])
+def test_records_equal_across_sources_of_positions(case):
+    # The round loop visits the positions the state's partition knows,
+    # the positions it filters from a plugin's list, or every position
+    # (from-scratch mode, and block sorting, whose lone agents step):
+    # the records must not tell them apart.
+    def records(scheduler, **simulator_kwargs):
+        algorithm, values = CASES[case]()
+        simulator = Simulator(
+            algorithm,
+            RandomChurnEnvironment(
+                grid_graph(2, 4), edge_up_probability=0.3, agent_up_probability=0.9
+            ),
+            initial_values=values,
+            scheduler=scheduler,
+            seed=5,
+            **simulator_kwargs,
+        )
+        return [
+            (record.groups, record.judgements, record.improving_steps,
+             record.stutter_steps, record.invalid_steps, record.largest_group)
+            for record in simulator.steps(max_rounds=40)
+        ]
+
+    maximal = records(MaximalGroupsScheduler())
+    assert records(_PaddedComponentScheduler()) == maximal
+    assert records(MaximalGroupsScheduler(), incremental=False) == maximal
+    groups = [group for record in maximal for group in record[0]]
+    assert any(len(group) == 1 for group in groups)
+    assert any(record[2] for record in maximal)
+
+
 def test_cross_check_detects_external_state_mutation():
     simulator = Simulator(
         minimum_algorithm(),
@@ -388,8 +433,6 @@ def test_mid_round_enforcement_error_keeps_maintained_state_in_sync():
     # A round where one group installs an improvement and a *later* group
     # raises an enforcement violation must leave the maintained multiset
     # reflecting the installed delta, so resuming the stream stays sound.
-    from repro.agents.group import Group
-    from repro.agents.scheduler import Scheduler
     from repro.core.errors import ConservationViolation
     from repro.core.multiset import Multiset
 
@@ -1008,7 +1051,7 @@ def _caught_by_legacy_loop(_scheduler_name):
 
 def _seeded_mutations():
     from repro.environment import base
-    from repro.simulation.messaging import MergeMessagePassingSimulator
+    from repro.simulation.protocol import Engine
 
     # mutation -> (owner, method, original, mutated, scheduler, the check
     # that catches it)
@@ -1025,22 +1068,22 @@ def _seeded_mutations():
             "maximal", _caught_by_cross_check,
         ),
         "maintained-round-drops-singleton-floor": (
-            Simulator, "_execute_maintained_round",
+            Simulator, "_execute_round",
             "largest = 1 if scheduled else 0", "largest = 0",
             "maximal", _caught_by_cross_check,
         ),
         "memo-adoption-on-nonempty-delta": (
-            Simulator, "_advance_environment",
+            Engine, "_advance_environment",
             " and environment_state.unchanged_from(previous):", ":",
             "random-pair", _caught_by_reference_mode,
         ),
         "singleton-skip-widened-to-pairs": (
             Simulator, "_execute_round",
-            "if size == 1 and skip_singletons:", "if size <= 2 and skip_singletons:",
+            "if len(group.members) > 1", "if len(group.members) > 2",
             "random-pair", _caught_by_reference_mode,
         ),
         "messaging-memo-adoption-on-nonempty-delta": (
-            MergeMessagePassingSimulator, "_advance_environment",
+            Engine, "_advance_environment",
             " and environment_state.unchanged_from(previous):", ":",
             None, _caught_by_legacy_loop,
         ),

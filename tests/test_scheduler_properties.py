@@ -144,8 +144,8 @@ def test_single_group_scheduler_at_most_one_group():
 
 class _ComponentScheduler(Scheduler):
     """A plugin scheduler that acts on every component, building its own
-    groups: a fresh list each round, so the engine validates it and runs
-    the generic round loop."""
+    groups: a fresh list each round, so the engine validates it and
+    finds the groups that step itself."""
 
     def schedule(self, environment_state, rng):
         return [

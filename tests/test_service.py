@@ -16,6 +16,7 @@ The anchor claims, end to end over real HTTP on an ephemeral port:
 
 from __future__ import annotations
 
+import gc
 import http.client
 import io
 import json
@@ -27,6 +28,7 @@ import sys
 import threading
 import time
 import urllib.request
+import warnings
 from urllib.error import URLError
 from urllib.parse import urlsplit
 
@@ -768,6 +770,33 @@ class TestKeptConnections:
         # the kept connection must not reach the stopped one.
         service("second", port=port)
         assert client.runs() == []
+
+    def test_close_closes_every_threads_connection(self, service, monkeypatch):
+        instance = service()
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            # A socket collected while open warns from its finalizer,
+            # which reports the error to sys.unraisablehook.
+            warnings.simplefilter("error", ResourceWarning)
+            client = ServiceClient(instance.url)
+            client.health()
+            worker = threading.Thread(target=client.health)
+            worker.start()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+            client.close()
+            del client
+            gc.collect()
+        assert [hook_args.exc_value for hook_args in unraisable] == []
+
+    def test_client_is_a_context_manager(self, service):
+        instance = service()
+        with ServiceClient(instance.url) as client:
+            assert client.health()["status"] == "ok"
+            connection = client._local.connection
+            assert connection.sock is not None
+        assert connection.sock is None
 
     def test_a_malformed_url_is_a_service_error(self):
         for url in ("not a url", "http://", "http://host:port"):

@@ -6,7 +6,11 @@ import pytest
 
 from repro import Simulator, minimum_algorithm, summation_algorithm
 from repro.agents import Group, RandomPairScheduler, Scheduler
-from repro.algorithms import minimum_merge, second_smallest_direct_algorithm
+from repro.algorithms import (
+    block_sorting_algorithm,
+    minimum_merge,
+    second_smallest_direct_algorithm,
+)
 from repro.core import Multiset
 from repro.core.errors import SimulationError
 from repro.core.relation import StepKind
@@ -405,34 +409,62 @@ class TestRoundCounts:
             assert _counts(record) == _rescanned_counts(record), record.round_index
         return records
 
-    def _maintained_rounds(self, monkeypatch):
-        calls = []
-        execute = Simulator._execute_maintained_round
+    def _stepped_sizes(self, monkeypatch, engine):
+        """The size of every group the engine runs the step rule on, in
+        the order it runs them."""
+        sizes = []
+        algorithm = engine.algorithm
+        apply_group_step = algorithm.apply_group_step
 
-        def counted(self, *args):
-            calls.append(args[0])
-            return execute(self, *args)
+        def counted(states, *args, **kwargs):
+            sizes.append(len(states))
+            return apply_group_step(states, *args, **kwargs)
 
-        monkeypatch.setattr(Simulator, "_execute_maintained_round", counted)
-        return calls
+        monkeypatch.setattr(algorithm, "apply_group_step", counted)
+        return sizes
 
     def test_maintained_loop(self, monkeypatch):
-        maintained = self._maintained_rounds(monkeypatch)
         # Sparse enough that some rounds leave every agent alone.
-        records = self._assert_counts_rescan(
-            _tree_churn_simulator(edge_up_probability=0.15)
-        )
-        assert len(maintained) == len(records)
+        engine = _tree_churn_simulator(edge_up_probability=0.15)
+        stepped = self._stepped_sizes(monkeypatch, engine)
+        records = self._assert_counts_rescan(engine)
+        # Under the maximal scheduler only the groups of two or more run
+        # the step rule; every lone agent's stutter is pre-filled.
+        assert stepped == [
+            len(group) for record in records for group in record.groups
+            if len(group) > 1
+        ]
         assert any(record.improving_steps for record in records)
         assert any(record.largest_group == 1 for record in records)
 
     def test_generic_loop(self, monkeypatch):
-        maintained = self._maintained_rounds(monkeypatch)
-        records = self._assert_counts_rescan(
-            _tree_churn_simulator(scheduler=RandomPairScheduler())
-        )
-        assert maintained == []
+        engine = _tree_churn_simulator(scheduler=RandomPairScheduler())
+        stepped = self._stepped_sizes(monkeypatch, engine)
+        records = self._assert_counts_rescan(engine)
+        # A plugin list is filtered by group size: every pair steps.
+        assert stepped == [
+            len(group) for record in records for group in record.groups
+            if len(group) > 1
+        ]
+        assert stepped and set(stepped) == {2}
         assert any(record.improving_steps for record in records)
+
+    def test_algorithm_without_singleton_stutters(self, monkeypatch):
+        # Block sorting's lone agents sort their own blocks, so every
+        # group, singletons included, runs the step rule.
+        algorithm = block_sorting_algorithm(list(range(30, 0, -1)), num_agents=15)
+        environment = RandomChurnEnvironment(
+            tree_graph(15), edge_up_probability=0.3, agent_up_probability=0.9
+        )
+        engine = Simulator(
+            algorithm, environment, algorithm.instance_blocks, seed=5
+        )
+        stepped = self._stepped_sizes(monkeypatch, engine)
+        records = self._assert_counts_rescan(engine)
+        assert stepped == [
+            len(group) for record in records for group in record.groups
+        ]
+        assert 1 in stepped and any(size > 1 for size in stepped)
 
     def test_from_scratch_mode(self):
         records = self._assert_counts_rescan(_tree_churn_simulator(incremental=False))
