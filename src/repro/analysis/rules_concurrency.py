@@ -88,8 +88,8 @@ _BROKER_METHODS = frozenset(
     {
         "begin_drain",
         "close",
-        "drop",
         "end_drain",
+        "finish",
         "publish",
         "subscribe",
         "truncate",

@@ -45,10 +45,6 @@ __all__ = ["Multiset", "MutableMultiset"]
 _FINGERPRINT_MASK = (1 << 64) - 1
 
 
-_FINGERPRINT_CACHE: dict = {}
-_FINGERPRINT_CACHE_CAP = 1 << 16
-
-
 def _element_fingerprint(value: Hashable) -> int:
     """A 64-bit mixed hash of one element.
 
@@ -58,16 +54,14 @@ def _element_fingerprint(value: Hashable) -> int:
     bag fingerprint is the multiplicity-weighted sum of these, so it is
     order-independent and can be maintained in O(1) per mutation.
 
-    Fingerprints are memoized per value (the engine folds the same agent
-    states through the maintained bag round after round; the memo is
-    sound for equal-but-distinct-type keys like ``1`` and ``1.0`` because
-    the fingerprint depends only on ``hash(value)``, which equal values
-    share).  The cache is capped so unbounded state spaces cannot grow
-    memory without bound.
+    This is a pure function.  The memo that spares the engine from
+    recomputing it round after round is the bag's own
+    (:class:`MutableMultiset` keeps one entry per distinct value it
+    holds), so it lives and dies with the run that uses it.  A memo is
+    sound for equal-but-distinct-type keys like ``1`` and ``1.0``
+    because the fingerprint depends only on ``hash(value)``, which equal
+    values share.
     """
-    cached = _FINGERPRINT_CACHE.get(value)
-    if cached is not None:
-        return cached
     h = hash(value) & _FINGERPRINT_MASK
     h = (h + 0x9E3779B97F4A7C15) & _FINGERPRINT_MASK
     h ^= h >> 30
@@ -75,8 +69,6 @@ def _element_fingerprint(value: Hashable) -> int:
     h ^= h >> 27
     h = (h * 0x94D049BB133111EB) & _FINGERPRINT_MASK
     h ^= h >> 31
-    if len(_FINGERPRINT_CACHE) < _FINGERPRINT_CACHE_CAP:
-        _FINGERPRINT_CACHE[value] = h
     return h
 
 
@@ -428,16 +420,30 @@ class MutableMultiset:
     cached: taking two snapshots with no mutation in between returns the
     *same* object, so rounds in which nothing changed share one snapshot.
 
+    The bag memoizes the element fingerprints of the values it holds:
+    seeded at construction, filled when a value arrives, and emptied of
+    a value when its last copy leaves.  The memo therefore never holds
+    more than the bag does, and it goes with the bag (the engine's is
+    released with the run's round state).
+
     Not thread-safe; intended as single-owner working state.
     """
 
-    __slots__ = ("_counts", "_size", "_fingerprint", "_snapshot")
+    __slots__ = ("_counts", "_fingerprints", "_size", "_fingerprint", "_snapshot")
 
     def __init__(self, elements: Iterable[Hashable] | Mapping[Hashable, int] = ()):
         source = Multiset(elements) if not isinstance(elements, Multiset) else elements
-        self._counts: dict[Hashable, int] = source.counts()
+        counts = source.counts()
+        fingerprints = {}
+        total = 0
+        for value, count in counts.items():
+            element = fingerprints[value] = _element_fingerprint(value)
+            total += element * count
+        self._counts: dict[Hashable, int] = counts
+        #: ``value -> _element_fingerprint(value)`` for every value held.
+        self._fingerprints: dict[Hashable, int] = fingerprints
         self._size: int = len(source)
-        self._fingerprint: int = source.fingerprint()
+        self._fingerprint: int = total & _FINGERPRINT_MASK
         self._snapshot: Multiset | None = None
 
     # -- queries ---------------------------------------------------------------
@@ -491,9 +497,10 @@ class MutableMultiset:
             return
         self._counts[value] = self._counts.get(value, 0) + count
         self._size += count
-        self._fingerprint = (
-            self._fingerprint + _element_fingerprint(value) * count
-        ) & _FINGERPRINT_MASK
+        fingerprint = self._fingerprints.get(value)
+        if fingerprint is None:
+            fingerprint = self._fingerprints[value] = _element_fingerprint(value)
+        self._fingerprint = (self._fingerprint + fingerprint * count) & _FINGERPRINT_MASK
         self._snapshot = None
 
     def discard(self, value: Hashable, count: int = 1) -> int:
@@ -510,14 +517,13 @@ class MutableMultiset:
             return 0
         if removed == present:
             del self._counts[value]
+            fingerprint = self._fingerprints.pop(value)
         else:
             self._counts[value] = present - removed
+            fingerprint = self._fingerprints[value]
         self._size -= removed
-        self._fingerprint = (
-            self._fingerprint - _element_fingerprint(value) * removed
-        ) & _FINGERPRINT_MASK
+        self._fingerprint = (self._fingerprint - fingerprint * removed) & _FINGERPRINT_MASK
         self._snapshot = None
-
         return removed
 
     def apply_delta(
@@ -539,12 +545,17 @@ class MutableMultiset:
         """
         counts = self._counts
         counts_get = counts.get
+        fingerprints = self._fingerprints
+        fingerprints_get = fingerprints.get
         fingerprint = self._fingerprint
         size = self._size
         for value in added:
             counts[value] = counts_get(value, 0) + 1
             size += 1
-            fingerprint += _element_fingerprint(value)
+            element = fingerprints_get(value)
+            if element is None:
+                element = fingerprints[value] = _element_fingerprint(value)
+            fingerprint += element
         for value in removed:
             present = counts_get(value, 0)
             if present == 0:
@@ -556,10 +567,11 @@ class MutableMultiset:
                 )
             if present == 1:
                 del counts[value]
+                fingerprint -= fingerprints.pop(value)
             else:
                 counts[value] = present - 1
+                fingerprint -= fingerprints[value]
             size -= 1
-            fingerprint -= _element_fingerprint(value)
         self._size = size
         self._fingerprint = fingerprint & _FINGERPRINT_MASK
         self._snapshot = None

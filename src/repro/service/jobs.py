@@ -206,11 +206,13 @@ class Job:
 class JobStore:
     """Persisted jobs under one directory; the single process-local index.
 
-    Layout: ``<directory>/<job id>/job.json`` (the record) and
+    Layout: ``<directory>/<job id>/job.json`` (the record),
     ``.../batch/`` (the durable BatchRunner directory the run executes
-    in).  A finished job owns its results inside its ``job.json``: the
-    record as readable JSON, then the per-seed results as one JSON line,
-    written together in one atomic write — a cache hit's whole footprint.
+    in) and, once the job is terminal, ``.../events/unit-NNNN.jsonl``
+    (each unit's finished event stream).  A finished job owns its
+    results inside its ``job.json``: the record as readable JSON, then
+    the per-seed results as one JSON line, written together in one
+    atomic write — a cache hit's whole footprint.
     Records are loaded once at construction — the service owns its data
     directory exclusively — decoding only each file's leading record, and
     every mutation is saved back atomically and durably
@@ -262,6 +264,10 @@ class JobStore:
     def results_path(self, job_id: str) -> pathlib.Path:
         """Where jobs finished before the single-file layout keep results."""
         return self.job_dir(job_id) / "results.json"
+
+    def events_path(self, job_id: str, unit_index: int) -> pathlib.Path:
+        """Where a finished job keeps one unit's event stream."""
+        return self.job_dir(job_id) / "events" / f"unit-{unit_index:04d}.jsonl"
 
     # -- records -----------------------------------------------------------------
 
@@ -630,8 +636,8 @@ class JobQueue:
             submission = Submission.from_payload(job.submission)
             specs = submission.expanded()
         except SpecificationError as failure:
+            self.finish_channels(job)
             self.store.update(job, status="failed", error=format_failure(failure))
-            self._close_channels(job)
             return
 
         batch_dir = self.store.batch_dir(job.id)
@@ -659,12 +665,16 @@ class JobQueue:
             self.store.update(job, status="queued")
             raise
         except Exception as failure:
+            self.finish_channels(job)
             self.store.update(job, status="failed", error=format_failure(failure))
-            self._close_channels(job)
             return
 
         with self._lock:
             self._executed_jobs += 1
+        # Every unit has run: the streams move to the job's directory
+        # before the job turns terminal, so a reader that sees it finished
+        # finds its streams there.
+        self.finish_channels(job)
         failures = batch.failures()
         if failures:
             self.store.update(job, status="failed", error=failures[0].error)
@@ -678,8 +688,10 @@ class JobQueue:
             ]
             self.cache.put(job.fingerprint, job.submission, results)
             self.store.complete(job, results)
-        self._close_channels(job)
 
-    def _close_channels(self, job: Job) -> None:
-        for channel in job.channels:
-            self.broker.close(channel)
+    def finish_channels(self, job: Job) -> None:
+        """Close a terminal job's channels for good: each unit's stream
+        moves to (or, after a restart, is read back from) the job's
+        directory."""
+        for index, channel in enumerate(job.channels):
+            self.broker.finish(channel, self.store.events_path(job.id, index))

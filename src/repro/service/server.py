@@ -37,13 +37,14 @@ would parse as the next request), and a connection idle for
 Event identity on the wire: a job fans out to one broker channel per
 (spec, seed) work unit, and the SSE stream concatenates the unit streams
 in order.  Event ids are ``"<unit>:<line>"``; a client resuming with
-``Last-Event-ID: 2:17`` replays from line 18 of unit 2.  Lines a process
-restart dropped from the in-memory history are skipped, never renumbered
-— offsets stay meaningful across reconnects, retries and restarts.  The
-handler sends each batch the broker hands it (lines at most
-:data:`~repro.service.streams.STREAM_BATCH_S` old) in one write, and the
-closing ``end`` event once the job is terminal, carrying its final
-summary.
+``Last-Event-ID: 2:17`` replays from line 18 of unit 2.  A finished job's
+streams replay from its directory, after a restart too; lines a process
+restart dropped from a run's in-memory history are skipped, never
+renumbered — offsets stay meaningful across reconnects, retries and
+restarts.  The handler sends each batch the broker hands it (lines at
+most :data:`~repro.service.streams.STREAM_BATCH_S` old) in one write,
+and the closing ``end`` event once the job is terminal, carrying its
+final summary.
 """
 
 from __future__ import annotations
@@ -298,9 +299,9 @@ class _Handler(BaseHTTPRequestHandler):
 
         if job.status not in ("queued", "running"):
             # No run will publish to a terminal job's channels again:
-            # closed, they replay what history remains and never block.
-            for channel in job.channels:
-                service.broker.close(channel)
+            # finished, they replay from the job's directory and never
+            # block (after a restart too).
+            service.queue.finish_channels(job)
         stop = service.stopping
         try:
             for unit in range(start_unit, len(job.channels)):

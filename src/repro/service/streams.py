@@ -18,6 +18,16 @@ The broker keeps per-channel line history with a base offset, so
   ``Last-Event-ID`` reconnection offsets meaningful across retries and
   even server restarts.
 
+A finished stream does not stay in memory.  When its job is terminal,
+:meth:`EventBroker.finish` writes the channel's lines once, atomically,
+to a file in the job's directory (a ``{"format": "repro-event-stream",
+"base": ...}`` line, then the stream's lines) and keeps only the
+channel's base, closed flag and path; subscribers from then on replay
+from that file, byte for byte the stream they would have followed live.
+The file outlives the process: after a restart, the first subscriber to
+a finished job's stream finds the file a previous process wrote, so the
+stream replays before its ``end`` event as it did before the restart.
+
 Subscribers take lines in batches: after handing over a batch, a
 subscriber lets the channel gather lines for up to
 :data:`STREAM_BATCH_S` before it takes the next, so a run publishing
@@ -31,9 +41,11 @@ never delayed.
 from __future__ import annotations
 
 import json
+import pathlib
 import threading
 from typing import Any, Callable, Iterator
 
+from ..core.durable import atomic_write_text, quarantine
 from ..core.errors import SpecificationError
 from ..core.multiset import Multiset
 from ..registry import register_probe
@@ -58,23 +70,65 @@ __all__ = ["EventBroker", "ServiceSinkProbe", "BROKER", "STREAM_BATCH_S"]
 #: shared 2-vCPU x86-64 container).
 STREAM_BATCH_S = 0.02
 
+#: ``format`` of the leading record of a finished stream's file.
+STREAM_FORMAT = "repro-event-stream"
+
 
 class _Channel:
-    """One run's event stream: an append-only line log with a base offset."""
+    """One run's event stream: an append-only line log with a base offset.
 
-    def __init__(self, lock: threading.Lock):
+    Its lines live in :attr:`lines` until the channel is finished; then
+    in the file at :attr:`path`, and :attr:`spilled` counts them.
+    """
+
+    __slots__ = ("base", "lines", "closed", "truncations", "path", "spilled")
+
+    def __init__(self):
         self.base = 0
         self.lines: list[str] = []
         self.closed = False
         self.truncations = 0
-        #: Notified when the channel closes or is truncated, never on a
-        #: publish: subscribers gathering a batch wait on it.
-        self.settled = threading.Condition(lock)
+        #: Where the finished stream's lines go (None while it is live).
+        self.path: pathlib.Path | None = None
+        #: How many lines the file at ``path`` holds once they left memory.
+        self.spilled: int | None = None
 
     @property
     def end(self) -> int:
         """Index one past the last published line."""
+        if self.spilled is not None:
+            return self.base + self.spilled
         return self.base + len(self.lines)
+
+    @property
+    def untouched(self) -> bool:
+        """True when no run has used the channel in this process (every
+        run truncates its channel before it publishes)."""
+        return not self.truncations and not self.lines
+
+
+def _write_stream(path: pathlib.Path, base: int, lines: list[str]) -> None:
+    header = json.dumps({"format": STREAM_FORMAT, "base": base})
+    atomic_write_text(path, "".join([header, "\n", *(line + "\n" for line in lines)]))
+
+
+def _read_stream(path: pathlib.Path) -> tuple[int, list[str]] | None:
+    """A finished stream's ``(base, lines)``, or None when there is no
+    readable file (a damaged one is quarantined)."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError:
+        return None
+    header, _, body = text.partition("\n")
+    try:
+        record = json.loads(header)
+        if record.get("format") != STREAM_FORMAT:
+            raise ValueError(f"format {record.get('format')!r}")
+        base = int(record["base"])
+    except (ValueError, KeyError, TypeError, AttributeError) as error:
+        quarantine(path, f"corrupt event stream: {error}")
+        return None
+    return base, body.split("\n")[:-1]
 
 
 class EventBroker:
@@ -83,8 +137,9 @@ class EventBroker:
     Publishers (probes running inside job-queue workers) append lines;
     subscribers (SSE handlers) iterate from an offset, blocking until new
     lines arrive or the channel closes.  Channels are created on first
-    use and survive until :meth:`drop`, so a subscriber arriving after a
-    short run still replays the whole stream.
+    use, so a subscriber arriving after a short run still replays the
+    whole stream: from memory while the channel is live, from its file
+    once :meth:`finish` moved it there.
 
     ``begin_drain``/``end_drain`` mark channel prefixes as draining —
     the cooperative-stop flag :class:`ServiceSinkProbe` polls so an
@@ -96,6 +151,11 @@ class EventBroker:
         #: Notified on every publish, close and truncate: caught-up
         #: subscribers wait on it.
         self._condition = threading.Condition(self._lock)
+        #: Notified when a channel closes or is truncated, never on a
+        #: publish: subscribers gathering a batch wait on it.  One for all
+        #: channels, so a finished channel keeps no lock object; another
+        #: channel's close only ends a gathering wait early.
+        self._settled = threading.Condition(self._lock)
         self._channels: dict[str, _Channel] = {}
         self._draining: set[str] = set()
 
@@ -103,7 +163,7 @@ class EventBroker:
         with self._condition:
             channel = self._channels.get(name)
             if channel is None:
-                channel = self._channels[name] = _Channel(self._lock)
+                channel = self._channels[name] = _Channel()
             return channel
 
     # -- publishing ------------------------------------------------------------
@@ -130,12 +190,17 @@ class EventBroker:
         JSONL sink's surplus-line rule).  When the process restarted and
         the in-memory history is gone, the channel's base advances to
         ``count`` instead, so re-emitted lines keep their original
-        indices.
+        indices.  A finished channel reopens, its lines read back from
+        its file.
         """
         if count < 0:
             raise SpecificationError(f"cannot truncate channel to {count} lines")
         channel = self._channel(name)
         with self._condition:
+            if channel.spilled is not None:
+                stream = _read_stream(channel.path)
+                channel.lines = stream[1] if stream is not None else []
+            channel.path = channel.spilled = None
             channel.closed = False
             channel.truncations += 1
             if count <= channel.base:
@@ -149,35 +214,55 @@ class EventBroker:
                 channel.base = count
                 channel.lines = []
             self._condition.notify_all()
-            channel.settled.notify_all()
+            self._settled.notify_all()
 
     def close(self, name: str) -> None:
         """Mark the channel complete; subscribers drain and stop."""
         channel = self._channel(name)
         with self._condition:
-            channel.closed = True
-            self._condition.notify_all()
-            channel.settled.notify_all()
+            self._close(channel)
 
-    def drop(self, name: str) -> None:
-        """Forget a channel and its history entirely."""
+    def _close(self, channel: _Channel) -> None:
+        channel.closed = True
+        self._condition.notify_all()
+        self._settled.notify_all()
+
+    def finish(self, name: str, path: str | pathlib.Path) -> None:
+        """Close the channel for good; its lines live at ``path`` from now on.
+
+        A channel a run used in this process writes its lines there once
+        (atomically) and drops them from memory; subscribers read them
+        from memory until the file is in place.  A channel no run used in
+        this process (a finished job's, after a restart) takes its lines
+        from the file a previous process wrote there, if there is one.
+        Finishing a finished channel does nothing.
+        """
+        path = pathlib.Path(path)
+        channel = self._channel(name)
         with self._condition:
-            self._channels.pop(name, None)
-            self._condition.notify_all()
+            if channel.path is not None:
+                return
+            untouched = channel.untouched
+            if not untouched:
+                channel.path = path
+                self._close(channel)
+                base, lines = channel.base, list(channel.lines)
+                truncations = channel.truncations
+        if untouched:
+            stream = _read_stream(path)
+            with self._condition:
+                if channel.path is None and channel.untouched:
+                    channel.path = path
+                    if stream is not None:
+                        channel.base, channel.spilled = stream[0], len(stream[1])
+                    self._close(channel)
+            return
+        _write_stream(path, base, lines)
+        with self._condition:
+            if channel.truncations == truncations:  # not reopened meanwhile
+                channel.spilled, channel.lines = len(lines), []
 
     # -- subscribing -----------------------------------------------------------
-
-    def history(self, name: str) -> list[str]:
-        """The channel's currently-buffered lines (oldest first)."""
-        channel = self._channel(name)
-        with self._condition:
-            return list(channel.lines)
-
-    def snapshot(self, name: str) -> tuple[int, list[str], bool]:
-        """Atomically read ``(base offset, buffered lines, closed)``."""
-        channel = self._channel(name)
-        with self._condition:
-            return channel.base, list(channel.lines), channel.closed
 
     def subscribe(
         self,
@@ -198,27 +283,32 @@ class EventBroker:
         an HTTP handler can abandon the subscription when its server
         shuts down.  Lines older than the channel's base (lost to a
         process restart) are silently skipped — the subscriber sees the
-        honest remainder of the stream.
+        honest remainder of the stream.  A finished channel's lines are
+        read from its file, outside the broker's lock.
         """
         channel = self._channel(name)
         position = max(0, offset)
         truncations = None
         while True:
+            from_file = None
             with self._condition:
                 # Let lines gather after a handed-over batch, unless the
                 # channel closed or was truncated since.
                 if truncations == channel.truncations and not channel.closed:
-                    channel.settled.wait(timeout=STREAM_BATCH_S)
+                    self._settled.wait(timeout=STREAM_BATCH_S)
                 while True:
                     if position < channel.base:
                         position = channel.base
                     if position < channel.end:
-                        batch = list(
-                            enumerate(
-                                channel.lines[position - channel.base :],
-                                start=position,
+                        if channel.spilled is None:
+                            batch = list(
+                                enumerate(
+                                    channel.lines[position - channel.base :],
+                                    start=position,
+                                )
                             )
-                        )
+                        else:
+                            from_file = channel.path, position
                         position = channel.end
                         truncations = channel.truncations
                         break
@@ -227,6 +317,13 @@ class EventBroker:
                     if stop is not None and stop():
                         return
                     self._condition.wait(timeout=poll_interval)
+            if from_file is not None:
+                path, first = from_file
+                stream = _read_stream(path)
+                if stream is None:
+                    continue
+                base, lines = stream
+                batch = list(enumerate(lines[first - base :], start=first))
             yield batch
 
     # -- cooperative drain -----------------------------------------------------

@@ -357,7 +357,10 @@ class Simulator(Engine):
         Always validates the *maintained* bag against the agent states —
         on fallback rounds the round's ``multiset`` is itself a fresh
         rebuild, so comparing only it would never catch maintained-state
-        drift (e.g. external mutation of :attr:`states`).
+        drift (e.g. external mutation of :attr:`states`).  The maintained
+        fingerprint is checked against one computed afresh from the
+        states, not through the bag's memo, so a corrupt memo entry is
+        caught too.
         """
         full = self.current_multiset()
         maintained = self._state.maintained

@@ -429,6 +429,22 @@ def test_cross_check_detects_mutation_on_fallback_objectives():
         next(stream)
 
 
+def test_cross_check_detects_a_corrupt_fingerprint_memo():
+    # The maintained bag memoizes element fingerprints; the cross-check
+    # recomputes the fingerprint from the states without that memo, so a
+    # wrong entry shows as soon as its value leaves the bag.
+    simulator = Simulator(
+        minimum_algorithm(),
+        StaticEnvironment(complete_graph(4)),
+        initial_values=[5, 6, 7, 8],
+        seed=1,
+        cross_check=True,
+    )
+    simulator._state.maintained._fingerprints[6] ^= 1
+    with pytest.raises(SimulationError, match="fingerprint"):
+        next(simulator.steps())
+
+
 def test_mid_round_enforcement_error_keeps_maintained_state_in_sync():
     # A round where one group installs an improvement and a *later* group
     # raises an enforcement violation must leave the maintained multiset

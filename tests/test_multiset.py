@@ -10,6 +10,14 @@ from repro.core.multiset import Multiset, MutableMultiset
 
 small_ints = st.integers(min_value=-50, max_value=50)
 int_lists = st.lists(small_ints, max_size=12)
+#: Values of several types, among them the equal keys ``1``, ``1.0`` and
+#: ``True`` (one bag entry, one hash, so one fingerprint).
+mixed_values = st.one_of(
+    st.sampled_from([1, 1.0, True, 0, 0.0, False]),
+    small_ints,
+    st.text(max_size=2),
+    st.tuples(small_ints, small_ints),
+)
 
 
 class TestConstruction:
@@ -281,6 +289,38 @@ class TestMutableMultiset:
         assert bag.snapshot() == expected
         assert bag.fingerprint() == expected.fingerprint()
         assert len(bag) == len(expected)
+
+    @given(
+        st.lists(mixed_values, max_size=8),
+        st.lists(
+            st.tuples(
+                st.lists(mixed_values, max_size=5),
+                st.lists(st.integers(min_value=0, max_value=20), max_size=5),
+                st.booleans(),
+            ),
+            max_size=6,
+        ),
+    )
+    def test_fingerprint_stays_fresh_as_unseen_values_arrive(self, initial, deltas):
+        bag = MutableMultiset(initial)
+        contents = list(initial)
+        for added, picks, one_by_one in deltas:
+            pool = contents + added
+            chosen = {pick % len(pool) for pick in picks} if pool else set()
+            removed = [pool[index] for index in sorted(chosen)]
+            if one_by_one:
+                for value in added:
+                    bag.add(value)
+                for value in removed:
+                    assert bag.discard(value) == 1
+            else:
+                bag.apply_delta(removed, added)
+            contents = [value for index, value in enumerate(pool) if index not in chosen]
+            fresh = Multiset(contents)
+            assert bag.fingerprint() == fresh.fingerprint()
+            assert bag.snapshot() == fresh
+            # The memo holds exactly the values the bag holds.
+            assert len(bag._fingerprints) == len(fresh.distinct())
 
     def test_apply_delta_rejects_absent_removals(self):
         bag = MutableMultiset([1, 2])

@@ -56,6 +56,15 @@ from repro.service import streams as streams_module
 from repro.service.jobs import JobInterrupted, JobQueue, JobStore
 from repro.simulation.protocol import Probe
 
+#: A client or connection left open fails its test: the socket's
+#: ResourceWarning is raised in its finalizer, where pytest reports it.
+pytestmark = [
+    pytest.mark.filterwarnings("error:unclosed <socket:ResourceWarning"),
+    pytest.mark.filterwarnings(
+        "error:Exception ignored in. <socket:pytest.PytestUnraisableExceptionWarning"
+    ),
+]
+
 VALUES = (9, 5, 7, 1)
 
 #: Two finished jobs written before results moved into ``job.json`` (a
@@ -118,12 +127,32 @@ def service(tmp_path):
         instance.stop(drain=False, timeout=5.0)
 
 
+@pytest.fixture
+def connect():
+    """``ServiceClient`` factory; the fixture closes every client it built."""
+    clients = []
+
+    def factory(url: str, **kwargs) -> ServiceClient:
+        client = ServiceClient(url, **kwargs)
+        clients.append(client)
+        return client
+
+    yield factory
+    for client in clients:
+        client.close()
+
+
 # -- the event broker ------------------------------------------------------------
 
 
 def flattened(batches) -> list[tuple[int, str]]:
     """A subscription's batches as one list of ``(index, line)``."""
     return [event for batch in batches for event in batch]
+
+
+def buffered(broker: EventBroker, name: str) -> list[str]:
+    """The lines a channel holds now, live or finished, without blocking."""
+    return [line for _, line in flattened(broker.subscribe(name, stop=lambda: True))]
 
 
 class TestEventBroker:
@@ -134,7 +163,7 @@ class TestEventBroker:
         broker.close("ch")
         assert flattened(broker.subscribe("ch")) == [(0, "a"), (1, "b")]
         assert flattened(broker.subscribe("ch", offset=1)) == [(1, "b")]
-        assert broker.history("ch") == ["a", "b"]
+        assert buffered(broker, "ch") == ["a", "b"]
 
     def test_publish_to_closed_channel_is_an_error(self):
         broker = EventBroker()
@@ -161,7 +190,7 @@ class TestEventBroker:
         broker.close("ch")
         assert flattened(broker.subscribe("ch")) == [(10, "k")]
         assert flattened(broker.subscribe("ch", offset=3)) == [(10, "k")]
-        assert broker.snapshot("ch") == (10, ["k"], True)
+        assert buffered(broker, "ch") == ["k"]
 
     def test_lines_published_before_subscribing_arrive_as_one_batch(self):
         broker = EventBroker()
@@ -219,7 +248,7 @@ class TestEventBroker:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        history = list(enumerate(broker.history("ch")))
+        history = flattened(broker.subscribe("ch"))
         assert len(history) == 1000
         for batches in followers:
             assert flattened(batches) == history
@@ -232,6 +261,112 @@ class TestEventBroker:
         assert not broker.draining("svc-b/run-0001/unit-0000")
         broker.end_drain("svc-a/")
         assert not broker.draining("svc-a/run-0001/unit-0000")
+
+
+class TestFinishedStreams:
+    def test_finish_moves_the_lines_to_a_file(self, tmp_path):
+        broker = EventBroker()
+        broker.truncate("ch", 3)
+        for line in "abc":
+            broker.publish("ch", line)
+        path = tmp_path / "events" / "unit-0000.jsonl"
+        broker.finish("ch", path)
+        assert path.read_text() == (
+            '{"format": "repro-event-stream", "base": 3}\na\nb\nc\n'
+        )
+        assert broker._channels["ch"].lines == []
+        assert flattened(broker.subscribe("ch")) == [(3, "a"), (4, "b"), (5, "c")]
+        assert flattened(broker.subscribe("ch", offset=5)) == [(5, "c")]
+        with pytest.raises(SpecificationError, match="closed"):
+            broker.publish("ch", "d")
+        broker.finish("ch", tmp_path / "elsewhere.jsonl")
+        assert not (tmp_path / "elsewhere.jsonl").exists()
+
+    def test_a_fresh_broker_replays_a_finished_file(self, tmp_path):
+        path = tmp_path / "unit-0000.jsonl"
+        first = EventBroker()
+        first.truncate("ch", 2)
+        first.publish("ch", "x")
+        first.publish("ch", "y")
+        first.finish("ch", path)
+        # A restart: no run uses the channel, so its lines come from disk.
+        second = EventBroker()
+        second.finish("ch", path)
+        assert path.read_text().endswith("\nx\ny\n")
+        assert flattened(second.subscribe("ch")) == [(2, "x"), (3, "y")]
+        third = EventBroker()
+        third.finish("ch", tmp_path / "missing.jsonl")
+        assert flattened(third.subscribe("ch")) == []
+        damaged = tmp_path / "damaged.jsonl"
+        damaged.write_text('{"format": "repro-event-str')
+        fourth = EventBroker()
+        fourth.finish("ch", damaged)
+        assert flattened(fourth.subscribe("ch")) == []
+        assert damaged.with_name("damaged.jsonl.corrupt").exists()
+
+    def test_a_truncate_reopens_a_finished_channel(self, tmp_path):
+        broker = EventBroker()
+        for line in "abc":
+            broker.publish("ch", line)
+        broker.finish("ch", tmp_path / "unit-0000.jsonl")
+        broker.truncate("ch", 2)
+        assert broker.publish("ch", "C") == 2
+        broker.close("ch")
+        assert flattened(broker.subscribe("ch")) == [(0, "a"), (1, "b"), (2, "C")]
+
+    def test_a_subscriber_racing_the_finish_sees_every_line_once(
+        self, tmp_path, monkeypatch
+    ):
+        broker = EventBroker()
+        for line in "abc":
+            broker.publish("ch", line)
+        expected = list(enumerate("abcde"))
+        early = broker.subscribe("ch")
+        assert next(early) == expected[:3]
+        broker.publish("ch", "d")
+        broker.publish("ch", "e")
+        during = []
+        write = streams_module._write_stream
+
+        def write_while_followed(path, base, lines):
+            # The channel is closed, its lines still in memory.
+            during.extend(flattened(broker.subscribe("ch")))
+            write(path, base, lines)
+
+        monkeypatch.setattr(streams_module, "_write_stream", write_while_followed)
+        broker.finish("ch", tmp_path / "unit-0000.jsonl")
+        assert during == expected
+        assert broker._channels["ch"].lines == []
+        assert next(early) == expected[3:], "the rest comes from the file"
+        assert list(early) == []
+
+    def test_followers_racing_the_finish_see_every_line_once(self, tmp_path):
+        broker = EventBroker()
+        followers = [[] for _ in range(3)]
+        threads = [
+            threading.Thread(
+                target=batches.extend, args=(broker.subscribe("ch"),), daemon=True
+            )
+            for batches in followers
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for index in range(300):
+                broker.publish("ch", f"line {index}")
+            broker.finish("ch", tmp_path / "unit-0000.jsonl")
+            late = flattened(broker.subscribe("ch"))
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        expected = [(index, f"line {index}") for index in range(300)]
+        assert late == expected
+        for batches in followers:
+            assert flattened(batches) == expected
 
 
 # -- the streaming sink ----------------------------------------------------------
@@ -271,9 +406,10 @@ class TestServiceSinkProbe:
         kwargs = spec.run_kwargs()
         kwargs["probes"] = [ServiceSinkProbe(channel="ch", broker=broker)]
         spec.build(0).run(**kwargs)
-        lines = [line + "\n" for line in broker.history("ch")]
+        lines = [line + "\n" for line in buffered(broker, "ch")]
         assert "".join(lines) == jsonl_path.read_text()
-        assert broker.snapshot("ch")[2], "the sink closes its channel at the end"
+        with pytest.raises(SpecificationError, match="closed"):
+            broker.publish("ch", "the sink closes its channel at the end")
 
 
 # -- the result cache ------------------------------------------------------------
@@ -332,9 +468,9 @@ class TestSubmission:
 
 
 class TestExperimentService:
-    def test_submit_twice_is_a_byte_identical_cache_hit(self, service):
+    def test_submit_twice_is_a_byte_identical_cache_hit(self, service, connect):
         instance = service()
-        client = ServiceClient(instance.url)
+        client = connect(instance.url)
         spec = churn_spec(seeds=(0, 1))
 
         first_job = client.submit(spec)
@@ -354,38 +490,40 @@ class TestExperimentService:
         assert instance.queue.executed_jobs == 1
         assert instance.cache.stats()["hits"] == 1
 
-    def test_service_results_equal_offline_runs(self, service):
+    def test_service_results_equal_offline_runs(self, service, connect):
         instance = service()
-        client = ServiceClient(instance.url)
+        client = connect(instance.url)
         spec = churn_spec(seeds=(0, 1))
         results = client.results(client.submit(spec)["id"], timeout=60)
         offline = [spec.run(seed).to_dict() for seed in spec.seeds]
         assert [unit["result"] for unit in results] == offline
 
-    def test_sse_stream_equals_jsonl_sink(self, service, tmp_path):
+    def test_sse_stream_equals_jsonl_sink(self, service, tmp_path, connect):
         jsonl_path = tmp_path / "reference.jsonl"
         churn_spec(probes=({"probe": "jsonl", "path": str(jsonl_path)},)).run(0)
 
         instance = service()
-        client = ServiceClient(instance.url)
+        client = connect(instance.url)
         job = client.submit(churn_spec())
         events = list(client.events(job["id"]))
         streamed = "".join(json.dumps(event["data"]) + "\n" for event in events)
         assert streamed == jsonl_path.read_text()
         assert [event["id"] for event in events[:2]] == ["0:0", "0:1"]
 
-    def test_sse_offset_resumes_mid_stream(self, service):
+    def test_sse_offset_resumes_mid_stream(self, service, connect):
         instance = service()
-        client = ServiceClient(instance.url)
+        client = connect(instance.url)
         job = client.submit(churn_spec())
         client.wait(job["id"], timeout=60)
         everything = list(client.events(job["id"]))
         tail = list(client.events(job["id"], offset="0:2"))
         assert tail == everything[2:]
 
-    def test_raw_run_body_parses_to_the_record_with_states_on_one_line(self, service):
+    def test_raw_run_body_parses_to_the_record_with_states_on_one_line(
+        self, service, connect
+    ):
         instance = service()
-        client = ServiceClient(instance.url)
+        client = connect(instance.url)
         job = client.submit(churn_spec(seeds=(0, 1)))
         record = client.wait(job["id"], timeout=60)
         assert record["status"] == "done"
@@ -399,9 +537,9 @@ class TestExperimentService:
                 "final_states": unit["result"]["final_states"]
             }
 
-    def test_sweep_submission_runs_the_grid(self, service):
+    def test_sweep_submission_runs_the_grid(self, service, connect):
         instance = service()
-        client = ServiceClient(instance.url)
+        client = connect(instance.url)
         spec = churn_spec(seeds=(0,))
         job = client.submit(
             spec, grid={"environment_params.edge_up_probability": [0.2, 0.4]}
@@ -414,9 +552,9 @@ class TestExperimentService:
         ]
         assert probabilities == [0.2, 0.4]
 
-    def test_force_bypasses_the_cache(self, service):
+    def test_force_bypasses_the_cache(self, service, connect):
         instance = service()
-        client = ServiceClient(instance.url)
+        client = connect(instance.url)
         spec = churn_spec()
         client.results(client.submit(spec)["id"], timeout=60)
         forced = client.submit(spec, force=True)
@@ -424,9 +562,9 @@ class TestExperimentService:
         client.wait(forced["id"], timeout=60)
         assert instance.queue.executed_jobs == 2
 
-    def test_failed_runs_report_their_error(self, service):
+    def test_failed_runs_report_their_error(self, service, connect):
         instance = service()
-        client = ServiceClient(instance.url)
+        client = connect(instance.url)
         # A jsonl probe pointing into a directory that cannot exist makes
         # the run raise mid-flight.
         spec = churn_spec(
@@ -444,9 +582,9 @@ class TestExperimentService:
         with pytest.raises(ServiceError, match="failed"):
             client.results(record["id"])
 
-    def test_http_errors(self, service):
+    def test_http_errors(self, service, connect):
         instance = service()
-        client = ServiceClient(instance.url)
+        client = connect(instance.url)
         with pytest.raises(ServiceError) as excinfo:
             client.status("run-9999")
         assert excinfo.value.status == 404
@@ -457,9 +595,9 @@ class TestExperimentService:
         assert health["status"] == "ok" and not health["draining"]
         assert "minimum" in client.registry()["algorithms"]
 
-    def test_mistyped_spec_scalar_is_a_400(self, service):
+    def test_mistyped_spec_scalar_is_a_400(self, service, connect):
         instance = service()
-        client = ServiceClient(instance.url)
+        client = connect(instance.url)
         for field, value in (("max_rounds", "10"), ("stop_at_convergence", "false")):
             spec = dict(churn_spec().to_dict(), **{field: value})
             with pytest.raises(ServiceError) as excinfo:
@@ -475,9 +613,11 @@ class TestExperimentService:
             ({"probe": "fault-crash", "at_round": 0}, "at_round >= 1"),
         ],
     )
-    def test_probe_parameter_value_error_is_a_400(self, service, probe, message):
+    def test_probe_parameter_value_error_is_a_400(
+        self, service, probe, message, connect
+    ):
         instance = service()
-        client = ServiceClient(instance.url)
+        client = connect(instance.url)
         spec = dict(churn_spec().to_dict(), probes=[probe])
         with pytest.raises(ServiceError) as excinfo:
             client.submit(spec)
@@ -485,13 +625,15 @@ class TestExperimentService:
         assert message in str(excinfo.value)
         assert client.health()["status"] == "ok"
 
-    def test_served_records_are_the_offline_batch_records(self, service, tmp_path):
+    def test_served_records_are_the_offline_batch_records(
+        self, service, tmp_path, connect
+    ):
         # Durable units run with the service's stream channel and
         # checkpoint directory, but the records it serves carry the spec
         # as submitted: label, seed, spec, result and error all equal an
         # offline batch's, wherever the data directory lives.
         instance = service()
-        client = ServiceClient(instance.url)
+        client = connect(instance.url)
         spec = churn_spec(seeds=(0, 1))
         results = client.results(client.submit(spec)["id"], timeout=60)
         offline = BatchRunner(backend="serial").run(spec).to_dict()["items"]
@@ -500,12 +642,12 @@ class TestExperimentService:
         assert str(tmp_path) not in served
         assert "service-sink" not in served
 
-    def test_drain_checkpoints_and_restart_resumes_identically(self, service):
+    def test_drain_checkpoints_and_restart_resumes_identically(self, service, connect):
         spec = slow_spec(delay=0.05, max_rounds=400)
         offline = spec.run(0).to_dict()
 
         first = service("durable", checkpoint_every=2)
-        client = ServiceClient(first.url)
+        client = connect(first.url)
         job = client.submit(spec)
         deadline = time.monotonic() + 10
         while first.store.get(job["id"]).status != "running":
@@ -520,21 +662,21 @@ class TestExperimentService:
         assert list(engine_dir.glob("*/round-*.json")), "drain must checkpoint"
 
         second = service("durable", checkpoint_every=2)
-        final = ServiceClient(second.url).wait(job["id"], timeout=120)
+        final = connect(second.url).wait(job["id"], timeout=120)
         assert final["status"] == "done"
         assert final["results"][0]["result"] == offline
 
-    def test_draining_service_rejects_new_submissions(self, service):
+    def test_draining_service_rejects_new_submissions(self, service, connect):
         instance = service()
-        client = ServiceClient(instance.url)
+        client = connect(instance.url)
         instance.queue.drain(timeout=5.0)
         with pytest.raises(ServiceError) as excinfo:
             client.submit(churn_spec())
         assert excinfo.value.status == 503
 
-    def test_in_flight_submissions_are_deduplicated(self, service):
+    def test_in_flight_submissions_are_deduplicated(self, service, connect):
         instance = service()
-        client = ServiceClient(instance.url)
+        client = connect(instance.url)
         spec = slow_spec(delay=0.05, max_rounds=400, name="dedup")
         first = client.submit(spec)
         second = client.submit(spec)
@@ -608,9 +750,11 @@ def event_writes(writes: list[bytes]) -> list[bytes]:
 
 
 class TestEventStream:
-    def test_a_finished_jobs_lines_leave_in_one_write(self, service, monkeypatch):
+    def test_a_finished_jobs_lines_leave_in_one_write(
+        self, service, monkeypatch, connect
+    ):
         instance = service()
-        client = ServiceClient(instance.url)
+        client = connect(instance.url)
         job = client.wait(client.submit(churn_spec())["id"], timeout=60)
         writes = recorded_stream_writes(monkeypatch)
         events = list(client.events(job["id"]))
@@ -618,17 +762,19 @@ class TestEventStream:
         assert [data.count(b"\n\n") for data in event_writes(writes)] == [len(events)]
         assert writes[-1].startswith(b"event: end\n")
 
-    def test_a_followed_job_takes_fewer_writes_than_events(self, service, monkeypatch):
+    def test_a_followed_job_takes_fewer_writes_than_events(
+        self, service, monkeypatch, connect
+    ):
         instance = service()
         writes = recorded_stream_writes(monkeypatch)
-        client = ServiceClient(instance.url)
+        client = connect(instance.url)
         job = client.submit(slow_spec(delay=0.005))
         events = list(client.events(job["id"]))
         carried = event_writes(writes)
         assert sum(data.count(b"\n\n") for data in carried) == len(events)
         assert len(carried) < len(events)
 
-    def test_end_waits_for_the_job_to_finish(self, service, monkeypatch):
+    def test_end_waits_for_the_job_to_finish(self, service, monkeypatch, connect):
         # The last channel closes before the cache write and the job's
         # final record; "end" must carry the finished job.
         put = ResultCache.put
@@ -639,17 +785,17 @@ class TestEventStream:
 
         monkeypatch.setattr(ResultCache, "put", slow_put)
         instance = service()
-        job = ServiceClient(instance.url).submit(churn_spec())
+        job = connect(instance.url).submit(churn_spec())
         events = raw_events(instance.url, job["id"])
         assert events[-1]["event"] == "end"
         assert json.loads(events[-1]["data"])["status"] == "done"
 
-    def test_a_stopping_service_drops_the_stream_without_end(self, service):
+    def test_a_stopping_service_drops_the_stream_without_end(self, service, connect):
         # The job is not terminal, so the stream has no "end" to send: the
         # client sees a cut stream and resumes it from its Last-Event-ID.
         instance = service()
         spec = slow_spec(delay=0.05, max_rounds=400)
-        job = ServiceClient(instance.url).submit(spec)
+        job = connect(instance.url).submit(spec)
         events: list[dict] = []
         reader = threading.Thread(
             target=lambda: events.extend(raw_events(instance.url, job["id"]))
@@ -657,7 +803,7 @@ class TestEventStream:
         reader.start()
         channel = instance.store.get(job["id"]).channels[0]
         deadline = time.monotonic() + 10
-        while len(instance.broker.history(channel)) < 3:
+        while len(buffered(instance.broker, channel)) < 3:
             assert time.monotonic() < deadline, "run never streamed"
             time.sleep(0.01)
         instance.stop(drain=True)
@@ -666,18 +812,24 @@ class TestEventStream:
         assert instance.store.get(job["id"]).status == "queued"
         assert events and all(event["event"] == "message" for event in events)
 
-    def test_finished_stream_after_a_restart_is_just_end(self, service):
+    def test_finished_stream_replays_after_a_restart(self, service, connect):
         first = service("restart")
-        client = ServiceClient(first.url)
-        job = client.wait(client.submit(churn_spec())["id"], timeout=60)
+        client = connect(first.url)
+        job = client.wait(client.submit(churn_spec(seeds=(0, 1)))["id"], timeout=60)
+        before = raw_events(first.url, job["id"])
+        tail = list(client.events(job["id"], offset="1:2"))
         first.stop()
-        # A fresh process: the broker's in-memory history is gone.
+        # A fresh process: the broker's memory is gone, the job's
+        # directory is not.
         second = service("restart", broker=EventBroker())
         start = time.monotonic()
-        events = raw_events(second.url, job["id"])
+        after = raw_events(second.url, job["id"])
         assert time.monotonic() - start < 2.0
-        assert [event["event"] for event in events] == ["end"]
-        assert json.loads(events[0]["data"])["status"] == "done"
+        assert after == before
+        assert [event["event"] for event in after].count("message") > 6
+        assert after[-1]["event"] == "end"
+        assert json.loads(after[-1]["data"])["status"] == "done"
+        assert list(connect(second.url).events(job["id"], offset="1:2")) == tail
 
 
 # -- kept connections --------------------------------------------------------------
@@ -700,11 +852,11 @@ def accepted_connections(monkeypatch, instance) -> list:
 
 class TestKeptConnections:
     def test_sequential_requests_share_one_connection_without_stalls(
-        self, service, monkeypatch
+        self, service, monkeypatch, connect
     ):
         instance = service()
         accepted = accepted_connections(monkeypatch, instance)
-        client = ServiceClient(instance.url)
+        client = connect(instance.url)
         job = client.wait(client.submit(churn_spec())["id"], timeout=60)
         start = time.monotonic()
         for _ in range(50):
@@ -742,13 +894,15 @@ class TestKeptConnections:
             connection.close()
         assert len(accepted) == 1
 
-    def test_client_reconnects_after_the_idle_timeout(self, service, monkeypatch):
+    def test_client_reconnects_after_the_idle_timeout(
+        self, service, monkeypatch, connect
+    ):
         monkeypatch.setattr(server_module._Handler, "timeout", 0.2)
         instance = service()
         accepted = accepted_connections(monkeypatch, instance)
         calls = []
         # No retries: the replaced connection must not spend the budget.
-        client = ServiceClient(
+        client = connect(
             instance.url,
             retry=RetryPolicy(retries=0),
             fault_hook=lambda method, path: calls.append((method, path)),
@@ -759,9 +913,9 @@ class TestKeptConnections:
         assert calls == [("GET", "/healthz")] * 2, "one hook call per attempt"
         assert len(accepted) == 2
 
-    def test_client_reconnects_to_a_restarted_service(self, service):
+    def test_client_reconnects_to_a_restarted_service(self, service, connect):
         first = service("first")
-        client = ServiceClient(first.url)
+        client = connect(first.url)
         client.wait(client.submit(churn_spec())["id"], timeout=60)
         assert len(client.runs()) == 1
         port = first.port
@@ -801,9 +955,10 @@ class TestKeptConnections:
     def test_a_malformed_url_is_a_service_error(self):
         for url in ("not a url", "http://", "http://host:port"):
             with pytest.raises(ServiceError, match="not a service URL"):
-                ServiceClient(url).health()
+                with ServiceClient(url) as client:
+                    client.health()
 
-    def test_fault_hook_fires_once_per_attempt(self, service):
+    def test_fault_hook_fires_once_per_attempt(self, service, connect):
         faults = [{"action": "status", "status": 503}]
         instance = service(fault_hook=lambda *request: faults.pop() if faults else None)
         calls = []
@@ -813,7 +968,7 @@ class TestKeptConnections:
             if len(calls) == 1:
                 raise URLError("injected connection failure")
 
-        client = ServiceClient(
+        client = connect(
             instance.url,
             retry=RetryPolicy(retries=3, base_delay=0.01, max_delay=0.05),
             fault_hook=hook,
@@ -848,9 +1003,9 @@ def served_body(instance, job_id: str) -> bytes:
 
 
 class TestJobWrites:
-    def test_cache_hit_is_one_durable_write(self, service, monkeypatch):
+    def test_cache_hit_is_one_durable_write(self, service, monkeypatch, connect):
         instance = service()
-        client = ServiceClient(instance.url)
+        client = connect(instance.url)
         spec = churn_spec(seeds=(0, 1))
         first = client.wait(client.submit(spec)["id"], timeout=60)
         writes = recorded_writes(monkeypatch)
@@ -859,10 +1014,12 @@ class TestJobWrites:
         assert [path.name for _, path, _ in writes] == ["job.json"]
         assert client.wait(hit["id"])["results"] == first["results"]
 
-    def test_fresh_submission_writes_its_record_once(self, service, monkeypatch):
+    def test_fresh_submission_writes_its_record_once(
+        self, service, monkeypatch, connect
+    ):
         instance = service()
         writes = recorded_writes(monkeypatch)
-        client = ServiceClient(instance.url)
+        client = connect(instance.url)
         job = client.submit(churn_spec(seeds=(0, 1)))
         client.wait(job["id"], timeout=60)
         records = [
@@ -876,9 +1033,9 @@ class TestJobWrites:
         expected = [instance.queue.channel_name(job["id"], index) for index in (0, 1)]
         assert records[0][1]["channels"] == expected
 
-    def test_finished_jobs_own_their_results(self, service, tmp_path):
+    def test_finished_jobs_own_their_results(self, service, tmp_path, connect):
         instance = service("owned")
-        client = ServiceClient(instance.url)
+        client = connect(instance.url)
         spec = churn_spec(seeds=(0, 1))
         fresh = client.wait(client.submit(spec)["id"], timeout=60)
         hit = client.wait(client.submit(spec)["id"])
@@ -909,10 +1066,12 @@ class TestJobWrites:
         # The record is saved back without the damaged results.
         assert JobStore(tmp_path / "jobs").get(job.id).summary() == job.summary()
 
-    def test_parent_layout_job_directories_serve_unchanged(self, service, tmp_path):
+    def test_parent_layout_job_directories_serve_unchanged(
+        self, service, tmp_path, connect
+    ):
         shutil.copytree(PARENT_LAYOUT / "jobs", tmp_path / "parent" / "jobs")
         instance = service("parent")
-        client = ServiceClient(instance.url)
+        client = connect(instance.url)
         served = json.loads((PARENT_LAYOUT / "served.json").read_text())
         assert {job_id: client.status(job_id) for job_id in served} == served
 
@@ -938,7 +1097,7 @@ class TestJobWrites:
 
 class TestHealthCost:
     def test_health_and_cache_stats_never_walk_the_history(
-        self, service, tmp_path, monkeypatch
+        self, service, tmp_path, monkeypatch, connect
     ):
         monkeypatch.setattr(jobs_module, "atomic_write_text", _plain_write)
         monkeypatch.setattr(cache_module, "atomic_write_text", _plain_write)
@@ -950,7 +1109,7 @@ class TestHealthCost:
             cache.put(f"{index:064x}", {"spec": {}}, [])
         monkeypatch.undo()
         instance = service("busy")
-        client = ServiceClient(instance.url)
+        client = connect(instance.url)
         client.wait(client.submit(churn_spec(seeds=(0,)))["id"], timeout=60)
         walked: dict[str, int] = {}
         for job in instance.store.jobs():
@@ -968,6 +1127,49 @@ class TestHealthCost:
         stats = client.cache_stats()
         assert health["jobs"] == walked
         assert stats["entries"] == health["cache"]["entries"] == entries
+
+
+def retained_line_bytes(broker: EventBroker, prefix: str) -> int:
+    """Bytes of stream lines the broker holds in memory under ``prefix``."""
+    return sum(
+        len(line)
+        for name, channel in broker._channels.items()
+        if name.startswith(prefix)
+        for line in channel.lines
+    )
+
+
+class TestRetainedMemory:
+    def test_broker_memory_does_not_grow_with_jobs_served(self, service, connect):
+        instance = service()
+        client = connect(instance.url)
+        retained = {}
+        for index in range(50):
+            job = client.submit(churn_spec(seeds=(index,)))
+            assert client.wait(job["id"], timeout=60)["status"] == "done"
+            retained[index + 1] = retained_line_bytes(instance.broker, instance.token)
+        assert retained[50] == retained[5] == 0
+        # Each finished stream is served from its job's directory.
+        events = list(client.events(job["id"]))
+        assert len(events) > 3 and events[0]["id"] == "0:0"
+        assert instance.store.events_path(job["id"], 0).exists()
+
+    def test_runs_leave_no_module_level_dict_grown(self, service, connect):
+        from repro.core import multiset as multiset_module
+
+        def dict_sizes():
+            return {
+                name: len(value)
+                for name, value in vars(multiset_module).items()
+                if isinstance(value, dict)
+            }
+
+        client = connect(service().url)
+        before = dict_sizes()
+        for values in ((9, 5, 7, 1), (19, 15, 17, 11, 13)):
+            job = client.submit(churn_spec(initial_values=values))
+            assert client.wait(job["id"], timeout=60)["status"] == "done"
+            assert dict_sizes() == before
 
 
 def _plain_write(path, text):
