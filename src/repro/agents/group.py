@@ -14,7 +14,30 @@ from typing import Any, Hashable, Iterable, Sequence
 
 from ..core.multiset import Multiset
 
-__all__ = ["Group"]
+__all__ = ["Group", "install_states"]
+
+
+def install_states(
+    members: Sequence[int], states: list[Hashable], new_states: Sequence[Hashable]
+) -> tuple[list[Hashable], list[Hashable]]:
+    """Write the new states of the agents ``members`` into the agent-state list.
+
+    Returns the ``(removed, added)`` state delta: the old and the new
+    state of every member whose state actually changed, aligned by
+    position; only those entries of ``states`` are written.  The
+    simulator folds this delta into its maintained round multiset, so
+    a round's bookkeeping costs O(|delta|) rather than O(num_agents);
+    ``len(removed)`` is the changed-agent count.
+    """
+    removed: list[Hashable] = []
+    added: list[Hashable] = []
+    for agent_id, new_state in zip(members, new_states):
+        old_state = states[agent_id]
+        if new_state != old_state:
+            states[agent_id] = new_state
+            removed.append(old_state)
+            added.append(new_state)
+    return removed, added
 
 
 class Group:
@@ -69,24 +92,9 @@ class Group:
     def install(
         self, states: list[Hashable], new_states: Sequence[Hashable]
     ) -> tuple[list[Hashable], list[Hashable]]:
-        """Write new states back into the agent-state list.
-
-        Returns the ``(removed, added)`` state delta: the old and the new
-        state of every member whose state actually changed, aligned by
-        position; only those entries of ``states`` are written.  The
-        simulator folds this delta into its maintained round multiset, so
-        a round's bookkeeping costs O(|delta|) rather than O(num_agents);
-        ``len(removed)`` is the changed-agent count.
-        """
-        removed: list[Hashable] = []
-        added: list[Hashable] = []
-        for agent_id, new_state in zip(self.members, new_states):
-            old_state = states[agent_id]
-            if new_state != old_state:
-                states[agent_id] = new_state
-                removed.append(old_state)
-                added.append(new_state)
-        return removed, added
+        """Write new states back into the agent-state list and return the
+        ``(removed, added)`` delta (:func:`install_states`)."""
+        return install_states(self.members, states, new_states)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Group({list(self.members)})"

@@ -28,7 +28,7 @@ import random
 from abc import ABC, abstractmethod
 from typing import Sequence
 
-from ..environment.base import EnvironmentState
+from ..environment.base import ComponentPartition, EnvironmentState
 from ..registry import register_scheduler
 from .group import Group
 
@@ -47,8 +47,9 @@ class Scheduler(ABC):
     @abstractmethod
     def schedule(
         self, environment_state: EnvironmentState, rng: random.Random
-    ) -> list[Group]:
-        """Return the groups that act this round.
+    ) -> Sequence[Group]:
+        """Return the groups that act this round, as a list (or any
+        sequence of groups).
 
         The groups must be pairwise disjoint and each must be a subset of
         one communication group of ``environment_state``.  Agents that are
@@ -65,17 +66,21 @@ class MaximalGroupsScheduler(Scheduler):
     """Every communication group of the environment acts, whole.
 
     The partition is the state's own
-    :meth:`~repro.environment.base.EnvironmentState.component_groups`
-    list, in component order: one list per state, shared by every reader
-    (and recognised by the engine as the component partition), so it
-    must be treated as read-only, which the engine's consumption
-    (iteration only) respects.  The scheduler draws no randomness.
+    :meth:`~repro.environment.base.EnvironmentState.component_partition`
+    view, in component order: one per state, shared by every reader, so
+    it must be treated as read-only.  It holds the state's labelling and
+    sorts nothing until something reads it, and both engines recognise
+    it as the component partition: they read its layout (the reference
+    engine) or the labelling itself (the array engine) and build no
+    :class:`Group`.  A subclass that returns
+    ``super().schedule(...)`` keeps that path.  The scheduler draws no
+    randomness.
     """
 
     def schedule(
         self, environment_state: EnvironmentState, rng: random.Random
-    ) -> list[Group]:
-        return environment_state.component_groups()
+    ) -> ComponentPartition:
+        return environment_state.component_partition()
 
     def describe(self) -> str:
         return "maximal groups (every connected component acts)"

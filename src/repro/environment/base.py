@@ -24,6 +24,9 @@ This module defines:
   communication groups in canonical order (the from-scratch walk
   :func:`connected_component_tuples` serves when numpy is missing, and
   as the cross-check oracle);
+* :class:`ComponentPartition` — a state's maximal partition as a view
+  over its labelling: the non-singleton components' members, bounds and
+  positions, and the roots, with ``Group`` objects built only when read;
 * :meth:`EnvironmentState.unchanged_from` — whether a state equals the
   one before it, round index aside.  It is a function of the two states
   alone, so no environment reports or tracks its own churn; the engines
@@ -39,10 +42,10 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import attrgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 try:
     import numpy as _numpy
@@ -53,6 +56,7 @@ from ..core.errors import EnvironmentError_, SimulationError
 
 __all__ = [
     "Topology",
+    "ComponentPartition",
     "EnvironmentState",
     "Environment",
     "check_components",
@@ -61,8 +65,6 @@ __all__ = [
 ]
 
 Edge = tuple[int, int]
-
-_group_members = attrgetter("members")
 
 
 def _normalize_edge(a: int, b: int) -> Edge:
@@ -194,9 +196,10 @@ def connected_component_tuples(
     """Connected components as sorted member tuples, ordered by smallest member.
 
     The workhorse behind :func:`connected_components` (which wraps the
-    tuples in frozensets) and the maximal-groups scheduler (which feeds
-    them to :class:`~repro.agents.group.Group` directly, avoiding a
-    re-sort per component).
+    tuples in frozensets) and, when numpy is missing, a state's
+    :class:`ComponentPartition` (which feeds them to
+    :class:`~repro.agents.group.Group` directly, avoiding a re-sort per
+    component).
 
     Edges whose endpoints are not both in ``agents`` are ignored.  The
     edge-touched components come from :func:`edge_components`; every
@@ -286,67 +289,170 @@ def label_components(u, v, num_agents: int):
     return np.flatnonzero(touched), labels
 
 
-def _labelled_groups(enabled_ids, ids, labels) -> tuple[list, list[int]]:
-    """The canonical component groups of a labelling, and where the
-    non-singleton ones sit among them.
+def _labelled_layout(enabled_ids, ids, labels) -> tuple:
+    """The ``(members, bounds, positions, roots)`` of a labelling's
+    component partition (see :class:`ComponentPartition`).
 
     ``enabled_ids`` is the ascending enabled agents; ``(ids, labels)``
     is :func:`label_components`' output over edges between enabled
     agents.  A component's label is its smallest member, so the enabled
     agents that label themselves — the *roots* — ascend exactly in
-    :func:`connected_component_tuples`' order: the group list is the
-    roots' interned singleton groups, with no sort, and its Python cost
-    scales with the component count.  The touched agents are the members
-    of the non-singleton components; one stable argsort of their labels
-    groups them, members ascending, and their groups replace their
-    roots' singletons.
+    :func:`connected_component_tuples`' order, with no sort.  The touched
+    agents are the members of the non-singleton components; one stable
+    argsort of their labels groups them, members ascending, and each
+    group's label finds its position among the roots.
     """
-    from ..agents.group import Group  # the agents layer imports this module
-
     np = _numpy
     # Enabled agents past the labelled range are touched by no edge.
     cut = int(np.searchsorted(enabled_ids, labels.shape[0]))
     head = enabled_ids[:cut]
     roots = np.concatenate((head[labels.take(head) == head], enabled_ids[cut:]))
-    groups = _interned_singletons(roots)
     if not ids.shape[0]:
-        return groups, []
+        return [], [0], [], roots
     keys = labels.take(ids)
     order = np.argsort(keys, kind="stable")
     keys = keys.take(order)
     starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
     firsts = np.concatenate(([0], starts))
-    positions = np.searchsorted(roots, keys.take(firsts)).tolist()
     members = ids.take(order).tolist()
     bounds = [0, *starts.tolist(), len(members)]
-    for position, start, stop in zip(positions, bounds, bounds[1:]):
-        groups[position] = Group(tuple(members[start:stop]))
-    return groups, positions
+    return members, bounds, np.searchsorted(roots, keys.take(firsts)).tolist(), roots
 
 
-#: Singleton groups interned by agent id (a numpy object array, grown on
-#: demand).  A sparse round's partition is mostly lone agents, and taking
-#: their groups from this table costs a tenth of building a fresh
-#: :class:`~repro.agents.group.Group` per lone agent per round.
-_singleton_groups = None
+def _walked_layout(components: list[tuple[int, ...]]) -> tuple:
+    """:func:`_labelled_layout`'s four parts, read off the component
+    walk's member tuples."""
+    members: list[int] = []
+    bounds = [0]
+    positions = []
+    for position, component in enumerate(components):
+        if len(component) > 1:
+            members.extend(component)
+            bounds.append(len(members))
+            positions.append(position)
+    return members, bounds, positions, [component[0] for component in components]
 
 
-def _interned_singletons(roots) -> list:
-    """The interned singleton group of every agent in ``roots``, in order."""
-    global _singleton_groups
-    table = _singleton_groups
-    needed = int(roots[-1]) + 1 if roots.shape[0] else 0
-    if table is None or table.shape[0] < needed:
-        from ..agents.group import Group
+class ComponentPartition(Sequence):
+    """The maximal partition of one environment state: its communication
+    groups in component order, read from the state's labelling.
 
-        start = 0 if table is None else table.shape[0]
-        grown = _numpy.empty(max(needed, 2 * start), dtype=object)
-        if table is not None:
-            grown[:start] = table
-        for agent in range(start, grown.shape[0]):
-            grown[agent] = Group((agent,))
-        _singleton_groups = table = grown
-    return table.take(roots).tolist()
+    A sequence of :class:`~repro.agents.group.Group` objects, so any
+    reader can index or iterate it; but the groups are built only when
+    something reads it that way.  The round loop reads the layout
+    instead, built on first read from the labelling (one stable argsort;
+    from the component walk's tuples when numpy is missing):
+
+    * :attr:`members` — the members of the non-singleton components, in
+      group order, members ascending;
+    * :attr:`bounds` — where each of those groups starts in
+      :attr:`members`, plus the end;
+    * :attr:`positions` — where each of those groups sits in the
+      component order;
+    * :attr:`roots` — every component's smallest member, in component
+      order (a lone agent is its own root).
+
+    Component order is ascending smallest member, exactly
+    :func:`connected_component_tuples`' order.  Every part is built at
+    most once and shared, so readers must treat it as read-only.  The
+    view holds the labelling, never the state, and lets go of the
+    labelling once its layout is built.
+    """
+
+    __slots__ = ("_enabled", "_labelling", "_layout", "_tuples", "_groups")
+
+    def __init__(self, enabled, labelling: tuple):
+        """The view of the labelling ``(ids, labels)``
+        (:func:`label_components`) of the enabled agents ``enabled``: an
+        ascending ``int64`` id array, or a set."""
+        self._enabled = enabled
+        self._labelling = labelling
+        self._layout: tuple | None = None
+        self._tuples: list[tuple[int, ...]] | None = None
+        self._groups: list | None = None
+
+    @classmethod
+    def walked(cls, components: list[tuple[int, ...]]) -> "ComponentPartition":
+        """The view of a component walk's member tuples
+        (:func:`connected_component_tuples`)."""
+        partition = cls(None, None)
+        partition._tuples = components
+        return partition
+
+    def _built(self) -> tuple:
+        layout = self._layout
+        if layout is None:
+            if self._labelling is None:
+                layout = _walked_layout(self._tuples)
+            else:
+                enabled = self._enabled
+                if not isinstance(enabled, _numpy.ndarray):
+                    enabled = _numpy.sort(
+                        _numpy.fromiter(enabled, _numpy.int64, len(enabled))
+                    )
+                layout = _labelled_layout(enabled, *self._labelling)
+            self._layout = layout
+            self._enabled = self._labelling = None
+        return layout
+
+    @property
+    def members(self) -> list[int]:
+        """The non-singleton components' members, group after group."""
+        return self._built()[0]
+
+    @property
+    def bounds(self) -> list[int]:
+        """Group ``k`` is ``members[bounds[k]:bounds[k + 1]]``."""
+        return self._built()[1]
+
+    @property
+    def positions(self) -> list[int]:
+        """The component-order position of each non-singleton group."""
+        return self._built()[2]
+
+    @property
+    def roots(self):
+        """Every component's smallest member, in component order."""
+        return self._built()[3]
+
+    def tuples(self) -> list[tuple[int, ...]]:
+        """The components as sorted member tuples, in component order."""
+        tuples = self._tuples
+        if tuples is None:
+            members, bounds, positions, roots = self._built()
+            tuples = [(root,) for root in roots.tolist()]
+            for position, start, stop in zip(positions, bounds, bounds[1:]):
+                tuples[position] = tuple(members[start:stop])
+            self._tuples = tuples
+        return tuples
+
+    def groups(self) -> list:
+        """The components as :class:`~repro.agents.group.Group` objects."""
+        groups = self._groups
+        if groups is None:
+            from ..agents.group import Group  # the agents layer imports this module
+
+            groups = self._groups = list(map(Group, self.tuples()))
+        return groups
+
+    def __len__(self) -> int:
+        return len(self._built()[3])
+
+    def __getitem__(self, index):
+        return self.groups()[index]
+
+    def __iter__(self):
+        return iter(self.groups())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (ComponentPartition, list, tuple)):
+            return self.groups() == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"ComponentPartition({self.groups()!r})"
 
 
 def check_components(state: "EnvironmentState", source: str) -> list[tuple[int, ...]]:
@@ -397,10 +503,16 @@ class EnvironmentState:
     The communication groups come from one labelling per state
     (:meth:`component_labels`, by :func:`label_components`), memoized
     like every other view: the schedulers, the probes and both engines
-    read the same one.  Without numpy the from-scratch walk
-    :func:`connected_component_tuples` computes them instead; the two
-    agree member for member and in order (pinned by the differential
-    test suite).
+    read the same one.  The state's maximal partition is one
+    :class:`ComponentPartition` view over it
+    (:meth:`component_partition`), whose layout — the non-singleton
+    components' members, bounds and positions, and the roots — is built
+    on first read, and whose :class:`~repro.agents.group.Group` objects
+    are built only if something reads the groups
+    (:meth:`component_groups`, a round record's ``groups``).  Without
+    numpy the from-scratch walk :func:`connected_component_tuples`
+    computes the components instead; the two agree member for member
+    and in order (pinned by the differential test suite).
 
     An environment that already holds its state as arrays may also hand
     over the effective edges as ``effective_edge_arrays``: a pair of
@@ -509,18 +621,8 @@ class EnvironmentState:
         each component is a sorted tuple — the exact member layout
         :class:`~repro.agents.group.Group` stores — so schedulers can
         build their groups without materialising a frozenset per
-        component.  The members of :meth:`component_groups` when numpy
-        is importable; the component walk otherwise."""
-        memo = self.__dict__.get("_component_tuples")
-        if memo is None:
-            if _numpy is None:
-                memo = connected_component_tuples(
-                    self.enabled_agents, self.effective_edges()
-                )
-            else:
-                memo = list(map(_group_members, self.component_groups()))
-            object.__setattr__(self, "_component_tuples", memo)
-        return memo
+        component.  Read off :meth:`component_partition`."""
+        return self.component_partition().tuples()
 
     def component_labels(self) -> tuple:
         """The state's component labelling ``(ids, labels)``.  Needs numpy.
@@ -541,63 +643,53 @@ class EnvironmentState:
             object.__setattr__(self, "_component_labels", memo)
         return memo
 
-    def component_groups(self) -> list:
-        """The communication groups as :class:`~repro.agents.group.Group`
-        objects, in component order — the maximal scheduler's partition.
+    def component_partition(self) -> ComponentPartition:
+        """The state's maximal partition: its communication groups, in
+        component order, as a :class:`ComponentPartition` view.
 
-        Built from :meth:`component_labels` (lone agents get interned
-        groups) when numpy is importable, from the component walk
-        otherwise.  Memoized like the other views and shared, so callers
-        must treat the list as read-only.
-        """
-        memo = self.__dict__.get("_component_groups")
-        if memo is None:
-            if _numpy is None:
-                from ..agents.group import Group  # the agents layer imports this module
-
-                memo = list(map(Group, self.communication_group_tuples()))
-            else:
-                enabled = self.__dict__.get("_enabled_ids")
-                if enabled is None:
-                    agents = self.enabled_agents
-                    enabled = _numpy.sort(
-                        _numpy.fromiter(agents, _numpy.int64, len(agents))
-                    )
-                memo, positions = _labelled_groups(enabled, *self.component_labels())
-                object.__setattr__(self, "_nonsingleton_positions", positions)
-            object.__setattr__(self, "_component_groups", memo)
-        return memo
-
-    def nonsingleton_positions(self, groups: Sequence) -> list[int] | None:
-        """The positions of the non-singleton groups in ``groups``, or None.
-
-        None unless ``groups`` is this state's own :meth:`component_groups`
-        list (compared by identity): only then is it the component
-        partition — disjoint and in range by construction, with its
-        non-singleton positions known from the labelling.
+        Memoized and shared by every reader.  It holds
+        :meth:`component_labels` (the component walk's tuples when numpy
+        is missing) and builds its layout only when something reads it,
+        so asking for it sorts nothing.
         """
         own = self.__dict__
-        if groups is not own.get("_component_groups"):
-            return None
-        positions = own.get("_nonsingleton_positions")
-        if positions is None:
-            positions = [
-                index for index, group in enumerate(groups) if len(group.members) > 1
-            ]
-            object.__setattr__(self, "_nonsingleton_positions", positions)
-        return positions
+        memo = own.get("_component_partition")
+        if memo is None:
+            if _numpy is None:
+                memo = ComponentPartition.walked(
+                    connected_component_tuples(
+                        self.enabled_agents, self.effective_edges()
+                    )
+                )
+            else:
+                enabled = own.get("_enabled_ids")
+                memo = ComponentPartition(
+                    self.enabled_agents if enabled is None else enabled,
+                    self.component_labels(),
+                )
+            object.__setattr__(self, "_component_partition", memo)
+        return memo
+
+    def component_groups(self) -> list:
+        """The communication groups as :class:`~repro.agents.group.Group`
+        objects, in component order: the groups of
+        :meth:`component_partition`, built on first call.  Shared, so
+        callers must treat the list as read-only."""
+        return self.component_partition().groups()
 
     def unchanged_from(self, previous: "EnvironmentState") -> bool:
         """True when this state's enabled agents and available edges equal
         ``previous``'s (the round index aside).
 
-        Stops at the first difference.  Two array-form states compare
-        their enabled-id arrays, and their up-edge indexes when both index
-        one edge sequence, so neither builds a set; every other pair
-        compares the frozensets.
+        Stops at the first difference, and compares the enabled counts
+        first.  Two array-form states compare their enabled-id arrays,
+        and their up-edge indexes when both index one edge sequence, so
+        neither builds a set; every other pair compares the frozensets.
         """
         if previous is self:
             return True
+        if previous.enabled_count != self.enabled_count:
+            return False
         old = previous.__dict__
         new = self.__dict__
         old_ids = old.get("_enabled_ids")
@@ -625,9 +717,7 @@ class EnvironmentState:
             "_effective_edges",
             "_communication_groups",
             "_component_labels",
-            "_component_groups",
-            "_nonsingleton_positions",
-            "_component_tuples",
+            "_component_partition",
         ):
             if key not in own:
                 memo = source.get(key)

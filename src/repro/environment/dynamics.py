@@ -25,6 +25,7 @@ except ImportError:  # pragma: no cover - exercised by the without-numpy CI leg
 
 from ..core.errors import EnvironmentError_
 from ..registry import register_environment
+from . import base
 from .base import Environment, EnvironmentState, Topology, edge_endpoints
 
 __all__ = [
@@ -254,22 +255,42 @@ class RandomChurnEnvironment(Environment):
         # draw() is in [0, 1), so ``draw() < 1`` never filters anything.
         draw = rng.random
         agent_up = self.agent_up_probability
+        up_agents = None
         if agent_up >= 1.0:
             for _ in self.topology.agent_ids:
                 draw()
-            enabled = self._all_agents
         else:
             up_agents = [
                 agent for agent in self.topology.agent_ids if draw() < agent_up
             ]
-            enabled = (
-                self._all_agents
-                if len(up_agents) == self.topology.num_agents
-                else frozenset(up_agents)
-            )
+            if len(up_agents) == self.topology.num_agents:
+                up_agents = None
         edge_up = self.edge_up_probability
-        edges = frozenset(edge for edge in self._edge_sequence if draw() < edge_up)
-        return EnvironmentState(enabled, edges, round_index)
+        sequence = self._edge_sequence
+        up_edges = [index for index in range(len(sequence)) if draw() < edge_up]
+        if base._numpy is None:
+            return EnvironmentState(
+                self._all_agents if up_agents is None else frozenset(up_agents),
+                frozenset(map(sequence.__getitem__, up_edges)),
+                round_index,
+            )
+        # The array form (masked_state): the labelling reads its effective
+        # edge arrays, and its frozensets are built only if read.
+        np = _numpy
+        if self._edge_endpoints is None:
+            self._edge_endpoints = edge_endpoints(sequence)
+        agent_mask = None
+        if up_agents is not None:
+            agent_mask = np.zeros(self.topology.num_agents, dtype=np.bool_)
+            agent_mask[up_agents] = True
+        return masked_state(
+            sequence,
+            self._edge_endpoints,
+            np.array(up_edges, dtype=np.int64),
+            agent_mask,
+            round_index,
+            self._all_agents,
+        )
 
     def array_transition(self):
         # With numpy: _advance_arrays.  It reproduces this class's own

@@ -40,7 +40,7 @@ from ..experiment import ExperimentSpec, expand_grid
 from ..simulation.batch import MANIFEST_NAME, BatchRunner, format_failure
 from ..simulation.result import readable_json
 from .cache import ResultCache
-from .streams import BROKER, EventBroker
+from .streams import BROKER, SERVING_BROKER, EventBroker
 
 __all__ = [
     "Job",
@@ -590,6 +590,9 @@ class JobQueue:
     # -- execution ---------------------------------------------------------------
 
     def _run_worker(self) -> None:
+        # The probes this thread rebuilds from channel names publish to
+        # this service's broker.
+        SERVING_BROKER.set(self.broker)
         while True:
             job_id = self._queue.get()
             if job_id is None:

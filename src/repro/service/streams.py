@@ -40,6 +40,7 @@ never delayed.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import pathlib
 import threading
@@ -57,7 +58,13 @@ from ..simulation.probes import (
     stream_start_payload,
 )
 
-__all__ = ["EventBroker", "ServiceSinkProbe", "BROKER", "STREAM_BATCH_S"]
+__all__ = [
+    "EventBroker",
+    "ServiceSinkProbe",
+    "BROKER",
+    "SERVING_BROKER",
+    "STREAM_BATCH_S",
+]
 
 #: Seconds a subscriber lets lines gather after handing over a batch.
 #: Measured, not tuned per run: each wake-up of a subscriber (an SSE
@@ -346,10 +353,20 @@ class EventBroker:
 
 #: The process-wide default broker.  Probes are rebuilt from plain spec
 #: data inside job-queue workers, so a channel *name* is the only handle
-#: that crosses that boundary — it must resolve somewhere global.  The
-#: experiment service namespaces its channels by a per-data-directory
-#: token, so several services in one process never collide.
+#: that crosses that boundary.  A service's worker thread names its own
+#: broker (:data:`SERVING_BROKER`); a channel-named probe built anywhere
+#: else publishes here.  The experiment service namespaces its channels
+#: by a per-data-directory token, so several services in one process
+#: never collide.
 BROKER = EventBroker()
+
+#: The broker of the service whose job-queue worker runs on this thread
+#: (unset elsewhere): a channel-named :class:`ServiceSinkProbe` built
+#: without a broker publishes to it, so a service's runs stream to the
+#: broker the service was built with.
+SERVING_BROKER: contextvars.ContextVar[EventBroker] = contextvars.ContextVar(
+    "repro_serving_broker"
+)
 
 
 @register_probe("service-sink")
@@ -364,7 +381,9 @@ class ServiceSinkProbe(Probe):
       a socket file, an ``io.StringIO``, ``sys.stdout``);
     * ``channel``: a named :class:`EventBroker` channel (the declarative,
       JSON-spec-safe form the experiment service injects; workers rebuild
-      the probe from its name and find the broker in-process).
+      the probe from its name and find the broker in-process: ``broker``
+      when given, else the serving broker of the thread that builds the
+      probe, else :data:`BROKER`).
 
     The probe checkpoints its line count and, on resume, truncates the
     channel back to it before re-emitting — byte-for-byte the JSONL
@@ -396,7 +415,7 @@ class ServiceSinkProbe(Probe):
         self.channel = channel
         self.stream = stream
         self.include_states = bool(include_states)
-        self._broker = broker if broker is not None else BROKER
+        self._broker = broker if broker is not None else SERVING_BROKER.get(BROKER)
         self._context: RunContext | None = None
         self._lines = 0
 

@@ -343,10 +343,13 @@ class ArrayEngine(Engine):
     variants, average, kth-smallest, hull, circle, sorting, huge ints) is
     rejected at construction with a pointer back to the reference engine.
 
-    Grouping and group steps never sort.  Under the maximal scheduler
-    every agent an effective edge touches is keyed by its component's
-    label, the smallest agent id in the component; under any other
-    scheduler by its group's position in the schedule.  One
+    Grouping and group steps never sort.  When the scheduler hands back
+    the state's own partition
+    (:meth:`~repro.environment.base.EnvironmentState.component_partition`,
+    as the maximal scheduler and any subclass deferring to it do) every
+    agent an effective edge touches is keyed by its component's label,
+    the smallest agent id in the component; under any other schedule by
+    its group's position in the schedule.  One
     :func:`_group_step_kernel` call then steps every group of two or more
     agents as scatter reductions over that key, and the ``int64`` delta
     arrays fold into the objective exactly.
@@ -364,11 +367,10 @@ class ArrayEngine(Engine):
         environment's topology.
     scheduler:
         How groups are formed each round; defaults to
-        :class:`MaximalGroupsScheduler`, whose partition the engine
-        derives itself from the effective edge set (the scheduler draws
-        no randomness, so bypassing it is stream-neutral).  Randomized
-        schedulers run for real, on the run RNG, with the same draws as
-        the reference engine.
+        :class:`MaximalGroupsScheduler`.  The engine calls it every
+        round, on the run RNG, with the same draws as the reference
+        engine; when it returns the state's own partition view, the
+        engine reads the state's labelling instead of the groups.
     seed:
         Seed of the run's random generator; drawn and recorded when None,
         exactly as the reference engine does.
@@ -410,12 +412,6 @@ class ArrayEngine(Engine):
         self.cross_check = cross_check
         self._kernel = kernel
         self._guard_rng = _KernelGuardRng(algorithm.name)
-        # The maximal scheduler draws no randomness and schedules exactly
-        # the connected components, so the engine can derive the partition
-        # itself from the effective edges — no Group objects, no O(n)
-        # singleton enumeration.  Any other (or subclassed) scheduler runs
-        # for real on the run RNG.
-        self._maximal_bypass = type(self.scheduler) is MaximalGroupsScheduler
 
         self._initial_states = initial_states
         self._install_states(initial_states)
@@ -505,11 +501,11 @@ class ArrayEngine(Engine):
         """Execute one round — one environment transition, one vectorized
         agent transition — and record what happened.
 
-        Under the maximal scheduler the partition is labelled as arrays
-        straight from the effective edges, and each component is keyed by
-        its label; any other scheduler runs for real (its random draws
-        are part of the run stream) and its groups are keyed by their
-        position in the schedule.  Either way the groups of two or more
+        When the scheduler returns this state's partition view, the
+        partition is labelled as arrays straight from the effective
+        edges, and each component is keyed by its label; any other
+        schedule is validated and its groups are keyed by their position
+        in the schedule.  Either way the groups of two or more
         agents run as one :func:`_group_step_kernel` call — re-derived
         through the algorithm's own step rule under ``cross_check`` — and
         the resulting ``(removed, added)`` delta folds into the objective.
@@ -521,7 +517,11 @@ class ArrayEngine(Engine):
             # First use: price the objective once, on the pre-round states.
             state.objective_value = self._initial_objective()
         environment_state = self._advance_environment(round_index)
-        if self._maximal_bypass:
+        scheduled = self.scheduler.schedule(environment_state, self._state.rng)
+        if scheduled is environment_state.component_partition():
+            # The state's own partition: its components are keyed by
+            # their labels, read straight from the labelling, so the view
+            # never builds its layout or a Group.
             ids, labels = environment_state.component_labels()
             group_of_id = labels.take(ids)
             group_count = labels.shape[0]
@@ -533,7 +533,6 @@ class ArrayEngine(Engine):
                 groups = [list(members) for members in components if len(members) >= 2]
             singletons = environment_state.enabled_count - ids.shape[0]
         else:
-            scheduled = self.scheduler.schedule(environment_state, self._state.rng)
             _validate_partition(scheduled, self.environment.num_agents)
             groups = [group.members for group in scheduled if len(group.members) >= 2]
             singletons = sum(1 for group in scheduled if len(group.members) == 1)

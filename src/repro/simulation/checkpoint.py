@@ -36,7 +36,7 @@ trajectory, probe payloads, metadata) to the uninterrupted run, for all
 What is deliberately *not* serialized: derived caches.  The maintained
 multiset is rebuilt from the restored agent states, each environment
 state labels its own components when first asked, and memo caches
-(fingerprints, interned groups, conservation triples) refill on demand.  None of it affects results, so
+(fingerprints, partition views, conservation triples) refill on demand.  None of it affects results, so
 none of it needs to survive.
 """
 

@@ -31,17 +31,23 @@ A round is one loop over the groups that can change.  A lone agent of
 an algorithm that declares ``singleton_stutters`` can only stutter, so
 by default the loop visits the groups of two or more agents and records
 a stutter for every other; ``incremental=False`` visits every group.
+Under the maximal scheduler the schedule is the state's own partition
+view (:meth:`EnvironmentState.component_partition`), read from its
+``int64`` labelling: the loop walks the view's bounds and gathers each
+group's states from a slice of its members, so no round builds a
+:class:`Group` — the round's :class:`RoundRecord` builds its ``groups``
+and ``judgements`` tuples only if something reads them.  A plugin
+scheduler's list takes the validated path instead.
 
 Bookkeeping is *incremental* by default.  Instead of rebuilding the
 agent-state multiset and recomputing the objective ``h`` from scratch
 every round, the engine folds each round's ``(removed, added)`` state
 delta into a maintained :class:`MutableMultiset`, updates ``h`` in
 O(|delta|) for objectives that support exact increments, and compares
-against the target via an O(1) content fingerprint.  The communication
-groups are the state's own labelling
-(:meth:`EnvironmentState.component_groups`), and quiet rounds — a state
-:meth:`~EnvironmentState.unchanged_from` the previous one — adopt the
-previous state's memoized views.  A round in which two agents moved
+against the target via an O(1) content fingerprint.  Quiet rounds — a
+state :meth:`~EnvironmentState.unchanged_from` the previous one — adopt
+the previous state's memoized views, its labelling and partition view
+included.  A round in which two agents moved
 therefore costs O(2) bookkeeping, not O(n) — matching the paper's
 "speed up or slow down depending on the resources available" story.
 ``incremental=False`` selects the from-scratch reference mode, the
@@ -56,7 +62,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import Any, Sequence
 
-from ..agents.group import Group
+from ..agents.group import Group, install_states
 from ..agents.scheduler import MaximalGroupsScheduler, Scheduler
 from ..core.algorithm import SelfSimilarAlgorithm
 from ..core.errors import SimulationError
@@ -183,10 +189,13 @@ class Simulator(Engine):
         """Execute one round — one environment transition, one scheduled
         agent transition per group — and record what happened.
 
-        The loop visits ``positions``, the places in the schedule of the
-        groups that run the step rule; every other group stutters.  In
-        incremental mode the state deltas reported by
-        :meth:`Group.install` are folded into the maintained round state
+        The loop visits ``steps``, the ``(position, members)`` of the
+        groups that run the step rule; every other group stutters.  When
+        the schedule is the state's own :class:`ComponentPartition` and
+        lone agents stutter, those are the view's non-singleton groups,
+        read as member slices of its layout, so the round builds no
+        :class:`Group`.  In incremental mode the state deltas the steps
+        install are folded into the maintained round state
         (:meth:`_fold_round`); in full mode everything is recomputed
         from the agent states.
         """
@@ -194,40 +203,40 @@ class Simulator(Engine):
         rng = self._state.rng
         scheduled = self.scheduler.schedule(environment_state, rng)
         incremental = self.incremental
-        # Singleton groups dominate sparse rounds; when the algorithm
-        # declares that lone agents always stutter (and draw no
-        # randomness), their step-rule calls can be skipped outright.
-        skip_singletons = incremental and self.algorithm.singleton_stutters
-
-        positions = (
-            environment_state.nonsingleton_positions(scheduled)
-            if incremental
-            else None
-        )
-        if positions is not None:
-            # The scheduled list *is* the state's component partition:
-            # disjoint and in-range by construction, so the O(n)
-            # validation pass is unnecessary — and the non-singleton
-            # components are already known.
+        # The state's own partition is disjoint and in range by
+        # construction, so the O(n) validation pass is unnecessary.
+        own = incremental and scheduled is environment_state.component_partition()
+        if own:
             if self.cross_check:
                 check_components(environment_state, "component labelling")
         else:
             _validate_partition(scheduled, self.environment.num_agents)
             # An empty group takes no step and is left out of the record.
             scheduled = [group for group in scheduled if group.members]
-            if skip_singletons:
-                positions = [
-                    index
-                    for index, group in enumerate(scheduled)
-                    if len(group.members) > 1
-                ]
-        if not skip_singletons:
-            positions = range(len(scheduled))
+        # Singleton groups dominate sparse rounds; when the algorithm
+        # declares that lone agents always stutter (and draw no
+        # randomness), their step-rule calls can be skipped outright.
+        if not (incremental and self.algorithm.singleton_stutters):
+            steps = ((index, group.members) for index, group in enumerate(scheduled))
+        elif own:
+            layout = scheduled.members
+            bounds = scheduled.bounds
+            steps = (
+                (position, layout[start:stop])
+                for position, start, stop in zip(scheduled.positions, bounds, bounds[1:])
+            )
+        else:
+            steps = (
+                (index, group.members)
+                for index, group in enumerate(scheduled)
+                if len(group.members) > 1
+            )
 
         states = self.states
         apply_group_step = self.algorithm.apply_group_step
         stutter = STUTTER_JUDGEMENT
-        judgements: list[StepJudgement] | None = None
+        # The judgements that are not stutters, by position.
+        judged: dict[int, StepJudgement] = {}
         removed: list = []
         added: list = []
         improving = invalid = 0
@@ -235,9 +244,7 @@ class Simulator(Engine):
         # the floor to the largest group it visits.
         largest = 1 if scheduled else 0
         try:
-            for index in positions:
-                group = scheduled[index]
-                members = group.members
+            for index, members in steps:
                 if len(members) > largest:
                     largest = len(members)
                 states_after, judgement = apply_group_step(
@@ -245,9 +252,7 @@ class Simulator(Engine):
                 )
                 if judgement is stutter:
                     continue
-                if judgements is None:
-                    judgements = [stutter] * len(scheduled)
-                judgements[index] = judgement
+                judged[index] = judgement
                 if judgement.kind is not StepKind.STUTTER:
                     # Valid improvements are installed; invalid steps (only
                     # reachable when the algorithm's enforcement is off) are
@@ -258,7 +263,9 @@ class Simulator(Engine):
                         improving += 1
                     else:
                         invalid += 1
-                    group_removed, group_added = group.install(states, states_after)
+                    group_removed, group_added = install_states(
+                        members, states, states_after
+                    )
                     removed.extend(group_removed)
                     added.extend(group_added)
         except BaseException:
@@ -284,9 +291,6 @@ class Simulator(Engine):
             multiset = self.current_multiset()
             objective = self.algorithm.objective(multiset)
             converged = multiset == self._target
-        judgements_tuple = (
-            (stutter,) * len(scheduled) if judgements is None else tuple(judgements)
-        )
         # Every judgement is an improvement, a stutter or invalid, so the
         # stutters are what the other two leave of the round's steps.
         record = RoundRecord(
@@ -294,8 +298,8 @@ class Simulator(Engine):
             multiset=multiset,
             objective=objective,
             converged=converged,
-            groups=tuple(scheduled),
-            judgements=judgements_tuple,
+            groups=scheduled,
+            judgements=judged,
             improving_steps=improving,
             stutter_steps=len(scheduled) - improving - invalid,
             invalid_steps=invalid,

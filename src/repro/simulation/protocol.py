@@ -50,12 +50,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 
 from ..agents.group import Group
 from ..core.errors import SimulationError, SpecificationError
 from ..core.multiset import Multiset
-from ..core.relation import StepJudgement
+from ..core.relation import STUTTER_JUDGEMENT, StepJudgement
 from ..temporal.trace import CountedTrace, Trace
 from .checkpoint import (
     DriverState,
@@ -106,7 +106,6 @@ def resolve_history(
     return "full" if record_trace else "objective"
 
 
-@dataclass(frozen=True)
 class RoundRecord:
     """What one simulated round did — the unit of the streaming API.
 
@@ -129,6 +128,8 @@ class RoundRecord:
     judgements:
         The relation ``D``'s verdict for each group step, aligned with
         ``groups``.
+    group_steps:
+        Number of group steps executed this round (``len(groups)``).
     improving_steps:
         Group steps that strictly decreased the objective.
     stutter_steps:
@@ -138,26 +139,102 @@ class RoundRecord:
     largest_group:
         Size of the largest group scheduled this round (0 when none).
 
-    The engine counts the four step totals while it executes the round;
-    they always agree with a scan of ``judgements`` and ``groups``,
-    which ``Simulator(cross_check=True)`` re-derives every round.
+    ``groups`` and ``judgements`` are tuples built on first read, so a
+    round no one inspects builds neither: the engine hands over any
+    sequence of groups (the reference engine passes the state's
+    :class:`~repro.environment.base.ComponentPartition` itself), and
+    either the aligned judgements or a mapping from position to
+    judgement holding only the steps that did not stutter — every other
+    position is a stutter.  The engine counts the four step totals while
+    it executes the round; they always agree with a scan of
+    ``judgements`` and ``groups``, which ``Simulator(cross_check=True)``
+    re-derives every round.
     """
 
-    round_index: int
-    multiset: Multiset
-    objective: float
-    converged: bool
-    groups: tuple[Group, ...]
-    judgements: tuple[StepJudgement, ...]
-    improving_steps: int
-    stutter_steps: int
-    invalid_steps: int
-    largest_group: int
+    __slots__ = (
+        "round_index",
+        "multiset",
+        "objective",
+        "converged",
+        "group_steps",
+        "improving_steps",
+        "stutter_steps",
+        "invalid_steps",
+        "largest_group",
+        "_groups",
+        "_judgements",
+    )
+
+    def __init__(
+        self,
+        round_index: int,
+        multiset: Multiset,
+        objective: float,
+        converged: bool,
+        groups: Sequence[Group],
+        judgements: Sequence[StepJudgement] | Mapping[int, StepJudgement],
+        improving_steps: int,
+        stutter_steps: int,
+        invalid_steps: int,
+        largest_group: int,
+    ):
+        self.round_index = round_index
+        self.multiset = multiset
+        self.objective = objective
+        self.converged = converged
+        self.group_steps = len(groups)
+        self.improving_steps = improving_steps
+        self.stutter_steps = stutter_steps
+        self.invalid_steps = invalid_steps
+        self.largest_group = largest_group
+        self._groups = groups
+        self._judgements = judgements
 
     @property
-    def group_steps(self) -> int:
-        """Number of group steps executed this round."""
-        return len(self.judgements)
+    def groups(self) -> tuple[Group, ...]:
+        groups = self._groups
+        if type(groups) is not tuple:
+            groups = self._groups = tuple(groups)
+        return groups
+
+    @property
+    def judgements(self) -> tuple[StepJudgement, ...]:
+        judgements = self._judgements
+        if type(judgements) is not tuple:
+            if isinstance(judgements, Mapping):
+                aligned = [STUTTER_JUDGEMENT] * self.group_steps
+                for position, judgement in judgements.items():
+                    aligned[position] = judgement
+                judgements = aligned
+            judgements = self._judgements = tuple(judgements)
+        return judgements
+
+    #: The fields equality and ``repr`` read, in constructor order.
+    _FIELDS = (
+        "round_index",
+        "multiset",
+        "objective",
+        "converged",
+        "groups",
+        "judgements",
+        "improving_steps",
+        "stutter_steps",
+        "invalid_steps",
+        "largest_group",
+    )
+
+    def __eq__(self, other: Any) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            getattr(self, name) == getattr(other, name) for name in self._FIELDS
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"RoundRecord({fields})"
 
 
 class Engine:

@@ -284,10 +284,13 @@ def test_cross_check_on_randomized_schedulers(scheduler_name):
 
 
 @needs_numpy
-def test_maximal_scheduler_subclass_runs_for_real():
-    # The component-walk bypass applies to MaximalGroupsScheduler exactly;
-    # a subclass (which may override schedule()) must run for real — and
-    # still be value-identical, since the base partition is deterministic.
+@pytest.mark.parametrize("returns_list", [False, True])
+def test_maximal_scheduler_subclass_runs_for_real(monkeypatch, returns_list):
+    # The engine calls every scheduler every round.  A subclass that
+    # hands back the state's own partition view takes the labelled path
+    # (and the view never builds its layout); one that copies it into a
+    # list is validated and stepped by position.  Both are
+    # value-identical, since the base partition is deterministic.
     class AuditingMaximal(MaximalGroupsScheduler):
         def __init__(self):
             super().__init__()
@@ -295,8 +298,17 @@ def test_maximal_scheduler_subclass_runs_for_real():
 
         def schedule(self, environment_state, rng):
             self.calls += 1
-            return super().schedule(environment_state, rng)
+            partition = super().schedule(environment_state, rng)
+            return list(partition) if returns_list else partition
 
+    layouts = []
+    labelled_layout = environment_base._labelled_layout
+
+    def counting_layout(*args):
+        layouts.append(args)
+        return labelled_layout(*args)
+
+    monkeypatch.setattr(environment_base, "_labelled_layout", counting_layout)
     scheduler = AuditingMaximal()
     engine = ArrayEngine(
         minimum_algorithm(),
@@ -305,9 +317,9 @@ def test_maximal_scheduler_subclass_runs_for_real():
         scheduler=scheduler,
         seed=7,
     )
-    assert not engine._maximal_bypass
     result = engine.run(max_rounds=80, extra_rounds_after_convergence=2)
     assert scheduler.calls == result.rounds_executed
+    assert bool(layouts) == returns_list
     reference = _build(Simulator, "minimum").run(
         max_rounds=80, extra_rounds_after_convergence=2
     )
@@ -865,7 +877,7 @@ class TestVectorizedFastPaths:
         # maximal partition is still labelled as arrays, once per round,
         # from the state's effective edges.
         engine = _build(ArrayEngine, "minimum", environment_name="markov")
-        assert engine._maximal_bypass and engine._array_advance is None
+        assert engine._array_advance is None
         label = environment_base.label_components
         calls = []
 
@@ -1051,12 +1063,22 @@ def _off_by_one_fold(monkeypatch):
 
 
 def _dropped_up_edge(monkeypatch):
-    masked_state = dynamics.masked_state
+    # The array transition, and not the public advance it is checked
+    # against, loses its first up edge.
+    advance_arrays = RandomChurnEnvironment._advance_arrays
 
-    def dropping(edge_sequence, endpoints, up_edges, *rest):
-        return masked_state(edge_sequence, endpoints, up_edges[1:], *rest)
+    def dropping(self, round_index, rng):
+        state = advance_arrays(self, round_index, rng)
+        own = state.__dict__
+        return EnvironmentState.from_arrays(
+            own.get("_enabled_ids", own.get("enabled_agents")),
+            own["_edge_sequence"],
+            own["_up_edges"][1:],
+            round_index,
+            state.effective_edge_arrays,
+        )
 
-    monkeypatch.setattr(dynamics, "masked_state", dropping)
+    monkeypatch.setattr(RandomChurnEnvironment, "_advance_arrays", dropping)
 
 
 def _extra_draw(monkeypatch):

@@ -11,8 +11,8 @@ arrays):
   on frozensets and on the array form alike, quiet rounds included;
 * the state's labelled components (:func:`label_components`, read
   through :meth:`EnvironmentState.communication_group_tuples`,
-  :meth:`~EnvironmentState.component_groups` and
-  :meth:`~EnvironmentState.nonsingleton_positions`) are identical —
+  :meth:`~EnvironmentState.component_groups` and the layout of
+  :meth:`~EnvironmentState.component_partition`) are identical —
   members and order — to a from-scratch
   :func:`connected_component_tuples` walk of the same state, including
   rounds with no effective edge, blackouts, one giant component and
@@ -26,8 +26,10 @@ from-scratch reference (``incremental=False``) is pinned separately
 
 from __future__ import annotations
 
+import gc
 import json
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -175,7 +177,8 @@ def test_advance_with_delta_is_advance_with_an_unknown_delta(name):
 
 #: The transitions of the ``unchanged_from`` property: Markov below and above
 #: VECTORIZED_MIN_DRAWS (frozensets / array form), and random churn
-#: through ``advance`` (frozensets) and ``_advance_arrays`` (array form).
+#: through ``advance`` with numpy hidden from the labeller (frozensets) and
+#: through ``_advance_arrays`` (array form).
 TRANSITIONS = ("markov-loop", "markov-vectorized", "churn", "churn-arrays")
 
 #: Probabilities with the 0.0 and 1.0 edge cases drawn often, so frozen
@@ -210,6 +213,10 @@ def test_unchanged_from_property_over_state_forms(
             environment = RandomChurnEnvironment(
                 graph, edge_probabilities[0], agent_probabilities[0]
             )
+            if not arrays:
+                # Churn's advance hands over eager sets only where the
+                # labeller has no numpy.
+                patch.setattr(base, "_numpy", None)
             advance = (
                 environment.array_transition() if arrays else environment.advance
             )
@@ -240,9 +247,17 @@ def assert_labelled(state: EnvironmentState) -> None:
     assert components == expected, f"diverged at round {state.round_index}"
     assert [group.members for group in groups] == expected
     assert all(type(group) is Group for group in groups)
-    assert state.nonsingleton_positions(groups) == [
+    partition = state.component_partition()
+    assert len(partition) == len(expected)
+    assert [int(root) for root in partition.roots] == [m[0] for m in expected]
+    assert partition.positions == [
         index for index, members in enumerate(expected) if len(members) > 1
     ]
+    bounds = partition.bounds
+    assert [
+        tuple(partition.members[start:stop])
+        for start, stop in zip(bounds, bounds[1:])
+    ] == [members for members in expected if len(members) > 1]
     assert state.communication_groups() == [frozenset(m) for m in expected]
 
 
@@ -343,25 +358,44 @@ def test_scripted_split_and_remerge():
         assert_labelled(EnvironmentState(frozenset(enabled), frozenset(edges), index))
 
 
-def test_component_groups_are_memoized_and_lone_agents_interned():
+def test_component_partition_is_memoized():
     first = EnvironmentState(frozenset(range(6)), frozenset([(1, 2)]))
-    second = EnvironmentState(frozenset(range(6)), frozenset([(3, 4)]))
+    assert first.component_partition() is first.component_partition()
     assert first.component_groups() is first.component_groups()
     assert first.communication_group_tuples() is first.communication_group_tuples()
     if base._numpy is not None:
-        # Agent 0 is alone in both states: one interned group object.
-        assert first.component_groups()[0] is second.component_groups()[0]
         assert first.component_labels() is first.component_labels()
 
 
-def test_nonsingleton_positions_recognise_only_the_state_partition():
+def test_partition_view_reads_as_its_groups():
     state = EnvironmentState(frozenset(range(5)), frozenset([(0, 1), (3, 4)]))
-    other = EnvironmentState(frozenset(range(5)), frozenset([(0, 1), (3, 4)]))
-    groups = state.component_groups()
-    assert state.nonsingleton_positions(groups) == [0, 2]
-    # An equal list is not the state's partition, nor is another state's.
-    assert state.nonsingleton_positions(list(groups)) is None
-    assert state.nonsingleton_positions(other.component_groups()) is None
+    partition = state.component_partition()
+    # Asking for the view builds nothing; reading its layout builds no Group.
+    assert partition.positions == [0, 2]
+    assert partition.members == [0, 1, 3, 4] and partition.bounds == [0, 2, 4]
+    assert partition._groups is None
+    groups = [Group((0, 1)), Group((2,)), Group((3, 4))]
+    assert partition == groups and partition == tuple(groups)
+    assert list(partition) == groups and partition[1] == Group((2,))
+    assert partition.groups() is state.component_groups()
+    other = EnvironmentState(frozenset(range(5)), frozenset([(0, 1)]))
+    assert partition != other.component_partition()
+
+
+def test_partition_view_keeps_no_state_alive():
+    # The view holds the labelling, not the state: a state no one else
+    # holds is freed by reference counting alone, and its view still reads.
+    state = EnvironmentState(frozenset(range(5)), frozenset([(0, 1), (3, 4)]))
+    partition = state.component_partition()
+    alive = weakref.ref(state)
+    gc.disable()
+    try:
+        del state
+        assert alive() is None
+    finally:
+        gc.enable()
+    assert partition.positions == [0, 2]
+    assert partition.tuples() == [(0, 1), (2,), (3, 4)]
 
 
 def test_quiet_round_adopts_the_labelling():
@@ -369,11 +403,12 @@ def test_quiet_round_adopts_the_labelling():
     rng = random.Random(0)
     state0 = environment.advance(0, rng)
     state1 = environment.advance(1, rng)
-    groups = state0.component_groups()
+    partition = state0.component_partition()
+    assert partition.positions == [0]
     assert state1.unchanged_from(state0)
     state1._adopt_view_memos(state0)
-    assert state1.component_groups() is groups
-    assert state1.nonsingleton_positions(groups) == [0]
+    assert state1.component_partition() is partition
+    assert state1.component_groups() is state0.component_groups()
     assert_labelled(state1)
 
 

@@ -27,7 +27,7 @@ from repro.environment import (
     star_graph,
     tree_graph,
 )
-from repro.environment import dynamics
+from repro.environment import base, dynamics
 from repro.experiment import random_integers
 
 #: Marks the tests of the numpy half of the Markov transition.
@@ -347,6 +347,45 @@ def test_churn_array_transition_is_advance(
         assert list(state.enabled_agents) == list(expected.enabled_agents)
         assert list(state.available_edges) == list(expected.available_edges)
         assert array_rng.getstate() == loop_rng.getstate()
+
+
+@needs_numpy
+@given(
+    topology=st.sampled_from(sorted(CHURN_TOPOLOGIES)),
+    num_agents=st.integers(min_value=1, max_value=40),
+    edge_up=probabilities,
+    agent_up=probabilities,
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_churn_advance_form_follows_the_labeller(
+    topology, num_agents, edge_up, agent_up, seed
+):
+    # Churn's advance returns the array form where the labeller has numpy
+    # and eager frozensets where it has not: equal states, the same
+    # iteration orders, and the RNG left in the same state.
+    graph = CHURN_TOPOLOGIES[topology](num_agents)
+
+    def advanced(hidden: bool):
+        environment = RandomChurnEnvironment(graph, edge_up, agent_up)
+        rng = random.Random(seed)
+        with pytest.MonkeyPatch.context() as patch:
+            if hidden:
+                patch.setattr(base, "_numpy", None)
+            states = [environment.advance(round_index, rng) for round_index in range(3)]
+        return states, rng.getstate()
+
+    arrays, array_rng = advanced(hidden=False)
+    eager, eager_rng = advanced(hidden=True)
+    assert all(state.effective_edge_arrays is not None for state in arrays)
+    assert all("available_edges" not in state.__dict__ for state in arrays)
+    assert all("_up_edges" not in state.__dict__ for state in eager)
+    assert arrays == eager
+    for state, expected in zip(arrays, eager):
+        assert list(state.enabled_agents) == list(expected.enabled_agents)
+        assert list(state.available_edges) == list(expected.available_edges)
+        assert state.communication_group_tuples() == expected.communication_group_tuples()
+    assert array_rng == eager_rng
 
 
 def test_churn_subclass_overriding_the_transition_loses_the_array_form():

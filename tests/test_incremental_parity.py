@@ -1043,13 +1043,20 @@ def _caught_by_both_cross_checks(scheduler_name):
 
 
 def _caught_by_reference_mode(scheduler_name):
-    """The default run diverges from the ``incremental=False`` oracle."""
-    default = _run("minimum", scheduler_name, seed=7)
-    reference = _run("minimum", scheduler_name, seed=7, incremental=False)
-    try:
-        _assert_identical(default, reference)
-    except AssertionError:
-        return True
+    """The default run diverges from the ``incremental=False`` oracle, on
+    the usual churn or on a sparse one, where most groups are pairs."""
+    for edge_up_probability in (0.6, 0.1):
+        default = _run(
+            "minimum", scheduler_name, seed=7, edge_up_probability=edge_up_probability
+        )
+        reference = _run(
+            "minimum", scheduler_name, seed=7,
+            edge_up_probability=edge_up_probability, incremental=False,
+        )
+        try:
+            _assert_identical(default, reference)
+        except AssertionError:
+            return True
     return False
 
 
@@ -1095,8 +1102,10 @@ def _seeded_mutations():
         ),
         "singleton-skip-widened-to-pairs": (
             Simulator, "_execute_round",
-            "if len(group.members) > 1", "if len(group.members) > 2",
-            "random-pair", _caught_by_reference_mode,
+            "for position, start, stop in zip(scheduled.positions, bounds, bounds[1:])",
+            "for position, start, stop in zip(scheduled.positions, bounds, bounds[1:])"
+            " if stop - start > 2",
+            "maximal", _caught_by_reference_mode,
         ),
         "messaging-memo-adoption-on-nonempty-delta": (
             Engine, "_advance_environment",

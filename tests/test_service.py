@@ -1154,6 +1154,24 @@ class TestRetainedMemory:
         assert len(events) > 3 and events[0]["id"] == "0:0"
         assert instance.store.events_path(job["id"], 0).exists()
 
+    def test_a_service_streams_through_its_own_broker(
+        self, service, tmp_path, connect
+    ):
+        channels = set(BROKER._channels)
+        instance = service(broker=EventBroker())
+        client = connect(instance.url)
+        jobs = [client.submit(churn_spec(seeds=(seed,))) for seed in range(3)]
+        for job in jobs:
+            assert client.wait(job["id"], timeout=60)["status"] == "done"
+        jsonl_path = tmp_path / "reference.jsonl"
+        churn_spec(
+            seeds=(2,), probes=({"probe": "jsonl", "path": str(jsonl_path)},)
+        ).run(2)
+        events = list(client.events(jobs[-1]["id"]))
+        streamed = "".join(json.dumps(event["data"]) + "\n" for event in events)
+        assert streamed == jsonl_path.read_text()
+        assert set(BROKER._channels) == channels
+
     def test_runs_leave_no_module_level_dict_grown(self, service, connect):
         from repro.core import multiset as multiset_module
 

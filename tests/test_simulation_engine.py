@@ -510,6 +510,60 @@ class TestRoundCounts:
         assert counts(True) == counts(False)
 
 
+class TestPartitionView:
+    """The maximal scheduler's partition is a view over the state's
+    labelling: the reference round reads its layout, not Group objects."""
+
+    def _simulator(self, incremental=True):
+        return _tree_churn_simulator(
+            edge_up_probability=0.3, incremental=incremental
+        )
+
+    def test_no_group_is_built_until_the_record_is_read(self, monkeypatch):
+        built = []
+        init = Group.__init__
+
+        def counting_init(self, members):
+            built.append(members)
+            init(self, members)
+
+        monkeypatch.setattr(Group, "__init__", counting_init)
+        records = list(self._simulator().steps(max_rounds=40))
+        assert built == []
+        assert any(record.improving_steps for record in records)
+        # Once read, the records are those of the from-scratch mode, which
+        # validates the partition's groups.
+        assert records == list(self._simulator(False).steps(max_rounds=40))
+        assert built
+
+    def test_runs_leave_no_module_level_table_grown(self):
+        from collections.abc import Sized
+
+        from repro.environment import base
+
+        def table_sizes():
+            return {
+                name: len(value)
+                for name, value in vars(base).items()
+                if isinstance(value, Sized) and not isinstance(value, str)
+            }
+
+        before = table_sizes()
+        for num_agents in (5000, 10):
+            Simulator(
+                minimum_algorithm(),
+                RandomChurnEnvironment(
+                    tree_graph(num_agents, 2), edge_up_probability=0.3
+                ),
+                [(7 * agent) % 13 for agent in range(num_agents)],
+                seed=1,
+            ).run(max_rounds=5)
+        after = table_sizes()
+        assert {
+            name: size for name, size in after.items() if size > before.get(name, 0)
+        } == {}
+
+
 class TestEffectiveSeed:
     def test_none_seed_is_drawn_and_recorded(self):
         sim = Simulator(
