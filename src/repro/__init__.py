@@ -66,7 +66,6 @@ from .core import (
     DistributedFunction,
     ImprovementViolation,
     Multiset,
-    MutableMultiset,
     ObjectiveFunction,
     OptimizationRelation,
     ReproError,
@@ -134,7 +133,6 @@ __all__ = [
     "DistributedFunction",
     "ImprovementViolation",
     "Multiset",
-    "MutableMultiset",
     "ObjectiveFunction",
     "OptimizationRelation",
     "ReproError",

@@ -86,7 +86,6 @@ ORDER_INSENSITIVE_CONSUMERS = frozenset(
         "max",
         "min",
         "Multiset",
-        "MutableMultiset",
         "set",
         "sorted",
         "sum",

@@ -33,7 +33,7 @@ from .functions import (
     from_commutative_operator,
     random_multisets,
 )
-from .multiset import Multiset, MutableMultiset
+from .multiset import Multiset
 from .objective import ObjectiveFunction, SummationObjective
 from .relation import OptimizationRelation, StepJudgement, StepKind
 
@@ -56,7 +56,6 @@ __all__ = [
     "from_commutative_operator",
     "random_multisets",
     "Multiset",
-    "MutableMultiset",
     "ObjectiveFunction",
     "SummationObjective",
     "OptimizationRelation",

@@ -24,14 +24,11 @@ we wrap rather than expose it so that bags are hashable (usable as members
 of sets of reachable states in the model checker) and so that arithmetic on
 negative multiplicities can never arise.
 
-For hot loops that fold many small state deltas into one evolving bag —
-the simulation engine's per-round bookkeeping — rebuilding an immutable
-:class:`Multiset` per change is O(n) each time.  :class:`MutableMultiset`
-is the companion working bag with O(1) :meth:`~MutableMultiset.add` /
-:meth:`~MutableMultiset.discard` mutation, an incrementally maintained
-content *fingerprint* (an order-independent 64-bit summary that lets
-equality checks reject unequal bags in O(1)), and a cached
-:meth:`~MutableMultiset.snapshot` back into the immutable world.
+The simulation engines keep their per-round bookkeeping in the same bag:
+each round folds its ``(removed, added)`` state delta in with
+:meth:`~Multiset.apply_delta`, which copies the counts once and touches
+only the changed values, and a round that changed nothing keeps the
+previous bag — the same object — so quiet rounds share it.
 """
 
 from __future__ import annotations
@@ -40,44 +37,7 @@ from collections import Counter
 from collections.abc import Mapping
 from typing import Any, Hashable, Iterable, Iterator
 
-__all__ = ["Multiset", "MutableMultiset"]
-
-_FINGERPRINT_MASK = (1 << 64) - 1
-
-
-def _element_fingerprint(value: Hashable) -> int:
-    """A 64-bit mixed hash of one element.
-
-    ``hash()`` alone is too structured for summing (small ints hash to
-    themselves, so ``{0: k}`` and ``{k: 0}``-style collisions would be
-    common); a splitmix64-style finalizer spreads it over 64 bits.  The
-    bag fingerprint is the multiplicity-weighted sum of these, so it is
-    order-independent and can be maintained in O(1) per mutation.
-
-    This is a pure function.  The memo that spares the engine from
-    recomputing it round after round is the bag's own
-    (:class:`MutableMultiset` keeps one entry per distinct value it
-    holds), so it lives and dies with the run that uses it.  A memo is
-    sound for equal-but-distinct-type keys like ``1`` and ``1.0``
-    because the fingerprint depends only on ``hash(value)``, which equal
-    values share.
-    """
-    h = hash(value) & _FINGERPRINT_MASK
-    h = (h + 0x9E3779B97F4A7C15) & _FINGERPRINT_MASK
-    h ^= h >> 30
-    h = (h * 0xBF58476D1CE4E5B9) & _FINGERPRINT_MASK
-    h ^= h >> 27
-    h = (h * 0x94D049BB133111EB) & _FINGERPRINT_MASK
-    h ^= h >> 31
-    return h
-
-
-def _fingerprint_of_counts(counts: Mapping[Hashable, int]) -> int:
-    """Fingerprint of a whole ``{element: multiplicity}`` mapping."""
-    total = 0
-    for value, count in counts.items():
-        total += _element_fingerprint(value) * count
-    return total & _FINGERPRINT_MASK
+__all__ = ["Multiset"]
 
 
 class Multiset:
@@ -100,7 +60,7 @@ class Multiset:
     4
     """
 
-    __slots__ = ("_counts", "_size", "_hash", "_fingerprint")
+    __slots__ = ("_counts", "_size", "_hash")
 
     def __init__(self, elements: Iterable[Hashable] | Mapping[Hashable, int] = ()):
         if isinstance(elements, Multiset):
@@ -119,30 +79,23 @@ class Multiset:
         self._counts: dict[Hashable, int] = counts
         self._size: int = sum(counts.values())
         self._hash: int | None = None
-        self._fingerprint: int | None = None
 
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def _from_counts(
-        cls,
-        counts: dict[Hashable, int],
-        size: int,
-        fingerprint: int | None = None,
-    ) -> "Multiset":
+    def _from_counts(cls, counts: dict[Hashable, int], size: int) -> "Multiset":
         """Trusted fast-path constructor: adopt ``counts`` without copying.
 
         Callers must guarantee positive multiplicities, a correct ``size``
         and exclusive ownership of ``counts`` (the dictionary is adopted,
-        not copied).  Used by :meth:`MutableMultiset.snapshot` and
-        :meth:`apply_delta` to keep hot paths free of the O(n) Counter
-        rebuild in :meth:`__init__`.
+        not copied).  Used by :meth:`apply_delta` to keep the engines'
+        per-round fold free of the O(n) Counter rebuild in
+        :meth:`__init__`.
         """
         bag = cls.__new__(cls)
         bag._counts = counts
         bag._size = size
         bag._hash = None
-        bag._fingerprint = fingerprint
         return bag
 
     @classmethod
@@ -187,19 +140,6 @@ class Multiset:
     def most_common(self) -> list[tuple[Hashable, int]]:
         """Return ``(element, multiplicity)`` pairs, highest multiplicity first."""
         return Counter(self._counts).most_common()
-
-    def fingerprint(self) -> int:
-        """An order-independent 64-bit content summary (cached).
-
-        Equal multisets always have equal fingerprints, so a fingerprint
-        mismatch proves inequality in O(1).  A fingerprint match does not
-        prove equality (collisions are possible, if astronomically rare),
-        so callers must confirm with ``==`` — which is exactly what the
-        simulation engine does for its per-round convergence check.
-        """
-        if self._fingerprint is None:
-            self._fingerprint = _fingerprint_of_counts(self._counts)
-        return self._fingerprint
 
     # -- bag algebra ---------------------------------------------------------
 
@@ -285,9 +225,7 @@ class Multiset:
     ) -> "Multiset":
         """Return the multiset after applying a ``(removed, added)`` state delta.
 
-        This is the functional counterpart of
-        :meth:`MutableMultiset.apply_delta` and shares its semantics:
-        additions are applied before removals (so a delta that moves a
+        Additions are applied before removals (so a delta that moves a
         state through the bag is always legal), and removed elements must
         be present with sufficient multiplicity once those additions are
         accounted for.  It costs one dictionary copy plus
@@ -297,7 +235,9 @@ class Multiset:
         Raises
         ------
         KeyError
-            If the delta would drive a multiplicity negative.
+            If the delta would drive a multiplicity negative — a delta
+            naming states the bag never held means the caller's
+            bookkeeping has drifted.  ``self`` is left unchanged.
         """
         counts = dict(self._counts)
         size = self._size
@@ -344,12 +284,6 @@ class Multiset:
     def __eq__(self, other: Any) -> bool:
         if isinstance(other, Multiset):
             if self._size != other._size:
-                return False
-            if (
-                self._fingerprint is not None
-                and other._fingerprint is not None
-                and self._fingerprint != other._fingerprint
-            ):
                 return False
             return self._counts == other._counts
         return NotImplemented
@@ -403,203 +337,6 @@ class Multiset:
         items = ", ".join(f"{v!r}: {c}" for v, c in sorted(
             self._counts.items(), key=lambda item: repr(item[0])))
         return f"Multiset({{{items}}})"
-
-
-class MutableMultiset:
-    """A mutable bag with O(1) mutation and an incremental fingerprint.
-
-    This is the engine's *maintained* round state: instead of rebuilding
-    the agent-state :class:`Multiset` from scratch every round (O(n)), the
-    simulator folds each round's ``(removed, added)`` state delta into one
-    of these in O(|delta|).  The content fingerprint is maintained under
-    every mutation, so comparing the bag against a target multiset costs
-    O(1) whenever the answer is "not equal" — which is every round until
-    convergence.
-
-    :meth:`snapshot` returns an immutable :class:`Multiset` view and is
-    cached: taking two snapshots with no mutation in between returns the
-    *same* object, so rounds in which nothing changed share one snapshot.
-
-    The bag memoizes the element fingerprints of the values it holds:
-    seeded at construction, filled when a value arrives, and emptied of
-    a value when its last copy leaves.  The memo therefore never holds
-    more than the bag does, and it goes with the bag (the engine's is
-    released with the run's round state).
-
-    Not thread-safe; intended as single-owner working state.
-    """
-
-    __slots__ = ("_counts", "_fingerprints", "_size", "_fingerprint", "_snapshot")
-
-    def __init__(self, elements: Iterable[Hashable] | Mapping[Hashable, int] = ()):
-        source = Multiset(elements) if not isinstance(elements, Multiset) else elements
-        counts = source.counts()
-        fingerprints = {}
-        total = 0
-        for value, count in counts.items():
-            element = fingerprints[value] = _element_fingerprint(value)
-            total += element * count
-        self._counts: dict[Hashable, int] = counts
-        #: ``value -> _element_fingerprint(value)`` for every value held.
-        self._fingerprints: dict[Hashable, int] = fingerprints
-        self._size: int = len(source)
-        self._fingerprint: int = total & _FINGERPRINT_MASK
-        self._snapshot: Multiset | None = None
-
-    # -- queries ---------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __bool__(self) -> bool:
-        return self._size > 0
-
-    def __contains__(self, value: Hashable) -> bool:
-        return value in self._counts
-
-    def count(self, value: Hashable) -> int:
-        """Return the multiplicity of ``value`` (0 if absent)."""
-        return self._counts.get(value, 0)
-
-    def fingerprint(self) -> int:
-        """The maintained 64-bit content fingerprint (O(1))."""
-        return self._fingerprint
-
-    def __eq__(self, other: Any) -> bool:
-        if isinstance(other, MutableMultiset):
-            return self._counts == other._counts
-        if isinstance(other, Multiset):
-            return self.matches(other)
-        return NotImplemented
-
-    __hash__ = None  # mutable: not hashable
-
-    def matches(self, other: Multiset) -> bool:
-        """Equality against an immutable multiset, cheapest checks first.
-
-        Size and fingerprint mismatches answer in O(1); only a fingerprint
-        match falls through to the full content comparison (guarding
-        against hash collisions).
-        """
-        if self._size != len(other):
-            return False
-        if self._fingerprint != other.fingerprint():
-            return False
-        return self._counts == other._counts
-
-    # -- mutation --------------------------------------------------------------
-
-    def add(self, value: Hashable, count: int = 1) -> None:
-        """Add ``count`` copies of ``value`` in O(1)."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if count == 0:
-            return
-        self._counts[value] = self._counts.get(value, 0) + count
-        self._size += count
-        fingerprint = self._fingerprints.get(value)
-        if fingerprint is None:
-            fingerprint = self._fingerprints[value] = _element_fingerprint(value)
-        self._fingerprint = (self._fingerprint + fingerprint * count) & _FINGERPRINT_MASK
-        self._snapshot = None
-
-    def discard(self, value: Hashable, count: int = 1) -> int:
-        """Remove up to ``count`` copies of ``value`` in O(1).
-
-        Returns the number of copies actually removed (0 when absent);
-        multiplicities truncate at zero rather than raising.
-        """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        present = self._counts.get(value, 0)
-        removed = min(count, present)
-        if removed == 0:
-            return 0
-        if removed == present:
-            del self._counts[value]
-            fingerprint = self._fingerprints.pop(value)
-        else:
-            self._counts[value] = present - removed
-            fingerprint = self._fingerprints[value]
-        self._size -= removed
-        self._fingerprint = (self._fingerprint - fingerprint * removed) & _FINGERPRINT_MASK
-        self._snapshot = None
-        return removed
-
-    def apply_delta(
-        self, removed: Iterable[Hashable], added: Iterable[Hashable]
-    ) -> None:
-        """Fold a state delta into the bag in O(|removed| + |added|).
-
-        Additions are applied before removals, so a delta that moves a
-        state through the bag (``removed=[x], added=[x]``) is always
-        legal.  Like :meth:`Multiset.apply_delta`, removing an element
-        that is not present raises ``KeyError`` — a delta referring to
-        states the bag never held means the caller's bookkeeping has
-        drifted, and failing fast beats silently corrupting the size and
-        fingerprint.
-
-        The loops inline :meth:`add` / :meth:`discard` (this is the
-        engine's per-round hot path; one method call per changed agent
-        state adds up), with identical semantics.
-        """
-        counts = self._counts
-        counts_get = counts.get
-        fingerprints = self._fingerprints
-        fingerprints_get = fingerprints.get
-        fingerprint = self._fingerprint
-        size = self._size
-        for value in added:
-            counts[value] = counts_get(value, 0) + 1
-            size += 1
-            element = fingerprints_get(value)
-            if element is None:
-                element = fingerprints[value] = _element_fingerprint(value)
-            fingerprint += element
-        for value in removed:
-            present = counts_get(value, 0)
-            if present == 0:
-                self._size = size
-                self._fingerprint = fingerprint & _FINGERPRINT_MASK
-                self._snapshot = None
-                raise KeyError(
-                    f"cannot remove {value!r}: not present in the multiset"
-                )
-            if present == 1:
-                del counts[value]
-                fingerprint -= fingerprints.pop(value)
-            else:
-                counts[value] = present - 1
-                fingerprint -= fingerprints[value]
-            size -= 1
-        self._size = size
-        self._fingerprint = fingerprint & _FINGERPRINT_MASK
-        self._snapshot = None
-
-    # -- conversion ------------------------------------------------------------
-
-    def snapshot(self) -> Multiset:
-        """An immutable :class:`Multiset` with the current contents.
-
-        The result is cached until the next mutation, so unchanged bags
-        hand out one shared snapshot — and the snapshot inherits the
-        maintained fingerprint, keeping its equality checks O(1)-cheap
-        on mismatch.
-        """
-        if self._snapshot is None:
-            self._snapshot = Multiset._from_counts(
-                dict(self._counts), self._size, self._fingerprint
-            )
-        return self._snapshot
-
-    def __iter__(self) -> Iterator[Hashable]:
-        """Iterate over elements *with multiplicity*."""
-        for value, count in self._counts.items():
-            for _ in range(count):
-                yield value
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"MutableMultiset({self._size} elements)"
 
 
 def _coerce(value) -> Multiset:

@@ -32,7 +32,7 @@ import json
 import os
 import pathlib
 import traceback
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
@@ -54,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; avoids an import cycle
 __all__ = ["BatchItem", "BatchResult", "BatchRunner"]
 
 #: Executor backends the runner knows how to drive.
-BACKENDS = ("process", "thread", "serial")
+BACKENDS = ("process", "serial")
 
 #: Name of the batch manifest written into a checkpoint directory.
 MANIFEST_NAME = "manifest.json"
@@ -260,9 +260,8 @@ class BatchRunner:
         per core for processes).
     backend:
         ``"process"`` (default — true parallelism, results cross process
-        boundaries as dictionaries), ``"thread"`` (parallel I/O, shared
-        interpreter) or ``"serial"`` (in-process, deterministic ordering,
-        no pool — the debugging mode).
+        boundaries as dictionaries) or ``"serial"`` (in-process,
+        deterministic ordering, no pool — the debugging mode).
     retries:
         How many times a failed work unit is re-attempted before its
         failure is recorded (default 0 — fail on first error, the classic
@@ -478,7 +477,7 @@ class BatchRunner:
         policy = self._retry_policy()
         if self.backend == "serial" or len(payloads) <= 1:
             return [_guard(fn, payload, self.retries, policy) for payload in payloads]
-        with self._executor() as pool:
+        with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
             futures = [
                 pool.submit(_guard, fn, payload, self.retries, policy)
                 for payload in payloads
@@ -499,11 +498,6 @@ class BatchRunner:
             base_delay=self.retry_backoff,
             max_delay=max(self.retry_backoff * 8, self.retry_backoff),
         )
-
-    def _executor(self) -> Executor:
-        if self.backend == "process":
-            return ProcessPoolExecutor(max_workers=self.max_workers)
-        return ThreadPoolExecutor(max_workers=self.max_workers)
 
 
 def _guard(

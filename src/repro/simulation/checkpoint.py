@@ -36,8 +36,8 @@ trajectory, probe payloads, metadata) to the uninterrupted run, for all
 What is deliberately *not* serialized: derived caches.  The maintained
 multiset is rebuilt from the restored agent states, each environment
 state labels its own components when first asked, and memo caches
-(fingerprints, partition views, conservation triples) refill on demand.  None of it affects results, so
-none of it needs to survive.
+(partition views, conservation triples) refill on demand.  None of it
+affects results, so none of it needs to survive.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from typing import Any, Hashable, Iterable, Mapping
 
 from ..core.durable import atomic_write_text, quarantine, read_digested, with_digest
 from ..core.errors import SpecificationError
-from ..core.multiset import Multiset, MutableMultiset
+from ..core.multiset import Multiset
 from ..geometry.point import Point
 
 __all__ = [
@@ -180,9 +180,12 @@ class RoundState:
     round_index:
         Index of the next round ``steps()`` will execute.
     maintained:
-        The incrementally maintained agent-state multiset, or None for an
-        engine that keeps none (the array engine, which folds ``h`` from
-        its int64 deltas).
+        The agent-state :class:`Multiset` as of the last round, or None
+        for an engine that keeps none (the array engine, which folds
+        ``h`` from its int64 deltas).  The bag is immutable: a round that
+        changed states replaces it with
+        ``maintained.apply_delta(removed, added)``, and a round that
+        changed none keeps it, so quiet rounds' records share one bag.
     objective_value:
         The maintained objective ``h`` (None until first priced; exact —
         including its float summation history — so it must be restored,
@@ -203,7 +206,7 @@ class RoundState:
         """Restore the pre-run condition."""
         self.rng = random.Random(seed)
         self.round_index = 0
-        self.maintained = None if initial_bag is None else MutableMultiset(initial_bag)
+        self.maintained = None if initial_bag is None else Multiset(initial_bag)
         self.objective_value = None
 
 
@@ -477,13 +480,3 @@ def engine_checkpoint_of(data: Mapping[str, Any] | EngineCheckpoint) -> EngineCh
     if isinstance(data, EngineCheckpoint):
         return data
     return EngineCheckpoint.from_dict(data)
-
-
-def rebuilt_multiset(states: Iterable[Hashable]) -> MutableMultiset:
-    """The maintained bag rebuilt from restored agent states.
-
-    The bag is pure content (counts + fingerprint); rebuilding it from
-    the states is byte-equivalent to having maintained it through every
-    round, so checkpoints never persist it.
-    """
-    return MutableMultiset(Multiset(states))

@@ -42,9 +42,10 @@ scheduler's list takes the validated path instead.
 Bookkeeping is *incremental* by default.  Instead of rebuilding the
 agent-state multiset and recomputing the objective ``h`` from scratch
 every round, the engine folds each round's ``(removed, added)`` state
-delta into a maintained :class:`MutableMultiset`, updates ``h`` in
-O(|delta|) for objectives that support exact increments, and compares
-against the target via an O(1) content fingerprint.  Quiet rounds — a
+delta into the maintained :class:`Multiset`
+(:meth:`Multiset.apply_delta`), updates ``h`` in O(|delta|) for
+objectives that support exact increments, and compares the bag with the
+target by plain equality.  Quiet rounds — a
 state :meth:`~EnvironmentState.unchanged_from` the previous one — adopt
 the previous state's memoized views, its labelling and partition view
 included.  A round in which two agents moved
@@ -107,10 +108,10 @@ class Simulator(Engine):
         The engine's single mode switch.  When True (default), the
         simulator maintains both layers of the round incrementally.  The
         round state: each round folds the ``(removed, added)`` state delta
-        reported by the executed group steps into a
-        :class:`MutableMultiset`, updates the objective in O(|delta|) for
-        objectives that support exact deltas, checks convergence against
-        the target via an O(1) content fingerprint, and the round's one
+        reported by the executed group steps into the maintained
+        :class:`Multiset`, updates the objective in O(|delta|) for
+        objectives that support exact deltas, checks convergence by bag
+        equality with the target, and the round's one
         loop visits only the groups that can change: lone agents of
         algorithms that declare ``singleton_stutters`` stutter without
         running the step rule.  The environment layer: the engine
@@ -128,7 +129,7 @@ class Simulator(Engine):
         be caught by ``cross_check``).
     cross_check:
         Debug flag for the incremental path.  When True, every round the
-        maintained multiset, fingerprint and objective are verified
+        maintained multiset and objective are verified
         against a full recomputation from the agent states — and the
         labelled communication groups against a from-scratch component
         walk — raising :class:`SimulationError` on any divergence.  With
@@ -163,13 +164,11 @@ class Simulator(Engine):
         self.states: list = algorithm.initial_states(self.initial_values)
         self._initial_states = list(self.states)
         self._target = algorithm.target(self.states)
-        self._target_size = len(self._target)
-        self._target_fingerprint = self._target.fingerprint()
         # The entire mutable run state — RNG, round index, maintained
-        # multiset, maintained objective, quiet-round tuple cache — lives
-        # in one explicit object, which is what checkpoint()/restore()
-        # serialize.  (The objective stays lazily initialised so that
-        # building a simulator never evaluates it.)
+        # multiset, maintained objective — lives in one explicit object,
+        # which is what checkpoint()/restore() serialize.  (The objective
+        # stays lazily initialised so that building a simulator never
+        # evaluates it.)
         self._state = RoundState(self.seed, self.states)
 
     # -- state access ----------------------------------------------------------
@@ -276,8 +275,9 @@ class Simulator(Engine):
             # objective value — it describes the pre-round bag and will
             # be recomputed lazily if the caller resumes.
             if incremental and (removed or added):
-                self._state.maintained.apply_delta(removed, added)
-                self._state.objective_value = None
+                state = self._state
+                state.maintained = state.maintained.apply_delta(removed, added)
+                state.objective_value = None
             raise
 
         if incremental:
@@ -314,13 +314,12 @@ class Simulator(Engine):
     ) -> tuple[Multiset, float, bool]:
         """Fold one round's state delta into the maintained round state."""
         state = self._state
-        maintained = state.maintained
         if state.objective_value is None:
             # First use: price the objective once, on the pre-delta bag.
-            state.objective_value = self.algorithm.objective(maintained.snapshot())
+            state.objective_value = self.algorithm.objective(state.maintained)
         if removed or added:
             try:
-                maintained.apply_delta(removed, added)
+                state.maintained = state.maintained.apply_delta(removed, added)
             except KeyError as error:
                 raise SimulationError(
                     "incremental round state out of sync with the agent "
@@ -329,7 +328,7 @@ class Simulator(Engine):
                 ) from error
 
         if clean and self.algorithm.objective.supports_delta:
-            multiset = maintained.snapshot()
+            multiset = state.maintained
             objective = self.algorithm.objective_delta(
                 state.objective_value, multiset, removed, added
             )
@@ -342,15 +341,7 @@ class Simulator(Engine):
             multiset = Multiset(self.states)
             objective = self.algorithm.objective(multiset)
         state.objective_value = objective
-
-        # The maintained bag's fingerprint is O(1); on fallback rounds the
-        # fresh multiset's would cost an O(distinct) walk just to
-        # pre-screen the same content.
-        converged = (
-            len(multiset) == self._target_size
-            and maintained.fingerprint() == self._target_fingerprint
-            and multiset == self._target
-        )
+        converged = multiset == self._target
         if self.cross_check:
             self._verify_maintained_state(multiset, objective)
         return multiset, objective, converged
@@ -361,24 +352,15 @@ class Simulator(Engine):
         Always validates the *maintained* bag against the agent states —
         on fallback rounds the round's ``multiset`` is itself a fresh
         rebuild, so comparing only it would never catch maintained-state
-        drift (e.g. external mutation of :attr:`states`).  The maintained
-        fingerprint is checked against one computed afresh from the
-        states, not through the bag's memo, so a corrupt memo entry is
-        caught too.
+        drift (e.g. external mutation of :attr:`states`).
         """
         full = self.current_multiset()
         maintained = self._state.maintained
-        snapshot = maintained.snapshot()
-        if full != snapshot or full != multiset:
+        if full != maintained or full != multiset:
             raise SimulationError(
                 "incremental multiset diverged from the agent states "
                 "(were agent states mutated outside a group step?): "
-                f"maintained {snapshot!r} vs actual {full!r}"
-            )
-        if full.fingerprint() != maintained.fingerprint():
-            raise SimulationError(
-                "incremental fingerprint diverged from recomputed fingerprint "
-                f"({maintained.fingerprint():#x} vs {full.fingerprint():#x})"
+                f"maintained {maintained!r} vs actual {full!r}"
             )
         full_objective = self.algorithm.objective(full)
         if full_objective != objective:
@@ -393,12 +375,12 @@ class Simulator(Engine):
         """The pre-run ``(multiset, objective)`` pair.
 
         In incremental mode the maintained bag already holds the current
-        states; its cached snapshot also seeds the objective value so the
-        first round starts from a known ``h`` instead of recomputing.
+        states; it also seeds the objective value so the first round
+        starts from a known ``h`` instead of recomputing.
         """
         if self.incremental:
             state = self._state
-            initial_multiset = state.maintained.snapshot()
+            initial_multiset = state.maintained
             if state.objective_value is None:
                 state.objective_value = self.algorithm.objective(initial_multiset)
             return initial_multiset, state.objective_value

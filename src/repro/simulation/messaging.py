@@ -35,14 +35,14 @@ resumably, and its inherited ``run`` is the shared engine driver — same
 stopping policy, same probe pipeline, same checkpoint and resume, same
 :class:`SimulationResult` shape as the synchronous engine.
 
-Round bookkeeping is incremental: one maintained multiset absorbs each
-delivered merge's ``(old, new)`` state delta in O(1), the objective is
-updated from the same delta when it supports exact increments, and
-convergence is checked against the target via an O(1) content fingerprint
-— instead of rebuilding multisets per delivered message and three more per
-round.  A quiet round — an environment state unchanged from the last
-(:meth:`EnvironmentState.unchanged_from`) — adopts the previous state's
-memoized effective-edge view.
+Round bookkeeping is incremental: one maintained multiset absorbs the
+round's delivered merges as one ``(old, new)`` state delta
+(:meth:`Multiset.apply_delta`), the objective is updated from the same
+delta when it supports exact increments, and convergence is bag equality
+with the target — instead of rebuilding multisets per delivered message
+and three more per round.  A quiet round — an environment state
+unchanged from the last (:meth:`EnvironmentState.unchanged_from`) —
+adopts the previous state's memoized effective-edge view.
 """
 
 from __future__ import annotations
@@ -169,10 +169,9 @@ class MergeMessagePassingSimulator(Engine):
     def initial_snapshot(self) -> tuple[Multiset, float]:
         """The pre-run ``(multiset, objective)`` pair."""
         state = self._state
-        snapshot = state.maintained.snapshot()
         if state.objective_value is None:
-            state.objective_value = self.algorithm.objective(snapshot)
-        return snapshot, state.objective_value
+            state.objective_value = self.algorithm.objective(state.maintained)
+        return state.maintained, state.objective_value
 
     def trace_complete(self, converged: bool, stopped_by_callback: bool) -> bool:
         """An idempotent merge at ``S*`` can only stutter, so a converged,
@@ -221,15 +220,15 @@ class MergeMessagePassingSimulator(Engine):
         """Execute one round — sends, losses, one-sided merge deliveries —
         and record what happened.
 
-        Bookkeeping is O(|delta|): each applied merge folds its
-        ``(old, new)`` pair into the maintained multiset, the objective is
-        updated from the same delta when exact increments are available,
-        and convergence is a fingerprint comparison.
+        Bookkeeping is O(|delta|) past one copy of the bag's counts: the
+        applied merges' ``(old, new)`` pairs are folded into the
+        maintained multiset, the objective is updated from the same delta
+        when exact increments are available, and convergence is bag
+        equality with the target.
         """
         state = self._state
-        maintained = state.maintained
         if state.objective_value is None:
-            state.objective_value = self.algorithm.objective(maintained.snapshot())
+            state.objective_value = self.algorithm.objective(state.maintained)
         environment_state = self._advance_environment(round_index)
         random_draw = state.rng.random
         loss_probability = self.loss_probability
@@ -298,13 +297,13 @@ class MergeMessagePassingSimulator(Engine):
             # describes the pre-round bag and is recomputed lazily if the
             # caller resumes or queries has_converged().
             if removed or added:
-                maintained.apply_delta(removed, added)
+                state.maintained = state.maintained.apply_delta(removed, added)
                 state.objective_value = None
             raise
 
         if removed or added:
-            maintained.apply_delta(removed, added)
-        multiset = maintained.snapshot()
+            state.maintained = state.maintained.apply_delta(removed, added)
+        multiset = state.maintained
         if self._supports_delta:
             objective = self.algorithm.objective_delta(
                 state.objective_value, multiset, removed, added
@@ -319,7 +318,7 @@ class MergeMessagePassingSimulator(Engine):
             round_index=round_index,
             multiset=multiset,
             objective=objective,
-            converged=maintained.matches(self._target),
+            converged=multiset == self._target,
             groups=tuple(groups),
             judgements=tuple(judgements),
             # Every applied merge is an improving pair step.

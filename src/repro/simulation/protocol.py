@@ -66,7 +66,6 @@ from .checkpoint import (
     encode_rng_state,
     encode_state,
     engine_checkpoint_of,
-    rebuilt_multiset,
 )
 from .result import SimulationResult
 
@@ -447,8 +446,8 @@ class Engine:
         Deliberately rebuilt from ``states`` rather than answered from the
         maintained round state, so the query stays truthful even if a
         caller mutated ``states`` directly between rounds.  Per-round
-        convergence checks inside :meth:`steps` use the O(1) fingerprint
-        instead.
+        convergence checks inside :meth:`steps` compare the maintained
+        bag instead.
         """
         return Multiset(self.states) == self._target
 
@@ -470,7 +469,7 @@ class Engine:
         restored the RNG, round index and environment, and restores the
         objective value afterwards."""
         self.states = [decode_state(encoded) for encoded in checkpoint.agent_states]
-        self._state.maintained = rebuilt_multiset(self.states)
+        self._state.maintained = Multiset(self.states)
         self._previous_environment_state = None
 
 

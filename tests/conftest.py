@@ -12,6 +12,7 @@ from repro.environment import (
     complete_graph,
     line_graph,
 )
+from repro.service import ServiceClient
 
 
 @pytest.fixture
@@ -36,3 +37,18 @@ def churn_complete_env():
 def static_line_env():
     """A benign environment over a 6-agent line."""
     return StaticEnvironment(line_graph(6))
+
+
+@pytest.fixture
+def connect():
+    """``ServiceClient`` factory; the fixture closes every client it built."""
+    clients = []
+
+    def factory(url: str, **kwargs) -> ServiceClient:
+        client = ServiceClient(url, **kwargs)
+        clients.append(client)
+        return client
+
+    yield factory
+    for client in clients:
+        client.close()

@@ -44,7 +44,7 @@ def hand_wired(seed: int):
 class TestBackendParity:
     """Every backend produces exactly the in-process results."""
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_matches_hand_wired_runs(self, backend):
         batch = BatchRunner(max_workers=2, backend=backend).run(minimum_spec())
         assert len(batch) == 3
@@ -160,6 +160,10 @@ class TestBatchSemantics:
     def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
             BatchRunner(backend="quantum")
+
+    def test_thread_backend_is_not_offered(self):
+        with pytest.raises(ValueError, match="backend"):
+            BatchRunner(backend="thread")
 
 
 class TestBatchSerialization:

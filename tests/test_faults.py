@@ -40,7 +40,7 @@ from repro.faults import (
     run_chaos,
 )
 from repro.faults.chaos import split_crash_probes
-from repro.service import ExperimentService, ResultCache, ServiceClient
+from repro.service import ExperimentService, ResultCache
 from repro.service.jobs import JobStore
 from repro.simulation import BatchRunner, MergeMessagePassingSimulator
 from repro.simulation import checkpoint as checkpoint_module
@@ -57,6 +57,14 @@ PARENT_RUN_DIR = (
 )
 #: Bytes of the header line :func:`repro.core.durable.with_digest` writes.
 HEADER_LENGTH = len(durable.DIGEST_HEADER) + 64 + 1
+
+# A client left open leaks its socket; fail the test that leaked it.
+pytestmark = [
+    pytest.mark.filterwarnings("error:unclosed <socket:ResourceWarning"),
+    pytest.mark.filterwarnings(
+        "error:Exception ignored in. <socket:pytest.PytestUnraisableExceptionWarning"
+    ),
+]
 
 
 def flip_bit(path: pathlib.Path, index: int, bit: int) -> None:
@@ -615,9 +623,9 @@ class TestServiceStateRecovery:
         cache._path(fingerprint).write_text(json.dumps(entry))
         assert ResultCache(tmp_path / "cache").get(fingerprint) == entry
 
-    def test_damaged_entry_re_executes_byte_identically(self, service):
+    def test_damaged_entry_re_executes_byte_identically(self, service, connect):
         instance = service()
-        client = ServiceClient(instance.url)
+        client = connect(instance.url)
         spec = minimum_spec(seeds=(0,))
         first = client.wait(client.submit(spec)["id"], timeout=60)
         path = instance.cache._path(spec.fingerprint())
@@ -683,25 +691,25 @@ class TestClientSelfHealing:
             retries=retries, base_delay=0.01, max_delay=0.05, namespace="test-client"
         )
 
-    def test_transient_connection_failures_are_retried(self, service):
+    def test_transient_connection_failures_are_retried(self, service, connect):
         instance = service()
         hook = ClientFaultHook(failures=2)
-        client = ServiceClient(instance.url, retry=self._retry(), fault_hook=hook)
+        client = connect(instance.url, retry=self._retry(), fault_hook=hook)
         health = client.health()
         assert health["status"] == "ok"
         assert hook.fired == 2
 
-    def test_exhausted_retries_surface_the_error(self, service):
+    def test_exhausted_retries_surface_the_error(self, service, connect):
         from repro.service import ServiceError
 
         instance = service()
         hook = ClientFaultHook(failures=99)
-        client = ServiceClient(instance.url, retry=self._retry(1), fault_hook=hook)
+        client = connect(instance.url, retry=self._retry(1), fault_hook=hook)
         with pytest.raises(ServiceError, match="cannot reach"):
             client.health()
         assert hook.fired == 2, "one attempt plus one retry"
 
-    def test_injected_503_and_reset_are_masked_by_retry(self, service):
+    def test_injected_503_and_reset_are_masked_by_retry(self, service, connect):
         plan = FaultPlan.from_dict(
             {
                 "format": "repro-fault-plan",
@@ -717,21 +725,21 @@ class TestClientSelfHealing:
         )
         hook = plan.server_hook()
         instance = service(fault_hook=hook)
-        client = ServiceClient(instance.url, retry=self._retry(4))
+        client = connect(instance.url, retry=self._retry(4))
         spec = minimum_spec(seeds=(0,))
         results = client.results(client.submit(spec)["id"], timeout=60)
         assert [unit["result"] for unit in results] == [spec.run(0).to_dict()]
         assert hook.exhausted()
 
-    def test_healthz_is_never_faulted(self, service):
+    def test_healthz_is_never_faulted(self, service, connect):
         hook = FaultPlan.generate(0, kinds=("http-flaky",)).server_hook()
         instance = service(fault_hook=hook)
         # No retries: a faulted /healthz would fail this immediately.
-        client = ServiceClient(instance.url, retry=RetryPolicy(retries=0))
+        client = connect(instance.url, retry=RetryPolicy(retries=0))
         assert client.health()["status"] == "ok"
         assert not hook.exhausted()
 
-    def test_sse_disconnects_are_stitched_by_last_event_id(self, service):
+    def test_sse_disconnects_are_stitched_by_last_event_id(self, service, connect):
         plan = FaultPlan.from_dict(
             {
                 "format": "repro-fault-plan",
@@ -743,7 +751,7 @@ class TestClientSelfHealing:
         )
         hook = plan.server_hook()
         instance = service(fault_hook=hook)
-        client = ServiceClient(instance.url, retry=self._retry(4))
+        client = connect(instance.url, retry=self._retry(4))
         spec = minimum_spec(seeds=(0,))
         job = client.submit(spec)
         interrupted = list(client.events(job["id"]))
@@ -752,7 +760,7 @@ class TestClientSelfHealing:
         assert interrupted == replay, "reconnection lost or duplicated events"
         assert len({event["id"] for event in interrupted}) == len(interrupted)
 
-    def test_sse_disconnect_inside_a_batch_is_stitched(self, service):
+    def test_sse_disconnect_inside_a_batch_is_stitched(self, service, connect):
         # A finished job's lines were all published before the stream
         # opens, so each connection gets them as one batch and the
         # budget cuts it in the middle.
@@ -767,7 +775,7 @@ class TestClientSelfHealing:
         )
         hook = plan.server_hook()
         instance = service(fault_hook=hook)
-        client = ServiceClient(instance.url, retry=self._retry(4))
+        client = connect(instance.url, retry=self._retry(4))
         job = client.submit(minimum_spec(seeds=(0, 1)))
         client.wait(job["id"], timeout=60)
         interrupted = list(client.events(job["id"]))
@@ -777,11 +785,11 @@ class TestClientSelfHealing:
         assert interrupted == replay, "reconnection lost or duplicated events"
         assert len({event["id"] for event in interrupted}) == len(interrupted)
 
-    def test_wait_poll_backs_off_exponentially(self, service, monkeypatch):
+    def test_wait_poll_backs_off_exponentially(self, service, connect, monkeypatch):
         import repro.service.client as client_module
 
         instance = service()
-        client = ServiceClient(instance.url)
+        client = connect(instance.url)
         pauses = []
         monkeypatch.setattr(client_module.time, "sleep", pauses.append)
         spec = minimum_spec(seeds=(0,))

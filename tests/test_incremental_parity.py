@@ -2,13 +2,14 @@
 shared engine driver vs. the pre-redesign ``run()`` monoliths.
 
 The simulation engine maintains its round multiset and objective
-incrementally (fold the ``(removed, added)`` delta of each group step into
-a :class:`MutableMultiset`, update ``h`` in O(|delta|), compare against the
-target by fingerprint).  These tests pin the central contract of that
-optimization: for every seeded run, the incremental engine must produce a
-:class:`SimulationResult` *identical* to the full-recompute reference —
-same trace, same objective trajectory (exact equality, not approximate),
-same convergence round, same counters.
+incrementally (fold the ``(removed, added)`` delta of each round into
+the maintained :class:`Multiset` with ``apply_delta``, update ``h`` in
+O(|delta|), compare the bag with the target).  These tests pin the
+central contract of that optimization: for every seeded run, the
+incremental engine must produce a :class:`SimulationResult` *identical*
+to the full-recompute reference — same trace, same objective trajectory
+(exact equality, not approximate), same convergence round, same
+counters.
 
 The matrix covers every algorithm family in the library (including the
 enforcement-off "unsound" ones, which exercise the full-recompute fallback
@@ -429,10 +430,11 @@ def test_cross_check_detects_mutation_on_fallback_objectives():
         next(stream)
 
 
-def test_cross_check_detects_a_corrupt_fingerprint_memo():
-    # The maintained bag memoizes element fingerprints; the cross-check
-    # recomputes the fingerprint from the states without that memo, so a
-    # wrong entry shows as soon as its value leaves the bag.
+def test_cross_check_detects_a_corrupt_maintained_bag():
+    # A maintained bag that has drifted from the agent states, but still
+    # absorbs every delta, shows in the per-round comparison.
+    from repro.core.multiset import Multiset
+
     simulator = Simulator(
         minimum_algorithm(),
         StaticEnvironment(complete_graph(4)),
@@ -440,8 +442,24 @@ def test_cross_check_detects_a_corrupt_fingerprint_memo():
         seed=1,
         cross_check=True,
     )
-    simulator._state.maintained._fingerprints[6] ^= 1
-    with pytest.raises(SimulationError, match="fingerprint"):
+    simulator._state.maintained = Multiset([5, 6, 7, 8, 8])
+    with pytest.raises(SimulationError, match="diverged"):
+        next(simulator.steps())
+
+
+def test_delta_the_maintained_bag_cannot_absorb_is_a_simulation_error():
+    # Without the cross-check, a round removing a state the maintained bag
+    # never held still fails as a SimulationError, not a bare KeyError.
+    from repro.core.multiset import Multiset
+
+    simulator = Simulator(
+        minimum_algorithm(),
+        StaticEnvironment(complete_graph(4)),
+        initial_values=[5, 6, 7, 8],
+        seed=1,
+    )
+    simulator._state.maintained = Multiset([5, 6, 7, 9])
+    with pytest.raises(SimulationError, match="out of sync"):
         next(simulator.steps())
 
 
@@ -483,7 +501,7 @@ def test_mid_round_enforcement_error_keeps_maintained_state_in_sync():
         next(stream)
     # Group (0, 1) installed [3, 3] before group (2, 3) raised.
     assert simulator.current_states() == [3, 3, 7, 99]
-    assert simulator._state.maintained.snapshot() == Multiset([3, 3, 7, 99])
+    assert simulator._state.maintained == Multiset([3, 3, 7, 99])
 
     # Resuming must execute cleanly and pass the per-round cross-check
     # (which would raise SimulationError on any maintained-state drift).
@@ -504,6 +522,37 @@ def test_reset_resynchronises_maintained_state():
     simulator.reset()
     second = simulator.run(max_rounds=60)
     _assert_identical(first, second)
+
+
+@pytest.mark.parametrize("engine", ["reference", "messaging"])
+def test_quiet_rounds_share_one_maintained_bag(engine):
+    # A round that changes no state folds no delta, so the maintained bag
+    # — and with it the round's record.multiset — stays the same object.
+    from repro.algorithms import minimum_merge
+    from repro.core.multiset import Multiset
+    from repro.simulation import MergeMessagePassingSimulator
+
+    environment = StaticEnvironment(complete_graph(4))
+    if engine == "reference":
+        simulator = Simulator(
+            minimum_algorithm(), environment, initial_values=[5, 6, 7, 8], seed=1
+        )
+    else:
+        simulator = MergeMessagePassingSimulator(
+            minimum_algorithm(),
+            merge=minimum_merge,
+            environment=environment,
+            initial_values=[5, 6, 7, 8],
+            seed=1,
+        )
+    initial, _ = simulator.initial_snapshot()
+    stream = simulator.steps()
+    first = next(stream)
+    assert first.converged and first.multiset is not initial
+    stutters = [next(stream) for _ in range(3)]
+    assert all(record.multiset is first.multiset for record in stutters)
+    assert all(record.converged for record in stutters)
+    assert initial == Multiset([5, 6, 7, 8])  # earlier bags are untouched
 
 
 # -- Engine/Probe redesign parity: run() vs. the pre-redesign monoliths --------
@@ -533,7 +582,7 @@ def _legacy_simulator_run(
 
     if simulator.incremental:
         state = simulator._state
-        initial_multiset = state.maintained.snapshot()
+        initial_multiset = state.maintained
         if state.objective_value is None:
             state.objective_value = simulator.algorithm.objective(initial_multiset)
         initial_objective = state.objective_value
@@ -605,19 +654,18 @@ def _legacy_messaging_run(simulator, max_rounds):
     """Verbatim port of the pre-redesign ``MergeMessagePassingSimulator.run``
     monolith (its own send/deliver loop — independent of ``steps()``)."""
     from repro.core.errors import SimulationError
-    from repro.core.multiset import Multiset, MutableMultiset
+    from repro.core.multiset import Multiset
     from repro.simulation.result import SimulationResult
     from repro.temporal.trace import Trace
 
-    current = MutableMultiset(simulator.states)
+    current = Multiset(simulator.states)
     supports_delta = (
         simulator.algorithm.objective.supports_delta and simulator.algorithm.enforce
     )
-    initial_multiset = current.snapshot()
-    objective_value = simulator.algorithm.objective(initial_multiset)
-    trace = Trace([initial_multiset])
+    objective_value = simulator.algorithm.objective(current)
+    trace = Trace([current])
     objective_trajectory = [objective_value]
-    convergence_round = 0 if current.matches(simulator.target) else None
+    convergence_round = 0 if current == simulator.target else None
     rounds_executed = 0
     improving_steps = 0
     enforce = simulator.algorithm.enforce
@@ -665,17 +713,16 @@ def _legacy_messaging_run(simulator, max_rounds):
                 improving_steps += 1
 
         if removed or added:
-            current.apply_delta(removed, added)
-        multiset = current.snapshot()
-        trace.append(multiset)
+            current = current.apply_delta(removed, added)
+        trace.append(current)
         if supports_delta:
             objective_value = simulator.algorithm.objective_delta(
-                objective_value, multiset, removed, added
+                objective_value, current, removed, added
             )
         else:
             objective_value = simulator.algorithm.objective(Multiset(states))
         objective_trajectory.append(objective_value)
-        if convergence_round is None and current.matches(simulator.target):
+        if convergence_round is None and current == simulator.target:
             convergence_round = round_index + 1
 
     converged = convergence_round is not None

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.multiset import Multiset, MutableMultiset
+from repro.core.multiset import Multiset
 
 small_ints = st.integers(min_value=-50, max_value=50)
 int_lists = st.lists(small_ints, max_size=12)
 #: Values of several types, among them the equal keys ``1``, ``1.0`` and
-#: ``True`` (one bag entry, one hash, so one fingerprint).
+#: ``True`` (one bag entry under whichever key arrived first).
 mixed_values = st.one_of(
     st.sampled_from([1, 1.0, True, 0, 0.0, False]),
     small_ints,
@@ -165,6 +165,22 @@ class TestEqualityHashing:
     def test_not_equal_to_other_types(self):
         assert Multiset([1]) != [1]
 
+    def test_same_size_bags_compare_by_counts(self):
+        # Equal sizes and equal numbers of distinct values: only the
+        # counts themselves tell these bags apart.
+        assert Multiset([1, 2, 2]) != Multiset([1, 1, 2])
+        assert Multiset([1, 2, 2]) != Multiset([1, 3, 3])
+
+    def test_equal_keys_of_different_types_share_an_entry(self):
+        assert Multiset([1, 1.0, True]).count(1) == 3
+        assert Multiset([1, 1.0]) == Multiset([True, True])
+
+    @given(int_lists, int_lists)
+    def test_equality_matches_sorted_contents(self, xs, ys):
+        # Bag equality is exact: it holds precisely when the two element
+        # lists are permutations of each other.
+        assert (Multiset(xs) == Multiset(ys)) == (sorted(xs) == sorted(ys))
+
 
 class TestProperties:
     @given(int_lists, int_lists)
@@ -205,25 +221,6 @@ class TestProperties:
         assert Multiset(xs).sum() == sum(xs)
 
 
-class TestFingerprint:
-    def test_equal_bags_have_equal_fingerprints(self):
-        assert Multiset([1, 2, 2]).fingerprint() == Multiset([2, 1, 2]).fingerprint()
-
-    def test_fingerprint_distinguishes_multiplicity(self):
-        assert Multiset([1, 1]).fingerprint() != Multiset([1]).fingerprint()
-
-    def test_fingerprint_is_64_bit(self):
-        assert 0 <= Multiset(range(100)).fingerprint() < 2**64
-
-    @given(int_lists, int_lists)
-    def test_fingerprint_consistent_with_equality(self, xs, ys):
-        a, b = Multiset(xs), Multiset(ys)
-        if a == b:
-            assert a.fingerprint() == b.fingerprint()
-        # (the converse — unequal bags, equal fingerprints — is possible
-        # only as an astronomically rare 64-bit collision)
-
-
 class TestFunctionalDelta:
     def test_discard_truncates_at_zero(self):
         bag = Multiset([1, 1, 2])
@@ -237,43 +234,36 @@ class TestFunctionalDelta:
         assert updated == Multiset([1, 1, 2, 4, 4])
         assert len(updated) == 5
 
-    def test_apply_delta_rejects_absent_removals(self):
-        with pytest.raises(KeyError):
-            Multiset([1]).apply_delta(removed=[2], added=[])
-
-
-class TestMutableMultiset:
-    def test_add_discard_maintain_size_and_counts(self):
-        bag = MutableMultiset([1, 2, 2])
-        bag.add(3)
-        bag.add(2, count=2)
-        assert bag.discard(1) == 1
-        assert bag.discard(1) == 0
+    def test_apply_delta_maintains_size_and_counts(self):
+        bag = Multiset([1, 2, 2]).apply_delta(removed=[1], added=[3, 2, 2])
         assert len(bag) == 5
         assert bag.count(2) == 4
         assert 3 in bag and 1 not in bag
+        assert bag.distinct() == frozenset({2, 3})
 
-    def test_snapshot_matches_contents_and_is_cached(self):
-        bag = MutableMultiset([5, 5, 7])
-        first = bag.snapshot()
-        assert first == Multiset([5, 7, 5])
-        assert bag.snapshot() is first  # no mutation: shared snapshot
-        bag.add(9)
-        second = bag.snapshot()
-        assert second is not first
-        assert second == Multiset([5, 5, 7, 9])
-        assert first == Multiset([5, 5, 7])  # snapshots are immutable views
+    def test_apply_delta_may_remove_what_it_adds(self):
+        # Additions land first, so a state that passes through the bag
+        # within one delta is legal.
+        bag = Multiset([1]).apply_delta(removed=[7, 1], added=[7, 8])
+        assert bag == Multiset([8])
 
-    def test_matches_uses_fingerprint_and_confirms(self):
-        bag = MutableMultiset([1, 2, 3])
-        assert bag.matches(Multiset([3, 2, 1]))
-        assert not bag.matches(Multiset([1, 2]))
-        assert not bag.matches(Multiset([1, 2, 4]))
-        assert bag == Multiset([1, 2, 3])
+    def test_delta_result_hashes_like_a_rebuild(self):
+        bag = Multiset([1, 2, 2])
+        hash(bag)  # fill the original's hash cache
+        updated = bag.apply_delta(removed=[2], added=[5])
+        assert hash(updated) == hash(Multiset([1, 2, 5]))
+        assert {updated, Multiset([5, 2, 1])} == {updated}
+
+    def test_apply_delta_rejects_absent_removals(self):
+        bag = Multiset([1, 2])
+        with pytest.raises(KeyError):
+            bag.apply_delta(removed=[1, 3], added=[])
+        # The failed delta built its counts on a copy: the bag is intact.
+        assert bag == Multiset([1, 2])
+        assert len(bag) == 2 and bag.count(1) == 1
 
     @given(int_lists, int_lists, int_lists)
-    def test_incremental_fingerprint_matches_fresh_computation(self, xs, rem, add):
-        bag = MutableMultiset(xs)
+    def test_random_delta_matches_rebuild(self, xs, rem, add):
         # Respect multiplicity: remove each value at most as many times as
         # it is present (additions are applied first, so `add` counts too).
         budget = Multiset(xs + add).counts()
@@ -282,13 +272,14 @@ class TestMutableMultiset:
             if budget.get(value, 0) > 0:
                 budget[value] -= 1
                 removable.append(value)
-        bag.apply_delta(removable, add)
+        bag = Multiset(xs)
+        updated = bag.apply_delta(removable, add)
         expected = Multiset(xs + add)
         for value in removable:
             expected = expected.remove(value)
-        assert bag.snapshot() == expected
-        assert bag.fingerprint() == expected.fingerprint()
-        assert len(bag) == len(expected)
+        assert updated == expected
+        assert len(updated) == len(expected)
+        assert bag == Multiset(xs)  # the original is untouched
 
     @given(
         st.lists(mixed_values, max_size=8),
@@ -296,33 +287,23 @@ class TestMutableMultiset:
             st.tuples(
                 st.lists(mixed_values, max_size=5),
                 st.lists(st.integers(min_value=0, max_value=20), max_size=5),
-                st.booleans(),
             ),
             max_size=6,
         ),
     )
-    def test_fingerprint_stays_fresh_as_unseen_values_arrive(self, initial, deltas):
-        bag = MutableMultiset(initial)
+    def test_chained_deltas_of_mixed_values_match_rebuild(self, initial, deltas):
+        # Removals may name values that only this delta's additions supply,
+        # and 1 / 1.0 / True share one entry, so the fold must apply the
+        # additions first and count equal keys together.
+        bag = Multiset(initial)
         contents = list(initial)
-        for added, picks, one_by_one in deltas:
+        for added, picks in deltas:
             pool = contents + added
             chosen = {pick % len(pool) for pick in picks} if pool else set()
             removed = [pool[index] for index in sorted(chosen)]
-            if one_by_one:
-                for value in added:
-                    bag.add(value)
-                for value in removed:
-                    assert bag.discard(value) == 1
-            else:
-                bag.apply_delta(removed, added)
+            bag = bag.apply_delta(removed, added)
             contents = [value for index, value in enumerate(pool) if index not in chosen]
             fresh = Multiset(contents)
-            assert bag.fingerprint() == fresh.fingerprint()
-            assert bag.snapshot() == fresh
-            # The memo holds exactly the values the bag holds.
-            assert len(bag._fingerprints) == len(fresh.distinct())
-
-    def test_apply_delta_rejects_absent_removals(self):
-        bag = MutableMultiset([1, 2])
-        with pytest.raises(KeyError):
-            bag.apply_delta([3], [])
+            assert bag == fresh
+            assert len(bag) == len(fresh)
+            assert bag.distinct() == fresh.distinct()

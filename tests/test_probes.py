@@ -400,7 +400,7 @@ class TestBuiltinProbes:
             next(simulator.steps())
         # Agent 0 already absorbed 3 before agent 2's delivery raised.
         assert simulator.states[0] == 3
-        assert simulator._state.maintained.snapshot() == Multiset(simulator.states)
+        assert simulator._state.maintained == Multiset(simulator.states)
         assert not simulator.has_converged()
 
     def test_failing_probe_setup_still_releases_earlier_probes(self, tmp_path):

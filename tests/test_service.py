@@ -127,21 +127,6 @@ def service(tmp_path):
         instance.stop(drain=False, timeout=5.0)
 
 
-@pytest.fixture
-def connect():
-    """``ServiceClient`` factory; the fixture closes every client it built."""
-    clients = []
-
-    def factory(url: str, **kwargs) -> ServiceClient:
-        client = ServiceClient(url, **kwargs)
-        clients.append(client)
-        return client
-
-    yield factory
-    for client in clients:
-        client.close()
-
-
 # -- the event broker ------------------------------------------------------------
 
 
