@@ -169,6 +169,27 @@ class SelfSimilarAlgorithm:
 
         Returns the (possibly unchanged) new states together with the
         :class:`StepJudgement` explaining how the step was classified.
+        The step rule receives a fresh list of ``states``, and its result
+        is judged against that list by :meth:`judge_step`, whose
+        ``fast_stutter`` this passes on and whose exceptions it raises.
+        """
+        before = list(states)
+        return self.judge_step(before, self.group_step(before, rng), fast_stutter)
+
+    def judge_step(
+        self,
+        before: list[Hashable],
+        after: Sequence[Hashable],
+        fast_stutter: bool = True,
+    ) -> tuple[list[Hashable], StepJudgement]:
+        """Validate one group step, ``before -> after``, against ``D``.
+
+        ``before`` is the list the step rule ran on and ``after`` what it
+        returned.  Returns ``after`` as a list together with the
+        :class:`StepJudgement` explaining how the step was classified.
+        The reference engine's round loop runs the step rule itself and
+        calls this directly; every other caller reaches it through
+        :meth:`apply_group_step`, so one code path judges every step.
 
         ``fast_stutter`` short-circuits the common case in which the step
         rule returns the states unchanged: element-wise equality already
@@ -189,8 +210,6 @@ class SelfSimilarAlgorithm:
         SpecificationError
             If the step rule returned a different number of states.
         """
-        before = list(states)
-        after = self.group_step(before, rng)
         if type(after) is not list:
             after = list(after)
         if len(after) != len(before):

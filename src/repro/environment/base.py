@@ -61,6 +61,7 @@ __all__ = [
     "Environment",
     "check_components",
     "edge_endpoints",
+    "group_layout",
     "label_components",
 ]
 
@@ -319,18 +320,20 @@ def _labelled_layout(enabled_ids, ids, labels) -> tuple:
     return members, bounds, np.searchsorted(roots, keys.take(firsts)).tolist(), roots
 
 
-def _walked_layout(components: list[tuple[int, ...]]) -> tuple:
-    """:func:`_labelled_layout`'s four parts, read off the component
-    walk's member tuples."""
+def group_layout(groups: Iterable[Sequence[int]], smallest: int = 2) -> tuple:
+    """The ``(members, bounds, positions)`` of the groups of at least
+    ``smallest`` agents among ``groups``, member sequences in schedule
+    order: the first three parts of a :class:`ComponentPartition`'s
+    layout, read off a list."""
     members: list[int] = []
     bounds = [0]
     positions = []
-    for position, component in enumerate(components):
-        if len(component) > 1:
-            members.extend(component)
+    for position, group in enumerate(groups):
+        if len(group) >= smallest:
+            members.extend(group)
             bounds.append(len(members))
             positions.append(position)
-    return members, bounds, positions, [component[0] for component in components]
+    return members, bounds, positions
 
 
 class ComponentPartition(Sequence):
@@ -383,7 +386,8 @@ class ComponentPartition(Sequence):
         layout = self._layout
         if layout is None:
             if self._labelling is None:
-                layout = _walked_layout(self._tuples)
+                tuples = self._tuples
+                layout = (*group_layout(tuples), [group[0] for group in tuples])
             else:
                 enabled = self._enabled
                 if not isinstance(enabled, _numpy.ndarray):
@@ -541,11 +545,12 @@ class EnvironmentState:
     ) -> "EnvironmentState":
         """The array form of a state (see the class docstring).
 
-        ``enabled`` is the enabled agents as a frozenset (typically an
-        environment's shared all-agents set) or as an ascending ``int64``
-        id array; ``up_edges`` is the ascending ``int64`` index of the
-        available edges into ``edge_sequence``.  The arrays must be owned
-        by the state, never views of the environment's live masks.
+        ``enabled`` is the enabled agents as a frozenset or as an
+        ascending ``int64`` id array; ``up_edges`` is the ascending
+        ``int64`` index of the available edges into ``edge_sequence``.
+        The arrays must be owned by the state, never views of the
+        environment's live masks; the one exception is an environment's
+        read-only all-agents id array, which its states share.
         """
         state = object.__new__(cls)
         own = state.__dict__
@@ -695,7 +700,7 @@ class EnvironmentState:
         old_ids = old.get("_enabled_ids")
         new_ids = new.get("_enabled_ids")
         if old_ids is not None and new_ids is not None:
-            if not _numpy.array_equal(old_ids, new_ids):
+            if old_ids is not new_ids and not _numpy.array_equal(old_ids, new_ids):
                 return False
         elif previous.enabled_agents != self.enabled_agents:
             return False

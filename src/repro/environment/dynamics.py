@@ -138,11 +138,12 @@ def masked_state(
     state.
 
     The enabled agents are those set in the bool mask ``agent_up``, or —
-    when ``agent_up`` is None — the set ``all_agents``; the available
-    edges are ``up_edges``, an ascending ``int64`` index into
-    ``edge_sequence``, whose ``(u, v)`` endpoint arrays are
-    ``endpoints``.  Every array the state holds is fresh, never a view of
-    the mask.  Needs numpy.
+    when ``agent_up`` is None — ``all_agents``: every agent, as the
+    environment's one read-only ascending ``int64`` id array (or a set);
+    the available edges are ``up_edges``, an ascending ``int64`` index
+    into ``edge_sequence``, whose ``(u, v)`` endpoint arrays are
+    ``endpoints``.  Every other array the state holds is fresh, never a
+    view of the mask.  Needs numpy.
     """
     np = _numpy
     edge_u, edge_v = endpoints
@@ -243,22 +244,35 @@ class RandomChurnEnvironment(Environment):
         # the same ascending-id insertion order a fresh construction uses,
         # so sharing it never changes iteration order.
         self._all_agents = frozenset(self.topology.agent_ids)
-        # The edges' (u, v) endpoints as int64 arrays in draw order, built
-        # by array_transition().
+        # The array form's tables, built by _arrays() on first use: the
+        # edges' (u, v) endpoints as int64 arrays in draw order, and the
+        # all-enabled agents as one read-only ascending int64 id array,
+        # so no state sorts them again.
         self._edge_endpoints: tuple | None = None
+        self._all_agent_ids = None
+
+    def _arrays(self) -> tuple:
+        """The array form's ``(edge endpoints, all-agent ids)`` tables."""
+        if self._edge_endpoints is None:
+            self._edge_endpoints = edge_endpoints(self._edge_sequence)
+            ids = _numpy.arange(self.topology.num_agents, dtype=_numpy.int64)
+            ids.flags.writeable = False
+            self._all_agent_ids = ids
+        return self._edge_endpoints, self._all_agent_ids
 
     def advance(self, round_index: int, rng: random.Random) -> EnvironmentState:
         # One uniform draw per agent, then one per edge, in a fixed order —
         # exactly the stream the filtering loops below consume.  When every
-        # agent passes (agent_up_probability 1), the draws are still made
-        # (stream parity) but the comparisons and the list build are not:
-        # draw() is in [0, 1), so ``draw() < 1`` never filters anything.
+        # agent passes (agent_up_probability 1), the agent draws are still
+        # consumed (stream parity) but not compared: draw() is in [0, 1),
+        # so ``draw() < 1`` never filters anything.  Each random() consumes
+        # exactly two 32-bit words of the generator, so one getrandbits
+        # call of 64 bits per agent leaves it where those draws would.
         draw = rng.random
         agent_up = self.agent_up_probability
         up_agents = None
         if agent_up >= 1.0:
-            for _ in self.topology.agent_ids:
-                draw()
+            rng.getrandbits(64 * self.topology.num_agents)
         else:
             up_agents = [
                 agent for agent in self.topology.agent_ids if draw() < agent_up
@@ -277,19 +291,18 @@ class RandomChurnEnvironment(Environment):
         # The array form (masked_state): the labelling reads its effective
         # edge arrays, and its frozensets are built only if read.
         np = _numpy
-        if self._edge_endpoints is None:
-            self._edge_endpoints = edge_endpoints(sequence)
+        endpoints, all_agent_ids = self._arrays()
         agent_mask = None
         if up_agents is not None:
             agent_mask = np.zeros(self.topology.num_agents, dtype=np.bool_)
             agent_mask[up_agents] = True
         return masked_state(
             sequence,
-            self._edge_endpoints,
+            endpoints,
             np.array(up_edges, dtype=np.int64),
             agent_mask,
             round_index,
-            self._all_agents,
+            all_agent_ids,
         )
 
     def array_transition(self):
@@ -297,8 +310,7 @@ class RandomChurnEnvironment(Environment):
         # transition, so a subclass that overrides it does not inherit it.
         if _numpy is None or type(self).advance is not RandomChurnEnvironment.advance:
             return None
-        if self._edge_endpoints is None:
-            self._edge_endpoints = edge_endpoints(self._edge_sequence)
+        self._arrays()
         return self._advance_arrays
 
     def _advance_arrays(
@@ -317,7 +329,7 @@ class RandomChurnEnvironment(Environment):
             _numpy.flatnonzero(draws[num_agents:] < self.edge_up_probability),
             None if agent_up >= 1.0 else draws[:num_agents] < agent_up,
             round_index,
-            self._all_agents,
+            self._all_agent_ids,
         )
 
     def fairness_predicates(self):

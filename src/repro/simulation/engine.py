@@ -31,13 +31,19 @@ A round is one loop over the groups that can change.  A lone agent of
 an algorithm that declares ``singleton_stutters`` can only stutter, so
 by default the loop visits the groups of two or more agents and records
 a stutter for every other; ``incremental=False`` visits every group.
-Under the maximal scheduler the schedule is the state's own partition
-view (:meth:`EnvironmentState.component_partition`), read from its
-``int64`` labelling: the loop walks the view's bounds and gathers each
-group's states from a slice of its members, so no round builds a
+The loop reads the schedule as one layout ``(members, bounds,
+positions)`` of the groups it visits.  Under the maximal scheduler the
+schedule is the state's own partition view
+(:meth:`EnvironmentState.component_partition`), read from its ``int64``
+labelling, and the layout is the view's own, so no round builds a
 :class:`Group` — the round's :class:`RoundRecord` builds its ``groups``
 and ``judgements`` tuples only if something reads them.  A plugin
-scheduler's list takes the validated path instead.
+scheduler's list is validated and builds its layout once.  The round
+gathers every visited group's states in one pass, calls the step rule
+on each group's slice, and pays for the relation only where a group's
+states changed: a result equal to the slice is a stutter, and every
+other result is judged (:meth:`SelfSimilarAlgorithm.judge_step`).
+``incremental=False`` judges every step in full.
 
 Bookkeeping is *incremental* by default.  Instead of rebuilding the
 agent-state multiset and recomputing the objective ``h`` from scratch
@@ -53,8 +59,9 @@ therefore costs O(2) bookkeeping, not O(n) — matching the paper's
 "speed up or slow down depending on the resources available" story.
 ``incremental=False`` selects the from-scratch reference mode, the
 oracle the parity test suite compares the default against byte for
-byte; ``cross_check=True`` validates the maintained state and the
-labelled components against a full recomputation every round.
+byte; ``cross_check=True`` validates the maintained state, the
+labelled components and the loop's stutters against a full
+recomputation every round.
 """
 
 from __future__ import annotations
@@ -69,7 +76,12 @@ from ..core.algorithm import SelfSimilarAlgorithm
 from ..core.errors import SimulationError
 from ..core.multiset import Multiset
 from ..core.relation import STUTTER_JUDGEMENT, StepJudgement, StepKind
-from ..environment.base import Environment, EnvironmentState, check_components
+from ..environment.base import (
+    Environment,
+    EnvironmentState,
+    check_components,
+    group_layout,
+)
 from ..registry import register_engine
 from .checkpoint import RoundState
 from .protocol import Engine, RoundRecord
@@ -130,9 +142,11 @@ class Simulator(Engine):
     cross_check:
         Debug flag for the incremental path.  When True, every round the
         maintained multiset and objective are verified
-        against a full recomputation from the agent states — and the
+        against a full recomputation from the agent states — the
         labelled communication groups against a from-scratch component
-        walk — raising :class:`SimulationError` on any divergence.  With
+        walk, and every step the round loop took for a stutter against
+        the relation's full judgement — raising :class:`SimulationError`
+        on any divergence.  With
         ``incremental=False`` there is no maintained state to verify, so
         the combination is refused at construction.
     """
@@ -188,25 +202,32 @@ class Simulator(Engine):
         """Execute one round — one environment transition, one scheduled
         agent transition per group — and record what happened.
 
-        The loop visits ``steps``, the ``(position, members)`` of the
-        groups that run the step rule; every other group stutters.  When
-        the schedule is the state's own :class:`ComponentPartition` and
-        lone agents stutter, those are the view's non-singleton groups,
-        read as member slices of its layout, so the round builds no
-        :class:`Group`.  In incremental mode the state deltas the steps
-        install are folded into the maintained round state
-        (:meth:`_fold_round`); in full mode everything is recomputed
-        from the agent states.
+        The loop reads the schedule as one layout of the groups that run
+        the step rule, ``(members, bounds, positions)``: group ``k`` is
+        ``members[bounds[k]:bounds[k + 1]]``, at ``positions[k]`` in the
+        schedule, and every other group stutters.  When the schedule is
+        the state's own :class:`ComponentPartition` and lone agents
+        stutter, that is the view's own layout, so the round builds no
+        :class:`Group`; any other schedule builds its layout once.  The
+        states of every group are gathered in one pass before any group
+        installs (the groups are disjoint), the step rule runs on each
+        group's slice, and only a result that is not a plain stutter is
+        judged (:meth:`SelfSimilarAlgorithm.judge_step`).  In incremental
+        mode the state deltas the steps install are folded into the
+        maintained round state (:meth:`_fold_round`); in full mode every
+        step is judged in full and everything is recomputed from the
+        agent states.
         """
         environment_state = self._advance_environment(round_index)
         rng = self._state.rng
         scheduled = self.scheduler.schedule(environment_state, rng)
         incremental = self.incremental
+        cross_check = self.cross_check
         # The state's own partition is disjoint and in range by
         # construction, so the O(n) validation pass is unnecessary.
         own = incremental and scheduled is environment_state.component_partition()
         if own:
-            if self.cross_check:
+            if cross_check:
                 check_components(environment_state, "component labelling")
         else:
             _validate_partition(scheduled, self.environment.num_agents)
@@ -216,23 +237,20 @@ class Simulator(Engine):
         # declares that lone agents always stutter (and draw no
         # randomness), their step-rule calls can be skipped outright.
         if not (incremental and self.algorithm.singleton_stutters):
-            steps = ((index, group.members) for index, group in enumerate(scheduled))
+            members, bounds, positions = group_layout(
+                map(_group_members, scheduled), smallest=1
+            )
         elif own:
-            layout = scheduled.members
+            members = scheduled.members
             bounds = scheduled.bounds
-            steps = (
-                (position, layout[start:stop])
-                for position, start, stop in zip(scheduled.positions, bounds, bounds[1:])
-            )
+            positions = scheduled.positions
         else:
-            steps = (
-                (index, group.members)
-                for index, group in enumerate(scheduled)
-                if len(group.members) > 1
-            )
+            members, bounds, positions = group_layout(map(_group_members, scheduled))
 
         states = self.states
-        apply_group_step = self.algorithm.apply_group_step
+        gathered = list(map(states.__getitem__, members))
+        group_step = self.algorithm.group_step
+        judge_step = self.algorithm.judge_step
         stutter = STUTTER_JUDGEMENT
         # The judgements that are not stutters, by position.
         judged: dict[int, StepJudgement] = {}
@@ -243,15 +261,23 @@ class Simulator(Engine):
         # the floor to the largest group it visits.
         largest = 1 if scheduled else 0
         try:
-            for index, members in steps:
-                if len(members) > largest:
-                    largest = len(members)
-                states_after, judgement = apply_group_step(
-                    [states[member] for member in members], rng, fast_stutter=incremental
+            for position, start, stop in zip(positions, bounds, bounds[1:]):
+                if stop - start > largest:
+                    largest = stop - start
+                before = gathered[start:stop]
+                after = group_step(before, rng)
+                # A list equal to the one the step rule ran on is a
+                # stutter, which needs no judge (full mode judges it).
+                if incremental and type(after) is list and after == before:
+                    if cross_check:
+                        _verify_stutter(judge_step, before, after, round_index)
+                    continue
+                states_after, judgement = judge_step(
+                    before, after, fast_stutter=incremental
                 )
                 if judgement is stutter:
                     continue
-                judged[index] = judgement
+                judged[position] = judgement
                 if judgement.kind is not StepKind.STUTTER:
                     # Valid improvements are installed; invalid steps (only
                     # reachable when the algorithm's enforcement is off) are
@@ -263,7 +289,7 @@ class Simulator(Engine):
                     else:
                         invalid += 1
                     group_removed, group_added = install_states(
-                        members, states, states_after
+                        members[start:stop], states, states_after
                     )
                     removed.extend(group_removed)
                     added.extend(group_added)
@@ -305,7 +331,7 @@ class Simulator(Engine):
             invalid_steps=invalid,
             largest_group=largest,
         )
-        if self.cross_check:
+        if cross_check:
             _verify_round_counts(record)
         return record
 
@@ -416,6 +442,17 @@ def _verify_round_counts(record: RoundRecord) -> None:
                 f"{name} diverged from a rescan of round {record.round_index}'s "
                 f"judgements and groups ({kept} vs {expected})"
             )
+
+
+def _verify_stutter(judge_step, before: list, after: list, round_index: int) -> None:
+    """Debug cross-check: a step the round loop took for a stutter is one
+    by the relation's full judgement."""
+    kind = judge_step(before, after, fast_stutter=False)[1].kind
+    if kind is not StepKind.STUTTER:
+        raise SimulationError(
+            f"the round loop's stutter test diverged from the relation at "
+            f"round {round_index}: {before!r} -> {after!r} is {kind.name}"
+        )
 
 
 def _validate_partition(groups: Sequence[Group], num_agents: int) -> None:

@@ -388,6 +388,64 @@ def test_churn_advance_form_follows_the_labeller(
     assert array_rng == eager_rng
 
 
+@pytest.mark.parametrize("hidden", [False, True])
+@pytest.mark.parametrize("num_agents", [1, 2, 5, 64, 1000])
+def test_all_up_churn_discards_the_agent_draws_the_loop_made(
+    monkeypatch, num_agents, hidden
+):
+    # With every agent up, advance skips the n agent draws in one
+    # getrandbits call: the generator ends where n random() calls leave
+    # it, so the edge draws and the state are the per-agent loop's.
+    if hidden:
+        monkeypatch.setattr(base, "_numpy", None)
+    graph = tree_graph(num_agents)
+    environment = RandomChurnEnvironment(graph, edge_up_probability=0.4)
+    rng = random.Random(num_agents)
+    loop_rng = random.Random(num_agents)
+    for round_index in range(3):
+        state = environment.advance(round_index, rng)
+        for _ in range(num_agents):
+            loop_rng.random()
+        up_edges = frozenset(
+            edge for edge in tuple(graph.edges) if loop_rng.random() < 0.4
+        )
+        assert rng.getstate() == loop_rng.getstate()
+        assert state == base.EnvironmentState(
+            frozenset(range(num_agents)), up_edges, round_index
+        )
+        assert list(state.enabled_agents) == list(range(num_agents))
+
+
+@needs_numpy
+@pytest.mark.parametrize("agent_up", [1.0, 0.9999])
+def test_all_up_churn_states_share_one_read_only_id_array(monkeypatch, agent_up):
+    # The all-enabled agents are one ascending int64 array per
+    # environment, so a state's partition view never sorts them again.
+    # (The array transition's states hold the ids its agent mask sets
+    # whenever agents may be down.)
+    environment = RandomChurnEnvironment(tree_graph(50), 0.5, agent_up)
+    rng = random.Random(2)
+    states = [environment.advance(round_index, rng) for round_index in range(4)]
+    transition = environment.array_transition()
+    arrays = [transition(round_index, rng) for round_index in range(4, 8)]
+    shared = [state.__dict__["_enabled_ids"] for state in states]
+    if agent_up == 1.0:
+        shared += [state.__dict__["_enabled_ids"] for state in arrays]
+    assert all(ids is shared[0] for ids in shared)
+    assert shared[0].tolist() == list(range(50))
+    assert not shared[0].flags.writeable
+    states += arrays
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("the enabled agents were sorted")
+
+    monkeypatch.setattr(base._numpy, "sort", no_sort)
+    for state in states:
+        assert state.component_partition().tuples() == base.connected_component_tuples(
+            state.enabled_agents, state.effective_edges()
+        )
+
+
 def test_churn_subclass_overriding_the_transition_loses_the_array_form():
     # The array form reproduces RandomChurnEnvironment's own transition;
     # a subclass that overrides it, even by plain delegation, must be

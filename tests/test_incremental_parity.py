@@ -1107,6 +1107,19 @@ def _caught_by_reference_mode(scheduler_name):
     return False
 
 
+def _caught_by_reference_mode_and_cross_check(scheduler_name):
+    """A fault in the round loop's own stutter test shows in both checks:
+    the default run diverges from the ``incremental=False`` oracle, which
+    judges every step in full, and ``cross_check`` judges every step the
+    loop took for a stutter in full."""
+    reference = _caught_by_reference_mode(scheduler_name)
+    checked = _caught_by_cross_check(scheduler_name)
+    assert reference == checked, (
+        f"reference mode caught: {reference}, cross_check: {checked}"
+    )
+    return reference
+
+
 def _caught_by_legacy_loop(_scheduler_name):
     """The messaging run diverges from the legacy send/deliver loop, whose
     plain ``advance`` recomputes every view from scratch."""
@@ -1149,10 +1162,17 @@ def _seeded_mutations():
         ),
         "singleton-skip-widened-to-pairs": (
             Simulator, "_execute_round",
-            "for position, start, stop in zip(scheduled.positions, bounds, bounds[1:])",
-            "for position, start, stop in zip(scheduled.positions, bounds, bounds[1:])"
-            " if stop - start > 2",
+            "for position, start, stop in zip(positions, bounds, bounds[1:]):",
+            "for position, start, stop in ("
+            "(p, a, b) for p, a, b in zip(positions, bounds, bounds[1:])"
+            " if not incremental or b - a > 2):",
             "maximal", _caught_by_reference_mode,
+        ),
+        "inline-stutter-skips-changed-groups": (
+            Simulator, "_execute_round",
+            "type(after) is list and after == before",
+            "type(after) is list and len(after) == len(before)",
+            "maximal", _caught_by_reference_mode_and_cross_check,
         ),
         "messaging-memo-adoption-on-nonempty-delta": (
             Engine, "_advance_environment",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro import Simulator, minimum_algorithm, summation_algorithm
@@ -12,7 +14,12 @@ from repro.algorithms import (
     second_smallest_direct_algorithm,
 )
 from repro.core import Multiset
-from repro.core.errors import SimulationError
+from repro.core.errors import (
+    ConservationViolation,
+    ReproError,
+    SimulationError,
+    SpecificationError,
+)
 from repro.core.relation import StepKind
 from repro.environment import (
     BlackoutAdversary,
@@ -414,13 +421,13 @@ class TestRoundCounts:
         the order it runs them."""
         sizes = []
         algorithm = engine.algorithm
-        apply_group_step = algorithm.apply_group_step
+        group_step = algorithm.group_step
 
-        def counted(states, *args, **kwargs):
+        def counted(states, rng):
             sizes.append(len(states))
-            return apply_group_step(states, *args, **kwargs)
+            return group_step(states, rng)
 
-        monkeypatch.setattr(algorithm, "apply_group_step", counted)
+        monkeypatch.setattr(algorithm, "group_step", counted)
         return sizes
 
     def test_maintained_loop(self, monkeypatch):
@@ -508,6 +515,87 @@ class TestRoundCounts:
             return [_counts(record) for record in engine.steps(max_rounds=40)]
 
         assert counts(True) == counts(False)
+
+
+def _tuple_step(states, rng):
+    low = min(states)
+    return tuple(low for _ in states)
+
+
+def _in_place_step(states, rng):
+    states[:] = [min(states)] * len(states)
+    return states
+
+
+def _short_step(states, rng):
+    if len(states) <= 1:
+        return list(states)
+    return [min(states)] * (len(states) - 1)
+
+
+def _nonconserving_step(states, rng):
+    if len(states) <= 1:
+        return list(states)
+    return [state - 1 for state in states]
+
+
+class TestStepRuleEdgeCases:
+    """The round loop runs the step rule itself and judges only what is
+    not a plain stutter, so what a step rule may return is pinned here:
+    the default and the from-scratch mode agree on every record, every
+    state and every exception."""
+
+    def _outcome(self, group_step, incremental, rounds=30):
+        algorithm = dataclasses.replace(minimum_algorithm(), group_step=group_step)
+        environment = RandomChurnEnvironment(
+            tree_graph(15), edge_up_probability=0.5, agent_up_probability=0.9
+        )
+        values = [(7 * agent) % 15 for agent in range(15)]
+        engine = Simulator(
+            algorithm, environment, values, seed=5, incremental=incremental
+        )
+        records = []
+        error = None
+        try:
+            for record in engine.steps(max_rounds=rounds):
+                records.append(record)
+        except ReproError as raised:
+            error = raised
+        return records, list(engine.states), error
+
+    def _both_modes(self, group_step):
+        default = self._outcome(group_step, incremental=True)
+        from_scratch = self._outcome(group_step, incremental=False)
+        assert default[:2] == from_scratch[:2]
+        default_error, scratch_error = default[2], from_scratch[2]
+        assert type(default_error) is type(scratch_error)
+        assert str(default_error) == str(scratch_error)
+        assert vars(default_error or Exception()) == vars(scratch_error or Exception())
+        return default
+
+    def test_a_tuple_result_is_judged_like_a_list(self):
+        records, states, error = self._both_modes(_tuple_step)
+        assert error is None
+        assert any(record.improving_steps for record in records)
+        assert records == self._outcome(minimum_algorithm().group_step, True)[0]
+
+    def test_mutating_the_input_and_returning_it_is_a_stutter(self):
+        records, states, error = self._both_modes(_in_place_step)
+        assert error is None
+        assert any(record.largest_group > 1 for record in records)
+        assert all(record.improving_steps == 0 for record in records)
+        assert states == [(7 * agent) % 15 for agent in range(15)]
+
+    def test_a_result_of_the_wrong_length_is_a_specification_error(self):
+        records, states, error = self._both_modes(_short_step)
+        assert isinstance(error, SpecificationError)
+        assert "returned" in str(error)
+
+    def test_an_enforcement_violation_carries_the_step(self):
+        records, states, error = self._both_modes(_nonconserving_step)
+        assert isinstance(error, ConservationViolation)
+        assert len(error.before) > 1
+        assert error.after == [state - 1 for state in error.before]
 
 
 class TestPartitionView:
