@@ -35,10 +35,12 @@ while the collective state stays large.
   n under ``tracemalloc``, reporting the peak traced allocation.  The
   ``"none"`` mode's peak must stay flat in the number of rounds — that is
   the bounded-memory contract of the streaming Engine/Probe redesign.
-* **Checkpoint overhead**: the same ``history="none"`` run with and
-  without a rolling :class:`~repro.simulation.probes.CheckpointProbe`
-  (``every=100``), reporting the rounds/sec cost of durability.  The
-  contract is <5% at the default cadence, gated like the other workloads.
+* **Checkpoint overhead**: the same ``history="none"`` run with a rolling
+  :class:`~repro.simulation.probes.CheckpointProbe` (``every=100``),
+  reporting the share of the run's time its writes took — the rounds/sec
+  cost of durability.  The contract is <5% at the default cadence, gated
+  like the other workloads; a run without the probe is recorded beside
+  it.
 
 Results are written as JSON (default ``benchmarks/perf/BENCH_engine.json``)
 so CI can archive the perf trajectory PR over PR, and the ``--check`` mode
@@ -57,6 +59,7 @@ import argparse
 import json
 import pathlib
 import platform
+import statistics
 import sys
 import tempfile
 import time
@@ -85,11 +88,11 @@ QUICK_SIZES = ((100, 200), (1_000, 40))
 MEMORY_SIZE = (10_000, 60)
 QUICK_MEMORY_SIZE = (10_000, 20)
 
-#: (num_agents, rounds, checkpoint cadence) of the durability measurement.
-#: The cadence is the documented default (every=100); rounds cover several
-#: checkpoints so the cost is averaged over the cadence, not one write.
+#: (num_agents, rounds, checkpoint cadence) of the durability measurement,
+#: quick runs included.  The cadence is the documented default
+#: (every=100); rounds cover four checkpoints per run, so the typical
+#: write is taken over several and not one.
 CHECKPOINT_SIZE = (1_000, 400, 100)
-QUICK_CHECKPOINT_SIZE = (1_000, 200, 100)
 
 #: Maximum tolerated rounds/sec cost of rolling checkpoints at the
 #: default cadence (the "durability is effectively free" contract).
@@ -339,39 +342,61 @@ def run_memory_benchmark(num_agents: int, rounds: int) -> dict:
 
 def measure_checkpoint_overhead(num_agents: int, rounds: int, every: int,
                                 repeats: int) -> dict:
-    """Rounds/sec of the flagship run with vs. without rolling checkpoints.
+    """The rounds/sec cost of rolling checkpoints, measured inside the runs.
 
-    Both arms execute the identical ``history="none"`` driver run
-    (``stop_at_convergence=False`` pins the round count); the checkpointed
-    arm adds one :class:`CheckpointProbe` writing real files to a
-    temporary directory — serialization and atomic-replace I/O included,
-    because that is what a durable production run pays.
+    Each repeat executes the flagship ``history="none"`` driver run
+    (``stop_at_convergence=False`` pins the round count) with one
+    :class:`CheckpointProbe` writing real files to a temporary directory —
+    state capture, serialization and atomic-replace I/O included, because
+    that is what a durable production run pays — and a subclass times
+    every write.  The overhead is the typical write (the median of every
+    write of every repeat) times the writes a run makes, over a run's
+    time: the rounds' time (the median over repeats of each run's time
+    less its writes) plus those writes.  Both parts come from the same
+    runs, so a machine whose speed drifts between runs moves them
+    together, where the difference of two separately timed arms moved by
+    more than the budget; and the median write is not moved by one slow
+    ``fsync``.  A run without the probe is recorded beside it, ungated.
     """
     from repro.simulation.probes import CheckpointProbe
 
-    def timed_run(probes) -> float:
-        best = 0.0
-        for _ in range(repeats):
-            simulator = build_simulator(num_agents)
-            simulator.initial_snapshot()
-            time.sleep(0.3)
-            start = time.perf_counter()
-            simulator.run(
-                max_rounds=rounds,
-                stop_at_convergence=False,
-                history="none",
-                probes=probes(),
-            )
-            elapsed = time.perf_counter() - start
-            best = max(best, rounds / elapsed)
-        return best
+    class TimedCheckpointProbe(CheckpointProbe):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            self.write_times: list[float] = []
 
-    plain = timed_run(lambda: None)
-    with tempfile.TemporaryDirectory(prefix="bench-ckpt-") as directory:
-        checkpointed = timed_run(
-            lambda: [CheckpointProbe(every=every, directory=directory)]
+        def _write(self, rounds_executed: int) -> None:
+            start = time.perf_counter()
+            super()._write(rounds_executed)
+            self.write_times.append(time.perf_counter() - start)
+
+    def timed_run(probes) -> float:
+        simulator = build_simulator(num_agents)
+        simulator.initial_snapshot()
+        time.sleep(0.3)
+        start = time.perf_counter()
+        simulator.run(
+            max_rounds=rounds,
+            stop_at_convergence=False,
+            history="none",
+            probes=probes,
         )
-    overhead = 1.0 - checkpointed / plain if plain else 0.0
+        return time.perf_counter() - start
+
+    plain = max(rounds / timed_run(None) for _ in range(repeats))
+    probes = []
+    with tempfile.TemporaryDirectory(prefix="bench-ckpt-") as directory:
+        for _ in range(repeats):
+            probe = TimedCheckpointProbe(every=every, directory=directory)
+            probes.append((probe, timed_run([probe])))
+    writes = len(probes[0][0].write_times) * statistics.median(
+        seconds for probe, _ in probes for seconds in probe.write_times
+    )
+    rounds_s = statistics.median(
+        elapsed - sum(probe.write_times) for probe, elapsed in probes
+    )
+    overhead = writes / (rounds_s + writes)
+    checkpointed = rounds / (rounds_s + writes)
     entry = {
         "num_agents": num_agents,
         "rounds": rounds,
@@ -383,8 +408,8 @@ def measure_checkpoint_overhead(num_agents: int, rounds: int, every: int,
     }
     print(
         f"checkpoint n={num_agents:>6} every={every}: plain {plain:>9.1f} rps | "
-        f"checkpointed {checkpointed:>9.1f} rps | overhead {overhead:>6.2%} "
-        f"(budget {CHECKPOINT_OVERHEAD_BUDGET:.0%})"
+        f"checkpointed {checkpointed:>9.1f} rps | writes {overhead:>6.2%} of "
+        f"the run (budget {CHECKPOINT_OVERHEAD_BUDGET:.0%})"
     )
     return entry
 
@@ -559,8 +584,8 @@ def check_regression(report: dict, baseline: dict,
     if compared == 0:
         failures.append("no overlapping sizes between this run and the baseline")
     # The durability contract: rolling checkpoints at the default cadence
-    # must cost <5% rounds/sec.  The overhead fraction is a same-machine
-    # ratio (like the speedup), so it is hardware-independent by
+    # must cost <5% rounds/sec.  The overhead fraction is a ratio of two
+    # times taken in the same runs, so it is hardware-independent by
     # construction; the committed baseline only relaxes the gate if it
     # itself recorded a higher overhead (then regression is measured
     # against that, tolerance applied).
@@ -651,7 +676,7 @@ def main(argv=None) -> int:
     if args.no_checkpoint:
         checkpoint_size = None
     else:
-        checkpoint_size = QUICK_CHECKPOINT_SIZE if args.quick else CHECKPOINT_SIZE
+        checkpoint_size = CHECKPOINT_SIZE
 
     report = run_benchmark(
         sizes,

@@ -29,7 +29,7 @@ Everything is standard library only; importing this package registers the
 ``service-sink`` probe.
 """
 
-from .cache import ResultCache
+from .cache import ResultCache, ResultsLine
 from .client import ServiceClient, ServiceError
 from .jobs import Job, JobStore, Submission
 from .server import ExperimentService
@@ -42,6 +42,7 @@ __all__ = [
     "Job",
     "JobStore",
     "ResultCache",
+    "ResultsLine",
     "ServiceClient",
     "ServiceError",
     "ServiceSinkProbe",

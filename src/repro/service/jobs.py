@@ -34,12 +34,12 @@ import traceback
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping
 
-from ..core.durable import atomic_write_text, quarantine
+from ..core.durable import atomic_write_text, quarantine, sha256_hex
 from ..core.errors import SpecificationError
 from ..experiment import ExperimentSpec, expand_grid
 from ..simulation.batch import MANIFEST_NAME, BatchRunner, format_failure
 from ..simulation.result import readable_json
-from .cache import ResultCache
+from .cache import ResultCache, ResultsLine
 from .streams import BROKER, SERVING_BROKER, EventBroker
 
 __all__ = [
@@ -153,11 +153,15 @@ class Submission:
 
 @dataclass
 class Job:
-    """One submission's lifecycle record (persisted as ``job.json``)."""
+    """One submission's lifecycle record (persisted as ``job.json``).
+
+    A finished job's ``submission`` is None in memory: only its record on
+    disk keeps it, so the store does not grow with the jobs it has served.
+    """
 
     id: str
     fingerprint: str
-    submission: dict
+    submission: dict | None
     status: str = "queued"
     cached: bool = False
     channels: tuple = ()
@@ -211,14 +215,20 @@ class JobStore:
     in) and, once the job is terminal, ``.../events/unit-NNNN.jsonl``
     (each unit's finished event stream).  A finished job owns its
     results inside its ``job.json``: the record as readable JSON, then
-    the per-seed results as one JSON line, written together in one
-    atomic write — a cache hit's whole footprint.
+    the :class:`~repro.service.cache.ResultsLine` — the per-seed results
+    as one compact JSON line, byte for byte the line its cache entry
+    holds — written together in one atomic write, a cache hit's whole
+    footprint.  The record carries the line's SHA-256
+    (``results_sha256``), and ``GET /runs/<id>`` serves the line at its
+    recorded offset once that digest verifies, without parsing it.
+
     Records are loaded once at construction — the service owns its data
     directory exclusively — decoding only each file's leading record, and
     every mutation is saved back atomically and durably
-    (:func:`~repro.core.durable.atomic_write_text`).  Directories written
-    before results moved into ``job.json`` keep them in ``results.json``,
-    which is still served.
+    (:func:`~repro.core.durable.atomic_write_text`).  Older directories
+    still serve, their results parsed to check them: a ``job.json``
+    whose results line carries no digest, and, from before results moved
+    into ``job.json``, a separate ``results.json``.
 
     A record that no longer parses is quarantined (``.corrupt``) with a
     logged reason instead of aborting the whole service start: one
@@ -232,8 +242,10 @@ class JobStore:
         #: Notified whenever a job's status changes in memory.
         self._changed = threading.Condition(self._lock)
         self._jobs: dict[str, Job] = {}
-        #: Byte offset of the results in each finished job's ``job.json``.
-        self._results_at: dict[str, int] = {}
+        #: Where each finished job's results line starts in its
+        #: ``job.json``, and the line's SHA-256 (None when the record
+        #: carries none).
+        self._results_at: dict[str, tuple[int, str | None]] = {}
         #: In-flight (queued/running) job ids by fingerprint: dedup never
         #: walks the history.
         self._active: dict[str, set[str]] = {}
@@ -247,8 +259,7 @@ class JobStore:
                 continue
             self._jobs[job.id] = job
             self._track(job)
-            if results_at is not None:
-                self._results_at[job.id] = results_at
+            self._settle(job, results_at)
 
     # -- paths -------------------------------------------------------------------
 
@@ -278,14 +289,17 @@ class JobStore:
         channels: tuple | Callable[[str], tuple] = (),
         status: str = "queued",
         cached: bool = False,
-        results: list[dict] | None = None,
+        results: ResultsLine | list[dict] | None = None,
     ) -> Job:
         """Create, index and persist a job in one write.
 
         ``channels`` may be a function of the new job's id, so a record is
         never persisted without them.  ``results`` (a finished job, such
-        as a cache hit) are written into the same ``job.json``.
+        as a cache hit) are written into the same ``job.json``: a results
+        line as it is, a list encoded as one.
         """
+        if isinstance(results, list):
+            results = ResultsLine.encode(results)
         with self._lock:
             index = len(self._jobs) + 1
             while f"run-{index:04d}" in self._jobs:
@@ -302,9 +316,8 @@ class JobStore:
             self._jobs[job.id] = job
             self._track(job)
         results_at = self._write(job, results)
-        if results_at is not None:
-            with self._lock:
-                self._results_at[job.id] = results_at
+        with self._lock:
+            self._settle(job, results_at)
         return job
 
     def save(self, job: Job) -> None:
@@ -314,55 +327,62 @@ class JobStore:
         with self._lock:
             self._results_at.pop(job.id, None)
 
-    def _write(self, job: Job, results: list[dict] | None) -> int | None:
-        """Persist ``job``'s record, followed by ``results`` when given;
-        returns the results' byte offset in the file."""
+    def _write(
+        self, job: Job, results: ResultsLine | None
+    ) -> tuple[int, str] | None:
+        """Persist ``job``'s record, followed by the ``results`` line when
+        given; returns where the line starts in the file, and its digest."""
         if job.status not in JOB_STATUSES:
             raise SpecificationError(
                 f"unknown job status {job.status!r}; known: {JOB_STATUSES}"
             )
-        record = readable_json(job.to_dict())
+        record = job.to_dict()
         path = self.record_path(job.id)
         if results is None:
-            atomic_write_text(path, record)
+            atomic_write_text(path, readable_json(record))
             return None
-        atomic_write_text(path, f"{record}\n{json.dumps(results)}\n")
-        return len(record.encode("utf-8")) + 1
+        record["results_sha256"] = results.sha256
+        head = readable_json(record)
+        atomic_write_text(path, f"{head}\n{results.text}\n")
+        return len(head.encode("utf-8")) + 1, results.sha256
 
     def update(self, job: Job, **changes: Any) -> Job:
-        """Apply field changes under the store lock, then persist.
+        """Persist field changes, then apply them under the store lock.
 
         The worker thread advances job lifecycles while HTTP handler
         threads serve ``job.summary()`` from the same records; funnelling
         every mutation through here keeps the record transition atomic
-        with respect to those readers.
+        with respect to those readers, and a reader that sees the new
+        status finds it on disk.
         """
         for name in changes:
             if not hasattr(job, name):
                 raise SpecificationError(f"unknown job field {name!r}")
-        with self._lock:
-            self._untrack(job)
-            for name, value in changes.items():
-                setattr(job, name, value)
-            self._track(job)
-            self._changed.notify_all()
-        self.save(job)
+        self._write(replace(job, **changes), None)
+        self._apply(job, changes, None)
         return job
 
-    def complete(self, job: Job, results: list[dict]) -> Job:
+    def complete(self, job: Job, results: ResultsLine) -> Job:
         """Persist ``job`` as done together with its results, in one write.
 
         The file lands before the record turns ``done`` in memory, so a
         reader that sees the status also finds the results.
         """
-        results_at = self._write(replace(job, status="done", error=None), results)
+        changes = {"status": "done", "error": None}
+        results_at = self._write(replace(job, **changes), results)
+        self._apply(job, changes, results_at)
+        return job
+
+    def _apply(
+        self, job: Job, changes: Mapping[str, Any], results_at: tuple | None
+    ) -> None:
         with self._lock:
             self._untrack(job)
-            job.status, job.error = "done", None
+            for name, value in changes.items():
+                setattr(job, name, value)
             self._track(job)
-            self._results_at[job.id] = results_at
+            self._settle(job, results_at)
             self._changed.notify_all()
-        return job
 
     def wait_finished(
         self, job_id: str, stop: Callable[[], bool], poll_interval: float
@@ -400,6 +420,16 @@ class JobStore:
             if not ids:
                 del self._active[job.fingerprint]
 
+    def _settle(self, job: Job, results_at: tuple | None) -> None:
+        """Note where ``job``'s results line is, and drop a finished job's
+        submission: its record on disk keeps it (callers hold the lock)."""
+        if results_at is None:
+            self._results_at.pop(job.id, None)
+        else:
+            self._results_at[job.id] = results_at
+        if job.status not in ("queued", "running"):
+            job.submission = None
+
     def get(self, job_id: str) -> Job | None:
         with self._lock:
             return self._jobs.get(job_id)
@@ -425,49 +455,96 @@ class JobStore:
 
     # -- results -----------------------------------------------------------------
 
-    def load_results(self, job_id: str) -> list[dict] | None:
-        """The job's results, or None before they exist.
+    def served(self, job: Job) -> tuple[dict | None, bytes | None]:
+        """``job``'s submission, and its results as JSON bytes (None before
+        they exist).
 
-        Results that no longer parse are quarantined with their file and
-        the record is saved back without them, as a job that never
-        finished writing would read.
+        A job in flight answers from memory.  A finished one reads its
+        ``job.json``: the record for the submission, and the results line
+        at the recorded offset, checked against the recorded SHA-256 and
+        not parsed.  A line without a digest, and a ``results.json``, are
+        parsed to check them.  Results that fail the check are quarantined
+        with their file, and the record is saved back without them, as a
+        job that never finished writing would read.  A record that no
+        longer parses is quarantined and serves neither.
         """
         with self._lock:
-            offset = self._results_at.get(job_id)
-        if offset is None:
-            path = self.results_path(job_id)
-        else:
-            path = self.record_path(job_id)
+            submission = job.submission
+            results_at = self._results_at.get(job.id)
+        if submission is not None:
+            return submission, None
+        path = self.record_path(job.id)
         try:
-            with open(path, "rb") as handle:
-                handle.seek(offset or 0)
-                return json.loads(handle.read())
+            data = path.read_bytes()
         except OSError:
-            return None
-        except ValueError as error:
-            quarantine(path, f"corrupt service job results: {error}")
-            job = self.get(job_id)
-            if offset is not None and job is not None:
-                self.save(job)
-            return None
+            return None, None
+        try:
+            record = json.loads(data[: results_at[0] if results_at else None])
+            submission = dict(record["submission"])
+        except (ValueError, KeyError, TypeError) as error:
+            quarantine(path, f"corrupt service job record: {error}")
+            return None, None
+        if results_at is None:
+            path = self.results_path(job.id)
+            try:
+                results = path.read_bytes()
+            except OSError:
+                return submission, None
+            digest = None
+        else:
+            offset, digest = results_at
+            results = data[offset:]
+        damage = _damage(results, digest)
+        if damage is None:
+            return submission, results.strip()
+        quarantine(path, f"corrupt service job results: {damage}")
+        if results_at is not None:
+            self.save(Job.from_dict(record))
+        return submission, None
+
+    def load_results(self, job_id: str) -> list[dict] | None:
+        """The job's results, parsed; None before they exist (see
+        :meth:`served`, which the HTTP API reads without parsing)."""
+        job = self.get(job_id)
+        results = None if job is None else self.served(job)[1]
+        return None if results is None else json.loads(results)
 
 
 _DECODER = json.JSONDecoder()
 
 
-def _read_job_file(path: pathlib.Path) -> tuple[Job, int | None]:
-    """A ``job.json``'s record, and the byte offset of the results that
-    follow it (None when it holds only the record); the results are not
-    parsed."""
-    text = path.read_bytes().decode("utf-8")
-    data, end = _DECODER.raw_decode(text)
-    if not isinstance(data, Mapping):
+def _read_job_file(path: pathlib.Path) -> tuple[Job, tuple | None]:
+    """A ``job.json``'s record, and where the results line that follows
+    it starts with the line's recorded digest (None when the file holds
+    only a record that names none); the line is neither parsed nor
+    decoded, so damage to it is found when it is served."""
+    data = path.read_bytes()
+    text = data.decode("utf-8", "surrogateescape")
+    record, end = _DECODER.raw_decode(text)
+    if not isinstance(record, Mapping):
         raise SpecificationError("a job record must be a JSON object")
-    job = Job.from_dict(data)
-    if not text[end:].strip():
+    job = Job.from_dict(record)
+    # Strict: bytes of the record that are not UTF-8 fail here.
+    head = len(text[:end].encode("utf-8"))
+    digest = record.get("results_sha256")
+    if digest is None and not data[head:].strip():
         return job, None
-    return job, len(text[:end].encode("utf-8")) + 1
+    return job, (head + 1, digest)
 
+
+def _damage(results: bytes, digest: str | None) -> str | None:
+    """Why ``results`` cannot be served, or None when they can: a results
+    line and its newline are checked against the line's ``digest``;
+    results recorded without one are parsed."""
+    if digest is not None:
+        if results.endswith(b"\n") and sha256_hex(results[:-1]) == digest:
+            return None
+        return "the results line fails its digest"
+    try:
+        json.loads(results)
+    except ValueError as error:
+        return str(error)
+    return None
 
 
 class JobQueue:
@@ -554,8 +631,9 @@ class JobQueue:
 
         Dedup order: an identical in-flight job is joined (no new job), a
         cache hit is answered as an immediately-``done`` job holding the
-        cached results and zero engine rounds, and only then is a fresh
-        job queued.  ``force`` skips both short-circuits.
+        cached results line, copied as read, and zero engine rounds, and
+        only then is a fresh job queued.  ``force`` skips both
+        short-circuits.
         """
         if self.draining:
             raise SpecificationError(
@@ -566,14 +644,14 @@ class JobQueue:
             active = self.store.find_active(fingerprint)
             if active is not None:
                 return active, False
-            entry = self.cache.get(fingerprint)
-            if entry is not None:
+            line = self.cache.get(fingerprint)
+            if line is not None:
                 job = self.store.new_job(
                     fingerprint,
                     submission.to_dict(),
                     status="done",
                     cached=True,
-                    results=entry["results"],
+                    results=line,
                 )
                 return job, True
         units = submission.unit_count()
@@ -685,12 +763,14 @@ class JobQueue:
             # Served records carry the unit's spec as submitted, not the
             # durable spec with this service's channel and checkpoint path.
             unit_specs = [spec.to_dict() for spec in specs for _ in spec.seeds]
-            results = [
-                {**item.to_dict(), "spec": unit_spec}
-                for item, unit_spec in zip(batch, unit_specs)
-            ]
-            self.cache.put(job.fingerprint, job.submission, results)
-            self.store.complete(job, results)
+            line = ResultsLine.encode(
+                [
+                    {**item.to_dict(), "spec": unit_spec}
+                    for item, unit_spec in zip(batch, unit_specs)
+                ]
+            )
+            self.cache.put(job.fingerprint, line)
+            self.store.complete(job, line)
 
     def finish_channels(self, job: Job) -> None:
         """Close a terminal job's channels for good: each unit's stream

@@ -110,8 +110,16 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- plumbing ----------------------------------------------------------------
 
-    def _send_json(self, status: int, payload: dict) -> None:
+    def _send_json(
+        self, status: int, payload: dict, results: bytes | None = None
+    ) -> None:
+        """Answer with ``payload`` as readable JSON.  ``results``, checked
+        JSON bytes, become the body's last member ``"results"`` as they
+        are, never decoded or re-encoded."""
         body = (readable_json(payload) + "\n").encode("utf-8")
+        if results is not None:
+            # A non-empty object's readable JSON ends in "\n}".
+            body = b"".join((body[:-3], b',\n  "results": ', results, b"\n}\n"))
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -244,11 +252,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, f"unknown run {job_id!r}")
             return
         payload = dict(job.summary())
-        payload["submission"] = job.submission
-        results = self.service.store.load_results(job.id)
-        if results is not None:
-            payload["results"] = results
-        self._send_json(200, payload)
+        payload["submission"], results = self.service.store.served(job)
+        self._send_json(200, payload, results)
 
     # -- server-sent events ------------------------------------------------------
 

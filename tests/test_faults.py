@@ -40,7 +40,7 @@ from repro.faults import (
     run_chaos,
 )
 from repro.faults.chaos import split_crash_probes
-from repro.service import ExperimentService, ResultCache
+from repro.service import ExperimentService, ResultCache, ResultsLine
 from repro.service.jobs import JobStore
 from repro.simulation import BatchRunner, MergeMessagePassingSimulator
 from repro.simulation import checkpoint as checkpoint_module
@@ -580,7 +580,7 @@ class TestServiceStateRecovery:
     def test_corrupt_cache_entry_is_a_counted_miss(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         fingerprint = minimum_spec().fingerprint()
-        cache.put(fingerprint, {"spec": True}, [{"result": 1}])
+        cache.put(fingerprint, ResultsLine.encode([{"result": 1}]))
         path = cache._path(fingerprint)
         path.write_text("{not json")
 
@@ -592,7 +592,7 @@ class TestServiceStateRecovery:
     def test_one_digit_change_is_a_counted_corrupt_miss(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         fingerprint = minimum_spec().fingerprint()
-        cache.put(fingerprint, {"spec": True}, [{"output": 41}])
+        cache.put(fingerprint, ResultsLine.encode([{"output": 41}]))
         path = cache._path(fingerprint)
         path.write_text(path.read_text().replace('"output": 41', '"output": 11'))
 
@@ -603,7 +603,8 @@ class TestServiceStateRecovery:
     def test_one_bit_flips_in_an_entry_are_always_caught(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         fingerprint = minimum_spec().fingerprint()
-        cache.put(fingerprint, {"spec": True}, [{"output": 41, "rounds": 7}])
+        line = ResultsLine.encode([{"output": 41, "rounds": 7}])
+        cache.put(fingerprint, line)
         path = cache._path(fingerprint)
         data = path.read_bytes()
         rng = random.Random("cache-flips")
@@ -614,14 +615,46 @@ class TestServiceStateRecovery:
             assert cache.get(fingerprint) is None, (index, bit)
             assert cache.stats()["corrupt"] == count
         path.write_bytes(data)
-        assert cache.get(fingerprint)["results"] == [{"output": 41, "rounds": 7}]
+        assert data == f"repro-sha256 {line.sha256}\n{line.text}".encode()
+        assert cache.get(fingerprint) == line
+
+    def test_one_bit_flips_in_a_job_results_line_are_always_caught(self, tmp_path):
+        store = JobStore(tmp_path / "jobs")
+        submission = {"spec": minimum_spec().to_dict()}
+        results = [{"output": 41, "rounds": 7}]
+        job = store.new_job("ab" * 32, submission, status="done", results=results)
+        path = store.record_path(job.id)
+        data = path.read_bytes()
+        line_at = data.rindex(b"\n", 0, len(data) - 1) + 1
+        assert data[line_at:] == json.dumps(results).encode() + b"\n"
+        record = json.loads(data[:line_at])
+        del record["results_sha256"]
+        rng = random.Random("job-line-flips")
+        for index in range(line_at, len(data)):
+            path.write_bytes(data)
+            flip_bit(path, index, rng.randrange(8))
+            reloaded = JobStore(tmp_path / "jobs")
+            assert reloaded.served(reloaded.get(job.id)) == (submission, None), index
+            assert path.with_name("job.json.corrupt").exists()
+            # Saved back without results, the submission kept.
+            assert json.loads(path.read_text()) == record
+        path.write_bytes(data)
+        assert JobStore(tmp_path / "jobs").load_results(job.id) == results
 
     def test_parent_written_entry_is_still_served(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         fingerprint = minimum_spec().fingerprint()
-        entry = cache.put(fingerprint, {"spec": True}, [{"output": 41}])
-        cache._path(fingerprint).write_text(json.dumps(entry))
-        assert ResultCache(tmp_path / "cache").get(fingerprint) == entry
+        entry = {
+            "format": "repro-cache-entry",
+            "fingerprint": fingerprint,
+            "spec": True,
+            "results": [{"output": 41}],
+        }
+        path = cache._path(fingerprint)
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(entry))
+        line = ResultCache(tmp_path / "cache").get(fingerprint)
+        assert line == ResultsLine.encode([{"output": 41}])
 
     def test_damaged_entry_re_executes_byte_identically(self, service, connect):
         instance = service()

@@ -44,6 +44,7 @@ from repro.service import (
     EventBroker,
     ExperimentService,
     ResultCache,
+    ResultsLine,
     ServiceClient,
     ServiceError,
     ServiceSinkProbe,
@@ -55,6 +56,7 @@ from repro.service import server as server_module
 from repro.service import streams as streams_module
 from repro.service.jobs import JobInterrupted, JobQueue, JobStore
 from repro.simulation.protocol import Probe
+from repro.simulation.result import readable_json
 
 #: A client or connection left open fails its test: the socket's
 #: ResourceWarning is raised in its finalizer, where pytest reports it.
@@ -67,10 +69,13 @@ pytestmark = [
 
 VALUES = (9, 5, 7, 1)
 
-#: Two finished jobs written before results moved into ``job.json`` (a
-#: ``job.json`` and a ``results.json`` each; run-0001 executed, run-0002 a
-#: cache hit; the batch directory left out), and ``served.json``, the
-#: ``GET /runs/<id>`` bodies that layout was served as.
+#: Finished jobs and a cache entry as older versions wrote them, and
+#: ``served.json``, the ``GET /runs/<id>`` bodies they were served as
+#: (batch and event directories left out).  run-0001 (executed) and
+#: run-0002 (a cache hit) keep their results in a ``results.json``;
+#: run-0003 (executed) and run-0004 (a hit) in their ``job.json``, after
+#: the record, with no digest; ``cache/`` holds run-0003's entry as one
+#: digested JSON object (format, fingerprint, spec, results).
 PARENT_LAYOUT = pathlib.Path(__file__).parent / "fixtures" / "parent_service_jobs"
 
 
@@ -405,9 +410,10 @@ class TestResultCache:
         cache = ResultCache(tmp_path / "cache")
         fingerprint = churn_spec().fingerprint()
         assert cache.get(fingerprint) is None
-        entry = cache.put(fingerprint, {"spec": {}}, [{"result": 1}])
+        line = ResultsLine.encode([{"result": 1}])
+        cache.put(fingerprint, line)
         assert fingerprint in cache
-        assert cache.get(fingerprint) == entry
+        assert cache.get(fingerprint) == line
         assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1, "corrupt": 0}
 
     def test_rejects_non_fingerprint_keys(self, tmp_path):
@@ -515,12 +521,13 @@ class TestExperimentService:
         with urllib.request.urlopen(f"{instance.url}/runs/{job['id']}") as response:
             body = response.read().decode("utf-8")
         assert json.loads(body) == record
+        # The results are the job's stored line, spliced in as they are.
         lines = [line for line in body.splitlines() if '"final_states"' in line]
-        assert len(lines) == len(record["results"]) == 2
-        for line, unit in zip(lines, record["results"]):
-            assert json.loads("{" + line.strip().rstrip(",") + "}") == {
-                "final_states": unit["result"]["final_states"]
-            }
+        assert len(lines) == 1 and len(record["results"]) == 2
+        stored = instance.store.record_path(job["id"]).read_text().splitlines()[-1]
+        assert lines[0] == f'  "results": {stored}'
+        rest = {key: value for key, value in record.items() if key != "results"}
+        assert body.replace(",\n" + lines[0], "") == readable_json(rest) + "\n"
 
     def test_sweep_submission_runs_the_grid(self, service, connect):
         instance = service()
@@ -1080,6 +1087,115 @@ class TestJobWrites:
         assert queue.submit(submission)[1], "a finished job is not joined"
 
 
+class _NoResultsJson:
+    """The ``json`` module, except that parsing or encoding anything that
+    holds a run's results fails."""
+
+    def __getattr__(self, name):
+        return getattr(json, name)
+
+    @staticmethod
+    def loads(text, *args, **kwargs):
+        raw = text if isinstance(text, bytes) else text.encode("utf-8")
+        assert b'"final_states"' not in raw, "results were parsed"
+        return json.loads(text, *args, **kwargs)
+
+    @staticmethod
+    def dumps(value, *args, **kwargs):
+        text = json.dumps(value, *args, **kwargs)
+        assert '"final_states"' not in text, "results were encoded"
+        return text
+
+
+def parent_served() -> dict:
+    return json.loads((PARENT_LAYOUT / "served.json").read_text())
+
+
+class TestServedBytes:
+    def test_a_hit_and_a_status_read_decode_no_results(
+        self, service, monkeypatch, connect
+    ):
+        def parsed(*args, **kwargs):
+            raise AssertionError("results were parsed")
+
+        monkeypatch.setattr(cache_module, "_entry_results", parsed)
+        monkeypatch.setattr(JobStore, "load_results", parsed)
+        served = parent_served()
+        spec = ExperimentSpec.from_dict(served["run-0001"]["submission"]["spec"])
+        instance = service("bytes")
+        client = connect(instance.url)
+        fresh = client.wait(client.submit(spec)["id"], timeout=60)
+        for module in (cache_module, jobs_module, server_module):
+            monkeypatch.setattr(module, "json", _NoResultsJson())
+        monkeypatch.setattr(ResultsLine, "encode", parsed)
+        hit = client.wait(client.submit(spec)["id"], timeout=60)
+        assert (fresh, hit) == (served["run-0001"], served["run-0002"])
+        instance.stop(drain=False, timeout=5.0)
+        restarted = connect(service("bytes").url)
+        assert [restarted.status(job) for job in ("run-0001", "run-0002")] == [
+            fresh,
+            hit,
+        ]
+
+    def test_a_parent_layout_cache_entry_answers_a_hit(
+        self, service, tmp_path, connect
+    ):
+        for part in ("jobs", "cache"):
+            shutil.copytree(PARENT_LAYOUT / part, tmp_path / "parent" / part)
+        instance = service("parent")
+        client = connect(instance.url)
+        served = parent_served()
+        spec = ExperimentSpec.from_dict(served["run-0003"]["submission"]["spec"])
+        hit = client.wait(client.submit(spec)["id"], timeout=60)
+        assert hit["id"] == "run-0005" and hit["cached"]
+        assert hit["results"] == served["run-0003"]["results"]
+        assert instance.queue.executed_jobs == 0
+        instance.stop(drain=False, timeout=5.0)
+        restarted = connect(service("parent").url)
+        assert restarted.status("run-0005") == hit
+
+    def test_a_damaged_results_line_is_served_as_no_results(self, service, connect):
+        instance = service("damaged")
+        client = connect(instance.url)
+        job = client.wait(client.submit(churn_spec(seeds=(0, 1)))["id"], timeout=60)
+        path = instance.store.record_path(job["id"])
+        data = path.read_bytes()
+        line_at = data.rindex(b"\n", 0, len(data) - 1) + 1
+        flip_at = line_at + (len(data) - line_at) // 2
+        path.write_bytes(
+            data[:flip_at] + bytes([data[flip_at] ^ 0x08]) + data[flip_at + 1 :]
+        )
+        body = json.loads(served_body(instance, job["id"]))
+        expected = {key: value for key, value in job.items() if key != "results"}
+        assert body == expected
+        assert path.with_name("job.json.corrupt").read_bytes() != data
+        # The record is saved back, submission included, without results.
+        record = json.loads(data[:line_at])
+        del record["results_sha256"]
+        assert json.loads(path.read_text()) == record
+        instance.stop(drain=False, timeout=5.0)
+        assert json.loads(served_body(service("damaged"), job["id"])) == expected
+
+    def test_finished_jobs_keep_no_submission_in_memory(self, service, connect):
+        instance = service()
+        client = connect(instance.url)
+        spec = churn_spec(seeds=(0,))
+        fresh = client.wait(client.submit(spec)["id"], timeout=60)
+        hit = client.wait(client.submit(spec)["id"], timeout=60)
+        failing = churn_spec(
+            probes=({"probe": "jsonl", "path": "/dev/null/nope/rounds.jsonl"},)
+        )
+        failed = client.wait(client.submit(failing)["id"], timeout=60)
+        assert [fresh["status"], hit["status"], failed["status"]] == [
+            "done",
+            "done",
+            "failed",
+        ]
+        for record, submitted in ((fresh, spec), (hit, spec), (failed, failing)):
+            assert instance.store.get(record["id"]).submission is None
+            assert record["submission"] == {"spec": submitted.to_dict()}
+
+
 class TestHealthCost:
     def test_health_and_cache_stats_never_walk_the_history(
         self, service, tmp_path, monkeypatch, connect
@@ -1091,7 +1207,7 @@ class TestHealthCost:
         for index in range(2000):
             status = "failed" if index % 7 == 0 else "done"
             store.new_job(f"{index:064x}", {"spec": {}}, status=status)
-            cache.put(f"{index:064x}", {"spec": {}}, [])
+            cache.put(f"{index:064x}", ResultsLine.encode([]))
         monkeypatch.undo()
         instance = service("busy")
         client = connect(instance.url)
