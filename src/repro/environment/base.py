@@ -11,7 +11,7 @@ This module defines:
 
 * :class:`Topology` — the fixed communication graph ``E`` over which the
   paper's predicate sets ``Q_E`` are defined (``Q_e`` = "edge *e* is
-  available");
+  available"), and the draw-order edge table every environment reads;
 * :class:`EnvironmentState` — one concrete ``G``: the set of enabled agents
   and the set of currently available edges, together with the group
   structure (connected components) it induces.  Array environments
@@ -44,7 +44,7 @@ import random
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 try:
@@ -75,6 +75,24 @@ def _normalize_edge(a: int, b: int) -> Edge:
     return (a, b) if a < b else (b, a)
 
 
+def _checked_edges(num_agents: int, edges: Iterable[tuple[int, int]]):
+    """``edges`` normalized (smaller endpoint first), each checked in
+    input order: an endpoint outside ``0 .. num_agents - 1`` or a
+    self-loop raises, the range taking precedence on one edge."""
+    for edge in edges:
+        a, b = edge
+        if not (0 <= a < num_agents and 0 <= b < num_agents):
+            raise EnvironmentError_(
+                f"edge ({a}, {b}) references an agent outside 0..{num_agents - 1}"
+            )
+        if a < b:
+            yield edge if type(edge) is tuple else (a, b)
+        elif b < a:
+            yield (b, a)
+        else:
+            raise EnvironmentError_(f"self-loop edge ({a}, {b}) is not allowed")
+
+
 class Topology:
     """The fixed communication graph ``(A, E)`` of a system.
 
@@ -83,32 +101,44 @@ class Topology:
     edge of ``E`` is available infinitely often; which ``E`` suffices
     depends on the problem (connected for minimum/hull, complete for sum,
     a line in index order for sorting).
+
+    Edges given to the constructor come from outside the program, so each
+    is checked and normalized in input order; the graph builders of
+    :mod:`repro.environment.graphs` emit normalized edges and build
+    through ``_generated``, which checks none.  The topology owns the
+    draw-order edge table every environment reads: :meth:`edge_sequence`
+    and its :meth:`edge_endpoint_arrays`, plus :meth:`agent_id_array`,
+    each built once, on first request.
     """
 
     def __init__(self, num_agents: int, edges: Iterable[tuple[int, int]]):
+        self._build(num_agents, _checked_edges(num_agents, edges))
+
+    @classmethod
+    def _generated(cls, num_agents: int, edges: Iterable[Edge]) -> "Topology":
+        """The topology over edges this package's graph builders made:
+        normalized (``a < b``), in-range pairs with no self-loop, so no
+        edge is checked one by one.  Given in the order the check loop
+        would insert them, they build the same frozenset in the same
+        iteration order."""
+        topology = cls.__new__(cls)
+        topology._build(num_agents, edges)
+        return topology
+
+    def _build(self, num_agents: int, edges: Iterable[Edge]) -> None:
         if num_agents <= 0:
             raise EnvironmentError_("a topology needs at least one agent")
         self.num_agents = num_agents
-        # One pass, with _normalize_edge inlined: the insertion order fixes
-        # the frozenset's iteration order, which is the environments' draw
-        # order, so edges go in exactly as given.
-        normalized = set()
-        add = normalized.add
-        for edge in edges:
-            a, b = edge
-            if not (0 <= a < num_agents and 0 <= b < num_agents):
-                raise EnvironmentError_(
-                    f"edge ({a}, {b}) references an agent outside 0..{num_agents - 1}"
-                )
-            if a < b:
-                add(edge if type(edge) is tuple else (a, b))
-            elif b < a:
-                add((b, a))
-            else:
-                raise EnvironmentError_(f"self-loop edge ({a}, {b}) is not allowed")
-        self.edges: frozenset[Edge] = frozenset(normalized)
+        # The insertion order fixes the frozenset's iteration order, which
+        # is the environments' draw order, so edges go in exactly as given;
+        # freezing the filled set copies its table.  ``iter`` makes a set
+        # argument be inserted edge by edge, not copied table to table.
+        self.edges: frozenset[Edge] = frozenset(set(iter(edges)))
         self._adjacency: dict[int, frozenset[int]] | None = None
         self._is_connected: bool | None = None
+        self._edge_sequence: tuple[Edge, ...] | None = None
+        self._edge_endpoints: tuple | None = None
+        self._agent_ids = None
 
     # -- queries --------------------------------------------------------------
 
@@ -148,6 +178,36 @@ class Topology:
             components = connected_components(set(self.agent_ids), self.edges)
             self._is_connected = len(components) <= 1
         return self._is_connected
+
+    def edge_sequence(self) -> tuple[Edge, ...]:
+        """The edges in draw order: ``tuple(self.edges)``, which keeps the
+        frozenset's iteration order.  Built once and shared by every
+        environment over this topology."""
+        sequence = self._edge_sequence
+        if sequence is None:
+            sequence = self._edge_sequence = tuple(self.edges)
+        return sequence
+
+    def edge_endpoint_arrays(self) -> tuple:
+        """The ``(u, v)`` endpoints of :meth:`edge_sequence` as two
+        read-only ``int64`` arrays, in draw order.  Built once, on first
+        request.  Needs numpy."""
+        arrays = self._edge_endpoints
+        if arrays is None:
+            arrays = edge_endpoints(self.edge_sequence())
+            for array in arrays:
+                array.flags.writeable = False
+            self._edge_endpoints = arrays
+        return arrays
+
+    def agent_id_array(self):
+        """The agent ids ``0 .. num_agents - 1`` as one read-only ascending
+        ``int64`` array.  Built once, on first request.  Needs numpy."""
+        ids = self._agent_ids
+        if ids is None:
+            ids = self._agent_ids = _numpy.arange(self.num_agents, dtype=_numpy.int64)
+            ids.flags.writeable = False
+        return ids
 
     def is_complete(self) -> bool:
         """Return True when every pair of agents is joined by an edge."""
@@ -249,11 +309,13 @@ def connected_components(
 
 
 def edge_endpoints(edges) -> tuple:
-    """The ``(u, v)`` endpoints of a sequence of edges as two ``int64``
-    numpy arrays, in sequence order.  Needs numpy."""
+    """The ``(u, v)`` endpoints of a sequence or set of edges as two
+    ``int64`` numpy arrays, in iteration order.  Needs numpy."""
     np = _numpy
-    flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
-    return flat[0::2].copy(), flat[1::2].copy()
+    count = len(edges)
+    return tuple(
+        np.fromiter(map(itemgetter(end), edges), np.int64, count) for end in (0, 1)
+    )
 
 
 def label_components(u, v, num_agents: int):
@@ -549,8 +611,11 @@ class EnvironmentState:
         ascending ``int64`` id array; ``up_edges`` is the ascending
         ``int64`` index of the available edges into ``edge_sequence``.
         The arrays must be owned by the state, never views of the
-        environment's live masks; the one exception is an environment's
-        read-only all-agents id array, which its states share.
+        environment's live masks.  The exceptions are shared read-only
+        arrays: the topology's all-agent id array
+        (:meth:`Topology.agent_id_array`), which churn's all-up states
+        share, and the per-phase arrays a duty cycle caches
+        (:meth:`with_enabled_ids`).
         """
         state = object.__new__(cls)
         own = state.__dict__
@@ -562,6 +627,27 @@ class EnvironmentState:
         own["_up_edges"] = up_edges
         own["round_index"] = round_index
         own["effective_edge_arrays"] = effective_edge_arrays
+        return state
+
+    @classmethod
+    def with_enabled_ids(
+        cls,
+        enabled_agents: frozenset[int],
+        enabled_ids,
+        available_edges: frozenset[Edge],
+        round_index: int = 0,
+        effective_edge_arrays: tuple | None = None,
+    ) -> "EnvironmentState":
+        """The state ``EnvironmentState(enabled_agents, available_edges,
+        round_index, effective_edge_arrays)``, carrying its enabled agents
+        also as ``enabled_ids``: the same agents as a read-only ascending
+        ``int64`` id array, which the state's partition view reads instead
+        of sorting the set.  An environment that repeats its states (the
+        duty cycle) builds the ids and the effective edge arrays once and
+        shares them, read-only, across states.  Value, equality, ``repr``
+        and iteration order are the plain state's."""
+        state = cls(enabled_agents, available_edges, round_index, effective_edge_arrays)
+        state.__dict__["_enabled_ids"] = enabled_ids
         return state
 
     def __getattr__(self, name: str):

@@ -139,11 +139,12 @@ def masked_state(
 
     The enabled agents are those set in the bool mask ``agent_up``, or —
     when ``agent_up`` is None — ``all_agents``: every agent, as the
-    environment's one read-only ascending ``int64`` id array (or a set);
-    the available edges are ``up_edges``, an ascending ``int64`` index
-    into ``edge_sequence``, whose ``(u, v)`` endpoint arrays are
-    ``endpoints``.  Every other array the state holds is fresh, never a
-    view of the mask.  Needs numpy.
+    topology's one read-only ascending ``int64`` id array
+    (:meth:`~repro.environment.base.Topology.agent_id_array`); the
+    available edges are ``up_edges``, an ascending ``int64`` index into
+    ``edge_sequence``, whose ``(u, v)`` endpoint arrays are
+    ``endpoints`` (the topology's draw-order table).  Every other array
+    the state holds is fresh, never a view of the mask.  Needs numpy.
     """
     np = _numpy
     edge_u, edge_v = endpoints
@@ -217,6 +218,11 @@ class RandomChurnEnvironment(Environment):
         Probability that an edge is available in a given round.
     agent_up_probability:
         Probability that an agent is enabled in a given round.
+
+    The draws walk the topology's draw-order edge table
+    (:meth:`~repro.environment.base.Topology.edge_sequence`), and the
+    array form reads its endpoint arrays and all-agent id array; the
+    environment keeps no table of its own.
     """
 
     def __init__(
@@ -234,31 +240,12 @@ class RandomChurnEnvironment(Environment):
                 raise EnvironmentError_(f"{name} must be in [0, 1], got {value}")
         self.edge_up_probability = edge_up_probability
         self.agent_up_probability = agent_up_probability
-        # Fixed iteration sequence for the per-round draws.  tuple() of a
-        # frozenset preserves that frozenset's iteration order, so the
-        # random stream is identical to iterating topology.edges directly
-        # — just without re-walking the set's hash table every round.
-        self._edge_sequence = tuple(self.topology.edges)
-        # Shared all-enabled set for rounds in which every agent's draw
-        # passes (every round when agent_up_probability is 1).  Built by
-        # the same ascending-id insertion order a fresh construction uses,
-        # so sharing it never changes iteration order.
-        self._all_agents = frozenset(self.topology.agent_ids)
-        # The array form's tables, built by _arrays() on first use: the
-        # edges' (u, v) endpoints as int64 arrays in draw order, and the
-        # all-enabled agents as one read-only ascending int64 id array,
-        # so no state sorts them again.
-        self._edge_endpoints: tuple | None = None
-        self._all_agent_ids = None
-
-    def _arrays(self) -> tuple:
-        """The array form's ``(edge endpoints, all-agent ids)`` tables."""
-        if self._edge_endpoints is None:
-            self._edge_endpoints = edge_endpoints(self._edge_sequence)
-            ids = _numpy.arange(self.topology.num_agents, dtype=_numpy.int64)
-            ids.flags.writeable = False
-            self._all_agent_ids = ids
-        return self._edge_endpoints, self._all_agent_ids
+        # The all-enabled set of the rounds in which every agent is up,
+        # built on the first such round without numpy (the array form
+        # holds the topology's id array instead).  Built in ascending id
+        # order, as a fresh construction is, so sharing it never changes
+        # iteration order.
+        self._all_agents: frozenset[int] | None = None
 
     def advance(self, round_index: int, rng: random.Random) -> EnvironmentState:
         # One uniform draw per agent, then one per edge, in a fixed order —
@@ -280,29 +267,33 @@ class RandomChurnEnvironment(Environment):
             if len(up_agents) == self.topology.num_agents:
                 up_agents = None
         edge_up = self.edge_up_probability
-        sequence = self._edge_sequence
+        topology = self.topology
+        sequence = topology.edge_sequence()
         up_edges = [index for index in range(len(sequence)) if draw() < edge_up]
         if base._numpy is None:
+            if up_agents is None:
+                if self._all_agents is None:
+                    self._all_agents = frozenset(topology.agent_ids)
+                enabled = self._all_agents
+            else:
+                enabled = frozenset(up_agents)
             return EnvironmentState(
-                self._all_agents if up_agents is None else frozenset(up_agents),
-                frozenset(map(sequence.__getitem__, up_edges)),
-                round_index,
+                enabled, frozenset(map(sequence.__getitem__, up_edges)), round_index
             )
         # The array form (masked_state): the labelling reads its effective
         # edge arrays, and its frozensets are built only if read.
         np = _numpy
-        endpoints, all_agent_ids = self._arrays()
         agent_mask = None
         if up_agents is not None:
-            agent_mask = np.zeros(self.topology.num_agents, dtype=np.bool_)
+            agent_mask = np.zeros(topology.num_agents, dtype=np.bool_)
             agent_mask[up_agents] = True
         return masked_state(
             sequence,
-            endpoints,
+            topology.edge_endpoint_arrays(),
             np.array(up_edges, dtype=np.int64),
             agent_mask,
             round_index,
-            all_agent_ids,
+            topology.agent_id_array(),
         )
 
     def array_transition(self):
@@ -310,7 +301,8 @@ class RandomChurnEnvironment(Environment):
         # transition, so a subclass that overrides it does not inherit it.
         if _numpy is None or type(self).advance is not RandomChurnEnvironment.advance:
             return None
-        self._arrays()
+        self.topology.edge_endpoint_arrays()
+        self.topology.agent_id_array()
         return self._advance_arrays
 
     def _advance_arrays(
@@ -320,16 +312,18 @@ class RandomChurnEnvironment(Environment):
         edge — made as one :func:`uniform_draws` batch and filtered as
         masks into the array form of the same state (:func:`masked_state`).
         """
-        num_agents = self.topology.num_agents
-        draws = uniform_draws(rng, num_agents + len(self._edge_sequence))
+        topology = self.topology
+        num_agents = topology.num_agents
+        sequence = topology.edge_sequence()
+        draws = uniform_draws(rng, num_agents + len(sequence))
         agent_up = self.agent_up_probability
         return masked_state(
-            self._edge_sequence,
-            self._edge_endpoints,
+            sequence,
+            topology.edge_endpoint_arrays(),
             _numpy.flatnonzero(draws[num_agents:] < self.edge_up_probability),
             None if agent_up >= 1.0 else draws[:num_agents] < agent_up,
             round_index,
-            self._all_agent_ids,
+            topology.agent_id_array(),
         )
 
     def fairness_predicates(self):
@@ -358,8 +352,10 @@ class MarkovChurnEnvironment(Environment):
     dark until it finds power — while still satisfying ``Q_E`` with
     probability one as long as the recovery probability is positive.
 
-    The chain's state is two byte masks (1 = up): one over the edges in a
-    frozen sequence (``tuple(topology.edges)``), one over the agent ids.
+    The chain's state is two byte masks (1 = up): one over the edges in
+    the topology's draw order
+    (:meth:`~repro.environment.base.Topology.edge_sequence`), one over
+    the agent ids.
     Each round draws one uniform per edge, then one per agent, in that
     order, and an entry flips when its draw is below its failure (up) or
     recovery (down) probability.  From :data:`VECTORIZED_MIN_DRAWS` draws
@@ -371,7 +367,9 @@ class MarkovChurnEnvironment(Environment):
     returns the array form of its state
     (:meth:`EnvironmentState.from_arrays`): the up agents and the up-edge
     index as ``int64`` arrays, plus the effective edges as ``int64``
-    ``(u, v)`` arrays (:attr:`EnvironmentState.effective_edge_arrays`).
+    ``(u, v)`` arrays (:attr:`EnvironmentState.effective_edge_arrays`),
+    masked from the topology's endpoint table, which the first vectorized
+    round asks for; the environment keeps no table of its own.
     Its frozensets are built only when something reads them: the
     component labelling and the array engine read only the arrays, and
     the reference engine compares consecutive array-form states on their
@@ -399,19 +397,12 @@ class MarkovChurnEnvironment(Environment):
         self.edge_recovery_probability = edge_recovery_probability
         self.agent_failure_probability = agent_failure_probability
         self.agent_recovery_probability = agent_recovery_probability
-        # tuple() of a frozenset keeps its iteration order, so the draw
-        # order matches iterating topology.edges directly.
-        self._edge_sequence = tuple(self.topology.edges)
-        # The edges' (u, v) endpoints as int64 arrays, built on the first
-        # vectorized round (not at construction: small runs never need
-        # them).
-        self._edge_endpoints: tuple | None = None
         self._edge_up = bytearray()
         self._agent_up = bytearray()
         self.reset()
 
     def reset(self) -> None:
-        self._edge_up = bytearray(b"\x01") * len(self._edge_sequence)
+        self._edge_up = bytearray(b"\x01") * len(self.topology.edge_sequence())
         self._agent_up = bytearray(b"\x01") * self.topology.num_agents
 
     def advance(self, round_index: int, rng: random.Random) -> EnvironmentState:
@@ -436,7 +427,7 @@ class MarkovChurnEnvironment(Environment):
         # Mask order: the insertion order the array form's lazy sets use.
         return EnvironmentState(
             frozenset(compress(self.topology.agent_ids, self._agent_up)),
-            frozenset(compress(self._edge_sequence, self._edge_up)),
+            frozenset(compress(self.topology.edge_sequence(), self._edge_up)),
             round_index,
         )
 
@@ -446,7 +437,8 @@ class MarkovChurnEnvironment(Environment):
         """The transition on one batch of draws, returning the array form
         of the state it leads to (:func:`masked_state`)."""
         np = _numpy
-        sequence = self._edge_sequence
+        topology = self.topology
+        sequence = topology.edge_sequence()
         edge_count = len(sequence)
         draws = uniform_draws(rng, edge_count + len(self._agent_up))
         edge_up = np.frombuffer(self._edge_up, dtype=np.bool_)
@@ -463,11 +455,9 @@ class MarkovChurnEnvironment(Environment):
             self.agent_failure_probability,
             self.agent_recovery_probability,
         )
-        if self._edge_endpoints is None:
-            self._edge_endpoints = edge_endpoints(sequence)
         return masked_state(
             sequence,
-            self._edge_endpoints,
+            topology.edge_endpoint_arrays(),
             np.flatnonzero(edge_up),
             agent_up,
             round_index,
@@ -481,7 +471,7 @@ class MarkovChurnEnvironment(Environment):
         return {
             "edges_down": sorted(
                 list(edge)
-                for edge, up in zip(self._edge_sequence, self._edge_up)
+                for edge, up in zip(self.topology.edge_sequence(), self._edge_up)
                 if not up
             ),
             "agents_down": sorted(
@@ -500,7 +490,8 @@ class MarkovChurnEnvironment(Environment):
         edges_down = state.get("edges_down", ())
         if edges_down:
             position_of = {
-                edge: index for index, edge in enumerate(self._edge_sequence)
+                edge: index
+                for index, edge in enumerate(self.topology.edge_sequence())
             }
             for a, b in edges_down:
                 edge = (a, b)
@@ -567,7 +558,12 @@ class PeriodicDutyCycleEnvironment(Environment):
 
     The schedule repeats with the period, so the enabled set is cached per
     phase residue: after the first period every round's state is served
-    from the cache.
+    from the cache.  With numpy the cache also holds the residue's enabled
+    agents as a read-only ascending ``int64`` id array and its effective
+    edges as read-only ``(u, v)`` arrays masked from the topology's
+    endpoint table, and every state hands both to the component labelling
+    (:meth:`EnvironmentState.with_enabled_ids`), so no round sorts the
+    enabled agents or filters the edges again.
     """
 
     def __init__(
@@ -604,8 +600,9 @@ class PeriodicDutyCycleEnvironment(Environment):
         # sets are cacheable by residue.  The cached frozensets were built
         # by the construction below on their first use, so sharing them
         # across periods keeps iteration order identical to building them
-        # fresh.
-        self._enabled_by_residue: dict[int, frozenset[int]] = {}
+        # fresh.  Each entry is (enabled set, id array, effective edge
+        # arrays), the arrays None without numpy.
+        self._enabled_by_residue: dict[int, tuple] = {}
 
     def _is_awake(self, agent: int, round_index: int) -> bool:
         position = (round_index - self.phases[agent]) % self.period
@@ -613,19 +610,37 @@ class PeriodicDutyCycleEnvironment(Environment):
 
     def advance(self, round_index: int, rng: random.Random) -> EnvironmentState:
         residue = round_index % self.period
-        enabled = self._enabled_by_residue.get(residue)
-        if enabled is None:
-            enabled = frozenset(
-                agent
-                for agent in self.topology.agent_ids
-                if self._is_awake(agent, round_index)
-            )
-            self._enabled_by_residue[residue] = enabled
-        return EnvironmentState(
-            enabled_agents=enabled,
-            available_edges=self.topology.edges,
-            round_index=round_index,
+        cached = self._enabled_by_residue.get(residue)
+        if cached is None:
+            cached = self._enabled_by_residue[residue] = self._residue(round_index)
+        enabled, ids, arrays = cached
+        if ids is None:
+            return EnvironmentState(enabled, self.topology.edges, round_index)
+        return EnvironmentState.with_enabled_ids(
+            enabled, ids, self.topology.edges, round_index, arrays
         )
+
+    def _residue(self, round_index: int) -> tuple:
+        """The cache entry of ``round_index``'s residue: the enabled set,
+        and with numpy its id array and effective edge arrays."""
+        awake = [
+            agent
+            for agent in self.topology.agent_ids
+            if self._is_awake(agent, round_index)
+        ]
+        enabled = frozenset(awake)
+        np = base._numpy
+        if np is None:
+            return enabled, None, None
+        ids = np.array(awake, dtype=np.int64)
+        mask = np.zeros(self.topology.num_agents, dtype=np.bool_)
+        mask[ids] = True
+        edge_u, edge_v = self.topology.edge_endpoint_arrays()
+        effective = mask.take(edge_u) & mask.take(edge_v)
+        arrays = (edge_u[effective], edge_v[effective])
+        for array in (ids, *arrays):
+            array.flags.writeable = False
+        return enabled, ids, arrays
 
     def state_dict(self) -> dict:
         # The schedule is a pure function of the round index *given the

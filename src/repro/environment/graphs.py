@@ -5,6 +5,11 @@ over a graph ``E``: for the minimum and convex-hull problems any connected
 graph suffices; the sum problem needs a complete graph; sorting needs (at
 least) the line joining adjacent array positions.  This module provides
 constructors for those graphs and a few others used in the experiments.
+
+Every builder emits normalized (``a < b``), in-range pairs with no
+self-loop, in the order the public :class:`~repro.environment.base.Topology`
+constructor would insert them, so it builds through
+``Topology._generated``, which checks no edge one by one.
 """
 
 from __future__ import annotations
@@ -31,13 +36,13 @@ __all__ = [
 @register_graph("complete")
 def complete_graph(num_agents: int) -> Topology:
     """Every pair of agents shares an edge (the paper's requirement for sum)."""
-    return Topology(num_agents, itertools.combinations(range(num_agents), 2))
+    return Topology._generated(num_agents, itertools.combinations(range(num_agents), 2))
 
 
 @register_graph("line")
 def line_graph(num_agents: int) -> Topology:
     """Agents in a line: ``i`` is joined to ``i + 1`` (sorting's requirement)."""
-    return Topology(num_agents, ((i, i + 1) for i in range(num_agents - 1)))
+    return Topology._generated(num_agents, ((i, i + 1) for i in range(num_agents - 1)))
 
 
 @register_graph("ring")
@@ -46,8 +51,8 @@ def ring_graph(num_agents: int) -> Topology:
     if num_agents < 3:
         return line_graph(num_agents)
     edges = [(i, i + 1) for i in range(num_agents - 1)]
-    edges.append((num_agents - 1, 0))
-    return Topology(num_agents, edges)
+    edges.append((0, num_agents - 1))
+    return Topology._generated(num_agents, edges)
 
 
 @register_graph("star")
@@ -55,8 +60,13 @@ def star_graph(num_agents: int, center: int = 0) -> Topology:
     """All agents joined to a single hub agent."""
     if not 0 <= center < num_agents:
         raise EnvironmentError_(f"center {center} outside 0..{num_agents - 1}")
-    return Topology(
-        num_agents, ((center, other) for other in range(num_agents) if other != center)
+    return Topology._generated(
+        num_agents,
+        (
+            (other, center) if other < center else (center, other)
+            for other in range(num_agents)
+            if other != center
+        ),
     )
 
 
@@ -73,7 +83,7 @@ def grid_graph(rows: int, cols: int) -> Topology:
                 edges.append((agent, agent + 1))
             if r + 1 < rows:
                 edges.append((agent, agent + cols))
-    return Topology(rows * cols, edges)
+    return Topology._generated(rows * cols, edges)
 
 
 @register_graph("tree")
@@ -85,7 +95,7 @@ def tree_graph(num_agents: int, branching: int = 2) -> Topology:
     for child in range(1, num_agents):
         parent = (child - 1) // branching
         edges.append((parent, child))
-    return Topology(num_agents, edges)
+    return Topology._generated(num_agents, edges)
 
 
 @register_graph("random")
@@ -99,7 +109,7 @@ def random_graph(num_agents: int, edge_probability: float, seed: int | None = No
         for a, b in itertools.combinations(range(num_agents), 2)
         if rng.random() < edge_probability
     ]
-    return Topology(num_agents, edges)
+    return Topology._generated(num_agents, edges)
 
 
 @register_graph("random-connected")
@@ -124,4 +134,6 @@ def random_connected_graph(
     for a, b in itertools.combinations(range(num_agents), 2):
         if (a, b) not in edges and rng.random() < extra_edge_probability:
             edges.add((a, b))
-    return Topology(num_agents, edges)
+    # _generated inserts the set's edges one by one, in its iteration
+    # order, as the check loop would; it never copies the set's table.
+    return Topology._generated(num_agents, edges)

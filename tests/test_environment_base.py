@@ -18,8 +18,12 @@ from repro.environment import (
     star_graph,
     tree_graph,
 )
-from repro.environment import graphs
-from repro.environment.base import connected_component_tuples, edge_components
+from repro.environment import base
+from repro.environment.base import (
+    connected_component_tuples,
+    edge_components,
+    edge_endpoints,
+)
 from repro.registry import GRAPHS
 
 
@@ -91,23 +95,46 @@ GRAPH_PARAMS = {
 }
 
 
+#: The registered graphs again at sizes past the set's growth switch at
+#: 50,000 entries, where each resize doubles the table instead of
+#: quadrupling it.
+LARGE_GRAPH_PARAMS = [
+    ("complete", {"num_agents": 400}),
+    ("tree", {"num_agents": 100_000}),
+]
+
+
 class TestTopologyEdgeOrder:
     """``tuple(topology.edges)`` is the environments' draw order, so the
     build must keep the order of the plain check-normalize-insert loop."""
 
-    @pytest.mark.parametrize("name", sorted(GRAPH_PARAMS))
-    def test_registered_graphs_keep_the_edge_order(self, monkeypatch, name):
+    @pytest.mark.parametrize(
+        "name, params",
+        [pytest.param(name, GRAPH_PARAMS[name], id=name) for name in sorted(GRAPH_PARAMS)]
+        + [
+            pytest.param(name, params, id=f"{name}-large")
+            for name, params in LARGE_GRAPH_PARAMS
+        ],
+    )
+    def test_registered_graphs_keep_the_edge_order(self, monkeypatch, name, params):
+        # The builders skip the per-edge check, so the edges they generate
+        # must pass it, and go in in the order the check loop inserts them.
         assert sorted(GRAPH_PARAMS) == GRAPHS.available()
         calls = []
+        generated = Topology._generated.__func__
 
-        def recording(num_agents, edges):
+        def recording(cls, num_agents, edges):
             edges = list(edges)
             calls.append((num_agents, edges))
-            return Topology(num_agents, edges)
+            return generated(cls, num_agents, edges)
 
-        monkeypatch.setattr(graphs, "Topology", recording)
-        topology = GRAPHS.build(name, **GRAPH_PARAMS[name])
+        monkeypatch.setattr(Topology, "_generated", classmethod(recording))
+        topology = GRAPHS.build(name, **params)
         [(num_agents, edges)] = calls
+        assert all(
+            type(edge) is tuple and len(edge) == 2 and 0 <= edge[0] < edge[1] < num_agents
+            for edge in edges
+        )
         assert tuple(topology.edges) == _oracle_edges(num_agents, edges)
 
     @pytest.mark.parametrize(
@@ -143,6 +170,35 @@ class TestTopologyEdgeOrder:
             Topology(4, edges)
         with pytest.raises(EnvironmentError_, match=message):
             _oracle_edges(4, edges)
+
+
+@pytest.mark.skipif(base._numpy is None, reason="the endpoint table needs numpy")
+class TestTopologyEdgeTable:
+    """The topology owns one draw-order edge table, built once and shared."""
+
+    @pytest.mark.parametrize("name", sorted(GRAPH_PARAMS))
+    def test_table_is_the_frozensets_order(self, name):
+        topology = GRAPHS.build(name, **GRAPH_PARAMS[name])
+        sequence = topology.edge_sequence()
+        assert sequence == tuple(topology.edges)
+        assert topology.edge_sequence() is sequence
+        u, v = topology.edge_endpoint_arrays()
+        expected_u, expected_v = edge_endpoints(tuple(topology.edges))
+        assert u.dtype == v.dtype == base._numpy.int64
+        assert u.tolist() == expected_u.tolist() and v.tolist() == expected_v.tolist()
+        ids = topology.agent_id_array()
+        assert ids.tolist() == list(topology.agent_ids)
+        for array in (u, v, ids):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[:1] = 0
+        assert topology.edge_endpoint_arrays()[0] is u
+        assert topology.agent_id_array() is ids
+
+    def test_user_topology_has_the_same_table(self):
+        topology = Topology(5, [(3, 1), [0, 4], (2, 3)])
+        u, v = topology.edge_endpoint_arrays()
+        assert list(zip(u.tolist(), v.tolist())) == list(topology.edges)
 
 
 class TestGraphConstructors:

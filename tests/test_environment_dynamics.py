@@ -27,8 +27,10 @@ from repro.environment import (
     star_graph,
     tree_graph,
 )
+from repro.algorithms.minimum import minimum_algorithm
 from repro.environment import base, dynamics
 from repro.experiment import random_integers
+from repro.simulation.engine import Simulator
 
 #: Marks the tests of the numpy half of the Markov transition.
 needs_numpy = pytest.mark.skipif(
@@ -444,6 +446,101 @@ def test_all_up_churn_states_share_one_read_only_id_array(monkeypatch, agent_up)
         assert state.component_partition().tuples() == base.connected_component_tuples(
             state.enabled_agents, state.effective_edges()
         )
+
+
+@needs_numpy
+def test_churn_environments_read_the_topology_table(monkeypatch):
+    # Random and Markov churn keep no copy of the draw-order table: every
+    # array-form state is built from the topology's own objects.
+    built = []
+    masked_state = dynamics.masked_state
+
+    def recording(sequence, endpoints, *args):
+        built.append((sequence, endpoints, args[3:]))
+        return masked_state(sequence, endpoints, *args)
+
+    monkeypatch.setattr(dynamics, "masked_state", recording)
+    graph = complete_graph(90)
+    random_churn = RandomChurnEnvironment(graph, 0.3)
+    markov = MarkovChurnEnvironment(graph, 0.3, 0.3)
+    rng = random.Random(5)
+    states = [random_churn.advance(0, rng), random_churn.array_transition()(1, rng)]
+    states += [markov.advance(round_index, rng) for round_index in range(2)]
+    assert len(built) == 4
+    for sequence, endpoints, _ in built:
+        assert sequence is graph.edge_sequence()
+        assert endpoints is graph.edge_endpoint_arrays()
+    # Random churn's all-up states share the topology's id array.
+    assert all(rest[0] is graph.agent_id_array() for _, _, rest in built[:2])
+    assert all(state.__dict__["_edge_sequence"] is graph.edge_sequence() for state in states)
+    for environment in (random_churn, markov):
+        for name in ("_edge_sequence", "_edge_endpoints", "_all_agent_ids"):
+            assert not hasattr(environment, name)
+    # The all-enabled set serves only the numpy-less path.
+    assert random_churn._all_agents is None
+
+
+def _duty_cycle():
+    return PeriodicDutyCycleEnvironment(tree_graph(60), period=5, duty_cycle=0.6, seed=4)
+
+
+class _PlainDutyCycle(PeriodicDutyCycleEnvironment):
+    """The duty cycle's states without their id and edge arrays: each
+    partition sorts its enabled set and each labelling filters the edges."""
+
+    def advance(self, round_index, rng):
+        state = super().advance(round_index, rng)
+        return base.EnvironmentState(
+            state.enabled_agents, state.available_edges, round_index
+        )
+
+
+@needs_numpy
+def test_duty_cycle_states_share_one_read_only_id_array_per_phase(monkeypatch):
+    environment = _duty_cycle()
+    rng = random.Random(0)
+    states = [environment.advance(round_index, rng) for round_index in range(10)]
+    for state, repeat in zip(states[:5], states[5:]):
+        ids = state.__dict__["_enabled_ids"]
+        arrays = state.effective_edge_arrays
+        assert repeat.__dict__["_enabled_ids"] is ids
+        assert repeat.effective_edge_arrays is arrays
+        assert not any(array.flags.writeable for array in (ids, *arrays))
+        assert ids.tolist() == sorted(state.enabled_agents)
+        assert sorted(zip(*(array.tolist() for array in arrays))) == sorted(
+            state.effective_edges()
+        )
+        # The state's value is the plain state's, iteration order included.
+        plain = base.EnvironmentState(
+            frozenset(
+                agent
+                for agent in environment.topology.agent_ids
+                if environment._is_awake(agent, state.round_index)
+            ),
+            environment.topology.edges,
+            state.round_index,
+        )
+        assert state == plain and hash(state) == hash(plain)
+        assert repr(state) == repr(plain)
+        assert list(state.enabled_agents) == list(plain.enabled_agents)
+
+    # A run's records equal those of a run on the plain states, and no
+    # partition sorts its enabled agents.
+    values = random_integers(60, seed=1)
+    plain_environment = _PlainDutyCycle(
+        tree_graph(60), period=5, duty_cycle=0.6, seed=4
+    )
+    expected = list(
+        Simulator(minimum_algorithm(), plain_environment, values, seed=3).steps(25)
+    )
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("the enabled agents were sorted")
+
+    monkeypatch.setattr(base._numpy, "sort", no_sort)
+    records = list(Simulator(minimum_algorithm(), _duty_cycle(), values, seed=3).steps(25))
+    assert records == expected
+    assert any(record.largest_group > 1 for record in records)
 
 
 def test_churn_subclass_overriding_the_transition_loses_the_array_form():
