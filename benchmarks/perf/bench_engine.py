@@ -8,17 +8,21 @@ edge-up probability, so that most rounds change only a handful of agents
 while the collective state stays large.
 
 * **Throughput**: for each n the harness executes a fixed number of rounds
-  through ``Simulator.steps()`` twice, once with the incremental engine
-  (the default) and once in the full-recompute reference mode
-  (``incremental=False``), and reports rounds/sec plus the speedup.
+  through ``steps()`` twice, once with the reference ``Simulator`` and
+  once with :class:`~repro.verification.oracle.TextbookReplay`, which
+  replays the paper's round from its definitions (no quiet-round reuse,
+  no labeller, every group's step rule judged in full, the multiset and
+  objective rebuilt every round), and reports rounds/sec plus the
+  speedup.  The report keeps its column names: the replay is the
+  ``full_recompute`` arm.
 * **Scheduler/environment diversity**: additional named workloads cover
   random-pair gossip at n=10k (a scheduler that never touches
   components), a periodic duty cycle at n=10k (pure agent-toggle deltas)
   and a dense complete-graph Markov-churn case where one giant component
   loses and regains edges every round (the labeller's densest input).
 * **Array engine**: two workloads cover the struct-of-arrays scale path,
-  both racing the :class:`ArrayEngine` against the reference engine's
-  best mode on the flagship scenario (the "speedup" column is the array
+  both racing the :class:`ArrayEngine` against the reference engine
+  on the flagship scenario (the "speedup" column is the array
   engine's gain over the reference, a same-machine ratio).
   ``array_vs_reference_10k`` runs at n=10k; ``array_sparse_churn_100k``
   runs at n=100k — the regime this engine exists for — where the
@@ -28,7 +32,7 @@ while the collective state stays large.
   the environment's per-edge transition dominates the round.
 * **Environment share**: for each workload, an instrumented pass records
   the fraction of round time spent in the environment layer (environment
-  advance + component labelling + scheduling) in both engine modes,
+  advance + component labelling + scheduling) in both arms,
   so the next perf PR can see where the bottleneck actually is instead of
   guessing.
 * **Memory**: one run per history mode (``"full"`` vs ``"none"``) at large
@@ -77,6 +81,7 @@ from repro.environment.dynamics import (
 from repro.environment.graphs import complete_graph, ring_graph
 from repro.simulation.array_engine import ArrayEngine
 from repro.simulation.engine import Simulator
+from repro.verification import TextbookReplay
 
 DEFAULT_OUT = pathlib.Path(__file__).parent / "BENCH_engine.json"
 
@@ -106,27 +111,30 @@ def _values(num_agents: int) -> list[int]:
     return [(i * 7919) % (num_agents * 10) for i in range(num_agents)]
 
 
-def build_simulator(num_agents: int, incremental: bool = True) -> Simulator:
-    """The flagship workload: sparse-activity minimum consensus.
+#: The two arms a workload races, (gated arm, reference arm): the
+#: reference engine against the textbook replay, and the array engine
+#: against the reference engine.  The report's ``incremental_*`` columns
+#: are the gated arm, its ``full_recompute_*`` columns the reference arm.
+REFERENCE_ARMS = (Simulator, TextbookReplay)
+ARRAY_ARMS = (ArrayEngine, Simulator)
 
-    ``incremental=False`` selects the full reference engine (from-scratch
-    round state *and* from-scratch environment layer).
-    """
+
+def build_simulator(num_agents: int, engine=Simulator):
+    """The flagship workload: sparse-activity minimum consensus."""
     values = _values(num_agents)
-    return Simulator(
+    return engine(
         minimum_algorithm(),
         RandomChurnEnvironment(
             ring_graph(num_agents), edge_up_probability=EDGE_UP_PROBABILITY
         ),
         initial_values=values,
         seed=SEED,
-        incremental=incremental,
     )
 
 
-def build_random_pair(num_agents: int, incremental: bool = True) -> Simulator:
+def build_random_pair(num_agents: int, engine=Simulator):
     """Sparse churn driven by random-pair gossip (no component queries)."""
-    return Simulator(
+    return engine(
         minimum_algorithm(),
         RandomChurnEnvironment(
             ring_graph(num_agents), edge_up_probability=EDGE_UP_PROBABILITY
@@ -134,31 +142,29 @@ def build_random_pair(num_agents: int, incremental: bool = True) -> Simulator:
         initial_values=_values(num_agents),
         scheduler=RandomPairScheduler(),
         seed=SEED,
-        incremental=incremental,
     )
 
 
-def build_duty_cycle(num_agents: int, incremental: bool = True) -> Simulator:
+def build_duty_cycle(num_agents: int, engine=Simulator):
     """Periodic duty cycle at scale: pure agent-toggle deltas, edges up."""
-    return Simulator(
+    return engine(
         minimum_algorithm(),
         PeriodicDutyCycleEnvironment(
             ring_graph(num_agents), period=10, duty_cycle=0.5, seed=7
         ),
         initial_values=_values(num_agents),
         seed=SEED,
-        incremental=incremental,
     )
 
 
-def build_dense_markov(num_agents: int, incremental: bool = True) -> Simulator:
+def build_dense_markov(num_agents: int, engine=Simulator):
     """Dense complete graph under Markov churn: deletions dominate.
 
     The graph stays one giant component of ~40k effective edges, so each
     round's labelling covers the whole graph: the densest input of the
     component labeller.
     """
-    return Simulator(
+    return engine(
         minimum_algorithm(),
         MarkovChurnEnvironment(
             complete_graph(num_agents),
@@ -167,69 +173,53 @@ def build_dense_markov(num_agents: int, incremental: bool = True) -> Simulator:
         ),
         initial_values=_values(num_agents),
         seed=SEED,
-        incremental=incremental,
     )
 
 
-def build_array_vs_reference(num_agents: int, incremental: bool = True):
-    """The array engine raced against the reference engine's best mode.
-
-    ``incremental=True`` builds the :class:`ArrayEngine`;
-    ``incremental=False`` builds the reference ``Simulator`` in its
-    fastest (fully incremental) configuration, so the reported "speedup"
-    is the array engine's gain over the best the object-per-agent engine
-    can do on the identical workload and random stream.
-    """
-    if not incremental:
-        return build_simulator(num_agents, incremental=True)
-    return ArrayEngine(
+def build_array_dense_markov(num_agents: int, engine=ArrayEngine):
+    """Dense Markov churn as the ``dense_markov_800`` perfbench workload
+    has it: the array engine reads only the array form of each state,
+    the reference engine the states' frozensets."""
+    return engine(
         minimum_algorithm(),
-        RandomChurnEnvironment(
-            ring_graph(num_agents), edge_up_probability=EDGE_UP_PROBABILITY
+        MarkovChurnEnvironment(
+            complete_graph(num_agents),
+            edge_failure_probability=0.6,
+            edge_recovery_probability=0.1,
         ),
         initial_values=_values(num_agents),
         seed=SEED,
     )
 
 
-def build_array_dense_markov(num_agents: int, incremental: bool = True):
-    """The array engine raced against the reference engine on dense
-    Markov churn (the ``dense_markov_800`` perfbench workload's
-    environment).
-
-    ``incremental=True`` builds the :class:`ArrayEngine`, which reads
-    only the array form of each state; ``incremental=False`` builds the
-    reference ``Simulator`` in its default configuration, which reads
-    the states' frozensets.
-    """
-    environment = MarkovChurnEnvironment(
-        complete_graph(num_agents),
-        edge_failure_probability=0.6,
-        edge_recovery_probability=0.1,
-    )
-    engine = ArrayEngine if incremental else Simulator
-    return engine(
-        minimum_algorithm(),
-        environment,
-        initial_values=_values(num_agents),
-        seed=SEED,
-    )
-
-
-#: name -> (builder, (num_agents, rounds), (quick_num_agents, quick_rounds))
+#: name -> (builder, arms, (num_agents, rounds), (quick_num_agents, quick_rounds))
 WORKLOADS = {
-    "sparse_churn_random_pair": (build_random_pair, (10_000, 30), (10_000, 12)),
-    "duty_cycle_maximal": (build_duty_cycle, (10_000, 30), (10_000, 12)),
-    "dense_complete_markov": (build_dense_markov, (300, 60), (300, 20)),
-    "array_vs_reference_10k": (build_array_vs_reference, (10_000, 30), (10_000, 12)),
+    "sparse_churn_random_pair": (
+        build_random_pair, REFERENCE_ARMS, (10_000, 30), (10_000, 12)
+    ),
+    "duty_cycle_maximal": (
+        build_duty_cycle, REFERENCE_ARMS, (10_000, 30), (10_000, 12)
+    ),
+    "dense_complete_markov": (
+        build_dense_markov, REFERENCE_ARMS, (300, 60), (300, 20)
+    ),
+    # The array engine against the reference engine on the identical
+    # flagship workload and random stream.
+    "array_vs_reference_10k": (
+        build_simulator, ARRAY_ARMS, (10_000, 30), (10_000, 12)
+    ),
     # Quick mode deliberately measures the same 60-round window as full
     # mode: the first ~10 rounds carry the bulk of the state churn, so a
     # shorter window reads a different workload profile (lower speedup)
     # and the CI gate would compare apples to oranges against the
     # committed full-mode baseline.
-    "array_sparse_churn_100k": (build_array_vs_reference, (100_000, 60), (100_000, 60)),
+    "array_sparse_churn_100k": (
+        build_simulator, ARRAY_ARMS, (100_000, 60), (100_000, 60)
+    ),
     # Same window in both modes, for the same reason.
-    "array_dense_markov_800": (build_array_dense_markov, (800, 20), (800, 20)),
+    "array_dense_markov_800": (
+        build_array_dense_markov, ARRAY_ARMS, (800, 20), (800, 20)
+    ),
 }
 
 #: Workloads the gate checks whatever ``--check-min-n`` says: their agent
@@ -238,11 +228,11 @@ WORKLOADS = {
 ALWAYS_GATED = frozenset({"array_dense_markov_800"})
 
 
-def measure_rounds_per_sec(num_agents: int, rounds: int, incremental: bool,
+def measure_rounds_per_sec(num_agents: int, rounds: int, engine,
                            repeats: int, build=build_simulator) -> float:
     best = 0.0
     for _ in range(repeats):
-        simulator = build(num_agents, incremental)
+        simulator = build(num_agents, engine)
         stream = simulator.steps(max_rounds=rounds)
         # Brief pause between trials: setup work (graph construction,
         # initial snapshots) otherwise eats the burst budget of
@@ -257,20 +247,22 @@ def measure_rounds_per_sec(num_agents: int, rounds: int, incremental: bool,
     return best
 
 
-def measure_environment_share(num_agents: int, rounds: int, incremental: bool,
+def measure_environment_share(num_agents: int, rounds: int, engine,
                               build=build_simulator) -> float:
     """Fraction of round time spent in the environment layer.
 
     The environment layer here is everything between "the round starts"
     and "the engine has the round's groups": the environment transition
-    (and, incrementally, the engine's diff against the previous state),
-    the component labelling (run by the scheduler's first read of the
-    state's groups), and scheduling.  Measured with plain
+    (and the reference engine's diff against the previous state), the
+    component labelling (run by the scheduler's first read of the
+    state's groups), and scheduling.  The textbook replay walks the
+    components itself, outside the timed sections, so its share counts
+    the transition and a plugin scheduler's lists only.  Measured with plain
     ``perf_counter`` section timers on a dedicated instrumented run,
     separate from the throughput measurement so the timers never taint
     the reported rounds/sec.
     """
-    simulator = build(num_agents, incremental)
+    simulator = build(num_agents, engine)
     clock = time.perf_counter
     section = {"total": 0.0}
 
@@ -414,20 +406,21 @@ def measure_checkpoint_overhead(num_agents: int, rounds: int, every: int,
     return entry
 
 
-def measure_workload(name: str, build, num_agents: int, rounds: int,
+def measure_workload(name: str, build, arms, num_agents: int, rounds: int,
                      repeats: int) -> dict:
-    """One named workload: both engine modes plus environment-layer shares."""
+    """One named workload: both arms plus environment-layer shares."""
+    gated, reference = arms
     incremental = measure_rounds_per_sec(
-        num_agents, rounds, True, repeats, build=build
+        num_agents, rounds, gated, repeats, build=build
     )
     full = measure_rounds_per_sec(
-        num_agents, rounds, False, repeats, build=build
+        num_agents, rounds, reference, repeats, build=build
     )
     share_incremental = measure_environment_share(
-        num_agents, rounds, True, build=build
+        num_agents, rounds, gated, build=build
     )
     share_full = measure_environment_share(
-        num_agents, rounds, False, build=build
+        num_agents, rounds, reference, build=build
     )
     entry = {
         "num_agents": num_agents,
@@ -453,9 +446,10 @@ def run_benchmark(sizes, repeats: int, memory_size, quick: bool = False,
     ``memory_size`` is not None) the history-mode memory peaks and (when
     ``checkpoint_size`` is not None) the checkpoint overhead."""
     results = []
+    gated, reference = REFERENCE_ARMS
     for num_agents, rounds in sizes:
-        incremental = measure_rounds_per_sec(num_agents, rounds, True, repeats)
-        full = measure_rounds_per_sec(num_agents, rounds, False, repeats)
+        incremental = measure_rounds_per_sec(num_agents, rounds, gated, repeats)
+        full = measure_rounds_per_sec(num_agents, rounds, reference, repeats)
         entry = {
             "num_agents": num_agents,
             "rounds": rounds,
@@ -465,14 +459,13 @@ def run_benchmark(sizes, repeats: int, memory_size, quick: bool = False,
         }
         if num_agents >= 10_000:
             # The flagship sparse-churn row also records how much of the
-            # round the environment layer consumes in each mode — the
-            # number this PR's optimization moved, kept in the report so
-            # the next perf PR targets the real bottleneck.
+            # round the environment layer consumes in each arm, kept in
+            # the report so the next perf PR targets the real bottleneck.
             entry["environment_share_incremental"] = round(
-                measure_environment_share(num_agents, rounds, True), 3
+                measure_environment_share(num_agents, rounds, gated), 3
             )
             entry["environment_share_full_recompute"] = round(
-                measure_environment_share(num_agents, rounds, False), 3
+                measure_environment_share(num_agents, rounds, reference), 3
             )
         results.append(entry)
         print(
@@ -481,10 +474,10 @@ def run_benchmark(sizes, repeats: int, memory_size, quick: bool = False,
         )
     workloads = {}
     if with_workloads:
-        for name, (build, full_size, quick_size) in WORKLOADS.items():
+        for name, (build, arms, full_size, quick_size) in WORKLOADS.items():
             num_agents, rounds = quick_size if quick else full_size
             workloads[name] = measure_workload(
-                name, build, num_agents, rounds, repeats
+                name, build, arms, num_agents, rounds, repeats
             )
     return {
         "benchmark": "engine_rounds_per_sec",

@@ -1,7 +1,7 @@
 """Static analysis: the determinism & protocol-conformance linter.
 
-The platform's headline guarantee — byte-identical runs across incremental
-modes, checkpoints, resume and the content-addressed result cache — is
+The platform's headline guarantee — byte-identical runs against the textbook
+replay, checkpoints, resume and the content-addressed result cache — is
 enforced dynamically by the parity matrices (captured workloads, the
 checkpoint-parity suite).  The *discipline* that makes those suites pass is
 a handful of codebase-wide invariants:

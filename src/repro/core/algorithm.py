@@ -91,7 +91,7 @@ class SelfSimilarAlgorithm:
     singleton_stutters:
         Opt-in declaration that the step rule, applied to a group of one
         agent, always returns the state unchanged *and* draws no
-        randomness.  The incremental simulation engine uses it to skip
+        randomness.  The reference simulation engine uses it to skip
         the step-rule call for singleton groups, which dominate sparse
         rounds.  Most of this library's examples declare it (they all
         carry the usual ``if len(states) <= 1: return list(states)``
@@ -111,8 +111,8 @@ class SelfSimilarAlgorithm:
         answer for any case the shortcut cannot price exactly, e.g. a
         conservation violation that the full judge should diagnose).
         Judging draws no randomness, so the shortcut never affects the
-        random stream; the engine's full-recompute reference mode ignores
-        it entirely, which is how the parity suite pins the equivalence.
+        random stream; the textbook replay and the engines' cross-checks
+        judge without it, which is how the parity suites pin the equivalence.
     kernel:
         Optional name of the int64 kernel this algorithm's step rule
         implements: ``"minimum"``, ``"maximum"`` or ``"sum"``, the only
@@ -197,8 +197,7 @@ class SelfSimilarAlgorithm:
         construction and relation check are skipped.  The same flag gates
         the algorithm's :attr:`fast_judge` shortcut (exact by contract).
         The verdict is identical either way; the flag exists so the
-        engine's full-recompute reference mode can reproduce the
-        unshortcut execution exactly.
+        cross-checks and the textbook replay can judge a step in full.
 
         Raises
         ------

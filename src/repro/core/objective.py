@@ -75,8 +75,8 @@ class ObjectiveFunction:
         change of ``h``.  Only supply one when the arithmetic is exact
         (integers, Fractions, integer-valued floats), so that
         ``h_before + Δh`` is bit-identical to a full recomputation — the
-        simulation engine relies on this to keep incremental runs
-        byte-identical to full-recompute runs.
+        simulation engine relies on this to keep its runs byte-identical
+        to the textbook replay, which recomputes ``h`` every round.
     array_delta_fn:
         Optional array form of ``delta_fn`` for the array engine:
         ``(removed, added) -> Δh`` over numpy ``int64`` arrays, returning

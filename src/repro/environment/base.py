@@ -775,7 +775,8 @@ class EnvironmentState:
         Stops at the first difference, and compares the enabled counts
         first.  Two array-form states compare their enabled-id arrays,
         and their up-edge indexes when both index one edge sequence, so
-        neither builds a set; every other pair compares the frozensets.
+        neither builds a set; every other pair compares the frozensets, by
+        identity first (frozenset ``==`` walks the set even against itself).
         """
         if previous is self:
             return True
@@ -788,12 +789,15 @@ class EnvironmentState:
         if old_ids is not None and new_ids is not None:
             if old_ids is not new_ids and not _numpy.array_equal(old_ids, new_ids):
                 return False
-        elif previous.enabled_agents != self.enabled_agents:
-            return False
+        else:
+            agents = previous.enabled_agents
+            if agents is not self.enabled_agents and agents != self.enabled_agents:
+                return False
         sequence = new.get("_edge_sequence")
         if sequence is not None and old.get("_edge_sequence") is sequence:
             return bool(_numpy.array_equal(old["_up_edges"], new["_up_edges"]))
-        return previous.available_edges == self.available_edges
+        edges = previous.available_edges
+        return edges is self.available_edges or edges == self.available_edges
 
     def _adopt_view_memos(self, previous: "EnvironmentState") -> None:
         """Copy ``previous``'s memoized derived views onto this state.

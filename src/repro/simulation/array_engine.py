@@ -773,14 +773,7 @@ class ArrayEngine(Engine):
 
     def finish_metadata(self) -> dict:
         """Run metadata recorded on the result."""
-        return {
-            "algorithm": self.algorithm.name,
-            "environment": self.environment.describe(),
-            "scheduler": self.scheduler.describe(),
-            "num_agents": self.environment.num_agents,
-            "seed": self.seed,
-            "engine": "array",
-        }
+        return {**super().finish_metadata(), "engine": "array"}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

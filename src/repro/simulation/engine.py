@@ -29,9 +29,9 @@ module supplies how one round executes.
 
 A round is one loop over the groups that can change.  A lone agent of
 an algorithm that declares ``singleton_stutters`` can only stutter, so
-by default the loop visits the groups of two or more agents and records
-a stutter for every other; ``incremental=False`` visits every group.
-The loop reads the schedule as one layout ``(members, bounds,
+the loop visits the groups of two or more agents and records a stutter
+for every other; for any other algorithm it visits every group.  The
+loop reads the schedule as one layout ``(members, bounds,
 positions)`` of the groups it visits.  Under the maximal scheduler the
 schedule is the state's own partition view
 (:meth:`EnvironmentState.component_partition`), read from its ``int64``
@@ -43,9 +43,8 @@ gathers every visited group's states in one pass, calls the step rule
 on each group's slice, and pays for the relation only where a group's
 states changed: a result equal to the slice is a stutter, and every
 other result is judged (:meth:`SelfSimilarAlgorithm.judge_step`).
-``incremental=False`` judges every step in full.
 
-Bookkeeping is *incremental* by default.  Instead of rebuilding the
+Bookkeeping is *incremental*.  Instead of rebuilding the
 agent-state multiset and recomputing the objective ``h`` from scratch
 every round, the engine folds each round's ``(removed, added)`` state
 delta into the maintained :class:`Multiset`
@@ -57,11 +56,11 @@ the previous state's memoized views, its labelling and partition view
 included.  A round in which two agents moved
 therefore costs O(2) bookkeeping, not O(n) — matching the paper's
 "speed up or slow down depending on the resources available" story.
-``incremental=False`` selects the from-scratch reference mode, the
-oracle the parity test suite compares the default against byte for
-byte; ``cross_check=True`` validates the maintained state, the
-labelled components and the loop's stutters against a full
-recomputation every round.
+``cross_check=True`` validates the maintained state, the labelled
+components and the loop's stutters against a full recomputation every
+round, and :class:`~repro.verification.oracle.TextbookReplay`, which
+replays the paper's round from its definitions, is the oracle the
+parity suites compare this engine's round records and results against.
 """
 
 from __future__ import annotations
@@ -78,17 +77,16 @@ from ..core.multiset import Multiset
 from ..core.relation import STUTTER_JUDGEMENT, StepJudgement, StepKind
 from ..environment.base import (
     Environment,
-    EnvironmentState,
     check_components,
     group_layout,
 )
 from ..registry import register_engine
-from .checkpoint import RoundState
 from .protocol import Engine, RoundRecord
 
 __all__ = ["RoundRecord", "Simulator"]
 
 _group_members = attrgetter("members")
+_partition_layout = attrgetter("members", "bounds", "positions")
 
 
 @register_engine("reference")
@@ -116,39 +114,15 @@ class Simulator(Engine):
         an explicit seed is drawn once and recorded as :attr:`seed`, so
         every run — including "unseeded" ones — is reproducible from its
         result metadata.
-    incremental:
-        The engine's single mode switch.  When True (default), the
-        simulator maintains both layers of the round incrementally.  The
-        round state: each round folds the ``(removed, added)`` state delta
-        reported by the executed group steps into the maintained
-        :class:`Multiset`, updates the objective in O(|delta|) for
-        objectives that support exact deltas, checks convergence by bag
-        equality with the target, and the round's one
-        loop visits only the groups that can change: lone agents of
-        algorithms that declare ``singleton_stutters`` stutter without
-        running the step rule.  The environment layer: the engine
-        compares each environment state with the last
-        (:meth:`EnvironmentState.unchanged_from`), and quiet rounds adopt
-        the previous state's memoized views.  When False, every round
-        recomputes from scratch — plain ``advance``, the step rule on
-        every group, a freshly built multiset and objective — the
-        reference behaviour the incremental path is measured and
-        cross-checked against.  The random draws and the results are
-        byte-identical either way.
-        Note: the incremental path assumes agent states change only
-        through executed group steps; code that mutates :attr:`states`
-        directly between rounds must use ``incremental=False`` (or will
-        be caught by ``cross_check``).
     cross_check:
-        Debug flag for the incremental path.  When True, every round the
-        maintained multiset and objective are verified
-        against a full recomputation from the agent states — the
-        labelled communication groups against a from-scratch component
-        walk, and every step the round loop took for a stutter against
-        the relation's full judgement — raising :class:`SimulationError`
-        on any divergence.  With
-        ``incremental=False`` there is no maintained state to verify, so
-        the combination is refused at construction.
+        Debug flag.  When True, every round the maintained multiset and
+        objective are verified against a full recomputation from the
+        agent states — the labelled communication groups against a
+        from-scratch component walk, every step the round loop took for
+        a stutter against the relation's full judgement, and the round's
+        counts against a rescan of its record — raising
+        :class:`SimulationError` on any divergence (agent states mutated
+        outside a group step, say).
     """
 
     checkpoint_kind = "simulator"
@@ -160,43 +134,12 @@ class Simulator(Engine):
         initial_values: Sequence[Any],
         scheduler: Scheduler | None = None,
         seed: int | None = None,
-        incremental: bool = True,
         cross_check: bool = False,
     ):
-        if cross_check and not incremental:
-            raise SimulationError(
-                "cross_check verifies the incremental path against a full "
-                "recomputation; with incremental=False every round already "
-                "recomputes from scratch, so there is nothing to check"
-            )
         super().__init__(algorithm, environment, initial_values, seed)
         self.scheduler = scheduler or MaximalGroupsScheduler()
-        self.incremental = incremental
         self.cross_check = cross_check
-
-        #: The agent states, indexed by agent id.
-        self.states: list = algorithm.initial_states(self.initial_values)
-        self._initial_states = list(self.states)
-        self._target = algorithm.target(self.states)
-        # The entire mutable run state — RNG, round index, maintained
-        # multiset, maintained objective — lives in one explicit object,
-        # which is what checkpoint()/restore() serialize.  (The objective
-        # stays lazily initialised so that building a simulator never
-        # evaluates it.)
-        self._state = RoundState(self.seed, self.states)
-
-    # -- state access ----------------------------------------------------------
-
-    def current_multiset(self) -> Multiset:
-        """Return the current agent states as a multiset."""
-        return Multiset(self.states)
-
-    def _advance_environment(self, round_index: int) -> EnvironmentState:
-        """One environment transition; in incremental mode a quiet round
-        adopts the last state's views (:meth:`Engine._advance_environment`)."""
-        if self.incremental:
-            return super()._advance_environment(round_index)
-        return self.environment.advance(round_index, self._state.rng)
+        self._start_list_state()
 
     def _execute_round(self, round_index: int) -> RoundRecord:
         """Execute one round — one environment transition, one scheduled
@@ -212,20 +155,17 @@ class Simulator(Engine):
         states of every group are gathered in one pass before any group
         installs (the groups are disjoint), the step rule runs on each
         group's slice, and only a result that is not a plain stutter is
-        judged (:meth:`SelfSimilarAlgorithm.judge_step`).  In incremental
-        mode the state deltas the steps install are folded into the
-        maintained round state (:meth:`_fold_round`); in full mode every
-        step is judged in full and everything is recomputed from the
-        agent states.
+        judged (:meth:`SelfSimilarAlgorithm.judge_step`).  The state
+        deltas the steps install are folded into the maintained round
+        state (:meth:`_fold_round`).
         """
         environment_state = self._advance_environment(round_index)
         rng = self._state.rng
         scheduled = self.scheduler.schedule(environment_state, rng)
-        incremental = self.incremental
         cross_check = self.cross_check
         # The state's own partition is disjoint and in range by
         # construction, so the O(n) validation pass is unnecessary.
-        own = incremental and scheduled is environment_state.component_partition()
+        own = scheduled is environment_state.component_partition()
         if own:
             if cross_check:
                 check_components(environment_state, "component labelling")
@@ -236,16 +176,13 @@ class Simulator(Engine):
         # Singleton groups dominate sparse rounds; when the algorithm
         # declares that lone agents always stutter (and draw no
         # randomness), their step-rule calls can be skipped outright.
-        if not (incremental and self.algorithm.singleton_stutters):
-            members, bounds, positions = group_layout(
-                map(_group_members, scheduled), smallest=1
-            )
-        elif own:
-            members = scheduled.members
-            bounds = scheduled.bounds
-            positions = scheduled.positions
+        smallest = 2 if self.algorithm.singleton_stutters else 1
+        if own and smallest == 2:
+            members, bounds, positions = _partition_layout(scheduled)
         else:
-            members, bounds, positions = group_layout(map(_group_members, scheduled))
+            members, bounds, positions = group_layout(
+                map(_group_members, scheduled), smallest
+            )
 
         states = self.states
         gathered = list(map(states.__getitem__, members))
@@ -267,14 +204,12 @@ class Simulator(Engine):
                 before = gathered[start:stop]
                 after = group_step(before, rng)
                 # A list equal to the one the step rule ran on is a
-                # stutter, which needs no judge (full mode judges it).
-                if incremental and type(after) is list and after == before:
+                # stutter, which needs no judge.
+                if type(after) is list and after == before:
                     if cross_check:
                         _verify_stutter(judge_step, before, after, round_index)
                     continue
-                states_after, judgement = judge_step(
-                    before, after, fast_stutter=incremental
-                )
+                states_after, judgement = judge_step(before, after)
                 if judgement is stutter:
                     continue
                 judged[position] = judgement
@@ -300,23 +235,15 @@ class Simulator(Engine):
             # states.  Fold what was installed, and drop the cached
             # objective value — it describes the pre-round bag and will
             # be recomputed lazily if the caller resumes.
-            if incremental and (removed or added):
+            if removed or added:
                 state = self._state
                 state.maintained = state.maintained.apply_delta(removed, added)
                 state.objective_value = None
             raise
 
-        if incremental:
-            multiset, objective, converged = self._fold_round(
-                removed, added, not invalid
-            )
-        else:
-            # Reference path: the round's multiset is recomputed from the
-            # agent states and shared by the trace, the objective
-            # trajectory and the convergence check.
-            multiset = self.current_multiset()
-            objective = self.algorithm.objective(multiset)
-            converged = multiset == self._target
+        multiset, objective, converged = self._fold_round(
+            removed, added, not invalid
+        )
         # Every judgement is an improvement, a stutter or invalid, so the
         # stutters are what the other two leave of the round's steps.
         record = RoundRecord(
@@ -363,7 +290,7 @@ class Simulator(Engine):
             # round contained steps outside ``D`` whose effect on ``h`` is
             # not delta-reconstructible (enforcement off): recompute in
             # full, on a freshly built multiset so that order-sensitive
-            # float summations match the reference path bit for bit.
+            # float summations match the textbook replay bit for bit.
             multiset = Multiset(self.states)
             objective = self.algorithm.objective(multiset)
         state.objective_value = objective
@@ -394,34 +321,6 @@ class Simulator(Engine):
                 "incremental objective diverged from full recomputation "
                 f"({objective!r} vs {full_objective!r})"
             )
-
-    # -- Engine hooks -------------------------------------------------------------
-
-    def initial_snapshot(self) -> tuple[Multiset, float]:
-        """The pre-run ``(multiset, objective)`` pair.
-
-        In incremental mode the maintained bag already holds the current
-        states; it also seeds the objective value so the first round
-        starts from a known ``h`` instead of recomputing.
-        """
-        if self.incremental:
-            state = self._state
-            initial_multiset = state.maintained
-            if state.objective_value is None:
-                state.objective_value = self.algorithm.objective(initial_multiset)
-            return initial_multiset, state.objective_value
-        initial_multiset = self.current_multiset()
-        return initial_multiset, self.algorithm.objective(initial_multiset)
-
-    def finish_metadata(self) -> dict:
-        """Run metadata recorded on the result."""
-        return {
-            "algorithm": self.algorithm.name,
-            "environment": self.environment.describe(),
-            "scheduler": self.scheduler.describe(),
-            "num_agents": self.environment.num_agents,
-            "seed": self.seed,
-        }
 
 
 def _verify_round_counts(record: RoundRecord) -> None:

@@ -55,7 +55,7 @@ from ..core.multiset import Multiset
 from ..core.algorithm import SelfSimilarAlgorithm
 from ..core.relation import StepJudgement, StepKind
 from ..environment.base import Environment
-from .checkpoint import EngineCheckpoint, RoundState
+from .checkpoint import EngineCheckpoint
 from .protocol import Engine, RoundRecord
 
 __all__ = ["MergeMessagePassingSimulator"]
@@ -125,17 +125,9 @@ class MergeMessagePassingSimulator(Engine):
         super().__init__(algorithm, environment, initial_values, seed)
         self.merge = merge
         self.loss_probability = loss_probability
-        self.states: list[Hashable] = algorithm.initial_states(self.initial_values)
-        self._initial_states = list(self.states)
-        self._target = algorithm.target(self.states)
+        self._start_list_state()
         self.messages_sent = 0
         self.messages_delivered = 0
-        # The mutable run state — RNG, round index, maintained multiset,
-        # maintained objective — as one explicit object, shared shape
-        # with the synchronous engine; checkpoint()/restore() serialize
-        # it.  (The objective stays lazily initialised so that building a
-        # simulator never evaluates it.)
-        self._state = RoundState(self.seed, self.states)
         # Incremental objective maintenance requires that every applied
         # merge respected the conservation law; that is only guaranteed
         # when enforcement checks each delivery (Simulator's equivalent is
@@ -165,13 +157,6 @@ class MergeMessagePassingSimulator(Engine):
         self._pair_group_cap = 65536
 
     # -- Engine hooks -------------------------------------------------------------
-
-    def initial_snapshot(self) -> tuple[Multiset, float]:
-        """The pre-run ``(multiset, objective)`` pair."""
-        state = self._state
-        if state.objective_value is None:
-            state.objective_value = self.algorithm.objective(state.maintained)
-        return state.maintained, state.objective_value
 
     def trace_complete(self, converged: bool, stopped_by_callback: bool) -> bool:
         """An idempotent merge at ``S*`` can only stutter, so a converged,
@@ -310,8 +295,8 @@ class MergeMessagePassingSimulator(Engine):
             )
         else:
             # Order-sensitive float objectives (hull): recompute on a
-            # freshly built multiset so values match the historic,
-            # full-recompute behaviour bit for bit.
+            # freshly built multiset so values match a full
+            # recomputation bit for bit.
             objective = self.algorithm.objective(Multiset(states))
         state.objective_value = objective
         return RoundRecord(

@@ -60,6 +60,7 @@ from ..temporal.trace import CountedTrace, Trace
 from .checkpoint import (
     DriverState,
     EngineCheckpoint,
+    RoundState,
     RunCheckpoint,
     decode_rng_state,
     decode_state,
@@ -249,18 +250,19 @@ class Engine:
     hooks the driver reads, so a new backend (an event-driven runtime, a
     remote shard) is a new ``Engine`` subclass — never a new ``run()``.
 
-    A subclass implements :meth:`_execute_round`, :meth:`initial_snapshot`
-    and :meth:`finish_metadata`; it sets ``_target`` (the multiset
-    ``S*``) and ``_state`` (its
+    A subclass implements :meth:`_execute_round` (and
+    :meth:`finish_metadata`, if it has no ``scheduler``); it sets
+    ``_target`` (the multiset ``S*``) and ``_state`` (its
     :class:`~repro.simulation.checkpoint.RoundState`) at construction.
-    The state hooks (:meth:`current_states`, :meth:`has_converged`,
-    :meth:`reset` and the engine's halves of the checkpoint,
-    :meth:`_checkpoint_agents` and :meth:`_restore_agents`) default to a
-    *list-state* engine: one that keeps the agent states in the list
-    ``states``, indexed by agent id, and their starting values in
-    ``_initial_states``.  A subclass extends them only with what it keeps
-    beside the states; the array engine replaces them with its numpy
-    forms.
+    The state hooks (:meth:`initial_snapshot`, :meth:`current_states`,
+    :meth:`current_multiset`, :meth:`has_converged`, :meth:`reset` and the
+    engine's halves of the checkpoint, :meth:`_checkpoint_agents` and
+    :meth:`_restore_agents`) default to a *list-state* engine: one that
+    keeps the agent states in the list ``states``, indexed by agent id,
+    and their starting values in ``_initial_states``
+    (:meth:`_start_list_state` builds them).  A subclass extends them only
+    with what it keeps beside the states; the array engine replaces them
+    with its numpy forms.
     """
 
     #: ``EngineCheckpoint.engine`` of this engine's checkpoints; a
@@ -424,21 +426,43 @@ class Engine:
         """Execute round ``round_index`` and record what it did."""
         raise NotImplementedError
 
-    def initial_snapshot(self) -> tuple[Multiset, float]:
-        """The pre-run ``(multiset, objective)`` pair, computed the way the
-        engine's bookkeeping mode dictates."""
-        raise NotImplementedError
-
     def finish_metadata(self) -> dict:
-        """Run metadata recorded on the result (read at run end, so
-        engine-side counters like delivered messages are final)."""
-        raise NotImplementedError
+        """Run metadata recorded on the result, read at run end so engine
+        counters are final; the default is a scheduled engine's."""
+        return {
+            "algorithm": self.algorithm.name,
+            "environment": self.environment.describe(),
+            "scheduler": self.scheduler.describe(),
+            "num_agents": self.environment.num_agents,
+            "seed": self.seed,
+        }
 
     # -- the list-state hooks ------------------------------------------------------
+
+    def _start_list_state(self) -> None:
+        """Build a list-state engine's ``states``, ``_initial_states``,
+        target ``S*`` and :class:`RoundState` (objective not yet priced)."""
+        #: The agent states, indexed by agent id.
+        self.states: list = self.algorithm.initial_states(self.initial_values)
+        self._initial_states = list(self.states)
+        self._target = self.algorithm.target(self.states)
+        self._state = RoundState(self.seed, self.states)
+
+    def initial_snapshot(self) -> tuple[Multiset, float]:
+        """The pre-run ``(multiset, objective)`` pair: the maintained bag
+        and its objective, priced once so the first round starts from it."""
+        state = self._state
+        if state.objective_value is None:
+            state.objective_value = self.algorithm.objective(state.maintained)
+        return state.maintained, state.objective_value
 
     def current_states(self) -> list:
         """The current agent states, indexed by agent id."""
         return list(self.states)
+
+    def current_multiset(self) -> Multiset:
+        """The current agent states as a multiset, built from ``states``."""
+        return Multiset(self.states)
 
     def has_converged(self) -> bool:
         """True when the agents currently form the target multiset.

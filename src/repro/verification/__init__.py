@@ -9,6 +9,7 @@ from .local_global import (
     search_local_to_global_violation,
 )
 from .model_checker import ModelCheckReport, explore_reachable_states
+from .oracle import TextbookReplay
 from .superidempotence import SuperIdempotenceReport, audit_super_idempotence
 
 __all__ = [
@@ -23,6 +24,7 @@ __all__ = [
     "search_local_to_global_violation",
     "ModelCheckReport",
     "explore_reachable_states",
+    "TextbookReplay",
     "SuperIdempotenceReport",
     "audit_super_idempotence",
 ]

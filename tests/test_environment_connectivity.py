@@ -19,9 +19,11 @@ arrays):
   edges that touch a disabled agent; with numpy hidden the walk serves
   and the engine's results are byte-identical.
 
-The engine-level byte-parity of the incremental engine against its
-from-scratch reference (``incremental=False``) is pinned separately
-(:mod:`tests.test_incremental_parity`).
+The engine-level parity of the reference engine against the textbook
+replay of the paper's round
+(:class:`~repro.verification.oracle.TextbookReplay`) is pinned
+separately (:mod:`tests.test_incremental_parity`,
+:mod:`tests.test_textbook_replay`).
 """
 
 from __future__ import annotations
@@ -157,6 +159,43 @@ def test_unchanged_from_is_the_exact_set_equality(name):
         previous = state
     if name == "static":
         assert quiet == ROUNDS - 1
+
+
+class _CountingFrozenset(frozenset):
+    """A frozenset that counts the equality tests made on it."""
+
+    comparisons = 0
+
+    def __eq__(self, other):
+        type(self).comparisons += 1
+        return frozenset.__eq__(self, other)
+
+    def __ne__(self, other):
+        type(self).comparisons += 1
+        return frozenset.__ne__(self, other)
+
+    __hash__ = frozenset.__hash__
+
+
+def test_unchanged_from_answers_for_one_shared_set_without_comparing(
+    monkeypatch,
+):
+    # Frozenset equality walks the whole set even against itself, so two
+    # states holding the same sets must be told equal by identity.
+    monkeypatch.setattr(_CountingFrozenset, "comparisons", 0)
+    topology = complete_graph(40)
+    agents = _CountingFrozenset(topology.agent_ids)
+    edges = _CountingFrozenset(topology.edges)
+    first = EnvironmentState(agents, edges, 0)
+    second = EnvironmentState(agents, edges, 1)
+    assert second.unchanged_from(first)
+    assert _CountingFrozenset.comparisons == 0
+    # Equal sets held as distinct objects are still compared, and found equal.
+    copy = EnvironmentState(
+        _CountingFrozenset(agents), _CountingFrozenset(edges), 2
+    )
+    assert copy.unchanged_from(first)
+    assert _CountingFrozenset.comparisons == 2
 
 
 @pytest.mark.parametrize("name", sorted(ENVIRONMENTS))

@@ -1,15 +1,19 @@
-"""Parity suite: incremental round state vs. full recomputation, and the
-shared engine driver vs. the pre-redesign ``run()`` monoliths.
+"""Parity suite: the reference engine's incremental round vs. the
+textbook replay, and the shared engine driver vs. the pre-redesign
+``run()`` monoliths.
 
 The simulation engine maintains its round multiset and objective
 incrementally (fold the ``(removed, added)`` delta of each round into
 the maintained :class:`Multiset` with ``apply_delta``, update ``h`` in
-O(|delta|), compare the bag with the target).  These tests pin the
-central contract of that optimization: for every seeded run, the
-incremental engine must produce a :class:`SimulationResult` *identical*
-to the full-recompute reference — same trace, same objective trajectory
-(exact equality, not approximate), same convergence round, same
-counters.
+O(|delta|), compare the bag with the target), reuses a quiet round's
+environment views, reads the labeller's partition and skips the step
+rule where a step can only stutter.  These tests pin the central
+contract of those optimizations: for every seeded run, the engine must
+produce a :class:`SimulationResult` *identical* to
+:class:`~repro.verification.oracle.TextbookReplay`, which executes the
+paper's round from its definitions — same trace, same objective
+trajectory (exact equality, not approximate), same convergence round,
+same counters.
 
 The matrix covers every algorithm family in the library (including the
 enforcement-off "unsound" ones, which exercise the full-recompute fallback
@@ -62,6 +66,7 @@ from repro.environment.dynamics import RandomChurnEnvironment, StaticEnvironment
 from repro.environment.graphs import complete_graph, grid_graph, ring_graph
 from repro.simulation.array_engine import HAVE_NUMPY
 from repro.simulation.engine import Simulator
+from repro.verification import TextbookReplay
 
 VALUES = [9, 4, 7, 1, 8, 3, 6, 2]
 POINTS = [(0.0, 0.0), (4.0, 0.0), (4.0, 3.0), (0.0, 3.0),
@@ -108,15 +113,19 @@ def _run(
     scheduler_name: str,
     seed: int,
     edge_up_probability: float = 0.6,
+    engine=Simulator,
+    records: list | None = None,
     **simulator_kwargs,
 ):
+    """One run of ``case`` under random churn on a ring; ``records``, when
+    given, collects its round records."""
     algorithm, values = CASES[case]()
     environment = RandomChurnEnvironment(
         ring_graph(len(values)),
         edge_up_probability=edge_up_probability,
         agent_up_probability=0.9,
     )
-    simulator = Simulator(
+    simulator = engine(
         algorithm,
         environment,
         initial_values=values,
@@ -124,62 +133,56 @@ def _run(
         seed=seed,
         **simulator_kwargs,
     )
-    return simulator.run(max_rounds=80, extra_rounds_after_convergence=2)
+    return simulator.run(
+        max_rounds=80,
+        extra_rounds_after_convergence=2,
+        on_round=None if records is None else records.append,
+    )
 
 
-def _assert_identical(incremental, full):
-    assert incremental.converged == full.converged
-    assert incremental.convergence_round == full.convergence_round
-    assert incremental.rounds_executed == full.rounds_executed
-    assert incremental.final_states == full.final_states
-    assert incremental.output == full.output
-    assert incremental.expected_output == full.expected_output
+def _assert_identical(default, reference):
+    assert default.converged == reference.converged
+    assert default.convergence_round == reference.convergence_round
+    assert default.rounds_executed == reference.rounds_executed
+    assert default.final_states == reference.final_states
+    assert default.output == reference.output
+    assert default.expected_output == reference.expected_output
     # Exact equality on purpose: incremental objective maintenance must be
     # bit-identical, not merely close.
-    assert incremental.objective_trajectory == full.objective_trajectory
-    assert list(incremental.trace) == list(full.trace)
-    assert incremental.trace.complete == full.trace.complete
-    assert incremental.group_steps == full.group_steps
-    assert incremental.improving_steps == full.improving_steps
-    assert incremental.stutter_steps == full.stutter_steps
-    assert incremental.invalid_steps == full.invalid_steps
-    assert incremental.largest_group == full.largest_group
-    assert incremental.metadata == full.metadata
+    assert default.objective_trajectory == reference.objective_trajectory
+    assert list(default.trace) == list(reference.trace)
+    assert default.trace.complete == reference.trace.complete
+    assert default.group_steps == reference.group_steps
+    assert default.improving_steps == reference.improving_steps
+    assert default.stutter_steps == reference.stutter_steps
+    assert default.invalid_steps == reference.invalid_steps
+    assert default.largest_group == reference.largest_group
+    assert default.metadata == reference.metadata
 
 
 @pytest.mark.parametrize("seed", [7, 13])
 @pytest.mark.parametrize("scheduler_name", sorted(SCHEDULERS))
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_incremental_matches_full_recompute(case, scheduler_name, seed):
-    # Fully incremental engine (round state + environment layer) vs the
-    # fully from-scratch reference: two independent code paths, one
-    # byte-identical result.
-    incremental = _run(case, scheduler_name, seed=seed, incremental=True)
-    full = _run(case, scheduler_name, seed=seed, incremental=False)
-    _assert_identical(incremental, full)
+def test_default_matches_textbook_replay(case, scheduler_name, seed):
+    # The incremental engine (round state + environment layer) vs the
+    # textbook replay: two independent code paths, one byte-identical
+    # result, round records included.
+    records, replayed = [], []
+    default = _run(case, scheduler_name, seed=seed, records=records)
+    reference = _run(
+        case, scheduler_name, seed=seed, engine=TextbookReplay, records=replayed
+    )
+    _assert_identical(default, reference)
+    assert records == replayed
 
 
 @pytest.mark.parametrize("case", ["minimum", "block-sorting", "average"])
 def test_cross_check_covers_maintained_components(case):
-    # cross_check on the incremental path verifies the maintained
-    # communication groups against a from-scratch walk every round.
-    checked = _run(case, "maximal", seed=19, incremental=True, cross_check=True)
-    reference = _run(case, "maximal", seed=19, incremental=False)
+    # cross_check verifies the labelled communication groups against a
+    # from-scratch walk every round.
+    checked = _run(case, "maximal", seed=19, cross_check=True)
+    reference = _run(case, "maximal", seed=19, engine=TextbookReplay)
     _assert_identical(checked, reference)
-
-
-def test_cross_check_refuses_the_from_scratch_mode():
-    # With incremental=False nothing is maintained, so cross_check would
-    # silently verify nothing; the combination is refused up front.
-    with pytest.raises(SimulationError, match="incremental path"):
-        Simulator(
-            minimum_algorithm(),
-            StaticEnvironment(ring_graph(4)),
-            initial_values=[4, 3, 2, 1],
-            seed=0,
-            incremental=False,
-            cross_check=True,
-        )
 
 
 class _OnlyAdvance(Environment):
@@ -204,7 +207,7 @@ class _OnlyAdvance(Environment):
 
 def test_environment_parity_across_environment_families():
     # The incremental engine (both layers) must be byte-identical to the
-    # from-scratch reference for every environment family, not just
+    # textbook replay for every environment family, not just
     # churn, and cross_check must find nothing to object to — including
     # for an environment that has no delta code of its own.
     from repro.environment.adversary import (
@@ -248,15 +251,15 @@ def test_environment_parity_across_environment_families():
         "only-advance": _OnlyAdvance,
     }
     for name, build in environments.items():
-        def run(**modes):
-            return Simulator(
+        def run(engine=Simulator, **modes):
+            return engine(
                 minimum_algorithm(),
                 build(),
                 initial_values=[9, 4, 7, 1, 8, 3, 6, 2],
                 seed=23,
                 **modes,
             ).run(max_rounds=120)
-        reference = run(incremental=False)
+        reference = run(engine=TextbookReplay)
         _assert_identical(run(), reference)
         _assert_identical(run(cross_check=True), reference)
 
@@ -269,14 +272,15 @@ class _NoAdapter(RandomChurnEnvironment):
 
 
 @pytest.mark.parametrize(
-    "modes", [{}, {"cross_check": True}, {"incremental": False}]
+    "engine, modes",
+    [(Simulator, {}), (Simulator, {"cross_check": True}), (TextbookReplay, {})],
 )
-def test_engines_never_call_advance_with_delta(modes):
+def test_engines_never_call_advance_with_delta(engine, modes):
     # The engines compare consecutive ``advance`` states themselves
-    # (``EnvironmentState.unchanged_from``); the adapter is for outside
-    # callers.
+    # (``EnvironmentState.unchanged_from``), and the textbook replay takes
+    # ``advance`` as is; the adapter is for outside callers.
     def run(environment_type):
-        return Simulator(
+        return engine(
             minimum_algorithm(),
             environment_type(ring_graph(8), edge_up_probability=0.5),
             initial_values=VALUES,
@@ -307,8 +311,8 @@ def test_messaging_never_calls_advance_with_delta():
 def test_cross_check_accepts_honest_runs(case):
     # The debug cross-check recomputes everything per round; it must stay
     # silent on every algorithm family, including the fallback paths.
-    checked = _run(case, "maximal", seed=11, incremental=True, cross_check=True)
-    reference = _run(case, "maximal", seed=11, incremental=False)
+    checked = _run(case, "maximal", seed=11, cross_check=True)
+    reference = _run(case, "maximal", seed=11, engine=TextbookReplay)
     _assert_identical(checked, reference)
 
 
@@ -316,37 +320,29 @@ def test_parity_across_seeds_and_churn_levels():
     for seed in (0, 1, 2, 3):
         for edge_up in (0.05, 0.3, 1.0):
             algorithm = minimum_algorithm()
-            def build(incremental):
-                return Simulator(
+            def build(engine):
+                return engine(
                     algorithm,
                     RandomChurnEnvironment(
                         ring_graph(12), edge_up_probability=edge_up
                     ),
                     initial_values=list(range(12, 0, -1)),
                     seed=seed,
-                    incremental=incremental,
                 ).run(max_rounds=60)
-            _assert_identical(build(True), build(False))
+            _assert_identical(build(Simulator), build(TextbookReplay))
 
 
 def test_streaming_steps_parity():
     algorithm, values = CASES["sorting"]()
-    def records(incremental):
-        simulator = Simulator(
+    def records(engine):
+        simulator = engine(
             algorithm,
             RandomChurnEnvironment(ring_graph(len(values)), edge_up_probability=0.5),
             initial_values=values,
             seed=3,
-            incremental=incremental,
         )
         return list(simulator.steps(max_rounds=40))
-    for left, right in zip(records(True), records(False)):
-        assert left.round_index == right.round_index
-        assert left.multiset == right.multiset
-        assert left.objective == right.objective
-        assert left.converged == right.converged
-        assert left.groups == right.groups
-        assert left.judgements == right.judgements
+    assert records(Simulator) == records(TextbookReplay)
 
 
 class _PaddedComponentScheduler(Scheduler):
@@ -364,11 +360,11 @@ class _PaddedComponentScheduler(Scheduler):
 def test_records_equal_across_sources_of_positions(case):
     # The round loop visits the positions the state's partition knows,
     # the positions it filters from a plugin's list, or every position
-    # (from-scratch mode, and block sorting, whose lone agents step):
-    # the records must not tell them apart.
-    def records(scheduler, **simulator_kwargs):
+    # (block sorting, whose lone agents step); the textbook replay steps
+    # every component: the records must not tell them apart.
+    def records(scheduler, engine=Simulator):
         algorithm, values = CASES[case]()
-        simulator = Simulator(
+        simulator = engine(
             algorithm,
             RandomChurnEnvironment(
                 grid_graph(2, 4), edge_up_probability=0.3, agent_up_probability=0.9
@@ -376,7 +372,6 @@ def test_records_equal_across_sources_of_positions(case):
             initial_values=values,
             scheduler=scheduler,
             seed=5,
-            **simulator_kwargs,
         )
         return [
             (record.groups, record.judgements, record.improving_steps,
@@ -386,7 +381,7 @@ def test_records_equal_across_sources_of_positions(case):
 
     maximal = records(MaximalGroupsScheduler())
     assert records(_PaddedComponentScheduler()) == maximal
-    assert records(MaximalGroupsScheduler(), incremental=False) == maximal
+    assert records(MaximalGroupsScheduler(), TextbookReplay) == maximal
     groups = [group for record in maximal for group in record[0]]
     assert any(len(group) == 1 for group in groups)
     assert any(record[2] for record in maximal)
@@ -399,7 +394,6 @@ def test_cross_check_detects_external_state_mutation():
         initial_values=[5, 6, 7, 8],
         seed=1,
         cross_check=True,
-        incremental=True,
     )
     stream = simulator.steps()
     next(stream)
@@ -580,15 +574,11 @@ def _legacy_simulator_run(
     from repro.simulation.result import SimulationResult
     from repro.temporal.trace import Trace
 
-    if simulator.incremental:
-        state = simulator._state
-        initial_multiset = state.maintained
-        if state.objective_value is None:
-            state.objective_value = simulator.algorithm.objective(initial_multiset)
-        initial_objective = state.objective_value
-    else:
-        initial_multiset = simulator.current_multiset()
-        initial_objective = simulator.algorithm.objective(initial_multiset)
+    state = simulator._state
+    initial_multiset = state.maintained
+    if state.objective_value is None:
+        state.objective_value = simulator.algorithm.objective(initial_multiset)
+    initial_objective = state.objective_value
     trace = Trace([initial_multiset])
     objective_trajectory = [initial_objective]
 
@@ -1089,35 +1079,49 @@ def _caught_by_both_cross_checks(scheduler_name):
     return reference
 
 
-def _caught_by_reference_mode(scheduler_name):
-    """The default run diverges from the ``incremental=False`` oracle, on
-    the usual churn or on a sparse one, where most groups are pairs."""
+def _caught_by_oracle(scheduler_name):
+    """The default run's round records or result diverge from the
+    textbook replay's, on the usual churn or on a sparse one, where most
+    groups are pairs.  The records are compared round by round: a result
+    keeps only the largest group of the whole run, for one."""
     for edge_up_probability in (0.6, 0.1):
+        records, replayed = [], []
         default = _run(
-            "minimum", scheduler_name, seed=7, edge_up_probability=edge_up_probability
+            "minimum", scheduler_name, seed=7,
+            edge_up_probability=edge_up_probability, records=records,
         )
         reference = _run(
             "minimum", scheduler_name, seed=7,
-            edge_up_probability=edge_up_probability, incremental=False,
+            edge_up_probability=edge_up_probability,
+            engine=TextbookReplay, records=replayed,
         )
         try:
             _assert_identical(default, reference)
         except AssertionError:
             return True
+        if records != replayed:
+            return True
     return False
 
 
-def _caught_by_reference_mode_and_cross_check(scheduler_name):
-    """A fault in the round loop's own stutter test shows in both checks:
-    the default run diverges from the ``incremental=False`` oracle, which
-    judges every step in full, and ``cross_check`` judges every step the
-    loop took for a stutter in full."""
-    reference = _caught_by_reference_mode(scheduler_name)
+def _caught_by_oracle_and_cross_check(scheduler_name):
+    """A fault the maintained round's checks see shows in both: the
+    default run diverges from the textbook replay, and ``cross_check``
+    re-derives the same thing from scratch every round."""
+    oracle = _caught_by_oracle(scheduler_name)
     checked = _caught_by_cross_check(scheduler_name)
-    assert reference == checked, (
-        f"reference mode caught: {reference}, cross_check: {checked}"
-    )
-    return reference
+    assert oracle == checked, f"oracle caught: {oracle}, cross_check: {checked}"
+    return oracle
+
+
+def _caught_by_oracle_and_both_cross_checks(scheduler_name):
+    """Both engines read the state's one labelling, which the textbook
+    replay does not: a labeller fault shows in the oracle and in both
+    engines' ``cross_check``."""
+    oracle = _caught_by_oracle(scheduler_name)
+    checked = _caught_by_both_cross_checks(scheduler_name)
+    assert oracle == checked, f"oracle caught: {oracle}, cross_checks: {checked}"
+    return oracle
 
 
 def _caught_by_legacy_loop(_scheduler_name):
@@ -1142,7 +1146,7 @@ def _seeded_mutations():
         "labeller-accepts-one-sweep": (
             base, "label_components",
             "if np.array_equal(labels.take(u), labels.take(v)):", "if True:",
-            "maximal", _caught_by_both_cross_checks,
+            "maximal", _caught_by_oracle_and_both_cross_checks,
         ),
         "fold-round-objective-off-by-one": (
             Simulator, "_fold_round",
@@ -1153,26 +1157,26 @@ def _seeded_mutations():
         "maintained-round-drops-singleton-floor": (
             Simulator, "_execute_round",
             "largest = 1 if scheduled else 0", "largest = 0",
-            "maximal", _caught_by_cross_check,
+            "maximal", _caught_by_oracle_and_cross_check,
         ),
         "memo-adoption-on-nonempty-delta": (
             Engine, "_advance_environment",
             " and environment_state.unchanged_from(previous):", ":",
-            "random-pair", _caught_by_reference_mode,
+            "random-pair", _caught_by_oracle,
         ),
         "singleton-skip-widened-to-pairs": (
             Simulator, "_execute_round",
             "for position, start, stop in zip(positions, bounds, bounds[1:]):",
             "for position, start, stop in ("
             "(p, a, b) for p, a, b in zip(positions, bounds, bounds[1:])"
-            " if not incremental or b - a > 2):",
-            "maximal", _caught_by_reference_mode,
+            " if b - a > 2):",
+            "maximal", _caught_by_oracle,
         ),
         "inline-stutter-skips-changed-groups": (
             Simulator, "_execute_round",
             "type(after) is list and after == before",
             "type(after) is list and len(after) == len(before)",
-            "maximal", _caught_by_reference_mode_and_cross_check,
+            "maximal", _caught_by_oracle_and_cross_check,
         ),
         "messaging-memo-adoption-on-nonempty-delta": (
             Engine, "_advance_environment",
@@ -1187,7 +1191,7 @@ def test_checks_catch_seeded_mutations(monkeypatch, mutation):
     owner, name, original, mutated, scheduler_name, caught = (
         _seeded_mutations()[mutation]
     )
-    if caught is _caught_by_both_cross_checks and not HAVE_NUMPY:
+    if caught is _caught_by_oracle_and_both_cross_checks and not HAVE_NUMPY:
         pytest.skip("the labeller and the array engine need numpy")
     # The unmutated recompile passes the check, so what the mutated one
     # trips over is the mutation, not the recompile.

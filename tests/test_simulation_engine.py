@@ -31,6 +31,7 @@ from repro.environment import (
 )
 from repro.simulation import MergeMessagePassingSimulator
 from repro.temporal import always, stable
+from repro.verification import TextbookReplay
 
 
 class TestSimulatorConstruction:
@@ -396,14 +397,16 @@ def _rescanned_counts(record):
     )
 
 
-def _tree_churn_simulator(seed=5, edge_up_probability=0.5, **kwargs):
+def _tree_churn_simulator(
+    seed=5, edge_up_probability=0.5, engine=Simulator, **kwargs
+):
     environment = RandomChurnEnvironment(
         tree_graph(15),
         edge_up_probability=edge_up_probability,
         agent_up_probability=0.9,
     )
     values = [(7 * agent) % 15 for agent in range(15)]
-    return Simulator(minimum_algorithm(), environment, values, seed=seed, **kwargs)
+    return engine(minimum_algorithm(), environment, values, seed=seed, **kwargs)
 
 
 class TestRoundCounts:
@@ -473,8 +476,10 @@ class TestRoundCounts:
         ]
         assert 1 in stepped and any(size > 1 for size in stepped)
 
-    def test_from_scratch_mode(self):
-        records = self._assert_counts_rescan(_tree_churn_simulator(incremental=False))
+    def test_textbook_replay(self):
+        records = self._assert_counts_rescan(
+            _tree_churn_simulator(engine=TextbookReplay)
+        )
         assert any(record.improving_steps for record in records)
 
     def test_messaging_engine(self):
@@ -507,14 +512,14 @@ class TestRoundCounts:
         assert any(record.invalid_steps for record in records)
 
     @pytest.mark.parametrize("scheduler", [None, RandomPairScheduler])
-    def test_default_and_from_scratch_counts_agree(self, scheduler):
-        def counts(incremental):
-            engine = _tree_churn_simulator(
-                scheduler=scheduler and scheduler(), incremental=incremental
+    def test_default_and_textbook_replay_counts_agree(self, scheduler):
+        def counts(engine):
+            simulator = _tree_churn_simulator(
+                scheduler=scheduler and scheduler(), engine=engine
             )
-            return [_counts(record) for record in engine.steps(max_rounds=40)]
+            return [_counts(record) for record in simulator.steps(max_rounds=40)]
 
-        assert counts(True) == counts(False)
+        assert counts(Simulator) == counts(TextbookReplay)
 
 
 def _tuple_step(states, rng):
@@ -542,42 +547,42 @@ def _nonconserving_step(states, rng):
 class TestStepRuleEdgeCases:
     """The round loop runs the step rule itself and judges only what is
     not a plain stutter, so what a step rule may return is pinned here:
-    the default and the from-scratch mode agree on every record, every
-    state and every exception."""
+    the default and the textbook replay, which judges every step in full,
+    agree on every record, every state and every exception."""
 
-    def _outcome(self, group_step, incremental, rounds=30):
+    def _outcome(self, group_step, engine=Simulator, rounds=30):
         algorithm = dataclasses.replace(minimum_algorithm(), group_step=group_step)
         environment = RandomChurnEnvironment(
             tree_graph(15), edge_up_probability=0.5, agent_up_probability=0.9
         )
         values = [(7 * agent) % 15 for agent in range(15)]
-        engine = Simulator(
-            algorithm, environment, values, seed=5, incremental=incremental
-        )
+        simulator = engine(algorithm, environment, values, seed=5)
         records = []
         error = None
         try:
-            for record in engine.steps(max_rounds=rounds):
+            for record in simulator.steps(max_rounds=rounds):
                 records.append(record)
         except ReproError as raised:
             error = raised
-        return records, list(engine.states), error
+        return records, list(simulator.states), error
 
     def _both_modes(self, group_step):
-        default = self._outcome(group_step, incremental=True)
-        from_scratch = self._outcome(group_step, incremental=False)
-        assert default[:2] == from_scratch[:2]
-        default_error, scratch_error = default[2], from_scratch[2]
-        assert type(default_error) is type(scratch_error)
-        assert str(default_error) == str(scratch_error)
-        assert vars(default_error or Exception()) == vars(scratch_error or Exception())
+        default = self._outcome(group_step)
+        replayed = self._outcome(group_step, TextbookReplay)
+        assert default[:2] == replayed[:2]
+        default_error, replayed_error = default[2], replayed[2]
+        assert type(default_error) is type(replayed_error)
+        assert str(default_error) == str(replayed_error)
+        assert vars(default_error or Exception()) == vars(
+            replayed_error or Exception()
+        )
         return default
 
     def test_a_tuple_result_is_judged_like_a_list(self):
         records, states, error = self._both_modes(_tuple_step)
         assert error is None
         assert any(record.improving_steps for record in records)
-        assert records == self._outcome(minimum_algorithm().group_step, True)[0]
+        assert records == self._outcome(minimum_algorithm().group_step)[0]
 
     def test_mutating_the_input_and_returning_it_is_a_stutter(self):
         records, states, error = self._both_modes(_in_place_step)
@@ -602,10 +607,8 @@ class TestPartitionView:
     """The maximal scheduler's partition is a view over the state's
     labelling: the reference round reads its layout, not Group objects."""
 
-    def _simulator(self, incremental=True):
-        return _tree_churn_simulator(
-            edge_up_probability=0.3, incremental=incremental
-        )
+    def _simulator(self, engine=Simulator):
+        return _tree_churn_simulator(edge_up_probability=0.3, engine=engine)
 
     def test_no_group_is_built_until_the_record_is_read(self, monkeypatch):
         built = []
@@ -619,9 +622,9 @@ class TestPartitionView:
         records = list(self._simulator().steps(max_rounds=40))
         assert built == []
         assert any(record.improving_steps for record in records)
-        # Once read, the records are those of the from-scratch mode, which
-        # validates the partition's groups.
-        assert records == list(self._simulator(False).steps(max_rounds=40))
+        # Once read, the records are those of the textbook replay, which
+        # walks the components itself.
+        assert records == list(self._simulator(TextbookReplay).steps(max_rounds=40))
         assert built
 
     def test_runs_leave_no_module_level_table_grown(self):
