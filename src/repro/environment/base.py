@@ -324,32 +324,59 @@ def label_components(u, v, num_agents: int):
     Labels over the fixed agent-id index: ``labels`` starts as
     ``arange(num_agents)`` and min-label propagation with full path
     compression runs over the edge arrays directly, so no sort and no
-    remapping is needed.  Returns ``(ids, labels)``: the ascending ids of
-    the agents some edge touches, and every agent's label — the smallest
-    agent id of its component (an agent no edge touches labels itself).
-    Every endpoint must be below ``num_agents``.
+    remapping is needed.  The first sweep hooks once: every label is
+    still its agent's id, so it hooks each edge's larger endpoint onto
+    its smaller one.  Every later sweep hooks both directions.  Path
+    compression then jumps the labels of the agents a sweep can have
+    hooked, or the whole label array when those are not fewer than half
+    the agents (:func:`_compressed`).  Returns ``(ids, labels)``: the
+    ascending ids of the agents some edge touches, and every agent's
+    label — the smallest agent id of its component (an agent no edge
+    touches labels itself).  Every endpoint must be below ``num_agents``.
     """
     np = _numpy
     labels = np.arange(num_agents, dtype=np.int64)
     if not u.shape[0]:
         return np.empty(0, dtype=np.int64), labels
-    while True:
-        # Scatter-min across both edge directions, then compress label
-        # chains to their roots; converges in O(log diameter) sweeps
-        # because labels only ever decrease toward the component minimum.
-        np.minimum.at(labels, u, labels.take(v))
-        np.minimum.at(labels, v, labels.take(u))
-        while True:
-            jumped = labels.take(labels)
-            if np.array_equal(jumped, labels):
-                break
-            labels = jumped
-        if np.array_equal(labels.take(u), labels.take(v)):
-            break
     touched = np.zeros(num_agents, dtype=bool)
     touched[u] = True
     touched[v] = True
-    return np.flatnonzero(touched), labels
+    ids = np.flatnonzero(touched)
+    hooked = np.maximum(u, v)
+    np.minimum.at(labels, hooked, np.minimum(u, v))
+    labels = _compressed(labels, hooked)
+    # Labels only ever decrease toward the component minimum, so the
+    # sweeps end in O(log diameter).
+    while not np.array_equal(labels.take(u), labels.take(v)):
+        np.minimum.at(labels, u, labels.take(v))
+        np.minimum.at(labels, v, labels.take(u))
+        labels = _compressed(labels, ids)
+    return ids, labels
+
+
+def _compressed(labels, hooked):
+    """``labels`` with every label chain jumped to its root.
+
+    Only the agents in ``hooked`` (repeats allowed) may label anything
+    but themselves.  Jumping their labels alone pays a gather, a compare
+    and a scatter per step, and jumping the whole array a gather and a
+    compare, so the subset runs while it holds fewer than half the
+    agents.  Either way each step jumps every label once, in place for
+    the subset, so both reach the same labels.
+    """
+    np = _numpy
+    if 2 * hooked.shape[0] < labels.shape[0]:
+        parents = labels.take(hooked)
+        while True:
+            jumped = labels.take(parents)
+            if np.array_equal(jumped, parents):
+                return labels
+            labels[hooked] = parents = jumped
+    while True:
+        jumped = labels.take(labels)
+        if np.array_equal(jumped, labels):
+            return labels
+        labels = jumped
 
 
 def _labelled_layout(enabled_ids, ids, labels) -> tuple:

@@ -52,10 +52,13 @@ __all__ = [
 VECTORIZED_MIN_DRAWS = 3000
 
 #: Per-thread numpy ``RandomState`` used by :func:`uniform_draws` and
-#: :func:`randint_draws` as a state container.  Built once per thread
-#: because construction costs about as much as a whole state round trip;
-#: every call overwrites its entire state first, so nothing carries over
-#: from one call to the next.
+#: :func:`randint_draws` as a state container (``state``).  Built once per
+#: thread because construction costs about as much as a whole state round
+#: trip.  ``holds`` is the :class:`random.Random` internal state the
+#: scratch was last left in, or None: a call whose generator is in exactly
+#: that state (nothing drew from it since the last batch) draws on the
+#: scratch as it is; every other call overwrites its entire state first,
+#: so nothing else carries over from one call to the next.
 _draw_scratch = threading.local()
 
 
@@ -116,18 +119,25 @@ def randint_draws(rng: random.Random, count: int, low: int, high: int) -> list:
 def _drawn_on_scratch(rng: random.Random, draw):
     """``draw(scratch)`` on this thread's scratch ``RandomState`` loaded
     with ``rng``'s exact MT19937 state, after which ``rng`` is advanced to
-    the scratch's state.  A pending ``gauss()`` value is kept."""
+    the scratch's state.  A pending ``gauss()`` value is kept.  The
+    scratch is loaded only when it does not already hold that state."""
     np = _numpy
     scratch = getattr(_draw_scratch, "state", None)
     if scratch is None:
         scratch = _draw_scratch.state = np.random.RandomState()
+        _draw_scratch.holds = None
     version, internal, gauss = rng.getstate()
-    scratch.set_state(
-        ("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1])
-    )
+    if internal != _draw_scratch.holds:
+        scratch.set_state(
+            ("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1])
+        )
+    # Cleared first, so a draw that raises leaves no stale claim behind.
+    _draw_scratch.holds = None
     drawn = draw(scratch)
     keys, position = scratch.get_state()[1:3]
-    rng.setstate((version, tuple(keys.tolist()) + (int(position),), gauss))
+    internal = tuple(keys.tolist()) + (int(position),)
+    rng.setstate((version, internal, gauss))
+    _draw_scratch.holds = internal
     return drawn
 
 

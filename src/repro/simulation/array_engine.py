@@ -41,8 +41,10 @@ schedulers × environments.
 Round bookkeeping never leaves the arrays and never snapshots: the
 objective is folded with the objective's exact array delta
 (:meth:`~repro.core.objective.ObjectiveFunction.array_delta`), and
-convergence comes from a vectorized comparison provably equivalent to
-multiset equality with the target.  Round records are
+convergence comes from a test provably equivalent to multiset equality
+with the target: under a uniform target (minimum, maximum) a count of
+the agents off it, moved by the same delta, and otherwise a vectorized
+comparison.  Round records are
 :class:`ArrayRoundRecord` objects whose ``multiset`` is built from the
 flat states only when read, so a ``history="none"`` run materializes no
 per-agent objects and no per-round bags at all.  The environment side
@@ -185,9 +187,9 @@ def _group_step_kernel(kernel: str, values, group_of_id, group_count: int):
     the step rule does.
 
     Returns ``(new_values, changed, improving, group_steps, largest)``:
-    the states after the step, the mask of changed slots, the number of
-    groups that changed, the number of non-empty groups and the largest
-    group size.
+    the states after the step, the ascending positions of the changed
+    slots, the number of groups that changed, the number of non-empty
+    groups and the largest group size.
     """
     np = _numpy
     if kernel == "minimum":
@@ -213,10 +215,12 @@ def _group_step_kernel(kernel: str, values, group_of_id, group_count: int):
         new_values = np.where(stepping.take(group_of_id), 0, values)
         stepping_groups = np.flatnonzero(stepping)
         new_values[collectors.take(stepping_groups)] = totals.take(stepping_groups)
-    changed = new_values != values
+    changed = np.flatnonzero(new_values != values)
     improved = np.zeros(group_count, dtype=bool)
-    improved[group_of_id[changed]] = True
-    counts = np.bincount(group_of_id, minlength=group_count)
+    improved[group_of_id.take(changed)] = True
+    # Only the non-empty groups and the largest one are read, so the
+    # counts stop at the last group with a member.
+    counts = np.bincount(group_of_id)
     return (
         new_values,
         changed,
@@ -414,15 +418,15 @@ class ArrayEngine(Engine):
         self._guard_rng = _KernelGuardRng(algorithm.name)
 
         self._initial_states = initial_states
-        self._install_states(initial_states)
         # The initial bag is built once: the target is f of it, and it is
         # cached below as the epoch-0 bag that initial_snapshot() returns.
         initial_bag = Multiset(initial_states)
         self._target = algorithm.function(initial_bag)
         # No maintained bag: the objective is folded from int64 deltas and
         # convergence decided on the flat states (_vectorized_converged).
-        self._state = RoundState(self.seed)
         self._converged_test = self._build_converged_test()
+        self._install_states(initial_states)
+        self._state = RoundState(self.seed)
         # Bumped whenever the flat states change; ArrayRoundRecord uses it
         # to refuse stale lazy bags, and current_multiset() to reuse the
         # bag it last built.
@@ -434,8 +438,13 @@ class ArrayEngine(Engine):
     # -- storage ---------------------------------------------------------------
 
     def _install_states(self, states: Sequence[Hashable]) -> None:
-        """(Re)build the flat ``int64`` state array from a list of agent states."""
-        self._states = _numpy.array(states, dtype=_numpy.int64)
+        """(Re)build the flat ``int64`` state array from a list of agent
+        states, and under a uniform target the count of agents off it."""
+        np = _numpy
+        self._states = np.array(states, dtype=np.int64)
+        test = self._converged_test
+        if test[0] == "uniform":
+            self._off_target = int(np.count_nonzero(self._states != test[1]))
 
     # -- state access ------------------------------------------------------------
 
@@ -571,15 +580,13 @@ class ArrayEngine(Engine):
         needed for the cross-check re-derivation, which runs before
         anything is installed.
         """
-        np = _numpy
         states = self._states
         values = states.take(ids)
-        new_values, changed, improving, group_steps, largest = _group_step_kernel(
+        new_values, where, improving, group_steps, largest = _group_step_kernel(
             self._kernel, values, group_of_id, group_count
         )
         if self.cross_check:
             self._verify_kernel_groups(groups, ids, values, new_values)
-        where = np.flatnonzero(changed)
         added = new_values.take(where)
         if where.shape[0]:
             states[ids.take(where)] = added
@@ -610,15 +617,23 @@ class ArrayEngine(Engine):
         """Fold one round's state delta (``int64`` arrays) into the
         objective and decide convergence, both without leaving the arrays.
 
-        The objective's exact array delta prices the delta; the verdict
-        comes from :meth:`_vectorized_converged`.  Under ``cross_check``
-        both are compared with a recomputation from the flat states.
+        The objective's exact array delta prices the delta, and under a
+        uniform target the delta moves the count of agents off it; the
+        verdict comes from :meth:`_vectorized_converged`.  Under
+        ``cross_check`` both are compared with a recomputation from the
+        flat states.
         """
+        np = _numpy
         state = self._state
         if removed.shape[0]:
             state.objective_value = self.algorithm.objective_array_delta(
                 state.objective_value, removed, added
             )
+            test = self._converged_test
+            if test[0] == "uniform":
+                self._off_target += int(np.count_nonzero(removed == test[1])) - int(
+                    np.count_nonzero(added == test[1])
+                )
         converged = self._vectorized_converged()
         if self.cross_check:
             self._verify_fold(state.objective_value, converged)
@@ -628,13 +643,15 @@ class ArrayEngine(Engine):
         """Precompute the vectorized form of the convergence test.
 
         A uniform target (minimum/maximum: every agent at the extremum)
-        reduces multiset equality to one elementwise comparison.  Any
-        other target (sum: total on one agent, zero elsewhere) gets a
-        cheap necessary gate — the count of slots differing from the
-        target's most common value must match — and only when the gate
-        passes does the O(n log n) sorted comparison run, which a
-        conservation-law kernel reaches at most a handful of times per
-        run.  Both forms decide exactly ``multiset(states) == target``.
+        reduces multiset equality to a count of the agents off it, built
+        with the flat states (:meth:`_install_states`) and moved by each
+        round's delta (:meth:`_fold_round`).  Any other target (sum:
+        total on one agent, zero elsewhere) gets a cheap necessary gate —
+        the count of slots differing from the target's most common value
+        must match — and only when the gate passes does the O(n log n)
+        sorted comparison run, which a conservation-law kernel reaches at
+        most a handful of times per run.  Both forms decide exactly
+        ``multiset(states) == target``.
         """
         np = _numpy
         pairs = self._target.most_common()
@@ -650,10 +667,10 @@ class ArrayEngine(Engine):
     def _vectorized_converged(self) -> bool:
         """Exact convergence verdict from the flat states."""
         np = _numpy
-        states = self._states
         target = self._converged_test
         if target[0] == "uniform":
-            return bool((states == target[1]).all())
+            return self._off_target == 0
+        states = self._states
         _, common, expected_other, sorted_target = target
         if int(np.count_nonzero(states != common)) != expected_other:
             return False

@@ -483,6 +483,65 @@ def test_engine_checkpoint_restore_is_identical():
     assert restored.current_states() == uninterrupted.current_states()
 
 
+def _checked_verdicts(engine, directory, **run_kwargs):
+    """Run ``engine`` with rolling checkpoints under ``directory``; every
+    round, ``has_converged()`` must equal the comparison of all agents
+    with the uniform target."""
+    from repro.simulation.probes import CheckpointProbe
+
+    (target,) = set(engine.target)
+
+    def on_round(record):
+        expected = all(state == target for state in engine.current_states())
+        assert engine.has_converged() == record.converged == expected
+
+    return engine.run(
+        max_rounds=80,
+        extra_rounds_after_convergence=2,
+        on_round=on_round,
+        probes=[CheckpointProbe(every=3, directory=directory)],
+        **run_kwargs,
+    )
+
+
+def _same_run(left, right):
+    assert left.final_states == right.final_states
+    assert left.objective_trajectory == right.objective_trajectory
+    assert (left.converged, left.convergence_round, left.rounds_executed) == (
+        right.converged, right.convergence_round, right.rounds_executed
+    )
+
+
+@needs_numpy
+@pytest.mark.parametrize("case", ["minimum", "maximum"])
+def test_off_target_count_is_rebuilt_on_restore_and_reset(tmp_path, case):
+    # Under a uniform target the verdict reads a count of the agents off
+    # it, moved by each round's delta; a restore or a reset replaces the
+    # states, so the count must be rebuilt with them.
+    from repro.simulation.checkpoint import RunCheckpoint
+
+    values = [(7 * index) % 19 for index in range(40)]
+    uninterrupted = _checked_verdicts(
+        _build(ArrayEngine, case, values=values), tmp_path / "full"
+    )
+    assert uninterrupted.converged and uninterrupted.convergence_round > 3
+    checkpoint = RunCheckpoint.load(
+        tmp_path / "full" / f"{case}-seed7" / "round-00000003.json"
+    )
+    restored = _build(ArrayEngine, case, values=values)
+    restored.restore(checkpoint)
+    assert not restored.has_converged()
+    resumed = _checked_verdicts(
+        restored, tmp_path / "resumed", resume_from=checkpoint
+    )
+    _same_run(resumed, uninterrupted)
+
+    assert restored.has_converged()
+    restored.reset()
+    assert not restored.has_converged()
+    _same_run(_checked_verdicts(restored, tmp_path / "reset"), uninterrupted)
+
+
 def _build_any(engine_cls, seed=3, values=VALUES):
     """A minimum run under churn on any of the three engines."""
     if engine_cls is MergeMessagePassingSimulator:
@@ -1106,12 +1165,23 @@ def _negated_verdict(monkeypatch):
     )
 
 
+def _miscounted_off_target(monkeypatch):
+    install = ArrayEngine._install_states
+
+    def miscounting(self, states):
+        install(self, states)
+        self._off_target += 1
+
+    monkeypatch.setattr(ArrayEngine, "_install_states", miscounting)
+
+
 #: mutation -> (seeds it, fragment of the SimulationError cross_check raises)
 MUTATIONS = {
     "fold-off-by-one": (_off_by_one_fold, "array-engine objective diverged"),
     "churn-drops-an-up-edge": (_dropped_up_edge, "transition diverged"),
     "churn-extra-draw": (_extra_draw, "run RNG"),
     "negated-convergence-verdict": (_negated_verdict, "verdict diverged"),
+    "off-target-count-off-by-one": (_miscounted_off_target, "verdict diverged"),
     "initial-price-off-by-one": (_off_by_one_initial_price, "initial objective diverged"),
 }
 

@@ -5,7 +5,8 @@ against the reference engine.  This module pins its three vectorized
 layers directly, on inputs a run rarely produces:
 
 * the component labelling over the fixed agent-id index (random graphs
-  with isolated and disabled agents, and rounds with no edge at all);
+  with isolated and disabled agents, and rounds with no edge at all),
+  through both of its path compressions and past its first sweep;
 * the label-space group-step kernel, on maximal partitions and on
   scheduled partitions whose member orders are not ascending and whose
   groups tie on the maximum (the sum collector tie-break), for minimum,
@@ -30,6 +31,7 @@ from repro.algorithms.minimum import minimum_algorithm, minimum_objective
 from repro.algorithms.summation import summation_algorithm, sum_objective
 from repro.core.errors import SpecificationError
 from repro.core.objective import exact_int64_sum
+from repro.environment import base as environment_base
 from repro.environment.base import connected_component_tuples, label_components
 from repro.environment.dynamics import StaticEnvironment
 from repro.environment.graphs import complete_graph
@@ -47,9 +49,13 @@ ALGORITHMS = {
     "sum": summation_algorithm(),
 }
 
-#: Every group total must fit int64 for the sum kernel; 16 agents of at
-#: most 2**59 in magnitude cannot leave it.
-SUM_LIMIT = 2**59
+#: Agents in a maximal round: enough for edge lists sparse enough that
+#: the labeller compresses only the agents it hooked.
+MAX_AGENTS = 48
+
+#: Every group total must fit int64 for the sum kernel; 48 agents of at
+#: most 2**57 in magnitude cannot leave it.
+SUM_LIMIT = 2**57
 
 #: ``isqrt(INT64_MAX)``: the sum delta squares in int64 up to here.
 SQUARE_LIMIT = 3_037_000_499
@@ -69,7 +75,7 @@ def _values(kernel: str, count: int):
 def graph_rounds(draw):
     """A maximal round: values, an enabled mask and an effective edge list."""
     kernel = draw(st.sampled_from(sorted(ALGORITHMS)))
-    num_agents = draw(st.integers(1, 16))
+    num_agents = draw(st.integers(1, MAX_AGENTS))
     values = draw(_values(kernel, num_agents))
     enabled = draw(st.lists(st.booleans(), min_size=num_agents, max_size=num_agents))
     pairs = draw(
@@ -77,13 +83,27 @@ def graph_rounds(draw):
             st.tuples(
                 st.integers(0, num_agents - 1), st.integers(0, num_agents - 1)
             ).filter(lambda pair: pair[0] != pair[1]),
-            max_size=24,
+            max_size=96,
         )
     )
     # Edges touch only enabled agents, in both orientations, as the
     # engine's effective edge arrays do.
     edges = [(a, b) for a, b in pairs if enabled[a] and enabled[b]]
     return kernel, values, enabled, edges
+
+
+#: A long path among 40 agents: it hooks 12 agents, fewer than half, so
+#: the labeller compresses only those.
+LONG_PATH = (40, [(agent, agent + 1) for agent in range(12)])
+
+#: Every pair of 8 agents: 28 hooked endpoints, so the whole label array
+#: is compressed.
+DENSE = (8, [(a, b) for a in range(8) for b in range(a + 1, 8)])
+
+#: The path 3-1-4-0-5-2, each edge larger endpoint first: the first
+#: sweep hooks 3 onto 1 but 4 and 5 onto 0, so {1, 3} still need a
+#: second sweep to join them.
+ZIGZAG_PATH = (20, [(3, 1), (4, 1), (4, 0), (5, 0), (5, 2)])
 
 
 @st.composite
@@ -127,7 +147,7 @@ def _kernel_round(kernel, values, ids, group_of_id, group_count):
         kernel, before, group_of_id, group_count
     )
     assert new_values.dtype == np.int64
-    assert changed.tolist() == (new_values != before).tolist()
+    assert changed.tolist() == np.flatnonzero(new_values != before).tolist()
     states[ids] = new_values
     return states.tolist(), improving, group_steps, largest
 
@@ -137,6 +157,9 @@ def _kernel_round(kernel, values, ids, group_of_id, group_count):
 @example(("sum", [0, 5, 5, 0], [True, True, True, True], []))  # all singletons
 @example(("sum", [2, 5, 5, 3], [True, False, True, True], [(3, 2), (2, 0)]))
 @example(("maximum", [INT64_MIN, INT64_MIN, 1], [True, True, True], [(1, 0)]))
+@example(("minimum", list(range(40, 0, -1)), [True] * 40, LONG_PATH[1]))
+@example(("maximum", [5, INT64_MIN, 3, 3, 0, 7, -1, 2], [True] * 8, DENSE[1]))
+@example(("sum", [1, 0, 3, 2, 0, 5] + [1] * 14, [True] * 20, ZIGZAG_PATH[1]))
 def test_maximal_round_matches_the_step_rule(case):
     kernel, values, enabled, edges = case
     num_agents = len(values)
@@ -165,6 +188,33 @@ def test_maximal_round_matches_the_step_rule(case):
     assert (after, improving, group_steps, largest) == _step_rule_round(
         kernel, values, components
     )
+
+
+def test_labeller_examples_reach_every_compression(monkeypatch):
+    # The examples above exist to take each branch of the labeller at
+    # least once; record which compression each sweep ran.
+    compressions = []
+    compressed = environment_base._compressed
+
+    def recording(labels, hooked):
+        compressions.append(2 * hooked.shape[0] < labels.shape[0])
+        return compressed(labels, hooked)
+
+    monkeypatch.setattr(environment_base, "_compressed", recording)
+    seen = {}
+    for name, (num_agents, edges) in (
+        ("long path", LONG_PATH), ("dense", DENSE), ("zigzag path", ZIGZAG_PATH)
+    ):
+        compressions.clear()
+        u = np.array([a for a, _ in edges], dtype=np.int64)
+        v = np.array([b for _, b in edges], dtype=np.int64)
+        label_components(u, v, num_agents)
+        seen[name] = list(compressions)
+    # One sweep each, on the hooked subset and on the whole array; the
+    # zigzag path sweeps twice, both times on a subset.
+    assert seen == {
+        "long path": [True], "dense": [False], "zigzag path": [True, True]
+    }
 
 
 @settings(max_examples=300, deadline=None)

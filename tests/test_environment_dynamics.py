@@ -257,6 +257,53 @@ def test_uniform_draws_is_the_random_stream(seed, count, pending_gauss):
     assert batch_rng.gauss(0.0, 1.0) == loop_rng.gauss(0.0, 1.0)
 
 
+@needs_numpy
+def test_uniform_draws_reuses_the_scratch_only_for_its_own_state():
+    # Back-to-back batches from one generator draw on the scratch as it
+    # stands; interleaved generators, a plain draw between batches and a
+    # batch on another thread must each load their own state instead.
+    import threading
+
+    first, second = random.Random(1), random.Random(2)
+    first_loop, second_loop = random.Random(1), random.Random(2)
+
+    def check(rng, loop_rng, count):
+        assert dynamics.uniform_draws(rng, count).tolist() == [
+            loop_rng.random() for _ in range(count)
+        ]
+        assert rng.getstate() == loop_rng.getstate()
+
+    check(first, first_loop, 700)
+    assert dynamics._draw_scratch.holds == first.getstate()[1]
+    check(first, first_loop, 700)
+    check(second, second_loop, 300)
+    check(first, first_loop, 700)
+    assert first.random() == first_loop.random()
+    check(first, first_loop, 700)
+
+    on_thread = []
+    thread = threading.Thread(
+        target=lambda: on_thread.append(dynamics.uniform_draws(first, 500).tolist())
+    )
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert on_thread == [[first_loop.random() for _ in range(500)]]
+    assert first.getstate() == first_loop.getstate()
+    # This thread's scratch still holds the state from before the thread
+    # ran: it must not be drawn from as it stands.
+    check(first, first_loop, 700)
+
+    def failing(scratch):
+        scratch.random_sample(10)
+        raise RuntimeError("draw failed")
+
+    with pytest.raises(RuntimeError):
+        dynamics._drawn_on_scratch(first, failing)
+    assert dynamics._draw_scratch.holds is None
+    check(first, first_loop, 700)
+
+
 #: Spans of ``randint``: 1 (one bit per word, half rejected), 2, the
 #: numpy path's ends 2**31 + 1 and 2**32 - 1, and 2**32 and 2**32 + 1,
 #: whose ``randint`` reads two words per try and so runs the loop.

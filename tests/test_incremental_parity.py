@@ -1145,7 +1145,8 @@ def _seeded_mutations():
     return {
         "labeller-accepts-one-sweep": (
             base, "label_components",
-            "if np.array_equal(labels.take(u), labels.take(v)):", "if True:",
+            "while not np.array_equal(labels.take(u), labels.take(v)):",
+            "while False:",
             "maximal", _caught_by_oracle_and_both_cross_checks,
         ),
         "fold-round-objective-off-by-one": (
